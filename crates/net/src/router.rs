@@ -243,9 +243,11 @@ fn trace_by_id(state: &AppState, rest: &str) -> Response {
 }
 
 /// `GET /nodes`: every lifecycle row joined with live registry and
-/// detector state for admitted nodes.
+/// detector state for admitted nodes. The status rows come in ascending
+/// id order, so each row's join is a binary search.
 fn nodes(state: &AppState) -> Response {
     let statuses = state.hooks().nodes();
+    let status_of = |id| statuses.binary_search_by_key(&id, |s| s.id).ok().map(|i| &statuses[i]);
     let body = state.with_lifecycle(|lc| {
         let mut rows = String::from("[");
         for (i, entry) in lc.entries().iter().enumerate() {
@@ -262,7 +264,7 @@ fn nodes(state: &AppState) -> Response {
             };
             if let Some(id) = entry.node {
                 b.int("node", id.raw());
-                if let Some(status) = statuses.iter().find(|s| s.id == id) {
+                if let Some(status) = status_of(id) {
                     b.str("health", &format!("{:?}", status.health).to_ascii_lowercase());
                     b.num("phi", status.phi);
                     b.num("suspect_phi", status.effective_suspect_phi);
@@ -477,6 +479,27 @@ mod tests {
         assert_eq!(resp.status, 200);
         let resp = route(&app, &req(Method::Delete, "/v1/nodes/a", ""));
         assert_eq!(resp.status, 410, "double delete is gone");
+    }
+
+    #[test]
+    fn nodes_joins_each_row_to_its_own_status() {
+        let app = app(true);
+        for name in ["a", "b", "c", "d"] {
+            let body = format!(r#"{{"name":"{name}","rate":1.0}}"#);
+            assert_eq!(route(&app, &req(Method::Post, "/v1/register", &body)).status, 201);
+        }
+        assert_eq!(route(&app, &req(Method::Post, "/v1/drain", r#"{"name":"b"}"#)).status, 200);
+        assert_eq!(route(&app, &req(Method::Delete, "/v1/nodes/c", "")).status, 200);
+        let text = body_text(&route(&app, &req(Method::Get, "/nodes", "")));
+        let row = |name: &str| {
+            let start = text.find(&format!(r#"{{"name":"{name}""#)).expect("row present");
+            let len = text[start..].find('}').expect("row closes");
+            text[start..start + len].to_string()
+        };
+        assert!(row("a").contains(r#""health":"up""#), "{text}");
+        assert!(row("b").contains(r#""health":"draining""#), "{text}");
+        assert!(!row("c").contains(r#""health""#), "deregistered: no live status: {text}");
+        assert!(row("d").contains(r#""health":"up""#), "{text}");
     }
 
     #[test]

@@ -200,7 +200,8 @@ impl ControlPlaneHooks {
         self.runtime.suspicion(id, self.now())
     }
 
-    /// Status rows for every registered node, in registration order.
+    /// Status rows for every registered node, in registration order
+    /// (which is ascending id order).
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeStatus> {
         let now = self.now();

@@ -46,7 +46,7 @@
 
 use crate::registry::{Health, NodeId};
 use gtlb_desim::stats::Ewma;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Tunables of the accrual detector. Defaults are deliberately snappy
 /// for simulation timescales; production deployments would scale them
@@ -173,6 +173,19 @@ struct Track {
     view: Health,
 }
 
+impl Track {
+    fn new(alpha: f64) -> Self {
+        Self {
+            intervals: Ewma::new(alpha),
+            gaps: VecDeque::new(),
+            last_seen: None,
+            boost: 0.0,
+            consecutive_successes: 0,
+            view: Health::Up,
+        }
+    }
+}
+
 /// `1 + σ/μ` over the track's gap window — the common factor both
 /// effective thresholds scale by. `1.0` in fixed mode or before two
 /// gaps have landed, so fixed-mode arithmetic is untouched.
@@ -203,13 +216,36 @@ fn mean_interval(cfg: &DetectorConfig, track: &Track) -> Option<f64> {
     }
 }
 
+/// `(suspect_phi, down_phi)` scaled by the track's tuning factor.
+fn thresholds(cfg: &DetectorConfig, track: &Track) -> (f64, f64) {
+    let scale = tuning_scale(cfg, track);
+    (cfg.suspect_phi * scale, cfg.down_phi * scale)
+}
+
+/// Suspicion of one track at `now`: accrued boost plus the silence term.
+fn track_phi(cfg: &DetectorConfig, track: &Track, now: f64) -> f64 {
+    let silence = match (track.last_seen, mean_interval(cfg, track)) {
+        (Some(last), Some(mean)) if mean > 0.0 => {
+            ((now - last).max(0.0)) / (mean * std::f64::consts::LN_10)
+        }
+        _ => 0.0,
+    };
+    track.boost + silence
+}
+
 /// The accrual failure detector: per-node suspicion tracks feeding
 /// [`Health`] transitions. Deterministic — no clock, no randomness; the
 /// caller supplies observation times.
+///
+/// Tracks live in a table sorted by [`NodeId`] and are found by one
+/// binary search per call, so a caller may name any id: an unknown one
+/// costs one track, never storage in proportion to its value.
 #[derive(Debug)]
 pub struct AccrualDetector {
     cfg: DetectorConfig,
-    tracks: HashMap<u64, Track>,
+    /// Observed nodes, ascending; `tracks[i]` belongs to `ids[i]`.
+    ids: Vec<NodeId>,
+    tracks: Vec<Track>,
 }
 
 impl AccrualDetector {
@@ -220,7 +256,7 @@ impl AccrualDetector {
     #[must_use]
     pub fn new(cfg: DetectorConfig) -> Self {
         cfg.validate();
-        Self { cfg, tracks: HashMap::new() }
+        Self { cfg, ids: Vec::new(), tracks: Vec::new() }
     }
 
     /// The configuration in force.
@@ -229,30 +265,28 @@ impl AccrualDetector {
         &self.cfg
     }
 
+    fn find(&self, node: NodeId) -> Option<&Track> {
+        self.ids.binary_search(&node).ok().map(|i| &self.tracks[i])
+    }
+
+    /// The node's track, created on first sight.
     fn track(&mut self, node: NodeId) -> &mut Track {
-        let alpha = self.cfg.interval_alpha;
-        self.tracks.entry(node.raw()).or_insert_with(|| Track {
-            intervals: Ewma::new(alpha),
-            gaps: VecDeque::new(),
-            last_seen: None,
-            boost: 0.0,
-            consecutive_successes: 0,
-            view: Health::Up,
-        })
+        let i = match self.ids.binary_search(&node) {
+            Ok(i) => i,
+            Err(i) => {
+                self.ids.insert(i, node);
+                self.tracks.insert(i, Track::new(self.cfg.interval_alpha));
+                i
+            }
+        };
+        &mut self.tracks[i]
     }
 
     /// Current suspicion level of `node` at time `now`: accrued boost
     /// plus the silence term. Zero for unknown nodes.
     #[must_use]
     pub fn phi(&self, node: NodeId, now: f64) -> f64 {
-        let Some(track) = self.tracks.get(&node.raw()) else { return 0.0 };
-        let silence = match (track.last_seen, mean_interval(&self.cfg, track)) {
-            (Some(last), Some(mean)) if mean > 0.0 => {
-                ((now - last).max(0.0)) / (mean * std::f64::consts::LN_10)
-            }
-            _ => 0.0,
-        };
-        track.boost + silence
+        self.find(node).map_or(0.0, |track| track_phi(&self.cfg, track, now))
     }
 
     /// The thresholds in force for `node` right now: the configured
@@ -262,21 +296,23 @@ impl AccrualDetector {
     /// `down > suspect` always.
     #[must_use]
     pub fn effective_thresholds(&self, node: NodeId) -> (f64, f64) {
-        let scale =
-            self.tracks.get(&node.raw()).map_or(1.0, |track| tuning_scale(&self.cfg, track));
-        (self.cfg.suspect_phi * scale, self.cfg.down_phi * scale)
+        let fixed = (self.cfg.suspect_phi, self.cfg.down_phi);
+        self.find(node).map_or(fixed, |track| thresholds(&self.cfg, track))
     }
 
     /// The detector's current view of `node`'s health (its own state
     /// machine, which the runtime mirrors into the registry).
     #[must_use]
     pub fn view(&self, node: NodeId) -> Health {
-        self.tracks.get(&node.raw()).map_or(Health::Up, |t| t.view)
+        self.find(node).map_or(Health::Up, |t| t.view)
     }
 
     /// Forgets a node entirely (deregistration).
     pub fn forget(&mut self, node: NodeId) {
-        self.tracks.remove(&node.raw());
+        if let Ok(i) = self.ids.binary_search(&node) {
+            self.ids.remove(i);
+            self.tracks.remove(i);
+        }
     }
 
     /// Forces the detector's view of `node` (operator override): when
@@ -312,19 +348,16 @@ impl AccrualDetector {
         track.boost *= cfg.success_decay;
         track.consecutive_successes += 1;
         let from = track.view;
-        let boost = track.boost;
-        let successes = track.consecutive_successes;
         // Effective suspect threshold after this observation landed (the
         // identity in fixed mode).
-        let (eff_suspect, _) = self.effective_thresholds(node);
-        let track = self.tracks.get_mut(&node.raw()).expect("track just created");
+        let (eff_suspect, _) = thresholds(&cfg, track);
         match from {
-            Health::Down if successes >= cfg.probation_successes => {
+            Health::Down if track.consecutive_successes >= cfg.probation_successes => {
                 track.view = Health::Up;
             }
             // Re-read φ with the refreshed boost/last_seen; the silence
             // term is zero at the observation instant.
-            Health::Suspect if boost < cfg.recovery_factor * eff_suspect => {
+            Health::Suspect if track.boost < cfg.recovery_factor * eff_suspect => {
                 track.view = Health::Up;
             }
             _ => {}
@@ -341,9 +374,8 @@ impl AccrualDetector {
         track.boost += cfg.failure_boost;
         track.consecutive_successes = 0;
         let from = track.view;
-        let phi = self.phi(node, t);
-        let (eff_suspect, eff_down) = self.effective_thresholds(node);
-        let track = self.tracks.get_mut(&node.raw()).expect("track just created");
+        let phi = track_phi(&cfg, track, t);
+        let (eff_suspect, eff_down) = thresholds(&cfg, track);
         match from {
             Health::Up | Health::Suspect if phi >= eff_down => track.view = Health::Down,
             Health::Up if phi >= eff_suspect => track.view = Health::Suspect,

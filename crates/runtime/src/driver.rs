@@ -18,7 +18,6 @@
 //! chunks of jobs with control-plane events (failures, drains,
 //! re-solves) to exercise mid-run transitions.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
@@ -164,6 +163,16 @@ struct Heartbeat {
     ids: Vec<NodeId>,
 }
 
+/// The driver's model of one node: its service stream (seeded on the
+/// node's first job), FCFS next-free time, and completions since the
+/// last reset.
+#[derive(Debug, Default)]
+struct NodeLane {
+    service: Option<Xoshiro256PlusPlus>,
+    next_free: f64,
+    completed: u64,
+}
+
 /// Replays a synthetic arrival stream against a runtime.
 #[derive(Debug)]
 pub struct TraceDriver {
@@ -172,11 +181,10 @@ pub struct TraceDriver {
     batch_size: u64,
     clock: f64,
     arrivals: Xoshiro256PlusPlus,
-    services: HashMap<NodeId, Xoshiro256PlusPlus>,
-    next_free: HashMap<NodeId, f64>,
+    /// Indexed by the registry-issued node id, which is dense from 0.
+    lanes: Vec<NodeLane>,
     responses: Welford,
     batches: BatchMeans,
-    per_node: HashMap<NodeId, u64>,
     submitted: u64,
     accepted: u64,
     rejected: u64,
@@ -204,11 +212,9 @@ impl TraceDriver {
             batch_size: cfg.batch_size,
             clock: 0.0,
             arrivals: Xoshiro256PlusPlus::stream(cfg.seed, DRIVER_ARRIVAL_STREAM),
-            services: HashMap::new(),
-            next_free: HashMap::new(),
+            lanes: Vec::new(),
             responses: Welford::new(),
             batches: BatchMeans::new(cfg.batch_size),
-            per_node: HashMap::new(),
             submitted: 0,
             accepted: 0,
             rejected: 0,
@@ -536,15 +542,15 @@ impl TraceDriver {
             // exactly the mismatch the re-solver must absorb.
             let factor = self.faults.as_ref().map_or(1.0, |f| f.service_factor(node, t_attempt));
             let seed = self.seed;
-            let rng = self.services.entry(node).or_insert_with(|| {
+            let lane = self.lane(node);
+            let rng = lane.service.get_or_insert_with(|| {
                 Xoshiro256PlusPlus::stream(seed, DRIVER_SERVICE_STREAM_BASE + node.raw())
             });
             let service = -rng.next_open01().ln() / (mu * factor);
 
-            let free = self.next_free.entry(node).or_insert(0.0);
-            let start = t_attempt.max(*free);
+            let start = t_attempt.max(lane.next_free);
             let done = start + service;
-            *free = done;
+            lane.next_free = done;
 
             runtime.record_service(node, service);
             if chaos {
@@ -571,10 +577,19 @@ impl TraceDriver {
                 .record_response_traced(response, trace.as_ref().map(|t| t.id.raw()));
             self.responses.add(response);
             self.batches.add(response);
-            *self.per_node.entry(node).or_insert(0) += 1;
+            self.lane(node).completed += 1;
             return Ok(());
         }
         unreachable!("every attempt either returns or schedules a retry");
+    }
+
+    /// The lane of a registry-issued node id, grown on first sight.
+    fn lane(&mut self, node: NodeId) -> &mut NodeLane {
+        let idx = usize::try_from(node.raw()).expect("registry-issued ids fit in usize");
+        if idx >= self.lanes.len() {
+            self.lanes.resize_with(idx + 1, NodeLane::default);
+        }
+        &mut self.lanes[idx]
     }
 
     /// Records a job ending (completed, shed, or abandoned) on attempt
@@ -618,7 +633,9 @@ impl TraceDriver {
     pub fn reset_measurements(&mut self) {
         self.responses = Welford::new();
         self.batches = BatchMeans::new(self.batch_size);
-        self.per_node.clear();
+        for lane in &mut self.lanes {
+            lane.completed = 0;
+        }
         self.submitted = 0;
         self.accepted = 0;
         self.rejected = 0;
@@ -632,9 +649,11 @@ impl TraceDriver {
     /// Measurements since construction or the last reset.
     #[must_use]
     pub fn stats(&self) -> TraceStats {
-        let mut per_node: Vec<(NodeId, u64)> =
-            self.per_node.iter().map(|(&id, &c)| (id, c)).collect();
-        per_node.sort_by_key(|&(id, _)| id);
+        let per_node = (0u64..)
+            .zip(&self.lanes)
+            .filter(|(_, lane)| lane.completed > 0)
+            .map(|(raw, lane)| (NodeId::from_raw(raw), lane.completed))
+            .collect();
         TraceStats {
             jobs: self.responses.count(),
             submitted: self.submitted,

@@ -77,10 +77,24 @@ impl EwmaRate {
 }
 
 /// Sliding-window estimator of a service rate from service durations.
+///
+/// The window keeps a running sum, so [`WindowRate::rate`] is O(1): a
+/// push adds, an eviction subtracts, and every `capacity` pushes the sum
+/// is recomputed exactly from the window. Between two re-sums at most
+/// `capacity` additions and `capacity` subtractions round, each by at
+/// most half an ulp, so the drift stays within about `capacity · ε`
+/// times the largest sum held since the last re-sum — relative to the
+/// current sum, `capacity · ε · max/min` over the window's values. The
+/// buffer grows on demand, so a node that never fills its window never
+/// pays for all of it.
 #[derive(Debug, Clone)]
 pub struct WindowRate {
     window: VecDeque<f64>,
     capacity: usize,
+    /// Running `Σ window`.
+    sum: f64,
+    /// Pushes since `sum` was last recomputed exactly.
+    since_resum: usize,
 }
 
 impl WindowRate {
@@ -91,7 +105,7 @@ impl WindowRate {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "service window must be positive");
-        Self { window: VecDeque::with_capacity(capacity), capacity }
+        Self { window: VecDeque::new(), capacity, sum: 0.0, since_resum: 0 }
     }
 
     /// Records one service duration (nonpositive durations are ignored —
@@ -101,9 +115,19 @@ impl WindowRate {
             return;
         }
         if self.window.len() == self.capacity {
-            self.window.pop_front();
+            if let Some(old) = self.window.pop_front() {
+                self.sum -= old;
+            }
         }
         self.window.push_back(service_time);
+        self.sum += service_time;
+        self.since_resum += 1;
+        // A sum of positive durations is positive: cancellation that
+        // says otherwise is corrected at once, not at the next period.
+        if self.since_resum == self.capacity || self.sum <= 0.0 {
+            self.sum = self.window.iter().sum();
+            self.since_resum = 0;
+        }
     }
 
     /// Estimated service rate over the window, `k / Σs`; `None` while
@@ -113,8 +137,7 @@ impl WindowRate {
         if self.window.is_empty() {
             return None;
         }
-        let sum: f64 = self.window.iter().sum();
-        (sum > 0.0).then(|| self.window.len() as f64 / sum)
+        (self.sum > 0.0).then(|| self.window.len() as f64 / self.sum)
     }
 
     /// Observations currently in the window.
@@ -199,6 +222,7 @@ impl EstimatorBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gtlb_desim::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn ewma_tracks_a_steady_stream() {
@@ -251,6 +275,67 @@ mod tests {
         w.observe(-1.0);
         w.observe(f64::NAN);
         assert_eq!(w.count(), 0);
+    }
+
+    /// Feeds `w` log-uniform durations spanning `[lo, lo · span)`.
+    fn feed(w: &mut WindowRate, rng: &mut Xoshiro256PlusPlus, n: usize, lo: f64, span: f64) {
+        for _ in 0..n {
+            w.observe(lo * span.powf(rng.next_open01()));
+        }
+    }
+
+    #[test]
+    fn running_sum_tracks_a_fresh_sum() {
+        let mut rng = Xoshiro256PlusPlus::stream(21, 0);
+        for capacity in [1, 3, 64, 1000, 4096] {
+            let mut w = WindowRate::new(capacity);
+            for _ in 0..3 * capacity + 7 {
+                feed(&mut w, &mut rng, 1, 1e-3, 1e3);
+                let fresh: f64 = w.window.iter().sum();
+                if w.since_resum == 0 {
+                    assert_eq!(w.sum.to_bits(), fresh.to_bits(), "bit-equal after a re-sum");
+                } else {
+                    let drift = (w.sum - fresh).abs() / fresh;
+                    assert!(drift <= 1e-9, "capacity {capacity}: drift {drift:e}");
+                }
+                assert_eq!(w.rate(), Some(w.count() as f64 / w.sum));
+            }
+        }
+    }
+
+    #[test]
+    fn running_sum_resums_every_capacity_pushes() {
+        let mut w = WindowRate::new(5);
+        for k in 1..=12 {
+            w.observe(0.1 * f64::from(k));
+            assert_eq!(w.since_resum, k as usize % 5, "push {k}");
+        }
+        w.observe(-1.0);
+        assert_eq!(w.since_resum, 2, "an ignored duration is not a push");
+    }
+
+    #[test]
+    fn a_million_fold_drop_keeps_the_rate_positive_and_finite() {
+        let mut rng = Xoshiro256PlusPlus::stream(22, 0);
+        for capacity in [2, 17, 4096] {
+            let mut w = WindowRate::new(capacity);
+            feed(&mut w, &mut rng, capacity, 1.0, 2.0);
+            for _ in 0..2 * capacity {
+                feed(&mut w, &mut rng, 1, 1e-6, 2.0);
+                let rate = w.rate().expect("nonempty window");
+                assert!(rate.is_finite() && rate > 0.0, "capacity {capacity}: rate {rate}");
+            }
+            let fresh: f64 = w.window.iter().sum();
+            assert_eq!(w.sum.to_bits(), fresh.to_bits(), "the drop ends on a re-sum");
+        }
+    }
+
+    #[test]
+    fn window_allocates_on_demand() {
+        let mut w = WindowRate::new(4096);
+        assert_eq!(w.window.capacity(), 0, "no buffer before the first observation");
+        w.observe(1.0);
+        assert!(w.window.capacity() < 4096, "grows with the samples, not the bound");
     }
 
     #[test]

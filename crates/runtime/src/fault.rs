@@ -56,7 +56,7 @@
 //! single-threaded trace driver fixes, so a chaos trace is a pure
 //! function of `(seed, plan, shard count)`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
@@ -566,18 +566,6 @@ impl FaultPlan {
         self.events.is_empty() && self.domain_events.is_empty()
     }
 
-    /// Every `(at, kind)` pair that applies to `node`: its own events
-    /// plus its domain's events, lazily joined.
-    fn events_on(&self, node: NodeId) -> impl Iterator<Item = (f64, FaultKind)> + '_ {
-        let domain = self.domain_of(node);
-        self.events.iter().filter(move |e| e.node == node).map(|e| (e.at, e.kind)).chain(
-            self.domain_events
-                .iter()
-                .filter(move |e| domain == Some(e.domain.as_str()))
-                .map(|e| (e.at, e.kind)),
-        )
-    }
-
     /// FNV-1a fingerprint of the schedule (seed + every event, domain
     /// assignment, and domain event, payloads included — two plans
     /// differing only in a partition direction or a domain label hash
@@ -665,15 +653,103 @@ pub enum DropCause {
     Gray,
 }
 
+/// The faults active on one node at one instant: the node's slice of
+/// the plan folded once, so every query about that instant is answered
+/// from one pass over the node's own events.
+#[derive(Debug, Clone, Copy)]
+struct ActiveFaults {
+    crashed: bool,
+    drop_dispatch: bool,
+    drop_heartbeats: bool,
+    /// Maximum over the active flaky windows.
+    flaky: f64,
+    /// Maximum over the active gray windows.
+    gray_loss: f64,
+    /// Product of the active slow factors and gray `1 / inflation`s, in
+    /// slice order.
+    service_factor: f64,
+}
+
+impl ActiveFaults {
+    const NONE: Self = Self {
+        crashed: false,
+        drop_dispatch: false,
+        drop_heartbeats: false,
+        flaky: 0.0,
+        gray_loss: 0.0,
+        service_factor: 1.0,
+    };
+
+    /// Folds `events` (one node's own events, then its domain's, each in
+    /// insertion order) at time `t`. The multiplication order is the
+    /// slice order, so `service_factor` is bit-identical to a product
+    /// over the plan's events filtered to the node.
+    fn fold(events: &[(f64, FaultKind)], t: f64) -> Self {
+        let mut a = Self::NONE;
+        for &(at, kind) in events {
+            let within = |lasts: f64| t >= at && t < at + lasts;
+            match kind {
+                FaultKind::Crash => a.crashed |= t >= at,
+                FaultKind::CrashRecover { down_for } => a.crashed |= within(down_for),
+                FaultKind::Slow { factor, lasts } if within(lasts) => a.service_factor *= factor,
+                FaultKind::Flaky { drop_probability, lasts } if within(lasts) => {
+                    a.flaky = a.flaky.max(drop_probability);
+                }
+                FaultKind::Partition { direction, lasts } if within(lasts) => match direction {
+                    PartitionDirection::DropDispatch => a.drop_dispatch = true,
+                    PartitionDirection::DropHeartbeats => a.drop_heartbeats = true,
+                },
+                FaultKind::Gray { inflation, loss_probability, lasts } if within(lasts) => {
+                    a.service_factor *= 1.0 / inflation;
+                    a.gray_loss = a.gray_loss.max(loss_probability);
+                }
+                _ => {}
+            }
+        }
+        a
+    }
+
+    fn partitioned(&self, direction: PartitionDirection) -> bool {
+        match direction {
+            PartitionDirection::DropDispatch => self.drop_dispatch,
+            PartitionDirection::DropHeartbeats => self.drop_heartbeats,
+        }
+    }
+}
+
+/// One indexed node: the events that apply to it (its own, then its
+/// domain's, each in insertion order) and its drop streams, seeded on
+/// first draw.
+#[derive(Debug)]
+struct NodeSlot {
+    events: Box<[(f64, FaultKind)]>,
+    flaky_rng: Option<Xoshiro256PlusPlus>,
+    gray_rng: Option<Xoshiro256PlusPlus>,
+}
+
+/// Draws once from `rng` (seeding it on first use) when `p > 0`.
+fn draw(rng: &mut Option<Xoshiro256PlusPlus>, seed: u64, stream: u64, p: f64) -> bool {
+    p > 0.0 && rng.get_or_insert_with(|| Xoshiro256PlusPlus::stream(seed, stream)).next_open01() < p
+}
+
 /// Evaluates a [`FaultPlan`] against the virtual clock. Stateless for
 /// crash/slow/partition queries; flaky and gray drop draws advance the
 /// per-node fault streams (hence `&mut` on
 /// [`FaultInjector::dispatch_drops`] / [`FaultInjector::heartbeat_drops`]).
+///
+/// Construction indexes the plan by node once: every node the plan
+/// touches gets one contiguous slice holding its own events, then its
+/// domain's, each in insertion order. A query binary-searches the
+/// sorted node ids and folds that one slice, so its cost does not grow
+/// with the size of the plan or the cluster. The index is keyed by
+/// [`NodeId`], never by the raw id value, so a plan may name any id.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    flaky_rng: HashMap<u64, Xoshiro256PlusPlus>,
-    gray_rng: HashMap<u64, Xoshiro256PlusPlus>,
+    /// Every node with at least one applicable event, ascending.
+    ids: Vec<NodeId>,
+    /// `slots[i]` belongs to `ids[i]`.
+    slots: Vec<NodeSlot>,
     markers: Vec<FaultMarker>,
     marker_cursor: usize,
 }
@@ -683,13 +759,26 @@ impl FaultInjector {
     #[must_use]
     pub fn new(plan: FaultPlan) -> Self {
         let markers = plan.markers();
-        Self {
-            plan,
-            flaky_rng: HashMap::new(),
-            gray_rng: HashMap::new(),
-            markers,
-            marker_cursor: 0,
+        let mut shared: HashMap<&str, Vec<(f64, FaultKind)>> = HashMap::new();
+        for e in &plan.domain_events {
+            shared.entry(e.domain.as_str()).or_default().push((e.at, e.kind));
         }
+        let mut per_node: BTreeMap<NodeId, Vec<(f64, FaultKind)>> = BTreeMap::new();
+        for e in &plan.events {
+            per_node.entry(e.node).or_default().push((e.at, e.kind));
+        }
+        for (node, label) in &plan.domains {
+            if let Some(events) = shared.get(label.as_str()) {
+                per_node.entry(*node).or_default().extend_from_slice(events);
+            }
+        }
+        let mut ids = Vec::with_capacity(per_node.len());
+        let mut slots = Vec::with_capacity(per_node.len());
+        for (node, events) in per_node {
+            ids.push(node);
+            slots.push(NodeSlot { events: events.into(), flaky_rng: None, gray_rng: None });
+        }
+        Self { plan, ids, slots, markers, marker_cursor: 0 }
     }
 
     /// The plan being enacted.
@@ -698,28 +787,31 @@ impl FaultInjector {
         &self.plan
     }
 
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        self.ids.binary_search(&node).ok()
+    }
+
+    fn active_at(&self, slot: usize, t: f64) -> ActiveFaults {
+        ActiveFaults::fold(&self.slots[slot].events, t)
+    }
+
+    fn active(&self, node: NodeId, t: f64) -> ActiveFaults {
+        self.slot(node).map_or(ActiveFaults::NONE, |i| self.active_at(i, t))
+    }
+
     /// Whether `node` is dead at time `t` (inside a crash, or a
     /// crash-recover window that has not healed yet), its own events and
     /// its domain's counted alike.
     #[must_use]
     pub fn crashed(&self, node: NodeId, t: f64) -> bool {
-        self.plan.events_on(node).any(|(at, kind)| match kind {
-            FaultKind::Crash => t >= at,
-            FaultKind::CrashRecover { down_for } => t >= at && t < at + down_for,
-            _ => false,
-        })
+        self.active(node, t).crashed
     }
 
     /// Whether an asymmetric partition cutting `direction` is active on
     /// `node` at `t`. Pure data — consumes no randomness.
     #[must_use]
     pub fn partitioned(&self, node: NodeId, t: f64, direction: PartitionDirection) -> bool {
-        self.plan.events_on(node).any(|(at, kind)| match kind {
-            FaultKind::Partition { direction: d, lasts } => {
-                d == direction && t >= at && t < at + lasts
-            }
-            _ => false,
-        })
+        self.active(node, t).partitioned(direction)
     }
 
     /// The service-rate multiplier active on `node` at `t`: the product
@@ -727,16 +819,7 @@ impl FaultInjector {
     /// window contributes `1 / inflation`), `1.0` when none.
     #[must_use]
     pub fn service_factor(&self, node: NodeId, t: f64) -> f64 {
-        self.plan
-            .events_on(node)
-            .filter_map(|(at, kind)| match kind {
-                FaultKind::Slow { factor, lasts } if t >= at && t < at + lasts => Some(factor),
-                FaultKind::Gray { inflation, lasts, .. } if t >= at && t < at + lasts => {
-                    Some(1.0 / inflation)
-                }
-                _ => None,
-            })
-            .product()
+        self.active(node, t).service_factor
     }
 
     /// The per-attempt drop probability active on `node` at `t` from the
@@ -746,33 +829,19 @@ impl FaultInjector {
     /// different stream.
     #[must_use]
     pub fn drop_probability(&self, node: NodeId, t: f64) -> f64 {
-        if self.crashed(node, t) {
-            return 1.0;
+        let active = self.active(node, t);
+        if active.crashed {
+            1.0
+        } else {
+            active.flaky
         }
-        self.plan
-            .events_on(node)
-            .filter_map(|(at, kind)| match kind {
-                FaultKind::Flaky { drop_probability, lasts } if t >= at && t < at + lasts => {
-                    Some(drop_probability)
-                }
-                _ => None,
-            })
-            .fold(0.0, f64::max)
     }
 
     /// The per-attempt gray loss probability active on `node` at `t`
     /// (the maximum over overlapping gray windows).
     #[must_use]
     pub fn gray_loss_probability(&self, node: NodeId, t: f64) -> f64 {
-        self.plan
-            .events_on(node)
-            .filter_map(|(at, kind)| match kind {
-                FaultKind::Gray { loss_probability, lasts, .. } if t >= at && t < at + lasts => {
-                    Some(loss_probability)
-                }
-                _ => None,
-            })
-            .fold(0.0, f64::max)
+        self.active(node, t).gray_loss
     }
 
     /// Decides one dispatch attempt against `node` at time `t`: `true`
@@ -794,16 +863,7 @@ impl FaultInjector {
     /// tracing layer can label attempt outcomes without perturbing a
     /// single RNG draw.
     pub fn dispatch_drop_cause(&mut self, node: NodeId, t: f64) -> Option<DropCause> {
-        if self.crashed(node, t) {
-            return Some(DropCause::Crash);
-        }
-        if self.partitioned(node, t, PartitionDirection::DropDispatch) {
-            return Some(DropCause::Partition);
-        }
-        if self.flaky_draw(node, t) {
-            return Some(DropCause::Flaky);
-        }
-        self.gray_draw(node, t).then_some(DropCause::Gray)
+        self.attempt_drop(node, t, PartitionDirection::DropDispatch)
     }
 
     /// Decides one heartbeat attempt against `node` at time `t`: same
@@ -811,16 +871,7 @@ impl FaultInjector {
     /// and gray streams with dispatch, in attempt order — except step
     /// (2) tests for a *heartbeat*-cutting partition.
     pub fn heartbeat_drops(&mut self, node: NodeId, t: f64) -> bool {
-        if self.crashed(node, t) {
-            return true;
-        }
-        if self.partitioned(node, t, PartitionDirection::DropHeartbeats) {
-            return true;
-        }
-        if self.flaky_draw(node, t) {
-            return true;
-        }
-        self.gray_draw(node, t)
+        self.attempt_drop(node, t, PartitionDirection::DropHeartbeats).is_some()
     }
 
     /// Legacy alias for [`FaultInjector::dispatch_drops`] — the
@@ -842,30 +893,25 @@ impl FaultInjector {
         self.markers[start..end].to_vec()
     }
 
-    fn flaky_draw(&mut self, node: NodeId, t: f64) -> bool {
-        let p = self.drop_probability(node, t);
-        if p <= 0.0 {
-            return false;
+    /// The decision procedure behind dispatch and heartbeat attempts;
+    /// `cut` names the link direction whose partition drops this kind
+    /// of attempt.
+    fn attempt_drop(&mut self, node: NodeId, t: f64, cut: PartitionDirection) -> Option<DropCause> {
+        let i = self.slot(node)?;
+        let active = self.active_at(i, t);
+        if active.crashed {
+            return Some(DropCause::Crash);
+        }
+        if active.partitioned(cut) {
+            return Some(DropCause::Partition);
         }
         let seed = self.plan.seed;
-        let rng = self
-            .flaky_rng
-            .entry(node.raw())
-            .or_insert_with(|| Xoshiro256PlusPlus::stream(seed, FAULT_STREAM + node.raw()));
-        rng.next_open01() < p
-    }
-
-    fn gray_draw(&mut self, node: NodeId, t: f64) -> bool {
-        let p = self.gray_loss_probability(node, t);
-        if p <= 0.0 {
-            return false;
+        let slot = &mut self.slots[i];
+        if draw(&mut slot.flaky_rng, seed, FAULT_STREAM.wrapping_add(node.raw()), active.flaky) {
+            return Some(DropCause::Flaky);
         }
-        let seed = self.plan.seed;
-        let rng = self
-            .gray_rng
-            .entry(node.raw())
-            .or_insert_with(|| Xoshiro256PlusPlus::stream(seed, ADVERSARIAL_STREAM + node.raw()));
-        rng.next_open01() < p
+        let gray = ADVERSARIAL_STREAM.wrapping_add(node.raw());
+        draw(&mut slot.gray_rng, seed, gray, active.gray_loss).then_some(DropCause::Gray)
     }
 }
 
@@ -875,6 +921,12 @@ mod tests {
 
     fn node(raw: u64) -> NodeId {
         NodeId::from_raw(raw)
+    }
+
+    impl FaultInjector {
+        fn no_stream_seeded(&self) -> bool {
+            self.slots.iter().all(|s| s.flaky_rng.is_none() && s.gray_rng.is_none())
+        }
     }
 
     #[test]
@@ -942,7 +994,7 @@ mod tests {
         for _ in 0..16 {
             assert!(inj.attempt_drops(node(0), 1.0));
         }
-        assert!(inj.flaky_rng.is_empty(), "crash short-circuits the flaky draw");
+        assert!(inj.no_stream_seeded(), "crash short-circuits the flaky draw");
         assert_eq!(inj.drop_probability(node(0), 1.0), 1.0);
     }
 
@@ -961,7 +1013,7 @@ mod tests {
         // Outside the window nothing drops; partitions are pure data.
         assert!(!inj.dispatch_drops(node(0), 9.9));
         assert!(!inj.dispatch_drops(node(0), 15.0));
-        assert!(inj.flaky_rng.is_empty() && inj.gray_rng.is_empty(), "no draws consumed");
+        assert!(inj.no_stream_seeded(), "no draws consumed");
         assert!(!inj.crashed(node(0), 12.0), "partitioned is not crashed");
     }
 
@@ -975,7 +1027,10 @@ mod tests {
         let drops = (0..10_000).filter(|_| inj.dispatch_drops(node(0), 1.0)).count();
         let rate = drops as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "loss rate {rate} vs p 0.25");
-        assert!(inj.flaky_rng.is_empty(), "gray draws never touch the legacy stream");
+        assert!(
+            inj.slots.iter().all(|s| s.flaky_rng.is_none()),
+            "gray draws never touch the legacy stream"
+        );
     }
 
     #[test]

@@ -112,6 +112,10 @@ impl Node {
 }
 
 /// Membership and health of the cluster's nodes, in registration order.
+///
+/// Registration order is ascending id order: ids are issued increasing,
+/// `register` appends, and `deregister` removes without reordering. So
+/// `nodes` stays sorted by id and every lookup is a binary search.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     next_id: u64,
@@ -183,10 +187,10 @@ impl Registry {
     /// Looks a node up.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.iter().find(|n| n.id == id)
+        self.position(id).ok().map(|pos| &self.nodes[pos])
     }
 
-    /// All nodes in registration order.
+    /// All nodes in registration order, which is ascending id order.
     #[must_use]
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
@@ -242,7 +246,7 @@ impl Registry {
     }
 
     fn position(&self, id: NodeId) -> Result<usize, RuntimeError> {
-        self.nodes.iter().position(|n| n.id == id).ok_or(RuntimeError::UnknownNode(id))
+        self.nodes.binary_search_by_key(&id, Node::id).map_err(|_| RuntimeError::UnknownNode(id))
     }
 }
 
