@@ -1,5 +1,4 @@
-//! The PR-9 hot-path benchmarks: pinned borrowed snapshots and
-//! incremental alias repair.
+//! Hot-path benchmarks: pinned borrowed snapshots and the publish cost.
 //!
 //! Three groups feed `BENCH_hotpath.json` (via `GTLB_BENCH_JSON`):
 //!
@@ -11,33 +10,20 @@
 //!   dispatch path (one validated `swap.load()` `Arc` clone per job);
 //!   `pinned` amortizes one `pin()` across the batch. CI gates
 //!   `pinned ≥ 1.3× arc_lease`;
-//! * `hotpath_publish/{rebuild,repair}/65536` — publish latency of a
-//!   full `RoutingTable::new` rebuild vs a k = 1 incremental
-//!   [`TableBuilder::update_weights`] repair at n = 65536. CI gates
-//!   `repair ≥ 5× rebuild`.
-//!
-//! The repair case runs on the *absorber family* (one heavyweight
-//! bucket at index 0, a plateau of ones, a short zero tail — all
-//! dyadic): the configuration the incremental path is built for, where
-//! the absorber sits at the end of the construction schedule and a
-//! low-index k = 1 delta cascades through a handful of steps instead
-//! of the whole table — see "Incremental repair" in DESIGN.md. The
-//! timed loop chains each repaired table as the next publish's base
-//! and ping-pongs one bucket between two exact dyadic values, so every
-//! iteration is a genuine k = 1 repair on fresh state; asserts before
-//! and after the loop prove the repair path engaged and never silently
-//! fell back to the rebuild.
+//! * `hotpath_publish/rebuild/65536` — publish latency of one full
+//!   `RoutingTable::new` build at n = 65536, the path every publish
+//!   takes.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gtlb_desim::rng::Xoshiro256PlusPlus;
-use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, TableBuilder};
+use gtlb_runtime::{EpochSwap, NodeId, RoutingTable};
 
 /// Irregular weights with no two buckets equal and no knife-edge
 /// residuals (a Weyl-style sequence in [1, 2)): uniform weights would
 /// make every alias residual exactly 1.0 and a 4:1 split would make
-/// them repeat, both of which flatter the repair path.
+/// them repeat, both of which shortcut the alias construction.
 fn irregular_weights(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + ((i as u64).wrapping_mul(2_654_435_761) % 997) as f64 / 997.0).collect()
 }
@@ -108,69 +94,16 @@ fn bench_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The absorber family the repair path is built for: bucket 0 is the
-/// unique heaviest (the mass absorber — and, as the lowest-index
-/// large, the bucket whose recorded steps close the construction
-/// schedule, so a low-index delta's cascade stays short), the bulk is
-/// a plateau of ones, and a trailing run of zero-weight buckets rides
-/// the small stack. All weights are dyadic with a power-of-two total,
-/// so the published probabilities are exact and chained repairs
-/// reproduce their bits forever.
-fn absorber_weights(n: usize) -> Vec<f64> {
-    assert!(n.is_power_of_two() && n >= 8);
-    let mut w = vec![1.0; n];
-    w[0] = 4.0;
-    for x in w.iter_mut().skip(n - 3) {
-        *x = 0.0;
-    }
-    w
-}
-
 fn bench_publish(c: &mut Criterion) {
     let n = 65536usize;
     let ids: Vec<NodeId> = (0..n as u64).map(NodeId::from_raw).collect();
-    let weights = absorber_weights(n);
+    let weights = irregular_weights(n);
     let mut group = c.benchmark_group("hotpath_publish");
     group.sample_size(20);
     group.throughput(Throughput::Elements(1));
     group.bench_function(BenchmarkId::new("rebuild", n), |b| {
         b.iter(|| black_box(RoutingTable::new(2, ids.clone(), &weights).unwrap()))
     });
-
-    let mut builder = TableBuilder::new();
-    let base = builder.build(1, ids.clone(), &weights).unwrap();
-    // Bucket 1's probability ping-pongs between its base value (an
-    // exact dyadic, 2⁻¹⁶) and 1.5× it: the absorber's compensating
-    // mass alternates between two exact values as well, so every
-    // publish in the timed loop is a k = 1 repair against the
-    // *previous* repair's output — chained bases, fresh state each
-    // iteration, bits stable forever.
-    let lo = base.probs()[1];
-    let hi = lo * 1.5;
-    // Prove the repair path engages before measuring it — if the
-    // cascade fell back to a rebuild, the gate would be comparing the
-    // rebuild against itself and pass vacuously.
-    let before = builder.repairs();
-    let mut current = builder.update_weights(&base, 2, &[(1, hi)]).unwrap();
-    assert_eq!(
-        builder.repairs(),
-        before + 1,
-        "k=1 delta at n={n} fell back to a full rebuild; repair preconditions regressed"
-    );
-    let rebuilds = builder.rebuilds();
-    let mut epoch = 3u64;
-    let mut next_hi = false;
-    group.bench_function(BenchmarkId::new("repair", n), |b| {
-        b.iter(|| {
-            let w = if next_hi { hi } else { lo };
-            next_hi = !next_hi;
-            current = builder.update_weights(&current, epoch, &[(1, w)]).unwrap();
-            epoch += 1;
-            black_box(current.epoch())
-        })
-    });
-    // ...and that no timed iteration silently took the fallback.
-    assert_eq!(builder.rebuilds(), rebuilds, "a timed publish fell back to a full rebuild");
     group.finish();
 }
 

@@ -12,7 +12,7 @@ use std::sync::{Arc, RwLock};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gtlb_desim::rng::Xoshiro256PlusPlus;
-use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind};
+use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind, MAX_BELOW_ONE};
 
 /// A mildly skewed table over `n` nodes (a few fast, a tail of slow —
 /// the same shape the allocators produce).
@@ -35,11 +35,12 @@ fn bench_route(c: &mut Criterion) {
     group.throughput(Throughput::Elements(us.len() as u64));
     for &n in &[4usize, 64, 1024] {
         let table = skewed_table(n);
-        group.bench_with_input(BenchmarkId::new("cdf", n), &table, |b, t| {
+        let cdf = CdfTable::new(&table);
+        group.bench_with_input(BenchmarkId::new("cdf", n), &cdf, |b, t| {
             b.iter(|| {
                 let mut sink = 0u64;
                 for &u in &us {
-                    sink = sink.wrapping_add(t.route_cdf(u).raw());
+                    sink = sink.wrapping_add(t.route(u).raw());
                 }
                 black_box(sink)
             })
@@ -55,6 +56,38 @@ fn bench_route(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// The reference inverse-CDF router: `O(log n)` `partition_point`
+/// over the cumulative distribution, pinned to exactly 1.0 from the
+/// last positive-probability node onward. Kept here as the baseline
+/// alias routing is gated against.
+struct CdfTable {
+    nodes: Vec<NodeId>,
+    cum: Vec<f64>,
+}
+
+impl CdfTable {
+    fn new(table: &RoutingTable) -> Self {
+        let probs = table.probs();
+        let mut cum = Vec::with_capacity(probs.len());
+        let mut acc = 0.0;
+        for &p in probs {
+            acc += p;
+            cum.push(acc);
+        }
+        let last_positive = probs.iter().rposition(|&p| p > 0.0).expect("total > 0");
+        for c in cum.iter_mut().skip(last_positive) {
+            *c = 1.0;
+        }
+        Self { nodes: table.nodes().to_vec(), cum }
+    }
+
+    fn route(&self, u: f64) -> NodeId {
+        let u = if u.is_finite() { u.clamp(0.0, MAX_BELOW_ONE) } else { 0.0 };
+        let i = self.cum.partition_point(|&c| c <= u).min(self.nodes.len() - 1);
+        self.nodes[i]
+    }
 }
 
 /// The pre-PR-4 slot: readers and the writer share an `RwLock`, every

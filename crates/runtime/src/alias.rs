@@ -31,38 +31,6 @@
 //! `prob = 0` with the heaviest bucket as alias, preserving the
 //! "zero-probability nodes are never routed" invariant exactly (not
 //! merely with high probability).
-//!
-//! ## Incremental repair of sparse deltas
-//!
-//! A wrong-but-fast repair is forbidden: the `prob`/`alias` arrays are
-//! part of the determinism fingerprint, so a repaired table must be
-//! **bit-identical** to a fresh build of the same vector. The key
-//! observation is that the two-stack construction's control flow — the
-//! pairing schedule — is a function of (a) each bucket's initial
-//! small/large classification, (b) the stays-large/turns-small branch
-//! after each donation, and (c) the heaviest-bucket index, and that a
-//! bucket whose probability is *bitwise unchanged* contributes exactly
-//! the recorded arithmetic to it. So when a new vector differs from the
-//! recorded one only at a few `changed` buckets (the caller's
-//! guarantee; `TableBuilder::update_weights` arranges it by absorbing
-//! the normalization residual instead of renormalizing densely),
-//! [`repair`](AliasBuilder::repair) re-runs **only the donation chains
-//! the changed buckets touch**: it walks the recorded schedule's
-//! affected steps in order (a trace index maps each bucket to its
-//! recorded steps), recomputes their float arithmetic against the new
-//! values, and verifies that every recorded branch decision still
-//! holds. Everything off those chains is copied from the base table's
-//! arrays, which already hold the exact bits a fresh build would write.
-//! If any verified decision diverges — the delta was too large in the
-//! only sense that matters — repair reports failure and the caller
-//! falls back to a full (scratch-reusing) rebuild; the successful
-//! verification *is* the proof that a fresh build of the new vector
-//! would follow the recorded schedule, so the output is bit-identical
-//! by construction.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// The largest `f64` strictly below `1.0` (`1 − 2⁻⁵³`): the clamp bound
 /// for uniform draws, so `u = 1.0` (or anything that rounds to it)
@@ -80,10 +48,7 @@ pub struct AliasTable {
     /// Threshold in `[0, 1]` for keeping bucket `i` itself.
     prob: Vec<f64>,
     /// Alternative bucket taken when the fraction clears `prob[i]`.
-    /// Refcounted because a repaired table's schedule — and therefore
-    /// its partner array — is proven identical to its base's: repairs
-    /// share the allocation instead of copying it.
-    alias: Arc<Vec<u32>>,
+    alias: Vec<u32>,
 }
 
 impl AliasTable {
@@ -91,7 +56,7 @@ impl AliasTable {
     /// be called on it; paired with `RoutingTable::empty`.
     #[must_use]
     pub fn empty() -> Self {
-        Self { prob: Vec::new(), alias: Arc::new(Vec::new()) }
+        Self { prob: Vec::new(), alias: Vec::new() }
     }
 
     /// Builds the table from normalized probabilities (nonnegative,
@@ -103,11 +68,56 @@ impl AliasTable {
     /// positive entry (callers validate; this is a programming error).
     #[must_use]
     pub fn new(probs: &[f64]) -> Self {
-        // One source of truth for the construction: a throwaway builder
-        // runs the identical algorithm (the trace it records adds no
-        // arithmetic), so `new` and a scratch-reusing builder are
-        // bit-identical by construction.
-        AliasBuilder::new().build(probs)
+        let n = probs.len();
+        assert!(n > 0, "alias table needs at least one bucket");
+        assert!(u32::try_from(n).is_ok(), "alias table capped at u32::MAX buckets");
+        // The heaviest bucket backs zero-weight buckets stranded by
+        // rounding (see the module docs); scanning in index order keeps
+        // ties deterministic.
+        let mut heaviest = 0usize;
+        for (i, &p) in probs.iter().enumerate() {
+            if p > probs[heaviest] {
+                heaviest = i;
+            }
+        }
+        assert!(probs[heaviest] > 0.0, "alias table needs a positive probability");
+
+        let mut scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64).collect();
+        let mut prob = vec![0.0; n];
+        let mut alias: Vec<u32> = vec![heaviest as u32; n];
+        // Two stacks, filled in index order, popped from the back: the
+        // construction is a pure function of `probs`.
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for (i, &s) in scaled.iter().enumerate() {
+            if s < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            let (s_idx, l_idx) = (s as usize, l as usize);
+            prob[s_idx] = scaled[s_idx];
+            alias[s_idx] = l;
+            // Donate the deficit 1 − scaled[s] out of the large bucket.
+            scaled[l_idx] = (scaled[l_idx] + scaled[s_idx]) - 1.0;
+            if scaled[l_idx] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        // Leftovers hold exactly 1.0 in exact arithmetic; under
+        // rounding, pin genuine mass to "always keep" and stranded
+        // zero-weight buckets to "always alias" (to the heaviest).
+        for &l in &large {
+            prob[l as usize] = 1.0;
+        }
+        for &s in &small {
+            prob[s as usize] = if probs[s as usize] > 0.0 { 1.0 } else { 0.0 };
+        }
+        Self { prob, alias }
     }
 
     /// Number of buckets.
@@ -147,417 +157,6 @@ impl AliasTable {
             bucket
         } else {
             self.alias[bucket] as usize
-        }
-    }
-}
-
-/// One pairing step of the two-stack construction: `small` was popped,
-/// took `large` as its alias, and after the donation `large` either
-/// stayed on the large stack or moved to the small stack.
-#[derive(Debug, Clone, Copy)]
-struct PairStep {
-    small: u32,
-    large: u32,
-    large_moved: bool,
-}
-
-/// The complete branch schedule of one build, recorded so a later
-/// [`repair`](AliasBuilder::repair) can re-run (and verify) only the
-/// affected donation chains against a sparsely perturbed probability
-/// vector — see the module docs.
-#[derive(Debug, Default)]
-struct BuildTrace {
-    /// Bucket count the trace was recorded at; a repair against a
-    /// different length can never replay.
-    n: usize,
-    /// Index-order argmax of the recorded vector (alias of stranded
-    /// zero-weight buckets).
-    heaviest: u32,
-    /// Greatest probability strictly before (`max_lo`) / after
-    /// (`max_hi`) the argmax in the vector the trace describes (`0.0`
-    /// when that side is empty): conservative bounds for checking that
-    /// a patched vector re-elects the same argmax under the build's
-    /// first-wins strict-`>` scan. Successful repairs fold the changed
-    /// buckets' new values in (monotone growth), so the bounds stay
-    /// sound across repair chains at the price of an occasional
-    /// unnecessary fallback when a runner-up has since shrunk.
-    max_lo: f64,
-    max_hi: f64,
-    /// Initial classification: `true` iff bucket `i` started on the
-    /// small stack (`scaled < 1`).
-    init_small: Vec<bool>,
-    /// The pairing steps, in execution order.
-    steps: Vec<PairStep>,
-    /// Small-stack leftovers after the loop, in stack order.
-    tail_small: Vec<u32>,
-    /// Large-stack leftovers after the loop, in stack order.
-    tail_large: Vec<u32>,
-    /// Step index at which bucket `i` was popped from the small stack
-    /// (`u32::MAX` when it never was — a tail bucket).
-    small_step: Vec<u32>,
-    /// CSR index of the steps where bucket `i` received a donation as
-    /// the large bucket: row `i` is
-    /// `large_list[large_off[i]..large_off[i+1]]`, ascending.
-    large_off: Vec<u32>,
-    large_list: Vec<u32>,
-}
-
-impl BuildTrace {
-    /// The recorded donation-receiving steps of `bucket`, ascending.
-    fn large_row(&self, bucket: u32) -> &[u32] {
-        let b = bucket as usize;
-        &self.large_list[self.large_off[b] as usize..self.large_off[b + 1] as usize]
-    }
-}
-
-/// A reusable alias-table builder: owns the `scaled` working vector and
-/// the two construction stacks (so repeat publishes stop allocating
-/// scratch), and records a build trace every build so k-node weight
-/// perturbations can be [`repair`](Self::repair)-ed — re-running only
-/// the affected donation chains, bit-identical to a fresh build —
-/// instead of paying the full stack construction.
-#[derive(Debug, Default)]
-pub struct AliasBuilder {
-    scaled: Vec<f64>,
-    small: Vec<u32>,
-    large: Vec<u32>,
-    trace: BuildTrace,
-    /// Repair scratch: the min-heap of pending step indices, the
-    /// visited-step bitmap, and the sparse map of affected buckets'
-    /// running residuals.
-    pending: BinaryHeap<Reverse<u32>>,
-    seen: Vec<u64>,
-    affected: Vec<(u32, f64)>,
-}
-
-impl AliasBuilder {
-    /// An empty builder; scratch grows to the table size on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a table exactly like [`AliasTable::new`] (same arithmetic
-    /// in the same order — `new` delegates here), reusing this
-    /// builder's scratch and recording the trace [`repair`](Self::repair)
-    /// replays. Only the output `prob`/`alias` arrays are allocated.
-    ///
-    /// # Panics
-    /// As [`AliasTable::new`].
-    pub fn build(&mut self, probs: &[f64]) -> AliasTable {
-        let n = probs.len();
-        assert!(n > 0, "alias table needs at least one bucket");
-        assert!(u32::try_from(n).is_ok(), "alias table capped at u32::MAX buckets");
-        let Self { scaled, small, large, trace, .. } = self;
-        // The heaviest bucket backs zero-weight buckets stranded by
-        // rounding (see the module docs); scanning in index order keeps
-        // ties deterministic.
-        let mut heaviest = 0usize;
-        for (i, &p) in probs.iter().enumerate() {
-            if p > probs[heaviest] {
-                heaviest = i;
-            }
-        }
-        assert!(probs[heaviest] > 0.0, "alias table needs a positive probability");
-
-        scaled.clear();
-        scaled.extend(probs.iter().map(|&p| p * n as f64));
-        let mut prob = vec![0.0; n];
-        let mut alias: Vec<u32> = vec![heaviest as u32; n];
-        // Two stacks, filled in index order, popped from the back: the
-        // construction is a pure function of `probs`.
-        small.clear();
-        large.clear();
-        trace.n = n;
-        trace.heaviest = heaviest as u32;
-        trace.init_small.clear();
-        trace.steps.clear();
-        for (i, &s) in scaled.iter().enumerate() {
-            let is_small = s < 1.0;
-            trace.init_small.push(is_small);
-            if is_small {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            let (s_idx, l_idx) = (s as usize, l as usize);
-            prob[s_idx] = scaled[s_idx];
-            alias[s_idx] = l;
-            // Donate the deficit 1 − scaled[s] out of the large bucket.
-            scaled[l_idx] = (scaled[l_idx] + scaled[s_idx]) - 1.0;
-            let large_moved = scaled[l_idx] < 1.0;
-            trace.steps.push(PairStep { small: s, large: l, large_moved });
-            if large_moved {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers hold exactly 1.0 in exact arithmetic; under
-        // rounding, pin genuine mass to "always keep" and stranded
-        // zero-weight buckets to "always alias" (to the heaviest).
-        for &l in large.iter() {
-            prob[l as usize] = 1.0;
-        }
-        for &s in small.iter() {
-            prob[s as usize] = if probs[s as usize] > 0.0 { 1.0 } else { 0.0 };
-        }
-        trace.tail_small.clear();
-        trace.tail_small.extend_from_slice(small);
-        trace.tail_large.clear();
-        trace.tail_large.extend_from_slice(large);
-        // Index the schedule by bucket so `repair` can find the steps a
-        // changed bucket participates in without scanning: the small-pop
-        // step per bucket, and a CSR row of donation-receiving steps.
-        trace.small_step.clear();
-        trace.small_step.resize(n, u32::MAX);
-        trace.large_off.clear();
-        trace.large_off.resize(n + 1, 0);
-        for step in &trace.steps {
-            trace.large_off[step.large as usize + 1] += 1;
-        }
-        for i in 0..n {
-            trace.large_off[i + 1] += trace.large_off[i];
-        }
-        trace.large_list.clear();
-        trace.large_list.resize(trace.steps.len(), 0);
-        // The stacks are spent; reuse `small` as the CSR fill cursors.
-        small.clear();
-        small.extend_from_slice(&trace.large_off[..n]);
-        for (t, step) in trace.steps.iter().enumerate() {
-            trace.small_step[step.small as usize] = t as u32;
-            let cursor = &mut small[step.large as usize];
-            trace.large_list[*cursor as usize] = t as u32;
-            *cursor += 1;
-        }
-        let (mut max_lo, mut max_hi) = (0.0f64, 0.0f64);
-        for (i, &p) in probs.iter().enumerate() {
-            if i < heaviest && p > max_lo {
-                max_lo = p;
-            }
-            if i > heaviest && p > max_hi {
-                max_hi = p;
-            }
-        }
-        trace.max_lo = max_lo;
-        trace.max_hi = max_hi;
-        AliasTable { prob, alias: Arc::new(alias) }
-    }
-
-    /// The argmax bucket of the last recorded build (`None` before any
-    /// build). [`repair`](Self::repair) keeps it valid across
-    /// successful repairs: a repair that would move the argmax refuses.
-    #[must_use]
-    pub fn heaviest(&self) -> Option<u32> {
-        (self.trace.n > 0).then_some(self.trace.heaviest)
-    }
-
-    /// Attempts to build the table for `new_probs` by cloning `base`
-    /// (the table the last recorded trace describes, whose input vector
-    /// was `base_probs`) and re-running **only the donation chains the
-    /// `changed` buckets touch**. `Some` is **bit-identical** to
-    /// [`build`](Self::build) on `new_probs` — the verified branch
-    /// decisions prove a fresh build would follow the recorded
-    /// schedule, and every off-chain entry is copied from `base`, which
-    /// already holds the fresh build's bits for bitwise-unchanged
-    /// buckets. `None` means the construction path diverged (or the
-    /// affected region grew past the sublinear budget) and the caller
-    /// must fall back to `build`.
-    ///
-    /// # Contract (the caller's obligations; violations yield `None`
-    /// or, for the last two, silently wrong tables)
-    ///
-    /// * `new_probs` is validated like `build`'s input (nonnegative,
-    ///   finite, positive mass);
-    /// * `base` is bit-identical to the last [`build`](Self::build) (or
-    ///   successful repair) output and `base_probs` to its input
-    ///   vector;
-    /// * `new_probs[i] == base_probs[i]` **bitwise** for every
-    ///   `i ∉ changed`.
-    ///
-    /// Cost: O(affected chains) heap-ordered step walk plus the
-    /// `prob`/`alias` clones — no O(n) scan, no stack traffic.
-    pub fn repair(
-        &mut self,
-        base: &AliasTable,
-        base_probs: &[f64],
-        new_probs: &[f64],
-        changed: &[u32],
-    ) -> Option<AliasTable> {
-        let n = new_probs.len();
-        let Self { trace, pending, seen, affected, .. } = self;
-        if n == 0
-            || trace.n != n
-            || base.prob.len() != n
-            || base_probs.len() != n
-            || changed.is_empty()
-        {
-            return None;
-        }
-        let nf = n as f64;
-        let h = trace.heaviest as usize;
-        // The fresh build's first-wins strict-`>` argmax scan must
-        // re-elect `h` (it is baked into the default alias array). The
-        // recorded side maxima still include the changed buckets' old
-        // values, so the check is conservative: it can force an
-        // unnecessary fallback, never accept a moved argmax — each
-        // changed bucket is also checked directly below.
-        let ph = new_probs[h];
-        if !(ph > 0.0 && trace.max_lo < ph && trace.max_hi <= ph) {
-            return None;
-        }
-        // Sublinear budgets: a delta whose influence cascades this far
-        // is cheaper to rebuild (and the bench gate assumes repair cost
-        // stays O(affected), not O(n)).
-        let max_steps = 64 + n / 8;
-        let max_buckets = 32 + n / 16;
-        affected.clear();
-        pending.clear();
-        seen.clear();
-        seen.resize(trace.steps.len().div_ceil(64), 0);
-        for &c in changed {
-            let ci = c as usize;
-            if ci >= n {
-                return None;
-            }
-            let p = new_probs[ci];
-            // Argmax re-election, changed side: ties break to the lower
-            // index, so before `h` the new value must stay strictly
-            // below, after `h` at-or-below. Negated comparisons on
-            // purpose: a NaN must land in the bail-to-rebuild branch,
-            // which `p >= ph` would let slip through.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if (ci < h && !(p < ph)) || (ci > h && !(p <= ph)) {
-                return None;
-            }
-            if affected.iter().any(|&(b, _)| b == c) {
-                continue;
-            }
-            // The initial small/large classification must hold — it
-            // decides which stack the bucket seeds.
-            let scaled = p * nf;
-            if (scaled < 1.0) != trace.init_small[ci] {
-                return None;
-            }
-            if affected.len() >= max_buckets {
-                return None;
-            }
-            affected.push((c, scaled));
-            Self::push_bucket_steps(pending, trace, c, 0);
-        }
-        let mut prob = base.prob.clone();
-        // Partners are schedule, not arithmetic: an unchanged schedule
-        // means an unchanged alias array — shared, not copied.
-        let alias = Arc::clone(&base.alias);
-        let mut budget = max_steps;
-        while let Some(Reverse(t)) = pending.pop() {
-            let (word, bit) = ((t / 64) as usize, 1u64 << (t % 64));
-            if seen[word] & bit != 0 {
-                continue;
-            }
-            seen[word] |= bit;
-            budget = budget.checked_sub(1)?;
-            let step = trace.steps[t as usize];
-            let (si, li) = (step.small as usize, step.large as usize);
-            // The popped small's residual: its running value when
-            // affected (all its earlier steps have been processed — a
-            // bucket's donation-receiving steps precede its small-pop
-            // step, and the heap pops in step order), otherwise exactly
-            // the threshold the base build stored for it.
-            let s_val = match affected.iter().find(|&&(b, _)| b == step.small) {
-                Some(&(_, v)) => v,
-                None => base.prob[si],
-            };
-            // The receiver's running residual. First touched mid-chain
-            // means every earlier donor was unaffected when this step
-            // popped — pops are monotone in step index and pushes only
-            // ever add later steps, so no step before `t` can still
-            // become affected — and an unaffected donor's threshold is
-            // its stored base value: the prefix replays bitwise.
-            let l_pos = match affected.iter().position(|&(b, _)| b == step.large) {
-                Some(pos) => pos,
-                None => {
-                    if affected.len() >= max_buckets {
-                        return None;
-                    }
-                    let mut residual = base_probs[li] * nf;
-                    for &t2 in trace.large_row(step.large) {
-                        if t2 >= t {
-                            break;
-                        }
-                        budget = budget.checked_sub(1)?;
-                        let donor = trace.steps[t2 as usize].small as usize;
-                        residual = (residual + base.prob[donor]) - 1.0;
-                    }
-                    affected.push((step.large, residual));
-                    Self::push_bucket_steps(pending, trace, step.large, t + 1);
-                    affected.len() - 1
-                }
-            };
-            prob[si] = s_val;
-            let donated = (affected[l_pos].1 + s_val) - 1.0;
-            // The stays-large/turns-small branch must match the record,
-            // or the schedule (stack contents from here on) diverges.
-            // One carve-out: on the very last recorded step, if the
-            // receiver is the lone stack leftover either way, the flip
-            // is benign — no further step can exist and the drain pins
-            // the leftover to `1.0` regardless of which stack holds it.
-            // This case is *common*, not rare: whenever the published
-            // serial sum is exactly `1.0`, the final residual sits
-            // within ulps of `1.0`, so any cascade that reaches the end
-            // of the schedule brushes this knife edge.
-            if (donated < 1.0) != step.large_moved {
-                let tail = if step.large_moved { &trace.tail_small } else { &trace.tail_large };
-                let benign =
-                    t as usize == trace.steps.len() - 1 && tail.len() == 1 && tail[0] == step.large;
-                if !benign {
-                    return None;
-                }
-            }
-            affected[l_pos].1 = donated;
-        }
-        // Tails: a bucket never popped small is a stack leftover, and
-        // the drain pass pins leftovers by positivity — 1.0 for genuine
-        // mass (always the case for large leftovers), 0.0 for stranded
-        // zero-weight buckets. Re-derive for affected buckets; the
-        // clone already holds the rest.
-        for &(b, _) in affected.iter() {
-            if trace.small_step[b as usize] == u32::MAX {
-                prob[b as usize] = if new_probs[b as usize] > 0.0 { 1.0 } else { 0.0 };
-            }
-        }
-        // The trace now describes the repaired table: fold the changed
-        // values into the argmax bounds so chained repairs stay sound.
-        for &c in changed {
-            let (ci, p) = (c as usize, new_probs[c as usize]);
-            if ci < h && p > trace.max_lo {
-                trace.max_lo = p;
-            }
-            if ci > h && p > trace.max_hi {
-                trace.max_hi = p;
-            }
-        }
-        Some(AliasTable { prob, alias })
-    }
-
-    /// Queues every recorded step of `bucket` at index ≥ `from`: its
-    /// donation-receiving row (ascending) and its small-pop step.
-    fn push_bucket_steps(
-        pending: &mut BinaryHeap<Reverse<u32>>,
-        trace: &BuildTrace,
-        bucket: u32,
-        from: u32,
-    ) {
-        let small_step = trace.small_step[bucket as usize];
-        if small_step != u32::MAX && small_step >= from {
-            pending.push(Reverse(small_step));
-        }
-        let row = trace.large_row(bucket);
-        let at = row.partition_point(|&t| t < from);
-        for &t in &row[at..] {
-            pending.push(Reverse(t));
         }
     }
 }
@@ -642,112 +241,6 @@ mod tests {
         let skewed = AliasTable::new(&[1e-9, 1.0 - 1e-9]);
         let freq = frequencies(&skewed, 1_000_000);
         assert!(freq[1] > 0.999_99, "heavy bucket starved: {freq:?}");
-    }
-
-    /// Bitwise equality: `PartialEq` on `f64` would let `-0.0 == 0.0`
-    /// slip through, and fingerprints hash bits.
-    fn assert_bit_identical(a: &AliasTable, b: &AliasTable) {
-        let bits = |t: &AliasTable| t.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(a), bits(b), "prob arrays differ");
-        assert_eq!(a.alias, b.alias, "alias arrays differ");
-    }
-
-    fn normalized(weights: &[f64]) -> Vec<f64> {
-        let total: f64 = weights.iter().sum();
-        weights.iter().map(|&w| w / total).collect()
-    }
-
-    /// Irregular positive weights with no bucket near the `scaled = 1`
-    /// knife edge by accident of symmetry.
-    fn irregular_weights(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| 1.0 + ((i as u64).wrapping_mul(2_654_435_761) % 997) as f64 / 997.0)
-            .collect()
-    }
-
-    #[test]
-    fn builder_build_is_bit_identical_to_new() {
-        let mut builder = AliasBuilder::new();
-        for probs in [
-            vec![1.0],
-            vec![0.5, 0.5],
-            vec![0.6, 0.3, 0.1],
-            vec![0.5, 0.0, 0.5, 0.0],
-            normalized(&irregular_weights(64)),
-        ] {
-            // Repeat on the same (scratch-reusing) builder: earlier
-            // builds must not leak into later ones.
-            assert_bit_identical(&builder.build(&probs), &AliasTable::new(&probs));
-        }
-    }
-
-    #[test]
-    fn repair_is_bit_identical_to_fresh_build() {
-        // A chain of sparse perturbations, each repaired against the
-        // previous table. Repair is sum-agnostic (it replays whatever
-        // vector it is handed), so the test needs no renormalization —
-        // which would make the delta dense.
-        let mut probs = normalized(&irregular_weights(64));
-        let mut builder = AliasBuilder::new();
-        let mut base = builder.build(&probs);
-        let heaviest = builder.heaviest().unwrap();
-        for step in 0..8u32 {
-            let mut index = (step * 7 + 1) % 64;
-            if index == heaviest {
-                index += 1;
-            }
-            let mut next = probs.clone();
-            next[index as usize] *= 0.999;
-            let repaired =
-                builder.repair(&base, &probs, &next, &[index]).expect("sparse delta must repair");
-            assert_bit_identical(&repaired, &AliasTable::new(&next));
-            base = repaired;
-            probs = next;
-        }
-    }
-
-    #[test]
-    fn repair_handles_multi_bucket_deltas_and_zero_buckets() {
-        let mut builder = AliasBuilder::new();
-        let base_probs = [0.6, 0.0, 0.4, 0.0];
-        let base = builder.build(&base_probs);
-        let probs = [0.62, 0.0, 0.38, 0.0];
-        let repaired = builder
-            .repair(&base, &base_probs, &probs, &[0, 2])
-            .expect("categories and schedule unchanged");
-        assert_bit_identical(&repaired, &AliasTable::new(&probs));
-        for k in 0..10_000 {
-            let got = repaired.sample(k as f64 / 10_000.0);
-            assert!(got != 1 && got != 3, "sampled zero-probability bucket {got}");
-        }
-    }
-
-    #[test]
-    fn repair_refuses_diverging_deltas() {
-        let base_probs = [0.2, 0.8];
-        let base = AliasTable::new(&base_probs);
-        let mut builder = AliasBuilder::new();
-        // No trace recorded yet: nothing to repair against.
-        assert!(builder.repair(&base, &base_probs, &[0.5, 0.5], &[0, 1]).is_none());
-        builder.build(&base_probs);
-        // An empty delta, a length change, and an out-of-range index
-        // can never repair.
-        assert!(builder.repair(&base, &base_probs, &[0.2, 0.8], &[]).is_none());
-        assert!(builder.repair(&base, &base_probs, &[0.2, 0.3, 0.5], &[2]).is_none());
-        assert!(builder.repair(&base, &base_probs, &[], &[0]).is_none());
-        assert!(builder.repair(&base, &base_probs, &[0.3, 0.8], &[7]).is_none());
-        // Small/large category flip at the changed bucket.
-        assert!(builder.repair(&base, &base_probs, &[0.6, 0.8], &[0]).is_none());
-        // Argmax would move to the changed bucket (first-wins tie
-        // included: equal values before the argmax win the scan).
-        assert!(builder.repair(&base, &base_probs, &[0.9, 0.8], &[0]).is_none());
-        assert!(builder.repair(&base, &base_probs, &[0.8, 0.8], &[0]).is_none());
-        // The trace survives rejected repairs: a valid delta still
-        // repairs, bit-identical to the fresh build.
-        assert_bit_identical(
-            &builder.repair(&base, &base_probs, &[0.25, 0.8], &[0]).expect("valid delta repairs"),
-            &AliasTable::new(&[0.25, 0.8]),
-        );
     }
 
     #[test]

@@ -320,9 +320,9 @@ impl Runtime {
     /// Updates a node's declared capacity `μ` (e.g. a control-plane
     /// metrics update carrying a revised self-reported rate), then
     /// best-effort republishes the live table with the node's routing
-    /// weight scaled by `new/old` — the k = 1 incremental publish path
-    /// ([`Runtime::reweight_node`]), so a rate change takes effect in
-    /// routing immediately instead of waiting out the resolve interval.
+    /// weight scaled by `new/old` ([`Runtime::reweight_node`]), so a
+    /// rate change takes effect in routing immediately instead of
+    /// waiting out the resolve interval.
     /// The next resolve still recomputes the proper allocation, and the
     /// measured estimate still wins once warm; the reweight is skipped
     /// (not an error) when the node has no routing mass yet or the
@@ -340,9 +340,9 @@ impl Runtime {
             old.unwrap_or(rate)
         };
         if old > 0.0 && old.is_finite() {
-            // Best-effort: a factor-1 change still republishes (cheap —
-            // incremental alias repair), and a failure here must not
-            // fail the registry update that already happened.
+            // Best-effort: a factor-1 change still republishes, and a
+            // failure here must not fail the registry update that
+            // already happened.
             let _ = self.reweight_node(id, rate / old);
         }
         Ok(())

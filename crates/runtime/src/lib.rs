@@ -93,7 +93,7 @@ pub use resolver::{ResolveOutcome, SchemeKind};
 pub use retry::{RetryConfig, RetryPolicy, RETRY_STREAM};
 pub use shard::{ShardGuard, ShardedDispatcher};
 pub use swap::{EpochSwap, Lease, SwapStats};
-pub use table::{RoutingTable, TableBuilder};
+pub use table::RoutingTable;
 pub use telemetry::{RuntimeEvent, Telemetry, TelemetryHandle};
 pub use tracing::Tracer;
 // Trace primitives, re-exported so downstream crates name one source.
@@ -375,15 +375,12 @@ pub struct Runtime {
     // never the reverse; `solver` and `detector` are never held
     // together.
     solver: Mutex<SolverRuntime>,
-    // Reusable table-construction scratch (alias stacks + repair
-    // traces). Lock order: acquired last and released before any other
-    // lock is taken — no method holds `builder` while acquiring
-    // `state`, `solver`, or `detector`.
-    builder: Mutex<TableBuilder>,
     table: Arc<EpochSwap<RoutingTable>>,
     sharded: ShardedDispatcher,
     admission: Option<AdmissionControl>,
     epoch: AtomicU64,
+    // Non-empty tables published; each one was a full build.
+    tables_built: AtomicU64,
     telemetry: Telemetry,
     tracer: Tracer,
 }
@@ -440,11 +437,11 @@ impl Runtime {
                 rng: Xoshiro256PlusPlus::stream(cfg.seed, DYNAMICS_STREAM),
                 last: None,
             }),
-            builder: Mutex::new(TableBuilder::new()),
             table,
             sharded,
             admission,
             epoch: AtomicU64::new(0),
+            tables_built: AtomicU64::new(0),
             telemetry,
             tracer,
         }
@@ -678,12 +675,7 @@ impl Runtime {
         let mode = self.solver_state().mode;
         let (table, outcome) = match mode.best_reply_config() {
             None => {
-                // Lock order: `state` (held) then `builder`, released
-                // when the solve returns.
-                let solved = {
-                    let mut builder = self.table_builder();
-                    resolver::solve_table(self.cfg.scheme, epoch, ids, &cluster, phi, &mut builder)?
-                };
+                let solved = resolver::solve_table(self.cfg.scheme, epoch, ids, &cluster, phi)?;
                 self.telemetry.record_solve(None);
                 solved
             }
@@ -710,8 +702,7 @@ impl Runtime {
                 };
                 self.solver_state().last = Some(stats);
                 self.telemetry.record_solve(Some(stats));
-                // Lock order: `state` (held) then `builder`.
-                let table = self.table_builder().from_allocation(
+                let table = RoutingTable::from_allocation(
                     epoch,
                     ids.clone(),
                     &out.allocation,
@@ -734,16 +725,10 @@ impl Runtime {
     }
 
     /// Immediately republishes the live table with node `id`'s routing
-    /// weight scaled by `factor` — the k = 1 single-node publish path
-    /// (e.g. a control-plane rate update). Goes through
-    /// [`TableBuilder::update_weights`]: on its repair fast path the
-    /// node's probability scales by exactly `factor` and the heaviest
-    /// node absorbs the imbalance (O(affected) instead of O(n)); on the
-    /// fallback the patched vector renormalizes across all nodes.
-    /// Either way the published table is deterministic and exact (a
-    /// fixed point of, or identical to, a full rebuild). This is a
-    /// stopgap between solves: the next resolve replaces it with a
-    /// proper allocation.
+    /// weight scaled by `factor` (e.g. a control-plane rate update): the
+    /// live probabilities with that one entry scaled, renormalized and
+    /// rebuilt by [`RoutingTable::new`]. This is a stopgap between
+    /// solves: the next resolve replaces it with a proper allocation.
     ///
     /// Returns `Ok(None)` when the node is not in the live table
     /// (nothing to reweight — the next resolve picks the change up),
@@ -765,19 +750,20 @@ impl Runtime {
             return Ok(None);
         };
         let epoch = self.next_epoch();
-        let weight = current.probs()[idx] * factor;
-        let table = self.table_builder().update_weights(&current, epoch, &[(idx, weight)])?;
+        let mut weights = current.probs().to_vec();
+        weights[idx] *= factor;
+        let table = RoutingTable::new(epoch, current.nodes().to_vec(), &weights)?;
         self.publish_table(table);
         Ok(Some(epoch))
     }
 
-    /// Incremental-repair vs full-rebuild publish counts of this
-    /// runtime's [`TableBuilder`] since construction, as
-    /// `(repairs, rebuilds)`.
+    /// Table publishes by construction path since this runtime was
+    /// built, as `(repairs, rebuilds)`. Every publish is a full build,
+    /// so `repairs` is always 0 and `rebuilds` counts the non-empty
+    /// tables published.
     #[must_use]
     pub fn table_build_stats(&self) -> (u64, u64) {
-        let builder = self.table_builder();
-        (builder.repairs(), builder.rebuilds())
+        (0, self.tables_built.load(Ordering::Relaxed))
     }
 
     /// The solver mode currently in effect.
@@ -1110,10 +1096,6 @@ impl Runtime {
         self.solver.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn table_builder(&self) -> MutexGuard<'_, TableBuilder> {
-        self.builder.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Sets a node's health in the registry *and* forces the detector's
     /// view to match, so a manual mark and the detector never fight
     /// (without the sync, a manually-downed node would stay down forever:
@@ -1232,22 +1214,10 @@ impl Runtime {
             return;
         }
         let epoch = self.next_epoch();
-        // The builder lock is released before the fallback path takes
-        // `state` (and re-taken after it drops) — `builder` is never
-        // held while acquiring another lock.
-        let renormalized = self.table_builder().without_node(&current, id, epoch);
-        let table = renormalized.unwrap_or_else(|_| {
-            let serving = {
-                let state = self.state();
-                state
-                    .registry
-                    .serving_cluster(|n| n.nominal_rate())
-                    .map(|(ids, cluster)| (ids, cluster.rates().to_vec()))
-            };
-            match serving {
-                Ok((ids, rates)) => self
-                    .table_builder()
-                    .build(epoch, ids, &rates)
+        let table = current.without_node(id, epoch).unwrap_or_else(|_| {
+            let state = self.state();
+            match state.registry.serving_cluster(|n| n.nominal_rate()) {
+                Ok((ids, cluster)) => RoutingTable::new(epoch, ids, cluster.rates())
                     .unwrap_or_else(|_| RoutingTable::empty(epoch)),
                 Err(_) => RoutingTable::empty(epoch),
             }
@@ -1262,6 +1232,9 @@ impl Runtime {
     /// deterministic output.
     fn publish_table(&self, table: RoutingTable) {
         let epoch = table.epoch();
+        if !table.is_empty() {
+            self.tables_built.fetch_add(1, Ordering::Relaxed);
+        }
         let timer = self.telemetry.is_enabled().then(std::time::Instant::now);
         self.table.publish(table);
         if let Some(start) = timer {
@@ -1344,6 +1317,72 @@ mod tests {
         // The follow-up full solve sees only the survivor.
         let outcome = rt.resolve_now().unwrap();
         assert_eq!(outcome.nodes, vec![b]);
+    }
+
+    #[test]
+    fn set_node_rate_publishes_the_rescaled_table() {
+        // Φ = 5 over rates 4, 2, 1, 0.5: COOP parks the 0.5 node at
+        // λ = 0, so the table carries a zero-probability bucket too.
+        let rt = coop_runtime(5.0);
+        let ids: Vec<NodeId> =
+            [4.0, 2.0, 1.0, 0.5].iter().map(|&r| rt.register_node(r).unwrap()).collect();
+        rt.resolve_now().unwrap();
+        let before = rt.current_table();
+        assert_eq!(before.prob_of(ids[3]), Some(0.0));
+
+        rt.set_node_rate(ids[1], 3.0).unwrap();
+        let after = rt.current_table();
+        assert!(after.epoch() > before.epoch());
+        let idx = before.nodes().iter().position(|&n| n == ids[1]).unwrap();
+        let mut patched = before.probs().to_vec();
+        patched[idx] *= 3.0 / 2.0;
+        let expected = RoutingTable::new(after.epoch(), before.nodes().to_vec(), &patched).unwrap();
+        assert_eq!(after.nodes(), expected.nodes());
+        let bits = |t: &RoutingTable| t.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&after), bits(&expected));
+        for u in (0..4096).map(|k| f64::from(k) / 4096.0).chain([MAX_BELOW_ONE]) {
+            assert_eq!(after.route_index(u), expected.route_index(u), "draw {u}");
+        }
+    }
+
+    #[test]
+    fn reweight_node_skips_absent_nodes_and_rejects_bad_factors() {
+        let rt = coop_runtime(0.9);
+        let a = rt.register_node(2.0).unwrap();
+        rt.resolve_now().unwrap();
+        // Registered after the solve: not in the live table yet.
+        let late = rt.register_node(1.0).unwrap();
+        let epoch = rt.current_table().epoch();
+        assert_eq!(rt.reweight_node(late, 2.0), Ok(None));
+        for factor in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    rt.reweight_node(a, factor),
+                    Err(RuntimeError::Core(gtlb_core::error::CoreError::BadInput(_)))
+                ),
+                "factor {factor}"
+            );
+        }
+        assert_eq!(rt.current_table().epoch(), epoch, "nothing was published");
+    }
+
+    #[test]
+    fn table_build_stats_count_non_empty_publishes() {
+        let rt = coop_runtime(0.9);
+        let a = rt.register_node(2.0).unwrap();
+        let b = rt.register_node(1.0).unwrap();
+        assert_eq!(rt.table_build_stats(), (0, 0));
+        rt.resolve_now().unwrap();
+        assert_eq!(rt.table_build_stats(), (0, 1));
+        rt.reweight_node(b, 1.5).unwrap();
+        assert_eq!(rt.table_build_stats(), (0, 2));
+        rt.mark_down(a).unwrap();
+        assert_eq!(rt.table_build_stats(), (0, 3));
+        // The last node going down publishes the empty placeholder,
+        // which is no build.
+        rt.mark_down(b).unwrap();
+        assert!(rt.current_table().is_empty());
+        assert_eq!(rt.table_build_stats(), (0, 3));
     }
 
     #[test]

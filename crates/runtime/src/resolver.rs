@@ -20,7 +20,7 @@ use gtlb_core::schemes::{Coop, Optim, Prop, SingleClassScheme, Wardrop};
 
 use crate::error::RuntimeError;
 use crate::registry::NodeId;
-use crate::table::{RoutingTable, TableBuilder};
+use crate::table::RoutingTable;
 
 /// Which allocator the re-solver runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,10 +123,9 @@ pub fn solve_table(
     ids: Vec<NodeId>,
     cluster: &Cluster,
     phi: f64,
-    builder: &mut TableBuilder,
 ) -> Result<(RoutingTable, ResolveOutcome), RuntimeError> {
     let allocation = scheme.allocate(cluster, phi)?;
-    let table = builder.from_allocation(epoch, ids.clone(), &allocation, cluster.rates())?;
+    let table = RoutingTable::from_allocation(epoch, ids.clone(), &allocation, cluster.rates())?;
     let predicted_mean_response = allocation.mean_response_time(cluster);
     let outcome = ResolveOutcome {
         epoch,
@@ -201,8 +200,7 @@ mod tests {
         let cl = cluster();
         let phi = cl.arrival_rate_for_utilization(0.6);
         let ids: Vec<NodeId> = (0..cl.n() as u64).map(NodeId::from_raw).collect();
-        let (table, outcome) =
-            solve_table(SchemeKind::Coop, 3, ids, &cl, phi, &mut TableBuilder::new()).unwrap();
+        let (table, outcome) = solve_table(SchemeKind::Coop, 3, ids, &cl, phi).unwrap();
         assert_eq!(table.epoch(), 3);
         assert_eq!(outcome.epoch, 3);
         for (p, l) in table.probs().iter().zip(outcome.allocation.loads()) {
@@ -216,8 +214,7 @@ mod tests {
     fn idle_solve_still_routable() {
         let cl = cluster();
         let ids: Vec<NodeId> = (0..cl.n() as u64).map(NodeId::from_raw).collect();
-        let (table, outcome) =
-            solve_table(SchemeKind::Coop, 1, ids, &cl, 0.0, &mut TableBuilder::new()).unwrap();
+        let (table, outcome) = solve_table(SchemeKind::Coop, 1, ids, &cl, 0.0).unwrap();
         // Φ = 0: loads are all zero; routing falls back to capacity.
         assert!(outcome.predicted_mean_response.is_nan());
         let total = cl.total_rate();

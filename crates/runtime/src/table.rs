@@ -3,36 +3,26 @@
 //!
 //! A table maps a uniform draw `u ∈ [0,1)` to a node with probability
 //! `p_i = λ_i / Φ` of the current allocation, in O(1) per draw via a
-//! Walker [`AliasTable`] built once at construction (the inverse-CDF
-//! path is retained as [`RoutingTable::route_cdf`] for comparison and
-//! benchmarking). Tables are immutable once built; every change
-//! (re-solve, node failure) produces a new table with a larger epoch,
-//! published through [`EpochSwap`](crate::swap::EpochSwap).
-
-use std::sync::Arc;
+//! Walker [`AliasTable`] built once at construction. Tables are
+//! immutable once built; every change (re-solve, node failure, rate
+//! update) produces a new table with a larger epoch through
+//! [`RoutingTable::new`], published through
+//! [`EpochSwap`](crate::swap::EpochSwap).
 
 use gtlb_core::allocation::Allocation;
 use gtlb_core::error::CoreError;
 
-use crate::alias::{AliasBuilder, AliasTable, MAX_BELOW_ONE};
+use crate::alias::AliasTable;
 use crate::error::RuntimeError;
 use crate::registry::NodeId;
 
-/// An immutable routing table: node ids, routing probabilities, the
-/// alias table used by the hot path, and the cumulative distribution
-/// kept for the reference CDF path.
-///
-/// The node list and probability vector are refcounted: publishing a
-/// repaired successor shares the (immutable) node list instead of
-/// deep-copying it, and the shared probability allocation doubles as
-/// [`TableBuilder`]'s O(1) proof that a repair base is its own latest
-/// output.
+/// An immutable routing table: node ids, routing probabilities, and the
+/// alias table used by the hot path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingTable {
     epoch: u64,
-    nodes: Arc<Vec<NodeId>>,
-    probs: Arc<Vec<f64>>,
-    cum: Vec<f64>,
+    nodes: Vec<NodeId>,
+    probs: Vec<f64>,
     alias: AliasTable,
 }
 
@@ -43,13 +33,7 @@ impl RoutingTable {
     /// [`RoutingTable::route`] must not be called on it.
     #[must_use]
     pub fn empty(epoch: u64) -> Self {
-        Self {
-            epoch,
-            nodes: Arc::new(Vec::new()),
-            probs: Arc::new(Vec::new()),
-            cum: Vec::new(),
-            alias: AliasTable::empty(),
-        }
+        Self { epoch, nodes: Vec::new(), probs: Vec::new(), alias: AliasTable::empty() }
     }
 
     /// Whether this is the empty placeholder.
@@ -59,29 +43,14 @@ impl RoutingTable {
     }
 
     /// Builds a table from per-node routing weights (not necessarily
-    /// normalized — loads `λ_i` work directly).
+    /// normalized — loads `λ_i` work directly): validate, normalize,
+    /// one alias build. Every publish goes through here.
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] when `nodes` is empty or the
     /// weights sum to zero; [`RuntimeError::Core`] when lengths mismatch
     /// or any weight is negative or non-finite.
     pub fn new(epoch: u64, nodes: Vec<NodeId>, weights: &[f64]) -> Result<Self, RuntimeError> {
-        Self::with_alias_source(epoch, nodes, weights, AliasTable::new)
-    }
-
-    /// The shared construction pipeline: validation, normalization, and
-    /// the pinned cumulative vector are identical for every builder; the
-    /// alias table comes from `alias_for` (a fresh build here, a
-    /// scratch-reusing or repairing build in [`TableBuilder`]), called
-    /// with the normalized probabilities. Keeping one pipeline is what
-    /// makes builder-produced tables bit-identical to [`Self::new`] by
-    /// construction.
-    fn with_alias_source(
-        epoch: u64,
-        nodes: Vec<NodeId>,
-        weights: &[f64],
-        alias_for: impl FnOnce(&[f64]) -> AliasTable,
-    ) -> Result<Self, RuntimeError> {
         if nodes.len() != weights.len() {
             return Err(CoreError::BadInput(format!(
                 "routing table has {} nodes but {} weights",
@@ -107,31 +76,8 @@ impl RoutingTable {
             return Err(RuntimeError::NoServingNodes);
         }
         let probs: Vec<f64> = weights.iter().map(|&w| w / total).collect();
-        let cum = Self::pinned_cum(&probs);
-        let alias = alias_for(&probs);
-        Ok(Self { epoch, nodes: Arc::new(nodes), probs: Arc::new(probs), cum, alias })
-    }
-
-    /// The cumulative distribution for `probs`: a serial prefix sum,
-    /// pinned to exactly 1.0 from the last positive-probability node
-    /// onward — draws arbitrarily close to 1 land on a node despite
-    /// rounding in the partial sums, and trailing zero-probability
-    /// nodes can never capture the rounding sliver below 1 (their
-    /// pinned cum is never `<= u` for `u < 1`). Shared between the
-    /// fresh-build pipeline and `TableBuilder`'s repair path so both
-    /// assemble bitwise the same vector.
-    fn pinned_cum(probs: &[f64]) -> Vec<f64> {
-        let mut cum = Vec::with_capacity(probs.len());
-        let mut acc = 0.0;
-        for &p in probs {
-            acc += p;
-            cum.push(acc);
-        }
-        let last_positive = probs.iter().rposition(|&p| p > 0.0).expect("total > 0");
-        for c in cum.iter_mut().skip(last_positive) {
-            *c = 1.0;
-        }
-        cum
+        let alias = AliasTable::new(&probs);
+        Ok(Self { epoch, nodes, probs, alias })
     }
 
     /// Builds a table from an [`Allocation`] over the same nodes (in
@@ -187,11 +133,8 @@ impl RoutingTable {
 
     /// Routes one uniform draw `u ∈ [0,1)` to a node: one alias-table
     /// lookup, `O(1)` regardless of the node count. Consumes exactly
-    /// the one draw it is given; out-of-range draws clamp into `[0,1)`.
-    ///
-    /// The mapping `u → node` differs from
-    /// [`route_cdf`](Self::route_cdf) draw-by-draw but agrees with it
-    /// in distribution: both select node `i` with probability `p_i`.
+    /// the one draw it is given; out-of-range draws clamp into `[0,1)`
+    /// and non-finite draws pin to `0.0`.
     #[must_use]
     #[inline]
     pub fn route(&self, u: f64) -> NodeId {
@@ -204,27 +147,6 @@ impl RoutingTable {
     #[inline]
     pub fn route_index(&self, u: f64) -> usize {
         self.alias.sample(u)
-    }
-
-    /// The reference inverse-CDF path: `O(log n)` `partition_point`
-    /// over the cumulative distribution. Kept for the cdf-vs-alias
-    /// benchmark and for distribution-agreement tests; the dispatchers
-    /// use [`route`](Self::route).
-    ///
-    /// Draws are clamped to the largest `f64` below one (not
-    /// `1.0 - f64::EPSILON`, which is two ulps down and unreachable
-    /// from above anyway), so `u = 1.0` lands on the last node;
-    /// non-finite draws pin to `0.0`, as in the alias path.
-    #[must_use]
-    pub fn route_cdf(&self, u: f64) -> NodeId {
-        // NaN defeats `clamp` (NaN.clamp is NaN) and would make
-        // `partition_point` return index 0 — possibly a leading
-        // zero-probability node; pin non-finite draws to 0.0 instead
-        // (a zero-prob leading node has `cum == 0.0 <= u`, so it is
-        // still skipped).
-        let u = if u.is_finite() { u.clamp(0.0, MAX_BELOW_ONE) } else { 0.0 };
-        let i = self.cum.partition_point(|&c| c <= u).min(self.nodes.len() - 1);
-        self.nodes[i]
     }
 
     /// The failure path: a new table (stamped `epoch`) with `id` removed
@@ -259,361 +181,6 @@ impl RoutingTable {
     }
 }
 
-/// A reusable routing-table builder for the publish path: wraps an
-/// [`AliasBuilder`] (scratch stacks reused across publishes, build
-/// traces recorded for incremental repair) plus a weights scratch
-/// vector, so repeat publishes allocate only what the published table
-/// itself owns.
-///
-/// Every table a builder produces is **bit-identical** to one the
-/// stateless constructors ([`RoutingTable::new`] etc.) would produce:
-/// the validation/normalization pipeline is literally shared, and the
-/// [`update_weights`](Self::update_weights) repair path publishes a
-/// vector that is a *fixed point* of that pipeline, with the alias
-/// repair proven equivalent to a fresh build (see `alias.rs`). The
-/// builder is an amortization — determinism fingerprints cannot tell
-/// its tables from stateless ones.
-#[derive(Debug, Default)]
-pub struct TableBuilder {
-    alias: AliasBuilder,
-    /// Scratch for assembling perturbed weight vectors in
-    /// [`update_weights`](Self::update_weights) and
-    /// [`without_node`](Self::without_node).
-    weights: Vec<f64>,
-    /// The probability vector of the last table this builder produced,
-    /// by allocation: the recorded alias trace describes exactly that
-    /// table, so [`update_weights`](Self::update_weights) repairs only
-    /// when its `base` shares this allocation (pointer equality implies
-    /// bitwise equality) — any other base falls back to a rebuild.
-    last: Option<Arc<Vec<f64>>>,
-    /// Scratch for the changed-bucket list handed to the alias repair.
-    changed: Vec<u32>,
-    repairs: u64,
-    rebuilds: u64,
-}
-
-impl TableBuilder {
-    /// An empty builder; scratch grows to the table size on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tables built via the incremental alias repair path since
-    /// construction.
-    #[must_use]
-    pub fn repairs(&self) -> u64 {
-        self.repairs
-    }
-
-    /// Tables built via the full (scratch-reusing) alias rebuild path
-    /// since construction.
-    #[must_use]
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// As [`RoutingTable::new`], reusing this builder's alias scratch
-    /// and recording the repair trace. Always a full alias rebuild.
-    ///
-    /// # Errors
-    /// As [`RoutingTable::new`].
-    pub fn build(
-        &mut self,
-        epoch: u64,
-        nodes: Vec<NodeId>,
-        weights: &[f64],
-    ) -> Result<RoutingTable, RuntimeError> {
-        let Self { alias, rebuilds, .. } = self;
-        let table = RoutingTable::with_alias_source(epoch, nodes, weights, |probs| {
-            *rebuilds += 1;
-            alias.build(probs)
-        })?;
-        self.last = Some(Arc::clone(&table.probs));
-        Ok(table)
-    }
-
-    /// As [`RoutingTable::from_allocation`], through the builder.
-    ///
-    /// # Errors
-    /// As [`RoutingTable::new`].
-    pub fn from_allocation(
-        &mut self,
-        epoch: u64,
-        nodes: Vec<NodeId>,
-        allocation: &Allocation,
-        fallback_weights: &[f64],
-    ) -> Result<RoutingTable, RuntimeError> {
-        if allocation.total() > 0.0 {
-            self.build(epoch, nodes, allocation.loads())
-        } else {
-            self.build(epoch, nodes, fallback_weights)
-        }
-    }
-
-    /// As [`RoutingTable::without_node`], through the builder. Removing
-    /// a node shrinks the table, which no trace can replay — this is
-    /// always a full rebuild, just without the scratch allocations.
-    ///
-    /// # Errors
-    /// As [`RoutingTable::without_node`].
-    pub fn without_node(
-        &mut self,
-        base: &RoutingTable,
-        id: NodeId,
-        epoch: u64,
-    ) -> Result<RoutingTable, RuntimeError> {
-        let survivors = base.nodes.len().saturating_sub(1);
-        let mut nodes = Vec::with_capacity(survivors);
-        let mut weights = std::mem::take(&mut self.weights);
-        weights.clear();
-        let mut found = false;
-        for (&n, &p) in base.nodes.iter().zip(base.probs.iter()) {
-            if n == id {
-                found = true;
-            } else {
-                nodes.push(n);
-                weights.push(p);
-            }
-        }
-        let result = if found {
-            self.build(epoch, nodes, &weights)
-        } else {
-            Err(RuntimeError::UnknownNode(id))
-        };
-        self.weights = weights;
-        result
-    }
-
-    /// The k ≪ n publish path: a new table (stamped `epoch`) over the
-    /// same nodes as `base`, with the routing probability at each
-    /// `(index, weight)` update replaced. Two publish paths, both
-    /// deterministic, discriminated by [`repairs`](Self::repairs) /
-    /// [`rebuilds`](Self::rebuilds):
-    ///
-    /// * **Repair** (the k ≪ n fast path): the updated probabilities
-    ///   are published **verbatim** and the imbalance they introduce is
-    ///   absorbed by the heaviest bucket (plus an ulp-level dust nudge
-    ///   on the last positive bucket), making the patched vector's
-    ///   serial sum *exactly* `1.0` — so normalization divides by one
-    ///   (an IEEE identity), every other bucket keeps its bits, and the
-    ///   alias table is repaired along only the affected donation
-    ///   chains in O(affected) (see `alias.rs`). The published table is
-    ///   a *fixed point* of the full pipeline: rebuilding from its own
-    ///   probabilities reproduces it bit-for-bit.
-    /// * **Rebuild** (the fallback, taken whenever the repair's
-    ///   verified preconditions fail — large deltas, absorber
-    ///   conflicts, a `base` that is not this builder's latest output):
-    ///   the patched vector is renormalized exactly as
-    ///   [`RoutingTable::new`] would, with a full scratch-reusing alias
-    ///   build.
-    ///
-    /// # Errors
-    /// As [`RoutingTable::new`], plus `BadInput` for an out-of-range
-    /// index or a negative/non-finite update weight.
-    pub fn update_weights(
-        &mut self,
-        base: &RoutingTable,
-        epoch: u64,
-        updates: &[(usize, f64)],
-    ) -> Result<RoutingTable, RuntimeError> {
-        for &(i, w) in updates {
-            if i >= base.nodes.len() {
-                return Err(CoreError::BadInput(format!(
-                    "weight update index {i} out of range for a {}-node table",
-                    base.nodes.len()
-                ))
-                .into());
-            }
-            if !(w.is_finite() && w >= 0.0) {
-                return Err(CoreError::BadInput(format!(
-                    "routing weight for {} must be nonnegative and finite, got {w}",
-                    base.nodes[i]
-                ))
-                .into());
-            }
-        }
-        if let Some(table) = self.try_repair(base, epoch, updates) {
-            self.repairs += 1;
-            self.last = Some(Arc::clone(&table.probs));
-            return Ok(table);
-        }
-        // Fallback: P* (the live probabilities with the updates spliced
-        // in) renormalized through the shared pipeline with a full
-        // (scratch-reusing, trace-re-recording) alias build.
-        self.weights.clear();
-        self.weights.extend_from_slice(&base.probs);
-        for &(i, w) in updates {
-            self.weights[i] = w;
-        }
-        let Self { alias, weights, rebuilds, .. } = self;
-        let nodes = (*base.nodes).clone();
-        let table = RoutingTable::with_alias_source(epoch, nodes, weights, |probs| {
-            *rebuilds += 1;
-            alias.build(probs)
-        })?;
-        self.last = Some(Arc::clone(&table.probs));
-        Ok(table)
-    }
-
-    /// The absorber fast path of [`update_weights`](Self::update_weights):
-    /// splices the updates into a copy of `base`'s probabilities,
-    /// adjusts the copy so its index-order serial sum is exactly
-    /// `1.0`, then repairs the alias table along the affected donation
-    /// chains. `None` means ineligible — fall back to the full
-    /// rebuild. Touches no builder scratch until it commits.
-    fn try_repair(
-        &mut self,
-        base: &RoutingTable,
-        epoch: u64,
-        updates: &[(usize, f64)],
-    ) -> Option<RoutingTable> {
-        let n = base.nodes.len();
-        // Trace ↔ base coherence: the repair splices values out of
-        // `base`'s arrays under the recorded build schedule, so that
-        // schedule must describe exactly this table — i.e. `base` must
-        // be this builder's own latest output. Sharing the probability
-        // allocation proves it in O(1): pointer equality implies
-        // bitwise equality.
-        match &self.last {
-            Some(last) if Arc::ptr_eq(last, &base.probs) => {}
-            _ => return None,
-        }
-        let h = self.alias.heaviest()? as usize;
-        let updated = |i: usize| updates.iter().any(|&(u, _)| u == i);
-        // The heaviest bucket is the mass absorber; it cannot itself
-        // carry a requested weight.
-        if updated(h) {
-            return None;
-        }
-        // P* with the absorber adjustments applied in place — the
-        // repair path's candidate probability vector.
-        let mut probs = (*base.probs).clone();
-        for &(i, w) in updates {
-            probs[i] = w;
-        }
-        // δ ≈ total − 1 is the imbalance the updates introduced. The
-        // absorber's value only needs to be *approximately* right —
-        // exactness comes from the dust solve below — so δ is a k-term
-        // sum over the distinct update deltas, not an O(n) refold of
-        // the whole vector.
-        let mut delta = 0.0;
-        for (pos, &(i, _)) in updates.iter().enumerate() {
-            if updates[pos + 1..].iter().any(|&(i2, _)| i2 == i) {
-                continue; // superseded: the last update at `i` wins
-            }
-            delta += probs[i] - base.probs[i];
-        }
-        let absorbed = base.probs[h] - delta;
-        if !(absorbed > 0.0 && absorbed.is_finite()) {
-            return None;
-        }
-        // Dust absorber: the last positive bucket (`h ≤ j`, since `h`
-        // has positive mass). Everything past it contributes exact
-        // zeros to the serial sum, so the fold's value responds to a
-        // nudge here in O(1). When `j == h` one bucket plays both
-        // roles.
-        let j = probs.iter().rposition(|&p| p > 0.0)?;
-        if j != h && updated(j) {
-            return None;
-        }
-        if j != h {
-            probs[h] = absorbed;
-        }
-        // The hot path's single O(n) serial fold: build the new cum
-        // prefix *and* the dust solve's prefix in one pass. Serial
-        // sums over bitwise-identical prefixes are bitwise identical,
-        // so `base.cum` is reused verbatim up to the first index whose
-        // bits moved — capped at the base's pin start (`base.cum` holds
-        // `1.0`, not the raw fold, from its last positive bucket on).
-        let j_base = base.probs.iter().rposition(|&p| p > 0.0)?;
-        let mut fold_start = j.min(j_base);
-        for &(i, _) in updates {
-            if i < fold_start && probs[i].to_bits() != base.probs[i].to_bits() {
-                fold_start = i;
-            }
-        }
-        if h < fold_start && probs[h].to_bits() != base.probs[h].to_bits() {
-            fold_start = h;
-        }
-        let mut cum = Vec::with_capacity(n);
-        cum.extend_from_slice(&base.cum[..fold_start]);
-        let mut acc = if fold_start == 0 { 0.0 } else { base.cum[fold_start - 1] };
-        for &w in &probs[fold_start..j] {
-            acc += w;
-            cum.push(acc);
-        }
-        // Solve fl(prefix ⊕ x) == 1.0 for the dust bucket's value. For
-        // prefix ∈ [0.5, 2] the Sterbenz lemma makes `1 − prefix` exact
-        // and the first candidate lands; otherwise a few
-        // correction-then-ulp steps close the gap.
-        let prefix = acc;
-        let mut x = 1.0 - prefix;
-        let mut solved = false;
-        for _ in 0..16 {
-            if !(x > 0.0 && x.is_finite()) {
-                break;
-            }
-            let sum = prefix + x;
-            if sum == 1.0 {
-                solved = true;
-                break;
-            }
-            let corrected = x + (1.0 - sum);
-            x = if corrected == x {
-                // Below the correction's resolution: step one ulp.
-                if sum > 1.0 {
-                    f64::from_bits(x.to_bits() - 1)
-                } else {
-                    f64::from_bits(x.to_bits() + 1)
-                }
-            } else {
-                corrected
-            };
-        }
-        if !solved {
-            return None;
-        }
-        probs[j] = x;
-        // The buckets whose bits actually moved: updates and absorbers
-        // that landed back on their old value drop out — in particular
-        // the dust bucket usually keeps its bits (with exact base
-        // arithmetic the solve reproduces them), which matters because
-        // the last positive bucket acts *early* in the construction
-        // schedule, and an early perturbation cascades through
-        // everything after it.
-        self.changed.clear();
-        for &(i, _) in updates {
-            if probs[i].to_bits() != base.probs[i].to_bits() {
-                self.changed.push(i as u32);
-            }
-        }
-        if probs[h].to_bits() != base.probs[h].to_bits() {
-            self.changed.push(h as u32);
-        }
-        if j != h && probs[j].to_bits() != base.probs[j].to_bits() {
-            self.changed.push(j as u32);
-        }
-        if self.changed.is_empty() {
-            // A bitwise no-op patch: nothing to repair against (and the
-            // degenerate republish is not worth a dedicated path).
-            return None;
-        }
-        let repaired = self.alias.repair(&base.alias, &base.probs, &probs, &self.changed)?;
-        // Assemble exactly what `RoutingTable::new` computes on this
-        // vector: its serial total is exactly 1.0 (what the solve
-        // bought), so normalization divides by one — the IEEE identity
-        // `p / 1.0 == p` — and the published probabilities are the
-        // adjusted vector verbatim. The fold above already produced
-        // `cum[..j]`; `j` is the new last positive bucket (`x > 0`), so
-        // the pinned region [`j`, `n`) is all `1.0` — exactly what
-        // `pinned_cum` would write there.
-        cum.resize(n, 1.0);
-        let nodes = Arc::clone(&base.nodes);
-        Some(RoutingTable { epoch, nodes, probs: Arc::new(probs), cum, alias: repaired })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,56 +211,18 @@ mod tests {
     }
 
     #[test]
-    fn route_cdf_respects_the_cdf() {
-        let t = RoutingTable::new(0, ids(&[10, 20, 30]), &[0.5, 0.25, 0.25]).unwrap();
-        assert_eq!(t.route_cdf(0.0), NodeId::from_raw(10));
-        assert_eq!(t.route_cdf(0.49), NodeId::from_raw(10));
-        assert_eq!(t.route_cdf(0.5), NodeId::from_raw(20));
-        assert_eq!(t.route_cdf(0.74), NodeId::from_raw(20));
-        assert_eq!(t.route_cdf(0.75), NodeId::from_raw(30));
-        assert_eq!(t.route_cdf(0.999_999), NodeId::from_raw(30));
-        // Out-of-range draws clamp instead of panicking.
-        assert_eq!(t.route_cdf(1.0), NodeId::from_raw(30));
-        assert_eq!(t.route_cdf(-0.5), NodeId::from_raw(10));
-    }
-
-    #[test]
-    fn route_agrees_with_cdf_in_distribution() {
-        // Alias and inverse-CDF routing differ draw-by-draw but must
-        // produce the same per-node frequencies over a fine grid.
-        let probs = [0.5, 0.25, 0.25];
-        let t = RoutingTable::new(0, ids(&[10, 20, 30]), &probs).unwrap();
-        let draws = 200_000;
-        let mut alias_counts = [0u64; 3];
-        let mut cdf_counts = [0u64; 3];
-        let slot = |id: NodeId| (id.raw() / 10 - 1) as usize;
-        for k in 0..draws {
-            let u = k as f64 / draws as f64;
-            alias_counts[slot(t.route(u))] += 1;
-            cdf_counts[slot(t.route_cdf(u))] += 1;
-        }
-        for i in 0..3 {
-            let (a, c) = (alias_counts[i] as f64, cdf_counts[i] as f64);
-            assert!((a - c).abs() / (draws as f64) < 1e-3, "node {i}: alias {a} vs cdf {c}");
-            assert!((a / draws as f64 - probs[i]).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn draws_rounding_to_one_land_on_a_node() {
-        // Regression: 1.0 − 1e-17 rounds to exactly 1.0 in f64; both
-        // paths must clamp it below one instead of indexing past the
-        // table (the CDF path used 1.0 − ε, two ulps down — the new
-        // clamp is the largest f64 strictly below one).
+        // Regression: 1.0 − 1e-17 rounds to exactly 1.0 in f64; routing
+        // must clamp it below one instead of indexing past the table
+        // (the clamp is the largest f64 strictly below one, not 1.0 − ε,
+        // which is two ulps down).
         let u: f64 = 1.0 - 1e-17;
         assert_eq!(u.to_bits(), 1.0f64.to_bits());
         let t = RoutingTable::new(0, ids(&[10, 20]), &[0.5, 0.5]).unwrap();
-        assert_eq!(t.route_cdf(u), NodeId::from_raw(20));
         let routed = t.route(u);
         assert!(t.prob_of(routed).unwrap() > 0.0);
         let single = RoutingTable::new(0, ids(&[7]), &[1.0]).unwrap();
         assert_eq!(single.route(u), NodeId::from_raw(7));
-        assert_eq!(single.route_cdf(u), NodeId::from_raw(7));
     }
 
     #[test]
@@ -702,20 +231,17 @@ mod tests {
         for k in 0..1000 {
             let u = k as f64 / 1000.0;
             assert_ne!(t.route(u), NodeId::from_raw(1));
-            assert_ne!(t.route_cdf(u), NodeId::from_raw(1));
         }
     }
 
     #[test]
     fn non_finite_draws_never_route_zero_probability_nodes() {
-        // Regression: NaN defeats `clamp` (NaN.clamp is NaN), and a NaN
-        // reaching `partition_point` returns index 0 — the *leading*
-        // zero-probability node here. Both public paths must pin
-        // non-finite draws to 0.0 instead.
+        // Regression: NaN defeats `clamp` (NaN.clamp is NaN); a NaN
+        // draw must pin to 0.0 and still skip the *leading*
+        // zero-probability node here.
         let t = RoutingTable::new(0, ids(&[0, 1]), &[0.0, 1.0]).unwrap();
         for u in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(t.route(u), NodeId::from_raw(1));
-            assert_eq!(t.route_cdf(u), NodeId::from_raw(1));
             assert_eq!(t.route_index(u), 1);
         }
     }
@@ -762,207 +288,5 @@ mod tests {
         let alloc = Allocation::new(vec![0.2, 0.6]);
         let t = RoutingTable::from_allocation(4, ids(&[0, 1]), &alloc, &[3.0, 1.0]).unwrap();
         assert!((t.probs()[0] - 0.25).abs() < 1e-12);
-    }
-
-    /// Bitwise table equality: fingerprints hash the exact bits of the
-    /// routed decisions, so `PartialEq`'s `-0.0 == 0.0` is too loose.
-    fn assert_tables_bit_identical(a: &RoutingTable, b: &RoutingTable) {
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.nodes, b.nodes);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.probs), bits(&b.probs), "probs differ");
-        assert_eq!(bits(&a.cum), bits(&b.cum), "cum differ");
-        assert_eq!(a.alias, b.alias, "alias tables differ");
-    }
-
-    fn irregular_weights(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| 1.0 + ((i as u64).wrapping_mul(2_654_435_761) % 997) as f64 / 997.0)
-            .collect()
-    }
-
-    #[test]
-    fn builder_build_matches_stateless_constructors() {
-        let mut builder = TableBuilder::new();
-        let weights = irregular_weights(48);
-        let built = builder.build(7, ids(&(0..48).collect::<Vec<_>>()), &weights).unwrap();
-        let fresh = RoutingTable::new(7, ids(&(0..48).collect::<Vec<_>>()), &weights).unwrap();
-        assert_tables_bit_identical(&built, &fresh);
-
-        let alloc = Allocation::new(vec![0.2, 0.6]);
-        assert_tables_bit_identical(
-            &builder.from_allocation(8, ids(&[0, 1]), &alloc, &[3.0, 1.0]).unwrap(),
-            &RoutingTable::from_allocation(8, ids(&[0, 1]), &alloc, &[3.0, 1.0]).unwrap(),
-        );
-
-        assert_tables_bit_identical(
-            &builder.without_node(&built, NodeId::from_raw(13), 9).unwrap(),
-            &built.without_node(NodeId::from_raw(13), 9).unwrap(),
-        );
-        assert!(matches!(
-            builder.without_node(&built, NodeId::from_raw(999), 9),
-            Err(RuntimeError::UnknownNode(_))
-        ));
-        // Builder errors mirror the stateless path too.
-        assert!(builder.build(0, ids(&[0, 1]), &[1.0]).is_err());
-        assert!(matches!(builder.build(0, vec![], &[]), Err(RuntimeError::NoServingNodes)));
-    }
-
-    /// The `update_weights` postcondition for whichever path ran: a
-    /// repair publishes a **fixed point** of the full pipeline (a fresh
-    /// build of its own probabilities is bit-identical), a fallback
-    /// publishes exactly the renormalized patched vector.
-    fn assert_update_exact(
-        was_repair: bool,
-        base: &RoutingTable,
-        result: &RoutingTable,
-        updates: &[(usize, f64)],
-    ) {
-        let expect = if was_repair {
-            result.probs().to_vec()
-        } else {
-            let mut patched = base.probs().to_vec();
-            for &(i, w) in updates {
-                patched[i] = w;
-            }
-            patched
-        };
-        assert_tables_bit_identical(
-            result,
-            &RoutingTable::new(result.epoch(), base.nodes().to_vec(), &expect).unwrap(),
-        );
-    }
-
-    /// A weight family engineered so the repair fast path is
-    /// *guaranteed* to engage for low-index updates: bucket 0 is the
-    /// unique heaviest (the absorber — and, as the lowest-index large,
-    /// the last active receiver, so its recorded steps sit at the end
-    /// of the construction schedule), every weight is dyadic with the
-    /// total a power of two (the serial probability fold is exact, so
-    /// the dust absorber keeps its bits), and a trailing run of
-    /// zero-weight buckets rides the small stack.
-    fn absorber_weights(n: usize) -> Vec<f64> {
-        assert!(n.is_power_of_two() && n >= 8);
-        let mut w = vec![1.0; n];
-        w[0] = 4.0;
-        for x in w.iter_mut().skip(n - 3) {
-            *x = 0.0;
-        }
-        w
-    }
-
-    #[test]
-    fn update_weights_repairs_and_matches_fresh_build() {
-        let n = 256;
-        let node_ids = ids(&(0..n as u64).collect::<Vec<_>>());
-        let weights = absorber_weights(n);
-        let mut builder = TableBuilder::new();
-        let base = builder.build(1, node_ids.clone(), &weights).unwrap();
-        assert_eq!((builder.repairs(), builder.rebuilds()), (0, 1));
-
-        // A small k=1 perturbation must take the repair path: the
-        // requested probability is published verbatim, the heaviest
-        // bucket absorbs the imbalance, everything else keeps its bits,
-        // and the vector still sums to exactly one.
-        let requested = base.probs()[17] * 1.5;
-        let updated = builder.update_weights(&base, 2, &[(17, requested)]).unwrap();
-        assert_eq!((builder.repairs(), builder.rebuilds()), (1, 1), "k=1 delta must repair");
-        assert_eq!(updated.probs()[17].to_bits(), requested.to_bits(), "update lands verbatim");
-        assert_eq!(updated.probs().iter().sum::<f64>(), 1.0, "exact unit mass");
-        let moved = updated
-            .probs()
-            .iter()
-            .zip(base.probs())
-            .filter(|(a, b)| a.to_bits() != b.to_bits())
-            .count();
-        assert!(moved <= 3, "k=1 repair moved {moved} probabilities (update + 2 absorbers max)");
-        assert_update_exact(true, &base, &updated, &[(17, requested)]);
-
-        // Zero-prob transition: park a node at zero, then bring it
-        // back. Whichever path serves it, the published table is exact.
-        let repairs = builder.repairs();
-        let parked = builder.update_weights(&updated, 3, &[(40, 0.0)]).unwrap();
-        assert_eq!(parked.probs()[40], 0.0);
-        assert_update_exact(builder.repairs() > repairs, &updated, &parked, &[(40, 0.0)]);
-        let repairs = builder.repairs();
-        let revived = builder.update_weights(&parked, 4, &[(40, 0.004)]).unwrap();
-        assert_update_exact(builder.repairs() > repairs, &parked, &revived, &[(40, 0.004)]);
-
-        // Every publish is accounted for on exactly one counter.
-        assert_eq!(builder.repairs() + builder.rebuilds(), 4);
-    }
-
-    #[test]
-    fn update_weights_falls_back_when_repair_cannot_apply() {
-        // Small enough that the cascade budgets never bind: whether the
-        // repair engages is decided purely by its verified
-        // preconditions.
-        let n = 32;
-        let node_ids = ids(&(0..n as u64).collect::<Vec<_>>());
-        let weights = irregular_weights(n);
-        let mut builder = TableBuilder::new();
-        let base = builder.build(1, node_ids.clone(), &weights).unwrap();
-
-        // A delta far past the absorber's capacity: caught and served
-        // by the fallback — exactly `RoutingTable::new` on the patched
-        // vector.
-        let big = [(3usize, base.probs()[3] * 40.0)];
-        let rebuilds = builder.rebuilds();
-        let updated = builder.update_weights(&base, 2, &big).unwrap();
-        assert_eq!(builder.rebuilds(), rebuilds + 1, "oversized delta must rebuild");
-        assert_update_exact(false, &base, &updated, &big);
-
-        // A base that is not the builder's latest output fails the
-        // coherence check (the recorded trace describes `updated`, not
-        // `base`) and falls back too: correctness never depends on the
-        // caller passing the freshest table.
-        let small = [(5usize, base.probs()[5] * (1.0 + 1e-6))];
-        let rebuilds = builder.rebuilds();
-        let stale = builder.update_weights(&base, 3, &small).unwrap();
-        assert_eq!(builder.rebuilds(), rebuilds + 1, "stale base must rebuild");
-        assert_update_exact(false, &base, &stale, &small);
-
-        // The rebuild re-recorded the trace, so a small delta on the
-        // fresh table repairs again — but updating the heaviest node
-        // (the absorber itself) cannot, and rebuilds instead.
-        let mut h = 0;
-        for (i, &p) in stale.probs().iter().enumerate() {
-            if p > stale.probs()[h] {
-                h = i;
-            }
-        }
-        let idx = if h <= 1 { 2 } else { h - 1 };
-        let small = [(idx, stale.probs()[idx] * (1.0 - 1e-9))];
-        let repairs = builder.repairs();
-        let chained = builder.update_weights(&stale, 4, &small).unwrap();
-        assert_eq!(builder.repairs(), repairs + 1, "fresh trace must repair");
-        assert_update_exact(true, &stale, &chained, &small);
-        let via_h = [(h, chained.probs()[h] * 1.001)];
-        let rebuilds = builder.rebuilds();
-        let absorbed = builder.update_weights(&chained, 5, &via_h).unwrap();
-        assert_eq!(builder.rebuilds(), rebuilds + 1, "updating the absorber rebuilds");
-        assert_update_exact(false, &chained, &absorbed, &via_h);
-    }
-
-    #[test]
-    fn update_weights_validates_input() {
-        let mut builder = TableBuilder::new();
-        let base = builder.build(1, ids(&[0, 1]), &[1.0, 3.0]).unwrap();
-        assert!(builder.update_weights(&base, 2, &[(2, 1.0)]).is_err(), "index out of range");
-        assert!(builder.update_weights(&base, 2, &[(0, -1.0)]).is_err(), "negative weight");
-        assert!(builder.update_weights(&base, 2, &[(0, f64::NAN)]).is_err(), "non-finite weight");
-        assert!(
-            matches!(
-                builder.update_weights(&base, 2, &[(0, 0.0), (1, 0.0)]),
-                Err(RuntimeError::NoServingNodes)
-            ),
-            "zeroing all mass"
-        );
-        // An empty update list is just a republish of the same vector
-        // (its serial sum is exactly 1.0 here, so even the absorbers
-        // keep their bits).
-        let same = builder.update_weights(&base, 5, &[]).unwrap();
-        assert_eq!(same.probs(), base.probs());
-        assert_eq!(same.epoch(), 5);
     }
 }

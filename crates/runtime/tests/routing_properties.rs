@@ -1,28 +1,26 @@
 //! Property tests for the routing hot path (vendored proptest shim):
 //!
 //! 1. alias-method routing agrees **in distribution** with the reference
-//!    inverse-CDF path — a chi-square statistic of each path's sample
-//!    counts against the expected counts stays far below any plausible
-//!    rejection threshold, for random weight vectors;
+//!    inverse-CDF router ([`support::CdfRouter`]) — a chi-square
+//!    statistic of each path's sample counts against the expected
+//!    counts stays far below any plausible rejection threshold, for
+//!    random weight vectors;
 //! 2. neither path ever returns a zero-probability node, for weight
 //!    vectors with zeros injected at random positions;
 //! 3. batch routing replays the per-job decision sequence draw for draw,
-//!    for random weights, seeds, and batch splits;
-//! 4. incremental alias repair ([`TableBuilder::update_weights`]) is
-//!    draw-for-draw identical to a full rebuild across random sequences
-//!    of k-node weight deltas, including zero-probability transitions
-//!    (parking and reviving nodes) and the `MAX_BELOW_ONE` boundary
-//!    draw — on the repair path the published vector must be a fixed
-//!    point of the full pipeline (requested weights verbatim, at most
-//!    two absorber buckets moved); on the fallback it must be exactly
-//!    the renormalized patched vector.
+//!    for random weights, seeds, and batch splits.
+//!
+//! Two fixed-table tests pin the reference router itself: its
+//! boundaries and clamping, and its agreement with the alias path on a
+//! fine grid.
+
+mod support;
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
-use gtlb_runtime::{
-    EpochSwap, NodeId, RoutingTable, ShardedDispatcher, TableBuilder, MAX_BELOW_ONE,
-};
+use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, ShardedDispatcher};
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::CdfRouter;
 
 /// Weights bounded away from zero (so chi-square expected counts are
 /// healthy), 1–11 nodes.
@@ -72,6 +70,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let table = table_from(&weights);
+        let cdf = CdfRouter::new(&table);
         let probs = table.probs().to_vec();
         let n = probs.len();
         let draws = 20_000u64;
@@ -81,7 +80,7 @@ proptest! {
         for _ in 0..draws {
             let u = rng.next_open01();
             alias_counts[table.route_index(u)] += 1;
-            cdf_counts[table.route_cdf(u).raw() as usize] += 1;
+            cdf_counts[cdf.route(u).raw() as usize] += 1;
         }
         // df ≤ 10; the 1−10⁻⁹ quantile of χ²(10) is ≈ 62. A bound of
         // 120 on both paths (with expected counts ≥ 80 per bucket) makes
@@ -107,6 +106,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let table = table_from(&weights);
+        let cdf = CdfRouter::new(&table);
         let zero_ids: Vec<NodeId> = table
             .nodes()
             .iter()
@@ -118,12 +118,12 @@ proptest! {
         for _ in 0..2_000 {
             let u = rng.next_open01();
             prop_assert!(!zero_ids.contains(&table.route(u)));
-            prop_assert!(!zero_ids.contains(&table.route_cdf(u)));
+            prop_assert!(!zero_ids.contains(&cdf.route(u)));
         }
         // Boundary draws included.
         for u in [0.0, 0.5, 1.0 - 1e-17, 1.0] {
             prop_assert!(!zero_ids.contains(&table.route(u)));
-            prop_assert!(!zero_ids.contains(&table.route_cdf(u)));
+            prop_assert!(!zero_ids.contains(&cdf.route(u)));
         }
     }
 
@@ -153,91 +153,57 @@ proptest! {
         prop_assert_eq!(batched.hit_counts(), reference.hit_counts());
         prop_assert_eq!(batched.dispatched(), (first + second) as u64);
     }
+}
 
-    #[test]
-    fn incremental_repair_matches_full_rebuild(
-        base in arb_weights_with_zeros(),
-        steps in prop::collection::vec(
-            prop::collection::vec(
-                (0usize..12, prop_oneof![Just(0.0), 0.01f64..2.0]),
-                1..4,
-            ),
-            1..6,
-        ),
-        seed in 0u64..u64::MAX,
-    ) {
-        let ids: Vec<NodeId> = (0..base.len() as u64).map(NodeId::from_raw).collect();
-        let mut builder = TableBuilder::new();
-        let mut current = builder.build(1, ids.clone(), &base).unwrap();
-        for (step_no, step) in steps.iter().enumerate() {
-            let updates: Vec<(usize, f64)> =
-                step.iter().map(|&(i, w)| (i % current.len(), w)).collect();
-            // The reference: patch the live normalized probabilities the
-            // same way `update_weights` does, then build from scratch.
-            let mut patched = current.probs().to_vec();
-            for &(i, w) in &updates {
-                patched[i] = w;
-            }
-            let epoch = step_no as u64 + 2;
-            if patched.iter().all(|&w| w == 0.0) {
-                // Unroutable delta: both paths must refuse it.
-                prop_assert!(builder.update_weights(&current, epoch, &updates).is_err());
-                prop_assert!(RoutingTable::new(epoch, ids.clone(), &patched).is_err());
-                continue;
-            }
-            let repairs_before = builder.repairs();
-            let incremental = builder.update_weights(&current, epoch, &updates).unwrap();
-            let fresh = if builder.repairs() > repairs_before {
-                // Repair path: the requested probabilities land
-                // verbatim, at most two absorber buckets move beyond
-                // them, the serial sum is exactly one, and the vector
-                // is a fixed point of the full pipeline.
-                for &(i, _) in &updates {
-                    prop_assert_eq!(
-                        incremental.probs()[i].to_bits(),
-                        patched[i].to_bits(),
-                        "update at {} not published verbatim (step {})", i, step_no
-                    );
-                }
-                let mut distinct: Vec<usize> = updates.iter().map(|&(i, _)| i).collect();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let moved = incremental
-                    .probs()
-                    .iter()
-                    .zip(current.probs())
-                    .filter(|(a, b)| a.to_bits() != b.to_bits())
-                    .count();
-                prop_assert!(
-                    moved <= distinct.len() + 2,
-                    "repair moved {} probs for {} updates (step {})", moved, distinct.len(), step_no
-                );
-                prop_assert_eq!(incremental.probs().iter().sum::<f64>(), 1.0);
-                RoutingTable::new(epoch, ids.clone(), incremental.probs()).unwrap()
-            } else {
-                // Fallback: exactly the renormalized patched vector.
-                RoutingTable::new(epoch, ids.clone(), &patched).unwrap()
-            };
-            // Bit-identical published state (repair or fallback alike)...
-            prop_assert_eq!(incremental.epoch(), fresh.epoch());
-            prop_assert_eq!(incremental.nodes(), fresh.nodes());
-            for (a, b) in incremental.probs().iter().zip(fresh.probs()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "probs diverge at step {}", step_no);
-            }
-            // ...and draw-for-draw identical routing, on random draws
-            // and on the alias knife-edges (0, the largest f64 below
-            // 1.0, and the out-of-contract 1.0 the table still accepts).
-            let mut rng = Xoshiro256PlusPlus::stream(seed ^ step_no as u64, 0x0400);
-            for _ in 0..512 {
-                let u = rng.next_open01();
-                prop_assert_eq!(incremental.route_index(u), fresh.route_index(u));
-            }
-            for u in [0.0, 0.25, 0.5, MAX_BELOW_ONE, 1.0] {
-                prop_assert_eq!(incremental.route_index(u), fresh.route_index(u));
-            }
-            current = incremental;
-        }
-        // The builder took one of the two paths on every accepted step.
-        prop_assert!(builder.repairs() + builder.rebuilds() >= 1);
+fn ids(raws: &[u64]) -> Vec<NodeId> {
+    raws.iter().map(|&r| NodeId::from_raw(r)).collect()
+}
+
+#[test]
+fn reference_cdf_respects_the_cdf() {
+    let t = RoutingTable::new(0, ids(&[10, 20, 30]), &[0.5, 0.25, 0.25]).unwrap();
+    let cdf = CdfRouter::new(&t);
+    assert_eq!(cdf.route(0.0), NodeId::from_raw(10));
+    assert_eq!(cdf.route(0.49), NodeId::from_raw(10));
+    assert_eq!(cdf.route(0.5), NodeId::from_raw(20));
+    assert_eq!(cdf.route(0.74), NodeId::from_raw(20));
+    assert_eq!(cdf.route(0.75), NodeId::from_raw(30));
+    assert_eq!(cdf.route(0.999_999), NodeId::from_raw(30));
+    // Out-of-range draws clamp instead of panicking; 1.0 − 1e-17 rounds
+    // to exactly 1.0 and must land on the last node too.
+    assert_eq!(cdf.route(1.0), NodeId::from_raw(30));
+    assert_eq!(cdf.route(1.0 - 1e-17), NodeId::from_raw(30));
+    assert_eq!(cdf.route(-0.5), NodeId::from_raw(10));
+    let single = RoutingTable::new(0, ids(&[7]), &[1.0]).unwrap();
+    assert_eq!(CdfRouter::new(&single).route(1.0 - 1e-17), NodeId::from_raw(7));
+    // A NaN reaching `partition_point` would return index 0 — the
+    // leading zero-probability node here; non-finite draws pin to 0.0.
+    let leading_zero = RoutingTable::new(0, ids(&[0, 1]), &[0.0, 1.0]).unwrap();
+    let cdf = CdfRouter::new(&leading_zero);
+    for u in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(cdf.route(u), NodeId::from_raw(1));
+    }
+}
+
+#[test]
+fn route_agrees_with_reference_cdf_on_a_grid() {
+    // Alias and inverse-CDF routing differ draw-by-draw but must
+    // produce the same per-node frequencies over a fine grid.
+    let probs = [0.5, 0.25, 0.25];
+    let t = RoutingTable::new(0, ids(&[10, 20, 30]), &probs).unwrap();
+    let cdf = CdfRouter::new(&t);
+    let draws = 200_000;
+    let mut alias_counts = [0u64; 3];
+    let mut cdf_counts = [0u64; 3];
+    let slot = |id: NodeId| (id.raw() / 10 - 1) as usize;
+    for k in 0..draws {
+        let u = k as f64 / draws as f64;
+        alias_counts[slot(t.route(u))] += 1;
+        cdf_counts[slot(cdf.route(u))] += 1;
+    }
+    for i in 0..3 {
+        let (a, c) = (alias_counts[i] as f64, cdf_counts[i] as f64);
+        assert!((a - c).abs() / (draws as f64) < 1e-3, "node {i}: alias {a} vs cdf {c}");
+        assert!((a / draws as f64 - probs[i]).abs() < 1e-3);
     }
 }
