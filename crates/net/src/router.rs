@@ -282,26 +282,7 @@ fn nodes(state: &AppState) -> Response {
     });
     let mut b = ObjBuilder::new();
     b.num("now", state.hooks().now()).raw("nodes", &body);
-    b.raw("solver", &solver_json(state.hooks()));
     Response::json(200, b.finish())
-}
-
-/// The solver block of `GET /nodes`: the active mode plus the last
-/// best-reply convergence stats (nulls until a best-reply solve ran).
-fn solver_json(hooks: &ControlPlaneHooks) -> String {
-    let mut b = ObjBuilder::new();
-    b.str("mode", hooks.solver_mode().name());
-    match hooks.last_convergence() {
-        Some(s) => {
-            b.int("epoch", s.epoch).int("rounds", u64::from(s.rounds));
-            b.num("residual", s.residual).bool("converged", s.converged);
-        }
-        None => {
-            b.raw("epoch", "null").raw("rounds", "null");
-            b.raw("residual", "null").raw("converged", "null");
-        }
-    }
-    b.finish()
 }
 
 fn parse_body(req: &Request) -> Result<Json, Response> {
@@ -471,7 +452,6 @@ mod tests {
         let text = body_text(&resp);
         assert_eq!(resp.status, 200);
         assert!(text.contains("\"name\":\"a\"") && text.contains("\"health\":\"up\""), "{text}");
-        assert!(text.contains("\"solver\":{\"mode\":\"coop\""), "{text}");
 
         let resp = route(&app, &req(Method::Post, "/v1/drain", r#"{"name":"a"}"#));
         assert_eq!(resp.status, 200);
@@ -548,29 +528,6 @@ mod tests {
         let resp = route(&app, &req(Method::Get, "/metrics.json", ""));
         assert_eq!(resp.status, 200);
         assert_eq!(body_text(&resp), rt.telemetry_handle().json().unwrap());
-    }
-
-    #[test]
-    fn nodes_exposes_solver_mode_and_convergence() {
-        use gtlb_runtime::SolverMode;
-        let rt = Arc::new(
-            Runtime::builder()
-                .seed(5)
-                .nominal_arrival_rate(0.5)
-                .solver_mode(SolverMode::best_reply())
-                .build(),
-        );
-        rt.register_node(1.0).unwrap();
-        rt.register_node(1.0).unwrap();
-        let app =
-            AppState::new(rt.attach_control_plane(), Lifecycle::new(LifecycleConfig::default()));
-        let text = body_text(&route(&app, &req(Method::Get, "/nodes", "")));
-        assert!(text.contains("\"mode\":\"best-reply\""), "{text}");
-        assert!(text.contains("\"converged\":null"), "no solve yet: {text}");
-        rt.resolve_now().unwrap();
-        let text = body_text(&route(&app, &req(Method::Get, "/nodes", "")));
-        assert!(text.contains("\"converged\":true"), "{text}");
-        assert!(text.contains("\"residual\":"), "{text}");
     }
 
     #[test]

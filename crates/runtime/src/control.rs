@@ -233,19 +233,6 @@ impl ControlPlaneHooks {
             .collect()
     }
 
-    /// The solver mode currently in effect.
-    #[must_use]
-    pub fn solver_mode(&self) -> crate::SolverMode {
-        self.runtime.solver_mode()
-    }
-
-    /// Stats of the most recent best-reply solve (`None` until one
-    /// ran) — surfaced on the `/nodes` endpoint.
-    #[must_use]
-    pub fn last_convergence(&self) -> Option<crate::ConvergenceStats> {
-        self.runtime.last_convergence()
-    }
-
     /// Whether the runtime records telemetry.
     #[must_use]
     pub fn telemetry_enabled(&self) -> bool {
@@ -332,18 +319,19 @@ impl Runtime {
     /// [`RuntimeError::UnknownNode`] for unregistered ids,
     /// [`RuntimeError::Core`] for a nonpositive or non-finite rate.
     pub fn set_node_rate(&self, id: NodeId, rate: f64) -> Result<(), RuntimeError> {
-        let old = {
-            let mut state = self.state();
-            let old = state.registry.node(id).map(Node::nominal_rate);
-            state.registry.set_nominal_rate(id, rate)?;
-            // set_nominal_rate validated `id`, so `old` is present.
-            old.unwrap_or(rate)
-        };
+        // One critical section for the registry write and the reweight:
+        // a resolve landing between them would already solve with the
+        // new rate, and the reweight would then apply it a second time.
+        let mut state = self.state();
+        let old = state.registry.node(id).map(Node::nominal_rate);
+        state.registry.set_nominal_rate(id, rate)?;
+        // set_nominal_rate validated `id`, so `old` is present.
+        let old = old.unwrap_or(rate);
         if old > 0.0 && old.is_finite() {
             // Best-effort: a factor-1 change still republishes, and a
             // failure here must not fail the registry update that
             // already happened.
-            let _ = self.reweight_node(id, rate / old);
+            let _ = self.reweight_locked(&state, id, rate / old);
         }
         Ok(())
     }

@@ -46,8 +46,7 @@
 //!   a new family no other subsystem touches, so scheduling gray faults
 //!   never perturbs dispatch (`0x0400`), admission (`0x0700`), the
 //!   driver's arrival/service streams (`0x0500`/`0x0600`), retry
-//!   backoff (`0x0900`), dynamics tie-breaks (`0x0A00`), or the legacy
-//!   flaky draws.
+//!   backoff (`0x0900`), or the legacy flaky draws.
 //!
 //! Consequences: enabling a fault plan never perturbs the routing or
 //! admission decision sequence of the jobs that don't hit a fault —

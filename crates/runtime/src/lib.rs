@@ -50,7 +50,6 @@ pub mod control;
 pub mod detector;
 pub mod dispatcher;
 pub mod driver;
-pub mod dynamics;
 pub mod error;
 pub mod estimator;
 pub mod fault;
@@ -68,8 +67,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use gtlb_desim::rng::Xoshiro256PlusPlus;
-
 pub use admission::{
     AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmissionStats, AdmissionVerdict,
 };
@@ -78,9 +75,6 @@ pub use control::{ClockAdapter, ControlPlaneHooks, NodeStatus};
 pub use detector::{AccrualDetector, DetectorConfig, HealthTransition};
 pub use dispatcher::{Decision, Dispatcher};
 pub use driver::{TraceConfig, TraceDriver, TraceStats};
-pub use dynamics::{
-    BestReplyConfig, BestReplyOutcome, ConvergenceStats, SolverMode, DYNAMICS_STREAM,
-};
 pub use error::RuntimeError;
 pub use estimator::EstimatorBank;
 pub use fault::{
@@ -139,10 +133,6 @@ pub struct RuntimeConfig {
     /// ids hash from `seed` and the job sequence — so enabling it
     /// leaves every decision sequence and fingerprint bit-identical.
     pub tracing: Option<TracingConfig>,
-    /// How the resolve path computes allocations: the centralized
-    /// closed-form scheme (the default) or decentralized best-reply
-    /// iteration. Switchable live via [`Runtime::set_solver_mode`].
-    pub solver: SolverMode,
 }
 
 impl Default for RuntimeConfig {
@@ -160,7 +150,6 @@ impl Default for RuntimeConfig {
             detector: DetectorConfig::default(),
             telemetry: false,
             tracing: None,
-            solver: SolverMode::Coop,
         }
     }
 }
@@ -269,15 +258,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Selects the solver mode: centralized [`SolverMode::Coop`] (the
-    /// default) or decentralized [`SolverMode::BestReply`]. Invalid
-    /// best-reply tunables fail at the first solve, not here.
-    #[must_use]
-    pub fn solver_mode(mut self, mode: SolverMode) -> Self {
-        self.cfg.solver = mode;
-        self
-    }
-
     /// Builds the runtime (no nodes, empty routing table).
     ///
     /// # Panics
@@ -298,18 +278,6 @@ struct State {
 struct DetectorState {
     detector: AccrualDetector,
     log: Vec<HealthTransition>,
-}
-
-struct SolverRuntime {
-    /// Mode currently in effect (starts at `cfg.solver`, switchable
-    /// live).
-    mode: SolverMode,
-    /// Tie-break stream of the best-reply solver ([`DYNAMICS_STREAM`]);
-    /// untouched by `Coop` solves, so leaving the mode at its default
-    /// keeps every pre-existing trace bit-identical.
-    rng: Xoshiro256PlusPlus,
-    /// Stats of the most recent best-reply solve.
-    last: Option<ConvergenceStats>,
 }
 
 /// What happened to one job offered through [`Runtime::submit`].
@@ -371,10 +339,10 @@ pub struct Runtime {
     // acquires them strictly in sequence), so detector bookkeeping can't
     // deadlock against the dispatch/telemetry paths.
     detector: Mutex<DetectorState>,
-    // Lock order: `state` before `solver` (resolve_now holds both),
-    // never the reverse; `solver` and `detector` are never held
-    // together.
-    solver: Mutex<SolverRuntime>,
+    // Publish rule: every publisher (resolve, reweight, renormalize)
+    // holds `state` from reading the live table or taking its epoch
+    // until `publish_table` returns, so publishes land in epoch order
+    // and none is built from a table an interleaved publish replaced.
     table: Arc<EpochSwap<RoutingTable>>,
     sharded: ShardedDispatcher,
     admission: Option<AdmissionControl>,
@@ -431,11 +399,6 @@ impl Runtime {
             detector: Mutex::new(DetectorState {
                 detector: AccrualDetector::new(cfg.detector),
                 log: Vec::new(),
-            }),
-            solver: Mutex::new(SolverRuntime {
-                mode: cfg.solver,
-                rng: Xoshiro256PlusPlus::stream(cfg.seed, DYNAMICS_STREAM),
-                last: None,
             }),
             table,
             sharded,
@@ -644,15 +607,14 @@ impl Runtime {
     // ---- solving & dispatching -----------------------------------------
 
     /// Runs a full solve now: snapshot the serving nodes, pick measured
-    /// rates where warm (nominal otherwise), allocate — with the
-    /// configured scheme in [`SolverMode::Coop`], by decentralized
-    /// iteration in [`SolverMode::BestReply`] — and publish the
-    /// resulting table at the next epoch.
+    /// rates where warm (nominal otherwise), allocate with the
+    /// configured scheme, and publish the resulting table at the next
+    /// epoch.
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] with nothing to solve over;
     /// [`RuntimeError::Core`] from the allocator (e.g. a nominal arrival
-    /// rate at or above capacity, or invalid best-reply tunables).
+    /// rate at or above capacity).
     pub fn resolve_now(&self) -> Result<ResolveOutcome, RuntimeError> {
         let state = self.state();
         let State { ref registry, ref bank } = *state;
@@ -672,54 +634,8 @@ impl Runtime {
             control.publish_offered_utilization(phi_offered / cluster.total_rate());
         }
         let epoch = self.next_epoch();
-        let mode = self.solver_state().mode;
-        let (table, outcome) = match mode.best_reply_config() {
-            None => {
-                let solved = resolver::solve_table(self.cfg.scheme, epoch, ids, &cluster, phi)?;
-                self.telemetry.record_solve(None);
-                solved
-            }
-            Some(br_cfg) => {
-                // Warm start from the live table: each serving node's
-                // current routing share (0 for nodes not yet in it).
-                // `best_reply` rescales the shares to Φ and falls back
-                // to proportional if the current rates make them
-                // infeasible.
-                let current = self.table.load();
-                let warm: Vec<f64> =
-                    ids.iter().map(|&id| current.prob_of(id).unwrap_or(0.0)).collect();
-                let warm = (warm.iter().sum::<f64>() > 0.0).then_some(&warm[..]);
-                let out = {
-                    // Lock order: `state` (held) then `solver`.
-                    let mut solver = self.solver_state();
-                    dynamics::best_reply(&cluster, phi, warm, &br_cfg, &mut solver.rng)?
-                };
-                let stats = ConvergenceStats {
-                    epoch,
-                    rounds: out.rounds,
-                    residual: out.residual,
-                    converged: out.converged,
-                };
-                self.solver_state().last = Some(stats);
-                self.telemetry.record_solve(Some(stats));
-                let table = RoutingTable::from_allocation(
-                    epoch,
-                    ids.clone(),
-                    &out.allocation,
-                    cluster.rates(),
-                )?;
-                let predicted_mean_response = out.allocation.mean_response_time(&cluster);
-                let outcome = ResolveOutcome {
-                    epoch,
-                    nodes: ids,
-                    rates: cluster.rates().to_vec(),
-                    phi,
-                    allocation: out.allocation,
-                    predicted_mean_response,
-                };
-                (table, outcome)
-            }
-        };
+        let (table, outcome) = resolver::solve_table(self.cfg.scheme, epoch, ids, &cluster, phi)?;
+        self.telemetry.record_solve();
         self.publish_table(table);
         Ok(outcome)
     }
@@ -740,6 +656,19 @@ impl Runtime {
     /// non-finite, or when the reweighted table would have no routable
     /// mass left.
     pub fn reweight_node(&self, id: NodeId, factor: f64) -> Result<Option<u64>, RuntimeError> {
+        let state = self.state();
+        self.reweight_locked(&state, id, factor)
+    }
+
+    /// [`Runtime::reweight_node`] for a caller that already holds the
+    /// `state` lock (`_state` is the proof), as the publish rule on
+    /// [`Runtime`] requires.
+    fn reweight_locked(
+        &self,
+        _state: &State,
+        id: NodeId,
+        factor: f64,
+    ) -> Result<Option<u64>, RuntimeError> {
         if !(factor.is_finite() && factor > 0.0) {
             return Err(RuntimeError::Core(gtlb_core::error::CoreError::BadInput(format!(
                 "reweight factor must be positive and finite, got {factor}"
@@ -764,32 +693,6 @@ impl Runtime {
     #[must_use]
     pub fn table_build_stats(&self) -> (u64, u64) {
         (0, self.tables_built.load(Ordering::Relaxed))
-    }
-
-    /// The solver mode currently in effect.
-    #[must_use]
-    pub fn solver_mode(&self) -> SolverMode {
-        self.solver_state().mode
-    }
-
-    /// Switches the solver mode live; the next resolve uses it. Returns
-    /// the previous mode, and records a
-    /// [`RuntimeEvent::SolverSwitched`] ring event on actual change.
-    pub fn set_solver_mode(&self, mode: SolverMode) -> SolverMode {
-        let prev = {
-            let mut solver = self.solver_state();
-            std::mem::replace(&mut solver.mode, mode)
-        };
-        if prev != mode {
-            self.telemetry.record_solver_switch(mode);
-        }
-        prev
-    }
-
-    /// Stats of the most recent best-reply solve (`None` until one ran).
-    #[must_use]
-    pub fn last_convergence(&self) -> Option<ConvergenceStats> {
-        self.solver_state().last
     }
 
     /// Routes one job via the published table, on the next shard in
@@ -1092,10 +995,6 @@ impl Runtime {
         self.detector.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn solver_state(&self) -> MutexGuard<'_, SolverRuntime> {
-        self.solver.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Sets a node's health in the registry *and* forces the detector's
     /// view to match, so a manual mark and the detector never fight
     /// (without the sync, a manually-downed node would stay down forever:
@@ -1209,13 +1108,13 @@ impl Runtime {
     /// the system stays routable until the next full solve; publishes the
     /// empty table only when nothing serves at all.
     fn republish_without(&self, id: NodeId) {
+        let state = self.state();
         let current = self.table.load();
         if !current.nodes().contains(&id) {
             return;
         }
         let epoch = self.next_epoch();
         let table = current.without_node(id, epoch).unwrap_or_else(|_| {
-            let state = self.state();
             match state.registry.serving_cluster(|n| n.nominal_rate()) {
                 Ok((ids, cluster)) => RoutingTable::new(epoch, ids, cluster.rates())
                     .unwrap_or_else(|_| RoutingTable::empty(epoch)),
@@ -1732,62 +1631,66 @@ mod tests {
     }
 
     #[test]
-    fn best_reply_mode_matches_the_coop_table() {
-        let make = |mode| {
-            let rt = Runtime::builder().seed(5).nominal_arrival_rate(1.8).solver_mode(mode).build();
-            rt.register_node(2.0).unwrap();
-            rt.register_node(1.0).unwrap();
-            rt.resolve_now().unwrap();
-            rt
-        };
-        let coop = make(SolverMode::Coop);
-        let br = make(SolverMode::best_reply());
-        let stats = br.last_convergence().expect("best-reply solve records stats");
-        assert!(stats.converged, "residual {} after {} rounds", stats.residual, stats.rounds);
-        assert!(stats.residual <= 1e-9);
-        assert!(coop.last_convergence().is_none(), "coop solves record no convergence");
-        for (a, b) in coop.current_table().probs().iter().zip(br.current_table().probs()) {
-            assert!((a - b).abs() < 1e-6, "best-reply table {b} vs coop {a}");
-        }
-    }
-
-    #[test]
-    fn solver_mode_switches_live() {
-        let rt = coop_runtime(0.9);
-        rt.register_node(2.0).unwrap();
-        rt.register_node(1.0).unwrap();
-        rt.resolve_now().unwrap();
-        assert_eq!(rt.solver_mode(), SolverMode::Coop);
-        assert_eq!(rt.set_solver_mode(SolverMode::best_reply()), SolverMode::Coop);
-        rt.resolve_now().unwrap();
-        let stats = rt.last_convergence().unwrap();
-        assert!(stats.converged);
-        assert_eq!(stats.epoch, rt.current_table().epoch());
-        // Back to coop: the stats of the last best-reply solve remain.
-        rt.set_solver_mode(SolverMode::Coop);
-        rt.resolve_now().unwrap();
-        assert_eq!(rt.last_convergence(), Some(stats));
-    }
-
-    #[test]
     fn solver_events_and_metrics_are_recorded() {
         let rt = Runtime::builder().seed(9).nominal_arrival_rate(0.8).telemetry(true).build();
-        rt.register_node(1.0).unwrap();
-        rt.register_node(1.0).unwrap();
-        rt.set_solver_mode(SolverMode::best_reply());
-        rt.set_solver_mode(SolverMode::best_reply()); // no-op: same mode
-        rt.resolve_now().unwrap();
+        let resolves = |rt: &Runtime| {
+            rt.telemetry_snapshot().unwrap().counter(telemetry::names::SOLVER_RESOLVES)
+        };
+        let a = rt.register_node(1.0).unwrap();
+        let b = rt.register_node(1.0).unwrap();
+        let epoch = rt.resolve_now().unwrap().epoch;
+        assert_eq!(resolves(&rt), Some(1));
         let events = rt.telemetry().recent_events(16);
-        let switches = events
-            .iter()
-            .filter(|e| matches!(e.event, RuntimeEvent::SolverSwitched { .. }))
-            .count();
-        assert_eq!(switches, 1, "only the actual change emits an event");
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.event, RuntimeEvent::SolverConverged { converged: true, .. })));
-        let snap = rt.telemetry_snapshot().unwrap();
-        assert_eq!(snap.counter(telemetry::names::SOLVER_RESOLVES), Some(1));
+        assert!(events.iter().any(|e| e.event == RuntimeEvent::EpochPublished { epoch }));
+        // A failed resolve (nothing serves) counts nothing.
+        rt.mark_down(a).unwrap();
+        rt.mark_down(b).unwrap();
+        assert_eq!(rt.resolve_now().map(|o| o.epoch), Err(RuntimeError::NoServingNodes));
+        assert_eq!(resolves(&rt), Some(1));
+    }
+
+    #[test]
+    fn concurrent_publishes_land_in_epoch_order() {
+        // Resolves, reweights and renormalizations race on their own
+        // threads while a reader polls the live epoch. Every publisher
+        // holds `state` from reading the live table until it publishes,
+        // so the live epoch never steps backwards.
+        let rt = coop_runtime(20.0);
+        let ids: Vec<NodeId> =
+            (0..64).map(|k| rt.register_node(f64::from(1 + k % 4)).unwrap()).collect();
+        rt.resolve_now().unwrap();
+        let stop = AtomicBool::new(false);
+        let (rt, stop, ids) = (&rt, &stop, &ids);
+        let backwards = std::thread::scope(|s| {
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    rt.resolve_now().unwrap();
+                }
+            });
+            for &id in &ids[..2] {
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        rt.reweight_node(id, 1.0).unwrap();
+                    }
+                });
+            }
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    rt.mark_down(ids[63]).unwrap();
+                    rt.mark_up(ids[63]).unwrap();
+                }
+            });
+            let deadline = std::time::Instant::now() + Duration::from_millis(300);
+            let (mut last, mut backwards) = (0, 0u64);
+            while std::time::Instant::now() < deadline {
+                let epoch = rt.current_table().epoch();
+                backwards += u64::from(epoch < last);
+                last = epoch;
+            }
+            stop.store(true, Ordering::Relaxed);
+            backwards
+        });
+        assert_eq!(backwards, 0, "the live epoch stepped backwards {backwards} times");
     }
 
     #[test]

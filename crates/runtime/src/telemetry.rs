@@ -46,7 +46,6 @@ use gtlb_telemetry::{
 use crate::admission::{AdmissionStats, AdmissionVerdict};
 use crate::detector::HealthTransition;
 use crate::dispatcher::DISPATCH_STREAM;
-use crate::dynamics::{ConvergenceStats, SolverMode, DYNAMICS_STREAM};
 use crate::fault::{
     FaultMarker, FaultMarkerKind, PartitionDirection, ADVERSARIAL_STREAM, FAULT_STREAM,
 };
@@ -117,12 +116,8 @@ pub mod names {
     /// Table-publish lease-drain wait (wall-clock seconds; the one
     /// wall-clock instrument).
     pub const PUBLISH_WAIT_SECONDS: &str = "gtlb_publish_wait_seconds";
-    /// Successful solves published, in either solver mode.
+    /// Successful solves published.
     pub const SOLVER_RESOLVES: &str = "gtlb_solver_resolves_total";
-    /// Rounds-to-converge of best-reply solves.
-    pub const SOLVER_ROUNDS: &str = "gtlb_solver_rounds";
-    /// Final equilibrium residual of the last best-reply solve.
-    pub const SOLVER_RESIDUAL: &str = "gtlb_solver_residual";
 
     /// Per-node suspicion gauge: node `raw`'s live accrual φ at the
     /// telemetry clock (synced on snapshot).
@@ -180,21 +175,6 @@ pub enum RuntimeEvent {
         /// The new table's epoch.
         epoch: u64,
     },
-    /// The runtime's solver mode changed.
-    SolverSwitched {
-        /// The mode now in effect.
-        mode: SolverMode,
-    },
-    /// A best-reply solve finished its iteration (`converged = false`
-    /// means it ran out of rounds and published the best profile found).
-    SolverConverged {
-        /// Epoch of the table the solve published.
-        epoch: u64,
-        /// Synchronous rounds executed.
-        rounds: u32,
-        /// Whether the residual reached epsilon.
-        converged: bool,
-    },
     /// An asymmetric partition opened on a node (scheduled by the fault
     /// plan; surfaced by the driver at the plan's virtual time).
     PartitionOpened {
@@ -227,13 +207,6 @@ impl std::fmt::Display for RuntimeEvent {
             Self::AdmissionShed { deferred: true } => write!(f, "admission deferred a job"),
             Self::AdmissionShed { deferred: false } => write!(f, "admission rejected a job"),
             Self::EpochPublished { epoch } => write!(f, "published table epoch {epoch}"),
-            Self::SolverSwitched { mode } => write!(f, "solver switched to {}", mode.name()),
-            Self::SolverConverged { epoch, rounds, converged: true } => {
-                write!(f, "solver converged for epoch {epoch} in {rounds} rounds")
-            }
-            Self::SolverConverged { epoch, rounds, converged: false } => {
-                write!(f, "solver hit the round budget ({rounds}) for epoch {epoch}")
-            }
             Self::PartitionOpened { node, direction } => {
                 write!(f, "partition opened on {node} ({direction})")
             }
@@ -277,8 +250,6 @@ pub(crate) struct TelemetryInner {
     backoff: Arc<Histogram>,
     publish_wait: Arc<Histogram>,
     solver_resolves: Arc<Counter>,
-    solver_rounds: Arc<Histogram>,
-    solver_residual: Arc<Gauge>,
 }
 
 impl TelemetryInner {
@@ -313,8 +284,6 @@ impl TelemetryInner {
             backoff: registry.histogram(names::RETRY_BACKOFF_SECONDS),
             publish_wait: registry.histogram(names::PUBLISH_WAIT_SECONDS),
             solver_resolves: registry.counter(names::SOLVER_RESOLVES, 1),
-            solver_rounds: registry.histogram(names::SOLVER_ROUNDS),
-            solver_residual: registry.gauge(names::SOLVER_RESIDUAL, 1),
             registry,
         }
     }
@@ -547,35 +516,11 @@ impl Telemetry {
         }
     }
 
-    /// Records one successful solve: the re-solve counter always, plus
-    /// — for best-reply solves — the rounds-to-converge histogram, the
-    /// residual gauge, and a [`RuntimeEvent::SolverConverged`] ring
-    /// event on the solver's stream family.
+    /// Records one successful solve.
     #[inline]
-    pub(crate) fn record_solve(&self, stats: Option<ConvergenceStats>) {
+    pub(crate) fn record_solve(&self) {
         if let Some(inner) = self.inner() {
             inner.solver_resolves.incr(0);
-            if let Some(s) = stats {
-                inner.solver_rounds.record(f64::from(s.rounds));
-                inner.solver_residual.set(s.residual);
-                inner.push(
-                    0,
-                    DYNAMICS_STREAM,
-                    RuntimeEvent::SolverConverged {
-                        epoch: s.epoch,
-                        rounds: s.rounds,
-                        converged: s.converged,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Records a live solver-mode switch.
-    #[inline]
-    pub(crate) fn record_solver_switch(&self, mode: SolverMode) {
-        if let Some(inner) = self.inner() {
-            inner.push(0, DYNAMICS_STREAM, RuntimeEvent::SolverSwitched { mode });
         }
     }
 

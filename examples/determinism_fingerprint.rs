@@ -1,4 +1,4 @@
-//! Print determinism fingerprints for the CI matrix to diff.
+//! Print the determinism fingerprints `tests/expected_fingerprints.txt` pins.
 //!
 //! Two contracts claim that worker count never leaks into results:
 //!
@@ -11,9 +11,9 @@
 //!   and batch routing (`route_batch`) replays that exact sequence.
 //!
 //! This example condenses both into one stable hex line each on stdout
-//! (environment details go to stderr). CI runs it under
-//! `RAYON_NUM_THREADS={1,2,4}` and diffs the outputs: any divergence is
-//! a determinism regression.
+//! (environment details go to stderr). `tests/fingerprints.rs` checks
+//! every line against `tests/expected_fingerprints.txt`, so `cargo test`
+//! under any `RAYON_NUM_THREADS` catches a determinism regression.
 //!
 //! A third contract rides along: telemetry is observation-only. With
 //! `GTLB_TELEMETRY=1` every runtime here records metrics and events,
@@ -29,15 +29,7 @@
 //! bit-identical. CI diffs the attached and detached outputs (the
 //! `control-plane-smoke` job).
 //!
-//! A fifth contract covers the solver: with `SolverMode::BestReply` the
-//! routing table is *iterated* to the equilibrium instead of solved in
-//! closed form, drawing tie-breaks from the dedicated `0x0A00` stream
-//! family. The converged table must agree with COOP within tolerance,
-//! and the dispatch stream under it must be thread-count invariant —
-//! the `best_reply_dispatch` line pins both (the `dynamics-convergence`
-//! job diffs it across the matrix).
-//!
-//! A sixth contract covers tracing: per-job traces are identity-hashed
+//! A fifth contract covers tracing: per-job traces are identity-hashed
 //! and head-sampled with **no RNG stream and no clock** of their own.
 //! With `GTLB_TRACING=1` every runtime here records sampled traces into
 //! its flight recorder, and every fingerprint must still be
@@ -105,12 +97,12 @@ fn tracing_on() -> bool {
     *PINNED.get_or_init(|| std::env::var("GTLB_TRACING").is_ok_and(|v| v == "1"))
 }
 
-/// Pin the process environment before any fingerprint runs: the two
+/// Pin the process environment before any fingerprint runs: the three
 /// invariance knobs are captured once (and echoed to stderr so a CI log
 /// shows which configuration produced the output), and the bench
 /// harness's variables are cleared — `GTLB_BENCH_QUICK`/`GTLB_BENCH_JSON`
 /// leaking in from an operator's shell must never reshape this output.
-fn pin_environment() {
+pub fn pin_environment() {
     std::env::remove_var("GTLB_BENCH_QUICK");
     std::env::remove_var("GTLB_BENCH_JSON");
     eprintln!(
@@ -170,7 +162,7 @@ fn replication_fingerprint(res: &ReplicatedResult) -> u64 {
 /// into one word (stats, counters, queue clock, and every health
 /// transition). The fault and retry draws live on their own stream
 /// families, so this trace is a pure function of (seed, plan, shard
-/// count) — CI diffs it across the thread matrix with faults *enabled*.
+/// count) — checked across the thread matrix with faults *enabled*.
 fn chaos_trace_fingerprint(shards: usize) -> u64 {
     let rt = Arc::new(
         Runtime::builder()
@@ -382,72 +374,8 @@ fn batch_dispatch_fingerprint() -> u64 {
     h
 }
 
-/// The dispatch decision sequence of a `SolverMode::BestReply` runtime
-/// on the fault-free case. The best-reply iteration must land on the
-/// COOP table (asserted here within tolerance — the Nash bargaining
-/// point is the Wardrop equilibrium on this model), and the dispatch
-/// stream under the converged table is a pure function of the seed: the
-/// solver's tie-break draws live on their own `0x0A00` stream family,
-/// so nothing downstream shifts. CI diffs this line across the thread
-/// matrix alongside the Coop fingerprints.
-fn best_reply_dispatch_fingerprint() -> u64 {
-    const SHARDS: usize = 4;
-    const JOBS: usize = 8_192;
-    let make = |mode: SolverMode| {
-        let rt = Arc::new(
-            Runtime::builder()
-                .seed(0xF1A6)
-                .scheme(SchemeKind::Coop)
-                .nominal_arrival_rate(4.2)
-                .shards(SHARDS)
-                .solver_mode(mode)
-                .telemetry(telemetry_on())
-                .tracing(tracing_on())
-                .build(),
-        );
-        for &rate in &[4.0, 2.0, 1.0] {
-            rt.register_node(rate).unwrap();
-        }
-        rt.resolve_now().unwrap();
-        rt
-    };
-    let rt = make(SolverMode::best_reply());
-    let _cp = attach_idle_control_plane(&rt);
-    let stats = rt.last_convergence().expect("best-reply solve records stats");
-    assert!(stats.converged, "fingerprint cluster must converge: {stats:?}");
-
-    // The iterated table must agree with the closed-form COOP one.
-    let coop = make(SolverMode::Coop);
-    let (bt, ct) = (rt.current_table(), coop.current_table());
-    for (id, p) in ct.nodes().iter().zip(ct.probs()) {
-        let b = bt.prob_of(*id).unwrap_or(0.0);
-        assert!((b - p).abs() < 1e-6, "best-reply table drifted from COOP: {b} vs {p}");
-    }
-
-    let sharded = rt.sharded_dispatcher();
-    let per_shard: Vec<Vec<(u64, u64)>> = par_map((0..SHARDS).collect(), |k| {
-        let mut guard = sharded.shard(k);
-        (0..JOBS / SHARDS)
-            .map(|_| {
-                let d = guard.dispatch().unwrap();
-                (d.node.raw(), d.epoch)
-            })
-            .collect()
-    });
-    let mut h = FNV_OFFSET;
-    fold(&mut h, stats.rounds.into());
-    for j in 0..JOBS {
-        let (node, epoch) = per_shard[j % SHARDS][j / SHARDS];
-        fold(&mut h, node);
-        fold(&mut h, epoch);
-    }
-    h
-}
-
-fn main() {
-    pin_environment();
-    eprintln!("workers: {}", thread_count());
-
+/// Every fingerprint, in output order, as `(name, value)`.
+pub fn fingerprints() -> Vec<(&'static str, u64)> {
     let cluster = Cluster::from_groups(&[(1, 4.0), (3, 1.0)]).unwrap();
     let phi = cluster.arrival_rate_for_utilization(0.7);
     let loads = Coop.allocate(&cluster, phi).unwrap();
@@ -456,11 +384,20 @@ fn main() {
         SimBudget { seed: 0xD15C, replications: 4, warmup_jobs: 1_000, measured_jobs: 10_000 };
     let replicated = replicate_parallel(&spec, &budget);
 
-    println!("replication_fingerprint {:016x}", replication_fingerprint(&replicated));
-    println!("sharded_dispatch_fingerprint {:016x}", sharded_dispatch_fingerprint());
-    println!("batch_dispatch_fingerprint {:016x}", batch_dispatch_fingerprint());
-    println!("chaos_trace_fingerprint {:016x}", chaos_trace_fingerprint(1));
-    println!("chaos_trace_sharded_fingerprint {:016x}", chaos_trace_fingerprint(4));
-    println!("best_reply_dispatch_fingerprint {:016x}", best_reply_dispatch_fingerprint());
-    println!("traced_chaos_fingerprint {:016x}", traced_chaos_fingerprint());
+    vec![
+        ("replication_fingerprint", replication_fingerprint(&replicated)),
+        ("sharded_dispatch_fingerprint", sharded_dispatch_fingerprint()),
+        ("batch_dispatch_fingerprint", batch_dispatch_fingerprint()),
+        ("chaos_trace_fingerprint", chaos_trace_fingerprint(1)),
+        ("chaos_trace_sharded_fingerprint", chaos_trace_fingerprint(4)),
+        ("traced_chaos_fingerprint", traced_chaos_fingerprint()),
+    ]
+}
+
+fn main() {
+    pin_environment();
+    eprintln!("workers: {}", thread_count());
+    for (name, value) in fingerprints() {
+        println!("{name} {value:016x}");
+    }
 }

@@ -1,9 +1,9 @@
-//! Adversarial network sweeps: COOP vs decentralized best-reply under
-//! asymmetric link partitions (both directions), gray failures, and a
-//! correlated rack-wide partition, all driven through the closed-loop
-//! trace driver with the self-tuning accrual detector.
+//! Adversarial network sweeps: COOP under asymmetric link partitions
+//! (both directions), gray failures, and a correlated rack-wide
+//! partition, all driven through the closed-loop trace driver with the
+//! self-tuning accrual detector.
 //!
-//! For every (scenario × solver) cell the experiment reports the
+//! For every scenario the experiment reports the
 //! healthy baseline response, the response while the fault is live
 //! ("post-partition" in the detection-literature sense: after the fault
 //! opens), the detection latency (first Down transition after the fault
@@ -23,7 +23,7 @@
 use gtlb::prelude::*;
 use gtlb::runtime::DetectorConfig;
 
-/// One (scenario × solver) cell of the report.
+/// One scenario of the report.
 struct Row {
     scenario: String,
     fields: Vec<(&'static str, String)>,
@@ -118,9 +118,9 @@ struct CellOutcome {
     readmitted: bool,
 }
 
-/// Runs one (scenario, solver) cell through the closed loop: healthy
-/// baseline → fault window → heal + tail, and digests the phases.
-fn run_cell(scenario: Scenario, mode: SolverMode, quick: bool) -> CellOutcome {
+/// Runs one scenario through the closed loop: healthy baseline → fault
+/// window → heal + tail, and digests the phases.
+fn run_cell(scenario: Scenario, quick: bool) -> CellOutcome {
     let rates = [6.0, 4.0, 4.0, 4.0];
     let phi = 0.5 * rates.iter().sum::<f64>();
     let (open, lasts, tail) = if quick { (150.0, 100.0, 80.0) } else { (600.0, 300.0, 200.0) };
@@ -129,15 +129,10 @@ fn run_cell(scenario: Scenario, mode: SolverMode, quick: bool) -> CellOutcome {
         .seed(0xAD7E)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(phi)
-        .solver_mode(mode)
         .detector(DetectorConfig { probation_successes: 20, ..DetectorConfig::self_tuning(8) })
         .build();
     let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
     rt.resolve_now().unwrap();
-    if matches!(mode, SolverMode::BestReply { .. }) {
-        let stats = rt.last_convergence().expect("best-reply solve ran");
-        assert!(stats.converged, "cold-start best-reply must converge");
-    }
     let victims = scenario.victims(&ids);
 
     let plan = scenario.plan(&ids, open, lasts);
@@ -205,89 +200,82 @@ fn main() {
         Scenario::Gray,
         Scenario::DomainPartition,
     ];
-    let solvers = [("coop", SolverMode::Coop), ("best_reply", SolverMode::best_reply())];
 
     println!("adversarial sweep — 4 nodes, ρ = 0.5, self-tuning detector");
     println!(
-        "{:>22} {:>11}  {:>9} {:>9} {:>9}  {:>9} {:>10} {:>9}",
-        "scenario", "solver", "T_healthy", "T_fault", "T_healed", "latency", "misroute", "readmit"
+        "{:>22}  {:>9} {:>9} {:>9}  {:>9} {:>10} {:>9}",
+        "scenario", "T_healthy", "T_fault", "T_healed", "latency", "misroute", "readmit"
     );
     let mut rows: Vec<Row> = Vec::new();
     for scenario in scenarios {
-        for (solver, mode) in solvers {
-            let out = run_cell(scenario, mode, quick);
+        let name = scenario.name();
+        let out = run_cell(scenario, quick);
 
-            // The acceptance gates, per scenario.
-            match scenario {
-                Scenario::AsymmetricDispatch | Scenario::DomainPartition => {
-                    assert!(
-                        out.detection_latency.is_finite() && out.detection_latency < 10.0,
-                        "{}/{solver}: detection latency {}",
-                        scenario.name(),
-                        out.detection_latency
-                    );
-                    assert!(out.dropped > 0, "{}/{solver}: no mis-routing seen", scenario.name());
-                    assert!(out.readmitted, "{}/{solver}: heal not readmitted", scenario.name());
-                }
-                Scenario::AsymmetricHeartbeat => {
-                    // Dispatch works: live traffic keeps proving the node
-                    // up, so nothing may drop and the fault-window
-                    // response stays at the healthy baseline.
-                    assert_eq!(out.dropped, 0, "{solver}: dispatch direction must be clean");
-                    assert!(
-                        out.fault_response < 2.0 * out.healthy_response,
-                        "{solver}: heartbeat-only partition wrecked the response \
-                         ({} vs {})",
-                        out.fault_response,
-                        out.healthy_response
-                    );
-                }
-                Scenario::Gray => {
-                    assert!(
-                        out.detection_latency.is_finite(),
-                        "{solver}: gray loss must demote without a crash"
-                    );
-                    assert!(out.readmitted, "{solver}: gray heal not readmitted");
-                }
+        // The acceptance gates, per scenario.
+        match scenario {
+            Scenario::AsymmetricDispatch | Scenario::DomainPartition => {
+                assert!(
+                    out.detection_latency.is_finite() && out.detection_latency < 10.0,
+                    "{name}: detection latency {}",
+                    out.detection_latency
+                );
+                assert!(out.dropped > 0, "{name}: no mis-routing seen");
+                assert!(out.readmitted, "{name}: heal not readmitted");
             }
-            assert!(
-                out.failure_rate < 0.02,
-                "{}/{solver}: retries must absorb the faults ({})",
-                scenario.name(),
-                out.failure_rate
-            );
-
-            println!(
-                "{:>22} {:>11}  {:>9.4} {:>9.4} {:>9.4}  {:>9} {:>10.5} {:>9}",
-                scenario.name(),
-                solver,
-                out.healthy_response,
-                out.fault_response,
-                out.post_heal_response,
-                if out.detection_latency.is_finite() {
-                    format!("{:.2}s", out.detection_latency)
-                } else {
-                    "—".to_string()
-                },
-                out.misrouting_rate,
-                out.readmitted
-            );
-            rows.push(Row {
-                scenario: scenario.name().to_string(),
-                fields: vec![
-                    ("solver", format!("\"{solver}\"")),
-                    ("healthy_response", num(out.healthy_response)),
-                    ("fault_response", num(out.fault_response)),
-                    ("post_heal_response", num(out.post_heal_response)),
-                    ("detection_latency", num(out.detection_latency)),
-                    ("misrouting_rate", num(out.misrouting_rate)),
-                    ("failure_rate", num(out.failure_rate)),
-                    ("dropped", out.dropped.to_string()),
-                    ("retried", out.retried.to_string()),
-                    ("readmitted", out.readmitted.to_string()),
-                ],
-            });
+            Scenario::AsymmetricHeartbeat => {
+                // Dispatch works: live traffic keeps proving the node
+                // up, so nothing may drop and the fault-window response
+                // stays at the healthy baseline.
+                assert_eq!(out.dropped, 0, "{name}: dispatch direction must be clean");
+                assert!(
+                    out.fault_response < 2.0 * out.healthy_response,
+                    "{name}: heartbeat-only partition wrecked the response ({} vs {})",
+                    out.fault_response,
+                    out.healthy_response
+                );
+            }
+            Scenario::Gray => {
+                assert!(
+                    out.detection_latency.is_finite(),
+                    "{name}: gray loss must demote without a crash"
+                );
+                assert!(out.readmitted, "{name}: gray heal not readmitted");
+            }
         }
+        assert!(
+            out.failure_rate < 0.02,
+            "{name}: retries must absorb the faults ({})",
+            out.failure_rate
+        );
+
+        println!(
+            "{:>22}  {:>9.4} {:>9.4} {:>9.4}  {:>9} {:>10.5} {:>9}",
+            name,
+            out.healthy_response,
+            out.fault_response,
+            out.post_heal_response,
+            if out.detection_latency.is_finite() {
+                format!("{:.2}s", out.detection_latency)
+            } else {
+                "—".to_string()
+            },
+            out.misrouting_rate,
+            out.readmitted
+        );
+        rows.push(Row {
+            scenario: name.to_string(),
+            fields: vec![
+                ("healthy_response", num(out.healthy_response)),
+                ("fault_response", num(out.fault_response)),
+                ("post_heal_response", num(out.post_heal_response)),
+                ("detection_latency", num(out.detection_latency)),
+                ("misrouting_rate", num(out.misrouting_rate)),
+                ("failure_rate", num(out.failure_rate)),
+                ("dropped", out.dropped.to_string()),
+                ("retried", out.retried.to_string()),
+                ("readmitted", out.readmitted.to_string()),
+            ],
+        });
     }
 
     if let Ok(path) = std::env::var("GTLB_BENCH_JSON") {

@@ -82,11 +82,11 @@ pub mod prelude {
     pub use gtlb_mechanism::verification::VerifiedMechanism;
     pub use gtlb_queueing::Mm1;
     pub use gtlb_runtime::{
-        AdmissionConfig, AdmissionStats, AdmissionVerdict, AttemptOutcome, BestReplyConfig,
-        ConvergenceStats, DetectorConfig, FaultPlan, Health, HealthTransition, IngestQueue, NodeId,
-        PartitionDirection, RetryConfig, RetryPolicy, Runtime, RuntimeBuilder, RuntimeError,
-        RuntimeEvent, SchemeKind, ShardedDispatcher, SolverMode, SpanKind, Submission, Telemetry,
-        TelemetryHandle, Trace, TraceConfig, TraceDriver, TraceId, Tracer, TracingConfig,
+        AdmissionConfig, AdmissionStats, AdmissionVerdict, AttemptOutcome, DetectorConfig,
+        FaultPlan, Health, HealthTransition, IngestQueue, NodeId, PartitionDirection, RetryConfig,
+        RetryPolicy, Runtime, RuntimeBuilder, RuntimeError, RuntimeEvent, SchemeKind,
+        ShardedDispatcher, SpanKind, Submission, Telemetry, TelemetryHandle, Trace, TraceConfig,
+        TraceDriver, TraceId, Tracer, TracingConfig,
     };
     pub use gtlb_telemetry::{Histogram, HistogramSnapshot, Snapshot, TaggedEvent};
 }

@@ -4,7 +4,8 @@
 //! scenario `examples/online_runtime.rs` narrates. Also pins the sharded
 //! dispatch determinism contract (merged decision sequence invariant
 //! under `RAYON_NUM_THREADS`-style worker counts), the admission-control
-//! closed loop, and the bounded ingest handoff.
+//! closed loop, and the bounded ingest handoff, and checks Theorem 3.8
+//! on the tables COOP publishes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,7 +13,7 @@ use std::time::Duration;
 
 use gtlb::desim::par::par_map_with_threads;
 use gtlb::prelude::*;
-use gtlb::runtime::{IngestError, RoutingTable, TraceStats};
+use gtlb::runtime::{IngestError, ResolveOutcome, RoutingTable, TraceStats};
 
 /// Analytic mean response of the system the driver actually runs: the
 /// true arrival rate `phi` split over the published table, each node an
@@ -93,6 +94,61 @@ fn coop_closed_loop_with_mid_run_failure() {
     let degraded = driver.stats();
     assert_matches_analytic(&degraded, analytic_degraded, "degraded");
     assert!(degraded.per_node.iter().all(|&(id, _)| id != ids[0]));
+}
+
+/// Theorem 3.8 on the published table: every node COOP routes to has
+/// the same expected response time `1/(μᵢ − pᵢΦ)`, and every node it
+/// leaves idle (p = 0) is no faster than that even when idle (`1/μᵢ`).
+fn assert_equal_response_times(rt: &Runtime, outcome: &ResolveOutcome, label: &str) {
+    let table = rt.current_table();
+    assert_eq!(table.epoch(), outcome.epoch, "{label}: live table is not the solve's");
+    let shares: Vec<(f64, f64)> = outcome
+        .nodes
+        .iter()
+        .zip(&outcome.rates)
+        .map(|(&id, &mu)| (table.prob_of(id).expect("solved node is in the table"), mu))
+        .collect();
+    let time = |p: f64, mu: f64| 1.0 / (mu - p * outcome.phi);
+    let level = shares
+        .iter()
+        .find(|&&(p, _)| p > 0.0)
+        .map(|&(p, mu)| time(p, mu))
+        .unwrap_or_else(|| panic!("{label}: the table routes nowhere"));
+    for &(p, mu) in &shares {
+        if p > 0.0 {
+            let t = time(p, mu);
+            assert!((t - level).abs() <= 1e-9 * level, "{label}: used node at {t}, level {level}");
+        } else {
+            assert!(1.0 / mu >= level, "{label}: idle node at 1/μ = {} < {level}", 1.0 / mu);
+        }
+    }
+}
+
+#[test]
+fn coop_tables_equalize_response_times() {
+    let resolve = |rates: &[f64], rho: f64| {
+        let phi = rho * rates.iter().sum::<f64>();
+        let rt = Runtime::builder().seed(404).nominal_arrival_rate(phi).build();
+        let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
+        let outcome = rt.resolve_now().unwrap();
+        (rt, ids, outcome)
+    };
+
+    let (rt, _, outcome) = resolve(&[1.0, 1.0, 1.0, 1.0], 0.6);
+    assert_equal_response_times(&rt, &outcome, "homogeneous");
+
+    // At ρ = 0.6 the fast node carries everything: the slow nodes idle.
+    let (rt, ids, outcome) = resolve(&[10.0, 1.0, 1.0, 1.0], 0.6);
+    assert_equal_response_times(&rt, &outcome, "10:1 heterogeneous");
+    assert_eq!(rt.current_table().prob_of(ids[1]), Some(0.0));
+
+    // The fast node crashes; the resolve after the renormalization
+    // spreads Φ over the survivors alone.
+    let (rt, ids, _) = resolve(&[6.0, 4.0, 4.0, 4.0], 0.55);
+    rt.mark_down(ids[0]).unwrap();
+    let outcome = rt.resolve_now().unwrap();
+    assert_eq!(outcome.nodes, ids[1..]);
+    assert_equal_response_times(&rt, &outcome, "post-crash");
 }
 
 #[test]
