@@ -1,15 +1,10 @@
-//! Hot-path benchmarks: pinned borrowed snapshots and the publish cost.
+//! Hot-path benchmarks: the route itself and the publish cost.
 //!
-//! Three groups feed `BENCH_hotpath.json` (via `GTLB_BENCH_JSON`):
+//! Two groups feed `BENCH_hotpath.json` (via `GTLB_BENCH_JSON`):
 //!
-//! * `hotpath_route/pinned/{16,1024,65536}` — ns/route through a held
-//!   [`Lease`] (`&RoutingTable`, no `Arc` clone) at three table sizes,
-//!   the "tens-of-ns routing" number the ROADMAP names;
-//! * `hotpath_batch/{arc_lease,pinned}/1024` — a 1024-job batch where
-//!   every job re-snapshots the table. `arc_lease` is the pre-pin
-//!   dispatch path (one validated `swap.load()` `Arc` clone per job);
-//!   `pinned` amortizes one `pin()` across the batch. CI gates
-//!   `pinned ≥ 1.3× arc_lease`;
+//! * `hotpath_route/table/{16,1024,65536}` — ns/route through a plain
+//!   `&RoutingTable`, as a shard routes on its cached table, at three
+//!   table sizes;
 //! * `hotpath_publish/rebuild/65536` — publish latency of one full
 //!   `RoutingTable::new` build at n = 65536, the path every publish
 //!   takes.
@@ -18,7 +13,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gtlb_desim::rng::Xoshiro256PlusPlus;
-use gtlb_runtime::{EpochSwap, NodeId, RoutingTable};
+use gtlb_runtime::{NodeId, RoutingTable};
 
 /// Irregular weights with no two buckets equal and no knife-edge
 /// residuals (a Weyl-style sequence in [1, 2)): uniform weights would
@@ -40,57 +35,22 @@ fn draws(count: usize) -> Vec<f64> {
     (0..count).map(|_| rng.next_open01()).collect()
 }
 
-fn bench_pinned_route(c: &mut Criterion) {
+fn bench_route(c: &mut Criterion) {
     let us = draws(4096);
     let mut group = c.benchmark_group("hotpath_route");
     group.throughput(Throughput::Elements(us.len() as u64));
     for &n in &[16usize, 1024, 65536] {
-        let swap = EpochSwap::new(irregular_table(n));
-        group.bench_with_input(BenchmarkId::new("pinned", n), &swap, |b, s| {
+        let table = irregular_table(n);
+        group.bench_with_input(BenchmarkId::new("table", n), &table, |b, t| {
             b.iter(|| {
-                let pin = s.pin();
                 let mut sink = 0u64;
                 for &u in &us {
-                    sink = sink.wrapping_add(pin.route(u).raw());
+                    sink = sink.wrapping_add(t.route(u).raw());
                 }
                 black_box(sink)
             })
         });
     }
-    group.finish();
-}
-
-fn bench_batch(c: &mut Criterion) {
-    let batch = 1024usize;
-    let us = draws(batch);
-    let swap = EpochSwap::new(irregular_table(1024));
-    let mut group = c.benchmark_group("hotpath_batch");
-    group.throughput(Throughput::Elements(batch as u64));
-    // The pre-pin path: every job takes a fresh validated Arc snapshot
-    // (lease in, clone, lease out) — exactly what `Dispatcher::dispatch`
-    // did before the borrowed pin existed.
-    group.bench_function(BenchmarkId::new("arc_lease", batch), |b| {
-        b.iter(|| {
-            let mut sink = 0u64;
-            for &u in &us {
-                let table = swap.load();
-                sink = sink.wrapping_add(table.route(u).raw());
-            }
-            black_box(sink)
-        })
-    });
-    // The pinned path: one validated lease for the whole batch, jobs
-    // route through the borrow.
-    group.bench_function(BenchmarkId::new("pinned", batch), |b| {
-        b.iter(|| {
-            let pin = swap.pin();
-            let mut sink = 0u64;
-            for &u in &us {
-                sink = sink.wrapping_add(pin.route(u).raw());
-            }
-            black_box(sink)
-        })
-    });
     group.finish();
 }
 
@@ -107,5 +67,5 @@ fn bench_publish(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(hotpath, bench_pinned_route, bench_batch, bench_publish);
+criterion_group!(hotpath, bench_route, bench_publish);
 criterion_main!(hotpath);

@@ -1,18 +1,14 @@
-//! The PR-4 hot-path benchmarks: alias-method routing against the
-//! reference inverse-CDF path (n ∈ {4, 64, 1024}), the lock-free epoch
-//! swap against an `RwLock`-based slot under reader fan-in (1/4/8
-//! threads), and batched submission against per-job submission at
-//! batch = 64. `GTLB_BENCH_JSON` emits the records CI gates on
-//! (`BENCH_routing.json`): alias must be ≥ 1.5× the CDF path at
-//! n = 1024 and batch submit ≥ 1.3× per-job submit at batch = 64.
+//! Routing benchmarks: alias-method routing against the reference
+//! inverse-CDF path (n ∈ {4, 64, 1024}), and the cost of 64 per-job
+//! submissions through the runtime. `GTLB_BENCH_JSON` emits the records
+//! CI gates on (`BENCH_routing.json`): alias must be ≥ 1.5× the CDF
+//! path at n = 1024.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gtlb_desim::rng::Xoshiro256PlusPlus;
-use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind, MAX_BELOW_ONE};
+use gtlb_runtime::{NodeId, RoutingTable, Runtime, SchemeKind, MAX_BELOW_ONE};
 
 /// A mildly skewed table over `n` nodes (a few fast, a tail of slow —
 /// the same shape the allocators produce).
@@ -90,69 +86,8 @@ impl CdfTable {
     }
 }
 
-/// The pre-PR-4 slot: readers and the writer share an `RwLock`, every
-/// load pays a read-lock acquisition. Kept here as the baseline the
-/// lock-free swap is gated against.
-struct LockedSwap {
-    inner: RwLock<Arc<RoutingTable>>,
-}
-
-impl LockedSwap {
-    fn new(table: RoutingTable) -> Self {
-        Self { inner: RwLock::new(Arc::new(table)) }
-    }
-
-    fn load(&self) -> Arc<RoutingTable> {
-        Arc::clone(&self.inner.read().unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-}
-
-/// Measures `load()` on the calling thread while `readers − 1`
-/// background threads hammer the same slot.
-fn bench_swap_variant<S: Send + Sync + 'static>(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    name: &str,
-    readers: usize,
-    slot: Arc<S>,
-    load: fn(&S) -> Arc<RoutingTable>,
-) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let background: Vec<_> = (0..readers - 1)
-        .map(|_| {
-            let slot = Arc::clone(&slot);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut sink = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    sink = sink.wrapping_add(load(&slot).epoch());
-                }
-                sink
-            })
-        })
-        .collect();
-    group.bench_function(BenchmarkId::new(name, readers), |b| {
-        b.iter(|| black_box(load(&slot).epoch()))
-    });
-    stop.store(true, Ordering::Relaxed);
-    for handle in background {
-        let _ = handle.join();
-    }
-}
-
-fn bench_swap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("routing_swap");
-    group.throughput(Throughput::Elements(1));
-    for &readers in &[1usize, 4, 8] {
-        let locked = Arc::new(LockedSwap::new(skewed_table(64)));
-        bench_swap_variant(&mut group, "locked", readers, locked, LockedSwap::load);
-        let lockfree = Arc::new(EpochSwap::new(skewed_table(64)));
-        bench_swap_variant(&mut group, "lockfree", readers, lockfree, EpochSwap::load);
-    }
-    group.finish();
-}
-
 fn bench_submit(c: &mut Criterion) {
-    let batch = 64usize;
+    let jobs = 64usize;
     let rt = Runtime::builder()
         .seed(42)
         .scheme(SchemeKind::Coop)
@@ -164,24 +99,18 @@ fn bench_submit(c: &mut Criterion) {
     rt.resolve_now().unwrap();
 
     let mut group = c.benchmark_group("routing_submit");
-    group.throughput(Throughput::Elements(batch as u64));
-    group.bench_function(BenchmarkId::new("per_job", batch), |b| {
+    group.throughput(Throughput::Elements(jobs as u64));
+    group.bench_function(BenchmarkId::new("per_job", jobs), |b| {
         b.iter(|| {
             let mut sink = 0u64;
-            for _ in 0..batch {
+            for _ in 0..jobs {
                 sink = sink.wrapping_add(rt.submit_on(0).unwrap().decision().unwrap().node.raw());
             }
             black_box(sink)
         })
     });
-    group.bench_function(BenchmarkId::new("batch", batch), |b| {
-        b.iter(|| {
-            let out = rt.submit_batch_on(0, batch).unwrap();
-            black_box(out.decisions.last().copied())
-        })
-    });
     group.finish();
 }
 
-criterion_group!(routing, bench_route, bench_swap, bench_submit);
+criterion_group!(routing, bench_route, bench_submit);
 criterion_main!(routing);

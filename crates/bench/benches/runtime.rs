@@ -1,14 +1,15 @@
 //! Online runtime hot paths: dispatch throughput (one uniform draw plus
-//! an inverse-CDF lookup behind the epoch swap), the cost of publishing
-//! a fresh table under reader load, and the sharding payoff — N threads
-//! contending on one `Mutex<Dispatcher>` versus the same N threads each
-//! pinned to their own shard of a `ShardedDispatcher`.
+//! an O(1) alias lookup on the shard's cached table), the cost of
+//! publishing a fresh table under reader load, and the sharding payoff
+//! — N threads sharing one shard, one mutex acquisition per job, versus
+//! the same N threads each pinned to their own shard of a
+//! `ShardedDispatcher`.
 
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gtlb_runtime::{Dispatcher, EpochSwap, Runtime, SchemeKind, ShardedDispatcher};
+use gtlb_runtime::{EpochSwap, Runtime, SchemeKind, ShardedDispatcher};
 
 fn serving_runtime(n_nodes: usize) -> Runtime {
     let rt = Runtime::builder()
@@ -37,20 +38,10 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_table_load(c: &mut Criterion) {
-    // The raw read side of the epoch swap: what each dispatch pays before
-    // the CDF lookup.
-    let rt = serving_runtime(8);
-    let slot = rt.table_handle();
-    let mut group = c.benchmark_group("runtime_dispatch");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("table_load", |b| b.iter(|| black_box(slot.load().epoch())));
-    group.finish();
-}
-
 fn bench_publish(c: &mut Criterion) {
-    // Publish latency: swap a prebuilt table into the slot (the re-solver
-    // write path minus the solve itself), alone and against a reader.
+    // Publish latency: swap a copy of a prebuilt table into the slot (the
+    // re-solver write path minus the solve itself; the copy stands in
+    // for the table build), alone and against a reader.
     let rt = serving_runtime(8);
     let table = (*rt.current_table()).clone();
     let mut group = c.benchmark_group("runtime_publish");
@@ -58,8 +49,7 @@ fn bench_publish(c: &mut Criterion) {
 
     let slot = Arc::new(EpochSwap::new(table.clone()));
     group.bench_function("publish_uncontended", |b| {
-        let next = Arc::new(table.clone());
-        b.iter(|| black_box(slot.publish_arc(Arc::clone(&next))))
+        b.iter(|| black_box(slot.publish(table.clone())))
     });
 
     let slot = Arc::new(EpochSwap::new(table.clone()));
@@ -73,24 +63,21 @@ fn bench_publish(c: &mut Criterion) {
         }
         sink
     });
-    group.bench_function("publish_vs_reader", |b| {
-        let next = Arc::new(table.clone());
-        b.iter(|| black_box(slot.publish_arc(Arc::clone(&next))))
-    });
+    group
+        .bench_function("publish_vs_reader", |b| b.iter(|| black_box(slot.publish(table.clone()))));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let _ = reader.join();
     group.finish();
 }
 
 fn bench_sharded_vs_mutex(c: &mut Criterion) {
-    // The tentpole comparison: four producer threads routing jobs
-    // through (a) one dispatcher behind a global mutex — every dispatch
-    // locks it, because holding it across a batch would starve the other
-    // producers — versus (b) four shards of a ShardedDispatcher, one per
-    // thread, each holding its ShardGuard (lock + pinned table snapshot)
-    // across its whole batch, which nothing else contends for. Both read
-    // the same epoch-swapped table; the CI perf gate asserts (b) is at
-    // least twice as fast.
+    // The sharding payoff: four producer threads routing jobs through
+    // (a) shard 0 of a one-shard ShardedDispatcher, every job taking the
+    // shared shard's mutex through `dispatch_on(0)` — holding it across
+    // a batch would starve the other producers — versus (b) four shards,
+    // one per thread, each holding its ShardGuard across its whole
+    // batch, which nothing else contends for. Both read the same table
+    // slot; the CI perf gate asserts (b) is at least twice as fast.
     const THREADS: usize = 4;
     const JOBS_PER_THREAD: u64 = 10_000;
 
@@ -99,15 +86,15 @@ fn bench_sharded_vs_mutex(c: &mut Criterion) {
     group.sample_size(15);
     group.throughput(Throughput::Elements(THREADS as u64 * JOBS_PER_THREAD));
 
-    let mutexed = Arc::new(Mutex::new(Dispatcher::new(rt.table_handle(), 42)));
+    let shared = Arc::new(ShardedDispatcher::new(rt.table_handle(), 42, 1));
     group.bench_function(BenchmarkId::new("mutex", THREADS), |b| {
         b.iter(|| {
             std::thread::scope(|s| {
                 for _ in 0..THREADS {
-                    let d = Arc::clone(&mutexed);
+                    let d = Arc::clone(&shared);
                     s.spawn(move || {
                         for _ in 0..JOBS_PER_THREAD {
-                            black_box(d.lock().unwrap().dispatch().unwrap());
+                            black_box(d.dispatch_on(0).unwrap());
                         }
                     });
                 }
@@ -162,7 +149,6 @@ fn bench_failure_path(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dispatch,
-    bench_table_load,
     bench_publish,
     bench_sharded_vs_mutex,
     bench_resolve,

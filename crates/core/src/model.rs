@@ -16,8 +16,9 @@ impl Cluster {
     /// Builds a cluster from per-computer processing rates.
     ///
     /// # Errors
-    /// [`CoreError::BadInput`] when the list is empty or any rate is
-    /// nonpositive or non-finite.
+    /// [`CoreError::BadInput`] when the list is empty, any rate is
+    /// nonpositive or non-finite, or the rates sum to more than the
+    /// largest finite `f64`.
     pub fn new(rates: Vec<f64>) -> Result<Self, CoreError> {
         if rates.is_empty() {
             return Err(CoreError::BadInput("cluster must contain at least one computer".into()));
@@ -26,6 +27,15 @@ impl Cluster {
         {
             return Err(CoreError::BadInput(format!(
                 "processing rate of computer {i} must be positive and finite, got {r}"
+            )));
+        }
+        // Every scheme works on Σμ; an overflowed total would turn the
+        // solvers' levels into ∞ and their loads into −∞ or NaN.
+        let total = neumaier_sum(rates.iter().copied());
+        if !total.is_finite() {
+            return Err(CoreError::BadInput(format!(
+                "total processing rate of {} computers must be finite, got {total}",
+                rates.len()
             )));
         }
         Ok(Self { rates })
@@ -139,6 +149,14 @@ mod tests {
         assert!(Cluster::new(vec![1.0, -2.0]).is_err());
         assert!(Cluster::new(vec![f64::NAN]).is_err());
         assert!(Cluster::new(vec![1.0, 2.0]).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_non_finite_total_rate() {
+        // Each rate is finite; their sum is not.
+        assert!(matches!(Cluster::new(vec![1e308, 1e308]), Err(CoreError::BadInput(_))));
+        assert!(matches!(Cluster::new(vec![f64::MAX, 1e300]), Err(CoreError::BadInput(_))));
+        assert_eq!(Cluster::new(vec![1e307, 1e307]).unwrap().total_rate(), 2e307);
     }
 
     #[test]

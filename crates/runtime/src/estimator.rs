@@ -44,8 +44,12 @@ impl EwmaRate {
     }
 
     /// Records an event at time `t` (nondecreasing; a backwards step is
-    /// treated as a restart of the clock).
+    /// treated as a restart of the clock). A non-finite `t` is ignored
+    /// and does not count as an event.
     pub fn observe(&mut self, t: f64) {
+        if !t.is_finite() {
+            return;
+        }
         self.count += 1;
         if let Some(last) = self.last_event {
             let gap = t - last;
@@ -234,6 +238,24 @@ mod tests {
         let rate = e.rate().unwrap();
         assert!((rate - 2.0).abs() < 1e-9, "rate {rate}");
         assert_eq!(e.count(), 100);
+    }
+
+    #[test]
+    fn ewma_ignores_non_finite_times() {
+        let mut clean = EwmaRate::new(0.2);
+        let mut noisy = EwmaRate::new(0.2);
+        for k in 0..=9 {
+            clean.observe(f64::from(k));
+            noisy.observe(f64::from(k));
+            match k {
+                1 => noisy.observe(f64::INFINITY),
+                5 => noisy.observe(f64::NAN),
+                _ => {}
+            }
+        }
+        assert_eq!(noisy.rate(), clean.rate());
+        assert_eq!(noisy.count(), clean.count());
+        assert_eq!(noisy.rate(), Some(1.0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   estimator bank (EWMA Φ̂, windowed μ̂ᵢ)──▶ re-solver (COOP/NASH/…)
 //!       ▲                                        │ publish (epoch n+1)
 //!       │ arrivals & service times               ▼
-//!   dispatcher ◀── epoch-swapped routing table (Arc snapshot)
+//!   dispatch shards ◀── routing-table slot (Arc snapshot)
 //!       │ jobs
 //!       ▼
 //!   nodes … whose measurements feed the estimators
@@ -22,14 +22,13 @@
 //! * [`resolver`] — the scheme ([`SchemeKind`]) and the solve/publish
 //!   step, plus the immediate renormalize-on-failure path;
 //! * [`table`] / [`alias`] / [`swap`] — immutable routing tables (with a
-//!   prebuilt Walker alias table for O(1) sampling) behind a lock-free
-//!   epoch-swapped `Arc`, so the dispatch hot path never blocks on — or
-//!   even takes a lock against — a re-solve;
-//! * [`dispatcher`] — the single-stream hot path: one deterministic
-//!   uniform draw, one O(1) alias lookup;
-//! * [`shard`] — N per-core dispatchers over the same table, each with
-//!   its own RNG stream (seed `base ^ shard_id`) and local counters
-//!   merged on read — the dispatch path without a global lock;
+//!   prebuilt Walker alias table for O(1) sampling) behind one slot that
+//!   a publish replaces wholesale and that never makes a publish wait
+//!   for a reader;
+//! * [`shard`] — the dispatch path: N per-core dispatchers over that
+//!   slot, each with its own RNG stream (seed `base ^ shard_id`), its
+//!   own cached table and local counters merged on read; one job is one
+//!   deterministic uniform draw and one O(1) alias lookup;
 //! * [`admission`] — target-utilization admission control in front of
 //!   the shards: accept/defer/reject verdicts that keep the admitted
 //!   load at the design point once `Φ̂` nears capacity;
@@ -42,13 +41,12 @@
 //! to share across threads; [`Runtime::spawn_resolver`] runs the
 //! re-solve loop in the background.
 
-#![deny(unsafe_code)] // `swap` opts back in; see its safety argument.
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod alias;
 pub mod control;
 pub mod detector;
-pub mod dispatcher;
 pub mod driver;
 pub mod error;
 pub mod estimator;
@@ -73,7 +71,6 @@ pub use admission::{
 pub use alias::{AliasTable, MAX_BELOW_ONE};
 pub use control::{ClockAdapter, ControlPlaneHooks, NodeStatus};
 pub use detector::{AccrualDetector, DetectorConfig, HealthTransition};
-pub use dispatcher::{Decision, Dispatcher};
 pub use driver::{TraceConfig, TraceDriver, TraceStats};
 pub use error::RuntimeError;
 pub use estimator::EstimatorBank;
@@ -85,8 +82,8 @@ pub use ingest::{IngestError, IngestQueue};
 pub use registry::{Health, Node, NodeId, Registry};
 pub use resolver::{ResolveOutcome, SchemeKind};
 pub use retry::{RetryConfig, RetryPolicy, RETRY_STREAM};
-pub use shard::{ShardGuard, ShardedDispatcher};
-pub use swap::{EpochSwap, Lease, SwapStats};
+pub use shard::{Decision, ShardGuard, ShardedDispatcher};
+pub use swap::{EpochSwap, SwapStats};
 pub use table::RoutingTable;
 pub use telemetry::{RuntimeEvent, Telemetry, TelemetryHandle};
 pub use tracing::Tracer;
@@ -300,33 +297,6 @@ impl Submission {
             Self::Dispatched(d) => Some(d),
             Self::Deferred | Self::Rejected => None,
         }
-    }
-}
-
-/// Outcome of a batch offered through [`Runtime::submit_batch`]: the
-/// decisions of the admitted jobs (in submission order) plus how many
-/// were shed either way.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BatchSubmission {
-    /// Routing decisions of the admitted jobs, in submission order.
-    pub decisions: Vec<Decision>,
-    /// Jobs shed with retry-later semantics.
-    pub deferred: u64,
-    /// Jobs shed outright.
-    pub rejected: u64,
-}
-
-impl BatchSubmission {
-    /// Jobs admitted and routed.
-    #[must_use]
-    pub fn dispatched(&self) -> u64 {
-        self.decisions.len() as u64
-    }
-
-    /// Jobs offered in total (dispatched + deferred + rejected).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.dispatched() + self.deferred + self.rejected
     }
 }
 
@@ -758,94 +728,6 @@ impl Runtime {
         guard.dispatch().map(Submission::Dispatched)
     }
 
-    /// Offers `count` jobs as one batch on the next round-robin shard:
-    /// the guard (and its pinned table snapshot) is acquired once and
-    /// the jobs route in a tight loop. See
-    /// [`Runtime::submit_batch_on`] for the exact semantics.
-    ///
-    /// # Errors
-    /// [`RuntimeError::NoServingNodes`] as [`Runtime::submit`].
-    pub fn submit_batch(&self, count: usize) -> Result<BatchSubmission, RuntimeError> {
-        self.submit_batch_on(self.sharded.next_shard(), count)
-    }
-
-    /// Offers `count` jobs as one batch on shard `shard`.
-    ///
-    /// Draw-for-draw equivalent to `count` successive
-    /// [`Runtime::submit_on`] calls on the same shard — per job, one
-    /// admission draw (when admission is configured) and one routing
-    /// draw for each admitted job, in the same order — so batching
-    /// never perturbs the decision sequence; it only amortizes the
-    /// shard lock, the table load, and the counter merges. Without
-    /// admission the whole batch goes through
-    /// [`ShardGuard::route_batch`]'s dense-counting loop.
-    ///
-    /// # Errors
-    /// [`RuntimeError::NoServingNodes`] when an admitted job has
-    /// nowhere to route (shed verdicts are counted, not errors).
-    ///
-    /// # Panics
-    /// If `shard >= shard_count()`.
-    pub fn submit_batch_on(
-        &self,
-        shard: usize,
-        count: usize,
-    ) -> Result<BatchSubmission, RuntimeError> {
-        let mut batch =
-            BatchSubmission { decisions: Vec::with_capacity(count), deferred: 0, rejected: 0 };
-        self.submit_batch_into(shard, count, &mut batch)?;
-        Ok(batch)
-    }
-
-    /// As [`Runtime::submit_batch_on`], writing into a caller-owned
-    /// [`BatchSubmission`] instead of allocating one — the
-    /// zero-allocation batch path. `out` is cleared first; a caller that
-    /// reuses one `BatchSubmission` across batches amortizes the
-    /// decisions buffer to nothing (the only remaining allocation is
-    /// its one-time growth).
-    ///
-    /// # Errors
-    /// As [`Runtime::submit_batch_on`]. On error `out` holds only what
-    /// this call produced before failing (never stale decisions from a
-    /// previous batch).
-    ///
-    /// # Panics
-    /// If `shard >= shard_count()`.
-    pub fn submit_batch_into(
-        &self,
-        shard: usize,
-        count: usize,
-        out: &mut BatchSubmission,
-    ) -> Result<(), RuntimeError> {
-        out.decisions.clear();
-        out.deferred = 0;
-        out.rejected = 0;
-        let mut guard = self.sharded.shard(shard);
-        match &self.admission {
-            None => guard.route_batch(count, &mut out.decisions)?,
-            Some(control) => {
-                for _ in 0..count {
-                    let u = guard.next_admission_draw();
-                    let verdict = control.decide(u);
-                    match verdict {
-                        AdmissionVerdict::Accept => out.decisions.push(guard.dispatch()?),
-                        AdmissionVerdict::Defer => {
-                            out.deferred += 1;
-                            self.telemetry.record_admission_shed(shard, verdict);
-                        }
-                        AdmissionVerdict::Reject => {
-                            out.rejected += 1;
-                            self.telemetry.record_admission_shed(shard, verdict);
-                        }
-                    }
-                }
-            }
-        }
-        drop(guard);
-        self.telemetry.record_batch(count as u64);
-        Ok(())
-    }
-
     /// Number of dispatch shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
@@ -865,7 +747,7 @@ impl Runtime {
     }
 
     /// The sharded dispatcher itself (benchmarks, pinned-worker loops
-    /// that batch via [`ShardedDispatcher::shard`]).
+    /// that hold a [`ShardedDispatcher::shard`] guard).
     #[must_use]
     pub fn sharded_dispatcher(&self) -> &ShardedDispatcher {
         &self.sharded
@@ -901,8 +783,8 @@ impl Runtime {
     }
 
     /// Scrapes every telemetry instrument into one snapshot, after
-    /// syncing the derived totals (merged dispatch counter, epoch-swap
-    /// publish stats, admission counters, offered ρ, ring drops) and the
+    /// syncing the derived totals (merged dispatch counter, table
+    /// publishes, admission counters, offered ρ, ring drops) and the
     /// per-node suspicion gauges (live φ at the telemetry clock plus the
     /// effective detector thresholds). `None` when telemetry is
     /// disabled.
@@ -911,7 +793,7 @@ impl Runtime {
         let inner = self.telemetry.inner()?;
         inner.sync(
             self.sharded.dispatched(),
-            self.table.stats(),
+            self.table.stats().publishes,
             self.admission.as_ref().map(|c| (c.stats(), c.offered_utilization())),
         );
         let now = self.telemetry.clock();
@@ -938,8 +820,7 @@ impl Runtime {
         TelemetryHandle::new(Arc::clone(self))
     }
 
-    /// Writer-side statistics of the routing-table epoch swap: publish
-    /// count and how far lease drains escalated.
+    /// Publish statistics of the routing-table slot.
     #[must_use]
     pub fn swap_stats(&self) -> SwapStats {
         self.table.stats()
@@ -951,7 +832,7 @@ impl Runtime {
         self.table.load()
     }
 
-    /// The epoch-swap slot itself (benchmarks, custom dispatch loops).
+    /// The routing-table slot itself (benchmarks, custom dispatch loops).
     #[must_use]
     pub fn table_handle(&self) -> Arc<EpochSwap<RoutingTable>> {
         Arc::clone(&self.table)
@@ -1124,21 +1005,15 @@ impl Runtime {
         self.publish_table(table);
     }
 
-    /// Publishes a table through the epoch swap, recording the publish
-    /// (and its wall-clock lease-drain wait) when telemetry is enabled.
-    /// The wait is measured only with telemetry on — the value feeds one
-    /// histogram and nothing else, so enabling it cannot perturb any
-    /// deterministic output.
+    /// Publishes a table through the slot and records the publish when
+    /// telemetry is enabled.
     fn publish_table(&self, table: RoutingTable) {
         let epoch = table.epoch();
         if !table.is_empty() {
             self.tables_built.fetch_add(1, Ordering::Relaxed);
         }
-        let timer = self.telemetry.is_enabled().then(std::time::Instant::now);
         self.table.publish(table);
-        if let Some(start) = timer {
-            self.telemetry.record_publish(epoch, start.elapsed().as_secs_f64());
-        }
+        self.telemetry.record_publish(epoch);
     }
 }
 
@@ -1351,18 +1226,45 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_rates_fail_the_solve_and_recover() {
+        // Two rates that are finite alone but sum to ∞, on the idle
+        // fallback path (Φ = 0) and on the solve path.
+        for phi in [0.0, 1e307] {
+            let rt = coop_runtime(phi);
+            let a = rt.register_node(1e308).unwrap();
+            rt.register_node(1e308).unwrap();
+            let epoch = rt.current_table().epoch();
+            assert!(
+                matches!(
+                    rt.resolve_now(),
+                    Err(RuntimeError::Core(gtlb_core::error::CoreError::BadInput(_)))
+                ),
+                "Φ = {phi}"
+            );
+            assert_eq!(rt.current_table().epoch(), epoch, "nothing was published");
+            rt.deregister_node(a).unwrap();
+            let outcome = rt.resolve_now().unwrap();
+            assert_eq!(rt.current_table().epoch(), outcome.epoch);
+            assert!(rt.dispatch().is_ok());
+        }
+    }
+
+    #[test]
     fn single_shard_replays_the_unsharded_stream() {
-        // shards = 1 (the default) must reproduce the decision sequence
-        // of a bare Dispatcher on the same table and seed — the
-        // backwards-compatibility half of the seed-derivation rule.
+        // shards = 1 (the default) must reproduce the single central
+        // dispatcher: the seed's dispatch stream routed draw by draw
+        // through the published table.
         let rt = coop_runtime(0.9);
         rt.register_node(2.0).unwrap();
         rt.register_node(1.0).unwrap();
         rt.resolve_now().unwrap();
         assert_eq!(rt.shard_count(), 1);
-        let mut reference = Dispatcher::new(rt.table_handle(), rt.config().seed);
+        let table = rt.current_table();
+        let mut rng =
+            gtlb_desim::rng::Xoshiro256PlusPlus::stream(rt.config().seed, shard::DISPATCH_STREAM);
         for _ in 0..256 {
-            assert_eq!(rt.dispatch().unwrap(), reference.dispatch().unwrap());
+            let expected = Decision { node: table.route(rng.next_open01()), epoch: table.epoch() };
+            assert_eq!(rt.dispatch().unwrap(), expected);
         }
     }
 
@@ -1474,73 +1376,6 @@ mod tests {
             (0..128).map(|_| rt.submit().unwrap().decision().unwrap().node).collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn submit_batch_replays_per_job_submissions() {
-        // Without admission: a batch on a pinned shard must equal the
-        // per-job decision sequence on the same shard, draw for draw.
-        let make = || {
-            let rt = Runtime::builder().seed(17).nominal_arrival_rate(0.9).shards(2).build();
-            rt.register_node(2.0).unwrap();
-            rt.register_node(1.0).unwrap();
-            rt.resolve_now().unwrap();
-            rt
-        };
-        let batched = make();
-        let batch = batched.submit_batch_on(1, 256).unwrap();
-        assert_eq!(batch.dispatched(), 256);
-        assert_eq!(batch.total(), 256);
-        let reference = make();
-        for d in &batch.decisions {
-            assert_eq!(reference.submit_on(1).unwrap(), Submission::Dispatched(*d));
-        }
-        assert_eq!(batched.dispatched(), reference.dispatched());
-        assert_eq!(batched.hit_counts(), reference.hit_counts());
-    }
-
-    #[test]
-    fn submit_batch_with_admission_matches_per_job_and_conserves() {
-        // ρ = 0.9 against a 0.5 target: band 0.0 rejects the sheds, band
-        // 0.5 defers them — both modes must replay the per-job sequence.
-        for band in [0.0, 0.5] {
-            let make = || {
-                let rt = Runtime::builder()
-                    .seed(4)
-                    .nominal_arrival_rate(0.9)
-                    .admission(AdmissionConfig { target_utilization: 0.5, defer_band: band })
-                    .build();
-                rt.register_node(1.0).unwrap();
-                rt.resolve_now().unwrap();
-                rt
-            };
-            let batched = make();
-            let batch = batched.submit_batch_on(0, 2_000).unwrap();
-            assert_eq!(batch.total(), 2_000);
-            assert!(batch.rejected + batch.deferred > 0, "overload must shed");
-            let reference = make();
-            let mut iter = batch.decisions.iter();
-            let (mut deferred, mut rejected) = (0u64, 0u64);
-            for _ in 0..2_000 {
-                match reference.submit_on(0).unwrap() {
-                    Submission::Dispatched(d) => assert_eq!(Some(&d), iter.next()),
-                    Submission::Deferred => deferred += 1,
-                    Submission::Rejected => rejected += 1,
-                }
-            }
-            assert_eq!(iter.next(), None);
-            assert_eq!((deferred, rejected), (batch.deferred, batch.rejected));
-            let stats = batched.admission_stats().unwrap();
-            assert_eq!(stats.submitted, 2_000);
-            assert_eq!(stats.accepted, batch.dispatched());
-        }
-    }
-
-    #[test]
-    fn submit_batch_before_resolve_fails() {
-        let rt = coop_runtime(0.5);
-        rt.register_node(1.0).unwrap();
-        assert_eq!(rt.submit_batch(8), Err(RuntimeError::NoServingNodes));
     }
 
     #[test]

@@ -1,73 +1,87 @@
-//! Sharded dispatch: N per-core dispatchers over one epoch-swapped table.
+//! Sharded dispatch: N per-core dispatchers over one routing-table slot.
 //!
-//! A single [`Dispatcher`](crate::dispatcher::Dispatcher) behind a mutex
-//! serializes every routing decision on one RNG — fine for one producer,
-//! a bottleneck for many. A [`ShardedDispatcher`] removes the global
-//! lock from the hot path by giving each shard its **own** deterministic
-//! RNG stream and its own hit counters; shards share nothing but the
-//! immutable routing-table snapshot, so concurrent dispatch on distinct
-//! shards never contends. Counters are merged only when read.
+//! The paper's COOP scheme is static: a central dispatcher sends each
+//! job to computer `i` with probability `λ_i / Φ`. A
+//! [`ShardedDispatcher`] runs that dispatcher as N shards, each with its
+//! **own** deterministic RNG stream, hit counters and cached table, so
+//! concurrent dispatch on distinct shards never contends. Counters are
+//! merged only when read.
 //!
 //! ## Seed derivation
 //!
 //! Shard `k` of base seed `s` draws from
-//! `Xoshiro256PlusPlus::stream(s ^ k, DISPATCH_STREAM)` — the base seed
-//! XOR the shard id, fed to the same stream family the unsharded
-//! dispatcher uses. Two consequences worth relying on:
+//! `Xoshiro256PlusPlus::stream(s ^ k, DISPATCH_STREAM)`. Two
+//! consequences worth relying on:
 //!
-//! * **shard 0 ≡ unsharded** — `s ^ 0 = s`, so shard 0 replays exactly
-//!   the decision sequence of `Dispatcher::new(table, s)`;
+//! * **shard 0 replays the seed's stream** — `s ^ 0 = s`, so shard 0
+//!   routes exactly the draws of `Xoshiro256PlusPlus::stream(s,
+//!   DISPATCH_STREAM)` through [`RoutingTable::route`], and a one-shard
+//!   runtime is the single central dispatcher;
 //! * **determinism** — for a fixed `(seed, shard count)` the per-shard
 //!   decision sequences, and therefore any fixed interleaving of them
 //!   (e.g. round-robin by job index), are reproducible regardless of
 //!   which OS threads executed which shards.
 //!
-//! Each shard sits behind its own mutex purely to make the type `Sync`;
-//! in the intended deployment (one shard per core/worker) that mutex is
-//! uncontended and costs one CAS per lock. Workers that dispatch in
-//! batches can hold a [`ShardGuard`] across the whole batch and pay the
-//! lock — and the lock-free epoch-swap table load, which the guard pins
-//! at acquisition — once, leaving one RNG draw, one O(1) alias lookup,
-//! and one array increment per job on the hot path.
-//! [`ShardGuard::route_batch`] tightens that further: it routes N jobs
-//! in one loop with per-node counts accumulated densely by table
-//! position and merged into the shard counters once per batch, drawing
-//! exactly the same uniforms in exactly the same order as N single
-//! [`ShardGuard::dispatch`] calls — batching is a pure amortization,
-//! invisible to the decision sequence.
+//! ## The cached table
+//!
+//! Each shard sits behind its own mutex, uncontended when each worker
+//! owns a shard, and caches the `Arc<RoutingTable>` it routes on
+//! together with the slot generation it was read at.
+//! [`ShardedDispatcher::shard`] compares that generation with the
+//! slot's (one atomic load) and re-reads the pair under the slot's
+//! mutex only when a publish has landed. A [`ShardGuard`] therefore
+//! routes on the table that was live when it was taken, and the per-job
+//! entry points ([`ShardedDispatcher::dispatch_on`]) take a fresh guard
+//! per job, so they always see the latest publish. A held guard never
+//! delays a publish. Per job the hot path is one shard lock, one atomic
+//! load, one RNG draw, one O(1) alias lookup and one array increment.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
 
-use crate::dispatcher::{Decision, DISPATCH_STREAM};
 use crate::error::RuntimeError;
 use crate::registry::NodeId;
-use crate::swap::{EpochSwap, Lease};
+use crate::swap::EpochSwap;
 use crate::table::RoutingTable;
 use crate::telemetry::{Telemetry, ROUTE_SAMPLE_EVERY};
+
+/// RNG stream id for dispatch draws — disjoint from the simulator's
+/// arrival (0x0100), routing (0x0200) and service (0x0300) stream
+/// families.
+pub const DISPATCH_STREAM: u64 = 0x0400;
 
 /// RNG stream id of per-shard admission draws — disjoint from dispatch
 /// (0x0400) and the driver's streams (0x0500/0x0600), so toggling
 /// admission control never perturbs the routing decision sequence.
 pub const ADMISSION_STREAM: u64 = 0x0700;
 
-/// Per-shard mutable state: the RNG streams and the local counters.
-/// Hit counts are a dense vector indexed by raw node id (ids are
-/// assigned sequentially and never reused), so counting a hit is an
-/// array increment, not a hash lookup.
+/// One routing decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decision {
+    /// The chosen node.
+    pub node: NodeId,
+    /// Epoch of the table that made the choice — lets callers correlate
+    /// decisions with the re-solves and failures that produced them.
+    pub epoch: u64,
+}
+
+/// Per-shard mutable state: the RNG streams, the local counters and the
+/// cached table. Hit counts are a dense vector indexed by raw node id
+/// (ids are assigned sequentially and never reused), so counting a hit
+/// is an array increment, not a hash lookup.
 #[derive(Debug)]
 struct ShardCore {
     rng: Xoshiro256PlusPlus,
     admission_rng: Xoshiro256PlusPlus,
     dispatched: u64,
     hits: Vec<u64>,
-    /// Dense per-batch hit scratch indexed by table position, reused
-    /// across [`ShardGuard::route_batch`] calls so a batch allocates
-    /// nothing. Contents are only meaningful within one batch; the
-    /// merged counts land in `hits`.
-    batch_hits: Vec<u64>,
+    /// Slot generation `table` was read at.
+    generation: u64,
+    /// The table this shard routes on; [`ShardedDispatcher::shard`]
+    /// refreshes it when the slot's generation has moved.
+    table: Arc<RoutingTable>,
 }
 
 impl ShardCore {
@@ -120,6 +134,7 @@ impl ShardedDispatcher {
         telemetry: Telemetry,
     ) -> Self {
         assert!(shards > 0, "a sharded dispatcher needs at least one shard");
+        let (generation, current) = table.load_current();
         let shards = (0..shards as u64)
             .map(|k| {
                 Mutex::new(ShardCore {
@@ -127,7 +142,8 @@ impl ShardedDispatcher {
                     admission_rng: Xoshiro256PlusPlus::stream(base_seed ^ k, ADMISSION_STREAM),
                     dispatched: 0,
                     hits: Vec::new(),
-                    batch_hits: Vec::new(),
+                    generation,
+                    table: Arc::clone(&current),
                 })
             })
             .collect();
@@ -140,26 +156,28 @@ impl ShardedDispatcher {
         self.shards.len()
     }
 
-    /// Locks shard `shard` for a batch of dispatches. The lock is
-    /// uncontended when each worker owns one shard; holding the guard
-    /// across a batch amortizes it to nothing.
+    /// Locks shard `shard`, first refreshing its cached table if a
+    /// publish has landed since the shard last looked. The lock is
+    /// uncontended when each worker owns one shard.
     ///
-    /// The guard pins the routing-table snapshot current at acquisition
-    /// as a borrowed [`Lease`] — no `Arc` clone, no refcount traffic:
-    /// every dispatch through it routes on that one table (a consistent
-    /// epoch per batch). Re-acquire the guard to observe a newer publish
-    /// — per-job paths like [`dispatch_on`](Self::dispatch_on) do so
-    /// implicitly. Per the pin contract (`swap.rs`), a held guard lets
-    /// **one** publish complete unhindered and blocks only the second;
-    /// guards are batch-scoped, so drop them promptly and never publish
-    /// twice on this slot from the thread holding one.
+    /// Every dispatch through the guard routes on the table that was
+    /// live when it was taken; take a new guard to observe a newer
+    /// publish — per-job paths like [`dispatch_on`](Self::dispatch_on)
+    /// do so implicitly. Holding a guard never delays a publish.
     ///
     /// # Panics
     /// If `shard >= shard_count()`.
     #[must_use]
     pub fn shard(&self, shard: usize) -> ShardGuard<'_> {
-        let core = self.shards[shard].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        ShardGuard { table: self.table.pin(), core, telemetry: &self.telemetry, shard }
+        let mut core = self.shards[shard].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if core.generation != self.table.generation() {
+            // Generation and table come from one read of the slot, so
+            // the cache never pairs a new generation with an old table.
+            let (generation, table) = self.table.load_current();
+            core.generation = generation;
+            core.table = table;
+        }
+        ShardGuard { core, telemetry: &self.telemetry, shard }
     }
 
     /// Routes one job on shard `shard`.
@@ -234,107 +252,39 @@ impl ShardedDispatcher {
     }
 }
 
-/// Exclusive access to one shard, for batched dispatch. Routes on the
-/// table snapshot taken when the guard was acquired (see
-/// [`ShardedDispatcher::shard`]) — a pinned borrow of the live epoch
-/// cell, not an `Arc` clone.
+/// Exclusive access to one shard. Routes on the table that was live
+/// when the guard was taken (see [`ShardedDispatcher::shard`]).
 #[derive(Debug)]
 pub struct ShardGuard<'a> {
-    table: Lease<'a, RoutingTable>,
     core: MutexGuard<'a, ShardCore>,
     telemetry: &'a Telemetry,
     shard: usize,
 }
 
 impl ShardGuard<'_> {
-    /// Routes one job on this shard, on the guard's pinned table
-    /// snapshot: one RNG draw, one O(1) alias lookup, one counter
-    /// increment — no lock, no table load. With telemetry enabled, every
-    /// [`ROUTE_SAMPLE_EVERY`]-th decision of this shard is additionally
-    /// pushed to the event ring (the dispatch counter doubles as the
-    /// sample clock, so sampling adds no per-dispatch state and no RNG
-    /// draw).
+    /// Routes one job on this shard, on the guard's table: one RNG draw,
+    /// one O(1) alias lookup, one counter increment. With telemetry
+    /// enabled, every [`ROUTE_SAMPLE_EVERY`]-th decision of this shard is
+    /// additionally pushed to the event ring (the dispatch counter
+    /// doubles as the sample clock, so sampling adds no per-dispatch
+    /// state and no RNG draw).
     ///
     /// # Errors
-    /// [`RuntimeError::NoServingNodes`] while the pinned table is empty.
+    /// [`RuntimeError::NoServingNodes`] while the guard's table is empty.
     pub fn dispatch(&mut self) -> Result<Decision, RuntimeError> {
-        if self.table.is_empty() {
-            return Err(RuntimeError::NoServingNodes);
-        }
-        let u = self.core.rng.next_open01();
-        let node = self.table.route(u);
-        self.core.dispatched += 1;
-        self.core.count_hit(node);
-        if self.core.dispatched & (ROUTE_SAMPLE_EVERY - 1) == 0 && self.telemetry.is_enabled() {
-            self.telemetry.record_routed(self.shard, node, self.table.epoch());
-        }
-        Ok(Decision { node, epoch: self.table.epoch() })
-    }
-
-    /// Routes `count` jobs in one tight loop on the pinned snapshot,
-    /// appending one [`Decision`] per job to `out`.
-    ///
-    /// Per job this is one RNG draw and one alias lookup; the per-node
-    /// hit counts accumulate in a dense shard-local scratch vector
-    /// indexed by table position (reused across batches — a batch
-    /// allocates nothing beyond `out`'s own growth) and merge into the
-    /// shard's counters once at the end, so the loop body touches no
-    /// growable state. The draws come from the
-    /// same stream in the same order as `count` successive
-    /// [`dispatch`](Self::dispatch) calls — the decision sequence is
-    /// identical, batching only amortizes the bookkeeping.
-    ///
-    /// # Errors
-    /// [`RuntimeError::NoServingNodes`] while the pinned table is empty
-    /// (and `count > 0`); no draws are consumed in that case.
-    pub fn route_batch(
-        &mut self,
-        count: usize,
-        out: &mut Vec<Decision>,
-    ) -> Result<(), RuntimeError> {
-        if count == 0 {
-            return Ok(());
-        }
-        if self.table.is_empty() {
-            return Err(RuntimeError::NoServingNodes);
-        }
-        let table = &*self.table;
-        let epoch = table.epoch();
-        let nodes = table.nodes();
-        // Split borrows: the shard scratch mutates while the pinned
-        // table is read — disjoint fields of the guard.
         let core = &mut *self.core;
-        core.batch_hits.clear();
-        core.batch_hits.resize(nodes.len(), 0);
-        out.reserve(count);
-        for _ in 0..count {
-            let u = core.rng.next_open01();
-            let idx = table.route_index(u);
-            core.batch_hits[idx] += 1;
-            out.push(Decision { node: nodes[idx], epoch });
+        if core.table.is_empty() {
+            return Err(RuntimeError::NoServingNodes);
         }
-        core.dispatched += count as u64;
-        // Batch equivalent of the per-dispatch sample: if this batch
-        // crossed a sample boundary, record its last decision.
-        if self.telemetry.is_enabled() {
-            let after = core.dispatched;
-            let before = after - count as u64;
-            if before / ROUTE_SAMPLE_EVERY != after / ROUTE_SAMPLE_EVERY {
-                if let Some(last) = out.last() {
-                    self.telemetry.record_routed(self.shard, last.node, epoch);
-                }
-            }
+        let u = core.rng.next_open01();
+        let node = core.table.route(u);
+        let epoch = core.table.epoch();
+        core.dispatched += 1;
+        core.count_hit(node);
+        if core.dispatched & (ROUTE_SAMPLE_EVERY - 1) == 0 && self.telemetry.is_enabled() {
+            self.telemetry.record_routed(self.shard, node, epoch);
         }
-        for (idx, &c) in core.batch_hits.iter().enumerate() {
-            if c > 0 {
-                let raw = nodes[idx].raw() as usize;
-                if raw >= core.hits.len() {
-                    core.hits.resize(raw + 1, 0);
-                }
-                core.hits[raw] += c;
-            }
-        }
-        Ok(())
+        Ok(Decision { node, epoch })
     }
 
     /// A uniform draw from this shard's [`ADMISSION_STREAM`] — a stream
@@ -354,7 +304,6 @@ impl ShardGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatcher::Dispatcher;
 
     fn table(epoch: u64, probs: &[f64]) -> RoutingTable {
         let ids = (0..probs.len() as u64).map(NodeId::from_raw).collect();
@@ -367,12 +316,16 @@ mod tests {
 
     #[test]
     fn shard_zero_matches_the_unsharded_dispatcher() {
+        // The single central dispatcher: seed 42's dispatch stream,
+        // routed draw by draw through the table.
         let probs = [0.5, 0.3, 0.2];
+        let reference = table(1, &probs);
+        let mut rng = Xoshiro256PlusPlus::stream(42, DISPATCH_STREAM);
         let sharded = ShardedDispatcher::new(swap(&probs), 42, 4);
-        let mut single = Dispatcher::new(swap(&probs), 42);
         let mut guard = sharded.shard(0);
         for _ in 0..256 {
-            assert_eq!(guard.dispatch().unwrap(), single.dispatch().unwrap());
+            let expected = Decision { node: reference.route(rng.next_open01()), epoch: 1 };
+            assert_eq!(guard.dispatch().unwrap(), expected);
         }
     }
 
@@ -491,86 +444,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let _ = ShardedDispatcher::new(swap(&[1.0]), 0, 0);
-    }
-
-    #[test]
-    fn route_batch_replays_the_per_job_sequence() {
-        // Batch routing must consume the same draws in the same order as
-        // N single dispatches: identical decisions, identical counters.
-        let probs = [0.5, 0.3, 0.2];
-        let batched = ShardedDispatcher::new(swap(&probs), 21, 2);
-        let single = ShardedDispatcher::new(swap(&probs), 21, 2);
-        let mut decisions = Vec::new();
-        {
-            let mut guard = batched.shard(1);
-            guard.route_batch(300, &mut decisions).unwrap();
-            // A second batch on the same guard continues the stream.
-            guard.route_batch(212, &mut decisions).unwrap();
-        }
-        let mut reference = single.shard(1);
-        for d in &decisions {
-            assert_eq!(*d, reference.dispatch().unwrap());
-        }
-        drop(reference); // release shard 1 before the merging reads below
-        assert_eq!(decisions.len(), 512);
-        assert_eq!(batched.dispatched(), 512);
-        assert_eq!(batched.hit_counts(), single.hit_counts());
-    }
-
-    #[test]
-    fn route_batch_scratch_survives_table_resizes() {
-        // The per-batch hit scratch is shard-local and reused across
-        // batches; growing and shrinking the table between batches must
-        // not leak stale counts into later merges — decisions and
-        // merged counters stay identical to per-job dispatch through
-        // the same publish sequence.
-        let phases: [(&[f64], usize); 3] =
-            [(&[0.5, 0.3, 0.2], 100), (&[0.1, 0.2, 0.3, 0.25, 0.15], 128), (&[0.9, 0.1], 77)];
-        let run = |batch: bool| {
-            let slot = swap(phases[0].0);
-            let sharded = ShardedDispatcher::new(Arc::clone(&slot), 13, 1);
-            let mut decisions = Vec::new();
-            for (i, &(probs, count)) in phases.iter().enumerate() {
-                if i > 0 {
-                    slot.publish(table(i as u64 + 1, probs));
-                }
-                if batch {
-                    sharded.shard(0).route_batch(count, &mut decisions).unwrap();
-                } else {
-                    let mut guard = sharded.shard(0);
-                    for _ in 0..count {
-                        decisions.push(guard.dispatch().unwrap());
-                    }
-                }
-            }
-            (decisions, sharded.hit_counts())
-        };
-        let (batched, batched_counts) = run(true);
-        let (single, single_counts) = run(false);
-        assert_eq!(batched, single);
-        assert_eq!(batched_counts, single_counts);
-    }
-
-    #[test]
-    fn route_batch_empty_table_and_zero_count() {
-        let slot = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
-        let sharded = ShardedDispatcher::new(slot, 1, 1);
-        let mut out = Vec::new();
-        assert_eq!(sharded.shard(0).route_batch(4, &mut out), Err(RuntimeError::NoServingNodes));
-        assert!(out.is_empty());
-        // count = 0 succeeds even on an empty table and draws nothing.
-        assert_eq!(sharded.shard(0).route_batch(0, &mut out), Ok(()));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn route_batch_pins_one_epoch() {
-        let slot = swap(&[1.0, 0.0]);
-        let sharded = ShardedDispatcher::new(Arc::clone(&slot), 9, 1);
-        let mut guard = sharded.shard(0);
-        slot.publish(table(2, &[0.0, 1.0]));
-        let mut out = Vec::new();
-        guard.route_batch(32, &mut out).unwrap();
-        assert!(out.iter().all(|d| d.epoch == 1 && d.node == NodeId::from_raw(0)));
     }
 }

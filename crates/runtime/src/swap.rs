@@ -1,432 +1,107 @@
-//! Epoch-swapped shared state: readers take an `Arc` snapshot, writers
-//! publish a whole new value — with a **lock-free read path**.
+//! The routing-table slot: one `Arc<T>` that a publish replaces
+//! wholesale.
 //!
-//! The dispatch hot path must never block behind a re-solve, and (since
-//! PR 4) it must not acquire a lock at all: under many reader threads
-//! even an uncontended `RwLock` read costs a futex-word RMW that all
-//! readers serialize on, and a single stalled writer can wedge every
-//! dispatcher. [`EpochSwap`] instead vendors an ArcSwap-style slot: a
-//! generation-counted double buffer over `UnsafeCell<Arc<T>>` with
-//! per-slot reader lease counters. Readers are lock-free (they retry
-//! only while a publish is racing them, and a publish is rare); writers
-//! serialize among themselves on a `Mutex` that readers never touch.
+//! [`EpochSwap`] is plain std code: a `Mutex` around
+//! `(generation, Arc<T>)`, plus an [`AtomicU64`] copy of the generation.
+//! [`load`](EpochSwap::load) clones the `Arc` under the mutex;
+//! [`publish`](EpochSwap::publish) bumps the generation, swaps in the new
+//! `Arc` and stores the new generation in the atomic copy, all under the
+//! mutex, and hands back the previous value. Snapshots are immutable
+//! `Arc`s, so a publish never waits for a reader to let go of one, and a
+//! reader never sees a half-written value; an old value lives until its
+//! last snapshot drops.
 //!
-//! ## Protocol
+//! A reader that caches a snapshot checks whether it is still current
+//! with one load of the atomic generation and takes the mutex only when
+//! a publish has landed. Every dispatch shard works this way (`shard.rs`),
+//! so the per-job path never touches the slot's mutex or refcount.
 //!
-//! The slot keeps two buffers and a monotone generation counter `gen`;
-//! `gen & 1` indexes the buffer holding the current value. Each buffer
-//! carries a lease counter of in-flight readers.
+//! ## Lock order
 //!
-//! * **Read** (`load`): read `gen` → pick buffer `gen & 1` → increment
-//!   that buffer's lease counter → **re-read `gen`**. If it is
-//!   unchanged, the buffer is still current and the lease is visible to
-//!   any future writer, so cloning the `Arc` inside is safe; release
-//!   the lease and return the clone. If `gen` moved, release the lease
-//!   and retry — the buffer may be mid-replacement.
-//! * **Write** (`publish`/`publish_arc`): take the writer mutex (writers
-//!   only), snapshot the live buffer's `Arc` (the "previous value" the
-//!   caller gets back), pick the *stale* buffer `(gen + 1) & 1` —
-//!   unreachable to every reader that validates against the current
-//!   `gen` — wait for its lease count to drain to zero, replace the
-//!   `Arc` inside (dropping the value from two publishes ago), then
-//!   advance `gen`. In-flight snapshots hold their own clones, so a
-//!   retired table is freed when the last one drops; the slot itself
-//!   keeps the previous value alive for exactly one more publish (the
-//!   recycling lag of a double buffer).
-//! * **Pin** (`pin`): identical validation to `load`, but instead of
-//!   cloning the `Arc` and releasing the lease, the lease is *held* for
-//!   the lifetime of the returned [`Lease`] guard, which derefs to `&T`
-//!   borrowed straight out of the pinned buffer — no `Arc` clone, no
-//!   refcount traffic, for as many reads as the batch window needs.
-//!   See the bounded-staleness contract below.
-//!
-//! ## Pinned leases and bounded staleness
-//!
-//! A held [`Lease`] keeps its buffer's lease counter nonzero, which has
-//! exactly one consequence for writers: the *next* publish targets the
-//! other buffer and completes without waiting, but the publish after
-//! that must recycle the pinned buffer and therefore drains — i.e. a
-//! held pin lets the slot run **at most one generation ahead** of the
-//! pinned snapshot. That is the bounded-staleness contract, and it cuts
-//! both ways:
-//!
-//! * a pinned reader is never more than one publish stale, and
-//!   [`Lease::is_current`] / [`Lease::refresh`] let it re-validate at
-//!   window boundaries (a batch of dispatches, not per job);
-//! * writers drain in bounded time **iff** pin windows are bounded —
-//!   callers must drop or `refresh` a pin at every batch boundary, and
-//!   must never publish on the same slot from a thread holding a pin
-//!   (the second publish would wait for a lease that thread will never
-//!   release).
-//!
-//! ## Memory-ordering argument
-//!
-//! Three orderings carry the proof:
-//!
-//! 1. The reader's lease increment and its validating re-read of `gen`
-//!    are both `SeqCst`, and the writer's `gen` advance and its lease
-//!    poll are both `SeqCst`. In the single total order of those four
-//!    operations, either the reader's increment precedes the writer's
-//!    poll — the writer sees the lease and waits — or the writer's
-//!    `gen` advance precedes the reader's re-read — validation fails
-//!    and the reader never touches the cell. There is no interleaving
-//!    in which a reader dereferences a buffer a writer is replacing.
-//! 2. The writer stores `gen` with `SeqCst` (release semantics) *after*
-//!    writing the cell; a reader's first `Acquire` load of `gen`
-//!    therefore sees a fully-written `Arc` in the buffer it picks.
-//! 3. The reader releases its lease with a `Release` decrement and the
-//!    writer's `SeqCst` poll has acquire semantics, so the reader's
-//!    clone of the `Arc` happens-before any subsequent replacement of
-//!    that buffer. Note the poll **must** be `SeqCst`, not merely
-//!    `Acquire`: point 1's total-order argument covers the poll itself,
-//!    and with a weaker load there is no happens-before edge from a
-//!    straggler's `fetch_add` to the poll — the writer could read a
-//!    stale zero on a weakly-ordered target and replace the `Arc` under
-//!    a live lease. (x86 compiles both the same way; only the `SeqCst`
-//!    poll is correct on ARM and under Miri.)
-//! 4. A pinned lease ([`pin`](EpochSwap::pin)) extends point 1 from "a
-//!    handful of instructions" to the guard's whole lifetime without new
-//!    orderings: the validated `fetch_add` is the *same* operation the
-//!    drain polls, so every dereference of the borrowed `&T` sits
-//!    between the increment (validated current by the `SeqCst` re-read)
-//!    and the `Release` decrement in [`Lease`]'s `Drop` — and point 3
-//!    sequences that decrement before any replacement of the buffer.
-//!    The writer never mutates a cell whose lease count is nonzero, so
-//!    the borrow can never witness (or tear across) a replacement; the
-//!    reads themselves race nothing, because the pinned cell is only
-//!    written after the pin is released. All four points are exercised
-//!    under Miri in CI (`miri-swap` runs this module's tests and
-//!    `swap_stress.rs`, both of which pin across racing publishes).
-//!
-//! The unsafe core is the pair of `UnsafeCell` accesses guarded by this
-//! protocol (one clone under a validated lease, one replace under the
-//! writer mutex after the lease drain); everything else is safe code.
-//! `cargo test -p gtlb-runtime --test swap_stress` hammers the protocol
-//! with racing readers and writers, and the scheme contains no
-//! `&`-to-`&mut` aliasing. The stress tests cannot catch a weakened
-//! ordering on x86 (hardware TSO hides it), so CI additionally runs
-//! this module's tests and the stress suite under Miri, which checks
-//! the protocol against the abstract memory model rather than the
-//! host's.
+//! The slot's mutex is a leaf lock: nothing else is locked while it is
+//! held, and it is held only to clone or replace one `Arc`. A publisher
+//! takes the runtime's `state` lock and then the slot (the publish rule
+//! on [`Runtime`](crate::Runtime)); a dispatch shard takes its own mutex
+//! and then the slot (the refresh in
+//! [`ShardedDispatcher::shard`](crate::ShardedDispatcher::shard)).
+//! Neither path locks anything after the slot, so the two cannot
+//! deadlock.
 
-// The one module in the workspace allowed to use `unsafe`: the two
-// `UnsafeCell` accesses guarded by the protocol above.
-#![allow(unsafe_code)]
-
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One buffer of the double-buffered slot: the value plus the count of
-/// readers currently holding a lease on it.
-struct Buffer<T> {
-    leases: AtomicU64,
-    value: UnsafeCell<Arc<T>>,
-}
-
-/// Writer-side publish statistics: how many tables were published and
-/// how far the lease drain had to escalate (spin → yield → sleep). A
-/// publish appears in at most one drain tier — the deepest it reached.
+/// Publish statistics of an [`EpochSwap`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwapStats {
     /// Total publishes through this slot.
     pub publishes: u64,
-    /// Publishes that waited in the spin tier (but never yielded).
-    pub drains_spin: u64,
-    /// Publishes that escalated to `yield_now` (but never slept).
-    pub drains_yield: u64,
-    /// Publishes that escalated to a parked sleep.
-    pub drains_sleep: u64,
 }
 
-/// A slot holding an `Arc<T>` that is swapped wholesale on publish.
-///
-/// [`load`](Self::load) is lock-free: no mutex, no `RwLock`, only a
-/// lease increment, a generation validation, an `Arc` clone, and a
-/// lease release. See the [module docs](self) for the protocol and the
-/// memory-ordering argument.
+/// A slot holding an `Arc<T>` that is swapped wholesale on publish. See
+/// the [module docs](self) for the lock order.
+#[derive(Debug)]
 pub struct EpochSwap<T> {
-    /// Monotone generation counter; `gen & 1` indexes the live buffer.
-    gen: AtomicU64,
-    buffers: [Buffer<T>; 2],
-    /// Serializes writers only; never touched by `load`.
-    writer: Mutex<()>,
-    /// Publish count + drain escalation tiers; written only on the
-    /// mutex-serialized writer path, so `Relaxed` suffices.
-    publishes: AtomicU64,
-    drains_spin: AtomicU64,
-    drains_yield: AtomicU64,
-    drains_sleep: AtomicU64,
+    /// `(generation, value)`; the generation counts publishes.
+    slot: Mutex<(u64, Arc<T>)>,
+    /// The slot's generation, stored under the slot's mutex after each
+    /// publish, so a cached snapshot is checked with one load.
+    generation: AtomicU64,
 }
-
-// Safety: the slot hands out `Arc<T>` clones across threads and drops
-// replaced values on whichever thread published, so both bounds are
-// required; the protocol above makes the interior `UnsafeCell` accesses
-// data-race-free.
-unsafe impl<T: Send + Sync> Send for EpochSwap<T> {}
-unsafe impl<T: Send + Sync> Sync for EpochSwap<T> {}
 
 impl<T> EpochSwap<T> {
-    /// Creates the slot with an initial value.
+    /// Creates the slot with an initial value at generation 0.
     pub fn new(value: T) -> Self {
-        let value = Arc::new(value);
-        Self {
-            gen: AtomicU64::new(0),
-            buffers: [
-                Buffer { leases: AtomicU64::new(0), value: UnsafeCell::new(Arc::clone(&value)) },
-                // The stale buffer starts as a second handle on the same
-                // value; the first publish replaces it.
-                Buffer { leases: AtomicU64::new(0), value: UnsafeCell::new(value) },
-            ],
-            writer: Mutex::new(()),
-            publishes: AtomicU64::new(0),
-            drains_spin: AtomicU64::new(0),
-            drains_yield: AtomicU64::new(0),
-            drains_sleep: AtomicU64::new(0),
-        }
+        Self { slot: Mutex::new((0, Arc::new(value))), generation: AtomicU64::new(0) }
     }
 
-    /// Writer-side publish statistics (publish count and drain
-    /// escalation tiers). Cheap; safe to poll from any thread.
+    /// Publish statistics. Cheap; safe to poll from any thread.
     #[must_use]
     pub fn stats(&self) -> SwapStats {
-        SwapStats {
-            publishes: self.publishes.load(Ordering::Relaxed),
-            drains_spin: self.drains_spin.load(Ordering::Relaxed),
-            drains_yield: self.drains_yield.load(Ordering::Relaxed),
-            drains_sleep: self.drains_sleep.load(Ordering::Relaxed),
-        }
+        SwapStats { publishes: self.generation() }
     }
 
-    /// Snapshots the current value without acquiring any lock. The
-    /// returned `Arc` stays valid (and immutable) across any number of
-    /// subsequent publishes.
-    ///
-    /// Retries only while a publish races this exact read; with
-    /// publishes many orders of magnitude rarer than loads, the loop is
-    /// morally one iteration.
+    /// Snapshots the current value. The returned `Arc` stays valid (and
+    /// immutable) across any number of subsequent publishes.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let gen = self.gen.load(Ordering::Acquire);
-            let buffer = &self.buffers[(gen & 1) as usize];
-            buffer.leases.fetch_add(1, Ordering::SeqCst);
-            if self.gen.load(Ordering::SeqCst) == gen {
-                // Safety: the lease was taken while `buffer` was the
-                // live buffer and is visible to any writer that could
-                // replace it (ordering point 1 in the module docs), so
-                // the cell holds a valid `Arc` for the whole clone.
-                let value = unsafe { (*buffer.value.get()).clone() };
-                buffer.leases.fetch_sub(1, Ordering::Release);
-                return value;
-            }
-            buffer.leases.fetch_sub(1, Ordering::Release);
-        }
+        Arc::clone(&self.lock().1)
     }
 
-    /// Pins the current value for a batch window: the returned guard
-    /// holds the validated lease open and derefs to `&T` borrowed from
-    /// the live buffer — no `Arc` clone, no refcount traffic, however
-    /// many reads the window performs.
-    ///
-    /// A held pin lets at most **one** publish complete (the slot runs
-    /// at most one generation ahead of the snapshot); the publish after
-    /// that waits for the pin to drop. Callers therefore must keep pin
-    /// windows bounded — drop or [`refresh`](Lease::refresh) at every
-    /// batch boundary — and must never publish on this slot from a
-    /// thread that holds a pin on it. See the module docs for the
-    /// bounded-staleness contract and ordering point 4.
-    pub fn pin(&self) -> Lease<'_, T> {
-        loop {
-            let gen = self.gen.load(Ordering::Acquire);
-            let buffer = &self.buffers[(gen & 1) as usize];
-            buffer.leases.fetch_add(1, Ordering::SeqCst);
-            if self.gen.load(Ordering::SeqCst) == gen {
-                // Safety: the lease is validated exactly as in `load`
-                // and stays held until the guard drops, so the cell's
-                // `Arc` — and the `T` it points to — cannot be replaced
-                // while the guard lives (ordering points 1 and 4). The
-                // raw pointer into the `Arc`'s heap allocation therefore
-                // outlives every dereference the guard performs.
-                let value = unsafe { Arc::as_ptr(&*buffer.value.get()) };
-                return Lease { swap: self, gen, value };
-            }
-            buffer.leases.fetch_sub(1, Ordering::Release);
-        }
-    }
-
-    /// Publishes a new value, returning the previous one.
+    /// Publishes a new value, returning the previous one. Never waits
+    /// for readers: snapshots already taken keep the previous value
+    /// alive on their own.
     pub fn publish(&self, value: T) -> Arc<T> {
-        self.publish_arc(Arc::new(value))
-    }
-
-    /// Publishes an already-wrapped value, returning the previous one.
-    ///
-    /// Writers serialize on an internal mutex and wait for straggling
-    /// readers of the buffer being recycled; readers are never blocked.
-    /// A reader holds a lease only for the handful of instructions
-    /// between its increment and its (failed) revalidation, so the wait
-    /// is normally nanoseconds — but a reader *preempted* in that window
-    /// holds the drain open until it is rescheduled, so publish latency
-    /// is bounded by scheduler delay, not by a constant. The wait
-    /// escalates spin → yield → sleep so a stalled publisher burns no
-    /// CPU while it waits the straggler out.
-    pub fn publish_arc(&self, value: Arc<T>) -> Arc<T> {
-        let guard = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Only writers store `gen`, and we hold the writer mutex.
-        let gen = self.gen.load(Ordering::Relaxed);
-        // Safety: only the (mutex-serialized) writer ever mutates a
-        // cell, and never the live one — this shared read races only
-        // with readers' shared clones of the same `Arc`.
-        let previous = unsafe { (*self.buffers[(gen & 1) as usize].value.get()).clone() };
-        let stale = &self.buffers[((gen + 1) & 1) as usize];
-        // The stale buffer is unreachable to readers validating against
-        // the current `gen`; drain the stragglers that raced an older
-        // generation (they will fail validation and release promptly).
-        // The poll must be SeqCst — see ordering points 1 and 3 in the
-        // module docs; an Acquire load here would let the writer miss a
-        // straggler's lease on weakly-ordered hardware.
-        let mut spins = 0u32;
-        while stale.leases.load(Ordering::SeqCst) != 0 {
-            spins = spins.saturating_add(1);
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else if spins < 1024 {
-                std::thread::yield_now();
-            } else {
-                // A straggler preempted between its increment and its
-                // failed revalidation can hold the lease for a whole
-                // scheduling quantum; park instead of burning a core.
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-        // Safety: the writer mutex excludes other writers, the lease
-        // drain excludes readers (ordering points 1 and 3), so we have
-        // exclusive access to the cell; the value from two publishes
-        // ago is dropped here.
-        unsafe {
-            *stale.value.get() = value;
-        }
-        self.gen.store(gen.wrapping_add(1), Ordering::SeqCst);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        // Record the deepest escalation tier the drain reached; the
-        // thresholds mirror the drain loop above.
-        if spins >= 1024 {
-            self.drains_sleep.fetch_add(1, Ordering::Relaxed);
-        } else if spins >= 64 {
-            self.drains_yield.fetch_add(1, Ordering::Relaxed);
-        } else if spins > 0 {
-            self.drains_spin.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(guard);
+        let value = Arc::new(value);
+        let mut slot = self.lock();
+        slot.0 += 1;
+        let previous = std::mem::replace(&mut slot.1, value);
+        self.generation.store(slot.0, Ordering::Release);
         previous
     }
-}
 
-impl<T: std::fmt::Debug> std::fmt::Debug for EpochSwap<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochSwap")
-            .field("gen", &self.gen.load(Ordering::Acquire))
-            .field("value", &self.load())
-            .finish()
-    }
-}
-
-/// A pinned, borrowed snapshot: holds the validated reader lease taken
-/// by [`EpochSwap::pin`] open for its lifetime and derefs to `&T`
-/// straight out of the pinned buffer. While it lives, the slot can run
-/// at most one generation ahead (bounded staleness); dropping it (or
-/// [`refresh`](Self::refresh)-ing at a batch boundary) releases the
-/// lease so writers drain. Like the `&T` it stands for, a lease can be
-/// sent or shared across threads when `T: Sync` (dropping it elsewhere
-/// only releases the atomic lease counter).
-pub struct Lease<'a, T> {
-    swap: &'a EpochSwap<T>,
-    /// Generation validated at acquisition; `gen & 1` is the pinned
-    /// buffer, and comparing against the slot's live counter answers
-    /// [`is_current`](Self::is_current).
-    gen: u64,
-    /// Borrow of the pinned buffer's `Arc` payload, valid for the
-    /// guard's lifetime per ordering point 4 in the module docs.
-    value: *const T,
-}
-
-// Safety: a `Lease` is a borrow of the pinned `T` plus a handle on the
-// slot's atomics. Dereferencing from another thread is sharing `&T`
-// (needs `T: Sync`); dropping from another thread only decrements an
-// atomic counter. It never drops or moves the `T` itself, so `T: Send`
-// is not required.
-unsafe impl<T: Sync> Send for Lease<'_, T> {}
-unsafe impl<T: Sync> Sync for Lease<'_, T> {}
-
-impl<T> Lease<'_, T> {
-    /// Whether the pinned snapshot is still the slot's newest value.
-    /// Under the bounded-staleness contract a stale pin is exactly one
-    /// publish behind.
-    #[must_use]
-    pub fn is_current(&self) -> bool {
-        self.swap.gen.load(Ordering::Acquire) == self.gen
+    /// The generation of the current value: 0 at creation, then one
+    /// more per publish.
+    pub(crate) fn generation(&self) -> u64 {
+        // Pairs with the `Release` store in `publish`. The value itself
+        // is only ever read under the slot's mutex, so this load just
+        // tells a cached reader whether to take it.
+        self.generation.load(Ordering::Acquire)
     }
 
-    /// Generation counter validated at acquisition (monotone across
-    /// publishes; not the application-level epoch).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.gen
+    /// The current value together with its generation, read as one
+    /// consistent pair.
+    pub(crate) fn load_current(&self) -> (u64, Arc<T>) {
+        let slot = self.lock();
+        (slot.0, Arc::clone(&slot.1))
     }
 
-    /// Re-pins onto the newest value if a publish has landed since
-    /// acquisition, releasing the old lease. Returns `true` when the
-    /// snapshot moved. Call at batch-window boundaries: this is what
-    /// keeps pin windows bounded and writers draining.
-    pub fn refresh(&mut self) -> bool {
-        if self.is_current() {
-            return false;
-        }
-        // Acquire the new pin first, then drop the old lease via the
-        // assignment — order is irrelevant for correctness (the two
-        // leases sit on different buffers or are idempotent on one).
-        *self = self.swap.pin();
-        true
-    }
-}
-
-impl<T> std::ops::Deref for Lease<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // Safety: the lease held since acquisition keeps the pinned
-        // cell's `Arc` (and its payload) alive and unreplaced until
-        // `Drop` releases it — ordering point 4 in the module docs.
-        unsafe { &*self.value }
-    }
-}
-
-impl<T> Drop for Lease<'_, T> {
-    fn drop(&mut self) {
-        self.swap.buffers[(self.gen & 1) as usize].leases.fetch_sub(1, Ordering::Release);
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Lease<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lease")
-            .field("gen", &self.gen)
-            .field("current", &self.is_current())
-            .field("value", &**self)
-            .finish()
+    fn lock(&self) -> MutexGuard<'_, (u64, Arc<T>)> {
+        self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Miri executes ~1000x slower than native; shrink the concurrent
-    // workloads so the interpreted run still finishes, while native
-    // runs keep the full hammering.
-    const READS: usize = if cfg!(miri) { 200 } else { 10_000 };
-    const PUBLISHES: u64 = if cfg!(miri) { 50 } else { 1000 };
-    const PER_WRITER: u64 = if cfg!(miri) { 25 } else { 500 };
 
     #[test]
     fn load_sees_latest_publish() {
@@ -450,7 +125,8 @@ mod tests {
     fn publish_returns_previous_in_order() {
         let swap = EpochSwap::new(0u32);
         for v in 1..=100u32 {
-            assert_eq!(*swap.publish(v), v - 1, "double buffer must recycle in order");
+            assert_eq!(*swap.publish(v), v - 1, "publish must hand back the value it replaced");
+            assert_eq!(swap.load_current(), (u64::from(v), Arc::new(v)));
         }
         assert_eq!(*swap.load(), 100);
     }
@@ -463,7 +139,7 @@ mod tests {
                 let swap = Arc::clone(&swap);
                 s.spawn(move || {
                     let mut last = 0;
-                    for _ in 0..READS {
+                    for _ in 0..10_000 {
                         let v = *swap.load();
                         assert!(v >= last, "published values are monotone");
                         last = v;
@@ -472,90 +148,12 @@ mod tests {
             }
             let writer = Arc::clone(&swap);
             s.spawn(move || {
-                for v in 1..=PUBLISHES {
+                for v in 1..=1000 {
                     writer.publish(v);
                 }
             });
         });
-        assert_eq!(*swap.load(), PUBLISHES);
-    }
-
-    #[test]
-    fn pin_borrows_without_cloning_the_arc() {
-        let swap = EpochSwap::new(vec![1, 2, 3]);
-        let before = Arc::strong_count(&swap.load());
-        let pin = swap.pin();
-        assert_eq!(*pin, vec![1, 2, 3]);
-        assert_eq!(Arc::strong_count(&swap.load()), before, "pin adds no refcount");
-        assert!(pin.is_current());
-    }
-
-    #[test]
-    fn pin_survives_exactly_one_publish() {
-        let swap = EpochSwap::new(10u32);
-        let mut pin = swap.pin();
-        // One publish proceeds without draining the held pin: it
-        // recycles the *other* buffer.
-        swap.publish(11);
-        assert_eq!(*pin, 10, "pinned snapshot is immutable across the publish");
-        assert!(!pin.is_current());
-        assert!(pin.refresh(), "refresh observes the publish");
-        assert_eq!(*pin, 11);
-        assert!(pin.is_current());
-        assert!(!pin.refresh(), "refresh is a no-op while current");
-    }
-
-    #[test]
-    fn dropping_a_pin_unblocks_the_second_publish() {
-        // A held pin admits one publish; the second targets the pinned
-        // buffer and must wait. Drop the pin from another thread while
-        // the writer drains.
-        let swap = EpochSwap::new(0u32);
-        let pin = swap.pin();
-        assert_eq!(pin.generation(), 0);
-        swap.publish(1); // recycles the non-pinned buffer: no wait
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                // Give the writer a moment to enter its drain loop.
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                drop(pin);
-            });
-            swap.publish(2); // drains the pinned buffer
-        });
-        assert_eq!(*swap.load(), 2);
-        assert_eq!(swap.stats().publishes, 2);
-    }
-
-    #[test]
-    fn concurrent_pinned_readers_and_writer() {
-        // Readers pin across bounded windows with refresh at the
-        // boundary; values stay monotone and never tear, and the writer
-        // finishes because every pin window is bounded.
-        let swap = Arc::new(EpochSwap::new(0u64));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let swap = Arc::clone(&swap);
-                s.spawn(move || {
-                    let mut last = 0;
-                    let mut pin = swap.pin();
-                    for i in 0..READS {
-                        let v = *pin;
-                        assert!(v >= last, "pinned snapshots are monotone across refresh");
-                        last = v;
-                        if i % 16 == 15 {
-                            pin.refresh();
-                        }
-                    }
-                });
-            }
-            let writer = Arc::clone(&swap);
-            s.spawn(move || {
-                for v in 1..=PUBLISHES {
-                    writer.publish(v);
-                }
-            });
-        });
-        assert_eq!(*swap.load(), PUBLISHES);
+        assert_eq!(*swap.load(), 1000);
     }
 
     #[test]
@@ -565,10 +163,8 @@ mod tests {
         for v in 1..=5u32 {
             swap.publish(v);
         }
-        let stats = swap.stats();
-        assert_eq!(stats.publishes, 5);
-        // Uncontended publishes never escalate past the zero-spin path.
-        assert_eq!(stats.drains_spin + stats.drains_yield + stats.drains_sleep, 0);
+        assert_eq!(swap.stats().publishes, 5);
+        assert_eq!(swap.generation(), 5);
     }
 
     #[test]
@@ -583,9 +179,7 @@ mod tests {
                 .map(|w| {
                     let swap = Arc::clone(&swap);
                     s.spawn(move || {
-                        (0..PER_WRITER)
-                            .map(|k| *swap.publish((w + 1) << 32 | k))
-                            .collect::<Vec<u64>>()
+                        (0..500).map(|k| *swap.publish((w + 1) << 32 | k)).collect::<Vec<u64>>()
                     })
                 })
                 .collect();
@@ -594,10 +188,11 @@ mod tests {
         returned.push(*swap.load());
         returned.sort_unstable();
         let mut expected: Vec<u64> = (0..2u64)
-            .flat_map(|w| (0..PER_WRITER).map(move |k| (w + 1) << 32 | k))
+            .flat_map(|w| (0..500).map(move |k| (w + 1) << 32 | k))
             .chain(std::iter::once(0))
             .collect();
         expected.sort_unstable();
         assert_eq!(returned, expected);
+        assert_eq!(swap.stats().publishes, 1000);
     }
 }

@@ -1,5 +1,5 @@
 //! Probabilistic routing tables: the immutable artifact the re-solver
-//! publishes and the dispatcher reads.
+//! publishes and the dispatch shards read.
 //!
 //! A table maps a uniform draw `u ∈ [0,1)` to a node with probability
 //! `p_i = λ_i / Φ` of the current allocation, in O(1) per draw via a
@@ -48,8 +48,9 @@ impl RoutingTable {
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] when `nodes` is empty or the
-    /// weights sum to zero; [`RuntimeError::Core`] when lengths mismatch
-    /// or any weight is negative or non-finite.
+    /// weights sum to zero; [`RuntimeError::Core`] when lengths mismatch,
+    /// any weight is negative or non-finite, or the weights sum to more
+    /// than the largest finite `f64`.
     pub fn new(epoch: u64, nodes: Vec<NodeId>, weights: &[f64]) -> Result<Self, RuntimeError> {
         if nodes.len() != weights.len() {
             return Err(CoreError::BadInput(format!(
@@ -72,6 +73,14 @@ impl RoutingTable {
             .into());
         }
         let total: f64 = weights.iter().sum();
+        if !total.is_finite() {
+            // Normalizing by ∞ would zero every probability.
+            return Err(CoreError::BadInput(format!(
+                "routing weights of {} nodes must sum to a finite total, got {total}",
+                nodes.len()
+            ))
+            .into());
+        }
         if total <= 0.0 {
             return Err(RuntimeError::NoServingNodes);
         }
@@ -141,8 +150,9 @@ impl RoutingTable {
         self.nodes[self.alias.sample(u)]
     }
 
-    /// Routes by table *position* instead of id — the batch hot path,
-    /// which counts hits densely before resolving ids.
+    /// Routes by table *position* instead of id: the index into
+    /// [`nodes`](Self::nodes) and [`probs`](Self::probs) that
+    /// [`route`](Self::route) resolves.
     #[must_use]
     #[inline]
     pub fn route_index(&self, u: f64) -> usize {
@@ -208,6 +218,16 @@ mod tests {
         assert!(RoutingTable::new(0, ids(&[0, 1]), &[1.0]).is_err());
         assert!(RoutingTable::new(0, ids(&[0, 1]), &[1.0, -0.1]).is_err());
         assert!(RoutingTable::new(0, ids(&[0, 1]), &[1.0, f64::NAN]).is_err());
+    }
+
+    #[test]
+    fn rejects_a_non_finite_weight_total() {
+        assert!(matches!(
+            RoutingTable::new(1, ids(&[0, 1]), &[f64::MAX, f64::MAX]),
+            Err(RuntimeError::Core(CoreError::BadInput(_)))
+        ));
+        let t = RoutingTable::new(1, ids(&[0, 1]), &[f64::MAX / 4.0, f64::MAX / 4.0]).unwrap();
+        assert_eq!(t.probs(), &[0.5, 0.5]);
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //!
 //! Telemetry consumes **no RNG draws** and owns **no clock**: every
 //! event is tagged with the virtual time the [`TraceDriver`] publishes
-//! through [`Telemetry::set_clock`] (wall-clock enters exactly one
-//! instrument — the publish-wait histogram, which measures real
-//! lease-drain latency and is never folded into any fingerprint). The
-//! `stream` tag on an event names the seed-stream family of the
+//! through [`Telemetry::set_clock`], and no instrument reads wall-clock
+//! time. The `stream` tag on an event names the seed-stream family of the
 //! subsystem that emitted it ([`DISPATCH_STREAM`], [`FAULT_STREAM`], …,
 //! or `0` for subsystems that draw nothing); telemetry itself has no
 //! entry in the stream-family map because it never draws. Enabling
 //! telemetry therefore leaves every determinism fingerprint
-//! bit-identical — CI's `telemetry-invariance` job diffs them.
+//! bit-identical — CI's `fingerprint-invariance` job checks them with
+//! `GTLB_TELEMETRY=1`.
 //!
 //! ## Hot-path budget
 //!
@@ -32,7 +31,7 @@
 //! bench.
 //!
 //! [`TraceDriver`]: crate::driver::TraceDriver
-//! [`DISPATCH_STREAM`]: crate::dispatcher::DISPATCH_STREAM
+//! [`DISPATCH_STREAM`]: crate::shard::DISPATCH_STREAM
 //! [`FAULT_STREAM`]: crate::fault::FAULT_STREAM
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,13 +44,11 @@ use gtlb_telemetry::{
 
 use crate::admission::{AdmissionStats, AdmissionVerdict};
 use crate::detector::HealthTransition;
-use crate::dispatcher::DISPATCH_STREAM;
 use crate::fault::{
     FaultMarker, FaultMarkerKind, PartitionDirection, ADVERSARIAL_STREAM, FAULT_STREAM,
 };
 use crate::registry::{Health, NodeId};
-use crate::shard::ADMISSION_STREAM;
-use crate::swap::SwapStats;
+use crate::shard::{ADMISSION_STREAM, DISPATCH_STREAM};
 use crate::Runtime;
 
 /// Events per event-ring lane (one lane per shard).
@@ -82,14 +79,8 @@ pub mod names {
     pub const FAULT_DROPS: &str = "gtlb_fault_drops_total";
     /// Health transitions applied (detector-driven and manual).
     pub const HEALTH_TRANSITIONS: &str = "gtlb_health_transitions_total";
-    /// Routing tables published through the epoch swap.
+    /// Routing tables published through the table slot.
     pub const TABLE_PUBLISHES: &str = "gtlb_table_publishes_total";
-    /// Publishes whose lease drain needed a spin wait.
-    pub const SWAP_DRAIN_SPIN: &str = "gtlb_swap_drain_spin_total";
-    /// Publishes whose lease drain escalated to `yield_now`.
-    pub const SWAP_DRAIN_YIELD: &str = "gtlb_swap_drain_yield_total";
-    /// Publishes whose lease drain escalated to a parked sleep.
-    pub const SWAP_DRAIN_SLEEP: &str = "gtlb_swap_drain_sleep_total";
     /// Jobs shed by a full ingest queue.
     pub const INGEST_SHED: &str = "gtlb_ingest_shed_total";
     /// Events overwritten in the ring (drop-oldest).
@@ -103,8 +94,6 @@ pub mod names {
     /// Jobs dispatched whose completion has not been recorded yet
     /// (derived at scrape: dispatches − responses − fault drops).
     pub const JOBS_INFLIGHT: &str = "gtlb_jobs_inflight";
-    /// Batch sizes offered through the `submit_batch` family.
-    pub const BATCH_SIZE: &str = "gtlb_batch_size";
     /// High-water mark of the ingest queue depth.
     pub const INGEST_PEAK_DEPTH: &str = "gtlb_ingest_peak_depth";
     /// Response time, arrival → completion (virtual seconds).
@@ -113,9 +102,6 @@ pub mod names {
     pub const QUEUE_WAIT_SECONDS: &str = "gtlb_queue_wait_seconds";
     /// Retry backoff waits (virtual seconds).
     pub const RETRY_BACKOFF_SECONDS: &str = "gtlb_retry_backoff_seconds";
-    /// Table-publish lease-drain wait (wall-clock seconds; the one
-    /// wall-clock instrument).
-    pub const PUBLISH_WAIT_SECONDS: &str = "gtlb_publish_wait_seconds";
     /// Successful solves published.
     pub const SOLVER_RESOLVES: &str = "gtlb_solver_resolves_total";
 
@@ -234,9 +220,6 @@ pub(crate) struct TelemetryInner {
     fault_drops: Arc<Counter>,
     health_transitions: Arc<Counter>,
     table_publishes: Arc<Counter>,
-    drain_spin: Arc<Counter>,
-    drain_yield: Arc<Counter>,
-    drain_sleep: Arc<Counter>,
     ingest_shed: Arc<Counter>,
     events_dropped: Arc<Counter>,
     offered_utilization: Arc<Gauge>,
@@ -245,10 +228,8 @@ pub(crate) struct TelemetryInner {
     jobs_inflight: Arc<Gauge>,
     ingest_peak: Arc<Watermark>,
     response: Arc<Histogram>,
-    batch_size: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
     backoff: Arc<Histogram>,
-    publish_wait: Arc<Histogram>,
     solver_resolves: Arc<Counter>,
 }
 
@@ -268,9 +249,6 @@ impl TelemetryInner {
             fault_drops: registry.counter(names::FAULT_DROPS, shards),
             health_transitions: registry.counter(names::HEALTH_TRANSITIONS, shards),
             table_publishes: registry.counter(names::TABLE_PUBLISHES, 1),
-            drain_spin: registry.counter(names::SWAP_DRAIN_SPIN, 1),
-            drain_yield: registry.counter(names::SWAP_DRAIN_YIELD, 1),
-            drain_sleep: registry.counter(names::SWAP_DRAIN_SLEEP, 1),
             ingest_shed: registry.counter(names::INGEST_SHED, shards),
             events_dropped: registry.counter(names::EVENTS_DROPPED, 1),
             offered_utilization: registry.gauge(names::OFFERED_UTILIZATION, 1),
@@ -279,10 +257,8 @@ impl TelemetryInner {
             jobs_inflight: registry.gauge(names::JOBS_INFLIGHT, 1),
             ingest_peak: registry.watermark(names::INGEST_PEAK_DEPTH, shards),
             response: registry.histogram(names::RESPONSE_SECONDS),
-            batch_size: registry.histogram(names::BATCH_SIZE),
             queue_wait: registry.histogram(names::QUEUE_WAIT_SECONDS),
             backoff: registry.histogram(names::RETRY_BACKOFF_SECONDS),
-            publish_wait: registry.histogram(names::PUBLISH_WAIT_SECONDS),
             solver_resolves: registry.counter(names::SOLVER_RESOLVES, 1),
             registry,
         }
@@ -305,14 +281,11 @@ impl TelemetryInner {
     pub(crate) fn sync(
         &self,
         dispatched: u64,
-        swap: SwapStats,
+        publishes: u64,
         admission: Option<(AdmissionStats, f64)>,
     ) {
         self.dispatches.set_total(dispatched);
-        self.table_publishes.set_total(swap.publishes);
-        self.drain_spin.set_total(swap.drains_spin);
-        self.drain_yield.set_total(swap.drains_yield);
-        self.drain_sleep.set_total(swap.drains_sleep);
+        self.table_publishes.set_total(publishes);
         if let Some((stats, rho)) = admission {
             self.admission_submitted.set_total(stats.submitted);
             self.admission_accepted.set_total(stats.accepted);
@@ -439,14 +412,6 @@ impl Telemetry {
         }
     }
 
-    /// Records one batch offered through the `submit_batch` family.
-    #[inline]
-    pub(crate) fn record_batch(&self, size: u64) {
-        if let Some(inner) = self.inner() {
-            inner.batch_size.record(size as f64);
-        }
-    }
-
     /// The current ingest-queue depth gauge (0 when disabled or when no
     /// ingest queue feeds this runtime).
     #[must_use]
@@ -524,12 +489,10 @@ impl Telemetry {
         }
     }
 
-    /// Records a table publish and its lease-drain wait (wall-clock
-    /// seconds — the one wall-clock instrument; see the module docs).
+    /// Records a table publish.
     #[inline]
-    pub(crate) fn record_publish(&self, epoch: u64, wait_seconds: f64) {
+    pub(crate) fn record_publish(&self, epoch: u64) {
         if let Some(inner) = self.inner() {
-            inner.publish_wait.record(wait_seconds);
             inner.push(0, 0, RuntimeEvent::EpochPublished { epoch });
         }
     }
@@ -688,13 +651,12 @@ mod tests {
         let inner = tel.inner().unwrap();
         inner.sync(
             42,
-            SwapStats { publishes: 7, drains_spin: 2, drains_yield: 1, drains_sleep: 0 },
+            7,
             Some((AdmissionStats { submitted: 10, accepted: 8, deferred: 1, rejected: 1 }, 0.75)),
         );
         let snap = inner.snapshot();
         assert_eq!(snap.counter(names::DISPATCHES), Some(42));
         assert_eq!(snap.counter(names::TABLE_PUBLISHES), Some(7));
-        assert_eq!(snap.counter(names::SWAP_DRAIN_SPIN), Some(2));
         assert_eq!(snap.counter(names::ADMISSION_ACCEPTED), Some(8));
         assert_eq!(snap.gauge(names::OFFERED_UTILIZATION), Some(0.75));
     }

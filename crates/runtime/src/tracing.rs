@@ -14,9 +14,9 @@
 //! mask test on that id. Every span timestamp is the driver's virtual
 //! time, already computed for the decision being traced. Enabling
 //! tracing therefore leaves all determinism fingerprints bit-identical
-//! — CI's `tracing-invariance` job diffs them — and the trace *set*
-//! itself is a pure function of `(seed, plan, shard count)`, identical
-//! across thread counts.
+//! — CI's `fingerprint-invariance` job checks them with
+//! `GTLB_TRACING=1` — and the trace *set* itself is a pure function of
+//! `(seed, plan, shard count)`, identical across thread counts.
 //!
 //! ## Hot-path budget
 //!

@@ -6,9 +6,7 @@
 //!    counts stays far below any plausible rejection threshold, for
 //!    random weight vectors;
 //! 2. neither path ever returns a zero-probability node, for weight
-//!    vectors with zeros injected at random positions;
-//! 3. batch routing replays the per-job decision sequence draw for draw,
-//!    for random weights, seeds, and batch splits.
+//!    vectors with zeros injected at random positions.
 //!
 //! Two fixed-table tests pin the reference router itself: its
 //! boundaries and clamping, and its agreement with the alias path on a
@@ -17,9 +15,8 @@
 mod support;
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
-use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, ShardedDispatcher};
+use gtlb_runtime::{NodeId, RoutingTable};
 use proptest::prelude::*;
-use std::sync::Arc;
 use support::CdfRouter;
 
 /// Weights bounded away from zero (so chi-square expected counts are
@@ -125,33 +122,6 @@ proptest! {
             prop_assert!(!zero_ids.contains(&table.route(u)));
             prop_assert!(!zero_ids.contains(&cdf.route(u)));
         }
-    }
-
-    #[test]
-    fn batch_routing_replays_the_per_job_sequence(
-        weights in arb_weights(),
-        seed in 0u64..u64::MAX,
-        first in 0usize..96,
-        second in 0usize..96,
-    ) {
-        let swap = || Arc::new(EpochSwap::new(table_from(&weights)));
-        let batched = ShardedDispatcher::new(swap(), seed, 2);
-        let reference = ShardedDispatcher::new(swap(), seed, 2);
-        let mut decisions = Vec::new();
-        {
-            let mut guard = batched.shard(1);
-            guard.route_batch(first, &mut decisions).unwrap();
-            guard.route_batch(second, &mut decisions).unwrap();
-        }
-        {
-            let mut guard = reference.shard(1);
-            for d in &decisions {
-                prop_assert_eq!(*d, guard.dispatch().unwrap());
-            }
-        }
-        prop_assert_eq!(decisions.len(), first + second);
-        prop_assert_eq!(batched.hit_counts(), reference.hit_counts());
-        prop_assert_eq!(batched.dispatched(), (first + second) as u64);
     }
 }
 

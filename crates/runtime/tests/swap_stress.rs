@@ -1,33 +1,21 @@
-//! Stress tests of the lock-free [`EpochSwap`] under racing readers and
+//! Stress tests of the routing-table slot [`EpochSwap`] and of the
+//! dispatch shards that cache its tables, under racing readers and
 //! writers.
 //!
-//! The unsafe core of the swap (see the module docs of
-//! `gtlb_runtime::swap`) is exercised here with genuinely concurrent
-//! load/publish traffic. Each published value carries a redundant
-//! payload derived from its version, so a torn read — a reader observing
-//! a buffer mid-replacement — fails an assertion instead of going
-//! unnoticed. The single-writer test additionally checks that readers
-//! observe versions monotonically (a reader can never see an older
-//! table after a newer one), and that `publish` hands back the previous
-//! value in order.
+//! Each published value carries a redundant payload derived from its
+//! version, so a torn read — a reader observing a value mid-replacement
+//! — fails an assertion instead of going unnoticed. The single-writer
+//! test additionally checks that readers observe versions monotonically
+//! (a reader can never see an older table after a newer one), and that
+//! `publish` hands back the previous value in order. The shard tests
+//! check that a held [`ShardGuard`](gtlb_runtime::ShardGuard) never
+//! delays a publish and that a shard's cached table never stays stale.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use gtlb_runtime::EpochSwap;
-
-/// Publish counts for the stress runs. Miri interprets ~1000x slower
-/// than native and checks the abstract memory model rather than the
-/// host's, so a far shorter run still exercises every interleaving
-/// class; native runs keep the full hammering.
-const SINGLE_WRITER_PUBLISHES: u64 = if cfg!(miri) { 300 } else { 20_000 };
-const PER_WRITER_PUBLISHES: u64 = if cfg!(miri) { 100 } else { 8_000 };
-/// Pinned-reader publishes: far fewer than the `load()` runs, because a
-/// held pin legitimately blocks every *second* publish until the reader
-/// refreshes — on a single-core box each drain can cost a scheduling
-/// quantum, so the count is sized for wall-clock, not coverage (every
-/// publish exercises the drain-against-pin path).
-const PINNED_PUBLISHES: u64 = if cfg!(miri) { 100 } else { 500 };
+use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, ShardedDispatcher};
 
 /// A value whose payload is a pure function of its version: any
 /// mixed-generation read trips `check`.
@@ -59,7 +47,7 @@ impl Tagged {
 fn one_writer_many_readers_monotone_and_untorn() {
     let swap = Arc::new(EpochSwap::new(Tagged::new(0)));
     let stop = Arc::new(AtomicBool::new(false));
-    let publishes = SINGLE_WRITER_PUBLISHES;
+    let publishes = 20_000;
     std::thread::scope(|s| {
         for _ in 0..8 {
             let swap = Arc::clone(&swap);
@@ -91,7 +79,7 @@ fn many_writers_many_readers_untorn() {
     let swap = Arc::new(EpochSwap::new(Tagged::new(0)));
     let stop = Arc::new(AtomicBool::new(false));
     let writers = 3u64;
-    let per_writer = PER_WRITER_PUBLISHES;
+    let per_writer = 8_000;
     let mut returned: Vec<u64> = std::thread::scope(|s| {
         for _ in 0..4 {
             let swap = Arc::clone(&swap);
@@ -134,52 +122,6 @@ fn many_writers_many_readers_untorn() {
 }
 
 #[test]
-fn pinned_readers_bounded_windows_untorn_and_monotone() {
-    // Readers use the borrowed pin API in bounded batch windows: each
-    // window pins one snapshot, reads it repeatedly (same untorn value
-    // throughout — a pin can never observe a republished buffer), then
-    // refreshes at the window boundary. The writer publishing to
-    // completion *is* the liveness assertion: a held pin lets one
-    // publish through and blocks only the second, so bounded windows
-    // guarantee the writer always drains.
-    let swap = Arc::new(EpochSwap::new(Tagged::new(0)));
-    let stop = Arc::new(AtomicBool::new(false));
-    let publishes = PINNED_PUBLISHES;
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let swap = Arc::clone(&swap);
-            let stop = Arc::clone(&stop);
-            s.spawn(move || {
-                let mut last = 0u64;
-                let mut pin = swap.pin();
-                while !stop.load(Ordering::Relaxed) {
-                    let version = pin.version;
-                    for _ in 0..16 {
-                        pin.check();
-                        assert_eq!(pin.version, version, "pinned value changed mid-window");
-                    }
-                    assert!(version >= last, "pin went back in time: {version} < {last}");
-                    last = version;
-                    // Window boundary: re-validate against the live
-                    // generation (no-op when still current), and yield
-                    // so a drain-blocked writer gets scheduled promptly
-                    // on low-core machines.
-                    pin.refresh();
-                    std::thread::yield_now();
-                }
-            });
-        }
-        for v in 1..=publishes {
-            let prev = swap.publish(Tagged::new(v));
-            prev.check();
-            assert_eq!(prev.version, v - 1, "publish must return the previous value");
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-    assert_eq!(swap.load().version, publishes);
-}
-
-#[test]
 fn held_snapshots_are_immutable_across_publishes() {
     let swap = EpochSwap::new(Tagged::new(7));
     let snapshot = swap.load();
@@ -197,4 +139,78 @@ fn held_snapshots_are_immutable_across_publishes() {
     mid.check();
     assert_eq!(mid.version, 599);
     assert_eq!(swap.load().version, 1099);
+}
+
+/// Nodes of the shard tests' tables.
+const NODES: u64 = 7;
+
+/// Epoch `epoch`'s table over [`NODES`] nodes: all its mass on node
+/// `epoch mod NODES`, so every decision names the epoch that routed it.
+fn point_table(epoch: u64) -> RoutingTable {
+    let ids = (0..NODES).map(NodeId::from_raw).collect();
+    let weights: Vec<f64> =
+        (0..NODES).map(|raw| if raw == epoch % NODES { 1.0 } else { 0.0 }).collect();
+    RoutingTable::new(epoch, ids, &weights).unwrap()
+}
+
+#[test]
+fn publishes_never_wait_for_a_held_guard() {
+    let slot = Arc::new(EpochSwap::new(point_table(1)));
+    let sharded = ShardedDispatcher::new(Arc::clone(&slot), 5, 1);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        let mut guard = sharded.shard(0);
+        let publisher = Arc::clone(&slot);
+        s.spawn(move || {
+            for epoch in 2..=4 {
+                publisher.publish(point_table(epoch));
+            }
+            done_tx.send(()).unwrap();
+        });
+        let published = done_rx.recv_timeout(Duration::from_millis(500)).is_ok();
+        // Still held: the guard routes on the table live when it was
+        // taken.
+        let held = guard.dispatch().unwrap();
+        // Release the guard before asserting, so a publisher stuck
+        // behind it can finish and the scope can join.
+        drop(guard);
+        assert!(published, "three publishes did not return within 500 ms of a held guard");
+        assert_eq!(held.epoch, 1);
+    });
+    assert_eq!(slot.stats().publishes, 3);
+    assert_eq!(sharded.dispatch_on(0).unwrap().epoch, 4, "a new guard sees the last publish");
+}
+
+#[test]
+fn racing_shards_follow_every_publish_and_end_current() {
+    const SHARDS: usize = 4;
+    const LAST: u64 = 2_000;
+    let slot = Arc::new(EpochSwap::new(point_table(1)));
+    let sharded = ShardedDispatcher::new(Arc::clone(&slot), 9, SHARDS);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for shard in 0..SHARDS {
+            let (sharded, done) = (&sharded, &done);
+            s.spawn(move || {
+                let mut last = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let d = sharded.dispatch_on(shard).unwrap();
+                    assert_eq!(d.node.raw(), d.epoch % NODES, "epoch {} routed elsewhere", d.epoch);
+                    assert!(d.epoch >= last, "shard {shard} went back from {last} to {}", d.epoch);
+                    last = d.epoch;
+                }
+            });
+        }
+        let (slot, done) = (&slot, &done);
+        s.spawn(move || {
+            for epoch in 2..=LAST {
+                slot.publish(point_table(epoch));
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+    });
+    for shard in 0..SHARDS {
+        let d = sharded.dispatch_on(shard).unwrap();
+        assert_eq!((d.node.raw(), d.epoch), (LAST % NODES, LAST), "shard {shard} stayed stale");
+    }
 }

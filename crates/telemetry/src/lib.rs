@@ -29,7 +29,7 @@
 //! its deterministic virtual clock) and no code path draws from any
 //! RNG, so instrumenting a deterministic simulation cannot perturb it.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod escape;

@@ -7,8 +7,7 @@
 //!   bit-identical to the sequential run;
 //! * **sharded dispatch** — the merged decision sequence of a
 //!   `ShardedDispatcher` is a pure function of (seed, shard count, job
-//!   placement), regardless of which threads executed which shards —
-//!   and batch routing (`route_batch`) replays that exact sequence.
+//!   placement), regardless of which threads executed which shards.
 //!
 //! This example condenses both into one stable hex line each on stdout
 //! (environment details go to stderr). `tests/fingerprints.rs` checks
@@ -18,22 +17,21 @@
 //! A third contract rides along: telemetry is observation-only. With
 //! `GTLB_TELEMETRY=1` every runtime here records metrics and events,
 //! and every fingerprint must still be bit-identical — telemetry draws
-//! no RNG and never feeds a deterministic output. CI diffs the enabled
-//! and disabled outputs (the `telemetry-invariance` job).
+//! no RNG and never feeds a deterministic output.
 //!
 //! A fourth contract mirrors it for the network layer: the control
 //! plane is ingestion-only and owns no RNG stream. With
 //! `GTLB_CONTROL_PLANE=1` every runtime-backed fingerprint here runs
 //! with a live `gtlb-net` listener attached (bound to a loopback port,
 //! scraped once, otherwise idle), and every fingerprint must still be
-//! bit-identical. CI diffs the attached and detached outputs (the
-//! `control-plane-smoke` job).
+//! bit-identical.
 //!
 //! A fifth contract covers tracing: per-job traces are identity-hashed
 //! and head-sampled with **no RNG stream and no clock** of their own.
 //! With `GTLB_TRACING=1` every runtime here records sampled traces into
 //! its flight recorder, and every fingerprint must still be
-//! bit-identical (the `tracing-invariance` job diffs them). The
+//! bit-identical. CI's `fingerprint-invariance` matrix runs
+//! `tests/fingerprints.rs` with each of the three knobs set. The
 //! `traced_chaos` line complements it from the other side: it forces
 //! tracing on regardless of the knob and folds the recorded trace set
 //! itself, so the *traces* are pinned as a pure function of (seed,
@@ -325,55 +323,6 @@ fn sharded_dispatch_fingerprint() -> u64 {
     h
 }
 
-/// The batch-dispatch decision sequence: every shard routes its jobs
-/// through `route_batch`, and the merged stream is asserted identical
-/// to the per-job merge before being folded — batching must be
-/// invisible to the decision sequence, not just deterministic.
-fn batch_dispatch_fingerprint() -> u64 {
-    const SHARDS: usize = 4;
-    const JOBS: usize = 8_192;
-    let make = || {
-        let rt = Arc::new(
-            Runtime::builder()
-                .seed(0xF1A6)
-                .scheme(SchemeKind::Coop)
-                .nominal_arrival_rate(4.2)
-                .shards(SHARDS)
-                .telemetry(telemetry_on())
-                .tracing(tracing_on())
-                .build(),
-        );
-        for &rate in &[4.0, 2.0, 1.0] {
-            rt.register_node(rate).unwrap();
-        }
-        rt.resolve_now().unwrap();
-        rt
-    };
-    let rt = make();
-    let _cp = attach_idle_control_plane(&rt);
-    let sharded = rt.sharded_dispatcher();
-    let per_shard: Vec<Vec<(u64, u64)>> = par_map((0..SHARDS).collect(), |k| {
-        let mut guard = sharded.shard(k);
-        let mut decisions = Vec::new();
-        guard.route_batch(JOBS / SHARDS, &mut decisions).unwrap();
-        decisions.into_iter().map(|d| (d.node.raw(), d.epoch)).collect()
-    });
-    let reference = make();
-    let mut h = FNV_OFFSET;
-    for j in 0..JOBS {
-        let (node, epoch) = per_shard[j % SHARDS][j / SHARDS];
-        let d = reference.dispatch_on(j % SHARDS).unwrap();
-        assert_eq!(
-            (node, epoch),
-            (d.node.raw(), d.epoch),
-            "batch dispatch diverged from the per-job stream at job {j}"
-        );
-        fold(&mut h, node);
-        fold(&mut h, epoch);
-    }
-    h
-}
-
 /// Every fingerprint, in output order, as `(name, value)`.
 pub fn fingerprints() -> Vec<(&'static str, u64)> {
     let cluster = Cluster::from_groups(&[(1, 4.0), (3, 1.0)]).unwrap();
@@ -387,7 +336,6 @@ pub fn fingerprints() -> Vec<(&'static str, u64)> {
     vec![
         ("replication_fingerprint", replication_fingerprint(&replicated)),
         ("sharded_dispatch_fingerprint", sharded_dispatch_fingerprint()),
-        ("batch_dispatch_fingerprint", batch_dispatch_fingerprint()),
         ("chaos_trace_fingerprint", chaos_trace_fingerprint(1)),
         ("chaos_trace_sharded_fingerprint", chaos_trace_fingerprint(4)),
         ("traced_chaos_fingerprint", traced_chaos_fingerprint()),

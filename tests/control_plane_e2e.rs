@@ -164,7 +164,6 @@ fn control_plane_drives_the_full_node_lifecycle() {
     assert_eq!(scraped, handle.prometheus().unwrap(), "/metrics == TelemetryHandle::prometheus()");
     assert!(scraped.contains("gtlb_health_transitions_total"), "{scraped}");
     assert!(scraped.contains("gtlb_table_publishes_total"), "swap stats exposed: {scraped}");
-    assert!(scraped.contains("gtlb_swap_drain_spin_total"), "drain tiers exposed: {scraped}");
     let (status, scraped_json) = get(addr, "/metrics.json");
     assert_eq!(status, 200);
     assert_eq!(scraped_json, handle.json().unwrap());
