@@ -5,7 +5,8 @@
 //! three quick runs from `BENCH_telemetry.json`). The instrument
 //! microbenches ride along to keep the primitive costs visible:
 //! counter add, histogram record, event-ring push, and a full
-//! registry scrape.
+//! registry scrape, alone and at control-plane size (three 2,048-cell
+//! per-node gauge families).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -83,9 +84,9 @@ fn bench_instruments(c: &mut Criterion) {
     group.finish();
 }
 
-/// A full scrape of a registry shaped like the runtime's (the reader
-/// side; never on the hot path, but it bounds dashboard poll cost).
-fn bench_scrape(c: &mut Criterion) {
+/// A registry shaped like the runtime's fixed instrument set: sharded
+/// counters, one gauge and two well-filled histograms.
+fn runtime_shaped_registry() -> Registry {
     let registry = Registry::new();
     for name in ["gtlb_dispatches_total", "gtlb_retries_total", "gtlb_fault_drops_total"] {
         let counter = registry.counter(name, 4);
@@ -102,11 +103,46 @@ fn bench_scrape(c: &mut Criterion) {
             x = if x > 500.0 { 0.0005 } else { x * 1.003 };
         }
     }
+    registry
+}
+
+/// A full scrape (the reader side; never on the hot path, but it
+/// bounds dashboard poll cost) of the runtime-shaped registry, alone
+/// and with the three per-node suspicion families a 2,048-node
+/// control plane holds (`…/nodes2048`), each rewritten as the runtime
+/// does before every scrape.
+fn bench_scrape(c: &mut Criterion) {
+    const NODES: u64 = 2048;
+    let registry = runtime_shaped_registry();
+    let fleet = runtime_shaped_registry();
+    let families: Vec<_> = ["gtlb_node_phi", "gtlb_node_suspect_phi", "gtlb_node_down_phi"]
+        .into_iter()
+        .map(|name| fleet.gauge_family(name, "node"))
+        .collect();
+    let rewrite = || {
+        for (k, family) in families.iter().enumerate() {
+            family.replace((0..NODES).map(|id| (id, (k as f64 + 1.0) * 0.37 + id as f64 * 1e-3)));
+        }
+    };
     let mut group = c.benchmark_group("telemetry_scrape");
     group.bench_function("snapshot", |b| b.iter(|| black_box(registry.snapshot())));
     let snap = registry.snapshot();
     group.bench_function("prometheus", |b| b.iter(|| black_box(snap.to_prometheus())));
     group.bench_function("json", |b| b.iter(|| black_box(snap.to_json())));
+    let nodes = format!("nodes{NODES}");
+    group.bench_function(BenchmarkId::new("snapshot", &nodes), |b| {
+        b.iter(|| {
+            rewrite();
+            black_box(fleet.snapshot())
+        })
+    });
+    rewrite();
+    let snap = fleet.snapshot();
+    group.bench_function(BenchmarkId::new("prometheus", &nodes), |b| {
+        b.iter(|| black_box(snap.to_prometheus()))
+    });
+    group
+        .bench_function(BenchmarkId::new("json", &nodes), |b| b.iter(|| black_box(snap.to_json())));
     group.finish();
 }
 

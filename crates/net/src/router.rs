@@ -242,19 +242,23 @@ fn trace_by_id(state: &AppState, rest: &str) -> Response {
     }
 }
 
+/// Bytes reserved per `/nodes` row: a row with full-precision floats
+/// takes about 240.
+const NODE_ROW_BYTES: usize = 256;
+
 /// `GET /nodes`: every lifecycle row joined with live registry and
 /// detector state for admitted nodes. The status rows come in ascending
-/// id order, so each row's join is a binary search.
+/// id order, so each row's join is a binary search. The document is
+/// written into one buffer sized for the row count.
 fn nodes(state: &AppState) -> Response {
     let statuses = state.hooks().nodes();
     let status_of = |id| statuses.binary_search_by_key(&id, |s| s.id).ok().map(|i| &statuses[i]);
+    let now = state.hooks().now();
     let body = state.with_lifecycle(|lc| {
-        let mut rows = String::from("[");
-        for (i, entry) in lc.entries().iter().enumerate() {
-            if i > 0 {
-                rows.push(',');
-            }
-            let mut b = ObjBuilder::new();
+        let entries = lc.entries();
+        let mut doc = ObjBuilder::with_capacity(NODE_ROW_BYTES * (entries.len() + 1));
+        doc.num("now", now);
+        doc.obj_array("nodes", entries, |b, entry| {
             b.str("name", &entry.name).str("state", entry.state.as_str());
             b.num("rate", entry.rate).num("heartbeat_interval", entry.heartbeat_interval);
             b.int("heartbeats", entry.heartbeats);
@@ -265,7 +269,7 @@ fn nodes(state: &AppState) -> Response {
             if let Some(id) = entry.node {
                 b.int("node", id.raw());
                 if let Some(status) = status_of(id) {
-                    b.str("health", &format!("{:?}", status.health).to_ascii_lowercase());
+                    b.str("health", status.health.name());
                     b.num("phi", status.phi);
                     b.num("suspect_phi", status.effective_suspect_phi);
                     b.num("down_phi", status.effective_down_phi);
@@ -275,14 +279,10 @@ fn nodes(state: &AppState) -> Response {
                     };
                 }
             }
-            rows.push_str(&b.finish());
-        }
-        rows.push(']');
-        rows
+        });
+        doc.finish()
     });
-    let mut b = ObjBuilder::new();
-    b.num("now", state.hooks().now()).raw("nodes", &body);
-    Response::json(200, b.finish())
+    Response::json(200, body)
 }
 
 fn parse_body(req: &Request) -> Result<Json, Response> {
@@ -480,6 +480,46 @@ mod tests {
         assert!(row("b").contains(r#""health":"draining""#), "{text}");
         assert!(!row("c").contains(r#""health""#), "deregistered: no live status: {text}");
         assert!(row("d").contains(r#""health":"up""#), "{text}");
+    }
+
+    /// The `/nodes` document after its wall-clock `now` member, for a
+    /// fleet with an approved, a drained, a deleted and an estimated
+    /// node. Neither node heartbeats, so φ and every timestamp but
+    /// `now` are deterministic.
+    const PINNED_NODES: &str = concat!(
+        r#","nodes":["#,
+        r#"{"name":"a","state":"approved","rate":1,"heartbeat_interval":5,"heartbeats":0,"#,
+        r#""last_heartbeat":null,"node":0,"health":"up","phi":0,"suspect_phi":2,"down_phi":6,"#,
+        r#""estimated_rate":null},"#,
+        r#"{"name":"b","state":"draining","rate":2,"heartbeat_interval":5,"heartbeats":0,"#,
+        r#""last_heartbeat":null,"node":1,"health":"draining","phi":0,"suspect_phi":2,"#,
+        r#""down_phi":6,"estimated_rate":null},"#,
+        r#"{"name":"c","state":"removed","rate":3,"heartbeat_interval":5,"heartbeats":0,"#,
+        r#""last_heartbeat":null},"#,
+        r#"{"name":"d","state":"approved","rate":4.5,"heartbeat_interval":5,"heartbeats":0,"#,
+        r#""last_heartbeat":null,"node":3,"health":"up","phi":0,"suspect_phi":2,"down_phi":6,"#,
+        r#""estimated_rate":3.6363636363636367}]}"#,
+    );
+
+    #[test]
+    fn nodes_body_bytes_are_pinned() {
+        let app = app(true);
+        for (name, rate) in [("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.5)] {
+            let body = format!(r#"{{"name":"{name}","rate":{rate}}}"#);
+            assert_eq!(route(&app, &req(Method::Post, "/v1/register", &body)).status, 201);
+        }
+        assert_eq!(route(&app, &req(Method::Post, "/v1/drain", r#"{"name":"b"}"#)).status, 200);
+        assert_eq!(route(&app, &req(Method::Delete, "/v1/nodes/c", "")).status, 200);
+        let samples: Vec<String> =
+            (0..32).map(|i| format!("{}", 0.2 + 0.05 * f64::from(i % 4))).collect();
+        let body = format!(r#"{{"name":"d","service_seconds":[{}]}}"#, samples.join(","));
+        assert_eq!(route(&app, &req(Method::Post, "/v1/metrics", &body)).status, 200);
+        let resp = route(&app, &req(Method::Get, "/nodes", ""));
+        assert_eq!(resp.status, 200);
+        let text = body_text(&resp);
+        let nodes_at = text.find(r#","nodes":"#).expect("a nodes member");
+        assert!(text.starts_with(r#"{"now":"#), "{text}");
+        assert_eq!(&text[nodes_at..], PINNED_NODES);
     }
 
     #[test]

@@ -285,6 +285,15 @@ impl ObjBuilder {
         Self { out: String::from("{"), any: false }
     }
 
+    /// An empty object builder whose buffer has room for `capacity`
+    /// bytes, for a large document rendered in one piece.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut out = String::with_capacity(capacity);
+        out.push('{');
+        Self { out, any: false }
+    }
+
     fn key(&mut self, key: &str) {
         if self.any {
             self.out.push(',');
@@ -333,6 +342,30 @@ impl ObjBuilder {
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
         self.key(key);
         self.out.push_str(json);
+        self
+    }
+
+    /// Appends an array member holding one object per item; `fill`
+    /// writes each object's members straight into this builder's
+    /// buffer, so no element is rendered into a string of its own.
+    pub fn obj_array<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fill: impl FnMut(&mut ObjBuilder, T),
+    ) -> &mut Self {
+        self.key(key);
+        self.out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            let mut element = ObjBuilder { out: std::mem::take(&mut self.out), any: false };
+            element.out.push('{');
+            fill(&mut element, item);
+            self.out = element.finish();
+        }
+        self.out.push(']');
         self
     }
 
@@ -402,10 +435,14 @@ mod tests {
         let mut b = ObjBuilder::new();
         b.str("na\"me", "line\nbreak").num("rate", 2.5).int("count", 7).bool("ok", true);
         b.num("bad", f64::NAN).raw("rows", "[1,2]");
+        b.obj_array("objs", [1u64, 2], |o, v| {
+            o.int("v", v);
+        });
+        b.obj_array("none", std::iter::empty::<u64>(), |_, _| {});
         let text = b.finish();
         assert_eq!(
             text,
-            "{\"na\\\"me\":\"line\\nbreak\",\"rate\":2.5,\"count\":7,\"ok\":true,\"bad\":null,\"rows\":[1,2]}"
+            "{\"na\\\"me\":\"line\\nbreak\",\"rate\":2.5,\"count\":7,\"ok\":true,\"bad\":null,\"rows\":[1,2],\"objs\":[{\"v\":1},{\"v\":2}],\"none\":[]}"
         );
         // And the output re-parses.
         assert!(Json::parse(text.as_bytes()).is_ok());

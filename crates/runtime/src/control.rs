@@ -202,36 +202,36 @@ impl ControlPlaneHooks {
     }
 
     /// Status rows for every registered node, in registration order
-    /// (which is ascending id order).
+    /// (which is ascending id order): one pass over registry and
+    /// estimator state under the state lock, then one pass over the
+    /// detector under its own lock (the two are never held together).
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeStatus> {
         let now = self.now();
-        let rows: Vec<(NodeId, f64, Health)> = {
-            let nodes = self.runtime.node_ids();
-            nodes
-                .into_iter()
-                .filter_map(|id| {
-                    let rate = self.runtime.node_rate(id)?;
-                    let health = self.runtime.node_health(id)?;
-                    Some((id, rate, health))
+        let mut rows: Vec<NodeStatus> = {
+            let state = self.runtime.state();
+            state
+                .registry
+                .nodes()
+                .iter()
+                .map(|n| NodeStatus {
+                    id: n.id(),
+                    nominal_rate: n.nominal_rate(),
+                    estimated_rate: state.bank.service_rate(n.id()),
+                    health: n.health(),
+                    phi: 0.0,
+                    effective_suspect_phi: 0.0,
+                    effective_down_phi: 0.0,
                 })
                 .collect()
         };
-        rows.into_iter()
-            .map(|(id, nominal_rate, health)| {
-                let (effective_suspect_phi, effective_down_phi) =
-                    self.runtime.effective_thresholds(id);
-                NodeStatus {
-                    id,
-                    nominal_rate,
-                    estimated_rate: self.runtime.estimated_service_rate(id),
-                    health,
-                    phi: self.runtime.suspicion(id, now),
-                    effective_suspect_phi,
-                    effective_down_phi,
-                }
-            })
-            .collect()
+        let guard = self.runtime.detector_state();
+        for row in &mut rows {
+            row.phi = guard.detector.phi(row.id, now);
+            (row.effective_suspect_phi, row.effective_down_phi) =
+                guard.detector.effective_thresholds(row.id);
+        }
+        rows
     }
 
     /// Whether the runtime records telemetry.

@@ -784,10 +784,11 @@ impl Runtime {
 
     /// Scrapes every telemetry instrument into one snapshot, after
     /// syncing the derived totals (merged dispatch counter, table
-    /// publishes, admission counters, offered ρ, ring drops) and the
-    /// per-node suspicion gauges (live φ at the telemetry clock plus the
-    /// effective detector thresholds). `None` when telemetry is
-    /// disabled.
+    /// publishes, admission counters, offered ρ, ring drops) and
+    /// rewriting the per-node suspicion families (live φ at the
+    /// telemetry clock plus the effective detector thresholds, one cell
+    /// per registered node). Linear in the node count. `None` when
+    /// telemetry is disabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Option<gtlb_telemetry::Snapshot> {
         let inner = self.telemetry.inner()?;

@@ -38,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gtlb_telemetry::{
-    Counter, EventRing, Gauge, Histogram, Registry as MetricRegistry, Snapshot, TaggedEvent,
-    Watermark,
+    Counter, EventRing, Gauge, GaugeFamily, Histogram, Registry as MetricRegistry, Snapshot,
+    TaggedEvent, Watermark,
 };
 
 use crate::admission::{AdmissionStats, AdmissionVerdict};
@@ -104,25 +104,17 @@ pub mod names {
     pub const RETRY_BACKOFF_SECONDS: &str = "gtlb_retry_backoff_seconds";
     /// Successful solves published.
     pub const SOLVER_RESOLVES: &str = "gtlb_solver_resolves_total";
-
-    /// Per-node suspicion gauge: node `raw`'s live accrual φ at the
-    /// telemetry clock (synced on snapshot).
-    #[must_use]
-    pub fn node_phi(raw: u64) -> String {
-        format!("gtlb_node_phi_{raw}")
-    }
-    /// Per-node effective Suspect threshold gauge (self-tuned when the
-    /// detector runs in self-tuning mode, the configured value
-    /// otherwise).
-    #[must_use]
-    pub fn node_suspect_phi(raw: u64) -> String {
-        format!("gtlb_node_suspect_phi_{raw}")
-    }
-    /// Per-node effective Down threshold gauge.
-    #[must_use]
-    pub fn node_down_phi(raw: u64) -> String {
-        format!("gtlb_node_down_phi_{raw}")
-    }
+    /// Per-node gauge family: each registered node's live accrual φ at
+    /// the telemetry clock (rewritten on snapshot).
+    pub const NODE_PHI: &str = "gtlb_node_phi";
+    /// Per-node gauge family: the effective Suspect threshold
+    /// (self-tuned when the detector runs in self-tuning mode, the
+    /// configured value otherwise).
+    pub const NODE_SUSPECT_PHI: &str = "gtlb_node_suspect_phi";
+    /// Per-node gauge family: the effective Down threshold.
+    pub const NODE_DOWN_PHI: &str = "gtlb_node_down_phi";
+    /// The label every per-node family is keyed by: the raw node id.
+    pub const NODE_LABEL: &str = "node";
 }
 
 /// A structured happening recorded in the event ring, tagged (by
@@ -231,6 +223,9 @@ pub(crate) struct TelemetryInner {
     queue_wait: Arc<Histogram>,
     backoff: Arc<Histogram>,
     solver_resolves: Arc<Counter>,
+    node_phi: Arc<GaugeFamily>,
+    node_suspect_phi: Arc<GaugeFamily>,
+    node_down_phi: Arc<GaugeFamily>,
 }
 
 impl TelemetryInner {
@@ -260,6 +255,9 @@ impl TelemetryInner {
             queue_wait: registry.histogram(names::QUEUE_WAIT_SECONDS),
             backoff: registry.histogram(names::RETRY_BACKOFF_SECONDS),
             solver_resolves: registry.counter(names::SOLVER_RESOLVES, 1),
+            node_phi: registry.gauge_family(names::NODE_PHI, names::NODE_LABEL),
+            node_suspect_phi: registry.gauge_family(names::NODE_SUSPECT_PHI, names::NODE_LABEL),
+            node_down_phi: registry.gauge_family(names::NODE_DOWN_PHI, names::NODE_LABEL),
             registry,
         }
     }
@@ -304,16 +302,15 @@ impl TelemetryInner {
         self.jobs_inflight.set(dispatched.saturating_sub(completed + drops) as f64);
     }
 
-    /// Mirrors per-node suspicion state (live φ and the effective
-    /// thresholds) into named gauges; called by
-    /// [`Runtime::telemetry_snapshot`]. Gauges are get-or-create by
-    /// name, so nodes appear in the snapshot on first sync.
+    /// Rewrites the per-node suspicion families (live φ and the
+    /// effective thresholds) from `rows`, one `(node, φ, suspect,
+    /// down)` row per registered node in ascending id order; called by
+    /// [`Runtime::telemetry_snapshot`]. A node missing from `rows` (it
+    /// was deregistered) drops out of every family.
     pub(crate) fn sync_node_suspicion(&self, rows: &[(NodeId, f64, f64, f64)]) {
-        for &(node, phi, suspect, down) in rows {
-            self.registry.gauge(&names::node_phi(node.raw()), 1).set(phi);
-            self.registry.gauge(&names::node_suspect_phi(node.raw()), 1).set(suspect);
-            self.registry.gauge(&names::node_down_phi(node.raw()), 1).set(down);
-        }
+        self.node_phi.replace(rows.iter().map(|&(node, phi, _, _)| (node.raw(), phi)));
+        self.node_suspect_phi.replace(rows.iter().map(|&(node, _, s, _)| (node.raw(), s)));
+        self.node_down_phi.replace(rows.iter().map(|&(node, _, _, d)| (node.raw(), d)));
     }
 
     pub(crate) fn snapshot(&self) -> Snapshot {

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use gtlb_runtime::telemetry::names;
 use gtlb_runtime::{
-    AdmissionConfig, FaultPlan, NodeId, RetryConfig, RetryPolicy, Runtime, RuntimeEvent,
-    SchemeKind, TraceConfig, TraceDriver, TraceStats,
+    AdmissionConfig, DetectorConfig, FaultPlan, NodeId, RetryConfig, RetryPolicy, Runtime,
+    RuntimeEvent, SchemeKind, TraceConfig, TraceDriver, TraceStats,
 };
 
 /// Clears the harness/observability knobs once per process: these
@@ -143,4 +143,92 @@ fn enabled_snapshot_is_populated_and_consistent() {
     let json = handle.json().unwrap();
     assert!(json.contains(names::DISPATCHES));
     assert!(json.contains(names::RESPONSE_SECONDS));
+}
+
+/// A telemetry-on runtime with `rates.len()` nodes, each heartbeated
+/// at uneven intervals (so the self-tuning detector gives every node
+/// its own thresholds), one failure on the last node, and the
+/// telemetry clock published past the last beat (so φ carries a
+/// silence term).
+fn heartbeating_fleet(rates: &[f64]) -> (Runtime, Vec<NodeId>) {
+    pin_env();
+    let rt = Runtime::builder()
+        .seed(0x0F4A)
+        .nominal_arrival_rate(0.5)
+        .detector(DetectorConfig::self_tuning(8))
+        .telemetry(true)
+        .build();
+    let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
+    for (k, &id) in ids.iter().enumerate() {
+        let mut t = 0.0;
+        for beat in 0..12u32 {
+            t += 0.5 + 0.1 * f64::from((beat * (k as u32 + 1)) % 3);
+            rt.observe_success(id, t).unwrap();
+        }
+    }
+    rt.observe_failure(*ids.last().unwrap(), 7.5).unwrap();
+    rt.resolve_now().unwrap();
+    rt.telemetry().set_clock(9.0);
+    (rt, ids)
+}
+
+/// The `(label value, value)` cells of one per-node family.
+fn cells(snap: &gtlb_telemetry::Snapshot, name: &str) -> Vec<(u64, f64)> {
+    let family = snap.family(name).unwrap_or_else(|| panic!("family {name} missing"));
+    assert_eq!(family.label(), names::NODE_LABEL);
+    family.cells().to_vec()
+}
+
+#[test]
+fn node_families_hold_one_cell_per_node_in_id_order() {
+    let (rt, ids) = heartbeating_fleet(&[4.0, 2.0, 1.0]);
+    let snap = rt.telemetry_snapshot().unwrap();
+    let now = rt.telemetry().clock();
+    let phi = cells(&snap, names::NODE_PHI);
+    let suspect = cells(&snap, names::NODE_SUSPECT_PHI);
+    let down = cells(&snap, names::NODE_DOWN_PHI);
+    let raw: Vec<u64> = ids.iter().map(|id| id.raw()).collect();
+    assert!(raw.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+    for family in [&phi, &suspect, &down] {
+        assert_eq!(family.iter().map(|&(l, _)| l).collect::<Vec<_>>(), raw);
+    }
+    for (i, &id) in ids.iter().enumerate() {
+        assert_eq!(phi[i].1.to_bits(), rt.suspicion(id, now).to_bits(), "φ of {id}");
+        let (s, d) = rt.effective_thresholds(id);
+        assert_eq!((suspect[i].1.to_bits(), down[i].1.to_bits()), (s.to_bits(), d.to_bits()));
+    }
+    assert!(phi.iter().all(|&(_, v)| v > 0.0), "silence accrues φ: {phi:?}");
+    assert!(phi[2].1 > phi[0].1, "the failed node carries the boost: {phi:?}");
+}
+
+#[test]
+fn deregistered_node_drops_out_of_every_family() {
+    let (rt, ids) = heartbeating_fleet(&[4.0, 2.0, 1.0]);
+    let gone = ids[1].raw();
+    let before = rt.telemetry_snapshot().unwrap();
+    assert!(before.family(names::NODE_PHI).unwrap().get(gone).is_some());
+
+    rt.deregister_node(ids[1]).unwrap();
+    let snap = rt.telemetry_snapshot().unwrap();
+    for name in [names::NODE_PHI, names::NODE_SUSPECT_PHI, names::NODE_DOWN_PHI] {
+        let family = cells(&snap, name);
+        assert_eq!(family.len(), 2, "{name}: {family:?}");
+        assert!(family.iter().all(|&(l, _)| l != gone), "{name} still holds {gone}");
+    }
+    let text = snap.to_prometheus();
+    let samples = |prefix: &str| text.lines().filter(|l| l.starts_with(prefix)).count();
+    assert_eq!(samples("gtlb_node_phi"), 2, "{text}");
+    assert_eq!(samples("gtlb_node_"), 6, "{text}");
+    assert!(!text.contains(&format!("node=\"{gone}\"")), "{text}");
+}
+
+#[test]
+fn gauge_count_is_independent_of_fleet_size() {
+    let (one, _) = heartbeating_fleet(&[1.0]);
+    let (many, _) = heartbeating_fleet(&[1.0; 256]);
+    let one = one.telemetry_snapshot().unwrap();
+    let many = many.telemetry_snapshot().unwrap();
+    assert_eq!(one.gauges().len(), many.gauges().len());
+    assert_eq!(cells(&one, names::NODE_PHI).len(), 1);
+    assert_eq!(cells(&many, names::NODE_PHI).len(), 256);
 }

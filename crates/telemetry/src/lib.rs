@@ -18,6 +18,9 @@
 //! * [`Registry`] + [`Snapshot`] — a scrape surface that merges every
 //!   registered instrument into an immutable snapshot, supports
 //!   snapshot deltas, and renders Prometheus text or JSON exposition.
+//!   A [`GaugeFamily`] is the labelled member of that set: one gauge
+//!   cell per integer label value (a node id), rewritten whole at
+//!   scrape time and rendered as one metric with one sample per cell.
 //! * [`trace`] — deterministic per-job tracing: [`Trace`]s of
 //!   causally-ordered [`Span`]s with hash-derived [`TraceId`]s and a
 //!   bounded [`FlightRecorder`] ring, plus Chrome `trace_event`
@@ -45,7 +48,7 @@ pub use histogram::{
     BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET, SUB_BUCKET_BITS, UNDERFLOW_BUCKET,
 };
 pub use metrics::{CachePadded, Counter, Gauge, Watermark};
-pub use registry::{Registry, Snapshot};
+pub use registry::{FamilySnapshot, GaugeFamily, Registry, Snapshot};
 pub use ring::{EventRing, TaggedEvent};
 pub use trace::{
     to_chrome_json, trace_id, AttemptOutcome, FlightRecorder, Span, SpanKind, Trace, TraceId,

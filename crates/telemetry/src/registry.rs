@@ -1,24 +1,94 @@
 //! Instrument registry and scrape snapshots.
 //!
 //! A [`Registry`] hands out shared instruments
-//! ([`Counter`]/[`Gauge`]/[`Watermark`]/[`Histogram`]) under stable
-//! names and merges them all into an immutable [`Snapshot`] on scrape.
-//! Snapshots support deltas against an earlier snapshot and render to
-//! Prometheus text exposition or a small JSON document.
+//! ([`Counter`]/[`Gauge`]/[`Watermark`]/[`Histogram`]/[`GaugeFamily`])
+//! under stable names and merges them all into an immutable
+//! [`Snapshot`] on scrape. Snapshots support deltas against an earlier
+//! snapshot and render to Prometheus text exposition or a small JSON
+//! document.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::metrics::{Counter, Gauge, Watermark};
 
 /// A named-instrument registry. Registration takes a short lock;
-/// instrument updates after registration are lock-free.
+/// instrument updates after registration are lock-free, except a
+/// [`GaugeFamily`] rewrite, which takes the family's own lock.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<Vec<(String, Arc<Counter>)>>,
     gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
     watermarks: Mutex<Vec<(String, Arc<Watermark>)>>,
     histograms: Mutex<Vec<(String, Arc<Histogram>)>>,
+    families: Mutex<Vec<(String, Arc<GaugeFamily>)>>,
+}
+
+/// A labelled gauge family: one `f64` cell per value of a single
+/// integer label (a node id, say), exposed as
+/// `name{label="value"}` samples under one metric name.
+///
+/// The family is rewritten whole by [`GaugeFamily::replace`], so a
+/// label value that is not supplied again drops out of the next
+/// snapshot. Cells are kept in ascending label order, which makes both
+/// a rewrite and a scrape one pass and a lookup one binary search.
+#[derive(Debug)]
+pub struct GaugeFamily {
+    label: String,
+    cells: Mutex<Vec<(u64, f64)>>,
+}
+
+impl GaugeFamily {
+    fn new(label: &str) -> Self {
+        Self { label: label.to_string(), cells: Mutex::new(Vec::new()) }
+    }
+
+    /// Replaces every cell with `cells`, given as `(label value,
+    /// value)` pairs. Input in ascending label order is stored as is;
+    /// other input is sorted first, and a repeated label value keeps
+    /// its first value.
+    pub fn replace(&self, cells: impl IntoIterator<Item = (u64, f64)>) {
+        let mut held = self.cells.lock().expect("a gauge family rewrite panicked");
+        held.clear();
+        held.extend(cells);
+        // Linear on input that is already sorted.
+        held.sort_by_key(|&(label, _)| label);
+        held.dedup_by_key(|&mut (label, _)| label);
+    }
+
+    fn snapshot(&self) -> FamilySnapshot {
+        let cells = self.cells.lock().expect("a gauge family rewrite panicked").clone();
+        FamilySnapshot { label: self.label.clone(), cells }
+    }
+}
+
+/// The cells of one [`GaugeFamily`] at scrape time, in ascending label
+/// order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FamilySnapshot {
+    label: String,
+    cells: Vec<(u64, f64)>,
+}
+
+impl FamilySnapshot {
+    /// The label name every cell is keyed by (e.g. `node`).
+    #[must_use]
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// Every `(label value, value)` cell, in ascending label order.
+    #[must_use]
+    pub fn cells(&self) -> &[(u64, f64)] {
+        &self.cells
+    }
+
+    /// The value of the cell labelled `label_value`, if present.
+    #[must_use]
+    pub fn get(&self, label_value: u64) -> Option<f64> {
+        self.cells.binary_search_by_key(&label_value, |&(l, _)| l).ok().map(|i| self.cells[i].1)
+    }
 }
 
 impl Registry {
@@ -73,6 +143,19 @@ impl Registry {
         h
     }
 
+    /// Registers (or retrieves) a gauge family under `name`, keyed by
+    /// the integer label `label`. A retrieved family keeps the label it
+    /// was registered with.
+    pub fn gauge_family(&self, name: &str, label: &str) -> Arc<GaugeFamily> {
+        let mut list = self.families.lock().expect("a family registration panicked");
+        if let Some((_, f)) = list.iter().find(|(n, _)| n == name) {
+            return Arc::clone(f);
+        }
+        let f = Arc::new(GaugeFamily::new(label));
+        list.push((name.to_string(), Arc::clone(&f)));
+        f
+    }
+
     /// Merges every registered instrument into an immutable snapshot.
     /// Watermarks are folded into the gauge section.
     pub fn snapshot(&self) -> Snapshot {
@@ -88,19 +171,27 @@ impl Registry {
             .iter()
             .map(|(n, h)| (n.clone(), h.snapshot()))
             .collect();
-        Snapshot { counters, gauges, histograms }
+        let families = self
+            .families
+            .lock()
+            .expect("a family registration panicked")
+            .iter()
+            .map(|(n, f)| (n.clone(), f.snapshot()))
+            .collect();
+        Snapshot { counters, gauges, histograms, families }
     }
 }
 
 /// An immutable scrape of every instrument in a [`Registry`]:
-/// counters, gauges (including watermarks), and histogram snapshots,
-/// each under its registered name.
+/// counters, gauges (including watermarks), histogram snapshots and
+/// gauge families, each under its registered name.
 #[derive(Debug, Clone, PartialEq)]
 #[must_use = "a snapshot carries the scraped data; query, diff, or render it"]
 pub struct Snapshot {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
     histograms: Vec<(String, HistogramSnapshot)>,
+    families: Vec<(String, FamilySnapshot)>,
 }
 
 impl Snapshot {
@@ -140,9 +231,22 @@ impl Snapshot {
         &self.histograms
     }
 
+    /// Snapshot of the gauge family registered under `name`.
+    #[must_use]
+    pub fn family(&self, name: &str) -> Option<&FamilySnapshot> {
+        self.families.iter().find(|(n, _)| n == name).map(|(_, f)| f)
+    }
+
+    /// All gauge-family names and snapshots, in registration order.
+    #[must_use]
+    pub fn families(&self) -> &[(String, FamilySnapshot)] {
+        &self.families
+    }
+
     /// The change since `prev`: counter and histogram counts are
     /// subtracted (saturating at zero; instruments absent from `prev`
-    /// keep their full value), gauges keep their current reading.
+    /// keep their full value), gauges and gauge families keep their
+    /// current reading.
     pub fn delta(&self, prev: &Snapshot) -> Snapshot {
         Snapshot {
             counters: self
@@ -151,6 +255,7 @@ impl Snapshot {
                 .map(|(n, v)| (n.clone(), v.saturating_sub(prev.counter(n).unwrap_or(0))))
                 .collect(),
             gauges: self.gauges.clone(),
+            families: self.families.clone(),
             histograms: self
                 .histograms
                 .iter()
@@ -167,47 +272,60 @@ impl Snapshot {
 
     /// Renders the snapshot in Prometheus text exposition format.
     /// Histograms render as summaries (p50/p90/p99 quantiles plus
-    /// `_sum`/`_count`/`_max` samples).
+    /// `_sum`/`_count`/`_max` samples). Each gauge family renders after
+    /// the plain gauges as one `# TYPE` line and one
+    /// `name{label="value"}` sample per cell.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
+        // Writing into a `String` cannot fail, so `write!` results are
+        // ignored throughout.
         let mut out = String::new();
         for (name, v) in &self.counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
+            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
         }
         for (name, v) in &self.gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
+            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
+        }
+        for (name, f) in &self.families {
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            for (value, v) in &f.cells {
+                let _ = writeln!(out, "{name}{{{}=\"{value}\"}} {v}", f.label);
+            }
         }
         for (name, h) in &self.histograms {
-            out.push_str(&format!("# TYPE {name} summary\n"));
+            let _ = writeln!(out, "# TYPE {name} summary");
             for (label, q) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
-                out.push_str(&format!("{name}{{quantile=\"{label}\"}} {q}\n"));
+                let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {q}");
             }
-            out.push_str(&format!("{name}_sum {}\n", h.sum()));
-            out.push_str(&format!("{name}_count {}\n", h.count()));
-            out.push_str(&format!("{name}_max {}\n", h.max()));
+            let _ = writeln!(out, "{name}_sum {}", h.sum());
+            let _ = writeln!(out, "{name}_count {}", h.count());
+            let _ = writeln!(out, "{name}_max {}", h.max());
         }
         out
     }
 
     /// Renders the snapshot as a small JSON document with `counters`,
-    /// `gauges`, and `histograms` objects (histograms carry count,
-    /// sum, mean, max, the three standard percentiles, and a sparse
-    /// `buckets` array). Each populated bucket reports its index, its
-    /// exact `[lo, hi)` boundaries, its count, and — when a traced
-    /// observation landed there — the hex trace id of its exemplar, so
-    /// a client can resolve an exemplar's bucket without knowing the
-    /// layout constants. Non-finite gauge values render as `null`;
-    /// instrument names pass through [`json_escape`](crate::json_escape),
-    /// so a quote or control character in a registered name cannot
-    /// corrupt the document.
+    /// `gauges`, `families` and `histograms` objects. A family is
+    /// `{"label":…,"cells":{"<label value>":value,…}}`. Histograms
+    /// carry count, sum, mean, max, the three standard percentiles, and
+    /// a sparse `buckets` array. Each populated bucket reports its
+    /// index, its exact `[lo, hi)` boundaries, its count, and — when a
+    /// traced observation landed there — the hex trace id of its
+    /// exemplar, so a client can resolve an exemplar's bucket without
+    /// knowing the layout constants. Non-finite gauge and cell values
+    /// render as `null`; instrument and label names pass through
+    /// [`json_escape`](crate::json_escape), so a quote or control
+    /// character in a registered name cannot corrupt the document.
     #[must_use]
     pub fn to_json(&self) -> String {
         use crate::histogram::{bucket_lower_bound, bucket_upper_bound, OVERFLOW_BUCKET};
-        fn num(v: f64) -> String {
+        // Writing into a `String` cannot fail, so `write!` results are
+        // ignored throughout.
+        fn num(out: &mut String, v: f64) {
             if v.is_finite() {
-                format!("{v}")
+                let _ = write!(out, "{v}");
             } else {
-                "null".to_string()
+                out.push_str("null");
             }
         }
         fn key(out: &mut String, i: usize, name: &str) {
@@ -221,26 +339,44 @@ impl Snapshot {
         let mut out = String::from("{\"counters\":{");
         for (i, (n, v)) in self.counters.iter().enumerate() {
             key(&mut out, i, n);
-            out.push_str(&v.to_string());
+            let _ = write!(out, "{v}");
         }
         out.push_str("},\"gauges\":{");
         for (i, (n, v)) in self.gauges.iter().enumerate() {
             key(&mut out, i, n);
-            out.push_str(&num(*v));
+            num(&mut out, *v);
+        }
+        out.push_str("},\"families\":{");
+        for (i, (n, f)) in self.families.iter().enumerate() {
+            key(&mut out, i, n);
+            out.push_str("{\"label\":\"");
+            crate::json_escape_into(&mut out, &f.label);
+            out.push_str("\",\"cells\":{");
+            for (j, &(value, v)) in f.cells.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "\"{value}\":");
+                num(&mut out, v);
+            }
+            out.push_str("}}");
         }
         out.push_str("},\"histograms\":{");
         for (i, (n, h)) in self.histograms.iter().enumerate() {
             key(&mut out, i, n);
-            out.push_str(&format!(
-                "{{\"count\":{},\"sum\":{},\"mean\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                h.count(),
-                num(h.sum()),
-                num(h.mean()),
-                num(h.max()),
-                num(h.p50()),
-                num(h.p90()),
-                num(h.p99()),
-            ));
+            let _ = write!(out, "{{\"count\":{}", h.count());
+            for (field, v) in [
+                ("sum", h.sum()),
+                ("mean", h.mean()),
+                ("max", h.max()),
+                ("p50", h.p50()),
+                ("p90", h.p90()),
+                ("p99", h.p99()),
+            ] {
+                let _ = write!(out, ",\"{field}\":");
+                num(&mut out, v);
+            }
+            out.push_str(",\"buckets\":[");
             let mut any = false;
             for b in 0..=OVERFLOW_BUCKET {
                 let count = h.bucket(b);
@@ -251,13 +387,15 @@ impl Snapshot {
                     out.push(',');
                 }
                 any = true;
-                out.push_str(&format!(
-                    "{{\"index\":{b},\"lo\":{},\"hi\":{},\"count\":{count},\"exemplar\":",
-                    num(bucket_lower_bound(b)),
-                    num(bucket_upper_bound(b)),
-                ));
+                let _ = write!(out, "{{\"index\":{b},\"lo\":");
+                num(&mut out, bucket_lower_bound(b));
+                out.push_str(",\"hi\":");
+                num(&mut out, bucket_upper_bound(b));
+                let _ = write!(out, ",\"count\":{count},\"exemplar\":");
                 match h.exemplar(b) {
-                    Some(id) => out.push_str(&format!("\"{id:016x}\"")),
+                    Some(id) => {
+                        let _ = write!(out, "\"{id:016x}\"");
+                    }
                     None => out.push_str("null"),
                 }
                 out.push('}');
@@ -286,6 +424,7 @@ mod tests {
         for v in [0.1, 0.2, 0.4] {
             h.record(v);
         }
+        r.gauge_family("gtlb_node_phi", "node").replace([(0, 0.5), (7, 1.25), (12, f64::NAN)]);
         r
     }
 
@@ -296,7 +435,13 @@ mod tests {
         assert_eq!(s.gauge("gtlb_depth"), Some(3.5));
         assert_eq!(s.gauge("gtlb_peak_depth"), Some(9.0));
         assert_eq!(s.histogram("gtlb_response_seconds").unwrap().count(), 3);
+        let phi = s.family("gtlb_node_phi").unwrap();
+        assert_eq!((phi.label(), phi.get(7), phi.get(8)), ("node", Some(1.25), None));
         assert_eq!(s.counter("missing"), None);
+        assert!(s.family("missing").is_none());
+        // Family cells are not gauges: a gauge count stays independent
+        // of how many label values a family holds.
+        assert_eq!(s.gauges().len(), 2);
     }
 
     #[test]
@@ -308,6 +453,28 @@ mod tests {
         b.add(0, 1);
         assert_eq!(r.snapshot().counter("c"), Some(2));
         assert_eq!(r.snapshot().counters().len(), 1);
+
+        let f = r.gauge_family("f", "node");
+        let g = r.gauge_family("f", "node");
+        assert!(Arc::ptr_eq(&f, &g));
+        g.replace([(1, 2.0)]);
+        assert_eq!(r.snapshot().families().len(), 1);
+        assert_eq!(r.snapshot().family("f").unwrap().cells(), &[(1, 2.0)]);
+    }
+
+    #[test]
+    fn family_replace_drops_cells_not_supplied_again() {
+        let r = Registry::new();
+        let f = r.gauge_family("gtlb_node_phi", "node");
+        f.replace([(0, 0.5), (1, 1.0), (2, 2.0)]);
+        // Unsorted input is sorted; a repeated label keeps its first value.
+        f.replace([(2, 4.0), (0, 3.0), (2, 9.0)]);
+        let s = r.snapshot();
+        let phi = s.family("gtlb_node_phi").unwrap();
+        assert_eq!(phi.cells(), &[(0, 3.0), (2, 4.0)]);
+        assert_eq!(phi.get(1), None, "node 1 was not supplied again");
+        f.replace([]);
+        assert!(r.snapshot().family("gtlb_node_phi").unwrap().cells().is_empty());
     }
 
     #[test]
@@ -316,11 +483,13 @@ mod tests {
         let before = r.snapshot();
         r.counter("gtlb_jobs_total", 2).add(0, 3);
         r.histogram("gtlb_response_seconds").record(0.8);
+        r.gauge_family("gtlb_node_phi", "node").replace([(7, 2.5)]);
         let d = r.snapshot().delta(&before);
         assert_eq!(d.counter("gtlb_jobs_total"), Some(3));
         assert_eq!(d.histogram("gtlb_response_seconds").unwrap().count(), 1);
-        // Gauges keep their current reading in a delta.
+        // Gauges and gauge families keep their current reading in a delta.
         assert_eq!(d.gauge("gtlb_depth"), Some(3.5));
+        assert_eq!(d.family("gtlb_node_phi").unwrap().cells(), &[(7, 2.5)]);
     }
 
     #[test]
@@ -332,6 +501,23 @@ mod tests {
         assert!(text.contains("# TYPE gtlb_response_seconds summary"));
         assert!(text.contains("gtlb_response_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("gtlb_response_seconds_count 3"));
+        // A family is one TYPE line, then one labelled sample per cell,
+        // between the plain gauges and the histograms.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.iter().filter(|l| **l == "# TYPE gtlb_node_phi gauge").count(), 1);
+        let samples: Vec<&str> =
+            lines.iter().copied().filter(|l| l.starts_with("gtlb_node_phi")).collect();
+        assert_eq!(
+            samples,
+            [
+                "gtlb_node_phi{node=\"0\"} 0.5",
+                "gtlb_node_phi{node=\"7\"} 1.25",
+                "gtlb_node_phi{node=\"12\"} NaN"
+            ]
+        );
+        let family_at = text.find("# TYPE gtlb_node_phi gauge").unwrap();
+        assert!(text.find("# TYPE gtlb_peak_depth gauge").unwrap() < family_at);
+        assert!(family_at < text.find("# TYPE gtlb_response_seconds summary").unwrap());
     }
 
     #[test]
@@ -372,6 +558,12 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"gtlb_jobs_total\":12"));
         assert!(json.contains("\"count\":3"));
+        assert!(
+            json.contains(
+                r#""families":{"gtlb_node_phi":{"label":"node","cells":{"0":0.5,"7":1.25,"12":null}}},"histograms":"#
+            ),
+            "a NaN cell renders as null: {json}"
+        );
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),
