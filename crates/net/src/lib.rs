@@ -14,8 +14,9 @@
 //! * `POST /v1/heartbeat` feeds the accrual failure detector, and a
 //!   background monitor thread converts heartbeat *silence* into
 //!   detector misses, driving the existing Up → Suspect → Down walk;
-//! * `POST /v1/metrics` feeds observed service times into the
-//!   estimator bank (and may revise the declared rate);
+//! * `POST /v1/metrics` feeds observed service times into the node's
+//!   service window (and may revise the declared rate, which the next
+//!   resolve picks up);
 //! * `GET /metrics` serves byte-identical Prometheus text to
 //!   [`TelemetryHandle::prometheus`], `GET /metrics.json` the JSON
 //!   twin, `GET /nodes` the merged lifecycle + detector table, and

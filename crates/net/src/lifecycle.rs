@@ -297,8 +297,8 @@ impl Lifecycle {
     }
 
     /// Ingests a metrics update from `name`: each sample in
-    /// `service_seconds` feeds the estimator bank, and an optional
-    /// revised `rate` updates the declared capacity.
+    /// `service_seconds` feeds the node's service window, and an
+    /// optional revised `rate` updates the declared capacity.
     ///
     /// # Errors
     /// As [`Lifecycle::heartbeat`] for state checks; bad samples or

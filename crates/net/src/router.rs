@@ -13,7 +13,7 @@
 //! | `POST /v1/register` | `{"name", "rate", "heartbeat_interval"?}` → Registering (or Approved under auto-approve) |
 //! | `POST /v1/nodes/{name}/approve` | admit a Registering node |
 //! | `POST /v1/heartbeat` | `{"name"}` → feed the accrual detector |
-//! | `POST /v1/metrics` | `{"name", "service_seconds": […], "rate"?}` → feed the estimator bank |
+//! | `POST /v1/metrics` | `{"name", "service_seconds": […], "rate"?}` → feed the node's service window; a `rate` reaches routing at the next resolve |
 //! | `POST /v1/drain` | `{"name"}` → drain |
 //! | `DELETE /v1/nodes/{name}` | deregister + tombstone |
 

@@ -3,7 +3,7 @@
 //! to drive node lifecycle from *real messages* instead of the trace
 //! driver.
 //!
-//! The runtime's detector, estimator bank, and registry all speak
+//! The runtime's detector, estimators, and registry all speak
 //! **virtual time** — the trace driver owns that clock and stamps every
 //! observation with it. An external node agent has no virtual clock; it
 //! has wall time. [`ClockAdapter`] bridges the two: it pins an origin at
@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use crate::detector::HealthTransition;
 use crate::error::RuntimeError;
-use crate::registry::{Health, Node, NodeId};
+use crate::registry::{Health, NodeId};
 use crate::Runtime;
 
 /// Maps wall-clock instants onto the `f64` seconds timeline the
@@ -60,8 +60,9 @@ impl Default for ClockAdapter {
     }
 }
 
-/// One row of the control plane's node table: registry + detector +
-/// estimator state for a single node, snapshotted at query time.
+/// One row of the control plane's node table: the node's registry row
+/// (with its measured rate) and detector state, snapshotted at query
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeStatus {
     /// The node's id.
@@ -131,7 +132,9 @@ impl ControlPlaneHooks {
     }
 
     /// Updates a node's declared capacity (a control-plane
-    /// `metrics-update` can carry a revised self-reported rate).
+    /// `metrics-update` can carry a revised self-reported rate). The
+    /// new rate reaches routing at the next resolve, and only while the
+    /// node's service window is cold.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] / [`RuntimeError::Core`] as
@@ -180,8 +183,8 @@ impl ControlPlaneHooks {
         self.runtime.observe_failure(id, self.now())
     }
 
-    /// Feeds one observed service completion (seconds) into the
-    /// estimator bank — the external `metrics-update` path.
+    /// Feeds one observed service completion (seconds) into the node's
+    /// service window — the external `metrics-update` path.
     pub fn record_service(&self, id: NodeId, seconds: f64) {
         self.runtime.record_service(id, seconds);
     }
@@ -202,36 +205,31 @@ impl ControlPlaneHooks {
     }
 
     /// Status rows for every registered node, in registration order
-    /// (which is ascending id order): one pass over registry and
-    /// estimator state under the state lock, then one pass over the
-    /// detector under its own lock (the two are never held together).
+    /// (which is ascending id order): one pass over the registry rows
+    /// and the detector under the state lock.
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeStatus> {
         let now = self.now();
-        let mut rows: Vec<NodeStatus> = {
-            let state = self.runtime.state();
-            state
-                .registry
-                .nodes()
-                .iter()
-                .map(|n| NodeStatus {
+        let min_samples = self.runtime.cfg.min_service_obs;
+        let state = self.runtime.state();
+        state
+            .registry
+            .nodes()
+            .iter()
+            .map(|n| {
+                let (effective_suspect_phi, effective_down_phi) =
+                    state.detector.effective_thresholds(n.id());
+                NodeStatus {
                     id: n.id(),
                     nominal_rate: n.nominal_rate(),
-                    estimated_rate: state.bank.service_rate(n.id()),
+                    estimated_rate: n.estimated_rate(min_samples),
                     health: n.health(),
-                    phi: 0.0,
-                    effective_suspect_phi: 0.0,
-                    effective_down_phi: 0.0,
-                })
-                .collect()
-        };
-        let guard = self.runtime.detector_state();
-        for row in &mut rows {
-            row.phi = guard.detector.phi(row.id, now);
-            (row.effective_suspect_phi, row.effective_down_phi) =
-                guard.detector.effective_thresholds(row.id);
-        }
-        rows
+                    phi: state.detector.phi(n.id(), now),
+                    effective_suspect_phi,
+                    effective_down_phi,
+                }
+            })
+            .collect()
     }
 
     /// Whether the runtime records telemetry.
@@ -306,47 +304,18 @@ impl Runtime {
     }
 
     /// Updates a node's declared capacity `μ` (e.g. a control-plane
-    /// metrics update carrying a revised self-reported rate), then
-    /// best-effort republishes the live table with the node's routing
-    /// weight scaled by `new/old` ([`Runtime::reweight_node`]), so a
-    /// rate change takes effect in routing immediately instead of
-    /// waiting out the resolve interval.
-    /// The next resolve still recomputes the proper allocation, and the
-    /// measured estimate still wins once warm; the reweight is skipped
-    /// (not an error) when the node has no routing mass yet or the
-    /// scaled table would be unroutable.
+    /// metrics update carrying a revised self-reported rate). This is a
+    /// registry write and publishes nothing: the declared rate is the
+    /// solver's prior, so it reaches routing at the next resolve, and
+    /// only while the node's service window is cold — once warm, the
+    /// measured `μ̂` decides. The window is kept, so a self-reported rate
+    /// never overrides a measured one.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unregistered ids,
     /// [`RuntimeError::Core`] for a nonpositive or non-finite rate.
     pub fn set_node_rate(&self, id: NodeId, rate: f64) -> Result<(), RuntimeError> {
-        // One critical section for the registry write and the reweight:
-        // a resolve landing between them would already solve with the
-        // new rate, and the reweight would then apply it a second time.
-        let mut state = self.state();
-        let old = state.registry.node(id).map(Node::nominal_rate);
-        state.registry.set_nominal_rate(id, rate)?;
-        // set_nominal_rate validated `id`, so `old` is present.
-        let old = old.unwrap_or(rate);
-        if old > 0.0 && old.is_finite() {
-            // Best-effort: a factor-1 change still republishes, and a
-            // failure here must not fail the registry update that
-            // already happened.
-            let _ = self.reweight_locked(&state, id, rate / old);
-        }
-        Ok(())
-    }
-
-    /// Ids, declared rates, and health of all registered nodes, in
-    /// registration order (one locked pass, unlike per-field queries).
-    #[must_use]
-    pub fn node_table(&self) -> Vec<(NodeId, f64, Health)> {
-        self.state()
-            .registry
-            .nodes()
-            .iter()
-            .map(|n: &Node| (n.id(), n.nominal_rate(), n.health()))
-            .collect()
+        self.state().registry.set_nominal_rate(id, rate)
     }
 }
 
@@ -433,9 +402,18 @@ mod tests {
         let id = rt.register_node(1.0).unwrap();
         rt.set_node_rate(id, 3.0).unwrap();
         assert_eq!(rt.node_rate(id), Some(3.0));
-        assert!(rt.set_node_rate(id, 0.0).is_err());
-        assert!(rt.set_node_rate(NodeId::from_raw(99), 1.0).is_err());
-        assert_eq!(rt.node_table(), vec![(id, 3.0, Health::Up)]);
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    rt.set_node_rate(id, rate),
+                    Err(RuntimeError::Core(gtlb_core::error::CoreError::BadInput(_)))
+                ),
+                "rate {rate}"
+            );
+        }
+        let ghost = NodeId::from_raw(99);
+        assert_eq!(rt.set_node_rate(ghost, 1.0), Err(RuntimeError::UnknownNode(ghost)));
+        assert_eq!(rt.node_rate(id), Some(3.0), "rejected rates leave the row alone");
     }
 
     #[test]

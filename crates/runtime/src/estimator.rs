@@ -13,14 +13,12 @@
 //!   exponential server over the window) — windowed, so a degraded node
 //!   is re-rated within a bounded number of jobs.
 //!
-//! Both report `None` until they have enough observations; the runtime
-//! then falls back to configured nominal values, so a cold system is
-//! solvable from the first dispatch.
+//! The runtime holds the one [`EwmaRate`], and each registry row owns
+//! its node's [`WindowRate`]. It withholds both estimates until they
+//! have enough observations and falls back to configured nominal values
+//! meanwhile, so a cold system is solvable from the first dispatch.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
-
-use crate::registry::NodeId;
 
 /// EWMA estimator of an event rate from event timestamps.
 #[derive(Debug, Clone)]
@@ -148,78 +146,6 @@ impl WindowRate {
     #[must_use]
     pub fn count(&self) -> usize {
         self.window.len()
-    }
-}
-
-/// The runtime's estimators: one arrival EWMA plus one service window per
-/// node, with warm-up thresholds below which estimates are withheld.
-#[derive(Debug, Clone)]
-pub struct EstimatorBank {
-    arrivals: EwmaRate,
-    services: HashMap<NodeId, WindowRate>,
-    service_window: usize,
-    min_arrival_obs: u64,
-    min_service_obs: usize,
-}
-
-impl EstimatorBank {
-    /// Builds the bank.
-    ///
-    /// * `alpha` — arrival EWMA smoothing factor;
-    /// * `service_window` — service times remembered per node;
-    /// * `min_arrival_obs` / `min_service_obs` — observations required
-    ///   before an estimate is reported (cold-start guard).
-    #[must_use]
-    pub fn new(
-        alpha: f64,
-        service_window: usize,
-        min_arrival_obs: u64,
-        min_service_obs: usize,
-    ) -> Self {
-        Self {
-            arrivals: EwmaRate::new(alpha),
-            services: HashMap::new(),
-            service_window,
-            min_arrival_obs,
-            min_service_obs,
-        }
-    }
-
-    /// Records a job arrival at (virtual or wall-clock) time `t`.
-    pub fn observe_arrival(&mut self, t: f64) {
-        self.arrivals.observe(t);
-    }
-
-    /// Records a completed service of `duration` seconds at `node`.
-    pub fn observe_service(&mut self, node: NodeId, duration: f64) {
-        self.services
-            .entry(node)
-            .or_insert_with(|| WindowRate::new(self.service_window))
-            .observe(duration);
-    }
-
-    /// Drops a node's service history (deregistration).
-    pub fn forget(&mut self, node: NodeId) {
-        self.services.remove(&node);
-    }
-
-    /// Estimated aggregate arrival rate `Φ̂`, once warm.
-    #[must_use]
-    pub fn arrival_rate(&self) -> Option<f64> {
-        (self.arrivals.count() >= self.min_arrival_obs).then(|| self.arrivals.rate()).flatten()
-    }
-
-    /// Arrivals observed so far.
-    #[must_use]
-    pub fn arrival_count(&self) -> u64 {
-        self.arrivals.count()
-    }
-
-    /// Estimated service rate `μ̂_i` of one node, once warm.
-    #[must_use]
-    pub fn service_rate(&self, node: NodeId) -> Option<f64> {
-        let w = self.services.get(&node)?;
-        (w.count() >= self.min_service_obs).then(|| w.rate()).flatten()
     }
 }
 
@@ -358,21 +284,5 @@ mod tests {
         assert_eq!(w.window.capacity(), 0, "no buffer before the first observation");
         w.observe(1.0);
         assert!(w.window.capacity() < 4096, "grows with the samples, not the bound");
-    }
-
-    #[test]
-    fn bank_withholds_cold_estimates() {
-        let mut bank = EstimatorBank::new(0.1, 16, 5, 3);
-        let node = NodeId::from_raw(0);
-        for k in 0..4 {
-            bank.observe_arrival(k as f64);
-            bank.observe_service(node, 0.5);
-        }
-        assert!(bank.arrival_rate().is_none(), "4 arrivals < min 5");
-        assert!(bank.service_rate(node).is_some(), "4 services >= min 3");
-        bank.observe_arrival(4.0);
-        assert!((bank.arrival_rate().unwrap() - 1.0).abs() < 1e-9);
-        bank.forget(node);
-        assert!(bank.service_rate(node).is_none());
     }
 }

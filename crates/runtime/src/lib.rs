@@ -5,20 +5,22 @@
 //! This crate runs that answer as a service. Data flows in a loop:
 //!
 //! ```text
-//!   registry (membership, health, nominal μ)
+//!   state, one lock: registry rows (membership, health, nominal μ,
+//!   service window → μ̂ᵢ), arrival EWMA Φ̂, accrual detector
 //!       │ snapshot of serving nodes
 //!       ▼
-//!   estimator bank (EWMA Φ̂, windowed μ̂ᵢ)──▶ re-solver (COOP/NASH/…)
-//!       ▲                                        │ publish (epoch n+1)
-//!       │ arrivals & service times               ▼
+//!   re-solver (COOP/NASH/…)
+//!       │ publish (epoch n+1)
+//!       ▼
 //!   dispatch shards ◀── routing-table slot (Arc snapshot)
 //!       │ jobs
 //!       ▼
-//!   nodes … whose measurements feed the estimators
+//!   nodes … whose arrivals, service times and heartbeats feed `state`
 //! ```
 //!
-//! * [`registry`] — who is in the cluster and whether they serve;
-//! * [`estimator`] — online `Φ̂` / `μ̂ᵢ` estimates feeding the solver;
+//! * [`registry`] — who is in the cluster, whether they serve, and each
+//!   node's service-time window;
+//! * [`estimator`] — the rate estimators behind `Φ̂` and `μ̂ᵢ`;
 //! * [`resolver`] — the scheme ([`SchemeKind`]) and the solve/publish
 //!   step, plus the immediate renormalize-on-failure path;
 //! * [`table`] / [`alias`] / [`swap`] — immutable routing tables (with a
@@ -65,6 +67,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use estimator::EwmaRate;
+
 pub use admission::{
     AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmissionStats, AdmissionVerdict,
 };
@@ -73,7 +77,6 @@ pub use control::{ClockAdapter, ControlPlaneHooks, NodeStatus};
 pub use detector::{AccrualDetector, DetectorConfig, HealthTransition};
 pub use driver::{TraceConfig, TraceDriver, TraceStats};
 pub use error::RuntimeError;
-pub use estimator::EstimatorBank;
 pub use fault::{
     DomainEvent, DropCause, FaultEvent, FaultInjector, FaultKind, FaultMarker, FaultMarkerKind,
     FaultPlan, PartitionDirection, ADVERSARIAL_STREAM, FAULT_STREAM,
@@ -259,22 +262,24 @@ impl RuntimeBuilder {
     ///
     /// # Panics
     /// If the admission configuration is invalid (target utilization
-    /// outside `(0, 1)`, negative defer band) or the detector
-    /// configuration is inconsistent (see [`DetectorConfig`]).
+    /// outside `(0, 1)`, negative defer band), the detector
+    /// configuration is inconsistent (see [`DetectorConfig`]), or the
+    /// service window is zero.
     #[must_use]
     pub fn build(self) -> Runtime {
         Runtime::with_config(self.cfg)
     }
 }
 
+/// Everything the runtime knows per node, plus the arrival estimator,
+/// behind the one `state` lock: no method sees a node's health, rate,
+/// service window or detector track half-updated by another.
 struct State {
     registry: Registry,
-    bank: EstimatorBank,
-}
-
-struct DetectorState {
+    arrivals: EwmaRate,
     detector: AccrualDetector,
-    log: Vec<HealthTransition>,
+    /// Every transition the detector drove, in order.
+    transitions: Vec<HealthTransition>,
 }
 
 /// What happened to one job offered through [`Runtime::submit`].
@@ -304,15 +309,14 @@ impl Submission {
 /// sharded dispatcher behind one shareable handle.
 pub struct Runtime {
     cfg: RuntimeConfig,
+    // Lock order: `state`, then the table slot. The dispatch path never
+    // takes `state`. Each method takes `state` once (`Mutex` is not
+    // re-entrant) and hands the guard to the helpers it calls.
     state: Mutex<State>,
-    // Separate lock, never held together with `state` (each method
-    // acquires them strictly in sequence), so detector bookkeeping can't
-    // deadlock against the dispatch/telemetry paths.
-    detector: Mutex<DetectorState>,
-    // Publish rule: every publisher (resolve, reweight, renormalize)
-    // holds `state` from reading the live table or taking its epoch
-    // until `publish_table` returns, so publishes land in epoch order
-    // and none is built from a table an interleaved publish replaced.
+    // Publish rule: both publishers (resolve and renormalize) hold
+    // `state` from reading the live table or taking its epoch until
+    // `publish_table` returns, so publishes land in epoch order and none
+    // is built from a table an interleaved publish replaced.
     table: Arc<EpochSwap<RoutingTable>>,
     sharded: ShardedDispatcher,
     admission: Option<AdmissionControl>,
@@ -333,8 +337,9 @@ impl Runtime {
     /// Builds a runtime from an explicit configuration.
     ///
     /// # Panics
-    /// If `cfg.admission` is invalid (see [`AdmissionPolicy::new`]) or
-    /// `cfg.detector` is inconsistent (see [`DetectorConfig`]).
+    /// If `cfg.admission` is invalid (see [`AdmissionPolicy::new`]),
+    /// `cfg.detector` is inconsistent (see [`DetectorConfig`]), or
+    /// `cfg.service_window` is zero.
     #[must_use]
     pub fn with_config(cfg: RuntimeConfig) -> Self {
         let table = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
@@ -357,18 +362,13 @@ impl Runtime {
                 AdmissionPolicy::new(a).unwrap_or_else(|e| panic!("invalid admission config: {e}")),
             )
         });
-        let bank = EstimatorBank::new(
-            cfg.ewma_alpha,
-            cfg.service_window,
-            cfg.min_arrival_obs,
-            cfg.min_service_obs,
-        );
         Self {
             cfg,
-            state: Mutex::new(State { registry: Registry::new(), bank }),
-            detector: Mutex::new(DetectorState {
+            state: Mutex::new(State {
+                registry: Registry::new(cfg.service_window),
+                arrivals: EwmaRate::new(cfg.ewma_alpha),
                 detector: AccrualDetector::new(cfg.detector),
-                log: Vec::new(),
+                transitions: Vec::new(),
             }),
             table,
             sharded,
@@ -397,20 +397,18 @@ impl Runtime {
         self.state().registry.register(rate)
     }
 
-    /// Deregisters a node: removed from the registry and estimator bank,
-    /// and — if it is in the live table — routed around immediately.
+    /// Deregisters a node: removed from the registry (its service window
+    /// with it) and the detector, and — if it is in the live table —
+    /// routed around immediately.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn deregister_node(&self, id: NodeId) -> Result<(), RuntimeError> {
-        {
-            let mut state = self.state();
-            state.registry.deregister(id)?;
-            state.bank.forget(id);
-        }
-        self.detector_state().detector.forget(id);
-        self.republish_without(id);
-        self.refresh_offered_utilization();
+        let mut state = self.state();
+        state.registry.deregister(id)?;
+        state.detector.forget(id);
+        self.republish_without(&state, id);
+        self.refresh_offered_utilization(&state);
         Ok(())
     }
 
@@ -421,9 +419,10 @@ impl Runtime {
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn drain_node(&self, id: NodeId) -> Result<Health, RuntimeError> {
-        let prev = self.set_health_synced(id, Health::Draining)?;
-        self.republish_without(id);
-        self.refresh_offered_utilization();
+        let mut state = self.state();
+        let prev = self.set_health_synced(&mut state, id, Health::Draining)?;
+        self.republish_without(&state, id);
+        self.refresh_offered_utilization(&state);
         Ok(prev)
     }
 
@@ -433,7 +432,7 @@ impl Runtime {
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn mark_suspect(&self, id: NodeId) -> Result<Health, RuntimeError> {
-        self.set_health_synced(id, Health::Suspect)
+        self.set_health_synced(&mut self.state(), id, Health::Suspect)
     }
 
     /// Marks a node up. It rejoins the routing table at the next resolve
@@ -443,8 +442,9 @@ impl Runtime {
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn mark_up(&self, id: NodeId) -> Result<Health, RuntimeError> {
-        let prev = self.set_health_synced(id, Health::Up)?;
-        self.refresh_offered_utilization();
+        let mut state = self.state();
+        let prev = self.set_health_synced(&mut state, id, Health::Up)?;
+        self.refresh_offered_utilization(&state);
         Ok(prev)
     }
 
@@ -456,9 +456,10 @@ impl Runtime {
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn mark_down(&self, id: NodeId) -> Result<Health, RuntimeError> {
-        let prev = self.set_health_synced(id, Health::Down)?;
-        self.republish_without(id);
-        self.refresh_offered_utilization();
+        let mut state = self.state();
+        let prev = self.set_health_synced(&mut state, id, Health::Down)?;
+        self.republish_without(&state, id);
+        self.refresh_offered_utilization(&state);
         Ok(prev)
     }
 
@@ -497,11 +498,13 @@ impl Runtime {
     /// triggers a best-effort re-solve so the node regains routing
     /// mass). Unknown or draining nodes are ignored (`Ok(None)`) —
     /// observations may race deregistration, and drains are
-    /// administrative, not health.
+    /// administrative, not health. The health check, the detector's
+    /// decision and its application run in one critical section, so a
+    /// concurrent drain or deregistration lands wholly before or after.
     ///
     /// # Errors
-    /// [`RuntimeError::UnknownNode`] when the node vanishes between the
-    /// detector's decision and its application.
+    /// [`RuntimeError::UnknownNode`] if the registry rejects the
+    /// transition's node, which the single critical section rules out.
     pub fn observe_success(
         &self,
         node: NodeId,
@@ -530,14 +533,14 @@ impl Runtime {
     /// Every health transition the detector has driven, in order.
     #[must_use]
     pub fn health_transitions(&self) -> Vec<HealthTransition> {
-        self.detector_state().log.clone()
+        self.state().transitions.clone()
     }
 
     /// The detector's current suspicion level φ for `node` at time
     /// `now` (zero for unobserved nodes).
     #[must_use]
     pub fn suspicion(&self, node: NodeId, now: f64) -> f64 {
-        self.detector_state().detector.phi(node, now)
+        self.state().detector.phi(node, now)
     }
 
     /// The detector thresholds in force for `node` right now:
@@ -546,38 +549,39 @@ impl Runtime {
     /// [`DetectorConfig::self_tuning`]).
     #[must_use]
     pub fn effective_thresholds(&self, node: NodeId) -> (f64, f64) {
-        self.detector_state().detector.effective_thresholds(node)
+        self.state().detector.effective_thresholds(node)
     }
 
     // ---- telemetry ------------------------------------------------------
 
     /// Records a job arrival at time `t` (drives `Φ̂`).
     pub fn record_arrival(&self, t: f64) {
-        self.state().bank.observe_arrival(t);
+        self.state().arrivals.observe(t);
     }
 
-    /// Records a completed service at `node` (drives `μ̂ᵢ`). Unknown
-    /// nodes are accepted — completions may race deregistration.
+    /// Records a completed service at `node` (drives `μ̂ᵢ`). A completion
+    /// for a node that is not registered is dropped — completions may
+    /// race deregistration, and a removed node keeps no estimate.
     pub fn record_service(&self, node: NodeId, duration: f64) {
-        self.state().bank.observe_service(node, duration);
+        let _ = self.state().registry.observe_service(node, duration);
     }
 
     /// The current arrival-rate estimate, once warm.
     #[must_use]
     pub fn estimated_arrival_rate(&self) -> Option<f64> {
-        self.state().bank.arrival_rate()
+        self.arrival_rate(&self.state())
     }
 
     /// The current service-rate estimate of one node, once warm.
     #[must_use]
     pub fn estimated_service_rate(&self, id: NodeId) -> Option<f64> {
-        self.state().bank.service_rate(id)
+        self.state().registry.node(id)?.estimated_rate(self.cfg.min_service_obs)
     }
 
     // ---- solving & dispatching -----------------------------------------
 
     /// Runs a full solve now: snapshot the serving nodes, pick measured
-    /// rates where warm (nominal otherwise), allocate with the
+    /// rates where warm (declared otherwise), allocate with the
     /// configured scheme, and publish the resulting table at the next
     /// epoch.
     ///
@@ -586,74 +590,7 @@ impl Runtime {
     /// [`RuntimeError::Core`] from the allocator (e.g. a nominal arrival
     /// rate at or above capacity).
     pub fn resolve_now(&self) -> Result<ResolveOutcome, RuntimeError> {
-        let state = self.state();
-        let State { ref registry, ref bank } = *state;
-        let (ids, cluster) =
-            registry.serving_cluster(|n| bank.service_rate(n.id()).unwrap_or(n.nominal_rate()))?;
-        // Estimated Φ is clamped below capacity (transient overshoot must
-        // not wedge the solver); the configured nominal rate is not — an
-        // impossible design load should fail loudly.
-        let phi_offered = bank.arrival_rate().unwrap_or(self.cfg.nominal_arrival_rate);
-        let phi = match bank.arrival_rate() {
-            Some(est) => resolver::clamp_phi(est, &cluster),
-            None => self.cfg.nominal_arrival_rate,
-        };
-        // Admission sees the *unclamped* offered utilization: shedding
-        // must react to the overload the solver is protected from.
-        if let Some(control) = &self.admission {
-            control.publish_offered_utilization(phi_offered / cluster.total_rate());
-        }
-        let epoch = self.next_epoch();
-        let (table, outcome) = resolver::solve_table(self.cfg.scheme, epoch, ids, &cluster, phi)?;
-        self.telemetry.record_solve();
-        self.publish_table(table);
-        Ok(outcome)
-    }
-
-    /// Immediately republishes the live table with node `id`'s routing
-    /// weight scaled by `factor` (e.g. a control-plane rate update): the
-    /// live probabilities with that one entry scaled, renormalized and
-    /// rebuilt by [`RoutingTable::new`]. This is a stopgap between
-    /// solves: the next resolve replaces it with a proper allocation.
-    ///
-    /// Returns `Ok(None)` when the node is not in the live table
-    /// (nothing to reweight — the next resolve picks the change up),
-    /// `Ok(Some(epoch))` with the published epoch otherwise. A factor
-    /// of exactly 1.0 still republishes (at a fresh epoch).
-    ///
-    /// # Errors
-    /// [`RuntimeError::Core`] when `factor` is nonpositive or
-    /// non-finite, or when the reweighted table would have no routable
-    /// mass left.
-    pub fn reweight_node(&self, id: NodeId, factor: f64) -> Result<Option<u64>, RuntimeError> {
-        let state = self.state();
-        self.reweight_locked(&state, id, factor)
-    }
-
-    /// [`Runtime::reweight_node`] for a caller that already holds the
-    /// `state` lock (`_state` is the proof), as the publish rule on
-    /// [`Runtime`] requires.
-    fn reweight_locked(
-        &self,
-        _state: &State,
-        id: NodeId,
-        factor: f64,
-    ) -> Result<Option<u64>, RuntimeError> {
-        if !(factor.is_finite() && factor > 0.0) {
-            return Err(RuntimeError::Core(gtlb_core::error::CoreError::BadInput(format!(
-                "reweight factor must be positive and finite, got {factor}"
-            ))));
-        }
-        let current = self.table.load();
-        let Some(idx) = current.nodes().iter().position(|&n| n == id) else {
-            return Ok(None);
-        };
-        let epoch = self.next_epoch();
-        let mut weights = current.probs().to_vec();
-        weights[idx] *= factor;
-        let table = RoutingTable::new(epoch, current.nodes().to_vec(), &weights)?;
-        self.publish_table(table);
-        Ok(Some(epoch))
+        self.resolve(&self.state())
     }
 
     /// Table publishes by construction path since this runtime was
@@ -798,15 +735,15 @@ impl Runtime {
             self.admission.as_ref().map(|c| (c.stats(), c.offered_utilization())),
         );
         let now = self.telemetry.clock();
-        // Collect node ids before touching the detector lock (the
-        // detector mutex is never held together with `state`).
-        let ids = self.node_ids();
         let suspicion: Vec<(NodeId, f64, f64, f64)> = {
-            let guard = self.detector_state();
-            ids.into_iter()
-                .map(|id| {
-                    let (suspect, down) = guard.detector.effective_thresholds(id);
-                    (id, guard.detector.phi(id, now), suspect, down)
+            let state = self.state();
+            state
+                .registry
+                .nodes()
+                .iter()
+                .map(|n| {
+                    let (suspect, down) = state.detector.effective_thresholds(n.id());
+                    (n.id(), state.detector.phi(n.id(), now), suspect, down)
                 })
                 .collect()
         };
@@ -873,8 +810,42 @@ impl Runtime {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn detector_state(&self) -> MutexGuard<'_, DetectorState> {
-        self.detector.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The rate `node` is solved with: the measured `μ̂` once its service
+    /// window holds `min_service_obs` samples, the declared rate
+    /// otherwise.
+    fn solve_rate(&self, node: &Node) -> f64 {
+        node.estimated_rate(self.cfg.min_service_obs).unwrap_or(node.nominal_rate())
+    }
+
+    /// The arrival-rate estimate `Φ̂`, once `min_arrival_obs` arrivals
+    /// have been recorded.
+    fn arrival_rate(&self, state: &State) -> Option<f64> {
+        let arrivals = &state.arrivals;
+        (arrivals.count() >= self.cfg.min_arrival_obs).then(|| arrivals.rate()).flatten()
+    }
+
+    /// [`Runtime::resolve_now`] under the held `state` lock.
+    fn resolve(&self, state: &State) -> Result<ResolveOutcome, RuntimeError> {
+        let (ids, cluster) = state.registry.serving_cluster(|n| self.solve_rate(n))?;
+        // Estimated Φ is clamped below capacity (transient overshoot must
+        // not wedge the solver); the configured nominal rate is not — an
+        // impossible design load should fail loudly.
+        let estimate = self.arrival_rate(state);
+        let phi_offered = estimate.unwrap_or(self.cfg.nominal_arrival_rate);
+        let phi = match estimate {
+            Some(est) => resolver::clamp_phi(est, &cluster),
+            None => self.cfg.nominal_arrival_rate,
+        };
+        // Admission sees the *unclamped* offered utilization: shedding
+        // must react to the overload the solver is protected from.
+        if let Some(control) = &self.admission {
+            control.publish_offered_utilization(phi_offered / cluster.total_rate());
+        }
+        let epoch = self.next_epoch();
+        let (table, outcome) = resolver::solve_table(self.cfg.scheme, epoch, ids, &cluster, phi)?;
+        self.telemetry.record_solve();
+        self.publish_table(table);
+        Ok(outcome)
     }
 
     /// Sets a node's health in the registry *and* forces the detector's
@@ -882,9 +853,14 @@ impl Runtime {
     /// (without the sync, a manually-downed node would stay down forever:
     /// the detector, still believing it Up, would never emit the Up
     /// transition that readmits it).
-    fn set_health_synced(&self, id: NodeId, health: Health) -> Result<Health, RuntimeError> {
-        let prev = self.state().registry.set_health(id, health)?;
-        self.detector_state().detector.set_view(id, health);
+    fn set_health_synced(
+        &self,
+        state: &mut State,
+        id: NodeId,
+        health: Health,
+    ) -> Result<Health, RuntimeError> {
+        let prev = state.registry.set_health(id, health)?;
+        state.detector.set_view(id, health);
         if prev != health {
             // Manual marks are health transitions too; tag them with the
             // driver's published virtual clock (0 when no driver runs).
@@ -898,56 +874,45 @@ impl Runtime {
         Ok(prev)
     }
 
-    /// Shared body of the `observe_*` pair: run the detector, log and
-    /// apply whatever transition it decides on.
+    /// Shared body of the `observe_*` pair: check health, run the
+    /// detector, then log and apply whatever transition it decides on to
+    /// the registry and the routing/admission layers, all under one
+    /// `state` lock.
     fn observe(
         &self,
         node: NodeId,
         t: f64,
         success: bool,
     ) -> Result<Option<HealthTransition>, RuntimeError> {
-        match self.node_health(node) {
+        let mut state = self.state();
+        match state.registry.node(node).map(Node::health) {
             None | Some(Health::Draining) => return Ok(None),
             Some(_) => {}
         }
-        let transition = {
-            let mut det = self.detector_state();
-            let tr = if success {
-                det.detector.observe_success(node, t)
-            } else {
-                det.detector.observe_failure(node, t)
-            };
-            if let Some(tr) = tr {
-                det.log.push(tr);
-                self.telemetry.record_health(tr);
-            }
-            tr
+        let transition = if success {
+            state.detector.observe_success(node, t)
+        } else {
+            state.detector.observe_failure(node, t)
         };
-        if let Some(tr) = transition {
-            self.apply_transition(tr)?;
-        }
-        Ok(transition)
-    }
-
-    /// Applies a detector-decided transition to the registry and the
-    /// routing/admission layers.
-    fn apply_transition(&self, tr: HealthTransition) -> Result<(), RuntimeError> {
-        self.state().registry.set_health(tr.node, tr.to)?;
+        let Some(tr) = transition else { return Ok(None) };
+        state.transitions.push(tr);
+        self.telemetry.record_health(tr);
+        state.registry.set_health(tr.node, tr.to)?;
         match tr.to {
             Health::Down => {
-                self.republish_without(tr.node);
-                self.refresh_offered_utilization();
+                self.republish_without(&state, tr.node);
+                self.refresh_offered_utilization(&state);
             }
             Health::Up => {
                 // Rejoining needs a real allocation; a failed re-solve
                 // (e.g. Φ transiently at capacity) is retried by the
                 // resolver loop, so best-effort here.
-                let _ = self.resolve_now();
-                self.refresh_offered_utilization();
+                let _ = self.resolve(&state);
+                self.refresh_offered_utilization(&state);
             }
             Health::Suspect | Health::Draining => {}
         }
-        Ok(())
+        Ok(transition)
     }
 
     /// Re-publishes the offered utilization `ρ = Φ / Σμ(serving)` to the
@@ -957,17 +922,10 @@ impl Runtime {
     /// queues diverge. No-op without admission control. With nothing
     /// serving and positive demand, ρ is published as `f64::MAX`
     /// (reject everything).
-    fn refresh_offered_utilization(&self) {
+    fn refresh_offered_utilization(&self, state: &State) {
         let Some(control) = &self.admission else { return };
-        let (capacity, phi) = {
-            let state = self.state();
-            let State { ref registry, ref bank } = *state;
-            let capacity: f64 = registry
-                .serving()
-                .map(|n| bank.service_rate(n.id()).unwrap_or(n.nominal_rate()))
-                .sum();
-            (capacity, bank.arrival_rate().unwrap_or(self.cfg.nominal_arrival_rate))
-        };
+        let capacity: f64 = state.registry.serving().map(|n| self.solve_rate(n)).sum();
+        let phi = self.arrival_rate(state).unwrap_or(self.cfg.nominal_arrival_rate);
         let rho = if capacity > 0.0 {
             phi / capacity
         } else if phi > 0.0 {
@@ -989,8 +947,7 @@ impl Runtime {
     /// back to capacity-proportional routing over the serving nodes so
     /// the system stays routable until the next full solve; publishes the
     /// empty table only when nothing serves at all.
-    fn republish_without(&self, id: NodeId) {
-        let state = self.state();
+    fn republish_without(&self, state: &State, id: NodeId) {
         let current = self.table.load();
         if !current.nodes().contains(&id) {
             return;
@@ -1095,50 +1052,30 @@ mod tests {
     }
 
     #[test]
-    fn set_node_rate_publishes_the_rescaled_table() {
-        // Φ = 5 over rates 4, 2, 1, 0.5: COOP parks the 0.5 node at
-        // λ = 0, so the table carries a zero-probability bucket too.
-        let rt = coop_runtime(5.0);
+    fn set_node_rate_is_a_registry_write() {
+        let rt =
+            Runtime::builder().seed(5).nominal_arrival_rate(5.0).min_observations(64, 4).build();
         let ids: Vec<NodeId> =
             [4.0, 2.0, 1.0, 0.5].iter().map(|&r| rt.register_node(r).unwrap()).collect();
         rt.resolve_now().unwrap();
         let before = rt.current_table();
-        assert_eq!(before.prob_of(ids[3]), Some(0.0));
 
         rt.set_node_rate(ids[1], 3.0).unwrap();
+        assert_eq!(rt.node_rate(ids[1]), Some(3.0));
         let after = rt.current_table();
-        assert!(after.epoch() > before.epoch());
-        let idx = before.nodes().iter().position(|&n| n == ids[1]).unwrap();
-        let mut patched = before.probs().to_vec();
-        patched[idx] *= 3.0 / 2.0;
-        let expected = RoutingTable::new(after.epoch(), before.nodes().to_vec(), &patched).unwrap();
-        assert_eq!(after.nodes(), expected.nodes());
+        assert_eq!(after.epoch(), before.epoch(), "a rate update publishes nothing");
         let bits = |t: &RoutingTable| t.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&after), bits(&expected));
-        for u in (0..4096).map(|k| f64::from(k) / 4096.0).chain([MAX_BELOW_ONE]) {
-            assert_eq!(after.route_index(u), expected.route_index(u), "draw {u}");
-        }
-    }
+        assert_eq!(bits(&after), bits(&before));
 
-    #[test]
-    fn reweight_node_skips_absent_nodes_and_rejects_bad_factors() {
-        let rt = coop_runtime(0.9);
-        let a = rt.register_node(2.0).unwrap();
-        rt.resolve_now().unwrap();
-        // Registered after the solve: not in the live table yet.
-        let late = rt.register_node(1.0).unwrap();
-        let epoch = rt.current_table().epoch();
-        assert_eq!(rt.reweight_node(late, 2.0), Ok(None));
-        for factor in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(
-                    rt.reweight_node(a, factor),
-                    Err(RuntimeError::Core(gtlb_core::error::CoreError::BadInput(_)))
-                ),
-                "factor {factor}"
-            );
+        // Cold window: the next solve takes the declared rate.
+        assert_eq!(rt.resolve_now().unwrap().rates, [4.0, 3.0, 1.0, 0.5]);
+        // Warm window: μ̂ = 2 decides, and a later declared rate neither
+        // overrides nor resets it.
+        for _ in 0..4 {
+            rt.record_service(ids[1], 0.5);
         }
-        assert_eq!(rt.current_table().epoch(), epoch, "nothing was published");
+        rt.set_node_rate(ids[1], 6.0).unwrap();
+        assert_eq!(rt.resolve_now().unwrap().rates, [4.0, 2.0, 1.0, 0.5]);
     }
 
     #[test]
@@ -1149,7 +1086,7 @@ mod tests {
         assert_eq!(rt.table_build_stats(), (0, 0));
         rt.resolve_now().unwrap();
         assert_eq!(rt.table_build_stats(), (0, 1));
-        rt.reweight_node(b, 1.5).unwrap();
+        rt.resolve_now().unwrap();
         assert_eq!(rt.table_build_stats(), (0, 2));
         rt.mark_down(a).unwrap();
         assert_eq!(rt.table_build_stats(), (0, 3));
@@ -1212,6 +1149,37 @@ mod tests {
         assert!((outcome.phi - 2.0).abs() < 1e-9, "solve used the measured Φ");
         assert!((outcome.rates[0] - 2.0).abs() < 1e-9, "solve used the measured μ");
         assert!((outcome.rates[1] - 1.0).abs() < 1e-9, "cold node keeps its nominal μ");
+    }
+
+    #[test]
+    fn runtime_withholds_cold_estimates() {
+        let rt = Runtime::builder().min_observations(5, 3).build();
+        let a = rt.register_node(1.0).unwrap();
+        for k in 0..4 {
+            rt.record_arrival(f64::from(k));
+        }
+        assert_eq!(rt.estimated_arrival_rate(), None, "4 arrivals < min 5");
+        rt.record_arrival(4.0);
+        assert!((rt.estimated_arrival_rate().unwrap() - 1.0).abs() < 1e-9);
+        for _ in 0..2 {
+            rt.record_service(a, 0.5);
+        }
+        assert_eq!(rt.estimated_service_rate(a), None, "2 services < min 3");
+        rt.record_service(a, 0.5);
+        assert_eq!(rt.estimated_service_rate(a), Some(2.0));
+        rt.deregister_node(a).unwrap();
+        assert_eq!(rt.estimated_service_rate(a), None);
+    }
+
+    #[test]
+    fn late_completions_after_deregister_leave_no_estimate() {
+        let rt = coop_runtime(0.5);
+        let a = rt.register_node(1.0).unwrap();
+        rt.deregister_node(a).unwrap();
+        for _ in 0..16 {
+            rt.record_service(a, 0.25);
+        }
+        assert_eq!(rt.estimated_service_rate(a), None);
     }
 
     #[test]
@@ -1438,6 +1406,40 @@ mod tests {
     }
 
     #[test]
+    fn drain_wins_against_a_racing_probation() {
+        // The probation's last success and an operator drain race. The
+        // detector check, decision and registry write share one critical
+        // section with the drain, so the drain is never overwritten.
+        let rt = coop_runtime(0.5);
+        let a = rt.register_node(1.0).unwrap();
+        rt.register_node(1.0).unwrap();
+        rt.resolve_now().unwrap();
+        let probation = rt.config().detector.probation_successes;
+        let mut t = 0.0;
+        let mut overwritten = 0u32;
+        for _ in 0..50_000 {
+            rt.mark_up(a).unwrap();
+            rt.mark_down(a).unwrap();
+            for _ in 1..probation {
+                t += 1.0;
+                rt.observe_success(a, t).unwrap();
+            }
+            t += 1.0;
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    rt.observe_success(a, t).unwrap();
+                });
+                start.wait();
+                rt.drain_node(a).unwrap();
+            });
+            overwritten += u32::from(rt.node_health(a) != Some(Health::Draining));
+        }
+        assert_eq!(overwritten, 0, "a probation overwrote the drain {overwritten} times");
+    }
+
+    #[test]
     fn node_loss_refreshes_offered_utilization() {
         // Two unit-rate nodes at design load 0.8: ρ = 0.4 with both up,
         // 0.8 after one dies — the brownout coupling admission acts on.
@@ -1487,10 +1489,10 @@ mod tests {
 
     #[test]
     fn concurrent_publishes_land_in_epoch_order() {
-        // Resolves, reweights and renormalizations race on their own
-        // threads while a reader polls the live epoch. Every publisher
-        // holds `state` from reading the live table until it publishes,
-        // so the live epoch never steps backwards.
+        // Resolves and renormalizations race on their own threads next
+        // to rate writers while a reader polls the live epoch. Every
+        // publisher holds `state` from reading the live table until it
+        // publishes, so the live epoch never steps backwards.
         let rt = coop_runtime(20.0);
         let ids: Vec<NodeId> =
             (0..64).map(|k| rt.register_node(f64::from(1 + k % 4)).unwrap()).collect();
@@ -1505,8 +1507,10 @@ mod tests {
             });
             for &id in &ids[..2] {
                 s.spawn(move || {
+                    let mut k = 0u32;
                     while !stop.load(Ordering::Relaxed) {
-                        rt.reweight_node(id, 1.0).unwrap();
+                        rt.set_node_rate(id, f64::from(1 + k % 4)).unwrap();
+                        k = k.wrapping_add(1);
                     }
                 });
             }

@@ -5,8 +5,9 @@
 //! membership changes: nodes join, degrade, drain for maintenance, and
 //! fail. The registry is the runtime's single source of truth for "which
 //! computers exist, how fast are they nominally, and which are currently
-//! accepting work". The re-solver snapshots it into a [`Cluster`] on
-//! every solve.
+//! accepting work". Each row also owns the node's service-time window,
+//! so the measured rate `μ̂ᵢ` lives and dies with the node. The re-solver
+//! snapshots the registry into a [`Cluster`] on every solve.
 
 use std::fmt;
 
@@ -14,6 +15,7 @@ use gtlb_core::error::CoreError;
 use gtlb_core::model::Cluster;
 
 use crate::error::RuntimeError;
+use crate::estimator::WindowRate;
 
 /// Stable identifier of a registered node. Ids are never reused, even
 /// after the node deregisters, so stale ids fail loudly instead of
@@ -88,6 +90,7 @@ pub struct Node {
     id: NodeId,
     nominal_rate: f64,
     health: Health,
+    service: WindowRate,
 }
 
 impl Node {
@@ -109,6 +112,13 @@ impl Node {
     pub fn health(&self) -> Health {
         self.health
     }
+
+    /// Measured capacity `μ̂_i` over the node's service window, once the
+    /// window holds at least `min_samples` samples.
+    #[must_use]
+    pub fn estimated_rate(&self, min_samples: usize) -> Option<f64> {
+        (self.service.count() >= min_samples).then(|| self.service.rate()).flatten()
+    }
 }
 
 /// Membership and health of the cluster's nodes, in registration order.
@@ -116,17 +126,23 @@ impl Node {
 /// Registration order is ascending id order: ids are issued increasing,
 /// `register` appends, and `deregister` removes without reordering. So
 /// `nodes` stays sorted by id and every lookup is a binary search.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Registry {
     next_id: u64,
     nodes: Vec<Node>,
+    service_window: usize,
 }
 
 impl Registry {
-    /// Empty registry.
+    /// Empty registry whose nodes each remember their last
+    /// `service_window` service times.
+    ///
+    /// # Panics
+    /// If `service_window == 0`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(service_window: usize) -> Self {
+        assert!(service_window > 0, "service window must be positive");
+        Self { next_id: 0, nodes: Vec::new(), service_window }
     }
 
     /// Registers a node with declared capacity `rate`, initially
@@ -143,11 +159,16 @@ impl Registry {
         }
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        self.nodes.push(Node { id, nominal_rate: rate, health: Health::Up });
+        self.nodes.push(Node {
+            id,
+            nominal_rate: rate,
+            health: Health::Up,
+            service: WindowRate::new(self.service_window),
+        });
         Ok(id)
     }
 
-    /// Removes a node entirely.
+    /// Removes a node entirely, its service window included.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] when `id` is not registered.
@@ -168,6 +189,8 @@ impl Registry {
     }
 
     /// Updates a node's declared capacity (e.g. after a hardware change).
+    /// The service window is kept: a declared rate never overrides a
+    /// measured one.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unknown ids, [`RuntimeError::Core`]
@@ -181,6 +204,16 @@ impl Registry {
         }
         let pos = self.position(id)?;
         self.nodes[pos].nominal_rate = rate;
+        Ok(())
+    }
+
+    /// Records one service duration of `id` in its window.
+    ///
+    /// # Errors
+    /// [`RuntimeError::UnknownNode`] when `id` is not registered.
+    pub fn observe_service(&mut self, id: NodeId, duration: f64) -> Result<(), RuntimeError> {
+        let pos = self.position(id)?;
+        self.nodes[pos].service.observe(duration);
         Ok(())
     }
 
@@ -211,14 +244,6 @@ impl Registry {
     /// Nodes currently accepting work ([`Health::serves`]).
     pub fn serving(&self) -> impl Iterator<Item = &Node> {
         self.nodes.iter().filter(|n| n.health.serves())
-    }
-
-    /// Total declared capacity of the serving nodes (`Σμᵢ` over
-    /// [`Registry::serving`]) — the denominator of the offered
-    /// utilization admission control acts on. Zero when nothing serves.
-    #[must_use]
-    pub fn serving_capacity(&self) -> f64 {
-        self.serving().map(Node::nominal_rate).sum()
     }
 
     /// Snapshots the serving nodes as an allocation-layer [`Cluster`],
@@ -256,7 +281,7 @@ mod tests {
 
     #[test]
     fn register_assigns_fresh_ids() {
-        let mut r = Registry::new();
+        let mut r = Registry::new(16);
         let a = r.register(1.0).unwrap();
         let b = r.register(2.0).unwrap();
         assert_ne!(a, b);
@@ -268,7 +293,7 @@ mod tests {
 
     #[test]
     fn register_rejects_bad_rates() {
-        let mut r = Registry::new();
+        let mut r = Registry::new(16);
         assert!(r.register(0.0).is_err());
         assert!(r.register(-1.0).is_err());
         assert!(r.register(f64::NAN).is_err());
@@ -276,7 +301,7 @@ mod tests {
 
     #[test]
     fn health_transitions_gate_serving() {
-        let mut r = Registry::new();
+        let mut r = Registry::new(16);
         let a = r.register(1.0).unwrap();
         let b = r.register(2.0).unwrap();
         assert_eq!(r.serving().count(), 2);
@@ -290,16 +315,17 @@ mod tests {
 
     #[test]
     fn unknown_ids_fail_loudly() {
-        let mut r = Registry::new();
+        let mut r = Registry::new(16);
         let ghost = NodeId::from_raw(99);
         assert_eq!(r.set_health(ghost, Health::Down), Err(RuntimeError::UnknownNode(ghost)));
         assert!(r.deregister(ghost).is_err());
+        assert_eq!(r.observe_service(ghost, 1.0), Err(RuntimeError::UnknownNode(ghost)));
         assert!(r.node(ghost).is_none());
     }
 
     #[test]
     fn serving_cluster_snapshots_in_order() {
-        let mut r = Registry::new();
+        let mut r = Registry::new(16);
         let a = r.register(4.0).unwrap();
         let b = r.register(2.0).unwrap();
         let c = r.register(1.0).unwrap();
@@ -311,18 +337,19 @@ mod tests {
 
     #[test]
     fn serving_capacity_tracks_health() {
-        let mut r = Registry::new();
-        assert_eq!(r.serving_capacity(), 0.0);
+        let mut r = Registry::new(16);
+        let capacity =
+            |r: &Registry| r.serving_cluster(Node::nominal_rate).map(|(_, c)| c.total_rate());
         let a = r.register(4.0).unwrap();
         r.register(2.0).unwrap();
-        assert_eq!(r.serving_capacity(), 6.0);
+        assert_eq!(capacity(&r), Ok(6.0));
         r.set_health(a, Health::Draining).unwrap();
-        assert_eq!(r.serving_capacity(), 2.0);
+        assert_eq!(capacity(&r), Ok(2.0));
     }
 
     #[test]
     fn empty_serving_set_is_an_error() {
-        let mut r = Registry::new();
+        let mut r = Registry::new(16);
         assert!(matches!(
             r.serving_cluster(|n| n.nominal_rate()),
             Err(RuntimeError::NoServingNodes)

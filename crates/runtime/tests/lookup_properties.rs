@@ -38,7 +38,7 @@ proptest! {
     fn registry_stays_sorted_and_lookups_match_a_linear_find(
         ops in prop::collection::vec((0u32..3, 0u64..64, 0u64..4), 1..80),
     ) {
-        let mut registry = Registry::new();
+        let mut registry = Registry::new(16);
         let mut model: BTreeMap<NodeId, Health> = BTreeMap::new();
         let mut issued: Vec<NodeId> = Vec::new();
         for &(op, pick, h) in &ops {

@@ -4,9 +4,10 @@
 //! cargo run --release --example control_plane -- [BIND] [--auto-approve]
 //! ```
 //!
-//! Defaults to `127.0.0.1:7070`. The process serves until stdin
-//! reaches end-of-file (Ctrl-D, or closing the pipe), then shuts the
-//! listener down cleanly. Pair it with the `node_agent` example in
+//! Defaults to `127.0.0.1:7070`. A background resolver re-solves the
+//! allocation every second, so an approved node joins the routing table
+//! at the next tick. The process serves until stdin reaches end-of-file
+//! (Ctrl-D, or closing the pipe), then shuts the listener down cleanly. Pair it with the `node_agent` example in
 //! another terminal, or drive it by hand:
 //!
 //! ```text
@@ -21,6 +22,7 @@
 
 use std::io::Read;
 use std::sync::Arc;
+use std::time::Duration;
 
 use gtlb::net::ControlPlane;
 use gtlb::prelude::*;
@@ -47,12 +49,15 @@ fn main() {
         .heartbeat_interval(2.0)
         .start()
         .expect("bind control plane");
+    let resolve_every = Duration::from_secs(1);
+    let resolver = runtime.spawn_resolver(resolve_every);
 
     println!("control plane listening on http://{}", cp.local_addr());
     println!(
         "  approval mode: {}",
         if auto_approve { "auto" } else { "operator (POST …/approve)" }
     );
+    println!("  resolver interval: {} s", resolve_every.as_secs_f64());
     println!("  GET  /healthz       liveness");
     println!("  GET  /nodes         lifecycle + detector table");
     println!("  GET  /metrics       Prometheus exposition");
@@ -70,4 +75,5 @@ fn main() {
     let _ = std::io::stdin().read_to_end(&mut sink);
     println!("stdin closed; shutting down");
     drop(cp);
+    drop(resolver);
 }

@@ -33,7 +33,7 @@
 //! * [`net`] — the networked control plane: a dependency-free blocking
 //!   HTTP/1.1 listener through which external node agents register,
 //!   heartbeat, and report metrics into the runtime's detector and
-//!   estimator bank, and operators scrape `/metrics` and `/nodes`.
+//!   service-time windows, and operators scrape `/metrics` and `/nodes`.
 //!
 //! ## Quickstart
 //!

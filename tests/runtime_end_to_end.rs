@@ -149,6 +149,21 @@ fn coop_tables_equalize_response_times() {
     let outcome = rt.resolve_now().unwrap();
     assert_eq!(outcome.nodes, ids[1..]);
     assert_equal_response_times(&rt, &outcome, "post-crash");
+
+    // A rate cut is a registry write: the live table stays the last
+    // solve's until the next solve, which is COOP on the new rates. At
+    // Φ = 5, {10, 2} sends everything to the fast node; {4, 2} gives
+    // [3.5, 1.5].
+    let rt = Runtime::builder().seed(404).nominal_arrival_rate(5.0).build();
+    let fast = rt.register_node(10.0).unwrap();
+    let slow = rt.register_node(2.0).unwrap();
+    let outcome = rt.resolve_now().unwrap();
+    assert_eq!(rt.current_table().prob_of(slow), Some(0.0));
+    rt.set_node_rate(fast, 4.0).unwrap();
+    assert_equal_response_times(&rt, &outcome, "rate cut, before the solve");
+    let outcome = rt.resolve_now().unwrap();
+    assert_eq!(outcome.allocation.loads(), [3.5, 1.5]);
+    assert_equal_response_times(&rt, &outcome, "rate cut");
 }
 
 #[test]
