@@ -6,12 +6,19 @@
 //! * requests are `METHOD SP target SP HTTP/1.x` plus headers and an
 //!   optional `content-length` body (no chunked transfer coding — a
 //!   `transfer-encoding` header is rejected with 400);
+//! * framing is strict (RFC 9112 §6.3): `content-length` is `1*DIGIT`
+//!   and nothing else, and a second `content-length` that differs from
+//!   the first is 400 rather than a guess at where the body ends;
 //! * every dimension is capped by [`Limits`]: request-line length and
 //!   total header bytes (431 on overflow), header count (431), and
 //!   body size (413);
 //! * reads are incremental with a carry-over buffer, so pipelined
 //!   requests parse back-to-back and a request split across arbitrary
 //!   TCP segment boundaries reassembles exactly (property-tested);
+//! * each buffered byte is scanned once: the search for the end of the
+//!   head resumes where the last read left it, and records the end of
+//!   the request line on the way. The head is then validated as one
+//!   `&str` and kept as one `String` — no header is copied out of it;
 //! * a read timeout mid-request maps to [`HttpError::Timeout`] (408),
 //!   so a slow client cannot pin a worker thread forever.
 //!
@@ -20,6 +27,7 @@
 //! status code.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Hard caps on every request dimension. Oversized inputs fail with
 /// 431 (request line / headers) or 413 (body) instead of unbounded
@@ -116,15 +124,18 @@ impl Method {
     }
 }
 
-/// One parsed request: method, target, lowercased headers, and body.
+/// One parsed request: method, target, headers, and body. The head is
+/// kept as the text it arrived in; the target and the headers are read
+/// out of it on demand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// The request method.
     pub method: Method,
-    /// The raw request target (path plus optional `?query`).
-    pub target: String,
-    /// Header fields in arrival order; names are lowercased.
-    pub headers: Vec<(String, String)>,
+    /// The request line and header lines, CRLF-separated, without the
+    /// blank line that ends them.
+    head: String,
+    /// Where the target sits in `head`.
+    target: Range<usize>,
     /// The request body (empty without `content-length`).
     pub body: Vec<u8>,
     close: bool,
@@ -137,23 +148,35 @@ impl Request {
     pub fn synthetic(method: Method, target: &str, body: &[u8]) -> Self {
         Self {
             method,
-            target: target.to_string(),
-            headers: Vec::new(),
+            head: target.to_string(),
+            target: 0..target.len(),
             body: body.to_vec(),
             close: false,
         }
     }
 
-    /// The first header named `name` (lowercase), if present.
+    /// The raw request target (path plus optional `?query`).
+    #[must_use]
+    pub fn target(&self) -> &str {
+        &self.head[self.target.clone()]
+    }
+
+    /// The value of the first header named `name` (ASCII
+    /// case-insensitive), without surrounding whitespace.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        let (_, fields) = self.head[self.target.end..].split_once("\r\n")?;
+        fields.split("\r\n").find_map(|line| {
+            let (n, value) = line.split_once(':')?;
+            n.eq_ignore_ascii_case(name).then(|| trim_ows(value))
+        })
     }
 
     /// The target's path component (the target up to any `?`).
     #[must_use]
     pub fn path(&self) -> &str {
-        self.target.split('?').next().unwrap_or(&self.target)
+        let target = self.target();
+        target.split_once('?').map_or(target, |(path, _)| path)
     }
 
     /// Whether the client asked to close the connection after this
@@ -184,84 +207,100 @@ impl<R: Read> RequestReader<R> {
     /// peer closed between requests); an EOF *inside* a request is a
     /// [`HttpError::BadRequest`].
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
+        let mut scan = HeadScan::default();
         let head_end = loop {
-            if let Some(pos) = find_subslice(&self.buf, b"\r\n\r\n") {
-                break pos;
+            if let Some(end) = scan.advance(&self.buf) {
+                break end;
             }
-            self.check_head_limits()?;
+            self.check_head_limits(&scan, self.buf.len())?;
             match self.fill()? {
                 0 if self.buf.is_empty() => return Ok(None),
                 0 => return Err(HttpError::BadRequest("connection closed mid-request")),
                 _ => {}
             }
         };
-        self.check_head_limits()?;
+        let body_start = head_end + 4;
+        self.check_head_limits(&scan, body_start)?;
 
         let head = std::str::from_utf8(&self.buf[..head_end]).map_err(|_| non_utf8_head_error())?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().unwrap_or("");
-        if request_line.len() > self.limits.max_request_line {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        let (method, target, http11) = parse_request_line(request_line)?;
-        let target = target.to_string();
-
-        let mut headers = Vec::new();
-        for line in lines {
-            if headers.len() >= self.limits.max_headers {
-                return Err(HttpError::HeadersTooLarge);
-            }
-            let (name, value) =
-                line.split_once(':').ok_or(HttpError::BadRequest("header without ':'"))?;
-            if name.is_empty() || name.contains(' ') || name.contains('\t') {
-                return Err(HttpError::BadRequest("malformed header name"));
-            }
-            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-        }
-
-        if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        let line_end = scan.line_end.unwrap_or(head_end);
+        let (method, target, http11) = parse_request_line(&head[..line_end])?;
+        let fields = head.get(line_end + 2..).unwrap_or("");
+        let framing = self.parse_fields(fields)?;
+        if framing.transfer_encoding {
             return Err(HttpError::BadRequest("transfer-encoding is not supported"));
         }
-        let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-            None => 0,
-            Some((_, v)) => {
-                v.parse::<usize>().map_err(|_| HttpError::BadRequest("bad content-length"))?
+        let content_length = match framing.content_length {
+            ContentLength::Absent => 0,
+            ContentLength::Value(v) => parse_content_length(v)?,
+            ContentLength::Conflicting => {
+                return Err(HttpError::BadRequest("conflicting content-length headers"))
             }
         };
         if content_length > self.limits.max_body {
             return Err(HttpError::BodyTooLarge);
         }
-
-        let connection =
-            headers.iter().find(|(n, _)| n == "connection").map(|(_, v)| v.to_ascii_lowercase());
-        let close = match connection.as_deref() {
-            Some("close") => true,
-            Some("keep-alive") => false,
+        let close = match framing.connection {
+            Some(v) if v.eq_ignore_ascii_case("close") => true,
+            Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
             _ => !http11,
         };
+        let head = head.to_string();
 
-        // Drain the head (and its terminator) from the buffer, then
-        // read the body to exactly `content_length` bytes.
-        self.buf.drain(..head_end + 4);
-        while self.buf.len() < content_length {
+        // Read the body to exactly `content_length` bytes, copy it out
+        // once, then drop head and body from the buffer together.
+        let body_end = body_start + content_length;
+        while self.buf.len() < body_end {
             if self.fill()? == 0 {
                 return Err(HttpError::BadRequest("connection closed mid-body"));
             }
         }
-        let body: Vec<u8> = self.buf.drain(..content_length).collect();
+        let body = self.buf[body_start..body_end].to_vec();
+        self.buf.drain(..body_end);
 
-        Ok(Some(Request { method, target, headers, body, close }))
+        Ok(Some(Request { method, head, target, body, close }))
     }
 
-    /// 431 once the buffered head outgrows its caps: either no CRLF at
-    /// all inside the request-line budget, or a head bigger than the
-    /// whole-head budget.
-    fn check_head_limits(&self) -> Result<(), HttpError> {
-        if self.buf.len() > self.limits.max_head_bytes {
-            return Err(HttpError::HeadersTooLarge);
+    /// Checks every header line and picks out the three fields that
+    /// frame the request. Errors come in line order: a line past the
+    /// header-count cap is 431, a line without a well-formed name 400.
+    fn parse_fields<'h>(&self, fields: &'h str) -> Result<Framing<'h>, HttpError> {
+        let mut framing = Framing::default();
+        if fields.is_empty() {
+            return Ok(framing);
         }
-        if find_subslice(&self.buf, b"\r\n").is_none()
-            && self.buf.len() > self.limits.max_request_line
+        for (i, line) in fields.split("\r\n").enumerate() {
+            if i >= self.limits.max_headers {
+                return Err(HttpError::HeadersTooLarge);
+            }
+            let (name, value) =
+                line.split_once(':').ok_or(HttpError::BadRequest("header without ':'"))?;
+            if name.is_empty() || name.contains([' ', '\t']) {
+                return Err(HttpError::BadRequest("malformed header name"));
+            }
+            let value = trim_ows(value);
+            if name.eq_ignore_ascii_case("content-length") {
+                framing.content_length = match framing.content_length {
+                    ContentLength::Absent => ContentLength::Value(value),
+                    ContentLength::Value(first) if first == value => ContentLength::Value(first),
+                    _ => ContentLength::Conflicting,
+                };
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                framing.transfer_encoding = true;
+            } else if name.eq_ignore_ascii_case("connection") && framing.connection.is_none() {
+                framing.connection = Some(value);
+            }
+        }
+        Ok(framing)
+    }
+
+    /// 431 once the head outgrows its caps: `head_bytes` (the head so
+    /// far, or all of it) over the whole-head budget, or a request line
+    /// over the request-line budget — counting every buffered byte while
+    /// no CRLF has arrived.
+    fn check_head_limits(&self, scan: &HeadScan, head_bytes: usize) -> Result<(), HttpError> {
+        if head_bytes > self.limits.max_head_bytes
+            || scan.line_end.unwrap_or(head_bytes) > self.limits.max_request_line
         {
             return Err(HttpError::HeadersTooLarge);
         }
@@ -291,11 +330,79 @@ impl<R: Read> RequestReader<R> {
     }
 }
 
+/// How far the search for the end of the head has got. It resumes
+/// where the last search stopped, so a head delivered in many reads is
+/// still scanned once per byte.
+#[derive(Debug, Default)]
+struct HeadScan {
+    /// Bytes already searched.
+    scanned: usize,
+    /// Offset of the first CRLF, which ends the request line.
+    line_end: Option<usize>,
+}
+
+impl HeadScan {
+    /// Searches the bytes of `buf` not searched yet; returns the offset
+    /// of the blank line's `\r\n\r\n` once it is buffered.
+    fn advance(&mut self, buf: &[u8]) -> Option<usize> {
+        while let Some(lf) = buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let lf = self.scanned + lf;
+            self.scanned = lf + 1;
+            if lf == 0 || buf[lf - 1] != b'\r' {
+                continue;
+            }
+            self.line_end.get_or_insert(lf - 1);
+            if lf >= 3 && &buf[lf - 3..lf - 1] == b"\r\n" {
+                return Some(lf - 3);
+            }
+        }
+        self.scanned = buf.len();
+        None
+    }
+}
+
+/// The header fields that frame a request.
+#[derive(Debug, Default)]
+struct Framing<'h> {
+    content_length: ContentLength<'h>,
+    transfer_encoding: bool,
+    /// The first `connection` value.
+    connection: Option<&'h str>,
+}
+
+/// What the `content-length` fields of one request say.
+#[derive(Debug, Default)]
+enum ContentLength<'h> {
+    #[default]
+    Absent,
+    /// One value, possibly repeated verbatim.
+    Value(&'h str),
+    /// Two fields with different values.
+    Conflicting,
+}
+
+/// A `content-length` value: `1*DIGIT` that fits a `usize`, nothing
+/// else — no sign, no list, no whitespace inside.
+fn parse_content_length(value: &str) -> Result<usize, HttpError> {
+    let bad = HttpError::BadRequest("bad content-length");
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad);
+    }
+    value.parse().map_err(|_| bad)
+}
+
+/// A field value without its optional leading and trailing SP / HTAB.
+fn trim_ows(value: &str) -> &str {
+    value.trim_matches([' ', '\t'])
+}
+
 const fn non_utf8_head_error() -> HttpError {
     HttpError::BadRequest("request head is not UTF-8")
 }
 
-fn parse_request_line(line: &str) -> Result<(Method, &str, bool), HttpError> {
+/// Splits `METHOD SP target SP HTTP/1.x`; the target comes back as its
+/// byte range in `line`.
+fn parse_request_line(line: &str) -> Result<(Method, Range<usize>, bool), HttpError> {
     let mut parts = line.split(' ');
     let (Some(method), Some(target), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
@@ -310,14 +417,8 @@ fn parse_request_line(line: &str) -> Result<(Method, &str, bool), HttpError> {
         "HTTP/1.0" => false,
         _ => return Err(HttpError::BadRequest("unsupported HTTP version")),
     };
-    Ok((Method::parse(method), target, http11))
-}
-
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if haystack.len() < needle.len() {
-        return None;
-    }
-    haystack.windows(needle.len()).position(|w| w == needle)
+    let start = method.len() + 1;
+    Ok((Method::parse(method), start..start + target.len(), http11))
 }
 
 /// One response: status, content type, body, and whether to close the
@@ -425,7 +526,7 @@ mod tests {
             .unwrap();
         assert_eq!(req.method, Method::Post);
         assert_eq!(req.path(), "/v1/register");
-        assert_eq!(req.target, "/v1/register?dry=1");
+        assert_eq!(req.target(), "/v1/register?dry=1");
         assert_eq!(req.body, b"abcd");
     }
 
@@ -495,6 +596,40 @@ mod tests {
             b"GET / HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
             b"GET / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
             b"GET / HTTP/1.1\r\nbad name: v\r\n\r\n",
+        ] {
+            let got = parse_one(bad);
+            assert!(matches!(got, Err(HttpError::BadRequest(_))), "input {bad:?} gave {got:?}");
+        }
+    }
+
+    #[test]
+    fn signed_content_length_is_400() {
+        let got = parse_one(b"POST /a HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd");
+        assert!(matches!(got, Err(HttpError::BadRequest(_))), "got {got:?}");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_400_not_a_second_request() {
+        let bytes = b"POST /a HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 10\r\n\r\nabcdGET /b HTTP/1.1\r\n\r\n";
+        let mut reader = RequestReader::new(Cursor::new(bytes.to_vec()), Limits::default());
+        let got = reader.next_request();
+        assert!(matches!(got, Err(HttpError::BadRequest(_))), "got {got:?}");
+    }
+
+    #[test]
+    fn content_length_framing_is_strict_but_not_pedantic() {
+        for ok in [
+            b"POST /a HTTP/1.1\r\ncontent-length: 0004\r\n\r\nabcd".as_slice(),
+            b"POST /a HTTP/1.1\r\ncontent-length: 4\r\nContent-Length: 4\r\n\r\nabcd",
+        ] {
+            let req = parse_one(ok).unwrap().unwrap();
+            assert_eq!(req.body, b"abcd", "input {ok:?}");
+        }
+        for bad in [
+            b"POST /a HTTP/1.1\r\ncontent-length: banana\r\n\r\n".as_slice(),
+            b"POST /a HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+            b"POST /a HTTP/1.1\r\ncontent-length: \r\n\r\n",
+            b"POST /a HTTP/1.1\r\ncontent-length: 4, 4\r\n\r\nabcd",
         ] {
             let got = parse_one(bad);
             assert!(matches!(got, Err(HttpError::BadRequest(_))), "input {bad:?} gave {got:?}");

@@ -62,11 +62,11 @@ impl Json {
     /// depth cap (16 levels).
     pub fn parse(bytes: &[u8]) -> Result<Self, WireError> {
         let text = std::str::from_utf8(bytes).map_err(|_| WireError::Invalid("not UTF-8"))?;
-        let mut p = Parser { chars: text.char_indices().peekable(), text };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.chars.next().is_some() {
+        if p.pos < text.len() {
             return Err(WireError::Invalid("trailing data after document"));
         }
         Ok(value)
@@ -119,15 +119,29 @@ impl Json {
     }
 }
 
+/// A cursor over the document's bytes. It slices `text` only at ASCII
+/// bytes and at the end, which are always char boundaries; any other
+/// byte is either copied inside a string run or ends the parse with an
+/// error.
 struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
     text: &'a str,
+    pos: usize,
 }
 
 impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some((_, ' ' | '\t' | '\n' | '\r'))) {
-            self.chars.next();
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
@@ -135,40 +149,34 @@ impl Parser<'_> {
         if depth > MAX_DEPTH {
             return Err(WireError::TooDeep);
         }
-        match self.chars.peek().copied() {
+        match self.peek() {
             None => Err(WireError::Invalid("unexpected end of input")),
-            Some((_, '{')) => self.object(depth),
-            Some((_, '[')) => self.array(depth),
-            Some((_, '"')) => self.string().map(Json::Str),
-            Some((_, 't')) => self.literal("true", Json::Bool(true)),
-            Some((_, 'f')) => self.literal("false", Json::Bool(false)),
-            Some((_, 'n')) => self.literal("null", Json::Null),
-            Some((start, c)) if c == '-' || c.is_ascii_digit() => self.number(start),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(WireError::Invalid("unexpected character")),
         }
     }
 
     fn literal(&mut self, word: &'static str, value: Json) -> Result<Json, WireError> {
-        for expected in word.chars() {
-            match self.chars.next() {
-                Some((_, c)) if c == expected => {}
-                _ => return Err(WireError::Invalid("bad literal")),
-            }
+        if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return Err(WireError::Invalid("bad literal"));
         }
+        self.pos += word.len();
         Ok(value)
     }
 
-    fn number(&mut self, start: usize) -> Result<Json, WireError> {
-        let mut end = start;
-        while let Some(&(i, c)) = self.chars.peek() {
-            if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                end = i + c.len_utf8();
-                self.chars.next();
-            } else {
-                break;
-            }
+    fn number(&mut self) -> Result<Json, WireError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
+            self.pos += 1;
         }
-        let n: f64 = self.text[start..end].parse().map_err(|_| WireError::Invalid("bad number"))?;
+        let n: f64 =
+            self.text[start..self.pos].parse().map_err(|_| WireError::Invalid("bad number"))?;
         if !n.is_finite() {
             return Err(WireError::Invalid("non-finite number"));
         }
@@ -176,30 +184,34 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, WireError> {
-        self.chars.next(); // opening quote
+        self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
-            match self.chars.next() {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            let end = self.pos + run.unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
+            match self.bump() {
                 None => return Err(WireError::Invalid("unterminated string")),
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match self.chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((_, 'u')) => {
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => match self.bump() {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'u') => {
                         let mut code = 0u32;
                         for _ in 0..4 {
-                            let (_, c) = self
-                                .chars
-                                .next()
-                                .ok_or(WireError::Invalid("truncated \\u escape"))?;
-                            let digit =
-                                c.to_digit(16).ok_or(WireError::Invalid("bad \\u escape digit"))?;
+                            let b =
+                                self.bump().ok_or(WireError::Invalid("truncated \\u escape"))?;
+                            let digit = char::from(b)
+                                .to_digit(16)
+                                .ok_or(WireError::Invalid("bad \\u escape digit"))?;
                             code = code * 16 + digit;
                         }
                         // Surrogates are rejected rather than paired —
@@ -210,65 +222,66 @@ impl Parser<'_> {
                     }
                     _ => return Err(WireError::Invalid("bad escape")),
                 },
-                Some((_, c)) if (c as u32) < 0x20 => {
-                    return Err(WireError::Invalid("raw control character in string"))
-                }
-                Some((_, c)) => out.push(c),
+                Some(_) => return Err(WireError::Invalid("raw control character in string")),
             }
         }
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.chars.next(); // '{'
+        self.pos += 1; // '{'
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if matches!(self.chars.peek(), Some((_, '}'))) {
-            self.chars.next();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
             return Ok(Json::Obj(map));
         }
         loop {
             self.skip_ws();
-            if !matches!(self.chars.peek(), Some((_, '"'))) {
+            if self.peek() != Some(b'"') {
                 return Err(WireError::Invalid("object key must be a string"));
             }
             let key = self.string()?;
             self.skip_ws();
-            match self.chars.next() {
-                Some((_, ':')) => {}
-                _ => return Err(WireError::Invalid("missing ':' in object")),
+            if self.bump() != Some(b':') {
+                return Err(WireError::Invalid("missing ':' in object"));
             }
             self.skip_ws();
             let value = self.value(depth + 1)?;
             map.insert(key, value);
             self.skip_ws();
-            match self.chars.next() {
-                Some((_, ',')) => {}
-                Some((_, '}')) => return Ok(Json::Obj(map)),
+            match self.bump() {
+                Some(b',') => {}
+                Some(b'}') => return Ok(Json::Obj(map)),
                 _ => return Err(WireError::Invalid("missing ',' or '}' in object")),
             }
         }
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.chars.next(); // '['
+        self.pos += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();
-        if matches!(self.chars.peek(), Some((_, ']'))) {
-            self.chars.next();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
             return Ok(Json::Arr(items));
         }
         loop {
             self.skip_ws();
             items.push(self.value(depth + 1)?);
             self.skip_ws();
-            match self.chars.next() {
-                Some((_, ',')) => {}
-                Some((_, ']')) => return Ok(Json::Arr(items)),
+            match self.bump() {
+                Some(b',') => {}
+                Some(b']') => return Ok(Json::Arr(items)),
                 _ => return Err(WireError::Invalid("missing ',' or ']' in array")),
             }
         }
     }
 }
+
+/// Bytes [`ObjBuilder::new`] reserves: room for any one-object
+/// control-plane reply (register, heartbeat, metrics, error), so it is
+/// built in a single allocation.
+const REPLY_CAPACITY: usize = 128;
 
 /// Incremental JSON object builder for responses: appends
 /// `"key": value` pairs with proper escaping and comma placement.
@@ -282,7 +295,7 @@ impl ObjBuilder {
     /// An empty object builder.
     #[must_use]
     pub fn new() -> Self {
-        Self { out: String::from("{"), any: false }
+        Self::with_capacity(REPLY_CAPACITY)
     }
 
     /// An empty object builder whose buffer has room for `capacity`

@@ -4,6 +4,7 @@
 //! wrong reassembly.
 
 use std::io::Read;
+use std::time::{Duration, Instant};
 
 use gtlb_net::http::{HttpError, Limits, Method, Request, RequestReader};
 use proptest::prelude::*;
@@ -84,6 +85,46 @@ fn gen_request() -> impl Strategy<Value = GenRequest> {
     (method, path, body).prop_map(|(method, path, body)| GenRequest { method, path, body })
 }
 
+/// A head of `request_line` plus `headers` fields of 259 bytes each
+/// (`x-NNN: ` and a 250-byte value), delivered one byte per read.
+fn one_byte_head(request_line: &str, headers: usize) -> ChunkedReader {
+    let mut wire = request_line.as_bytes().to_vec();
+    for i in 0..headers {
+        wire.extend_from_slice(format!("x-{i:03}: {}\r\n", "v".repeat(250)).as_bytes());
+    }
+    wire.extend_from_slice(b"\r\n");
+    ChunkedReader::new(wire, vec![1])
+}
+
+/// Parses one request from `reader`, asserting it takes under 100 ms.
+fn parse_within_budget(reader: ChunkedReader, wire_len: usize) -> Request {
+    assert_eq!(reader.data.len(), wire_len);
+    let started = Instant::now();
+    let req = RequestReader::new(reader, Limits::default()).next_request().unwrap().unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(100), "a {wire_len}-byte head took {took:?}");
+    req
+}
+
+/// A head just under the 16 KiB cap, read one byte at a time, parses in
+/// time linear in its length: the search for its end resumes where the
+/// previous read left off instead of starting over.
+#[test]
+fn a_head_read_byte_by_byte_parses_in_linear_time() {
+    let req = parse_within_budget(one_byte_head("GET / HTTP/1.1\r\n", 60), 15_558);
+    assert_eq!(req.header("x-059").map(str::len), Some(250));
+}
+
+/// The same with an 8,000-byte target: the request-line cap reads the
+/// first CRLF off the same scan instead of searching the buffer again.
+#[test]
+fn a_long_request_line_read_byte_by_byte_parses_in_linear_time() {
+    let line = format!("GET /{} HTTP/1.1\r\n", "a".repeat(8_000));
+    let req = parse_within_budget(one_byte_head(&line, 30), 15_788);
+    assert_eq!(req.target().len(), 8_001);
+    assert_eq!(req.header("x-029").map(str::len), Some(250));
+}
+
 fn parse_all(data: Vec<u8>, chunks: Vec<usize>) -> Result<Vec<Request>, HttpError> {
     let mut reader = RequestReader::new(ChunkedReader::new(data, chunks), Limits::default());
     let mut out = Vec::new();
@@ -149,6 +190,33 @@ proptest! {
     ) {
         let data: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
         let _ = parse_all(data, chunks);
+    }
+
+    /// Header names match ASCII case-insensitively, and `target()` is
+    /// the path with its query.
+    #[test]
+    fn header_lookup_ignores_case_and_target_keeps_the_query(
+        req in gen_request(),
+        query in prop::collection::vec(0u32..36, 0..8),
+        upper in 0u64..(1 << 14),
+    ) {
+        let query: String = query.into_iter().map(|d| char::from_digit(d, 36).unwrap()).collect();
+        let target = format!("{}?{query}", req.path);
+        let head = format!("{} {target} HTTP/1.1\r\ncontent-length: {}\r\n\r\n", req.method, req.body.len());
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&req.body);
+        let parsed = parse_all(wire, vec![7]).unwrap();
+        prop_assert_eq!(parsed.len(), 1);
+        let name: String = "content-length"
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if upper >> i & 1 == 1 { c.to_ascii_uppercase() } else { c })
+            .collect();
+        let length = req.body.len().to_string();
+        prop_assert_eq!(parsed[0].header("Content-Length"), Some(length.as_str()));
+        prop_assert_eq!(parsed[0].header(&name), Some(length.as_str()));
+        prop_assert_eq!(parsed[0].target(), target.as_str());
+        prop_assert_eq!(parsed[0].path(), req.path.as_str());
     }
 
     /// Request lines longer than the cap are 431 regardless of where

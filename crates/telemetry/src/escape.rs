@@ -13,26 +13,36 @@ use std::fmt::Write;
 
 /// Appends `s` to `out` with JSON string escaping applied: `"` and
 /// `\` are backslash-escaped, the common control characters get their
-/// short forms (`\n`, `\r`, `\t`), and every other control character
-/// (U+0000..=U+001F) is emitted as a `\u00XX` escape. The surrounding
-/// quotes are **not** added — callers compose the document.
+/// short forms (`\n`, `\r`, `\t`, `\b`, `\f`), and every other
+/// control character (U+0000..=U+001F) is emitted as a `\u00XX` escape.
+/// The surrounding quotes are **not** added — callers compose the
+/// document.
+///
+/// Every byte that needs escaping is ASCII, so the text between two of
+/// them is copied as one run and always ends on a char boundary.
 pub fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
                 // Infallible: writing to a String cannot fail.
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
 }
 
 /// [`json_escape_into`] returning a fresh `String` (no quotes added).
@@ -46,6 +56,56 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-by-char escape [`json_escape_into`] replaced, kept as
+    /// the reference its output must match byte for byte.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Strings of code points from the whole `0..0x11_0000` range,
+        /// weighted towards the ASCII bytes that need escaping, escape
+        /// exactly as the reference does.
+        #[test]
+        fn escape_matches_the_char_by_char_reference(
+            cps in prop::collection::vec(
+                prop_oneof![0u32..0x20, 0x20u32..0x80, 0x80u32..0x800, 0u32..0x11_0000],
+                0..40,
+            ),
+        ) {
+            let s: String = cps.into_iter().filter_map(char::from_u32).collect();
+            let mut out = String::from("prefix");
+            json_escape_into(&mut out, &s);
+            let reference = reference_escape(&s);
+            prop_assert_eq!(&out["prefix".len()..], reference.as_str());
+        }
+    }
+
+    #[test]
+    fn every_control_character_matches_the_reference() {
+        let all: String = (0u8..0x80).map(char::from).collect();
+        assert_eq!(json_escape(&all), reference_escape(&all));
+    }
 
     #[test]
     fn plain_strings_pass_through() {
