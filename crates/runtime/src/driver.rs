@@ -282,6 +282,16 @@ impl TraceDriver {
     /// arrival still feeds `Φ̂`, because admission reacts to *offered*
     /// load.
     ///
+    /// Each attempt that the runtime learns from is one `state` critical
+    /// section: a served attempt records its service time (and, with
+    /// faults on, the detector's success) together, a dropped one the
+    /// detector's failure. The job's arrival lands in its first such
+    /// section, or on its own after the attempts when there is none (a
+    /// job shed on its first attempt, or one whose budget ran out on an
+    /// empty table). The order is the separate calls' order — heartbeats,
+    /// then the arrival, then the job's observations — and nothing reads
+    /// `Φ̂` before the arrival lands.
+    ///
     /// Resumable: queues, clocks and RNG streams persist across calls, so
     /// callers can inject control-plane events between chunks.
     ///
@@ -314,13 +324,19 @@ impl TraceDriver {
                 }
             }
             self.run_heartbeats(runtime, arrived)?;
-            runtime.record_arrival(arrived);
 
             self.submitted += 1;
             // Tracing is draw-free: begin() is a hash plus a mask test,
             // so the sampled/unsampled decision cannot perturb the run.
             let mut trace = runtime.tracer().begin(self.submitted);
-            let outcome = self.offer_job(runtime, arrived, &mut trace);
+            // The arrival rides in the job's first `state` critical
+            // section; a job that never reaches one records it here.
+            // Nothing in between reads Φ̂.
+            let mut arrival = Some(arrived);
+            let outcome = self.offer_job(runtime, arrived, &mut arrival, &mut trace);
+            if let Some(at) = arrival {
+                runtime.record_arrival(at);
+            }
             if let Some(t) = trace.take() {
                 let shard = t
                     .spans
@@ -369,10 +385,15 @@ impl TraceDriver {
     /// routing choice, each attempt's outcome, and the terminal — all
     /// stamped with the virtual times the loop computed anyway, so
     /// tracing adds no draws and no clock reads.
+    ///
+    /// Each served or dropped attempt makes one `state` critical
+    /// section ([`Runtime::record_served`] / [`Runtime::record_dropped`]);
+    /// the first one takes the job's pending `arrival` with it.
     fn offer_job(
         &mut self,
         runtime: &Runtime,
         arrived: f64,
+        arrival: &mut Option<f64>,
         trace: &mut Option<Trace>,
     ) -> Result<(), RuntimeError> {
         let budget = self.retry.as_ref().map_or(1, |(p, _)| p.max_attempts());
@@ -488,7 +509,6 @@ impl TraceDriver {
                 }
             };
             let node = decision.node;
-            let mu = runtime.node_rate(node).ok_or(RuntimeError::UnknownNode(node))?;
             if let Some(t) = trace.as_mut() {
                 // Head spans once, on the first attempt that dispatched.
                 if t.spans.is_empty() {
@@ -512,7 +532,7 @@ impl TraceDriver {
                 // detector hears about it at the deadline.
                 self.dropped += 1;
                 runtime.telemetry().record_fault_drop(0, node, t_attempt);
-                runtime.observe_failure(node, t_attempt + timeout)?;
+                runtime.record_dropped(arrival.take(), node, t_attempt + timeout)?;
                 if let Some(t) = trace.as_mut() {
                     let outcome = match cause {
                         DropCause::Partition => AttemptOutcome::PartitionDrop,
@@ -543,19 +563,15 @@ impl TraceDriver {
             let factor = self.faults.as_ref().map_or(1.0, |f| f.service_factor(node, t_attempt));
             let seed = self.seed;
             let lane = self.lane(node);
-            let rng = lane.service.get_or_insert_with(|| {
-                Xoshiro256PlusPlus::stream(seed, DRIVER_SERVICE_STREAM_BASE + node.raw())
-            });
-            let service = -rng.next_open01().ln() / (mu * factor);
-
             let start = t_attempt.max(lane.next_free);
-            let done = start + service;
+            let done = runtime.record_served(arrival.take(), node, chaos, |mu| {
+                let rng = lane.service.get_or_insert_with(|| {
+                    Xoshiro256PlusPlus::stream(seed, DRIVER_SERVICE_STREAM_BASE + node.raw())
+                });
+                let service = -rng.next_open01().ln() / (mu * factor);
+                (service, start + service)
+            })?;
             lane.next_free = done;
-
-            runtime.record_service(node, service);
-            if chaos {
-                runtime.observe_success(node, done)?;
-            }
             self.accepted += 1;
             self.note_terminal(attempt);
             let response = done - arrived;
@@ -767,6 +783,42 @@ mod tests {
         // reset_measurements clears the admission window too.
         driver.reset_measurements();
         assert_eq!(driver.stats().submitted, 0);
+    }
+
+    #[test]
+    fn every_arrival_feeds_phi_whatever_happens_to_the_job() {
+        // Arrival times come from their own stream, so Φ̂ must not care
+        // whether a job was served, shed on its first attempt, dropped
+        // against a crashed node or retried: the same seed gives the same
+        // estimate, bit for bit.
+        let run = |admission: bool, crash: bool| {
+            let mut b = RuntimeBuilder::new().seed(2).scheme(SchemeKind::Coop);
+            if admission {
+                // Capacity 2, design load 1.8 ⇒ ρ = 0.9 against a 0.6 target.
+                b = b
+                    .admission(crate::AdmissionConfig { target_utilization: 0.6, defer_band: 0.0 });
+            }
+            let rt = b.nominal_arrival_rate(1.8).build();
+            let ids: Vec<NodeId> =
+                [1.0, 1.0].iter().map(|&r| rt.register_node(r).unwrap()).collect();
+            rt.resolve_now().unwrap();
+            let mut driver = TraceDriver::new(1.8, TraceConfig { seed: 6, batch_size: 500 });
+            if crash {
+                driver = driver
+                    .with_faults(FaultPlan::new(21).crash(ids[0], 200.0))
+                    .with_retry(RetryPolicy::new(crate::RetryConfig::default()).unwrap());
+            }
+            driver.run_jobs(&rt, 6_000).unwrap();
+            (rt.estimated_arrival_rate().expect("warm").to_bits(), driver.stats())
+        };
+        let (plain, plain_stats) = run(false, false);
+        let (shed, shed_stats) = run(true, false);
+        let (chaos, chaos_stats) = run(true, true);
+        assert_eq!(plain_stats.rejected, 0);
+        assert!(shed_stats.rejected > 0, "admission must shed: {shed_stats:?}");
+        assert!(chaos_stats.rejected > 0 && chaos_stats.dropped > 0, "{chaos_stats:?}");
+        assert_eq!(plain, shed, "shed jobs must feed Φ̂");
+        assert_eq!(plain, chaos, "dropped and retried jobs must feed Φ̂ once each");
     }
 
     #[test]

@@ -311,7 +311,10 @@ pub struct Runtime {
     cfg: RuntimeConfig,
     // Lock order: `state`, then the table slot. The dispatch path never
     // takes `state`. Each method takes `state` once (`Mutex` is not
-    // re-entrant) and hands the guard to the helpers it calls.
+    // re-entrant) and hands the guard to the helpers it calls. The trace
+    // driver takes it once per served or dropped attempt
+    // (`record_served` / `record_dropped`, never under a shard guard),
+    // plus one `record_arrival` for a job that has neither.
     state: Mutex<State>,
     // Publish rule: both publishers (resolve and renormalize) hold
     // `state` from reading the live table or taking its epoch until
@@ -564,6 +567,60 @@ impl Runtime {
     /// race deregistration, and a removed node keeps no estimate.
     pub fn record_service(&self, node: NodeId, duration: f64) {
         let _ = self.state().registry.observe_service(node, duration);
+    }
+
+    /// A served attempt's runtime work in one `state` critical section,
+    /// in the order of the separate calls: `arrival` (the job's pending
+    /// arrival, when this is its first section) into `Φ̂`; one lookup of
+    /// `node`'s row, whose declared μ `serve` turns into the service
+    /// time and the completion time; the service time into the node's
+    /// window; and, when `detect`, the detector's success at the
+    /// completion time. Returns the completion time.
+    ///
+    /// # Errors
+    /// [`RuntimeError::UnknownNode`] when `node` is not registered, in
+    /// which case `serve` does not run; the arrival is recorded anyway.
+    pub(crate) fn record_served(
+        &self,
+        arrival: Option<f64>,
+        node: NodeId,
+        detect: bool,
+        serve: impl FnOnce(f64) -> (f64, f64),
+    ) -> Result<f64, RuntimeError> {
+        let mut state = self.state();
+        if let Some(at) = arrival {
+            state.arrivals.observe(at);
+        }
+        let row = state.registry.node_mut(node).ok_or(RuntimeError::UnknownNode(node))?;
+        let (service, done) = serve(row.nominal_rate());
+        row.observe_service(service);
+        let health = row.health();
+        if detect {
+            self.observe_locked(&mut state, node, health, done, true)?;
+        }
+        Ok(done)
+    }
+
+    /// A dropped attempt's runtime work in one `state` critical section:
+    /// `arrival` (the job's pending arrival, when this is its first
+    /// section) into `Φ̂`, then the detector's failure of `node` at `t`.
+    ///
+    /// # Errors
+    /// [`RuntimeError::UnknownNode`] when `node` is not registered; the
+    /// arrival is recorded anyway.
+    pub(crate) fn record_dropped(
+        &self,
+        arrival: Option<f64>,
+        node: NodeId,
+        t: f64,
+    ) -> Result<(), RuntimeError> {
+        let mut state = self.state();
+        if let Some(at) = arrival {
+            state.arrivals.observe(at);
+        }
+        let health = state.registry.node(node).ok_or(RuntimeError::UnknownNode(node))?.health();
+        self.observe_locked(&mut state, node, health, t, false)?;
+        Ok(())
     }
 
     /// The current arrival-rate estimate, once warm.
@@ -874,10 +931,8 @@ impl Runtime {
         Ok(prev)
     }
 
-    /// Shared body of the `observe_*` pair: check health, run the
-    /// detector, then log and apply whatever transition it decides on to
-    /// the registry and the routing/admission layers, all under one
-    /// `state` lock.
+    /// Shared body of the `observe_*` pair: [`Runtime::observe_locked`]
+    /// under one `state` lock. An unknown node is ignored.
     fn observe(
         &self,
         node: NodeId,
@@ -885,9 +940,25 @@ impl Runtime {
         success: bool,
     ) -> Result<Option<HealthTransition>, RuntimeError> {
         let mut state = self.state();
-        match state.registry.node(node).map(Node::health) {
-            None | Some(Health::Draining) => return Ok(None),
-            Some(_) => {}
+        let Some(health) = state.registry.node(node).map(Node::health) else { return Ok(None) };
+        self.observe_locked(&mut state, node, health, t, success)
+    }
+
+    /// The one detector step behind every observation, under the held
+    /// `state` lock: run the detector on `node`, whose registry health
+    /// the caller looked up as `health`, then log and apply whatever
+    /// transition it decides on to the registry and the
+    /// routing/admission layers. A draining node is ignored.
+    fn observe_locked(
+        &self,
+        state: &mut State,
+        node: NodeId,
+        health: Health,
+        t: f64,
+        success: bool,
+    ) -> Result<Option<HealthTransition>, RuntimeError> {
+        if health == Health::Draining {
+            return Ok(None);
         }
         let transition = if success {
             state.detector.observe_success(node, t)
@@ -900,15 +971,15 @@ impl Runtime {
         state.registry.set_health(tr.node, tr.to)?;
         match tr.to {
             Health::Down => {
-                self.republish_without(&state, tr.node);
-                self.refresh_offered_utilization(&state);
+                self.republish_without(state, tr.node);
+                self.refresh_offered_utilization(state);
             }
             Health::Up => {
                 // Rejoining needs a real allocation; a failed re-solve
                 // (e.g. Φ transiently at capacity) is retried by the
                 // resolver loop, so best-effort here.
-                let _ = self.resolve(&state);
-                self.refresh_offered_utilization(&state);
+                let _ = self.resolve(state);
+                self.refresh_offered_utilization(state);
             }
             Health::Suspect | Health::Draining => {}
         }

@@ -119,6 +119,11 @@ impl Node {
     pub fn estimated_rate(&self, min_samples: usize) -> Option<f64> {
         (self.service.count() >= min_samples).then(|| self.service.rate()).flatten()
     }
+
+    /// Records one service duration in the node's window.
+    pub(crate) fn observe_service(&mut self, duration: f64) {
+        self.service.observe(duration);
+    }
 }
 
 /// Membership and health of the cluster's nodes, in registration order.
@@ -212,8 +217,7 @@ impl Registry {
     /// # Errors
     /// [`RuntimeError::UnknownNode`] when `id` is not registered.
     pub fn observe_service(&mut self, id: NodeId, duration: f64) -> Result<(), RuntimeError> {
-        let pos = self.position(id)?;
-        self.nodes[pos].service.observe(duration);
+        self.node_mut(id).ok_or(RuntimeError::UnknownNode(id))?.observe_service(duration);
         Ok(())
     }
 
@@ -221,6 +225,12 @@ impl Registry {
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&Node> {
         self.position(id).ok().map(|pos| &self.nodes[pos])
+    }
+
+    /// Looks a node up for a caller that reads and writes its row in
+    /// one lookup.
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
+        self.position(id).ok().map(|pos| &mut self.nodes[pos])
     }
 
     /// All nodes in registration order, which is ascending id order.

@@ -34,7 +34,9 @@
 //! entry points ([`ShardedDispatcher::dispatch_on`]) take a fresh guard
 //! per job, so they always see the latest publish. A held guard never
 //! delays a publish. Per job the hot path is one shard lock, one atomic
-//! load, one RNG draw, one O(1) alias lookup and one array increment.
+//! load, one RNG draw, one O(1) alias lookup and one array increment;
+//! the round-robin claim adds one `fetch_add` only when there is more
+//! than one shard.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -207,9 +209,15 @@ impl ShardedDispatcher {
     /// Claims the next shard in round-robin order (the selection
     /// [`dispatch`](Self::dispatch) uses); callers that need admission
     /// and dispatch on the *same* shard claim once and reuse the index.
+    /// With one shard (the default) this is 0 without touching the
+    /// shared counter, so the one-shard path makes no atomic
+    /// read-modify-write here.
     #[must_use]
     pub fn next_shard(&self) -> usize {
-        self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards.len()
+        match self.shards.len() {
+            1 => 0,
+            n => self.round_robin.fetch_add(1, Ordering::Relaxed) % n,
+        }
     }
 
     /// Total jobs routed, merged over all shards.

@@ -98,8 +98,10 @@ pub fn bucket_upper_bound(index: usize) -> f64 {
 /// A concurrent log-linear histogram.
 ///
 /// Recording is one relaxed `fetch_add` on the bucket plus a CAS loop
-/// for the running sum and an integer `fetch_max` for the maximum.
-/// Reads go through [`Histogram::snapshot`], which produces an
+/// for the running sum; the maximum costs one relaxed load, and an
+/// integer `fetch_max` only when the value is a new maximum. So a
+/// value that is not one takes two atomic read-modify-writes, not
+/// three. Reads go through [`Histogram::snapshot`], which produces an
 /// immutable, mergeable [`HistogramSnapshot`].
 #[derive(Debug)]
 pub struct Histogram {
@@ -138,7 +140,13 @@ impl Histogram {
     /// bucket and contribute `0.0` to the sum and maximum, so a junk
     /// sample can inflate the count but never corrupt the statistics.
     pub fn record(&self, value: f64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        self.record_at(bucket_index(value), value);
+    }
+
+    /// [`Histogram::record`] with the value already classified into
+    /// bucket `index`.
+    fn record_at(&self, index: usize, value: f64) {
+        self.buckets[index].fetch_add(1, Ordering::Relaxed);
         let clamped = if value.is_finite() && value > 0.0 { value } else { 0.0 };
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
@@ -153,7 +161,12 @@ impl Histogram {
                 Err(seen) => cur = seen,
             }
         }
-        self.max_bits.fetch_max(clamped.to_bits(), Ordering::Relaxed);
+        // The maximum only grows, so a stale load reads it low, never
+        // high: skipping the RMW when `bits` is no larger is exact.
+        let bits = clamped.to_bits();
+        if bits > self.max_bits.load(Ordering::Relaxed) {
+            self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        }
     }
 
     /// Records one observation of `value` and remembers `trace_id` as
@@ -164,10 +177,11 @@ impl Histogram {
     /// `u64::MAX` cannot be stored and is recorded without an
     /// exemplar — an acceptable loss for a hash-derived id space.
     pub fn record_with_exemplar(&self, value: f64, trace_id: u64) {
-        self.record(value);
+        let index = bucket_index(value);
+        self.record_at(index, value);
         let cell = trace_id.wrapping_add(1);
         if cell != 0 {
-            self.exemplars[bucket_index(value)].store(cell, Ordering::Relaxed);
+            self.exemplars[index].store(cell, Ordering::Relaxed);
         }
     }
 
@@ -441,6 +455,53 @@ mod tests {
         assert!((s.p99() - 0.99).abs() / 0.99 < 0.10, "p99 {}", s.p99());
         assert!(s.p50() <= s.p90() && s.p90() <= s.p99());
         assert!(s.p99() <= s.max());
+    }
+
+    #[test]
+    fn concurrent_records_are_exact() {
+        // Four threads record their own ranges into one histogram while
+        // one of them records the global maximum partway through, so
+        // the others race the load-before-`fetch_max` on both sides of it.
+        const PER_THREAD: u32 = 10_000;
+        const GLOBAL_MAX: f64 = 1e6;
+        let value = |k: u32, i: u32| {
+            if k == 2 && i == PER_THREAD / 2 {
+                GLOBAL_MAX
+            } else {
+                f64::from(k + 1) + f64::from(i) / f64::from(PER_THREAD)
+            }
+        };
+        let h = Histogram::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for k in 0..4 {
+                let (h, start) = (&h, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        h.record(value(k, i));
+                    }
+                });
+            }
+        });
+        let reference = Histogram::new();
+        for k in 0..4 {
+            for i in 0..PER_THREAD {
+                reference.record(value(k, i));
+            }
+        }
+        let (got, want) = (h.snapshot(), reference.snapshot());
+        assert_eq!(got.count(), 4 * u64::from(PER_THREAD));
+        for i in 0..BUCKET_COUNT {
+            assert_eq!(got.bucket(i), want.bucket(i), "bucket {i}");
+        }
+        assert_eq!(got.max(), GLOBAL_MAX);
+        assert!(
+            (got.sum() - want.sum()).abs() <= 1e-9 * want.sum(),
+            "{} vs {}",
+            got.sum(),
+            want.sum()
+        );
     }
 
     #[test]
