@@ -2,9 +2,12 @@
 //! dispatching through a shard with telemetry **enabled** must cost
 //! ≤ 1.03× the disabled path on the n = 1024 alias table
 //! (`telemetry_route/{disabled,enabled}/1024`; CI compares medians of
-//! three quick runs from `BENCH_telemetry.json`). The instrument
-//! microbenches ride along to keep the primitive costs visible:
-//! counter add, histogram record, event-ring push, and a full
+//! three quick runs from `BENCH_telemetry.json`). The driver rows
+//! (`telemetry_driver/{disabled,enabled}/4096`) time what telemetry
+//! costs a whole job on the paper's Table 3.1 cluster; CI prints their
+//! ratio without gating it. The instrument microbenches ride along to
+//! keep the primitive costs visible: counter add, histogram record, the
+//! driver's buffered record-and-absorb, event-ring push, and a full
 //! registry scrape, alone and at control-plane size (three 2,048-cell
 //! per-node gauge families).
 
@@ -12,9 +15,13 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use gtlb_runtime::driver::{TraceConfig, TraceDriver};
 use gtlb_runtime::telemetry::TELEMETRY_EVENT_CAPACITY;
-use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, ShardedDispatcher, Telemetry};
-use gtlb_telemetry::{Counter, EventRing, Histogram, Registry, TaggedEvent};
+use gtlb_runtime::{
+    EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind, ShardedDispatcher, Telemetry,
+};
+use gtlb_sim::scenario::table31;
+use gtlb_telemetry::{Counter, EventRing, Histogram, HistogramSnapshot, Registry, TaggedEvent};
 
 /// The same mildly skewed table shape the routing bench gates on.
 fn skewed_table(n: usize) -> RoutingTable {
@@ -56,8 +63,53 @@ fn bench_route_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// What telemetry costs a whole job: the paper's Table 3.1 cluster at
+/// ρ = 0.7 (the shape of the benchmark's `farm` workload) through
+/// `TraceDriver::run_jobs`, tracing off, with telemetry disabled vs
+/// enabled. Both sides push the same 4096-job block per iteration, so
+/// the difference of the two rows is the telemetry cost of 4,096 jobs.
+fn bench_driver_overhead(c: &mut Criterion) {
+    const JOBS: u64 = 4096;
+    let cluster = table31();
+    let phi = 0.7 * cluster.rates().iter().sum::<f64>();
+    let mut group = c.benchmark_group("telemetry_driver");
+    group.throughput(Throughput::Elements(JOBS));
+    for (label, enabled) in [("disabled", false), ("enabled", true)] {
+        let rt = Runtime::builder()
+            .seed(0xBE9C)
+            .scheme(SchemeKind::Coop)
+            .nominal_arrival_rate(phi)
+            .telemetry(enabled)
+            .build();
+        for &rate in cluster.rates() {
+            rt.register_node(rate).unwrap();
+        }
+        rt.resolve_now().unwrap();
+        let mut driver = TraceDriver::new(phi, TraceConfig { seed: 0xBEEF, batch_size: 500 });
+        group.bench_function(BenchmarkId::new(label, JOBS), |b| {
+            b.iter(|| {
+                driver.run_jobs(&rt, JOBS).unwrap();
+                black_box(driver.clock())
+            })
+        });
+    }
+    group.finish();
+}
+
+/// Latency-shaped values for the histogram rows: 0.001 … 100, each
+/// 1 % above the last.
+fn next_latency(x: f64) -> f64 {
+    if x > 100.0 {
+        0.001
+    } else {
+        x * 1.01
+    }
+}
+
 /// Primitive write costs: one sharded counter add, one histogram
-/// record, one ring push (at wraparound, the worst case).
+/// record, the driver's buffered path (4,096 plain records and the
+/// absorb that adds them in; divide by 4,096 to set it against one
+/// record), one ring push (at wraparound, the worst case).
 fn bench_instruments(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_instrument");
     let counter = Counter::new(1);
@@ -67,7 +119,18 @@ fn bench_instruments(c: &mut Criterion) {
         let mut x = 0.001f64;
         b.iter(|| {
             histogram.record(black_box(x));
-            x = if x > 100.0 { 0.001 } else { x * 1.01 };
+            x = next_latency(x);
+        })
+    });
+    let mut pending = HistogramSnapshot::empty();
+    group.bench_function("histogram_absorb", |b| {
+        let mut x = 0.001f64;
+        b.iter(|| {
+            for _ in 0..4096 {
+                pending.record(black_box(x));
+                x = next_latency(x);
+            }
+            histogram.absorb(&mut pending);
         })
     });
     let ring: EventRing<u64> = EventRing::new(1, TELEMETRY_EVENT_CAPACITY);
@@ -146,5 +209,11 @@ fn bench_scrape(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_route_overhead, bench_instruments, bench_scrape);
+criterion_group!(
+    benches,
+    bench_route_overhead,
+    bench_driver_overhead,
+    bench_instruments,
+    bench_scrape
+);
 criterion_main!(benches);

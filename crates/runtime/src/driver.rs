@@ -22,11 +22,13 @@ use std::fmt;
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
 use gtlb_desim::stats::{BatchMeans, ConfidenceInterval, Welford};
+use gtlb_telemetry::HistogramSnapshot;
 
 use crate::error::RuntimeError;
 use crate::fault::{DropCause, FaultInjector, FaultPlan};
 use crate::registry::NodeId;
 use crate::retry::{RetryPolicy, RETRY_STREAM};
+use crate::telemetry::Telemetry;
 use crate::{AttemptOutcome, Runtime, SpanKind, Submission, Trace};
 
 /// RNG stream id of the driver's arrival process.
@@ -173,6 +175,55 @@ struct NodeLane {
     completed: u64,
 }
 
+/// Served jobs a driver buffers between two flushes into the runtime's
+/// shared histograms, at most: a scrape made during
+/// [`TraceDriver::run_jobs`] lags it by at most this many completions.
+const FLUSH_EVERY: u64 = 4_096;
+
+/// Served jobs' response times and queue waits, recorded in plain cells
+/// and added into the runtime's `gtlb_response_seconds` and
+/// `gtlb_queue_wait_seconds` at each flush, instead of two shared
+/// histogram records per job.
+#[derive(Debug, Default)]
+struct ServedLatencies {
+    response: HistogramSnapshot,
+    queue_wait: HistogramSnapshot,
+    /// Jobs recorded since the last flush.
+    pending: u64,
+}
+
+impl ServedLatencies {
+    /// Records one served job (`exemplar` is its trace id when it was
+    /// sampled), flushing every [`FLUSH_EVERY`] jobs.
+    fn record(
+        &mut self,
+        telemetry: &Telemetry,
+        queue_wait: f64,
+        response: f64,
+        exemplar: Option<u64>,
+    ) {
+        self.queue_wait.record(queue_wait);
+        match exemplar {
+            Some(id) => self.response.record_with_exemplar(response, id),
+            None => self.response.record(response),
+        }
+        self.pending += 1;
+        if self.pending == FLUSH_EVERY {
+            self.flush(telemetry);
+        }
+    }
+
+    /// Adds the buffered records into `telemetry`'s histograms. Empty
+    /// buffers are skipped: an absorb scans every bucket, and a call
+    /// that served a multiple of [`FLUSH_EVERY`] jobs ends empty.
+    fn flush(&mut self, telemetry: &Telemetry) {
+        if self.pending > 0 {
+            telemetry.absorb_served(&mut self.response, &mut self.queue_wait);
+            self.pending = 0;
+        }
+    }
+}
+
 /// Replays a synthetic arrival stream against a runtime.
 #[derive(Debug)]
 pub struct TraceDriver {
@@ -196,6 +247,9 @@ pub struct TraceDriver {
     faults: Option<FaultInjector>,
     retry: Option<(RetryPolicy, Xoshiro256PlusPlus)>,
     heartbeat: Option<Heartbeat>,
+    /// Allocated on the first job served by a runtime with telemetry
+    /// on, and empty between calls of [`TraceDriver::run_jobs`].
+    served: Option<ServedLatencies>,
 }
 
 impl TraceDriver {
@@ -226,6 +280,7 @@ impl TraceDriver {
             faults: None,
             retry: None,
             heartbeat: None,
+            served: None,
         }
     }
 
@@ -295,6 +350,13 @@ impl TraceDriver {
     /// Resumable: queues, clocks and RNG streams persist across calls, so
     /// callers can inject control-plane events between chunks.
     ///
+    /// With telemetry on, the driver buffers each served job's response
+    /// time and queue wait, and adds them into the runtime's
+    /// `gtlb_response_seconds` and `gtlb_queue_wait_seconds` on every
+    /// return (an error one too) and every 4,096 served jobs inside a
+    /// call. A scrape between calls is exact; one during a call lags by
+    /// at most 4,096 completions.
+    ///
     /// With a fault plan ([`TraceDriver::with_faults`]) attempts against
     /// sick nodes drop; with a retry policy ([`TraceDriver::with_retry`])
     /// a dropped attempt waits out its timeout, backs off with
@@ -310,47 +372,56 @@ impl TraceDriver {
     /// [`RuntimeError::UnknownNode`] when a chosen node was deregistered
     /// mid-flight.
     pub fn run_jobs(&mut self, runtime: &Runtime, jobs: u64) -> Result<(), RuntimeError> {
-        for _ in 0..jobs {
-            let gap = -self.arrivals.next_open01().ln() / self.phi;
-            self.clock += gap;
-            let arrived = self.clock;
-            // Publish the virtual clock so telemetry events carry it.
-            runtime.telemetry().set_clock(arrived);
-            // Surface due partition/domain milestones before the
-            // detector observations they explain.
-            if let Some(f) = self.faults.as_mut() {
-                for marker in f.drain_markers(arrived) {
-                    runtime.telemetry().record_fault_marker(&marker);
-                }
-            }
-            self.run_heartbeats(runtime, arrived)?;
-
-            self.submitted += 1;
-            // Tracing is draw-free: begin() is a hash plus a mask test,
-            // so the sampled/unsampled decision cannot perturb the run.
-            let mut trace = runtime.tracer().begin(self.submitted);
-            // The arrival rides in the job's first `state` critical
-            // section; a job that never reaches one records it here.
-            // Nothing in between reads Φ̂.
-            let mut arrival = Some(arrived);
-            let outcome = self.offer_job(runtime, arrived, &mut arrival, &mut trace);
-            if let Some(at) = arrival {
-                runtime.record_arrival(at);
-            }
-            if let Some(t) = trace.take() {
-                let shard = t
-                    .spans
-                    .iter()
-                    .find_map(|s| match s.kind {
-                        SpanKind::Routed { shard, .. } => Some(shard as usize),
-                        _ => None,
-                    })
-                    .unwrap_or(0);
-                runtime.tracer().finish(shard, t);
-            }
-            outcome?;
+        let result = (0..jobs).try_for_each(|_| self.run_job(runtime));
+        // Flushing on every return puts each record in the runtime that
+        // served its job, even when one driver alternates runtimes.
+        if let Some(served) = &mut self.served {
+            served.flush(runtime.telemetry());
         }
-        Ok(())
+        result
+    }
+
+    /// One job of [`TraceDriver::run_jobs`]: its arrival, the heartbeats
+    /// due by then, and the offer.
+    fn run_job(&mut self, runtime: &Runtime) -> Result<(), RuntimeError> {
+        let gap = -self.arrivals.next_open01().ln() / self.phi;
+        self.clock += gap;
+        let arrived = self.clock;
+        // Publish the virtual clock so telemetry events carry it.
+        runtime.telemetry().set_clock(arrived);
+        // Surface due partition/domain milestones before the
+        // detector observations they explain.
+        if let Some(f) = self.faults.as_mut() {
+            for marker in f.drain_markers(arrived) {
+                runtime.telemetry().record_fault_marker(&marker);
+            }
+        }
+        self.run_heartbeats(runtime, arrived)?;
+
+        self.submitted += 1;
+        // Tracing is draw-free: begin() is a hash plus a mask test,
+        // so the sampled/unsampled decision cannot perturb the run.
+        let mut trace = runtime.tracer().begin(self.submitted);
+        // The arrival rides in the job's first `state` critical
+        // section; a job that never reaches one records it here.
+        // Nothing in between reads Φ̂.
+        let mut arrival = Some(arrived);
+        let outcome = self.offer_job(runtime, arrived, &mut arrival, &mut trace);
+        if let Some(at) = arrival {
+            runtime.record_arrival(at);
+        }
+        if let Some(t) = trace.take() {
+            let shard = t
+                .spans
+                .iter()
+                .find_map(|s| match s.kind {
+                    SpanKind::Routed { shard, .. } => Some(shard as usize),
+                    _ => None,
+                })
+                .unwrap_or(0);
+            runtime.tracer().finish(shard, t);
+        }
+        outcome
     }
 
     /// Delivers all heartbeat ticks due at or before `upto`: every
@@ -587,10 +658,12 @@ impl TraceDriver {
                 );
                 t.instant(SpanKind::Completed, done);
             }
-            runtime.telemetry().record_queue_wait(start - t_attempt);
-            runtime
-                .telemetry()
-                .record_response_traced(response, trace.as_ref().map(|t| t.id.raw()));
+            let telemetry = runtime.telemetry();
+            if telemetry.is_enabled() {
+                let exemplar = trace.as_ref().map(|t| t.id.raw());
+                let served = self.served.get_or_insert_with(ServedLatencies::default);
+                served.record(telemetry, start - t_attempt, response, exemplar);
+            }
             self.responses.add(response);
             self.batches.add(response);
             self.lane(node).completed += 1;

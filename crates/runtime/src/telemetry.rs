@@ -25,10 +25,20 @@
 //! The alias-routing hot path gains only the enabled-check branch plus,
 //! every [`ROUTE_SAMPLE_EVERY`]-th dispatch of a shard, one sampled
 //! [`RuntimeEvent::Routed`] ring push (amortized to well under a
-//! nanosecond). Everything else (histograms, admission/fault/health
-//! events) records on paths that are already cold or lock-bound. CI
-//! gates the enabled/disabled ratio at ≤ 1.03× on the n=1024 route
-//! bench.
+//! nanosecond). CI gates the enabled/disabled ratio at ≤ 1.03× on the
+//! n=1024 route bench.
+//!
+//! Every served job has a response time and a queue wait. The
+//! [`TraceDriver`] records both into plain buffers of its own and adds
+//! them into `gtlb_response_seconds` and `gtlb_queue_wait_seconds`
+//! ([`Histogram::absorb`]: one `fetch_add` per non-empty bucket and one
+//! CAS on the sum) on every return from `run_jobs` and every 4,096
+//! served jobs inside a call. A scrape between calls is exact; one
+//! during a call lags the driver by at most 4,096 completions, and
+//! `gtlb_jobs_inflight` reads high by at most 4,096. Other job loops
+//! record per call through the `record_*` methods. Admission, fault and
+//! health events and retries record on paths that are already cold or
+//! lock-bound.
 //!
 //! [`TraceDriver`]: crate::driver::TraceDriver
 //! [`DISPATCH_STREAM`]: crate::shard::DISPATCH_STREAM
@@ -38,8 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gtlb_telemetry::{
-    Counter, EventRing, Gauge, GaugeFamily, Histogram, Registry as MetricRegistry, Snapshot,
-    TaggedEvent, Watermark,
+    Counter, EventRing, Gauge, GaugeFamily, Histogram, HistogramSnapshot,
+    Registry as MetricRegistry, Snapshot, TaggedEvent, Watermark,
 };
 
 use crate::admission::{AdmissionStats, AdmissionVerdict};
@@ -92,7 +102,9 @@ pub mod names {
     /// Jobs currently queued in the ingest queue.
     pub const INGEST_DEPTH: &str = "gtlb_ingest_depth";
     /// Jobs dispatched whose completion has not been recorded yet
-    /// (derived at scrape: dispatches − responses − fault drops).
+    /// (derived at scrape: dispatches − responses − fault drops). During
+    /// a `TraceDriver::run_jobs` call it reads high by at most 4,096,
+    /// the driver's flush period; at every flush it is exact.
     pub const JOBS_INFLIGHT: &str = "gtlb_jobs_inflight";
     /// High-water mark of the ingest queue depth.
     pub const INGEST_PEAK_DEPTH: &str = "gtlb_ingest_peak_depth";
@@ -293,11 +305,11 @@ impl TelemetryInner {
         }
         self.events_dropped.set_total(self.ring.dropped());
         self.virtual_clock.set(self.clock());
-        // Jobs routed whose completion was never recorded: dispatched
+        // Jobs routed whose completion is not recorded yet: dispatched
         // minus responses minus fault-dropped attempts, floored at 0
         // (drivers that don't record responses leave this at the raw
         // dispatch count, which is still the honest upper bound).
-        let completed = self.response.snapshot().count();
+        let completed = self.response.count();
         let drops = self.fault_drops.value();
         self.jobs_inflight.set(dispatched.saturating_sub(completed + drops) as f64);
     }
@@ -388,7 +400,11 @@ impl Telemetry {
         }
     }
 
-    /// Records a completed job's response time (virtual seconds).
+    /// Records a completed job's response time (virtual seconds) into
+    /// the shared histogram at once. [`TraceDriver`] buffers its own
+    /// jobs instead; this is for other job loops.
+    ///
+    /// [`TraceDriver`]: crate::driver::TraceDriver
     #[inline]
     pub fn record_response(&self, seconds: f64) {
         if let Some(inner) = self.inner() {
@@ -399,6 +415,7 @@ impl Telemetry {
     /// Records a completed job's response time together with its trace
     /// id as the bucket exemplar (when the job was sampled), so
     /// `gtlb_response_seconds` percentiles link to a concrete trace.
+    /// Like [`Telemetry::record_response`], it records at once.
     #[inline]
     pub fn record_response_traced(&self, seconds: f64, exemplar: Option<u64>) {
         if let Some(inner) = self.inner() {
@@ -416,11 +433,26 @@ impl Telemetry {
         self.inner().map_or(0.0, |inner| inner.ingest_depth.value())
     }
 
-    /// Records a completed job's queue wait (virtual seconds).
+    /// Records a completed job's queue wait (virtual seconds) at once,
+    /// like [`Telemetry::record_response`].
     #[inline]
     pub fn record_queue_wait(&self, seconds: f64) {
         if let Some(inner) = self.inner() {
             inner.queue_wait.record(seconds);
+        }
+    }
+
+    /// Adds a driver's buffered response times and queue waits into
+    /// `gtlb_response_seconds` and `gtlb_queue_wait_seconds`, leaving
+    /// both buffers empty (a no-op when disabled).
+    pub(crate) fn absorb_served(
+        &self,
+        response: &mut HistogramSnapshot,
+        queue_wait: &mut HistogramSnapshot,
+    ) {
+        if let Some(inner) = self.inner() {
+            inner.response.absorb(response);
+            inner.queue_wait.absorb(queue_wait);
         }
     }
 
@@ -537,6 +569,13 @@ impl Telemetry {
 /// snapshots and exposition formats mid-run, e.g. from a dashboard
 /// thread while the [`TraceDriver`](crate::driver::TraceDriver) pushes
 /// jobs elsewhere.
+///
+/// The driver adds its served jobs' response times and queue waits
+/// into the histograms every 4,096 served jobs and when `run_jobs`
+/// returns. A scrape during a call therefore lags it by at most
+/// 4,096 completions, and `gtlb_jobs_inflight` reads high by at most
+/// 4,096; between calls both are exact. Jobs recorded through the
+/// `record_*` methods show at once.
 #[derive(Clone)]
 pub struct TelemetryHandle {
     runtime: Arc<Runtime>,

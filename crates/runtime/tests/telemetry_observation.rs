@@ -1,14 +1,18 @@
 //! Telemetry is observation-only: the same chaos trace run with
 //! telemetry enabled and disabled produces bit-identical outputs
 //! (stats, decision totals, health timelines) — and the enabled run's
-//! snapshot actually contains the data.
+//! snapshot actually contains the data. The driver buffers served jobs'
+//! latencies, so the last tests pin when those buffers reach the
+//! runtime: on every return from `run_jobs`, and often enough inside a
+//! call that a concurrent scrape lags by at most 4,096 completions.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use gtlb_runtime::telemetry::names;
 use gtlb_runtime::{
     AdmissionConfig, DetectorConfig, FaultPlan, NodeId, RetryConfig, RetryPolicy, Runtime,
-    RuntimeEvent, SchemeKind, TraceConfig, TraceDriver, TraceStats,
+    RuntimeError, RuntimeEvent, SchemeKind, TraceConfig, TraceDriver, TraceStats,
 };
 
 /// Clears the harness/observability knobs once per process: these
@@ -231,4 +235,162 @@ fn gauge_count_is_independent_of_fleet_size() {
     assert_eq!(one.gauges().len(), many.gauges().len());
     assert_eq!(cells(&one, names::NODE_PHI).len(), 1);
     assert_eq!(cells(&many, names::NODE_PHI).len(), 256);
+}
+
+/// The chaos scenario of the flush-rule tests: a crash-recover and a
+/// flaky window, retries, heartbeats and default (1-in-64) tracing on
+/// a telemetry-on runtime.
+fn flush_rule_run() -> (Arc<Runtime>, TraceDriver) {
+    pin_env();
+    let rt = Arc::new(
+        Runtime::builder()
+            .seed(0xF1A5)
+            .scheme(SchemeKind::Coop)
+            .nominal_arrival_rate(2.8)
+            .shards(2)
+            .telemetry(true)
+            .tracing(true)
+            .build(),
+    );
+    let ids: Vec<NodeId> = [4.0, 2.0, 1.0].iter().map(|&r| rt.register_node(r).unwrap()).collect();
+    rt.resolve_now().unwrap();
+    let plan =
+        FaultPlan::new(0xFA57).crash_recover(ids[0], 300.0, 40.0).flaky(ids[2], 900.0, 60.0, 0.35);
+    let driver = TraceDriver::new(2.8, TraceConfig { seed: 17, batch_size: 400 })
+        .with_faults(plan)
+        .with_retry(RetryPolicy::new(RetryConfig::default()).unwrap())
+        .with_heartbeats(1.0);
+    (rt, driver)
+}
+
+#[test]
+fn latency_histograms_match_the_books_after_every_call() {
+    let (rt, mut driver) = flush_rule_run();
+    // Calls below, at, and across the in-call flush period.
+    for jobs in [1, 4_095, 4_097, 10_000] {
+        driver.run_jobs(&rt, jobs).unwrap();
+        let stats = driver.stats();
+        let snap = rt.telemetry_snapshot().unwrap();
+        let response = snap.histogram(names::RESPONSE_SECONDS).unwrap();
+        let wait = snap.histogram(names::QUEUE_WAIT_SECONDS).unwrap();
+        assert_eq!(response.count(), stats.jobs, "after {jobs}: {stats}");
+        assert_eq!(wait.count(), stats.jobs, "after {jobs}: {stats}");
+        let mean = response.sum() / response.count() as f64;
+        assert!(
+            (mean - stats.mean_response).abs() <= 1e-9 * stats.mean_response,
+            "after {jobs}: histogram mean {mean} vs driver mean {}",
+            stats.mean_response
+        );
+        assert_eq!(snap.gauge(names::JOBS_INFLIGHT), Some(0.0), "after {jobs}: {stats}");
+    }
+    let stats = driver.stats();
+    assert!(stats.dropped > 0 && stats.retried > 0, "the faults must bite: {stats}");
+
+    // Every response exemplar is a sampled job's trace id; queue waits
+    // carry none.
+    let sampled: std::collections::HashSet<u64> = (1..=stats.submitted)
+        .filter_map(|seq| rt.tracer().begin(seq))
+        .map(|t| t.id.raw())
+        .collect();
+    let snap = rt.telemetry_snapshot().unwrap();
+    let response = snap.histogram(names::RESPONSE_SECONDS).unwrap();
+    let wait = snap.histogram(names::QUEUE_WAIT_SECONDS).unwrap();
+    let exemplars: Vec<u64> =
+        (0..gtlb_telemetry::BUCKET_COUNT).filter_map(|i| response.exemplar(i)).collect();
+    assert!(!exemplars.is_empty(), "default tracing samples some served jobs");
+    assert!(exemplars.iter().all(|id| sampled.contains(id)), "{exemplars:?}");
+    assert!((0..gtlb_telemetry::BUCKET_COUNT).all(|i| wait.exemplar(i).is_none()));
+}
+
+#[test]
+fn alternating_runtimes_each_hold_the_jobs_they_served() {
+    let (a, mut driver) = flush_rule_run();
+    let (b, _) = flush_rule_run();
+    let mut served = [0u64; 2];
+    for (k, jobs) in [700u64, 1_300, 5_000, 300, 4_096, 2_222].into_iter().enumerate() {
+        let rt = if k % 2 == 0 { &a } else { &b };
+        let before = driver.stats().jobs;
+        driver.run_jobs(rt, jobs).unwrap();
+        served[k % 2] += driver.stats().jobs - before;
+        for (rt, want) in [(&a, served[0]), (&b, served[1])] {
+            let snap = rt.telemetry_snapshot().unwrap();
+            assert_eq!(snap.histogram(names::RESPONSE_SECONDS).unwrap().count(), want);
+            assert_eq!(snap.histogram(names::QUEUE_WAIT_SECONDS).unwrap().count(), want);
+        }
+    }
+}
+
+/// A telemetry-on runtime over three fault-free nodes, resolved.
+fn fault_free_runtime() -> (Arc<Runtime>, Vec<NodeId>) {
+    pin_env();
+    let rt = Arc::new(
+        Runtime::builder()
+            .seed(0x5C4A)
+            .scheme(SchemeKind::Coop)
+            .nominal_arrival_rate(2.1)
+            .telemetry(true)
+            .build(),
+    );
+    let ids = [4.0, 2.0, 1.0].iter().map(|&r| rt.register_node(r).unwrap()).collect();
+    rt.resolve_now().unwrap();
+    (rt, ids)
+}
+
+#[test]
+fn a_scrape_during_a_call_lags_by_at_most_the_flush_period() {
+    let (rt, _) = fault_free_runtime();
+    let handle = rt.telemetry_handle();
+    let mut driver = TraceDriver::new(2.1, TraceConfig { seed: 5, batch_size: 1_000 });
+    let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+    let (scrapes, worst) = std::thread::scope(|s| {
+        let scraper = s.spawn(|| {
+            let (mut scrapes, mut worst) = (0u64, 0.0f64);
+            start.wait();
+            while !done.load(Ordering::Acquire) {
+                let snap = handle.snapshot().unwrap();
+                worst = worst.max(snap.gauge(names::JOBS_INFLIGHT).unwrap());
+                scrapes += 1;
+            }
+            (scrapes, worst)
+        });
+        start.wait();
+        driver.run_jobs(&rt, 200_000).unwrap();
+        done.store(true, Ordering::Release);
+        scraper.join().unwrap()
+    });
+    assert!(scrapes > 0);
+    assert!(worst <= 4_096.0, "a scrape read {worst} jobs in flight over {scrapes} scrapes");
+    let snap = handle.snapshot().unwrap();
+    assert_eq!(snap.histogram(names::RESPONSE_SECONDS).unwrap().count(), 200_000);
+    assert_eq!(snap.gauge(names::JOBS_INFLIGHT), Some(0.0));
+}
+
+#[test]
+fn an_error_return_still_flushes_the_served_jobs() {
+    // A second thread drains every node once 10,000 jobs are out, so
+    // the call ends in `NoServingNodes` partway through a flush period.
+    let (rt, ids) = fault_free_runtime();
+    let mut driver = TraceDriver::new(2.1, TraceConfig { seed: 5, batch_size: 1_000 });
+    let result = std::thread::scope(|s| {
+        let drainer = s.spawn(|| {
+            while rt.dispatched() < 10_000 {
+                std::thread::yield_now();
+            }
+            for &id in &ids {
+                rt.drain_node(id).unwrap();
+            }
+        });
+        // Far more jobs than the drain lets through, and finite, so a
+        // drainer that never fires fails the test instead of hanging it.
+        let result = driver.run_jobs(&rt, 1_000_000);
+        drainer.join().unwrap();
+        result
+    });
+    assert!(matches!(result, Err(RuntimeError::NoServingNodes)), "{result:?}");
+    let stats = driver.stats();
+    assert!(stats.jobs >= 10_000, "{stats}");
+    let snap = rt.telemetry_snapshot().unwrap();
+    assert_eq!(snap.histogram(names::RESPONSE_SECONDS).unwrap().count(), stats.jobs);
+    assert_eq!(snap.histogram(names::QUEUE_WAIT_SECONDS).unwrap().count(), stats.jobs);
+    assert_eq!(snap.gauge(names::JOBS_INFLIGHT), Some(0.0));
 }

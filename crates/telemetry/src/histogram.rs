@@ -95,14 +95,34 @@ pub fn bucket_upper_bound(index: usize) -> f64 {
     bucket_lower_bound(index + 1)
 }
 
+/// What the sum and maximum take of `value`: junk (NaN, negative,
+/// ±∞) counts as `0.0`, so it can inflate a count but never corrupt
+/// the statistics. Both record paths clamp through this one helper.
+fn clamp(value: f64) -> f64 {
+    if value.is_finite() && value > 0.0 {
+        value
+    } else {
+        0.0
+    }
+}
+
+/// The exemplar cell that stores `trace_id`: `trace_id + 1`, with `0`
+/// meaning empty, so `u64::MAX` (which wraps to `0`) is never stored.
+fn exemplar_cell(trace_id: u64) -> u64 {
+    trace_id.wrapping_add(1)
+}
+
 /// A concurrent log-linear histogram.
 ///
 /// Recording is one relaxed `fetch_add` on the bucket plus a CAS loop
 /// for the running sum; the maximum costs one relaxed load, and an
 /// integer `fetch_max` only when the value is a new maximum. So a
 /// value that is not one takes two atomic read-modify-writes, not
-/// three. Reads go through [`Histogram::snapshot`], which produces an
-/// immutable, mergeable [`HistogramSnapshot`].
+/// three. A single owner that records many values can instead record
+/// them into a plain [`HistogramSnapshot`] and add that in with
+/// [`Histogram::absorb`], at one `fetch_add` per non-empty bucket and
+/// one CAS on the sum. Reads go through [`Histogram::snapshot`], which
+/// copies the cells into a mergeable [`HistogramSnapshot`].
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
@@ -147,10 +167,16 @@ impl Histogram {
     /// bucket `index`.
     fn record_at(&self, index: usize, value: f64) {
         self.buckets[index].fetch_add(1, Ordering::Relaxed);
-        let clamped = if value.is_finite() && value > 0.0 { value } else { 0.0 };
+        let clamped = clamp(value);
+        self.add_sum(clamped);
+        self.raise_max(clamped);
+    }
+
+    /// Adds `x` to the running sum (a CAS loop on its bits).
+    fn add_sum(&self, x: f64) {
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
-            let next = (f64::from_bits(cur) + clamped).to_bits();
+            let next = (f64::from_bits(cur) + x).to_bits();
             match self.sum_bits.compare_exchange_weak(
                 cur,
                 next,
@@ -161,9 +187,14 @@ impl Histogram {
                 Err(seen) => cur = seen,
             }
         }
+    }
+
+    /// Raises the maximum to `x`, a clamped (non-negative) value, if it
+    /// is larger.
+    fn raise_max(&self, x: f64) {
         // The maximum only grows, so a stale load reads it low, never
         // high: skipping the RMW when `bits` is no larger is exact.
-        let bits = clamped.to_bits();
+        let bits = x.to_bits();
         if bits > self.max_bits.load(Ordering::Relaxed) {
             self.max_bits.fetch_max(bits, Ordering::Relaxed);
         }
@@ -179,13 +210,45 @@ impl Histogram {
     pub fn record_with_exemplar(&self, value: f64, trace_id: u64) {
         let index = bucket_index(value);
         self.record_at(index, value);
-        let cell = trace_id.wrapping_add(1);
+        let cell = exemplar_cell(trace_id);
         if cell != 0 {
             self.exemplars[index].store(cell, Ordering::Relaxed);
         }
     }
 
-    /// Takes an immutable snapshot of the current bucket contents.
+    /// Adds the observations buffered in `pending` and leaves it
+    /// empty: one relaxed `fetch_add` per non-empty bucket, a store per
+    /// set exemplar cell, one CAS on the sum and the maximum raised as
+    /// [`Histogram::record`] raises it. Afterwards the counts, maximum
+    /// and exemplars equal those of recording each buffered value
+    /// directly; the sum differs only by floating-point association.
+    ///
+    /// Emptying includes the exemplar cells, so a later absorb never
+    /// stores a stale trace id over a newer one.
+    pub fn absorb(&self, pending: &mut HistogramSnapshot) {
+        let cells = self.buckets.iter().zip(&self.exemplars);
+        for ((bucket, exemplar), (count, cell)) in
+            cells.zip(pending.buckets.iter_mut().zip(pending.exemplars.iter_mut()))
+        {
+            if *count != 0 {
+                bucket.fetch_add(std::mem::take(count), Ordering::Relaxed);
+            }
+            if *cell != 0 {
+                exemplar.store(std::mem::take(cell), Ordering::Relaxed);
+            }
+        }
+        self.add_sum(std::mem::take(&mut pending.sum));
+        self.raise_max(std::mem::take(&mut pending.max));
+    }
+
+    /// Total number of recorded observations: the sum of relaxed
+    /// bucket loads, without copying the histogram.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Copies the current cells into a [`HistogramSnapshot`].
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
@@ -196,9 +259,15 @@ impl Histogram {
     }
 }
 
-/// An immutable histogram snapshot: dense bucket counts plus the exact
-/// running sum and maximum. Snapshots [`merge`](Self::merge) by bucket
-/// and answer quantile queries.
+/// A histogram in plain (non-atomic) cells: dense bucket counts,
+/// exemplar cells, and the exact running sum and maximum, in the same
+/// layout as [`Histogram`]. It serves two roles:
+///
+/// * a scrape's copy of a [`Histogram`] ([`Histogram::snapshot`]), which
+///   [`merge`](Self::merge)s by bucket and answers quantile queries;
+/// * a single owner's recording buffer ([`record`](Self::record),
+///   [`record_with_exemplar`](Self::record_with_exemplar)), added into a
+///   shared [`Histogram`] by [`Histogram::absorb`].
 #[derive(Debug, Clone, PartialEq)]
 #[must_use = "a histogram snapshot carries the data; query or merge it"]
 pub struct HistogramSnapshot {
@@ -229,11 +298,39 @@ impl HistogramSnapshot {
     /// Builds a snapshot directly from sample values; convenient in
     /// tests and for offline aggregation.
     pub fn from_values(values: &[f64]) -> Self {
-        let h = Histogram::new();
+        let mut s = Self::empty();
         for &v in values {
-            h.record(v);
+            s.record(v);
         }
-        h.snapshot()
+        s
+    }
+
+    /// Records one observation of `value`, exactly as
+    /// [`Histogram::record`] would: the same bucket, and junk values
+    /// clamped to `0.0` in the sum and maximum.
+    pub fn record(&mut self, value: f64) {
+        self.record_at(bucket_index(value), value);
+    }
+
+    /// [`HistogramSnapshot::record`] with the value already classified
+    /// into bucket `index`.
+    fn record_at(&mut self, index: usize, value: f64) {
+        self.buckets[index] += 1;
+        let clamped = clamp(value);
+        self.sum += clamped;
+        self.max = self.max.max(clamped);
+    }
+
+    /// Records one observation of `value` with `trace_id` as the
+    /// bucket's exemplar, exactly as [`Histogram::record_with_exemplar`]
+    /// would (an id of `u64::MAX` is recorded without one).
+    pub fn record_with_exemplar(&mut self, value: f64, trace_id: u64) {
+        let index = bucket_index(value);
+        self.record_at(index, value);
+        let cell = exemplar_cell(trace_id);
+        if cell != 0 {
+            self.exemplars[index] = cell;
+        }
     }
 
     /// Total number of recorded observations.
@@ -457,30 +554,37 @@ mod tests {
         assert!(s.p99() <= s.max());
     }
 
-    #[test]
-    fn concurrent_records_are_exact() {
-        // Four threads record their own ranges into one histogram while
-        // one of them records the global maximum partway through, so
-        // the others race the load-before-`fetch_max` on both sides of it.
+    /// Four threads record the same range into one histogram, so they
+    /// race on every bucket, while one of them records the global
+    /// maximum partway through. Each value goes through
+    /// `record(histogram, own buffer, i, value)`, and each thread then
+    /// absorbs what its buffer still holds. Count, every bucket and the
+    /// maximum must be exact, and the sum within 1e-9.
+    fn assert_concurrent_recording_is_exact(
+        record: impl Fn(&Histogram, &mut HistogramSnapshot, u32, f64) + Sync,
+    ) {
         const PER_THREAD: u32 = 10_000;
         const GLOBAL_MAX: f64 = 1e6;
         let value = |k: u32, i: u32| {
             if k == 2 && i == PER_THREAD / 2 {
                 GLOBAL_MAX
             } else {
-                f64::from(k + 1) + f64::from(i) / f64::from(PER_THREAD)
+                1.0 + f64::from(i) / f64::from(PER_THREAD)
             }
         };
         let h = Histogram::new();
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             for k in 0..4 {
-                let (h, start) = (&h, &start);
+                let (h, start, record) = (&h, &start, &record);
                 s.spawn(move || {
+                    let mut pending = HistogramSnapshot::empty();
                     start.wait();
                     for i in 0..PER_THREAD {
-                        h.record(value(k, i));
+                        record(h, &mut pending, i, value(k, i));
                     }
+                    h.absorb(&mut pending);
+                    assert_eq!(pending, HistogramSnapshot::empty());
                 });
             }
         });
@@ -492,6 +596,7 @@ mod tests {
         }
         let (got, want) = (h.snapshot(), reference.snapshot());
         assert_eq!(got.count(), 4 * u64::from(PER_THREAD));
+        assert_eq!(h.count(), got.count());
         for i in 0..BUCKET_COUNT {
             assert_eq!(got.bucket(i), want.bucket(i), "bucket {i}");
         }
@@ -502,6 +607,25 @@ mod tests {
             got.sum(),
             want.sum()
         );
+    }
+
+    #[test]
+    fn concurrent_records_are_exact() {
+        // Direct records race the load-before-`fetch_max` on both sides
+        // of the global maximum.
+        assert_concurrent_recording_is_exact(|h, _, _, v| h.record(v));
+    }
+
+    #[test]
+    fn concurrent_absorbs_are_exact() {
+        // Buffered records absorbed every 97 values: the absorbs' bucket
+        // adds, sum CAS and max raises race.
+        assert_concurrent_recording_is_exact(|h, pending, i, v| {
+            pending.record(v);
+            if i % 97 == 0 {
+                h.absorb(pending);
+            }
+        });
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`Histogram`] — a log-linear HDR-style latency histogram with a
 //!   fixed bucket layout (16 sub-buckets per power of two across
 //!   2⁻³² … 2³², ~6.25 % relative error). Snapshots are mergeable and
-//!   answer p50/p90/p99/max queries.
+//!   answer p50/p90/p99/max queries; a single owner can also record
+//!   into a plain snapshot and add it in with [`Histogram::absorb`].
 //! * [`EventRing`] — a bounded, structured, drop-oldest event buffer
 //!   with one lane per shard and an exact per-lane dropped counter,
 //!   for recording discrete happenings (routing decisions, health

@@ -11,11 +11,16 @@
 //! 3. **ring wraparound** — after any push pattern across lanes, the
 //!    drop-oldest ring retains exactly `min(pushed, capacity)` events
 //!    per lane, the newest survive, and `dropped()` counts exactly the
-//!    overwritten ones.
+//!    overwritten ones;
+//! 4. **buffered recording** — values recorded into a plain snapshot
+//!    and added in by `Histogram::absorb`, at any absorb points, leave
+//!    the same buckets, count, maximum and exemplars as recording each
+//!    value into the shared histogram directly, junk values included.
 
 use gtlb_telemetry::{
-    bucket_index, bucket_lower_bound, bucket_upper_bound, Counter, EventRing, HistogramSnapshot,
-    TaggedEvent, BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET, UNDERFLOW_BUCKET,
+    bucket_index, bucket_lower_bound, bucket_upper_bound, Counter, EventRing, Histogram,
+    HistogramSnapshot, TaggedEvent, BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET,
+    UNDERFLOW_BUCKET,
 };
 use proptest::prelude::*;
 
@@ -28,6 +33,35 @@ fn arb_value() -> impl Strategy<Value = f64> {
 
 fn arb_values() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(arb_value(), 0..64)
+}
+
+/// Anything a caller might record: the tracked range, zeros of both
+/// signs, negatives, NaN, ±∞, subnormals and values from 2³² up to
+/// 2¹⁰⁰⁰.
+fn arb_any_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        arb_value(),
+        Just(0.0),
+        Just(-0.0),
+        arb_value().prop_map(|v| -v),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        (0.0f64..1.0).prop_map(|u| u * f64::MIN_POSITIVE),
+        (1.0f64..2.0, 32u32..1001).prop_map(|(m, e)| m * f64::from(e).exp2()),
+    ]
+}
+
+/// An exemplar id or none: few distinct small ids (so later ids
+/// overwrite earlier ones in a bucket), arbitrary ids, and `u64::MAX`,
+/// which the cell encoding cannot store.
+fn arb_exemplar() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![
+        Just(None),
+        (0u64..4).prop_map(Some),
+        (0u64..u64::MAX).prop_map(Some),
+        Just(Some(u64::MAX)),
+    ]
 }
 
 /// Two snapshots agree on everything a scrape consumer can observe.
@@ -119,6 +153,52 @@ proptest! {
         }
         prop_assert_eq!(direct.value(), scrambled.value());
         prop_assert_eq!(direct.value(), increments.iter().map(|&(_, n)| n).sum::<u64>());
+    }
+
+    /// Recording into a plain snapshot and absorbing it at random points
+    /// is indistinguishable from recording into the shared histogram:
+    /// every bucket, the count, the maximum and every exemplar cell
+    /// match exactly, the sums agree to 1e-9 relative, and each absorb
+    /// leaves the buffer empty.
+    #[test]
+    fn buffered_records_absorb_to_direct_records(
+        ops in prop::collection::vec((arb_any_value(), arb_exemplar(), 0u32..8), 0..96),
+    ) {
+        let direct = Histogram::new();
+        let shared = Histogram::new();
+        let mut pending = HistogramSnapshot::empty();
+        for &(value, exemplar, absorb_now) in &ops {
+            match exemplar {
+                Some(id) => {
+                    direct.record_with_exemplar(value, id);
+                    pending.record_with_exemplar(value, id);
+                }
+                None => {
+                    direct.record(value);
+                    pending.record(value);
+                }
+            }
+            if absorb_now == 0 {
+                shared.absorb(&mut pending);
+                prop_assert_eq!(&pending, &HistogramSnapshot::empty());
+            }
+        }
+        shared.absorb(&mut pending);
+        prop_assert_eq!(&pending, &HistogramSnapshot::empty());
+
+        let (got, want) = (shared.snapshot(), direct.snapshot());
+        prop_assert_eq!(shared.count(), ops.len() as u64);
+        prop_assert_eq!(got.count(), want.count());
+        prop_assert_eq!(got.max().to_bits(), want.max().to_bits());
+        for i in 0..BUCKET_COUNT {
+            prop_assert_eq!(got.bucket(i), want.bucket(i), "bucket {}", i);
+            prop_assert_eq!(got.exemplar(i), want.exemplar(i), "exemplar of bucket {}", i);
+        }
+        let (a, b) = (got.sum(), want.sum());
+        prop_assert!(
+            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+            "sums differ: {} vs {}", a, b
+        );
     }
 
     /// Drop-oldest wraparound: push `n` events round-robin over `lanes`
