@@ -72,14 +72,14 @@ fn bench_fault_lookup(c: &mut Criterion) {
         let mut t = 1.0;
         b.iter(|| {
             t += 0.01;
-            black_box(inj.attempt_drops(ids[0], t))
+            black_box(inj.dispatch_drops(ids[0], t))
         })
     });
     group.bench_function("attempt_clean", |b| {
         let mut t = 1.0;
         b.iter(|| {
             t += 0.01;
-            black_box(inj.attempt_drops(ids[3], t))
+            black_box(inj.dispatch_drops(ids[3], t))
         })
     });
     group.bench_function("service_factor", |b| {

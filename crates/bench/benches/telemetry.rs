@@ -106,14 +106,14 @@ fn next_latency(x: f64) -> f64 {
     }
 }
 
-/// Primitive write costs: one sharded counter add, one histogram
+/// Primitive write costs: one counter add, one histogram
 /// record, the driver's buffered path (4,096 plain records and the
 /// absorb that adds them in; divide by 4,096 to set it against one
 /// record), one ring push (at wraparound, the worst case).
 fn bench_instruments(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_instrument");
-    let counter = Counter::new(1);
-    group.bench_function("counter_add", |b| b.iter(|| counter.add(black_box(0), black_box(1))));
+    let counter = Counter::new();
+    group.bench_function("counter_add", |b| b.iter(|| counter.add(black_box(1))));
     let histogram = Histogram::new();
     group.bench_function("histogram_record", |b| {
         let mut x = 0.001f64;
@@ -147,17 +147,14 @@ fn bench_instruments(c: &mut Criterion) {
     group.finish();
 }
 
-/// A registry shaped like the runtime's fixed instrument set: sharded
+/// A registry shaped like the runtime's fixed instrument set: three
 /// counters, one gauge and two well-filled histograms.
 fn runtime_shaped_registry() -> Registry {
     let registry = Registry::new();
     for name in ["gtlb_dispatches_total", "gtlb_retries_total", "gtlb_fault_drops_total"] {
-        let counter = registry.counter(name, 4);
-        for shard in 0..4 {
-            counter.add(shard, 1_000 + shard as u64);
-        }
+        registry.counter(name).add(4_006);
     }
-    registry.gauge("gtlb_offered_utilization", 1).set(0.83);
+    registry.gauge("gtlb_offered_utilization").set(0.83);
     for name in ["gtlb_response_seconds", "gtlb_queue_wait_seconds"] {
         let h = registry.histogram(name);
         let mut x = 0.0005f64;

@@ -17,10 +17,10 @@
 //! * `POST /v1/metrics` feeds observed service times into the node's
 //!   service window (and may revise the declared rate, which the next
 //!   resolve picks up);
-//! * `GET /metrics` serves byte-identical Prometheus text to
-//!   [`TelemetryHandle::prometheus`], `GET /metrics.json` the JSON
-//!   twin, `GET /nodes` the merged lifecycle + detector table, and
-//!   `GET /healthz` a liveness probe.
+//! * `GET /metrics` serves the Prometheus text of
+//!   [`Runtime::telemetry_snapshot`], byte for byte, `GET
+//!   /metrics.json` the JSON twin, `GET /nodes` the merged lifecycle +
+//!   detector table, and `GET /healthz` a liveness probe.
 //!
 //! Determinism: the net layer owns **no RNG stream** and never draws.
 //! It only reads runtime state and forwards observations through the
@@ -28,7 +28,7 @@
 //! but idle leaves every determinism fingerprint bit-identical (CI
 //! enforces this).
 //!
-//! [`TelemetryHandle::prometheus`]: gtlb_runtime::TelemetryHandle::prometheus
+//! [`Runtime::telemetry_snapshot`]: gtlb_runtime::Runtime::telemetry_snapshot
 //!
 //! # Quickstart
 //!

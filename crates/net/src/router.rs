@@ -564,10 +564,10 @@ mod tests {
             AppState::new(rt.attach_control_plane(), Lifecycle::new(LifecycleConfig::default()));
         let resp = route(&app, &req(Method::Get, "/metrics", ""));
         assert_eq!(resp.status, 200);
-        assert_eq!(body_text(&resp), rt.telemetry_handle().prometheus().unwrap());
+        assert_eq!(body_text(&resp), rt.telemetry_snapshot().unwrap().to_prometheus());
         let resp = route(&app, &req(Method::Get, "/metrics.json", ""));
         assert_eq!(resp.status, 200);
-        assert_eq!(body_text(&resp), rt.telemetry_handle().json().unwrap());
+        assert_eq!(body_text(&resp), rt.telemetry_snapshot().unwrap().to_json());
     }
 
     #[test]

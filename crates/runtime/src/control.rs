@@ -240,9 +240,8 @@ impl ControlPlaneHooks {
 
     /// The telemetry snapshot rendered as Prometheus text exposition
     /// (`None` when telemetry is disabled). Byte-identical to
-    /// [`TelemetryHandle::prometheus`](crate::TelemetryHandle::prometheus)
-    /// at the same instant — the `/metrics` endpoint serves exactly
-    /// this.
+    /// rendering [`Runtime::telemetry_snapshot`] at the same instant —
+    /// the `/metrics` endpoint serves exactly this.
     #[must_use]
     pub fn prometheus(&self) -> Option<String> {
         self.runtime.telemetry_snapshot().map(|s| s.to_prometheus())
@@ -417,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn scrapes_match_telemetry_handle() {
+    fn scrapes_match_the_runtime_snapshot() {
         let rt =
             Arc::new(Runtime::builder().seed(2).nominal_arrival_rate(0.5).telemetry(true).build());
         let hooks = rt.attach_control_plane();
@@ -427,9 +426,9 @@ mod tests {
             rt.dispatch().unwrap();
         }
         assert!(hooks.telemetry_enabled());
-        let handle = rt.telemetry_handle();
-        assert_eq!(hooks.prometheus(), handle.prometheus());
-        assert_eq!(hooks.telemetry_json(), handle.json());
+        let snap = rt.telemetry_snapshot().unwrap();
+        assert_eq!(hooks.prometheus(), Some(snap.to_prometheus()));
+        assert_eq!(hooks.telemetry_json(), Some(snap.to_json()));
         // Swap stats surface in the scrape, not only via swap_stats().
         let text = hooks.prometheus().unwrap();
         assert!(text.contains("gtlb_table_publishes_total 1"), "swap stats missing:\n{text}");

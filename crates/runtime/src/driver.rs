@@ -236,6 +236,10 @@ pub struct TraceDriver {
     lanes: Vec<NodeLane>,
     responses: Welford,
     batches: BatchMeans,
+    /// Jobs offered since construction: the sequence number a job's
+    /// trace id hashes. [`TraceDriver::reset_measurements`] leaves it
+    /// alone, so trace ids never repeat.
+    sequence: u64,
     submitted: u64,
     accepted: u64,
     rejected: u64,
@@ -269,6 +273,7 @@ impl TraceDriver {
             lanes: Vec::new(),
             responses: Welford::new(),
             batches: BatchMeans::new(cfg.batch_size),
+            sequence: 0,
             submitted: 0,
             accepted: 0,
             rejected: 0,
@@ -399,9 +404,10 @@ impl TraceDriver {
         self.run_heartbeats(runtime, arrived)?;
 
         self.submitted += 1;
+        self.sequence += 1;
         // Tracing is draw-free: begin() is a hash plus a mask test,
         // so the sampled/unsampled decision cannot perturb the run.
-        let mut trace = runtime.tracer().begin(self.submitted);
+        let mut trace = runtime.tracer().begin(self.sequence);
         // The arrival rides in the job's first `state` critical
         // section; a job that never reaches one records it here.
         // Nothing in between reads Φ̂.
@@ -472,133 +478,109 @@ impl TraceDriver {
         let chaos = self.faults.is_some();
         let mut t_attempt = arrived;
         let mut prev_backoff = 0.0;
-        for attempt in 1..=budget {
+        let mut attempt = 0;
+        // One pass per attempt: each pass returns, or retries while
+        // `schedule_retry` finds budget left, so the loop ends by
+        // attempt `budget`.
+        loop {
+            attempt += 1;
             // Claim the round-robin shard explicitly so the trace can
             // name it; `submit()` is exactly `submit_on(next_shard())`,
             // so the decision stream is untouched.
             let shard = runtime.sharded_dispatcher().next_shard();
-            let submission = match runtime.submit_on(shard) {
-                Ok(s) => s,
+            let decision = match runtime.submit_on(shard) {
+                Ok(Submission::Dispatched(d)) => Some(d),
+                Ok(Submission::Rejected) if attempt == 1 => {
+                    if let Some(t) = trace.as_mut() {
+                        t.instant(SpanKind::Rejected, arrived);
+                    }
+                    self.rejected += 1;
+                    self.note_terminal(1);
+                    return Ok(());
+                }
+                Ok(Submission::Deferred) if attempt == 1 => {
+                    if let Some(t) = trace.as_mut() {
+                        t.instant(SpanKind::Deferred, arrived);
+                    }
+                    self.deferred += 1;
+                    self.note_terminal(1);
+                    return Ok(());
+                }
+                // Shed mid-retry: consumes budget like a drop.
+                Ok(Submission::Rejected | Submission::Deferred) => None,
                 // With faults on, an empty table is transient (the last
                 // serving node just went Down; recovery or probation will
                 // repopulate it) — retryable, not fatal.
-                Err(RuntimeError::NoServingNodes) if chaos => {
-                    if let Some(t) = trace.as_mut() {
-                        t.instant(
-                            SpanKind::Attempt {
-                                n: attempt,
-                                outcome: AttemptOutcome::Timeout,
-                                backoff: prev_backoff,
-                            },
-                            t_attempt,
-                        );
-                    }
-                    if self.schedule_retry(
-                        runtime,
-                        attempt,
-                        budget,
-                        &mut t_attempt,
-                        &mut prev_backoff,
-                    ) {
-                        continue;
-                    }
-                    if let Some(t) = trace.as_mut() {
-                        t.instant(SpanKind::Failed, t_attempt);
-                    }
-                    return Ok(());
-                }
+                Err(RuntimeError::NoServingNodes) if chaos => None,
                 Err(e) => return Err(e),
             };
-            let decision = match submission {
-                Submission::Dispatched(d) => d,
-                Submission::Rejected => {
-                    if attempt == 1 {
-                        if let Some(t) = trace.as_mut() {
-                            t.instant(SpanKind::Rejected, arrived);
-                        }
-                        self.rejected += 1;
-                        self.note_terminal(1);
-                        return Ok(());
+            if let Some(decision) = decision {
+                let node = decision.node;
+                if let Some(t) = trace.as_mut() {
+                    // Head spans once, on the first attempt that
+                    // dispatched. No queue precedes admission.
+                    if t.spans.is_empty() {
+                        t.instant(SpanKind::Admitted, arrived);
+                        t.instant(SpanKind::Queued { depth: 0 }, arrived);
                     }
-                    // Shed mid-retry: consumes budget like a drop.
+                    t.instant(
+                        SpanKind::Routed {
+                            node: node.raw(),
+                            epoch: decision.epoch,
+                            shard: shard as u32,
+                        },
+                        t_attempt,
+                    );
+                }
+                let cause =
+                    self.faults.as_mut().and_then(|f| f.dispatch_drop_cause(node, t_attempt));
+                let Some(cause) = cause else {
+                    // Served. Slow windows degrade the *true* rate the
+                    // service time is drawn with — the estimator's μ̂
+                    // then lags reality, exactly the mismatch the
+                    // re-solver must absorb.
+                    let factor =
+                        self.faults.as_ref().map_or(1.0, |f| f.service_factor(node, t_attempt));
+                    let seed = self.seed;
+                    let lane = self.lane(node);
+                    let start = t_attempt.max(lane.next_free);
+                    let done = runtime.record_served(arrival.take(), node, chaos, |mu| {
+                        let rng = lane.service.get_or_insert_with(|| {
+                            Xoshiro256PlusPlus::stream(
+                                seed,
+                                DRIVER_SERVICE_STREAM_BASE + node.raw(),
+                            )
+                        });
+                        let service = -rng.next_open01().ln() / (mu * factor);
+                        (service, start + service)
+                    })?;
+                    lane.next_free = done;
+                    lane.completed += 1;
+                    self.accepted += 1;
+                    self.note_terminal(attempt);
+                    let response = done - arrived;
                     if let Some(t) = trace.as_mut() {
-                        t.instant(
+                        t.interval(
                             SpanKind::Attempt {
                                 n: attempt,
-                                outcome: AttemptOutcome::Timeout,
+                                outcome: AttemptOutcome::Ok,
                                 backoff: prev_backoff,
                             },
                             t_attempt,
+                            done,
                         );
+                        t.instant(SpanKind::Completed, done);
                     }
-                    if self.schedule_retry(
-                        runtime,
-                        attempt,
-                        budget,
-                        &mut t_attempt,
-                        &mut prev_backoff,
-                    ) {
-                        continue;
+                    let telemetry = runtime.telemetry();
+                    if telemetry.is_enabled() {
+                        let exemplar = trace.as_ref().map(|t| t.id.raw());
+                        let served = self.served.get_or_insert_with(ServedLatencies::default);
+                        served.record(telemetry, start - t_attempt, response, exemplar);
                     }
-                    if let Some(t) = trace.as_mut() {
-                        t.instant(SpanKind::Failed, t_attempt);
-                    }
+                    self.responses.add(response);
+                    self.batches.add(response);
                     return Ok(());
-                }
-                Submission::Deferred => {
-                    if attempt == 1 {
-                        if let Some(t) = trace.as_mut() {
-                            t.instant(SpanKind::Deferred, arrived);
-                        }
-                        self.deferred += 1;
-                        self.note_terminal(1);
-                        return Ok(());
-                    }
-                    if let Some(t) = trace.as_mut() {
-                        t.instant(
-                            SpanKind::Attempt {
-                                n: attempt,
-                                outcome: AttemptOutcome::Timeout,
-                                backoff: prev_backoff,
-                            },
-                            t_attempt,
-                        );
-                    }
-                    if self.schedule_retry(
-                        runtime,
-                        attempt,
-                        budget,
-                        &mut t_attempt,
-                        &mut prev_backoff,
-                    ) {
-                        continue;
-                    }
-                    if let Some(t) = trace.as_mut() {
-                        t.instant(SpanKind::Failed, t_attempt);
-                    }
-                    return Ok(());
-                }
-            };
-            let node = decision.node;
-            if let Some(t) = trace.as_mut() {
-                // Head spans once, on the first attempt that dispatched.
-                if t.spans.is_empty() {
-                    t.instant(SpanKind::Admitted, arrived);
-                    let depth = runtime.telemetry().ingest_depth().max(0.0) as u64;
-                    t.instant(SpanKind::Queued { depth }, arrived);
-                }
-                t.instant(
-                    SpanKind::Routed {
-                        node: node.raw(),
-                        epoch: decision.epoch,
-                        shard: shard as u32,
-                    },
-                    t_attempt,
-                );
-            }
-
-            let cause = self.faults.as_mut().and_then(|f| f.dispatch_drop_cause(node, t_attempt));
-            if let Some(cause) = cause {
+                };
                 // The attempt times out against the sick node; the
                 // detector hears about it at the deadline.
                 self.dropped += 1;
@@ -618,58 +600,24 @@ impl TraceDriver {
                     );
                 }
                 t_attempt += timeout;
-                if self.schedule_retry(runtime, attempt, budget, &mut t_attempt, &mut prev_backoff)
-                {
-                    continue;
-                }
+            } else if let Some(t) = trace.as_mut() {
+                // Nothing was dispatched: the attempt times out at once.
+                t.instant(
+                    SpanKind::Attempt {
+                        n: attempt,
+                        outcome: AttemptOutcome::Timeout,
+                        backoff: prev_backoff,
+                    },
+                    t_attempt,
+                );
+            }
+            if !self.schedule_retry(runtime, attempt, budget, &mut t_attempt, &mut prev_backoff) {
                 if let Some(t) = trace.as_mut() {
                     t.instant(SpanKind::Failed, t_attempt);
                 }
                 return Ok(());
             }
-
-            // Served. Slow windows degrade the *true* rate the service
-            // time is drawn with — the estimator's μ̂ then lags reality,
-            // exactly the mismatch the re-solver must absorb.
-            let factor = self.faults.as_ref().map_or(1.0, |f| f.service_factor(node, t_attempt));
-            let seed = self.seed;
-            let lane = self.lane(node);
-            let start = t_attempt.max(lane.next_free);
-            let done = runtime.record_served(arrival.take(), node, chaos, |mu| {
-                let rng = lane.service.get_or_insert_with(|| {
-                    Xoshiro256PlusPlus::stream(seed, DRIVER_SERVICE_STREAM_BASE + node.raw())
-                });
-                let service = -rng.next_open01().ln() / (mu * factor);
-                (service, start + service)
-            })?;
-            lane.next_free = done;
-            self.accepted += 1;
-            self.note_terminal(attempt);
-            let response = done - arrived;
-            if let Some(t) = trace.as_mut() {
-                t.interval(
-                    SpanKind::Attempt {
-                        n: attempt,
-                        outcome: AttemptOutcome::Ok,
-                        backoff: prev_backoff,
-                    },
-                    t_attempt,
-                    done,
-                );
-                t.instant(SpanKind::Completed, done);
-            }
-            let telemetry = runtime.telemetry();
-            if telemetry.is_enabled() {
-                let exemplar = trace.as_ref().map(|t| t.id.raw());
-                let served = self.served.get_or_insert_with(ServedLatencies::default);
-                served.record(telemetry, start - t_attempt, response, exemplar);
-            }
-            self.responses.add(response);
-            self.batches.add(response);
-            self.lane(node).completed += 1;
-            return Ok(());
         }
-        unreachable!("every attempt either returns or schedules a retry");
     }
 
     /// The lane of a registry-issued node id, grown on first sight.
@@ -1011,6 +959,34 @@ mod tests {
                 assert!(w[1].start >= w[0].start, "spans out of causal order: {t:?}");
             }
         }
+    }
+
+    #[test]
+    fn trace_ids_do_not_repeat_after_a_reset() {
+        let rt = RuntimeBuilder::new()
+            .seed(11)
+            .scheme(SchemeKind::Coop)
+            .nominal_arrival_rate(0.6)
+            .tracing_config(crate::TracingConfig::sample_all())
+            .build();
+        for rate in [1.0, 0.5] {
+            rt.register_node(rate).unwrap();
+        }
+        rt.resolve_now().unwrap();
+        let mut driver = TraceDriver::new(0.6, TraceConfig { seed: 9, batch_size: 100 });
+        driver.run_jobs(&rt, 100).unwrap();
+        driver.reset_measurements();
+        driver.run_jobs(&rt, 100).unwrap();
+        assert_eq!(driver.stats().submitted, 100, "the books restart at the reset");
+
+        let traces = rt.tracer().traces();
+        let ids: std::collections::HashSet<_> = traces.iter().map(|t| t.id).collect();
+        assert_eq!(ids.len(), 200, "every job keeps its own trace id");
+        let mut sequences: Vec<u64> = traces.iter().map(|t| t.sequence).collect();
+        sequences.sort_unstable();
+        assert_eq!(sequences, (1..=200).collect::<Vec<_>>());
+        let last = rt.tracer().id_of(200).unwrap();
+        assert_eq!(rt.tracer().trace(last).unwrap().sequence, 200);
     }
 
     #[test]

@@ -873,12 +873,6 @@ impl FaultInjector {
         self.attempt_drop(node, t, PartitionDirection::DropHeartbeats).is_some()
     }
 
-    /// Legacy alias for [`FaultInjector::dispatch_drops`] — the
-    /// symmetric-network entry point from before partitions existed.
-    pub fn attempt_drops(&mut self, node: NodeId, t: f64) -> bool {
-        self.dispatch_drops(node, t)
-    }
-
     /// Drains the fault markers scheduled at or before `upto`, in time
     /// order, each at most once. O(1) when no adversarial faults are
     /// scheduled.
@@ -958,12 +952,12 @@ mod tests {
     fn flaky_drops_at_the_configured_rate() {
         let plan = FaultPlan::new(3).flaky(node(0), 0.0, 1e6, 0.3);
         let mut inj = FaultInjector::new(plan);
-        let drops = (0..10_000).filter(|_| inj.attempt_drops(node(0), 1.0)).count();
+        let drops = (0..10_000).filter(|_| inj.dispatch_drops(node(0), 1.0)).count();
         let rate = drops as f64 / 10_000.0;
         assert!((rate - 0.3).abs() < 0.02, "drop rate {rate} vs p 0.3");
         // Outside the window (or for other nodes) nothing drops and no
         // randomness is consumed.
-        assert!(!inj.attempt_drops(node(1), 1.0));
+        assert!(!inj.dispatch_drops(node(1), 1.0));
     }
 
     #[test]
@@ -977,9 +971,9 @@ mod tests {
                     if probe_other {
                         // Interleave draws on node 1; node 0's sequence
                         // must not shift.
-                        let _ = inj.attempt_drops(node(1), k as f64);
+                        let _ = inj.dispatch_drops(node(1), k as f64);
                     }
-                    inj.attempt_drops(node(0), k as f64)
+                    inj.dispatch_drops(node(0), k as f64)
                 })
                 .collect::<Vec<_>>()
         };
@@ -991,7 +985,7 @@ mod tests {
         let plan = FaultPlan::new(4).crash(node(0), 0.0).flaky(node(0), 0.0, 100.0, 0.5);
         let mut inj = FaultInjector::new(plan);
         for _ in 0..16 {
-            assert!(inj.attempt_drops(node(0), 1.0));
+            assert!(inj.dispatch_drops(node(0), 1.0));
         }
         assert!(inj.no_stream_seeded(), "crash short-circuits the flaky draw");
         assert_eq!(inj.drop_probability(node(0), 1.0), 1.0);

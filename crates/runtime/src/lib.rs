@@ -34,8 +34,6 @@
 //! * [`admission`] — target-utilization admission control in front of
 //!   the shards: accept/defer/reject verdicts that keep the admitted
 //!   load at the design point once `Φ̂` nears capacity;
-//! * [`ingest`] — a bounded MPMC queue decoupling bursty producers from
-//!   the dispatch shards (`try_submit` sheds, `submit` backpressures);
 //! * [`driver`] — a closed-loop trace harness validating observed mean
 //!   response times against the allocator's analytic prediction.
 //!
@@ -53,7 +51,6 @@ pub mod driver;
 pub mod error;
 pub mod estimator;
 pub mod fault;
-pub mod ingest;
 pub mod registry;
 pub mod resolver;
 pub mod retry;
@@ -81,14 +78,13 @@ pub use fault::{
     DomainEvent, DropCause, FaultEvent, FaultInjector, FaultKind, FaultMarker, FaultMarkerKind,
     FaultPlan, PartitionDirection, ADVERSARIAL_STREAM, FAULT_STREAM,
 };
-pub use ingest::{IngestError, IngestQueue};
 pub use registry::{Health, Node, NodeId, Registry};
 pub use resolver::{ResolveOutcome, SchemeKind};
 pub use retry::{RetryConfig, RetryPolicy, RETRY_STREAM};
 pub use shard::{Decision, ShardGuard, ShardedDispatcher};
 pub use swap::{EpochSwap, SwapStats};
 pub use table::RoutingTable;
-pub use telemetry::{RuntimeEvent, Telemetry, TelemetryHandle};
+pub use telemetry::{RuntimeEvent, Telemetry};
 pub use tracing::Tracer;
 // Trace primitives, re-exported so downstream crates name one source.
 pub use gtlb_telemetry::trace::{
@@ -240,7 +236,7 @@ impl RuntimeBuilder {
     }
 
     /// Enables or disables per-job tracing with the default
-    /// [`TracingConfig`] (1-in-16 head sampling). Disabled by default;
+    /// [`TracingConfig`] (1-in-64 head sampling). Disabled by default;
     /// enabling it never perturbs a decision sequence — trace identity
     /// and sampling are pure hash functions of the seed and job
     /// sequence number.
@@ -806,13 +802,6 @@ impl Runtime {
         };
         inner.sync_node_suspicion(&suspicion);
         Some(inner.snapshot())
-    }
-
-    /// A polling handle a dashboard thread can scrape mid-run while the
-    /// driver keeps submitting through the same shared runtime.
-    #[must_use]
-    pub fn telemetry_handle(self: &Arc<Self>) -> TelemetryHandle {
-        TelemetryHandle::new(Arc::clone(self))
     }
 
     /// Publish statistics of the routing-table slot.

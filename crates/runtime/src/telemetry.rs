@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use gtlb_telemetry::{
     Counter, EventRing, Gauge, GaugeFamily, Histogram, HistogramSnapshot,
-    Registry as MetricRegistry, Snapshot, TaggedEvent, Watermark,
+    Registry as MetricRegistry, Snapshot, TaggedEvent,
 };
 
 use crate::admission::{AdmissionStats, AdmissionVerdict};
@@ -59,7 +59,6 @@ use crate::fault::{
 };
 use crate::registry::{Health, NodeId};
 use crate::shard::{ADMISSION_STREAM, DISPATCH_STREAM};
-use crate::Runtime;
 
 /// Events per event-ring lane (one lane per shard).
 pub const TELEMETRY_EVENT_CAPACITY: usize = 1024;
@@ -91,23 +90,17 @@ pub mod names {
     pub const HEALTH_TRANSITIONS: &str = "gtlb_health_transitions_total";
     /// Routing tables published through the table slot.
     pub const TABLE_PUBLISHES: &str = "gtlb_table_publishes_total";
-    /// Jobs shed by a full ingest queue.
-    pub const INGEST_SHED: &str = "gtlb_ingest_shed_total";
     /// Events overwritten in the ring (drop-oldest).
     pub const EVENTS_DROPPED: &str = "gtlb_events_dropped_total";
     /// Offered utilization `ρ = Φ̂ / Σμ̂` admission acts on.
     pub const OFFERED_UTILIZATION: &str = "gtlb_offered_utilization";
     /// The driver's virtual clock, in seconds.
     pub const VIRTUAL_CLOCK: &str = "gtlb_virtual_clock_seconds";
-    /// Jobs currently queued in the ingest queue.
-    pub const INGEST_DEPTH: &str = "gtlb_ingest_depth";
     /// Jobs dispatched whose completion has not been recorded yet
     /// (derived at scrape: dispatches − responses − fault drops). During
     /// a `TraceDriver::run_jobs` call it reads high by at most 4,096,
     /// the driver's flush period; at every flush it is exact.
     pub const JOBS_INFLIGHT: &str = "gtlb_jobs_inflight";
-    /// High-water mark of the ingest queue depth.
-    pub const INGEST_PEAK_DEPTH: &str = "gtlb_ingest_peak_depth";
     /// Response time, arrival → completion (virtual seconds).
     pub const RESPONSE_SECONDS: &str = "gtlb_response_seconds";
     /// Queue wait at the chosen node (virtual seconds).
@@ -224,13 +217,10 @@ pub(crate) struct TelemetryInner {
     fault_drops: Arc<Counter>,
     health_transitions: Arc<Counter>,
     table_publishes: Arc<Counter>,
-    ingest_shed: Arc<Counter>,
     events_dropped: Arc<Counter>,
     offered_utilization: Arc<Gauge>,
     virtual_clock: Arc<Gauge>,
-    ingest_depth: Arc<Gauge>,
     jobs_inflight: Arc<Gauge>,
-    ingest_peak: Arc<Watermark>,
     response: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
     backoff: Arc<Histogram>,
@@ -242,31 +232,27 @@ pub(crate) struct TelemetryInner {
 
 impl TelemetryInner {
     fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
         let registry = MetricRegistry::new();
         Self {
-            ring: EventRing::new(shards, TELEMETRY_EVENT_CAPACITY),
+            ring: EventRing::new(shards.max(1), TELEMETRY_EVENT_CAPACITY),
             clock_bits: AtomicU64::new(0f64.to_bits()),
-            dispatches: registry.counter(names::DISPATCHES, 1),
-            admission_submitted: registry.counter(names::ADMISSION_SUBMITTED, 1),
-            admission_accepted: registry.counter(names::ADMISSION_ACCEPTED, 1),
-            admission_deferred: registry.counter(names::ADMISSION_DEFERRED, 1),
-            admission_rejected: registry.counter(names::ADMISSION_REJECTED, 1),
-            retries: registry.counter(names::RETRIES, shards),
-            fault_drops: registry.counter(names::FAULT_DROPS, shards),
-            health_transitions: registry.counter(names::HEALTH_TRANSITIONS, shards),
-            table_publishes: registry.counter(names::TABLE_PUBLISHES, 1),
-            ingest_shed: registry.counter(names::INGEST_SHED, shards),
-            events_dropped: registry.counter(names::EVENTS_DROPPED, 1),
-            offered_utilization: registry.gauge(names::OFFERED_UTILIZATION, 1),
-            virtual_clock: registry.gauge(names::VIRTUAL_CLOCK, 1),
-            ingest_depth: registry.gauge(names::INGEST_DEPTH, shards),
-            jobs_inflight: registry.gauge(names::JOBS_INFLIGHT, 1),
-            ingest_peak: registry.watermark(names::INGEST_PEAK_DEPTH, shards),
+            dispatches: registry.counter(names::DISPATCHES),
+            admission_submitted: registry.counter(names::ADMISSION_SUBMITTED),
+            admission_accepted: registry.counter(names::ADMISSION_ACCEPTED),
+            admission_deferred: registry.counter(names::ADMISSION_DEFERRED),
+            admission_rejected: registry.counter(names::ADMISSION_REJECTED),
+            retries: registry.counter(names::RETRIES),
+            fault_drops: registry.counter(names::FAULT_DROPS),
+            health_transitions: registry.counter(names::HEALTH_TRANSITIONS),
+            table_publishes: registry.counter(names::TABLE_PUBLISHES),
+            events_dropped: registry.counter(names::EVENTS_DROPPED),
+            offered_utilization: registry.gauge(names::OFFERED_UTILIZATION),
+            virtual_clock: registry.gauge(names::VIRTUAL_CLOCK),
+            jobs_inflight: registry.gauge(names::JOBS_INFLIGHT),
             response: registry.histogram(names::RESPONSE_SECONDS),
             queue_wait: registry.histogram(names::QUEUE_WAIT_SECONDS),
             backoff: registry.histogram(names::RETRY_BACKOFF_SECONDS),
-            solver_resolves: registry.counter(names::SOLVER_RESOLVES, 1),
+            solver_resolves: registry.counter(names::SOLVER_RESOLVES),
             node_phi: registry.gauge_family(names::NODE_PHI, names::NODE_LABEL),
             node_suspect_phi: registry.gauge_family(names::NODE_SUSPECT_PHI, names::NODE_LABEL),
             node_down_phi: registry.gauge_family(names::NODE_DOWN_PHI, names::NODE_LABEL),
@@ -287,7 +273,8 @@ impl TelemetryInner {
     }
 
     /// Mirrors externally-maintained totals into the registry so a
-    /// scrape sees them; called by [`Runtime::telemetry_snapshot`].
+    /// scrape sees them; called by
+    /// [`Runtime::telemetry_snapshot`](crate::Runtime::telemetry_snapshot).
     pub(crate) fn sync(
         &self,
         dispatched: u64,
@@ -317,8 +304,9 @@ impl TelemetryInner {
     /// Rewrites the per-node suspicion families (live φ and the
     /// effective thresholds) from `rows`, one `(node, φ, suspect,
     /// down)` row per registered node in ascending id order; called by
-    /// [`Runtime::telemetry_snapshot`]. A node missing from `rows` (it
-    /// was deregistered) drops out of every family.
+    /// [`Runtime::telemetry_snapshot`](crate::Runtime::telemetry_snapshot).
+    /// A node missing from `rows` (it was deregistered) drops out of
+    /// every family.
     pub(crate) fn sync_node_suspicion(&self, rows: &[(NodeId, f64, f64, f64)]) {
         self.node_phi.replace(rows.iter().map(|&(node, phi, _, _)| (node.raw(), phi)));
         self.node_suspect_phi.replace(rows.iter().map(|&(node, _, s, _)| (node.raw(), s)));
@@ -345,8 +333,7 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled facade with one event-ring lane and one set of metric
-    /// cells per shard.
+    /// An enabled facade with one event-ring lane per shard.
     #[must_use]
     pub fn enabled(shards: usize) -> Self {
         Self { inner: Some(Arc::new(TelemetryInner::new(shards))) }
@@ -400,22 +387,13 @@ impl Telemetry {
         }
     }
 
-    /// Records a completed job's response time (virtual seconds) into
-    /// the shared histogram at once. [`TraceDriver`] buffers its own
-    /// jobs instead; this is for other job loops.
-    ///
-    /// [`TraceDriver`]: crate::driver::TraceDriver
-    #[inline]
-    pub fn record_response(&self, seconds: f64) {
-        if let Some(inner) = self.inner() {
-            inner.response.record(seconds);
-        }
-    }
-
     /// Records a completed job's response time together with its trace
     /// id as the bucket exemplar (when the job was sampled), so
     /// `gtlb_response_seconds` percentiles link to a concrete trace.
-    /// Like [`Telemetry::record_response`], it records at once.
+    /// It records into the shared histogram at once; [`TraceDriver`]
+    /// buffers its own jobs instead, so this is for other job loops.
+    ///
+    /// [`TraceDriver`]: crate::driver::TraceDriver
     #[inline]
     pub fn record_response_traced(&self, seconds: f64, exemplar: Option<u64>) {
         if let Some(inner) = self.inner() {
@@ -426,15 +404,20 @@ impl Telemetry {
         }
     }
 
-    /// The current ingest-queue depth gauge (0 when disabled or when no
-    /// ingest queue feeds this runtime).
+    /// The depth of an ingest queue in front of the runtime: always
+    /// `0.0`, because nothing queues jobs ahead of admission. Kept for
+    /// job loops that stamp it into a [`SpanKind::Queued`] span, as
+    /// [`TraceDriver`] stamps `0`.
+    ///
+    /// [`SpanKind::Queued`]: crate::SpanKind::Queued
+    /// [`TraceDriver`]: crate::driver::TraceDriver
     #[must_use]
     pub fn ingest_depth(&self) -> f64 {
-        self.inner().map_or(0.0, |inner| inner.ingest_depth.value())
+        0.0
     }
 
     /// Records a completed job's queue wait (virtual seconds) at once,
-    /// like [`Telemetry::record_response`].
+    /// like [`Telemetry::record_response_traced`].
     #[inline]
     pub fn record_queue_wait(&self, seconds: f64) {
         if let Some(inner) = self.inner() {
@@ -457,10 +440,11 @@ impl Telemetry {
     }
 
     /// Records one retry and the backoff it waited (virtual seconds).
+    /// `shard` is unused: every retry lands in one counter.
     #[inline]
-    pub fn record_retry(&self, shard: usize, backoff_seconds: f64) {
+    pub fn record_retry(&self, _shard: usize, backoff_seconds: f64) {
         if let Some(inner) = self.inner() {
-            inner.retries.incr(shard);
+            inner.retries.incr();
             inner.backoff.record(backoff_seconds);
         }
     }
@@ -470,7 +454,7 @@ impl Telemetry {
     #[inline]
     pub fn record_fault_drop(&self, shard: usize, node: NodeId, t: f64) {
         if let Some(inner) = self.inner() {
-            inner.fault_drops.incr(shard);
+            inner.fault_drops.incr();
             inner.push_at(t, shard, FAULT_STREAM, RuntimeEvent::FaultDropped { node });
         }
     }
@@ -500,7 +484,7 @@ impl Telemetry {
     #[inline]
     pub(crate) fn record_health(&self, tr: HealthTransition) {
         if let Some(inner) = self.inner() {
-            inner.health_transitions.incr(0);
+            inner.health_transitions.incr();
             inner.push_at(
                 tr.at,
                 0,
@@ -514,7 +498,7 @@ impl Telemetry {
     #[inline]
     pub(crate) fn record_solve(&self) {
         if let Some(inner) = self.inner() {
-            inner.solver_resolves.incr(0);
+            inner.solver_resolves.incr();
         }
     }
 
@@ -526,129 +510,11 @@ impl Telemetry {
         }
     }
 
-    /// Records the ingest queue reaching `depth` after a push.
-    #[inline]
-    pub(crate) fn record_ingest_push(&self, depth: usize) {
-        if let Some(inner) = self.inner() {
-            inner.ingest_depth.add(0, 1.0);
-            inner.ingest_peak.observe(0, depth as f64);
-        }
-    }
-
-    /// Records a pop from the ingest queue.
-    #[inline]
-    pub(crate) fn record_ingest_pop(&self) {
-        if let Some(inner) = self.inner() {
-            inner.ingest_depth.add(0, -1.0);
-        }
-    }
-
-    /// Records a job shed by a full ingest queue.
-    #[inline]
-    pub(crate) fn record_ingest_shed(&self) {
-        if let Some(inner) = self.inner() {
-            inner.ingest_shed.incr(0);
-        }
-    }
-
     /// The most recent `n` ring events in virtual-time order (empty
     /// when disabled).
     #[must_use]
     pub fn recent_events(&self, n: usize) -> Vec<TaggedEvent<RuntimeEvent>> {
         self.inner().map_or_else(Vec::new, |inner| inner.ring.recent(n))
-    }
-
-    /// Events overwritten in the ring so far (0 when disabled).
-    #[must_use]
-    pub fn events_dropped(&self) -> u64 {
-        self.inner().map_or(0, |inner| inner.ring.dropped())
-    }
-}
-
-/// A polling handle over a shared [`Runtime`]'s telemetry: scrape
-/// snapshots and exposition formats mid-run, e.g. from a dashboard
-/// thread while the [`TraceDriver`](crate::driver::TraceDriver) pushes
-/// jobs elsewhere.
-///
-/// The driver adds its served jobs' response times and queue waits
-/// into the histograms every 4,096 served jobs and when `run_jobs`
-/// returns. A scrape during a call therefore lags it by at most
-/// 4,096 completions, and `gtlb_jobs_inflight` reads high by at most
-/// 4,096; between calls both are exact. Jobs recorded through the
-/// `record_*` methods show at once.
-#[derive(Clone)]
-pub struct TelemetryHandle {
-    runtime: Arc<Runtime>,
-}
-
-impl std::fmt::Debug for TelemetryHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetryHandle").field("enabled", &self.is_enabled()).finish()
-    }
-}
-
-impl TelemetryHandle {
-    pub(crate) fn new(runtime: Arc<Runtime>) -> Self {
-        Self { runtime }
-    }
-
-    /// Whether the underlying runtime records telemetry.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.runtime.telemetry().is_enabled()
-    }
-
-    /// A merged snapshot of every instrument (`None` when disabled).
-    #[must_use]
-    pub fn snapshot(&self) -> Option<Snapshot> {
-        self.runtime.telemetry_snapshot()
-    }
-
-    /// The snapshot rendered as Prometheus text exposition.
-    #[must_use]
-    pub fn prometheus(&self) -> Option<String> {
-        self.snapshot().map(|s| s.to_prometheus())
-    }
-
-    /// The snapshot rendered as JSON.
-    #[must_use]
-    pub fn json(&self) -> Option<String> {
-        self.snapshot().map(|s| s.to_json())
-    }
-
-    /// The most recent `n` structured events.
-    #[must_use]
-    pub fn recent_events(&self, n: usize) -> Vec<TaggedEvent<RuntimeEvent>> {
-        self.runtime.telemetry().recent_events(n)
-    }
-
-    /// Whether the underlying runtime records per-job traces.
-    #[must_use]
-    pub fn tracing_enabled(&self) -> bool {
-        self.runtime.tracer().is_enabled()
-    }
-
-    /// Every trace currently held in the flight recorder, in start-time
-    /// order (empty when tracing is disabled).
-    #[must_use]
-    pub fn traces(&self) -> Vec<gtlb_telemetry::trace::Trace> {
-        self.runtime.tracer().traces()
-    }
-
-    /// One recorded trace by id.
-    #[must_use]
-    pub fn trace(
-        &self,
-        id: gtlb_telemetry::trace::TraceId,
-    ) -> Option<gtlb_telemetry::trace::Trace> {
-        self.runtime.tracer().trace(id)
-    }
-
-    /// The flight recorder's contents rendered as Chrome `trace_event`
-    /// JSON (`None` when tracing is disabled).
-    #[must_use]
-    pub fn traces_chrome(&self) -> Option<String> {
-        self.tracing_enabled().then(|| gtlb_telemetry::trace::to_chrome_json(&self.traces()))
     }
 }
 
@@ -661,11 +527,10 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         tel.set_clock(5.0);
-        tel.record_response(1.0);
+        tel.record_response_traced(1.0, Some(7));
         tel.record_retry(0, 0.1);
         assert_eq!(tel.clock(), 0.0);
         assert!(tel.recent_events(8).is_empty());
-        assert_eq!(tel.events_dropped(), 0);
     }
 
     #[test]

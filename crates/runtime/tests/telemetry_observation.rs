@@ -95,12 +95,7 @@ fn disabled_runtime_scrapes_nothing() {
     let (rt, _, _) = chaos_run(false);
     assert!(!rt.telemetry().is_enabled());
     assert!(rt.telemetry_snapshot().is_none());
-    let handle = rt.telemetry_handle();
-    assert!(!handle.is_enabled());
-    assert!(handle.snapshot().is_none());
-    assert!(handle.prometheus().is_none());
-    assert!(handle.json().is_none());
-    assert!(handle.recent_events(8).is_empty());
+    assert!(rt.telemetry().recent_events(8).is_empty());
 }
 
 #[test]
@@ -140,13 +135,61 @@ fn enabled_snapshot_is_populated_and_consistent() {
     }
 
     // Both exposition formats render every catalog metric they should.
-    let handle = rt.telemetry_handle();
-    let prom = handle.prometheus().unwrap();
+    let prom = snap.to_prometheus();
     assert!(prom.contains(names::DISPATCHES));
     assert!(prom.contains("gtlb_response_seconds_count"));
-    let json = handle.json().unwrap();
+    let json = snap.to_json();
     assert!(json.contains(names::DISPATCHES));
     assert!(json.contains(names::RESPONSE_SECONDS));
+}
+
+/// Asserts that `series` holds exactly the names in `want`, in any
+/// order.
+fn assert_names<T>(series: &[(String, T)], mut want: Vec<&str>) {
+    let mut got: Vec<&str> = series.iter().map(|(n, _)| n.as_str()).collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn the_snapshot_exports_exactly_the_named_series() {
+    let (rt, _) = fault_free_runtime();
+    let snap = rt.telemetry_snapshot().unwrap();
+    assert_names(
+        snap.counters(),
+        vec![
+            names::DISPATCHES,
+            names::ADMISSION_SUBMITTED,
+            names::ADMISSION_ACCEPTED,
+            names::ADMISSION_DEFERRED,
+            names::ADMISSION_REJECTED,
+            names::RETRIES,
+            names::FAULT_DROPS,
+            names::HEALTH_TRANSITIONS,
+            names::TABLE_PUBLISHES,
+            names::EVENTS_DROPPED,
+            names::SOLVER_RESOLVES,
+        ],
+    );
+    assert_names(
+        snap.gauges(),
+        vec![names::OFFERED_UTILIZATION, names::VIRTUAL_CLOCK, names::JOBS_INFLIGHT],
+    );
+    assert_names(
+        snap.histograms(),
+        vec![names::RESPONSE_SECONDS, names::QUEUE_WAIT_SECONDS, names::RETRY_BACKOFF_SECONDS],
+    );
+    assert_names(
+        snap.families(),
+        vec![names::NODE_PHI, names::NODE_SUSPECT_PHI, names::NODE_DOWN_PHI],
+    );
+    assert!(snap.families().iter().all(|(_, f)| f.label() == names::NODE_LABEL));
+    let plain = snap.counters().len() + snap.gauges().len() + snap.histograms().len();
+    assert_eq!(plain, 17);
+    // One `# TYPE` line per plain series and per family.
+    let types = snap.to_prometheus().lines().filter(|l| l.starts_with("# TYPE ")).count();
+    assert_eq!(types, 20);
 }
 
 /// A telemetry-on runtime with `rates.len()` nodes, each heartbeated
@@ -339,7 +382,6 @@ fn fault_free_runtime() -> (Arc<Runtime>, Vec<NodeId>) {
 #[test]
 fn a_scrape_during_a_call_lags_by_at_most_the_flush_period() {
     let (rt, _) = fault_free_runtime();
-    let handle = rt.telemetry_handle();
     let mut driver = TraceDriver::new(2.1, TraceConfig { seed: 5, batch_size: 1_000 });
     let (start, done) = (Barrier::new(2), AtomicBool::new(false));
     let (scrapes, worst) = std::thread::scope(|s| {
@@ -347,7 +389,7 @@ fn a_scrape_during_a_call_lags_by_at_most_the_flush_period() {
             let (mut scrapes, mut worst) = (0u64, 0.0f64);
             start.wait();
             while !done.load(Ordering::Acquire) {
-                let snap = handle.snapshot().unwrap();
+                let snap = rt.telemetry_snapshot().unwrap();
                 worst = worst.max(snap.gauge(names::JOBS_INFLIGHT).unwrap());
                 scrapes += 1;
             }
@@ -360,7 +402,7 @@ fn a_scrape_during_a_call_lags_by_at_most_the_flush_period() {
     });
     assert!(scrapes > 0);
     assert!(worst <= 4_096.0, "a scrape read {worst} jobs in flight over {scrapes} scrapes");
-    let snap = handle.snapshot().unwrap();
+    let snap = rt.telemetry_snapshot().unwrap();
     assert_eq!(snap.histogram(names::RESPONSE_SECONDS).unwrap().count(), 200_000);
     assert_eq!(snap.gauge(names::JOBS_INFLIGHT), Some(0.0));
 }

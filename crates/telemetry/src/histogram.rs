@@ -1,5 +1,4 @@
-//! A log-linear HDR-style histogram with a fixed, mergeable bucket
-//! layout.
+//! A log-linear HDR-style histogram with a fixed bucket layout.
 //!
 //! The value axis is split into powers of two (octaves) from
 //! [`MIN_TRACKED`] = 2⁻³² up to [`MAX_TRACKED`] = 2³², and each octave
@@ -122,7 +121,7 @@ fn exemplar_cell(trace_id: u64) -> u64 {
 /// them into a plain [`HistogramSnapshot`] and add that in with
 /// [`Histogram::absorb`], at one `fetch_add` per non-empty bucket and
 /// one CAS on the sum. Reads go through [`Histogram::snapshot`], which
-/// copies the cells into a mergeable [`HistogramSnapshot`].
+/// copies the cells into a [`HistogramSnapshot`].
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
@@ -264,12 +263,12 @@ impl Histogram {
 /// layout as [`Histogram`]. It serves two roles:
 ///
 /// * a scrape's copy of a [`Histogram`] ([`Histogram::snapshot`]), which
-///   [`merge`](Self::merge)s by bucket and answers quantile queries;
+///   answers quantile queries;
 /// * a single owner's recording buffer ([`record`](Self::record),
 ///   [`record_with_exemplar`](Self::record_with_exemplar)), added into a
 ///   shared [`Histogram`] by [`Histogram::absorb`].
 #[derive(Debug, Clone, PartialEq)]
-#[must_use = "a histogram snapshot carries the data; query or merge it"]
+#[must_use = "a histogram snapshot carries the data; query or absorb it"]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
     /// Exemplar cells as stored (`trace_id + 1`, `0` = none).
@@ -293,16 +292,6 @@ impl HistogramSnapshot {
             sum: 0.0,
             max: 0.0,
         }
-    }
-
-    /// Builds a snapshot directly from sample values; convenient in
-    /// tests and for offline aggregation.
-    pub fn from_values(values: &[f64]) -> Self {
-        let mut s = Self::empty();
-        for &v in values {
-            s.record(v);
-        }
-        s
     }
 
     /// Records one observation of `value`, exactly as
@@ -449,41 +438,6 @@ impl HistogramSnapshot {
     #[must_use]
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-
-    /// Merges two snapshots bucket-by-bucket. Merging is associative
-    /// and commutative up to floating-point addition order in `sum`;
-    /// exemplars prefer `other`'s cell when both are populated (the
-    /// merged-in snapshot is treated as newer).
-    pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            buckets: self.buckets.iter().zip(&other.buckets).map(|(a, b)| a + b).collect(),
-            exemplars: self
-                .exemplars
-                .iter()
-                .zip(&other.exemplars)
-                .map(|(&a, &b)| if b != 0 { b } else { a })
-                .collect(),
-            sum: self.sum + other.sum,
-            max: self.max.max(other.max),
-        }
-    }
-
-    /// Bucket-wise difference `self - prev`, for scrape deltas. Counts
-    /// saturate at zero; `max` is kept from `self` (it is a
-    /// since-start maximum, not a windowed one).
-    pub fn delta(&self, prev: &Self) -> Self {
-        Self {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&prev.buckets)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            exemplars: self.exemplars.clone(),
-            sum: (self.sum - prev.sum).max(0.0),
-            max: self.max,
-        }
     }
 }
 
@@ -646,42 +600,10 @@ mod tests {
     }
 
     #[test]
-    fn exemplar_merge_prefers_the_newer_snapshot() {
-        let a = Histogram::new();
-        a.record_with_exemplar(0.1, 1);
-        let b = Histogram::new();
-        b.record_with_exemplar(0.1, 2);
-        b.record_with_exemplar(0.4, 3);
-        let m = a.snapshot().merge(&b.snapshot());
-        assert_eq!(m.exemplar(bucket_index(0.1)), Some(2));
-        assert_eq!(m.exemplar(bucket_index(0.4)), Some(3));
-        assert_eq!(m.count(), 3);
-    }
-
-    #[test]
     fn empty_snapshot_queries_are_zero() {
         let s = HistogramSnapshot::empty();
         assert_eq!(s.count(), 0);
         assert_eq!(s.p99(), 0.0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_combined_recording() {
-        let a = HistogramSnapshot::from_values(&[0.1, 0.2, 0.3]);
-        let b = HistogramSnapshot::from_values(&[0.4, 0.5]);
-        let both = HistogramSnapshot::from_values(&[0.1, 0.2, 0.3, 0.4, 0.5]);
-        assert_eq!(a.merge(&b), both);
-        assert_eq!(a.merge(&b), b.merge(&a));
-    }
-
-    #[test]
-    fn delta_recovers_the_window() {
-        let early = HistogramSnapshot::from_values(&[0.1, 0.2]);
-        let late = HistogramSnapshot::from_values(&[0.1, 0.2, 0.4]);
-        let d = late.delta(&early);
-        assert_eq!(d.count(), 1);
-        assert_eq!(d.bucket(bucket_index(0.4)), 1);
-        assert!((d.sum() - 0.4).abs() < 1e-12);
     }
 }

@@ -1,24 +1,22 @@
 //! Dependency-free observability core for the gtlb runtime.
 //!
-//! The crate provides four building blocks, all safe Rust over `std`
+//! The crate provides five building blocks, all safe Rust over `std`
 //! atomics with no external dependencies:
 //!
-//! * [`Counter`] / [`Gauge`] / [`Watermark`] — sharded metric cells.
-//!   Each writer thread (shard) updates its own cache-line-padded
-//!   atomic, and readers merge the cells on scrape, so the write path
-//!   is a single uncontended `fetch_add` (or CAS for float gauges).
+//! * [`Counter`] / [`Gauge`] — metric cells of one relaxed atomic
+//!   each: a write is one `fetch_add` or one store.
 //! * [`Histogram`] — a log-linear HDR-style latency histogram with a
 //!   fixed bucket layout (16 sub-buckets per power of two across
-//!   2⁻³² … 2³², ~6.25 % relative error). Snapshots are mergeable and
-//!   answer p50/p90/p99/max queries; a single owner can also record
-//!   into a plain snapshot and add it in with [`Histogram::absorb`].
+//!   2⁻³² … 2³², ~6.25 % relative error). Snapshots answer
+//!   p50/p90/p99/max queries; a single owner can also record into a
+//!   plain snapshot and add it in with [`Histogram::absorb`].
 //! * [`EventRing`] — a bounded, structured, drop-oldest event buffer
 //!   with one lane per shard and an exact per-lane dropped counter,
 //!   for recording discrete happenings (routing decisions, health
 //!   transitions, faults) tagged with virtual time and provenance.
-//! * [`Registry`] + [`Snapshot`] — a scrape surface that merges every
-//!   registered instrument into an immutable snapshot, supports
-//!   snapshot deltas, and renders Prometheus text or JSON exposition.
+//! * [`Registry`] + [`Snapshot`] — a scrape surface that reads every
+//!   registered instrument into an immutable snapshot and renders
+//!   Prometheus text or JSON exposition.
 //!   A [`GaugeFamily`] is the labelled member of that set: one gauge
 //!   cell per integer label value (a node id), rewritten whole at
 //!   scrape time and rendered as one metric with one sample per cell.
@@ -48,7 +46,7 @@ pub use histogram::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, Histogram, HistogramSnapshot,
     BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET, SUB_BUCKET_BITS, UNDERFLOW_BUCKET,
 };
-pub use metrics::{CachePadded, Counter, Gauge, Watermark};
+pub use metrics::{Counter, Gauge};
 pub use registry::{FamilySnapshot, GaugeFamily, Registry, Snapshot};
 pub use ring::{EventRing, TaggedEvent};
 pub use trace::{

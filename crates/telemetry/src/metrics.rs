@@ -1,183 +1,73 @@
-//! Sharded lock-free metric cells: [`Counter`], [`Gauge`], [`Watermark`].
-//!
-//! Each instrument owns one cache-line-padded atomic per shard. A
-//! writer touches only its own cell (`shard_id & mask`), so concurrent
-//! writers on different shards never share a cache line; readers merge
-//! every cell on scrape. This trades a slightly more expensive read
-//! (O(shards), on the cold scrape path) for a write path that is a
-//! single uncontended atomic RMW on the hot path.
+//! Lock-free metric cells: [`Counter`] and [`Gauge`], one relaxed
+//! atomic each.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Pads and aligns a value to 128 bytes so neighbouring cells never
-/// share a cache line (128 covers the spatial-prefetcher pairing on
-/// x86 as well as 64-byte lines elsewhere).
+/// A monotone counter.
 #[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct CachePadded<T> {
-    value: T,
-}
-
-impl<T> CachePadded<T> {
-    /// Wraps `value` in a 128-byte-aligned cell.
-    pub const fn new(value: T) -> Self {
-        Self { value }
-    }
-}
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-/// Rounds `shards` up to a power of two (minimum 1) so cell selection
-/// is a mask instead of a modulo.
-fn cell_count(shards: usize) -> usize {
-    shards.max(1).next_power_of_two()
-}
-
-/// A monotone sharded counter.
-///
-/// Writers call [`Counter::add`] with their shard id; the value is the
-/// sum over all cells. Cells beyond the requested shard count exist
-/// only to round the cell array up to a power of two.
-#[derive(Debug)]
 pub struct Counter {
-    cells: Vec<CachePadded<AtomicU64>>,
-    mask: usize,
+    value: AtomicU64,
 }
 
 impl Counter {
-    /// Creates a counter with one padded cell per shard (rounded up to
-    /// a power of two).
+    /// Creates a counter at zero.
     #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let n = cell_count(shards);
-        Self { cells: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(), mask: n - 1 }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Adds `n` to the cell owned by `shard`.
+    /// Adds `n`.
     #[inline]
-    pub fn add(&self, shard: usize, n: u64) {
-        self.cells[shard & self.mask].fetch_add(n, Ordering::Relaxed);
+    pub fn add(&self, n: u64) {
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1 to the cell owned by `shard`.
+    /// Adds 1.
     #[inline]
-    pub fn incr(&self, shard: usize) {
-        self.add(shard, 1);
+    pub fn incr(&self) {
+        self.add(1);
     }
 
     /// Overwrites the counter with an absolute total taken from an
     /// external monotone source (e.g. a dispatch count the runtime
-    /// already maintains). Stores into cell 0; callers must not mix
-    /// `set_total` with [`Counter::add`] on the same counter.
+    /// already maintains). Callers must not mix `set_total` with
+    /// [`Counter::add`] on the same counter.
     pub fn set_total(&self, total: u64) {
-        self.cells[0].store(total, Ordering::Relaxed);
+        self.value.store(total, Ordering::Relaxed);
     }
 
-    /// Merged value: the sum over all cells.
+    /// The current value.
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.cells.iter().map(|c| c.load(Ordering::Relaxed)).fold(0u64, u64::wrapping_add)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
-/// A sharded floating-point gauge.
-///
-/// Supports two write styles that must not be mixed on one instrument:
-/// delta updates via [`Gauge::add`] (each shard compare-and-swaps its
-/// own cell; the value is the sum of cells) and absolute updates via
-/// [`Gauge::set`] (single writer stores into cell 0).
-#[derive(Debug)]
+/// A floating-point gauge with a single writer, which stores absolute
+/// values.
+#[derive(Debug, Default)]
 pub struct Gauge {
-    /// Cells hold `f64::to_bits` images; all cells start at `0.0`.
-    cells: Vec<CachePadded<AtomicU64>>,
-    mask: usize,
+    /// `f64::to_bits` image of the value; all-zero bits are `0.0`.
+    bits: AtomicU64,
 }
 
 impl Gauge {
-    /// Creates a gauge with one padded cell per shard (rounded up to a
-    /// power of two).
+    /// Creates a gauge at `0.0`.
     #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let zero = 0f64.to_bits();
-        let n = cell_count(shards);
-        Self {
-            cells: (0..n).map(|_| CachePadded::new(AtomicU64::new(zero))).collect(),
-            mask: n - 1,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Adds `delta` (possibly negative) to the cell owned by `shard`.
-    #[inline]
-    pub fn add(&self, shard: usize, delta: f64) {
-        let cell = &self.cells[shard & self.mask];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Stores an absolute value into cell 0. Only meaningful for
-    /// single-writer gauges that never use [`Gauge::add`].
+    /// Stores `value`.
     #[inline]
     pub fn set(&self, value: f64) {
-        self.cells[0].store(value.to_bits(), Ordering::Relaxed);
+        self.bits.store(value.to_bits(), Ordering::Relaxed);
     }
 
-    /// Merged value: the sum over all cells.
+    /// The last stored value.
     #[must_use]
     pub fn value(&self) -> f64 {
-        self.cells.iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).sum()
-    }
-}
-
-/// A sharded high-watermark: tracks the maximum non-negative value
-/// ever observed. Each shard maxes into its own cell; the value is the
-/// maximum over cells.
-#[derive(Debug)]
-pub struct Watermark {
-    /// Cells hold `f64::to_bits` images of non-negative values, whose
-    /// unsigned bit patterns order the same way the floats do.
-    cells: Vec<CachePadded<AtomicU64>>,
-    mask: usize,
-}
-
-impl Watermark {
-    /// Creates a watermark with one padded cell per shard (rounded up
-    /// to a power of two). The initial value is `0.0`.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let n = cell_count(shards);
-        Self {
-            cells: (0..n).map(|_| CachePadded::new(AtomicU64::new(0f64.to_bits()))).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Raises the watermark owned by `shard` to `value` if it is
-    /// higher. Negative and non-finite observations are ignored.
-    #[inline]
-    pub fn observe(&self, shard: usize, value: f64) {
-        if value > 0.0 && value.is_finite() {
-            // For non-negative IEEE 754 doubles the u64 bit pattern is
-            // monotone in the value, so an integer fetch_max suffices.
-            self.cells[shard & self.mask].fetch_max(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Merged value: the maximum over all cells.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.cells.iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).fold(0.0, f64::max)
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -187,66 +77,31 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn counter_merges_across_cells() {
-        let c = Counter::new(4);
-        c.add(0, 3);
-        c.add(1, 4);
-        c.incr(7); // wraps onto cell 3 via the mask
-        assert_eq!(c.value(), 8);
-    }
-
-    #[test]
     fn counter_set_total_is_absolute() {
-        let c = Counter::new(2);
+        let c = Counter::new();
         c.set_total(41);
         c.set_total(42);
         assert_eq!(c.value(), 42);
     }
 
     #[test]
-    fn counter_value_is_shard_assignment_invariant() {
-        let a = Counter::new(8);
-        let b = Counter::new(8);
-        for i in 0..100u64 {
-            a.add(i as usize, i);
-            b.add(0, i);
-        }
-        assert_eq!(a.value(), b.value());
-    }
-
-    #[test]
-    fn gauge_add_and_set_paths() {
-        let g = Gauge::new(4);
-        g.add(0, 1.5);
-        g.add(2, -0.5);
-        assert!((g.value() - 1.0).abs() < 1e-12);
-
-        let s = Gauge::new(1);
-        s.set(0.75);
-        assert!((s.value() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn watermark_keeps_maximum_and_ignores_junk() {
-        let w = Watermark::new(2);
-        w.observe(0, 3.0);
-        w.observe(1, 7.0);
-        w.observe(0, 5.0);
-        w.observe(0, -1.0);
-        w.observe(0, f64::NAN);
-        w.observe(0, f64::INFINITY);
-        assert_eq!(w.value(), 7.0);
+    fn gauge_set_is_absolute() {
+        let g = Gauge::new();
+        assert_eq!(g.value(), 0.0);
+        g.set(0.75);
+        g.set(-1.5);
+        assert_eq!(g.value(), -1.5);
     }
 
     #[test]
     fn counter_is_thread_safe() {
-        let c = Arc::new(Counter::new(4));
+        let c = Arc::new(Counter::new());
         let handles: Vec<_> = (0..4)
-            .map(|shard| {
+            .map(|_| {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        c.incr(shard);
+                        c.incr();
                     }
                 })
             })

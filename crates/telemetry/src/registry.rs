@@ -1,17 +1,16 @@
 //! Instrument registry and scrape snapshots.
 //!
 //! A [`Registry`] hands out shared instruments
-//! ([`Counter`]/[`Gauge`]/[`Watermark`]/[`Histogram`]/[`GaugeFamily`])
-//! under stable names and merges them all into an immutable
-//! [`Snapshot`] on scrape. Snapshots support deltas against an earlier
-//! snapshot and render to Prometheus text exposition or a small JSON
+//! ([`Counter`]/[`Gauge`]/[`Histogram`]/[`GaugeFamily`]) under stable
+//! names and reads them all into an immutable [`Snapshot`] on scrape.
+//! Snapshots render to Prometheus text exposition or a small JSON
 //! document.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::metrics::{Counter, Gauge, Watermark};
+use crate::metrics::{Counter, Gauge};
 
 /// A named-instrument registry. Registration takes a short lock;
 /// instrument updates after registration are lock-free, except a
@@ -20,7 +19,6 @@ use crate::metrics::{Counter, Gauge, Watermark};
 pub struct Registry {
     counters: Mutex<Vec<(String, Arc<Counter>)>>,
     gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
-    watermarks: Mutex<Vec<(String, Arc<Watermark>)>>,
     histograms: Mutex<Vec<(String, Arc<Histogram>)>>,
     families: Mutex<Vec<(String, Arc<GaugeFamily>)>>,
 }
@@ -98,38 +96,26 @@ impl Registry {
         Self::default()
     }
 
-    /// Registers (or retrieves) a sharded counter under `name`.
-    pub fn counter(&self, name: &str, shards: usize) -> Arc<Counter> {
+    /// Registers (or retrieves) a counter under `name`.
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut list = self.counters.lock().unwrap();
         if let Some((_, c)) = list.iter().find(|(n, _)| n == name) {
             return Arc::clone(c);
         }
-        let c = Arc::new(Counter::new(shards));
+        let c = Arc::new(Counter::new());
         list.push((name.to_string(), Arc::clone(&c)));
         c
     }
 
-    /// Registers (or retrieves) a sharded gauge under `name`.
-    pub fn gauge(&self, name: &str, shards: usize) -> Arc<Gauge> {
+    /// Registers (or retrieves) a gauge under `name`.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut list = self.gauges.lock().unwrap();
         if let Some((_, g)) = list.iter().find(|(n, _)| n == name) {
             return Arc::clone(g);
         }
-        let g = Arc::new(Gauge::new(shards));
+        let g = Arc::new(Gauge::new());
         list.push((name.to_string(), Arc::clone(&g)));
         g
-    }
-
-    /// Registers (or retrieves) a high-watermark under `name`. It is
-    /// exposed as a gauge in snapshots.
-    pub fn watermark(&self, name: &str, shards: usize) -> Arc<Watermark> {
-        let mut list = self.watermarks.lock().unwrap();
-        if let Some((_, w)) = list.iter().find(|(n, _)| n == name) {
-            return Arc::clone(w);
-        }
-        let w = Arc::new(Watermark::new(shards));
-        list.push((name.to_string(), Arc::clone(&w)));
-        w
     }
 
     /// Registers (or retrieves) a histogram under `name`.
@@ -156,14 +142,12 @@ impl Registry {
         f
     }
 
-    /// Merges every registered instrument into an immutable snapshot.
-    /// Watermarks are folded into the gauge section.
+    /// Reads every registered instrument into an immutable snapshot.
     pub fn snapshot(&self) -> Snapshot {
         let counters =
             self.counters.lock().unwrap().iter().map(|(n, c)| (n.clone(), c.value())).collect();
-        let mut gauges: Vec<(String, f64)> =
+        let gauges =
             self.gauges.lock().unwrap().iter().map(|(n, g)| (n.clone(), g.value())).collect();
-        gauges.extend(self.watermarks.lock().unwrap().iter().map(|(n, w)| (n.clone(), w.value())));
         let histograms = self
             .histograms
             .lock()
@@ -183,10 +167,10 @@ impl Registry {
 }
 
 /// An immutable scrape of every instrument in a [`Registry`]:
-/// counters, gauges (including watermarks), histogram snapshots and
-/// gauge families, each under its registered name.
+/// counters, gauges, histogram snapshots and gauge families, each under
+/// its registered name.
 #[derive(Debug, Clone, PartialEq)]
-#[must_use = "a snapshot carries the scraped data; query, diff, or render it"]
+#[must_use = "a snapshot carries the scraped data; query or render it"]
 pub struct Snapshot {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
@@ -201,7 +185,7 @@ impl Snapshot {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Value of the gauge (or watermark) registered under `name`.
+    /// Value of the gauge registered under `name`.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
@@ -219,8 +203,7 @@ impl Snapshot {
         &self.counters
     }
 
-    /// All gauge names and values (watermarks included), in
-    /// registration order.
+    /// All gauge names and values, in registration order.
     #[must_use]
     pub fn gauges(&self) -> &[(String, f64)] {
         &self.gauges
@@ -241,33 +224,6 @@ impl Snapshot {
     #[must_use]
     pub fn families(&self) -> &[(String, FamilySnapshot)] {
         &self.families
-    }
-
-    /// The change since `prev`: counter and histogram counts are
-    /// subtracted (saturating at zero; instruments absent from `prev`
-    /// keep their full value), gauges and gauge families keep their
-    /// current reading.
-    pub fn delta(&self, prev: &Snapshot) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(n, v)| (n.clone(), v.saturating_sub(prev.counter(n).unwrap_or(0))))
-                .collect(),
-            gauges: self.gauges.clone(),
-            families: self.families.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(n, h)| {
-                    let d = match prev.histogram(n) {
-                        Some(p) => h.delta(p),
-                        None => h.clone(),
-                    };
-                    (n.clone(), d)
-                })
-                .collect(),
-        }
     }
 
     /// Renders the snapshot in Prometheus text exposition format.
@@ -413,13 +369,11 @@ mod tests {
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
-        let c = r.counter("gtlb_jobs_total", 2);
-        c.add(0, 5);
-        c.add(1, 7);
-        let g = r.gauge("gtlb_depth", 1);
-        g.set(3.5);
-        let w = r.watermark("gtlb_peak_depth", 1);
-        w.observe(0, 9.0);
+        let c = r.counter("gtlb_jobs_total");
+        c.add(5);
+        c.add(7);
+        r.gauge("gtlb_depth").set(3.5);
+        r.gauge("gtlb_utilization").set(0.5);
         let h = r.histogram("gtlb_response_seconds");
         for v in [0.1, 0.2, 0.4] {
             h.record(v);
@@ -433,7 +387,7 @@ mod tests {
         let s = sample_registry().snapshot();
         assert_eq!(s.counter("gtlb_jobs_total"), Some(12));
         assert_eq!(s.gauge("gtlb_depth"), Some(3.5));
-        assert_eq!(s.gauge("gtlb_peak_depth"), Some(9.0));
+        assert_eq!(s.gauge("gtlb_utilization"), Some(0.5));
         assert_eq!(s.histogram("gtlb_response_seconds").unwrap().count(), 3);
         let phi = s.family("gtlb_node_phi").unwrap();
         assert_eq!((phi.label(), phi.get(7), phi.get(8)), ("node", Some(1.25), None));
@@ -447,10 +401,10 @@ mod tests {
     #[test]
     fn registration_is_idempotent() {
         let r = Registry::new();
-        let a = r.counter("c", 1);
-        let b = r.counter("c", 1);
-        a.add(0, 1);
-        b.add(0, 1);
+        let a = r.counter("c");
+        let b = r.counter("c");
+        a.incr();
+        b.incr();
         assert_eq!(r.snapshot().counter("c"), Some(2));
         assert_eq!(r.snapshot().counters().len(), 1);
 
@@ -478,21 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_subtracts_counters_and_histograms() {
-        let r = sample_registry();
-        let before = r.snapshot();
-        r.counter("gtlb_jobs_total", 2).add(0, 3);
-        r.histogram("gtlb_response_seconds").record(0.8);
-        r.gauge_family("gtlb_node_phi", "node").replace([(7, 2.5)]);
-        let d = r.snapshot().delta(&before);
-        assert_eq!(d.counter("gtlb_jobs_total"), Some(3));
-        assert_eq!(d.histogram("gtlb_response_seconds").unwrap().count(), 1);
-        // Gauges and gauge families keep their current reading in a delta.
-        assert_eq!(d.gauge("gtlb_depth"), Some(3.5));
-        assert_eq!(d.family("gtlb_node_phi").unwrap().cells(), &[(7, 2.5)]);
-    }
-
-    #[test]
     fn prometheus_text_has_types_and_samples() {
         let text = sample_registry().snapshot().to_prometheus();
         assert!(text.contains("# TYPE gtlb_jobs_total counter"));
@@ -516,14 +455,14 @@ mod tests {
             ]
         );
         let family_at = text.find("# TYPE gtlb_node_phi gauge").unwrap();
-        assert!(text.find("# TYPE gtlb_peak_depth gauge").unwrap() < family_at);
+        assert!(text.find("# TYPE gtlb_utilization gauge").unwrap() < family_at);
         assert!(family_at < text.find("# TYPE gtlb_response_seconds summary").unwrap());
     }
 
     #[test]
     fn json_escapes_hostile_instrument_names() {
         let r = Registry::new();
-        r.counter("evil\"name\nwith\\stuff", 1).add(0, 3);
+        r.counter("evil\"name\nwith\\stuff").add(3);
         let json = r.snapshot().to_json();
         assert!(json.contains("\"evil\\\"name\\nwith\\\\stuff\":3"), "got {json}");
         assert!(!json.contains('\n'), "raw newline leaked into {json:?}");

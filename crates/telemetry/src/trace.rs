@@ -126,9 +126,10 @@ pub enum SpanKind {
     Deferred,
     /// Admission control rejected the job (terminal).
     Rejected,
-    /// The job entered the pipeline; carries the ingest depth at entry.
+    /// The job entered the pipeline.
     Queued {
-        /// Ingest queue depth observed when the job entered.
+        /// Jobs queued ahead of this one before admission. The
+        /// runtime's job loops queue nothing there and record `0`.
         depth: u64,
     },
     /// The routing table picked a node.

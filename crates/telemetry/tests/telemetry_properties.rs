@@ -4,23 +4,18 @@
 //!    whose `[lower, upper)` bounds contain it, and every bucket lower
 //!    bound indexes back to its own bucket (the log-linear grid has no
 //!    cracks and no overlaps);
-//! 2. **merge algebra** — histogram merge is commutative and
-//!    associative on everything quantiles are computed from (bucket
-//!    counts, count, max; sums agree to f64 rounding), so scrape-side
-//!    aggregation over shards can combine snapshots in any order;
-//! 3. **ring wraparound** — after any push pattern across lanes, the
+//! 2. **ring wraparound** — after any push pattern across lanes, the
 //!    drop-oldest ring retains exactly `min(pushed, capacity)` events
 //!    per lane, the newest survive, and `dropped()` counts exactly the
 //!    overwritten ones;
-//! 4. **buffered recording** — values recorded into a plain snapshot
+//! 3. **buffered recording** — values recorded into a plain snapshot
 //!    and added in by `Histogram::absorb`, at any absorb points, leave
 //!    the same buckets, count, maximum and exemplars as recording each
 //!    value into the shared histogram directly, junk values included.
 
 use gtlb_telemetry::{
-    bucket_index, bucket_lower_bound, bucket_upper_bound, Counter, EventRing, Histogram,
-    HistogramSnapshot, TaggedEvent, BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET,
-    UNDERFLOW_BUCKET,
+    bucket_index, bucket_lower_bound, bucket_upper_bound, EventRing, Histogram, HistogramSnapshot,
+    TaggedEvent, BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET, UNDERFLOW_BUCKET,
 };
 use proptest::prelude::*;
 
@@ -29,10 +24,6 @@ use proptest::prelude::*;
 /// buckets get exercised too.
 fn arb_value() -> impl Strategy<Value = f64> {
     (1.0f64..2.0, 0u32..69).prop_map(|(m, e)| m * f64::from(e as i32 - 34).exp2())
-}
-
-fn arb_values() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(arb_value(), 0..64)
 }
 
 /// Anything a caller might record: the tracked range, zeros of both
@@ -64,19 +55,6 @@ fn arb_exemplar() -> impl Strategy<Value = Option<u64>> {
     ]
 }
 
-/// Two snapshots agree on everything a scrape consumer can observe.
-/// Bucket counts, totals, and max compare exactly; sums are f64
-/// accumulations, so they compare to rounding.
-fn assert_same(a: &HistogramSnapshot, b: &HistogramSnapshot) {
-    assert_eq!(a.count(), b.count(), "counts differ");
-    assert_eq!(a.max().to_bits(), b.max().to_bits(), "max differs");
-    for i in 0..BUCKET_COUNT {
-        assert_eq!(a.bucket(i), b.bucket(i), "bucket {i} differs");
-    }
-    let tol = 1e-9 * (1.0 + a.sum().abs());
-    assert!((a.sum() - b.sum()).abs() <= tol, "sums differ: {} vs {}", a.sum(), b.sum());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -105,54 +83,6 @@ proptest! {
     #[test]
     fn bucket_lower_bounds_index_home(i in 1usize..OVERFLOW_BUCKET) {
         prop_assert_eq!(bucket_index(bucket_lower_bound(i)), i);
-    }
-
-    /// Merging shard snapshots is order-independent: a ⊎ b = b ⊎ a.
-    #[test]
-    fn merge_is_commutative(xs in arb_values(), ys in arb_values()) {
-        let a = HistogramSnapshot::from_values(&xs);
-        let b = HistogramSnapshot::from_values(&ys);
-        assert_same(&a.merge(&b), &b.merge(&a));
-    }
-
-    /// ...and grouping-independent: (a ⊎ b) ⊎ c = a ⊎ (b ⊎ c).
-    #[test]
-    fn merge_is_associative(
-        xs in arb_values(),
-        ys in arb_values(),
-        zs in arb_values(),
-    ) {
-        let a = HistogramSnapshot::from_values(&xs);
-        let b = HistogramSnapshot::from_values(&ys);
-        let c = HistogramSnapshot::from_values(&zs);
-        assert_same(&a.merge(&b).merge(&c), &a.merge(&b.merge(&c)));
-    }
-
-    /// A sharded counter's scraped value is the sum of its cells —
-    /// independent of which shard received which increment and of the
-    /// interleaving order (commutative, associative merge by
-    /// construction).
-    #[test]
-    fn counter_merge_is_order_and_shard_independent(
-        increments in prop::collection::vec((0usize..8, 1u64..1_000), 0..64),
-        rotation in 0usize..64,
-    ) {
-        let shards = 8;
-        let direct = Counter::new(shards);
-        for &(shard, n) in &increments {
-            direct.add(shard, n);
-        }
-        // Same increments, rotated order, arbitrary reassignment of
-        // each increment to a different shard.
-        let scrambled = Counter::new(shards);
-        let len = increments.len().max(1);
-        for (k, &(shard, n)) in increments.iter().enumerate() {
-            let (moved_shard, _) = increments[(k + rotation) % len];
-            let _ = shard;
-            scrambled.add(moved_shard, n);
-        }
-        prop_assert_eq!(direct.value(), scrambled.value());
-        prop_assert_eq!(direct.value(), increments.iter().map(|&(_, n)| n).sum::<u64>());
     }
 
     /// Recording into a plain snapshot and absorbing it at random points

@@ -228,7 +228,7 @@ fn span_words(kind: SpanKind) -> (u64, u64, u64, u64) {
 }
 
 /// The chaos run of [`chaos_trace_fingerprint`] with tracing forced on
-/// (default 1-in-16 sampling) and the **trace set itself** folded: every
+/// (default 1-in-64 sampling) and the **trace set itself** folded: every
 /// recorded trace's id, sequence, spans (kind, fields, and virtual-time
 /// stamps), plus the flight recorder's exact accounting. Tracing draws
 /// nothing, so this line is a pure function of (seed, plan) — identical

@@ -3,18 +3,18 @@
 //! a node mid-run (renormalize, then re-solve), and check the observed
 //! closed-loop mean response time against the allocator's analytic
 //! prediction. A final phase overloads the cluster to show the sharded
-//! dispatchers, admission control, and the bounded ingest queue working
-//! together.
+//! dispatchers and admission control working together, fed over a
+//! bounded channel.
 //!
 //! ```text
 //! cargo run --release --example online_runtime
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc;
 
 use gtlb::prelude::*;
-use gtlb::runtime::{IngestError, RoutingTable, TraceStats};
+use gtlb::runtime::{RoutingTable, TraceStats};
 use gtlb::sim::report::{fmt_num, Table};
 
 /// Analytic mean response of the system the driver actually runs: Poisson
@@ -153,21 +153,19 @@ fn main() {
 /// Phase 4: the same cluster shape pushed past its design point. Four
 /// dispatch shards route without a global lock (shard `k` draws from
 /// stream `seed ^ k`), admission control thins the offered stream to a
-/// 0.75 utilization target, and a bounded ingest queue backpressures the
-/// producers feeding the shards.
+/// 0.75 utilization target, and a bounded channel backpressures the
+/// producer feeding the shards.
 fn overload_with_admission(fast: f64, slow: f64) {
     let capacity = 2.0 * fast + 4.0 * slow;
     let phi_offered = 0.95 * capacity; // ρ = 0.95 ≫ the 0.75 target
     let target = 0.75;
-    let rt = Arc::new(
-        Runtime::builder()
-            .seed(2026)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(phi_offered)
-            .shards(4)
-            .admission(AdmissionConfig { target_utilization: target, defer_band: 0.05 })
-            .build(),
-    );
+    let rt = Runtime::builder()
+        .seed(2026)
+        .scheme(SchemeKind::Coop)
+        .nominal_arrival_rate(phi_offered)
+        .shards(4)
+        .admission(AdmissionConfig { target_utilization: target, defer_band: 0.05 })
+        .build();
     for _ in 0..2 {
         rt.register_node(fast).unwrap();
     }
@@ -181,33 +179,23 @@ fn overload_with_admission(fast: f64, slow: f64) {
         rt.offered_utilization().unwrap()
     );
 
-    // Producers hand job tokens to a bounded queue (non-blocking fast
-    // path, blocking fallback under backpressure); a consumer drains them
-    // onto the runtime, where admission decides before any shard routes.
-    let queue = Arc::new(gtlb::runtime::IngestQueue::with_depth(128));
+    // A producer hands job tokens to a bounded channel, blocking while
+    // it is full; a consumer drains them onto the runtime, where
+    // admission decides before any shard routes.
     const JOBS: usize = 40_000;
+    let (tx, rx) = mpsc::sync_channel::<usize>(128);
     std::thread::scope(|s| {
-        let consumer = {
-            let (q, rt) = (Arc::clone(&queue), Arc::clone(&rt));
-            s.spawn(move || {
-                while let Some(token) = q.pop() {
-                    let shard = token % rt.shard_count();
-                    let _ = rt.submit_on(shard).unwrap();
-                }
-            })
-        };
-        let producer = {
-            let q = Arc::clone(&queue);
-            s.spawn(move || {
-                for j in 0..JOBS {
-                    if let Err(IngestError::Full(v)) = q.try_submit(j) {
-                        q.submit(v).unwrap();
-                    }
-                }
-            })
-        };
-        producer.join().unwrap();
-        queue.close();
+        let consumer = s.spawn(|| {
+            for token in rx {
+                let shard = token % rt.shard_count();
+                let _ = rt.submit_on(shard).unwrap();
+            }
+        });
+        for j in 0..JOBS {
+            tx.send(j).expect("the consumer drains until the channel closes");
+        }
+        // Closing the channel ends the consumer's loop once it drains.
+        drop(tx);
         consumer.join().unwrap();
     });
 
@@ -222,13 +210,7 @@ fn overload_with_admission(fast: f64, slow: f64) {
         stats.rejected,
         stats.rejection_rate(),
     );
-    println!(
-        "  ingest peak depth {} / {} | dispatched {} over {} nodes",
-        queue.peak_depth(),
-        queue.depth(),
-        rt.dispatched(),
-        rt.hit_counts().len()
-    );
+    println!("  dispatched {} over {} nodes", rt.dispatched(), rt.hit_counts().len());
     assert_eq!(stats.accepted + stats.deferred + stats.rejected, stats.submitted);
     assert_eq!(stats.accepted, rt.dispatched());
     assert_eq!(stats.submitted, JOBS as u64);

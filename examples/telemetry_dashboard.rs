@@ -1,8 +1,9 @@
 //! A live text dashboard over a chaos trace, rendered entirely from the
-//! telemetry scrape API — no driver internals, no `stats()` call until
-//! the final summary. A `TelemetryHandle` is cloned off the runtime and
-//! polled between job chunks, exactly as an operator sidecar would poll
-//! a metrics endpoint mid-run.
+//! runtime's scrape calls — no driver internals, no `stats()` call
+//! until the final summary. `Runtime::telemetry_snapshot`,
+//! `telemetry().recent_events` and `tracer().traces()` are polled
+//! between job chunks, exactly as an operator sidecar would poll the
+//! control plane's `/metrics` and `/traces` mid-run.
 //!
 //! Each frame shows per-node routing share bars with detector states,
 //! the latency histogram percentiles (response, queue wait, retry
@@ -24,7 +25,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use gtlb::prelude::*;
 use gtlb::runtime::telemetry::names;
@@ -61,8 +61,8 @@ fn exemplar_line(snap: &Snapshot, name: &str) {
 
 /// A span waterfall of the slowest trace the flight recorder holds:
 /// one row per span, offset and sized on the trace's own timeline.
-fn render_waterfall(handle: &TelemetryHandle) {
-    let traces = handle.traces();
+fn render_waterfall(rt: &Runtime) {
+    let traces = rt.tracer().traces();
     let Some(t) = traces.iter().max_by(|a, b| a.duration().total_cmp(&b.duration())) else {
         return;
     };
@@ -110,11 +110,10 @@ fn counter_delta(cur: &Snapshot, prev: &Snapshot, name: &str, label: &str) {
 fn render_frame(
     frame: usize,
     rt: &Runtime,
-    handle: &TelemetryHandle,
     names_by_id: &BTreeMap<NodeId, String>,
     prev: &mut Option<Snapshot>,
 ) {
-    let Some(snap) = handle.snapshot() else { return };
+    let Some(snap) = rt.telemetry_snapshot() else { return };
     let clock = snap.gauge(names::VIRTUAL_CLOCK).unwrap_or(0.0);
     let dispatched: u64 = snap.counter(names::DISPATCHES).unwrap_or(0);
     println!("┄┄ frame {frame} ┄ t = {:>7.1} s ┄ {} dispatched ┄┄", clock, dispatched);
@@ -144,7 +143,7 @@ fn render_frame(
         counter_delta(&snap, prev_snap, names::TABLE_PUBLISHES, "table publishes");
     }
 
-    let recent = handle.recent_events(4);
+    let recent = rt.telemetry().recent_events(4);
     if !recent.is_empty() {
         println!(
             "  recent events ({} overwritten in ring so far):",
@@ -163,26 +162,23 @@ fn main() {
     // mid-trace and the slow one turns flaky while it is gone.
     let rates = [4.0, 2.0, 1.0];
     let phi = 0.6 * rates.iter().sum::<f64>();
-    let rt = Arc::new(
-        Runtime::builder()
-            .seed(0xDA5B)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(phi)
-            .shards(2)
-            .telemetry(true)
-            // 1-in-16 head sampling: dense enough that a ~1k-job demo
-            // lands exemplars on every percentile and a slow trace in
-            // the recorder's tail lane.
-            .tracing_config(TracingConfig { sample_mask: 0xF, ..TracingConfig::default() })
-            .build(),
-    );
+    let rt = Runtime::builder()
+        .seed(0xDA5B)
+        .scheme(SchemeKind::Coop)
+        .nominal_arrival_rate(phi)
+        .shards(2)
+        .telemetry(true)
+        // 1-in-16 head sampling: dense enough that a ~1k-job demo
+        // lands exemplars on every percentile and a slow trace in
+        // the recorder's tail lane.
+        .tracing_config(TracingConfig { sample_mask: 0xF, ..TracingConfig::default() })
+        .build();
     let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
     let names_by_id: BTreeMap<NodeId, String> =
         ids.iter().enumerate().map(|(k, &id)| (id, format!("node-{k}"))).collect();
     rt.resolve_now().unwrap();
 
-    let handle = rt.telemetry_handle();
-    assert!(handle.is_enabled(), "built with .telemetry(true)");
+    assert!(rt.telemetry().is_enabled(), "built with .telemetry(true)");
 
     let plan =
         FaultPlan::new(0xFEED).crash_recover(ids[0], 60.0, 80.0).flaky(ids[2], 90.0, 60.0, 0.4);
@@ -199,7 +195,7 @@ fn main() {
     let mut prev: Option<Snapshot> = None;
     for frame in 1.. {
         driver.run_jobs(&rt, 250).unwrap();
-        render_frame(frame, &rt, &handle, &names_by_id, &mut prev);
+        render_frame(frame, &rt, &names_by_id, &mut prev);
         if driver.clock() > 220.0 {
             break;
         }
@@ -212,13 +208,13 @@ fn main() {
     assert!(stats.is_conserved(), "job conservation violated");
     println!("{stats}");
 
-    let snap = handle.snapshot().expect("telemetry enabled");
+    let snap = rt.telemetry_snapshot().expect("telemetry enabled");
     assert_eq!(snap.counter(names::DISPATCHES), Some(rt.dispatched()));
     println!("\nscrape tail (Prometheus text format):");
-    let expo = handle.prometheus().expect("telemetry enabled");
+    let expo = snap.to_prometheus();
     for line in expo.lines().filter(|l| l.starts_with("gtlb_response_seconds")).take(6) {
         println!("  {line}");
     }
 
-    render_waterfall(&handle);
+    render_waterfall(&rt);
 }

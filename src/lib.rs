@@ -22,11 +22,11 @@
 //! * [`runtime`] — the online dispatch runtime: node registry, rate
 //!   estimators, background re-solver, and an epoch-swapped routing table
 //!   serving live job streams from the allocators above, dispatched
-//!   through per-core shards behind admission control and a bounded
-//!   ingest queue, with deterministic fault injection, an accrual
+//!   through per-core shards behind admission control, with
+//!   deterministic fault injection, an accrual
 //!   failure detector, and retry/timeout dispatch hardening the loop
 //!   against node churn;
-//! * [`telemetry`] — lock-free sharded counters/gauges, log-linear
+//! * [`telemetry`] — lock-free counters/gauges, log-linear
 //!   latency histograms, and a bounded structured event ring; the
 //!   runtime records into them behind an observation-only facade that
 //!   consumes no RNG and never perturbs a deterministic trace;
@@ -83,10 +83,10 @@ pub mod prelude {
     pub use gtlb_queueing::Mm1;
     pub use gtlb_runtime::{
         AdmissionConfig, AdmissionStats, AdmissionVerdict, AttemptOutcome, DetectorConfig,
-        FaultPlan, Health, HealthTransition, IngestQueue, NodeId, PartitionDirection, RetryConfig,
-        RetryPolicy, Runtime, RuntimeBuilder, RuntimeError, RuntimeEvent, SchemeKind,
-        ShardedDispatcher, SpanKind, Submission, Telemetry, TelemetryHandle, Trace, TraceConfig,
-        TraceDriver, TraceId, Tracer, TracingConfig,
+        FaultPlan, Health, HealthTransition, NodeId, PartitionDirection, RetryConfig, RetryPolicy,
+        Runtime, RuntimeBuilder, RuntimeError, RuntimeEvent, SchemeKind, ShardedDispatcher,
+        SpanKind, Submission, Telemetry, Trace, TraceConfig, TraceDriver, TraceId, Tracer,
+        TracingConfig,
     };
     pub use gtlb_telemetry::{Histogram, HistogramSnapshot, Snapshot, TaggedEvent};
 }

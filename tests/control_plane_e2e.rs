@@ -156,17 +156,17 @@ fn control_plane_drives_the_full_node_lifecycle() {
     assert!(body.contains("\"name\":\"beta\""), "{body}");
     assert!(body.contains("\"registering\""), "{body}");
 
-    // The scrape endpoints serve exactly what the in-process telemetry
-    // handle renders (the system is quiescent once alpha is Down).
-    let handle = runtime.telemetry_handle();
+    // The scrape endpoints serve exactly what the in-process snapshot
+    // renders (the system is quiescent once alpha is Down).
     let (status, scraped) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    assert_eq!(scraped, handle.prometheus().unwrap(), "/metrics == TelemetryHandle::prometheus()");
+    let text = runtime.telemetry_snapshot().unwrap().to_prometheus();
+    assert_eq!(scraped, text, "/metrics == Runtime::telemetry_snapshot()");
     assert!(scraped.contains("gtlb_health_transitions_total"), "{scraped}");
     assert!(scraped.contains("gtlb_table_publishes_total"), "swap stats exposed: {scraped}");
     let (status, scraped_json) = get(addr, "/metrics.json");
     assert_eq!(status, 200);
-    assert_eq!(scraped_json, handle.json().unwrap());
+    assert_eq!(scraped_json, runtime.telemetry_snapshot().unwrap().to_json());
 
     // Drain then delete alpha; delete beta straight from the gate.
     let (status, body) = post(addr, "/v1/drain", r#"{"name":"alpha"}"#);

@@ -3,17 +3,16 @@
 //! response time against the allocator's analytic prediction — the same
 //! scenario `examples/online_runtime.rs` narrates. Also pins the sharded
 //! dispatch determinism contract (merged decision sequence invariant
-//! under `RAYON_NUM_THREADS`-style worker counts), the admission-control
-//! closed loop, and the bounded ingest handoff, and checks Theorem 3.8
-//! on the tables COOP publishes.
+//! under `RAYON_NUM_THREADS`-style worker counts) and the
+//! admission-control closed loop, and checks Theorem 3.8 on the tables
+//! COOP publishes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use gtlb::desim::par::par_map_with_threads;
 use gtlb::prelude::*;
-use gtlb::runtime::{IngestError, ResolveOutcome, RoutingTable, TraceStats};
+use gtlb::runtime::{ResolveOutcome, RoutingTable, TraceStats};
 
 /// Analytic mean response of the system the driver actually runs: the
 /// true arrival rate `phi` split over the published table, each node an
@@ -305,64 +304,4 @@ fn admission_keeps_the_closed_loop_at_the_target() {
     let phi_admitted = target * rates.iter().sum::<f64>();
     let analytic = closed_loop_analytic(&rt.current_table(), &true_rates, phi_admitted);
     assert_matches_analytic(&stats, analytic, "admitted stream");
-}
-
-#[test]
-fn ingest_queue_feeds_the_shards_across_threads() {
-    // Producers push job tokens through a bounded IngestQueue; a consumer
-    // drains them onto the dispatch shards. The handoff must conserve
-    // jobs (every push is eventually dispatched) and respect the depth
-    // bound under backpressure.
-    const PRODUCERS: usize = 2;
-    const PER_PRODUCER: usize = 5_000;
-    const DEPTH: usize = 64;
-
-    let rt = Arc::new(Runtime::builder().seed(13).nominal_arrival_rate(1.0).shards(2).build());
-    rt.register_node(2.0).unwrap();
-    rt.resolve_now().unwrap();
-
-    let queue = Arc::new(IngestQueue::with_depth(DEPTH));
-    let dispatched = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        let consumer = {
-            let q = Arc::clone(&queue);
-            let rt = Arc::clone(&rt);
-            let dispatched = &dispatched;
-            s.spawn(move || {
-                // The popped token doubles as the shard hint.
-                while let Some(token) = q.pop() {
-                    rt.dispatch_on(token % 2).unwrap();
-                    dispatched.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        };
-        let producers: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
-                let q = Arc::clone(&queue);
-                s.spawn(move || {
-                    for j in 0..PER_PRODUCER {
-                        // Non-blocking first; fall back to blocking
-                        // backpressure when the consumer lags.
-                        if let Err(e) = q.try_submit(p * PER_PRODUCER + j) {
-                            match e {
-                                IngestError::Full(v) => q.submit(v).unwrap(),
-                                IngestError::Closed(_) => unreachable!("queue is open"),
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in producers {
-            h.join().unwrap();
-        }
-        queue.close();
-        consumer.join().unwrap();
-    });
-
-    let total = (PRODUCERS * PER_PRODUCER) as u64;
-    assert_eq!(dispatched.load(Ordering::Relaxed), total, "handoff lost jobs");
-    assert_eq!(rt.dispatched(), total);
-    assert!(queue.is_empty(), "consumer drained everything");
-    assert!(queue.peak_depth() <= DEPTH, "depth bound violated");
 }
