@@ -11,8 +11,8 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gtlb_runtime::{
-    AccrualDetector, DetectorConfig, FaultInjector, FaultPlan, NodeId, RetryConfig, RetryPolicy,
-    Runtime, SchemeKind, TraceConfig, TraceDriver,
+    FaultInjector, FaultPlan, NodeId, RetryConfig, RetryPolicy, Runtime, SchemeKind, TraceConfig,
+    TraceDriver,
 };
 
 fn serving_runtime(n_nodes: usize) -> Runtime {
@@ -31,15 +31,15 @@ fn serving_runtime(n_nodes: usize) -> Runtime {
 
 fn bench_detector(c: &mut Criterion) {
     // Steady-state detector bookkeeping: the per-heartbeat cost every
-    // healthy node pays (EWMA gap update + boost decay, no transition).
+    // healthy node pays (state lock, row lookup, EWMA gap update +
+    // boost decay, no transition).
     let rt = serving_runtime(4);
     let ids = rt.node_ids();
-    let mut det = AccrualDetector::new(DetectorConfig::default());
     let mut t = 0.0;
     for _ in 0..16 {
         t += 1.0;
         for &id in &ids {
-            det.observe_success(id, t);
+            rt.observe_success(id, t).unwrap();
         }
     }
     let mut group = c.benchmark_group("failover_detector");
@@ -49,10 +49,10 @@ fn bench_detector(c: &mut Criterion) {
         b.iter(|| {
             t += 0.25;
             k = (k + 1) % ids.len();
-            black_box(det.observe_success(ids[k], t))
+            black_box(rt.observe_success(ids[k], t))
         })
     });
-    group.bench_function("phi", |b| b.iter(|| black_box(det.phi(ids[0], t))));
+    group.bench_function("phi", |b| b.iter(|| black_box(rt.suspicion(ids[0], t))));
     group.finish();
 }
 

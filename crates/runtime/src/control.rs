@@ -11,8 +11,8 @@
 //! since that origin, producing a monotone `f64` timeline with the same
 //! shape the detector already consumes. The two timelines never mix *per
 //! node*: a node is either driven by the trace driver (virtual stamps)
-//! or by the control plane (wall stamps), and the detector keeps one
-//! independent track per node, so cross-node timeline skew is
+//! or by the control plane (wall stamps), and each node's registry row
+//! owns its own detector track, so cross-node timeline skew is
 //! irrelevant.
 //!
 //! Determinism: [`ControlPlaneHooks`] owns **no RNG stream** and draws
@@ -60,8 +60,8 @@ impl Default for ClockAdapter {
     }
 }
 
-/// One row of the control plane's node table: the node's registry row
-/// (with its measured rate) and detector state, snapshotted at query
+/// One row of the control plane's node table: the node's registry row,
+/// with its measured rate and detector state, snapshotted at query
 /// time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeStatus {
@@ -206,25 +206,25 @@ impl ControlPlaneHooks {
 
     /// Status rows for every registered node, in registration order
     /// (which is ascending id order): one pass over the registry rows
-    /// and the detector under the state lock.
+    /// under the state lock.
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeStatus> {
         let now = self.now();
-        let min_samples = self.runtime.cfg.min_service_obs;
-        let state = self.runtime.state();
-        state
+        let cfg = &self.runtime.cfg;
+        self.runtime
+            .state()
             .registry
             .nodes()
             .iter()
             .map(|n| {
                 let (effective_suspect_phi, effective_down_phi) =
-                    state.detector.effective_thresholds(n.id());
+                    n.effective_thresholds(&cfg.detector);
                 NodeStatus {
                     id: n.id(),
                     nominal_rate: n.nominal_rate(),
-                    estimated_rate: n.estimated_rate(min_samples),
+                    estimated_rate: n.estimated_rate(cfg.min_service_obs),
                     health: n.health(),
-                    phi: state.detector.phi(n.id(), now),
+                    phi: n.phi(&cfg.detector, now),
                     effective_suspect_phi,
                     effective_down_phi,
                 }
@@ -295,8 +295,8 @@ impl Runtime {
     /// [`ControlPlaneHooks`] port an external transport (e.g. the
     /// `gtlb-net` HTTP listener) drives. The hooks' clock origin is
     /// pinned at attach time; multiple attachments get independent
-    /// origins, which is fine — the detector tracks are per node, and a
-    /// node should be driven by exactly one control plane.
+    /// origins, which is fine — each node's row owns its own detector
+    /// track, and a node should be driven by exactly one control plane.
     #[must_use]
     pub fn attach_control_plane(self: &Arc<Self>) -> ControlPlaneHooks {
         ControlPlaneHooks::new(Arc::clone(self))

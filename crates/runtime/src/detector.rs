@@ -2,8 +2,10 @@
 //! missed responses and silence, and drives [`Health`] transitions with
 //! hysteresis instead of manual marking.
 //!
-//! The detector keeps one track per node. Every heartbeat or response
-//! outcome feeds it:
+//! Each node's registry row owns its track: `register` creates it,
+//! `deregister` drops it with the row, and the row's own [`Health`] is
+//! the state the track's transitions start from. Every heartbeat or
+//! response outcome feeds it:
 //!
 //! * **success** — updates the inter-observation EWMA, decays the
 //!   accrued failure boost, and (past hysteresis) promotes the node back
@@ -39,10 +41,11 @@
 //! threshold. With `self_tuning_window == 0` (the default) every code
 //! path is bit-identical to the fixed-threshold detector.
 //!
-//! The detector is pure bookkeeping — it owns no clock and no RNG, and
-//! never touches the registry itself. It *returns* the transition it
-//! wants ([`HealthTransition`]); the runtime applies it (and its routing
-//! consequences: renormalization on Down, re-solve on recovery).
+//! A track is pure bookkeeping — it owns no clock and no RNG; the
+//! caller supplies observation times. It *returns* the health it wants;
+//! the row writes it and reports the move as a [`HealthTransition`],
+//! and the runtime applies the routing consequences (renormalization on
+//! Down, re-solve on recovery).
 
 use crate::registry::{Health, NodeId};
 use gtlb_desim::stats::Ewma;
@@ -68,7 +71,8 @@ pub struct DetectorConfig {
     /// Successful observations required before the silence term is
     /// trusted (the interval EWMA needs a baseline).
     pub min_samples: u64,
-    /// Smoothing factor of the inter-observation interval EWMA.
+    /// Smoothing factor of the inter-observation interval EWMA (in
+    /// `(0, 1]`).
     pub interval_alpha: f64,
     /// Consecutive successes a Down node must string together before it
     /// is promoted back to Up (the probation window).
@@ -112,7 +116,8 @@ impl DetectorConfig {
         Self { self_tuning_window: window, ..Self::default() }
     }
 
-    fn validate(&self) {
+    /// Panics unless every field lies in its documented range.
+    pub(crate) fn validate(&self) {
         assert!(
             self.suspect_phi.is_finite() && self.suspect_phi > 0.0,
             "detector: suspect_phi must be positive and finite"
@@ -132,6 +137,10 @@ impl DetectorConfig {
         assert!(
             (0.0..1.0).contains(&self.success_decay),
             "detector: success_decay must lie in [0, 1)"
+        );
+        assert!(
+            self.interval_alpha > 0.0 && self.interval_alpha <= 1.0,
+            "detector: interval_alpha must lie in (0, 1]"
         );
         assert!(self.probation_successes >= 1, "detector: probation window must be at least 1");
         assert!(
@@ -161,8 +170,9 @@ impl std::fmt::Display for HealthTransition {
     }
 }
 
-#[derive(Debug)]
-struct Track {
+/// One node's accrual state, owned by the node's registry row.
+#[derive(Debug, Clone)]
+pub(crate) struct Track {
     intervals: Ewma,
     /// Sliding window of the last `self_tuning_window` interarrival
     /// gaps; empty (and never pushed) in fixed-threshold mode.
@@ -170,18 +180,82 @@ struct Track {
     last_seen: Option<f64>,
     boost: f64,
     consecutive_successes: u32,
-    view: Health,
 }
 
 impl Track {
-    fn new(alpha: f64) -> Self {
+    /// A fresh track whose interval EWMA smooths with `alpha`.
+    pub(crate) fn new(alpha: f64) -> Self {
         Self {
             intervals: Ewma::new(alpha),
             gaps: VecDeque::new(),
             last_seen: None,
             boost: 0.0,
             consecutive_successes: 0,
-            view: Health::Up,
+        }
+    }
+
+    /// Clears the probation streak: after a manual mark a node must
+    /// string together a fresh streak, so a forced Down still earns its
+    /// way back.
+    pub(crate) fn reset_streak(&mut self) {
+        self.consecutive_successes = 0;
+    }
+
+    /// Feeds one successful observation (heartbeat ack or completed
+    /// response) at time `t` to a node whose health is `health`, and
+    /// returns the health it moves to: Suspect→Up past hysteresis,
+    /// Down→Up after probation, `health` otherwise.
+    pub(crate) fn observe_success(
+        &mut self,
+        cfg: &DetectorConfig,
+        health: Health,
+        t: f64,
+    ) -> Health {
+        if let Some(last) = self.last_seen {
+            let gap = (t - last).max(0.0);
+            if gap > 0.0 {
+                self.intervals.observe(gap);
+                if cfg.self_tuning_window > 0 {
+                    self.gaps.push_back(gap);
+                    if self.gaps.len() > cfg.self_tuning_window {
+                        self.gaps.pop_front();
+                    }
+                }
+            }
+        }
+        self.last_seen = Some(t);
+        self.boost *= cfg.success_decay;
+        self.consecutive_successes += 1;
+        // Effective suspect threshold after this observation landed (the
+        // identity in fixed mode).
+        let (eff_suspect, _) = thresholds(cfg, self);
+        match health {
+            Health::Down if self.consecutive_successes >= cfg.probation_successes => Health::Up,
+            // Re-read φ with the refreshed boost/last_seen; the silence
+            // term is zero at the observation instant.
+            Health::Suspect if self.boost < cfg.recovery_factor * eff_suspect => Health::Up,
+            _ => health,
+        }
+    }
+
+    /// Feeds one failed observation (dropped attempt, missed heartbeat)
+    /// at time `t` to a node whose health is `health`, and returns the
+    /// health it moves to: a demotion once φ crosses a threshold,
+    /// `health` otherwise.
+    pub(crate) fn observe_failure(
+        &mut self,
+        cfg: &DetectorConfig,
+        health: Health,
+        t: f64,
+    ) -> Health {
+        self.boost += cfg.failure_boost;
+        self.consecutive_successes = 0;
+        let phi = track_phi(cfg, self, t);
+        let (eff_suspect, eff_down) = thresholds(cfg, self);
+        match health {
+            Health::Up | Health::Suspect if phi >= eff_down => Health::Down,
+            Health::Up if phi >= eff_suspect => Health::Suspect,
+            _ => health,
         }
     }
 }
@@ -217,13 +291,13 @@ fn mean_interval(cfg: &DetectorConfig, track: &Track) -> Option<f64> {
 }
 
 /// `(suspect_phi, down_phi)` scaled by the track's tuning factor.
-fn thresholds(cfg: &DetectorConfig, track: &Track) -> (f64, f64) {
+pub(crate) fn thresholds(cfg: &DetectorConfig, track: &Track) -> (f64, f64) {
     let scale = tuning_scale(cfg, track);
     (cfg.suspect_phi * scale, cfg.down_phi * scale)
 }
 
 /// Suspicion of one track at `now`: accrued boost plus the silence term.
-fn track_phi(cfg: &DetectorConfig, track: &Track, now: f64) -> f64 {
+pub(crate) fn track_phi(cfg: &DetectorConfig, track: &Track, now: f64) -> f64 {
     let silence = match (track.last_seen, mean_interval(cfg, track)) {
         (Some(last), Some(mean)) if mean > 0.0 => {
             ((now - last).max(0.0)) / (mean * std::f64::consts::LN_10)
@@ -233,282 +307,139 @@ fn track_phi(cfg: &DetectorConfig, track: &Track, now: f64) -> f64 {
     track.boost + silence
 }
 
-/// The accrual failure detector: per-node suspicion tracks feeding
-/// [`Health`] transitions. Deterministic — no clock, no randomness; the
-/// caller supplies observation times.
-///
-/// Tracks live in a table sorted by [`NodeId`] and are found by one
-/// binary search per call, so a caller may name any id: an unknown one
-/// costs one track, never storage in proportion to its value.
-#[derive(Debug)]
-pub struct AccrualDetector {
-    cfg: DetectorConfig,
-    /// Observed nodes, ascending; `tracks[i]` belongs to `ids[i]`.
-    ids: Vec<NodeId>,
-    tracks: Vec<Track>,
-}
-
-impl AccrualDetector {
-    /// A detector with the given tuning.
-    ///
-    /// # Panics
-    /// If the configuration is inconsistent (see the field docs).
-    #[must_use]
-    pub fn new(cfg: DetectorConfig) -> Self {
-        cfg.validate();
-        Self { cfg, ids: Vec::new(), tracks: Vec::new() }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
-    fn find(&self, node: NodeId) -> Option<&Track> {
-        self.ids.binary_search(&node).ok().map(|i| &self.tracks[i])
-    }
-
-    /// The node's track, created on first sight.
-    fn track(&mut self, node: NodeId) -> &mut Track {
-        let i = match self.ids.binary_search(&node) {
-            Ok(i) => i,
-            Err(i) => {
-                self.ids.insert(i, node);
-                self.tracks.insert(i, Track::new(self.cfg.interval_alpha));
-                i
-            }
-        };
-        &mut self.tracks[i]
-    }
-
-    /// Current suspicion level of `node` at time `now`: accrued boost
-    /// plus the silence term. Zero for unknown nodes.
-    #[must_use]
-    pub fn phi(&self, node: NodeId, now: f64) -> f64 {
-        self.find(node).map_or(0.0, |track| track_phi(&self.cfg, track, now))
-    }
-
-    /// The thresholds in force for `node` right now: the configured
-    /// `(suspect_phi, down_phi)` in fixed mode (and for unknown nodes),
-    /// both scaled by `1 + σ/μ` of the node's observed interarrival
-    /// window in self-tuning mode. Monotone in the observed variance;
-    /// `down > suspect` always.
-    #[must_use]
-    pub fn effective_thresholds(&self, node: NodeId) -> (f64, f64) {
-        let fixed = (self.cfg.suspect_phi, self.cfg.down_phi);
-        self.find(node).map_or(fixed, |track| thresholds(&self.cfg, track))
-    }
-
-    /// The detector's current view of `node`'s health (its own state
-    /// machine, which the runtime mirrors into the registry).
-    #[must_use]
-    pub fn view(&self, node: NodeId) -> Health {
-        self.find(node).map_or(Health::Up, |t| t.view)
-    }
-
-    /// Forgets a node entirely (deregistration).
-    pub fn forget(&mut self, node: NodeId) {
-        if let Ok(i) = self.ids.binary_search(&node) {
-            self.ids.remove(i);
-            self.tracks.remove(i);
-        }
-    }
-
-    /// Forces the detector's view of `node` (operator override): when
-    /// the runtime is marked manually, the detector must agree or it
-    /// would never emit the transition that undoes the mark. Clears the
-    /// probation streak so a forced Down still earns its way back.
-    pub fn set_view(&mut self, node: NodeId, health: Health) {
-        let track = self.track(node);
-        track.view = health;
-        track.consecutive_successes = 0;
-    }
-
-    /// Feeds one successful observation (heartbeat ack or completed
-    /// response) of `node` at time `t`. Returns the transition this
-    /// implies, if any (Suspect→Up past hysteresis, Down→Up after
-    /// probation).
-    pub fn observe_success(&mut self, node: NodeId, t: f64) -> Option<HealthTransition> {
-        let cfg = self.cfg;
-        let track = self.track(node);
-        if let Some(last) = track.last_seen {
-            let gap = (t - last).max(0.0);
-            if gap > 0.0 {
-                track.intervals.observe(gap);
-                if cfg.self_tuning_window > 0 {
-                    track.gaps.push_back(gap);
-                    if track.gaps.len() > cfg.self_tuning_window {
-                        track.gaps.pop_front();
-                    }
-                }
-            }
-        }
-        track.last_seen = Some(t);
-        track.boost *= cfg.success_decay;
-        track.consecutive_successes += 1;
-        let from = track.view;
-        // Effective suspect threshold after this observation landed (the
-        // identity in fixed mode).
-        let (eff_suspect, _) = thresholds(&cfg, track);
-        match from {
-            Health::Down if track.consecutive_successes >= cfg.probation_successes => {
-                track.view = Health::Up;
-            }
-            // Re-read φ with the refreshed boost/last_seen; the silence
-            // term is zero at the observation instant.
-            Health::Suspect if track.boost < cfg.recovery_factor * eff_suspect => {
-                track.view = Health::Up;
-            }
-            _ => {}
-        }
-        let to = track.view;
-        (from != to).then_some(HealthTransition { node, from, to, at: t })
-    }
-
-    /// Feeds one failed observation (dropped attempt, missed heartbeat)
-    /// of `node` at time `t`. Returns the demotion this implies, if any.
-    pub fn observe_failure(&mut self, node: NodeId, t: f64) -> Option<HealthTransition> {
-        let cfg = self.cfg;
-        let track = self.track(node);
-        track.boost += cfg.failure_boost;
-        track.consecutive_successes = 0;
-        let from = track.view;
-        let phi = track_phi(&cfg, track, t);
-        let (eff_suspect, eff_down) = thresholds(&cfg, track);
-        match from {
-            Health::Up | Health::Suspect if phi >= eff_down => track.view = Health::Down,
-            Health::Up if phi >= eff_suspect => track.view = Health::Suspect,
-            _ => {}
-        }
-        let to = track.view;
-        (from != to).then_some(HealthTransition { node, from, to, at: t })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Runtime;
 
-    fn node(raw: u64) -> NodeId {
-        NodeId::from_raw(raw)
+    /// A runtime with one registered node, whose row owns the track.
+    fn watch(cfg: DetectorConfig) -> (Runtime, NodeId) {
+        let rt = Runtime::builder().detector(cfg).build();
+        let n = rt.register_node(1.0).unwrap();
+        (rt, n)
     }
 
-    fn warm(det: &mut AccrualDetector, n: NodeId, upto: f64) {
+    fn warm(rt: &Runtime, n: NodeId, upto: f64) {
         let mut t = 0.0;
         while t < upto {
-            assert!(det.observe_success(n, t).is_none());
+            assert_eq!(rt.observe_success(n, t), Ok(None));
             t += 1.0;
         }
     }
 
     #[test]
     fn repeated_failures_walk_up_to_suspect_then_down() {
-        let mut det = AccrualDetector::new(DetectorConfig::default());
-        let n = node(0);
-        warm(&mut det, n, 5.0);
-        assert_eq!(det.view(n), Health::Up);
-        let t1 = det.observe_failure(n, 5.0).expect("boost 2 crosses suspect_phi 2");
-        assert_eq!((t1.from, t1.to), (Health::Up, Health::Suspect));
-        assert!(det.observe_failure(n, 5.1).is_none(), "boost 4 < down_phi 6");
-        let t2 = det.observe_failure(n, 5.2).expect("boost 6 crosses down_phi 6");
+        let (rt, n) = watch(DetectorConfig::default());
+        warm(&rt, n, 5.0);
+        assert_eq!(rt.node_health(n), Some(Health::Up));
+        let t1 = rt.observe_failure(n, 5.0).unwrap().expect("boost 2 crosses suspect_phi 2");
+        assert_eq!((t1.node, t1.from, t1.to), (n, Health::Up, Health::Suspect));
+        assert!(rt.observe_failure(n, 5.1).unwrap().is_none(), "boost 4 < down_phi 6");
+        let t2 = rt.observe_failure(n, 5.2).unwrap().expect("boost 6 crosses down_phi 6");
         assert_eq!((t2.from, t2.to), (Health::Suspect, Health::Down));
-        assert_eq!(det.view(n), Health::Down);
+        assert_eq!(rt.node_health(n), Some(Health::Down));
     }
 
     #[test]
     fn silence_alone_accrues_suspicion() {
-        let mut det = AccrualDetector::new(DetectorConfig::default());
-        let n = node(0);
-        warm(&mut det, n, 10.0); // cadence 1s, EWMA warm
-        let base = det.phi(n, 9.0);
+        let (rt, n) = watch(DetectorConfig::default());
+        warm(&rt, n, 10.0); // cadence 1s, EWMA warm
+        let base = rt.suspicion(n, 9.0);
         assert!(base < 0.1, "just observed, φ ≈ 0, got {base}");
-        let quiet = det.phi(n, 40.0);
+        let quiet = rt.suspicion(n, 40.0);
         assert!(quiet > 6.0, "~30s of silence at 1s cadence must exceed down_phi, got {quiet}");
     }
 
     #[test]
     fn suspect_recovers_with_hysteresis() {
-        let mut det = AccrualDetector::new(DetectorConfig::default());
-        let n = node(0);
-        warm(&mut det, n, 5.0);
+        let (rt, n) = watch(DetectorConfig::default());
+        warm(&rt, n, 5.0);
         // One failure → Suspect, boost 2.
-        det.observe_failure(n, 5.0).unwrap();
+        rt.observe_failure(n, 5.0).unwrap().unwrap();
         // One success: boost 1.0 ≥ 0.5·2.0 — still inside the band.
-        assert!(det.observe_success(n, 5.5).is_none());
-        assert_eq!(det.view(n), Health::Suspect);
+        assert_eq!(rt.observe_success(n, 5.5), Ok(None));
+        assert_eq!(rt.node_health(n), Some(Health::Suspect));
         // Second success: boost 0.5 < 1.0 — recovered.
-        let t = det.observe_success(n, 6.0).expect("past hysteresis");
+        let t = rt.observe_success(n, 6.0).unwrap().expect("past hysteresis");
         assert_eq!((t.from, t.to), (Health::Suspect, Health::Up));
     }
 
     #[test]
     fn down_recovers_only_after_probation() {
-        let mut det = AccrualDetector::new(DetectorConfig::default());
-        let n = node(0);
-        warm(&mut det, n, 5.0);
+        let (rt, n) = watch(DetectorConfig::default());
+        let fail = |t: f64| rt.observe_failure(n, t).unwrap();
+        let succeed = |t: f64| rt.observe_success(n, t).unwrap();
+        warm(&rt, n, 5.0);
         for k in 0..3 {
-            det.observe_failure(n, 5.0 + 0.1 * f64::from(k));
+            fail(5.0 + 0.1 * f64::from(k));
         }
-        assert_eq!(det.view(n), Health::Down);
-        assert!(det.observe_success(n, 6.0).is_none(), "probation 1/3");
-        assert!(det.observe_success(n, 7.0).is_none(), "probation 2/3");
-        let t = det.observe_success(n, 8.0).expect("probation complete");
+        assert_eq!(rt.node_health(n), Some(Health::Down));
+        assert!(succeed(6.0).is_none(), "probation 1/3");
+        assert!(succeed(7.0).is_none(), "probation 2/3");
+        let t = succeed(8.0).expect("probation complete");
         assert_eq!((t.from, t.to), (Health::Down, Health::Up));
         // A failure mid-probation resets the streak.
         for k in 0..3 {
-            det.observe_failure(n, 9.0 + 0.1 * f64::from(k));
+            fail(9.0 + 0.1 * f64::from(k));
         }
-        det.observe_success(n, 10.0);
-        det.observe_failure(n, 10.5);
-        assert!(det.observe_success(n, 11.0).is_none());
-        assert!(det.observe_success(n, 12.0).is_none());
-        assert_eq!(det.view(n), Health::Down, "streak was reset");
+        succeed(10.0);
+        fail(10.5);
+        assert!(succeed(11.0).is_none());
+        assert!(succeed(12.0).is_none());
+        assert_eq!(rt.node_health(n), Some(Health::Down), "streak was reset");
+        // So does a manual mark, even one that leaves the health as is.
+        rt.mark_down(n).unwrap();
+        assert!(succeed(13.0).is_none(), "probation restarts at 1/3");
+        assert!(succeed(14.0).is_none());
+        assert!(succeed(15.0).is_some(), "probation complete");
     }
 
     #[test]
     fn unknown_nodes_are_benign() {
-        let mut det = AccrualDetector::new(DetectorConfig::default());
-        assert_eq!(det.phi(node(7), 100.0), 0.0);
-        assert_eq!(det.view(node(7)), Health::Up);
-        det.forget(node(7)); // no-op
+        let (rt, _) = watch(DetectorConfig::default());
+        let ghost = NodeId::from_raw(7);
+        assert_eq!(rt.suspicion(ghost, 100.0), 0.0);
+        assert_eq!(rt.effective_thresholds(ghost), (2.0, 6.0));
+        assert_eq!(rt.observe_failure(ghost, 1.0), Ok(None));
+        assert_eq!(rt.node_health(ghost), None);
     }
 
     #[test]
     fn self_tuning_on_a_steady_cadence_matches_the_fixed_thresholds() {
-        let mut det = AccrualDetector::new(DetectorConfig::self_tuning(8));
-        let n = node(0);
-        warm(&mut det, n, 10.0); // perfectly steady 1s cadence: CV = 0
-        let (s, d) = det.effective_thresholds(n);
+        let (rt, n) = watch(DetectorConfig::self_tuning(8));
+        warm(&rt, n, 10.0); // perfectly steady 1s cadence: CV = 0
+        let (s, d) = rt.effective_thresholds(n);
         assert!((s - 2.0).abs() < 1e-12 && (d - 6.0).abs() < 1e-12, "CV 0 recovers baselines");
         // Same demotion walk as the fixed detector.
-        let t1 = det.observe_failure(n, 10.0).expect("boost 2 crosses effective suspect 2");
+        let t1 = rt.observe_failure(n, 10.0).unwrap().expect("boost 2 crosses effective suspect 2");
         assert_eq!((t1.from, t1.to), (Health::Up, Health::Suspect));
     }
 
     #[test]
     fn self_tuning_raises_thresholds_under_jitter() {
-        let mut det = AccrualDetector::new(DetectorConfig::self_tuning(8));
-        let n = node(0);
+        let (rt, n) = watch(DetectorConfig::self_tuning(8));
         // Jittery cadence: gaps alternate 0.2s / 1.8s (mean 1, high CV).
         let mut t = 0.0;
         for k in 0..12 {
             t += if k % 2 == 0 { 0.2 } else { 1.8 };
-            det.observe_success(n, t);
+            rt.observe_success(n, t).unwrap();
         }
-        let (s, d) = det.effective_thresholds(n);
+        let (s, d) = rt.effective_thresholds(n);
         assert!(s > 2.0 && d > 6.0, "jitter must raise both thresholds, got ({s}, {d})");
         assert!(d > s, "ordering preserved");
         // One failure (boost 2) no longer demotes: the bar moved with
         // the observed noise.
-        assert!(det.observe_failure(n, t).is_none(), "eff suspect {s} > boost 2");
-        assert_eq!(det.view(n), Health::Up);
+        assert_eq!(rt.observe_failure(n, t), Ok(None), "eff suspect {s} > boost 2");
+        assert_eq!(rt.node_health(n), Some(Health::Up));
     }
 
     #[test]
     fn effective_thresholds_default_to_the_config() {
-        let det = AccrualDetector::new(DetectorConfig::default());
-        assert_eq!(det.effective_thresholds(node(9)), (2.0, 6.0), "unknown node");
+        for cfg in [DetectorConfig::default(), DetectorConfig::self_tuning(8)] {
+            let (rt, n) = watch(cfg);
+            assert_eq!(rt.effective_thresholds(n), (2.0, 6.0), "fresh track");
+            assert_eq!(rt.suspicion(n, 100.0), 0.0, "nothing observed yet");
+        }
     }
 
     #[test]
@@ -520,10 +451,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "down_phi must exceed suspect_phi")]
     fn config_rejects_inverted_thresholds() {
-        let _ = AccrualDetector::new(DetectorConfig {
-            suspect_phi: 5.0,
-            down_phi: 2.0,
-            ..DetectorConfig::default()
-        });
+        let _ =
+            watch(DetectorConfig { suspect_phi: 5.0, down_phi: 2.0, ..DetectorConfig::default() });
+    }
+
+    /// A smoothing factor outside `(0, 1]` is rejected when the runtime
+    /// is built, before any node's track could be.
+    #[test]
+    #[should_panic(expected = "interval_alpha must lie in (0, 1]")]
+    fn config_rejects_bad_interval_alpha() {
+        let build = |alpha: f64| {
+            watch(DetectorConfig { interval_alpha: alpha, ..DetectorConfig::default() })
+        };
+        assert!(std::panic::catch_unwind(|| build(0.0)).is_err(), "interval_alpha 0 accepted");
+        assert!(std::panic::catch_unwind(|| build(f64::NAN)).is_err(), "NaN accepted");
+        build(1.5);
     }
 }

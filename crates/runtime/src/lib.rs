@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!   state, one lock: registry rows (membership, health, nominal μ,
-//!   service window → μ̂ᵢ), arrival EWMA Φ̂, accrual detector
+//!   service window → μ̂ᵢ, accrual track → φ), arrival EWMA Φ̂
 //!       │ snapshot of serving nodes
 //!       ▼
 //!   re-solver (COOP/NASH/…)
@@ -19,8 +19,11 @@
 //! ```
 //!
 //! * [`registry`] — who is in the cluster, whether they serve, and each
-//!   node's service-time window;
+//!   node's service-time window and detector track;
 //! * [`estimator`] — the rate estimators behind `Φ̂` and `μ̂ᵢ`;
+//! * [`detector`] — the accrual failure detector each registry row
+//!   runs: suspicion φ, thresholds and the health transitions they
+//!   drive;
 //! * [`resolver`] — the scheme ([`SchemeKind`]) and the solve/publish
 //!   step, plus the immediate renormalize-on-failure path;
 //! * [`table`] / [`alias`] / [`swap`] — immutable routing tables (with a
@@ -34,8 +37,15 @@
 //! * [`admission`] — target-utilization admission control in front of
 //!   the shards: accept/defer/reject verdicts that keep the admitted
 //!   load at the design point once `Φ̂` nears capacity;
+//! * [`fault`] / [`retry`] — seeded fault plans (crashes, slow and
+//!   flaky nodes, partitions, gray failures) and the retry budget with
+//!   decorrelated-jitter backoff;
 //! * [`driver`] — a closed-loop trace harness validating observed mean
-//!   response times against the allocator's analytic prediction.
+//!   response times against the allocator's analytic prediction;
+//! * [`control`] — the control-plane port ([`ControlPlaneHooks`]) an
+//!   external transport drives, on a wall clock mapped to virtual time;
+//! * [`telemetry`] / [`tracing`] — metrics, the event ring and per-job
+//!   traces, all observation-only.
 //!
 //! The [`Runtime`] ties these together behind one handle that is cheap
 //! to share across threads; [`Runtime::spawn_resolver`] runs the
@@ -71,7 +81,7 @@ pub use admission::{
 };
 pub use alias::{AliasTable, MAX_BELOW_ONE};
 pub use control::{ClockAdapter, ControlPlaneHooks, NodeStatus};
-pub use detector::{AccrualDetector, DetectorConfig, HealthTransition};
+pub use detector::{DetectorConfig, HealthTransition};
 pub use driver::{TraceConfig, TraceDriver, TraceStats};
 pub use error::RuntimeError;
 pub use fault::{
@@ -273,7 +283,6 @@ impl RuntimeBuilder {
 struct State {
     registry: Registry,
     arrivals: EwmaRate,
-    detector: AccrualDetector,
     /// Every transition the detector drove, in order.
     transitions: Vec<HealthTransition>,
 }
@@ -364,9 +373,8 @@ impl Runtime {
         Self {
             cfg,
             state: Mutex::new(State {
-                registry: Registry::new(cfg.service_window),
+                registry: Registry::new(cfg.service_window, &cfg.detector),
                 arrivals: EwmaRate::new(cfg.ewma_alpha),
-                detector: AccrualDetector::new(cfg.detector),
                 transitions: Vec::new(),
             }),
             table,
@@ -397,7 +405,7 @@ impl Runtime {
     }
 
     /// Deregisters a node: removed from the registry (its service window
-    /// with it) and the detector, and — if it is in the live table —
+    /// and detector track with it), and — if it is in the live table —
     /// routed around immediately.
     ///
     /// # Errors
@@ -405,7 +413,6 @@ impl Runtime {
     pub fn deregister_node(&self, id: NodeId) -> Result<(), RuntimeError> {
         let mut state = self.state();
         state.registry.deregister(id)?;
-        state.detector.forget(id);
         self.republish_without(&state, id);
         self.refresh_offered_utilization(&state);
         Ok(())
@@ -419,7 +426,7 @@ impl Runtime {
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn drain_node(&self, id: NodeId) -> Result<Health, RuntimeError> {
         let mut state = self.state();
-        let prev = self.set_health_synced(&mut state, id, Health::Draining)?;
+        let prev = self.mark(&mut state, id, Health::Draining)?;
         self.republish_without(&state, id);
         self.refresh_offered_utilization(&state);
         Ok(prev)
@@ -431,7 +438,7 @@ impl Runtime {
     /// # Errors
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn mark_suspect(&self, id: NodeId) -> Result<Health, RuntimeError> {
-        self.set_health_synced(&mut self.state(), id, Health::Suspect)
+        self.mark(&mut self.state(), id, Health::Suspect)
     }
 
     /// Marks a node up. It rejoins the routing table at the next resolve
@@ -442,7 +449,7 @@ impl Runtime {
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn mark_up(&self, id: NodeId) -> Result<Health, RuntimeError> {
         let mut state = self.state();
-        let prev = self.set_health_synced(&mut state, id, Health::Up)?;
+        let prev = self.mark(&mut state, id, Health::Up)?;
         self.refresh_offered_utilization(&state);
         Ok(prev)
     }
@@ -456,7 +463,7 @@ impl Runtime {
     /// [`RuntimeError::UnknownNode`] for unregistered ids.
     pub fn mark_down(&self, id: NodeId) -> Result<Health, RuntimeError> {
         let mut state = self.state();
-        let prev = self.set_health_synced(&mut state, id, Health::Down)?;
+        let prev = self.mark(&mut state, id, Health::Down)?;
         self.republish_without(&state, id);
         self.refresh_offered_utilization(&state);
         Ok(prev)
@@ -502,8 +509,8 @@ impl Runtime {
     /// concurrent drain or deregistration lands wholly before or after.
     ///
     /// # Errors
-    /// [`RuntimeError::UnknownNode`] if the registry rejects the
-    /// transition's node, which the single critical section rules out.
+    /// Never: an unknown node answers `Ok(None)`, and a transition is
+    /// written to the row it was decided on.
     pub fn observe_success(
         &self,
         node: NodeId,
@@ -536,19 +543,22 @@ impl Runtime {
     }
 
     /// The detector's current suspicion level φ for `node` at time
-    /// `now` (zero for unobserved nodes).
+    /// `now` (zero for unobserved or unregistered nodes).
     #[must_use]
     pub fn suspicion(&self, node: NodeId, now: f64) -> f64 {
-        self.state().detector.phi(node, now)
+        self.state().registry.node(node).map_or(0.0, |n| n.phi(&self.cfg.detector, now))
     }
 
     /// The detector thresholds in force for `node` right now:
     /// `(suspect_phi, down_phi)` — the configured values in fixed mode,
     /// the variance-scaled effective values in self-tuning mode (see
-    /// [`DetectorConfig::self_tuning`]).
+    /// [`DetectorConfig::self_tuning`]; the configured values for
+    /// unregistered nodes).
     #[must_use]
     pub fn effective_thresholds(&self, node: NodeId) -> (f64, f64) {
-        self.state().detector.effective_thresholds(node)
+        let cfg = &self.cfg.detector;
+        let row = self.state().registry.node(node).map(|n| n.effective_thresholds(cfg));
+        row.unwrap_or((cfg.suspect_phi, cfg.down_phi))
     }
 
     // ---- telemetry ------------------------------------------------------
@@ -590,9 +600,9 @@ impl Runtime {
         let row = state.registry.node_mut(node).ok_or(RuntimeError::UnknownNode(node))?;
         let (service, done) = serve(row.nominal_rate());
         row.observe_service(service);
-        let health = row.health();
         if detect {
-            self.observe_locked(&mut state, node, health, done, true)?;
+            let transition = row.observe(&self.cfg.detector, done, true);
+            self.apply_transition(&mut state, transition);
         }
         Ok(done)
     }
@@ -614,8 +624,9 @@ impl Runtime {
         if let Some(at) = arrival {
             state.arrivals.observe(at);
         }
-        let health = state.registry.node(node).ok_or(RuntimeError::UnknownNode(node))?.health();
-        self.observe_locked(&mut state, node, health, t, false)?;
+        let row = state.registry.node_mut(node).ok_or(RuntimeError::UnknownNode(node))?;
+        let transition = row.observe(&self.cfg.detector, t, false);
+        self.apply_transition(&mut state, transition);
         Ok(())
     }
 
@@ -788,18 +799,17 @@ impl Runtime {
             self.admission.as_ref().map(|c| (c.stats(), c.offered_utilization())),
         );
         let now = self.telemetry.clock();
-        let suspicion: Vec<(NodeId, f64, f64, f64)> = {
-            let state = self.state();
-            state
-                .registry
-                .nodes()
-                .iter()
-                .map(|n| {
-                    let (suspect, down) = state.detector.effective_thresholds(n.id());
-                    (n.id(), state.detector.phi(n.id(), now), suspect, down)
-                })
-                .collect()
-        };
+        let cfg = &self.cfg.detector;
+        let suspicion: Vec<(NodeId, f64, f64, f64)> = self
+            .state()
+            .registry
+            .nodes()
+            .iter()
+            .map(|n| {
+                let (suspect, down) = n.effective_thresholds(cfg);
+                (n.id(), n.phi(cfg, now), suspect, down)
+            })
+            .collect();
         inner.sync_node_suspicion(&suspicion);
         Some(inner.snapshot())
     }
@@ -894,19 +904,11 @@ impl Runtime {
         Ok(outcome)
     }
 
-    /// Sets a node's health in the registry *and* forces the detector's
-    /// view to match, so a manual mark and the detector never fight
-    /// (without the sync, a manually-downed node would stay down forever:
-    /// the detector, still believing it Up, would never emit the Up
-    /// transition that readmits it).
-    fn set_health_synced(
-        &self,
-        state: &mut State,
-        id: NodeId,
-        health: Health,
-    ) -> Result<Health, RuntimeError> {
+    /// A manual mark: one write of the node's row, which the detector
+    /// reads its next transition from, so a mark and the detector never
+    /// fight. The write also clears the probation streak.
+    fn mark(&self, state: &mut State, id: NodeId, health: Health) -> Result<Health, RuntimeError> {
         let prev = state.registry.set_health(id, health)?;
-        state.detector.set_view(id, health);
         if prev != health {
             // Manual marks are health transitions too; tag them with the
             // driver's published virtual clock (0 when no driver runs).
@@ -920,8 +922,8 @@ impl Runtime {
         Ok(prev)
     }
 
-    /// Shared body of the `observe_*` pair: [`Runtime::observe_locked`]
-    /// under one `state` lock. An unknown node is ignored.
+    /// Shared body of the `observe_*` pair: one row lookup and one
+    /// detector step under one `state` lock. An unknown node is ignored.
     fn observe(
         &self,
         node: NodeId,
@@ -929,35 +931,21 @@ impl Runtime {
         success: bool,
     ) -> Result<Option<HealthTransition>, RuntimeError> {
         let mut state = self.state();
-        let Some(health) = state.registry.node(node).map(Node::health) else { return Ok(None) };
-        self.observe_locked(&mut state, node, health, t, success)
+        let Some(row) = state.registry.node_mut(node) else { return Ok(None) };
+        let transition = row.observe(&self.cfg.detector, t, success);
+        Ok(self.apply_transition(&mut state, transition))
     }
 
-    /// The one detector step behind every observation, under the held
-    /// `state` lock: run the detector on `node`, whose registry health
-    /// the caller looked up as `health`, then log and apply whatever
-    /// transition it decides on to the registry and the
-    /// routing/admission layers. A draining node is ignored.
-    fn observe_locked(
+    /// Logs a transition the detector wrote into a row, under the held
+    /// `state` lock, and applies it to the routing/admission layers.
+    fn apply_transition(
         &self,
         state: &mut State,
-        node: NodeId,
-        health: Health,
-        t: f64,
-        success: bool,
-    ) -> Result<Option<HealthTransition>, RuntimeError> {
-        if health == Health::Draining {
-            return Ok(None);
-        }
-        let transition = if success {
-            state.detector.observe_success(node, t)
-        } else {
-            state.detector.observe_failure(node, t)
-        };
-        let Some(tr) = transition else { return Ok(None) };
+        transition: Option<HealthTransition>,
+    ) -> Option<HealthTransition> {
+        let tr = transition?;
         state.transitions.push(tr);
         self.telemetry.record_health(tr);
-        state.registry.set_health(tr.node, tr.to)?;
         match tr.to {
             Health::Down => {
                 self.republish_without(state, tr.node);
@@ -972,7 +960,7 @@ impl Runtime {
             }
             Health::Suspect | Health::Draining => {}
         }
-        Ok(transition)
+        Some(tr)
     }
 
     /// Re-publishes the offered utilization `ρ = Φ / Σμ(serving)` to the

@@ -5,15 +5,17 @@
 //! membership changes: nodes join, degrade, drain for maintenance, and
 //! fail. The registry is the runtime's single source of truth for "which
 //! computers exist, how fast are they nominally, and which are currently
-//! accepting work". Each row also owns the node's service-time window,
-//! so the measured rate `μ̂ᵢ` lives and dies with the node. The re-solver
-//! snapshots the registry into a [`Cluster`] on every solve.
+//! accepting work". Each row also owns the node's service-time window
+//! and its failure-detector track, so the measured rate `μ̂ᵢ` and the
+//! suspicion φ live and die with the node. The re-solver snapshots the
+//! registry into a [`Cluster`] on every solve.
 
 use std::fmt;
 
 use gtlb_core::error::CoreError;
 use gtlb_core::model::Cluster;
 
+use crate::detector::{self, DetectorConfig, HealthTransition, Track};
 use crate::error::RuntimeError;
 use crate::estimator::WindowRate;
 
@@ -91,6 +93,7 @@ pub struct Node {
     nominal_rate: f64,
     health: Health,
     service: WindowRate,
+    track: Track,
 }
 
 impl Node {
@@ -124,6 +127,39 @@ impl Node {
     pub(crate) fn observe_service(&mut self, duration: f64) {
         self.service.observe(duration);
     }
+
+    /// The node's suspicion level φ at time `now` under `cfg`.
+    pub(crate) fn phi(&self, cfg: &DetectorConfig, now: f64) -> f64 {
+        detector::track_phi(cfg, &self.track, now)
+    }
+
+    /// The `(suspect_phi, down_phi)` thresholds in force for the node.
+    pub(crate) fn effective_thresholds(&self, cfg: &DetectorConfig) -> (f64, f64) {
+        detector::thresholds(cfg, &self.track)
+    }
+
+    /// Feeds the node's track one observation at time `t` and writes
+    /// the health it decides on into the row, returning the move if the
+    /// health changed. A draining node is left alone: drains are
+    /// administrative, not health.
+    pub(crate) fn observe(
+        &mut self,
+        cfg: &DetectorConfig,
+        t: f64,
+        success: bool,
+    ) -> Option<HealthTransition> {
+        let from = self.health;
+        if from == Health::Draining {
+            return None;
+        }
+        let to = if success {
+            self.track.observe_success(cfg, from, t)
+        } else {
+            self.track.observe_failure(cfg, from, t)
+        };
+        self.health = to;
+        (to != from).then_some(HealthTransition { node: self.id, from, to, at: t })
+    }
 }
 
 /// Membership and health of the cluster's nodes, in registration order.
@@ -136,18 +172,23 @@ pub struct Registry {
     next_id: u64,
     nodes: Vec<Node>,
     service_window: usize,
+    interval_alpha: f64,
 }
 
 impl Registry {
     /// Empty registry whose nodes each remember their last
-    /// `service_window` service times.
+    /// `service_window` service times and keep an accrual track tuned
+    /// by `detector`.
     ///
     /// # Panics
-    /// If `service_window == 0`.
+    /// If `service_window == 0` or `detector` is inconsistent (see
+    /// [`DetectorConfig`]).
     #[must_use]
-    pub fn new(service_window: usize) -> Self {
+    pub fn new(service_window: usize, detector: &DetectorConfig) -> Self {
         assert!(service_window > 0, "service window must be positive");
-        Self { next_id: 0, nodes: Vec::new(), service_window }
+        detector.validate();
+        let interval_alpha = detector.interval_alpha;
+        Self { next_id: 0, nodes: Vec::new(), service_window, interval_alpha }
     }
 
     /// Registers a node with declared capacity `rate`, initially
@@ -169,11 +210,12 @@ impl Registry {
             nominal_rate: rate,
             health: Health::Up,
             service: WindowRate::new(self.service_window),
+            track: Track::new(self.interval_alpha),
         });
         Ok(id)
     }
 
-    /// Removes a node entirely, its service window included.
+    /// Removes a node entirely, its service window and track included.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] when `id` is not registered.
@@ -182,15 +224,16 @@ impl Registry {
         Ok(self.nodes.remove(pos))
     }
 
-    /// Sets a node's health, returning the previous state.
+    /// Marks a node's health by hand, returning the previous state. The
+    /// mark also clears the node's probation streak, so a node marked
+    /// Down earns its way back like one the detector took down.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] when `id` is not registered.
     pub fn set_health(&mut self, id: NodeId, health: Health) -> Result<Health, RuntimeError> {
-        let pos = self.position(id)?;
-        let old = self.nodes[pos].health;
-        self.nodes[pos].health = health;
-        Ok(old)
+        let row = self.node_mut(id).ok_or(RuntimeError::UnknownNode(id))?;
+        row.track.reset_streak();
+        Ok(std::mem::replace(&mut row.health, health))
     }
 
     /// Updates a node's declared capacity (e.g. after a hardware change).
@@ -289,9 +332,13 @@ impl Registry {
 mod tests {
     use super::*;
 
+    fn registry() -> Registry {
+        Registry::new(16, &DetectorConfig::default())
+    }
+
     #[test]
     fn register_assigns_fresh_ids() {
-        let mut r = Registry::new(16);
+        let mut r = registry();
         let a = r.register(1.0).unwrap();
         let b = r.register(2.0).unwrap();
         assert_ne!(a, b);
@@ -303,7 +350,7 @@ mod tests {
 
     #[test]
     fn register_rejects_bad_rates() {
-        let mut r = Registry::new(16);
+        let mut r = registry();
         assert!(r.register(0.0).is_err());
         assert!(r.register(-1.0).is_err());
         assert!(r.register(f64::NAN).is_err());
@@ -311,7 +358,7 @@ mod tests {
 
     #[test]
     fn health_transitions_gate_serving() {
-        let mut r = Registry::new(16);
+        let mut r = registry();
         let a = r.register(1.0).unwrap();
         let b = r.register(2.0).unwrap();
         assert_eq!(r.serving().count(), 2);
@@ -325,7 +372,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_fail_loudly() {
-        let mut r = Registry::new(16);
+        let mut r = registry();
         let ghost = NodeId::from_raw(99);
         assert_eq!(r.set_health(ghost, Health::Down), Err(RuntimeError::UnknownNode(ghost)));
         assert!(r.deregister(ghost).is_err());
@@ -335,7 +382,7 @@ mod tests {
 
     #[test]
     fn serving_cluster_snapshots_in_order() {
-        let mut r = Registry::new(16);
+        let mut r = registry();
         let a = r.register(4.0).unwrap();
         let b = r.register(2.0).unwrap();
         let c = r.register(1.0).unwrap();
@@ -347,7 +394,7 @@ mod tests {
 
     #[test]
     fn serving_capacity_tracks_health() {
-        let mut r = Registry::new(16);
+        let mut r = registry();
         let capacity =
             |r: &Registry| r.serving_cluster(Node::nominal_rate).map(|(_, c)| c.total_rate());
         let a = r.register(4.0).unwrap();
@@ -359,7 +406,7 @@ mod tests {
 
     #[test]
     fn empty_serving_set_is_an_error() {
-        let mut r = Registry::new(16);
+        let mut r = registry();
         assert!(matches!(
             r.serving_cluster(|n| n.nominal_rate()),
             Err(RuntimeError::NoServingNodes)

@@ -1,5 +1,7 @@
 //! Property tests over the accrual detector (vendored proptest shim),
-//! centered on the self-tuning mode:
+//! centered on the self-tuning mode. Each property watches one node
+//! registered on a [`Runtime`], whose registry row owns the node's
+//! track and health:
 //!
 //! 1. the effective thresholds are monotone in the observed
 //!    interarrival variance (more jitter → a higher bar, never lower
@@ -15,20 +17,27 @@
 
 use std::collections::HashMap;
 
-use gtlb_runtime::{AccrualDetector, DetectorConfig, Health, NodeId};
+use gtlb_runtime::{DetectorConfig, Health, NodeId, Runtime};
 use proptest::prelude::*;
 
-fn node(raw: u64) -> NodeId {
-    NodeId::from_raw(raw)
+/// A runtime with one registered node under `cfg`.
+fn watch(cfg: DetectorConfig) -> (Runtime, NodeId) {
+    let rt = Runtime::builder().detector(cfg).build();
+    let n = rt.register_node(1.0).unwrap();
+    (rt, n)
+}
+
+fn view(rt: &Runtime, n: NodeId) -> Health {
+    rt.node_health(n).expect("registered")
 }
 
 /// Feeds a same-mean, `±spread` alternating cadence: gaps `g − d`,
 /// `g + d`, … — variance grows with `d` while the mean stays `g`.
-fn feed_alternating(det: &mut AccrualDetector, n: NodeId, gap: f64, spread: f64, beats: usize) {
+fn feed_alternating(rt: &Runtime, n: NodeId, gap: f64, spread: f64, beats: usize) {
     let mut t = 0.0;
     for k in 0..beats {
         t += if k % 2 == 0 { gap - spread } else { gap + spread };
-        det.observe_success(n, t);
+        rt.observe_success(n, t).unwrap();
     }
 }
 
@@ -135,14 +144,13 @@ proptest! {
         window in 4usize..16,
         beats in 8usize..40,
     ) {
-        let n = node(0);
         let lo = gap * lo_frac;
         let hi = gap * (lo_frac + hi_extra).min(0.9);
-        let mut calm = AccrualDetector::new(DetectorConfig::self_tuning(window));
-        let mut noisy = AccrualDetector::new(DetectorConfig::self_tuning(window));
-        feed_alternating(&mut calm, n, gap, lo, beats);
-        feed_alternating(&mut noisy, n, gap, hi, beats);
-        let (cs, cd) = calm.effective_thresholds(n);
+        let (calm, c) = watch(DetectorConfig::self_tuning(window));
+        let (noisy, n) = watch(DetectorConfig::self_tuning(window));
+        feed_alternating(&calm, c, gap, lo, beats);
+        feed_alternating(&noisy, n, gap, hi, beats);
+        let (cs, cd) = calm.effective_thresholds(c);
         let (ns, nd) = noisy.effective_thresholds(n);
         let cfg = DetectorConfig::default();
         prop_assert!(ns >= cs - 1e-12, "suspect threshold fell with variance: {cs} -> {ns}");
@@ -168,23 +176,22 @@ proptest! {
             DetectorConfig::default()
         };
         let probation = cfg.probation_successes;
-        let mut det = AccrualDetector::new(cfg);
-        let n = node(0);
+        let (rt, n) = watch(cfg);
         let mut t = 0.0;
         let mut streak: u32 = 0;
         for &(gap, success_bit) in &steps {
             let success = success_bit == 1;
             t += gap;
-            let before = det.view(n);
+            let before = view(&rt, n);
             let transition = if success {
                 streak += 1;
-                det.observe_success(n, t)
+                rt.observe_success(n, t).unwrap()
             } else {
                 streak = 0;
-                det.observe_failure(n, t)
+                rt.observe_failure(n, t).unwrap()
             };
-            let after = det.view(n);
-            let (s, d) = det.effective_thresholds(n);
+            let after = view(&rt, n);
+            let (s, d) = rt.effective_thresholds(n);
             prop_assert!(d > s, "effective thresholds inverted: suspect {s}, down {d}");
             prop_assert!(s > 0.0 && s.is_finite() && d.is_finite());
             if before == Health::Down && after == Health::Up {
@@ -214,31 +221,30 @@ proptest! {
         probe_offset in 0.1f64..50.0,
     ) {
         let cfg = DetectorConfig::default();
-        let mut det = AccrualDetector::new(cfg);
+        let (rt, n) = watch(cfg);
         let mut oracle = ReferenceDetector::new(cfg);
-        let n = node(3);
         let mut t = 0.0;
         for &(gap, success_bit) in &steps {
             let success = success_bit == 1;
             t += gap;
-            let view = if success {
-                det.observe_success(n, t);
+            let want = if success {
+                rt.observe_success(n, t).unwrap();
                 oracle.observe_success(n, t)
             } else {
-                det.observe_failure(n, t);
+                rt.observe_failure(n, t).unwrap();
                 oracle.observe_failure(n, t)
             };
-            prop_assert_eq!(det.view(n), view, "views diverged at t={}", t);
+            prop_assert_eq!(view(&rt, n), want, "views diverged at t={}", t);
             prop_assert_eq!(
-                det.phi(n, t).to_bits(), oracle.phi(n, t).to_bits(),
+                rt.suspicion(n, t).to_bits(), oracle.phi(n, t).to_bits(),
                 "φ diverged at the observation instant t={}", t
             );
             prop_assert_eq!(
-                det.phi(n, t + probe_offset).to_bits(),
+                rt.suspicion(n, t + probe_offset).to_bits(),
                 oracle.phi(n, t + probe_offset).to_bits(),
                 "silence-term φ diverged at t={}", t + probe_offset
             );
-            let (s, d) = det.effective_thresholds(n);
+            let (s, d) = rt.effective_thresholds(n);
             prop_assert_eq!(s.to_bits(), cfg.suspect_phi.to_bits());
             prop_assert_eq!(d.to_bits(), cfg.down_phi.to_bits());
         }

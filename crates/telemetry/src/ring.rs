@@ -9,7 +9,7 @@
 //! per-lane dropped counter is incremented.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// An event tagged with its provenance: virtual time, writing shard,
 /// and the deterministic seed-stream id of the subsystem that emitted
@@ -26,19 +26,49 @@ pub struct TaggedEvent<T> {
     pub event: T,
 }
 
-/// One lane's storage: the bounded buffer plus bookkeeping.
+/// One bounded, drop-oldest lane with exact accounting: the storage of
+/// each [`EventRing`] lane and each
+/// [`FlightRecorder`](crate::FlightRecorder) lane.
 #[derive(Debug)]
-struct Lane<T> {
-    buf: VecDeque<TaggedEvent<T>>,
-    dropped: u64,
-    recorded: u64,
+pub(crate) struct Lane<T> {
+    pub(crate) buf: VecDeque<T>,
+    /// Items evicted to make room.
+    pub(crate) dropped: u64,
+    /// Items ever pushed.
+    pub(crate) recorded: u64,
+}
+
+impl<T> Lane<T> {
+    /// `lanes` empty lanes of `capacity` items, each behind its own lock.
+    pub(crate) fn set(lanes: usize, capacity: usize) -> Vec<Mutex<Self>> {
+        let lane = || Self { buf: VecDeque::with_capacity(capacity), dropped: 0, recorded: 0 };
+        (0..lanes).map(|_| Mutex::new(lane())).collect()
+    }
+
+    /// Locks `lane`. A holder that panicked leaves the lane valid, at
+    /// worst with one count off, so a poisoned lock is recovered rather
+    /// than propagated.
+    pub(crate) fn lock(lane: &Mutex<Self>) -> MutexGuard<'_, Self> {
+        lane.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `item`, first evicting the oldest one if the lane holds
+    /// `capacity` items.
+    pub(crate) fn push(&mut self, item: T, capacity: usize) {
+        if self.buf.len() == capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(item);
+        self.recorded += 1;
+    }
 }
 
 /// A bounded multi-lane event ring with drop-oldest semantics and
 /// exact dropped counters.
 #[derive(Debug)]
 pub struct EventRing<T> {
-    lanes: Vec<Mutex<Lane<T>>>,
+    lanes: Vec<Mutex<Lane<TaggedEvent<T>>>>,
     capacity: usize,
 }
 
@@ -48,18 +78,11 @@ impl<T: Clone> EventRing<T> {
     #[must_use]
     pub fn new(lanes: usize, capacity_per_lane: usize) -> Self {
         let capacity = capacity_per_lane.max(1);
-        Self {
-            lanes: (0..lanes.max(1))
-                .map(|_| {
-                    Mutex::new(Lane {
-                        buf: VecDeque::with_capacity(capacity),
-                        dropped: 0,
-                        recorded: 0,
-                    })
-                })
-                .collect(),
-            capacity,
-        }
+        Self { lanes: Lane::set(lanes.max(1), capacity), capacity }
+    }
+
+    fn lane(&self, i: usize) -> MutexGuard<'_, Lane<TaggedEvent<T>>> {
+        Lane::lock(&self.lanes[i % self.lanes.len()])
     }
 
     /// Number of lanes.
@@ -77,19 +100,13 @@ impl<T: Clone> EventRing<T> {
     /// Appends `event` to the lane owned by `shard` (wrapped by lane
     /// count), dropping the lane's oldest event if it is full.
     pub fn push(&self, shard: usize, event: TaggedEvent<T>) {
-        let mut lane = self.lanes[shard % self.lanes.len()].lock().unwrap();
-        if lane.buf.len() == self.capacity {
-            lane.buf.pop_front();
-            lane.dropped += 1;
-        }
-        lane.buf.push_back(event);
-        lane.recorded += 1;
+        self.lane(shard).push(event, self.capacity);
     }
 
     /// Total events currently buffered across all lanes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.lock().unwrap().buf.len()).sum()
+        (0..self.lanes.len()).map(|i| self.lane(i).buf.len()).sum()
     }
 
     /// Whether no events are buffered.
@@ -101,19 +118,19 @@ impl<T: Clone> EventRing<T> {
     /// Total events ever pushed across all lanes.
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        self.lanes.iter().map(|l| l.lock().unwrap().recorded).sum()
+        (0..self.lanes.len()).map(|i| self.lane(i).recorded).sum()
     }
 
     /// Total events dropped (overwritten) across all lanes.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.lanes.iter().map(|l| l.lock().unwrap().dropped).sum()
+        (0..self.lanes.len()).map(|i| self.lane(i).dropped).sum()
     }
 
     /// Events dropped from one lane.
     #[must_use]
     pub fn lane_dropped(&self, lane: usize) -> u64 {
-        self.lanes[lane % self.lanes.len()].lock().unwrap().dropped
+        self.lane(lane).dropped
     }
 
     /// Copies out every buffered event, merged across lanes and sorted
@@ -121,8 +138,8 @@ impl<T: Clone> EventRing<T> {
     #[must_use]
     pub fn snapshot(&self) -> Vec<TaggedEvent<T>> {
         let mut all: Vec<TaggedEvent<T>> = Vec::with_capacity(self.len());
-        for lane in &self.lanes {
-            all.extend(lane.lock().unwrap().buf.iter().cloned());
+        for i in 0..self.lanes.len() {
+            all.extend(self.lane(i).buf.iter().cloned());
         }
         all.sort_by(|a, b| a.time.total_cmp(&b.time));
         all

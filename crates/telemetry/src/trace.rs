@@ -18,9 +18,10 @@
 //! (recorded and dropped counters). Dropping happens at whole-trace
 //! granularity — a trace is either fully present or fully evicted.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+use crate::ring::Lane;
 
 /// A deterministic trace identifier.
 ///
@@ -301,32 +302,6 @@ impl TracingConfig {
     }
 }
 
-/// One bounded, drop-oldest lane of finished traces with exact
-/// accounting, mirroring `EventRing`'s per-lane counters.
-#[derive(Debug)]
-struct TraceLane {
-    buf: VecDeque<Trace>,
-    /// Traces evicted to make room (whole-trace granularity).
-    dropped: u64,
-    /// Traces ever pushed into this lane.
-    recorded: u64,
-}
-
-impl TraceLane {
-    fn new(capacity: usize) -> Self {
-        Self { buf: VecDeque::with_capacity(capacity), dropped: 0, recorded: 0 }
-    }
-
-    fn push(&mut self, trace: Trace, capacity: usize) {
-        if self.buf.len() == capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(trace);
-        self.recorded += 1;
-    }
-}
-
 /// The control-plane flight recorder: per-shard lanes of finished
 /// traces plus one reserved tail-sampling lane, each bounded and
 /// drop-oldest at whole-trace granularity with exact dropped counters.
@@ -337,7 +312,7 @@ impl TraceLane {
 #[derive(Debug)]
 pub struct FlightRecorder {
     /// Shard lanes followed by the reserved tail lane (last).
-    lanes: Vec<Mutex<TraceLane>>,
+    lanes: Vec<Mutex<Lane<Trace>>>,
     capacity: usize,
     slow_threshold: f64,
 }
@@ -349,11 +324,7 @@ impl FlightRecorder {
     pub fn new(shards: usize, capacity: usize, slow_threshold: f64) -> Self {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
-        Self {
-            lanes: (0..=shards).map(|_| Mutex::new(TraceLane::new(capacity))).collect(),
-            capacity,
-            slow_threshold,
-        }
+        Self { lanes: Lane::set(shards + 1, capacity), capacity, slow_threshold }
     }
 
     /// Number of primary (shard) lanes, excluding the tail lane.
@@ -368,8 +339,8 @@ impl FlightRecorder {
         self.capacity
     }
 
-    fn lane(&self, i: usize) -> std::sync::MutexGuard<'_, TraceLane> {
-        self.lanes[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lane(&self, i: usize) -> MutexGuard<'_, Lane<Trace>> {
+        Lane::lock(&self.lanes[i])
     }
 
     /// Records a finished trace into the lane for `shard` (wrapping on
