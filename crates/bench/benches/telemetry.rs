@@ -109,7 +109,9 @@ fn next_latency(x: f64) -> f64 {
 /// Primitive write costs: one counter add, one histogram
 /// record, the driver's buffered path (4,096 plain records and the
 /// absorb that adds them in; divide by 4,096 to set it against one
-/// record), one ring push (at wraparound, the worst case).
+/// record), one record absorbed on its own (the absorb's fixed cost,
+/// which visits only the buckets the buffer touched), one ring push (at
+/// wraparound, the worst case).
 fn bench_instruments(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_instrument");
     let counter = Counter::new();
@@ -131,6 +133,14 @@ fn bench_instruments(c: &mut Criterion) {
                 x = next_latency(x);
             }
             histogram.absorb(&mut pending);
+        })
+    });
+    group.bench_function("histogram_absorb_one_value", |b| {
+        let mut x = 0.001f64;
+        b.iter(|| {
+            pending.record(black_box(x));
+            histogram.absorb(&mut pending);
+            x = next_latency(x);
         })
     });
     let ring: EventRing<u64> = EventRing::new(1, TELEMETRY_EVENT_CAPACITY);

@@ -18,6 +18,10 @@
 //! Like upstream, running a harness-less bench binary without the
 //! `--bench` flag (which is what `cargo test` does) executes each
 //! benchmark body exactly once as a smoke test instead of timing it.
+//! The binary also reads the libtest arguments upstream reads:
+//! `--list` prints one `name: benchmark` line per benchmark and runs
+//! none, and a positional filter runs only the benchmarks whose full
+//! name contains it (`--exact`: equals it), in either mode.
 //!
 //! Two environment variables adapt the harness to CI:
 //!
@@ -173,18 +177,67 @@ impl Bencher {
     }
 }
 
+/// What the command line asks of a bench binary.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Args {
+    /// `--bench` (which `cargo bench` passes): time the benchmarks.
+    /// Without it, each selected body runs once.
+    bench: bool,
+    /// `--list`: print the selected benchmarks' names, run none.
+    list: bool,
+    /// The positional filter: run only names containing it.
+    filter: Option<String>,
+    /// `--exact`: the filter must equal the whole name.
+    exact: bool,
+}
+
+/// libtest options that take a value, which must not be mistaken for
+/// the positional filter.
+const VALUED_OPTIONS: &[&str] =
+    &["--format", "--color", "--logfile", "--skip", "--test-threads", "--shuffle-seed", "-Z"];
+
+impl Args {
+    /// Reads the arguments after the program name. Unknown flags are
+    /// ignored, as upstream ignores the libtest flags it does not use.
+    fn parse(args: impl IntoIterator<Item = String>) -> Self {
+        let mut out = Self::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--bench" => out.bench = true,
+                "--list" => out.list = true,
+                "--exact" => out.exact = true,
+                flag if VALUED_OPTIONS.contains(&flag) => {
+                    args.next();
+                }
+                flag if flag.starts_with('-') => {}
+                _ => out.filter = Some(arg),
+            }
+        }
+        out
+    }
+
+    /// Whether the benchmark named `name` is selected.
+    fn selects(&self, name: &str) -> bool {
+        match &self.filter {
+            None => true,
+            Some(f) if self.exact => name == f,
+            Some(f) => name.contains(f.as_str()),
+        }
+    }
+}
+
 /// The benchmark manager: entry point handed to every `criterion_group!`
 /// function.
 pub struct Criterion {
-    test_mode: bool,
+    args: Args,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         // `cargo bench` passes `--bench` to harness-less targets;
         // `cargo test` does not. Without it we only smoke-test.
-        let bench_mode = std::env::args().any(|a| a == "--bench");
-        Self { test_mode: !bench_mode }
+        Self { args: Args::parse(std::env::args().skip(1)) }
     }
 }
 
@@ -196,7 +249,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(self.test_mode, &id.to_string(), DEFAULT_SAMPLE_SIZE, None, f);
+        run_one(&self.args, &id.to_string(), DEFAULT_SAMPLE_SIZE, None, f);
         self
     }
 
@@ -240,7 +293,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id);
-        run_one(self.criterion.test_mode, &full, self.sample_size, self.throughput, f);
+        run_one(&self.criterion.args, &full, self.sample_size, self.throughput, f);
         self
     }
 
@@ -279,15 +332,18 @@ fn records() -> &'static Mutex<Vec<Record>> {
     RECORDS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn run_one<F>(
-    test_mode: bool,
-    name: &str,
-    sample_size: usize,
-    throughput: Option<Throughput>,
-    mut f: F,
-) where
+fn run_one<F>(args: &Args, name: &str, sample_size: usize, throughput: Option<Throughput>, mut f: F)
+where
     F: FnMut(&mut Bencher),
 {
+    if !args.selects(name) {
+        return;
+    }
+    if args.list {
+        println!("{name}: benchmark");
+        return;
+    }
+    let test_mode = !args.bench;
     let mut bencher = Bencher { test_mode, sample_size, result: None };
     f(&mut bencher);
     if test_mode {
@@ -479,9 +535,41 @@ mod tests {
         assert!(!path.exists(), "empty report must not be written");
     }
 
+    fn args(line: &[&str]) -> Args {
+        Args::parse(line.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn libtest_arguments_parse_like_upstream() {
+        assert_eq!(args(&[]), Args::default(), "cargo test: smoke-run everything");
+        assert!(args(&["--bench"]).bench);
+        let listed = args(&["--list", "--format", "terse"]);
+        assert!(listed.list && !listed.bench && listed.filter.is_none(), "{listed:?}");
+        let filtered = args(&["--bench", "--test-threads", "1", "-q", "detector"]);
+        assert_eq!(filtered.filter.as_deref(), Some("detector"), "valued options skip their value");
+        assert!(filtered.bench);
+        assert!(filtered.selects("failover_detector/phi") && !filtered.selects("routing/alias"));
+        let exact = args(&["--exact", "g/a"]);
+        assert!(exact.selects("g/a") && !exact.selects("g/ab"));
+    }
+
+    #[test]
+    fn list_and_filter_select_what_runs() {
+        let mut c = Criterion { args: args(&["--list"]) };
+        let mut calls = 0;
+        c.bench_function("listed", |b| b.iter(|| calls += 1));
+        assert_eq!(calls, 0, "--list runs no body");
+        let mut c = Criterion { args: args(&["wanted"]) };
+        let mut group = c.benchmark_group("g");
+        group.bench_function("wanted", |b| b.iter(|| calls += 1));
+        group.bench_function("other", |b| b.iter(|| calls += 10));
+        group.finish();
+        assert_eq!(calls, 1, "only the name containing the filter runs");
+    }
+
     #[test]
     fn test_mode_runs_body_once() {
-        let mut c = Criterion { test_mode: true };
+        let mut c = Criterion { args: Args::default() };
         let mut calls = 0;
         c.bench_function("smoke", |b| b.iter(|| calls += 1));
         assert_eq!(calls, 1);

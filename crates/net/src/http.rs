@@ -15,12 +15,19 @@
 //! * reads are incremental with a carry-over buffer, so pipelined
 //!   requests parse back-to-back and a request split across arbitrary
 //!   TCP segment boundaries reassembles exactly (property-tested);
-//! * each buffered byte is scanned once: the search for the end of the
-//!   head resumes where the last read left it, and records the end of
-//!   the request line on the way. The head is then validated as one
-//!   `&str` and kept as one `String` — no header is copied out of it;
+//! * one buffer per request: each read lands straight in the reader's
+//!   buffer, and a complete request takes that buffer with it when no
+//!   pipelined bytes follow (it is copied out only when they do). A
+//!   [`Request`] keeps its target, header lines and body as ranges of
+//!   those bytes, so parsing a request allocates once;
+//! * each buffered byte is scanned once, a word at a time: the search
+//!   for the end of the head resumes where the last read left it, and
+//!   records the end of the request line on the way. The head is
+//!   checked to be UTF-8 once, and its lines are split on bytes;
 //! * a read timeout mid-request maps to [`HttpError::Timeout`] (408),
-//!   so a slow client cannot pin a worker thread forever.
+//!   so a slow client cannot pin a worker thread forever;
+//! * a response's status line and headers are assembled on the stack
+//!   and written with one `write_all`, its body with a second.
 //!
 //! The parser never panics on malformed input: every failure is a typed
 //! [`HttpError`] that [`Response::for_error`] turns into the right
@@ -114,30 +121,35 @@ pub enum Method {
 }
 
 impl Method {
-    fn parse(token: &str) -> Self {
+    fn parse(token: &[u8]) -> Self {
         match token {
-            "GET" => Self::Get,
-            "POST" => Self::Post,
-            "DELETE" => Self::Delete,
+            b"GET" => Self::Get,
+            b"POST" => Self::Post,
+            b"DELETE" => Self::Delete,
             _ => Self::Other,
         }
     }
 }
 
-/// One parsed request: method, target, headers, and body. The head is
-/// kept as the text it arrived in; the target and the headers are read
-/// out of it on demand.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One parsed request: method, target, headers, and body, all held in
+/// the one buffer the request was read into. The target, the header
+/// lines and the body are ranges of it, read out on demand.
+#[derive(Clone)]
 pub struct Request {
     /// The request method.
     pub method: Method,
-    /// The request line and header lines, CRLF-separated, without the
-    /// blank line that ends them.
-    head: String,
-    /// Where the target sits in `head`.
+    /// The request as it arrived — head, blank line, body — possibly
+    /// followed by spare bytes of the read buffer.
+    bytes: Vec<u8>,
+    /// Bytes in the head: the request line and header lines,
+    /// CRLF-separated, without the blank line that ends them.
+    head_len: usize,
+    /// Where the target sits in `bytes`.
     target: Range<usize>,
-    /// The request body (empty without `content-length`).
-    pub body: Vec<u8>,
+    /// Where the header lines sit in `bytes` (empty without headers).
+    fields: Range<usize>,
+    /// Where the body sits in `bytes` (empty without `content-length`).
+    body: Range<usize>,
     close: bool,
 }
 
@@ -146,11 +158,17 @@ impl Request {
     /// router directly in tests without a socket.
     #[must_use]
     pub fn synthetic(method: Method, target: &str, body: &[u8]) -> Self {
+        let mut bytes = Vec::with_capacity(target.len() + body.len());
+        bytes.extend_from_slice(target.as_bytes());
+        bytes.extend_from_slice(body);
+        let end = target.len();
         Self {
             method,
-            head: target.to_string(),
-            target: 0..target.len(),
-            body: body.to_vec(),
+            bytes,
+            head_len: end,
+            target: 0..end,
+            fields: end..end,
+            body: end..end + body.len(),
             close: false,
         }
     }
@@ -158,17 +176,22 @@ impl Request {
     /// The raw request target (path plus optional `?query`).
     #[must_use]
     pub fn target(&self) -> &str {
-        &self.head[self.target.clone()]
+        text(&self.bytes[self.target.clone()])
+    }
+
+    /// The request body (empty without `content-length`).
+    #[must_use]
+    pub fn body(&self) -> &[u8] {
+        &self.bytes[self.body.clone()]
     }
 
     /// The value of the first header named `name` (ASCII
     /// case-insensitive), without surrounding whitespace.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        let (_, fields) = self.head[self.target.end..].split_once("\r\n")?;
-        fields.split("\r\n").find_map(|line| {
-            let (n, value) = line.split_once(':')?;
-            n.eq_ignore_ascii_case(name).then(|| trim_ows(value))
+        lines(&self.bytes[self.fields.clone()]).find_map(|line| {
+            let (n, value) = split_field(line)?;
+            n.eq_ignore_ascii_case(name.as_bytes()).then(|| text(trim_ows(value)))
         })
     }
 
@@ -185,7 +208,42 @@ impl Request {
     pub fn wants_close(&self) -> bool {
         self.close
     }
+
+    /// The request line and header lines.
+    fn head(&self) -> &str {
+        text(&self.bytes[..self.head_len])
+    }
 }
+
+/// Two requests are equal when they parsed to the same method, head,
+/// target, body and close flag, however their bytes were buffered.
+impl PartialEq for Request {
+    fn eq(&self, other: &Self) -> bool {
+        self.method == other.method
+            && self.head() == other.head()
+            && self.target == other.target
+            && self.body() == other.body()
+            && self.close == other.close
+    }
+}
+
+impl Eq for Request {}
+
+impl std::fmt::Debug for Request {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Request")
+            .field("method", &self.method)
+            .field("head", &self.head())
+            .field("target", &self.target)
+            .field("body", &self.body())
+            .field("close", &self.close)
+            .finish()
+    }
+}
+
+/// Bytes one read asks for. A read lands in the buffer's tail, which
+/// is zeroed only when it grows, by the bytes earlier reads filled.
+const READ_CHUNK: usize = 4096;
 
 /// Incremental request reader over any [`Read`] stream. Bytes beyond
 /// the current request stay buffered, so pipelined requests parse
@@ -193,14 +251,18 @@ impl Request {
 #[derive(Debug)]
 pub struct RequestReader<R> {
     inner: R,
+    /// Read bytes in `buf[..filled]`; the rest is space the next read
+    /// lands in.
     buf: Vec<u8>,
+    filled: usize,
     limits: Limits,
 }
 
 impl<R: Read> RequestReader<R> {
-    /// A reader over `inner` enforcing `limits`.
+    /// A reader over `inner` enforcing `limits`. It allocates nothing
+    /// until the first read.
     pub fn new(inner: R, limits: Limits) -> Self {
-        Self { inner, buf: Vec::with_capacity(1024), limits }
+        Self { inner, buf: Vec::new(), filled: 0, limits }
     }
 
     /// Parses the next request. `Ok(None)` on clean end-of-stream (the
@@ -209,12 +271,12 @@ impl<R: Read> RequestReader<R> {
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
         let mut scan = HeadScan::default();
         let head_end = loop {
-            if let Some(end) = scan.advance(&self.buf) {
+            if let Some(end) = scan.advance(&self.buf[..self.filled]) {
                 break end;
             }
-            self.check_head_limits(&scan, self.buf.len())?;
+            self.check_head_limits(&scan, self.filled)?;
             match self.fill()? {
-                0 if self.buf.is_empty() => return Ok(None),
+                0 if self.filled == 0 => return Ok(None),
                 0 => return Err(HttpError::BadRequest("connection closed mid-request")),
                 _ => {}
             }
@@ -222,11 +284,12 @@ impl<R: Read> RequestReader<R> {
         let body_start = head_end + 4;
         self.check_head_limits(&scan, body_start)?;
 
-        let head = std::str::from_utf8(&self.buf[..head_end]).map_err(|_| non_utf8_head_error())?;
+        let head = &self.buf[..head_end];
+        std::str::from_utf8(head).map_err(|_| non_utf8_head_error())?;
         let line_end = scan.line_end.unwrap_or(head_end);
         let (method, target, http11) = parse_request_line(&head[..line_end])?;
-        let fields = head.get(line_end + 2..).unwrap_or("");
-        let framing = self.parse_fields(fields)?;
+        let fields = (line_end + 2).min(head_end)..head_end;
+        let framing = self.parse_fields(&head[fields.clone()])?;
         if framing.transfer_encoding {
             return Err(HttpError::BadRequest("transfer-encoding is not supported"));
         }
@@ -241,53 +304,62 @@ impl<R: Read> RequestReader<R> {
             return Err(HttpError::BodyTooLarge);
         }
         let close = match framing.connection {
-            Some(v) if v.eq_ignore_ascii_case("close") => true,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
+            Some(v) if v.eq_ignore_ascii_case(b"close") => true,
+            Some(v) if v.eq_ignore_ascii_case(b"keep-alive") => false,
             _ => !http11,
         };
-        let head = head.to_string();
 
-        // Read the body to exactly `content_length` bytes, copy it out
-        // once, then drop head and body from the buffer together.
+        // Read the body to exactly `content_length` bytes; the request
+        // then takes the buffer, or a copy when another request follows.
         let body_end = body_start + content_length;
-        while self.buf.len() < body_end {
+        while self.filled < body_end {
             if self.fill()? == 0 {
                 return Err(HttpError::BadRequest("connection closed mid-body"));
             }
         }
-        let body = self.buf[body_start..body_end].to_vec();
-        self.buf.drain(..body_end);
+        let bytes = self.take(body_end);
+        let body = body_start..body_end;
+        Ok(Some(Request { method, bytes, head_len: head_end, target, fields, body, close }))
+    }
 
-        Ok(Some(Request { method, head, target, body, close }))
+    /// The first `end` buffered bytes, which hold one request: the
+    /// buffer itself when nothing follows them, otherwise a copy, with
+    /// the bytes that follow moved to the front of the buffer.
+    fn take(&mut self, end: usize) -> Vec<u8> {
+        if self.filled == end {
+            self.filled = 0;
+            return std::mem::take(&mut self.buf);
+        }
+        let bytes = self.buf[..end].to_vec();
+        self.buf.copy_within(end..self.filled, 0);
+        self.filled -= end;
+        bytes
     }
 
     /// Checks every header line and picks out the three fields that
     /// frame the request. Errors come in line order: a line past the
     /// header-count cap is 431, a line without a well-formed name 400.
-    fn parse_fields<'h>(&self, fields: &'h str) -> Result<Framing<'h>, HttpError> {
+    fn parse_fields<'h>(&self, fields: &'h [u8]) -> Result<Framing<'h>, HttpError> {
         let mut framing = Framing::default();
-        if fields.is_empty() {
-            return Ok(framing);
-        }
-        for (i, line) in fields.split("\r\n").enumerate() {
+        for (i, line) in lines(fields).enumerate() {
             if i >= self.limits.max_headers {
                 return Err(HttpError::HeadersTooLarge);
             }
             let (name, value) =
-                line.split_once(':').ok_or(HttpError::BadRequest("header without ':'"))?;
-            if name.is_empty() || name.contains([' ', '\t']) {
+                split_field(line).ok_or(HttpError::BadRequest("header without ':'"))?;
+            if name.is_empty() || name.iter().any(|&b| b == b' ' || b == b'\t') {
                 return Err(HttpError::BadRequest("malformed header name"));
             }
             let value = trim_ows(value);
-            if name.eq_ignore_ascii_case("content-length") {
+            if name.eq_ignore_ascii_case(b"content-length") {
                 framing.content_length = match framing.content_length {
                     ContentLength::Absent => ContentLength::Value(value),
                     ContentLength::Value(first) if first == value => ContentLength::Value(first),
                     _ => ContentLength::Conflicting,
                 };
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
                 framing.transfer_encoding = true;
-            } else if name.eq_ignore_ascii_case("connection") && framing.connection.is_none() {
+            } else if name.eq_ignore_ascii_case(b"connection") && framing.connection.is_none() {
                 framing.connection = Some(value);
             }
         }
@@ -307,14 +379,20 @@ impl<R: Read> RequestReader<R> {
         Ok(())
     }
 
-    /// Reads one chunk into the buffer; returns the byte count (0 on
-    /// EOF). Timeouts map to [`HttpError::Timeout`].
+    /// Reads once, at most [`READ_CHUNK`] bytes, straight into the
+    /// buffer after the bytes already read; returns the byte count (0
+    /// on EOF). Timeouts map to [`HttpError::Timeout`].
     fn fill(&mut self) -> Result<usize, HttpError> {
-        let mut chunk = [0u8; 4096];
+        let window = self.filled..self.filled + READ_CHUNK;
+        if self.buf.len() < window.end {
+            // Zeroes only the bytes the window adds; the capacity
+            // doubles, so growth stays amortized.
+            self.buf.resize(window.end, 0);
+        }
         loop {
-            match self.inner.read(&mut chunk) {
+            match self.inner.read(&mut self.buf[window.clone()]) {
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.filled += n;
                     return Ok(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -345,7 +423,7 @@ impl HeadScan {
     /// Searches the bytes of `buf` not searched yet; returns the offset
     /// of the blank line's `\r\n\r\n` once it is buffered.
     fn advance(&mut self, buf: &[u8]) -> Option<usize> {
-        while let Some(lf) = buf[self.scanned..].iter().position(|&b| b == b'\n') {
+        while let Some(lf) = find_lf(&buf[self.scanned..]) {
             let lf = self.scanned + lf;
             self.scanned = lf + 1;
             if lf == 0 || buf[lf - 1] != b'\r' {
@@ -361,13 +439,69 @@ impl HeadScan {
     }
 }
 
+/// Offset of the first LF in `bytes`, searched eight bytes at a time:
+/// a word XORed with LF in every byte has a zero byte where `bytes`
+/// has an LF, and the lowest flagged byte of the zero-byte test is
+/// always a true zero.
+fn find_lf(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const LFS: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("eight-byte chunk")) ^ LFS;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let done = bytes.len() - words.remainder().len();
+    words.remainder().iter().position(|&b| b == b'\n').map(|i| done + i)
+}
+
+/// The CRLF-separated lines of `fields`; a bare LF stays inside its
+/// line. Empty input has no lines.
+fn lines(fields: &[u8]) -> Lines<'_> {
+    Lines { rest: (!fields.is_empty()).then_some(fields) }
+}
+
+/// Iterator behind [`lines`].
+struct Lines<'a> {
+    /// The bytes not yet split; `None` once the last line is out.
+    rest: Option<&'a [u8]>,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.rest?;
+        let mut from = 0;
+        while let Some(lf) = find_lf(&rest[from..]).map(|i| from + i) {
+            if lf > 0 && rest[lf - 1] == b'\r' {
+                self.rest = Some(&rest[lf + 1..]);
+                return Some(&rest[..lf - 1]);
+            }
+            from = lf + 1;
+        }
+        self.rest = None;
+        Some(rest)
+    }
+}
+
+/// A header line split at its first `:` into name and raw value.
+fn split_field(line: &[u8]) -> Option<(&[u8], &[u8])> {
+    let colon = line.iter().position(|&b| b == b':')?;
+    Some((&line[..colon], &line[colon + 1..]))
+}
+
 /// The header fields that frame a request.
 #[derive(Debug, Default)]
 struct Framing<'h> {
     content_length: ContentLength<'h>,
     transfer_encoding: bool,
     /// The first `connection` value.
-    connection: Option<&'h str>,
+    connection: Option<&'h [u8]>,
 }
 
 /// What the `content-length` fields of one request say.
@@ -376,24 +510,38 @@ enum ContentLength<'h> {
     #[default]
     Absent,
     /// One value, possibly repeated verbatim.
-    Value(&'h str),
+    Value(&'h [u8]),
     /// Two fields with different values.
     Conflicting,
 }
 
 /// A `content-length` value: `1*DIGIT` that fits a `usize`, nothing
 /// else — no sign, no list, no whitespace inside.
-fn parse_content_length(value: &str) -> Result<usize, HttpError> {
+fn parse_content_length(value: &[u8]) -> Result<usize, HttpError> {
     let bad = HttpError::BadRequest("bad content-length");
-    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+    if value.is_empty() || !value.iter().all(u8::is_ascii_digit) {
         return Err(bad);
     }
-    value.parse().map_err(|_| bad)
+    let mut digits = value.iter().map(|&b| usize::from(b - b'0'));
+    digits.try_fold(0usize, |n, d| n.checked_mul(10)?.checked_add(d)).ok_or(bad)
 }
 
 /// A field value without its optional leading and trailing SP / HTAB.
-fn trim_ows(value: &str) -> &str {
-    value.trim_matches([' ', '\t'])
+fn trim_ows(mut value: &[u8]) -> &[u8] {
+    while let [b' ' | b'\t', rest @ ..] = value {
+        value = rest;
+    }
+    while let [rest @ .., b' ' | b'\t'] = value {
+        value = rest;
+    }
+    value
+}
+
+/// A slice of a head that was checked to be UTF-8 when it was parsed
+/// (or of a synthetic request's `&str` target), cut at ASCII bytes, as
+/// text.
+fn text(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("a UTF-8 head cut at ASCII bytes is UTF-8")
 }
 
 const fn non_utf8_head_error() -> HttpError {
@@ -402,8 +550,8 @@ const fn non_utf8_head_error() -> HttpError {
 
 /// Splits `METHOD SP target SP HTTP/1.x`; the target comes back as its
 /// byte range in `line`.
-fn parse_request_line(line: &str) -> Result<(Method, Range<usize>, bool), HttpError> {
-    let mut parts = line.split(' ');
+fn parse_request_line(line: &[u8]) -> Result<(Method, Range<usize>, bool), HttpError> {
+    let mut parts = line.split(|&b| b == b' ');
     let (Some(method), Some(target), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
     else {
@@ -413,8 +561,8 @@ fn parse_request_line(line: &str) -> Result<(Method, Range<usize>, bool), HttpEr
         return Err(HttpError::BadRequest("malformed request line"));
     }
     let http11 = match version {
-        "HTTP/1.1" => true,
-        "HTTP/1.0" => false,
+        b"HTTP/1.1" => true,
+        b"HTTP/1.0" => false,
         _ => return Err(HttpError::BadRequest("unsupported HTTP version")),
     };
     let start = method.len() + 1;
@@ -435,6 +583,11 @@ pub struct Response {
     /// response (forced for error responses).
     pub close: bool,
 }
+
+/// Stack bytes for a response head: room for every status line and
+/// header this module writes, with a content type of up to about 130
+/// bytes. A longer content type spills the head to the heap.
+const HEAD_STACK_BYTES: usize = 256;
 
 impl Response {
     /// A `text/plain` response.
@@ -464,22 +617,55 @@ impl Response {
         Some(resp)
     }
 
-    /// Serializes the response (status line, headers, body) to `w`.
+    /// Serializes the response (status line, headers, body) to `w`:
+    /// the head in one `write_all`, assembled on the stack, and the body
+    /// in another.
     ///
     /// # Errors
     /// Propagates any I/O failure from `w`.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n{}\r\n",
-            self.status,
-            reason(self.status),
-            self.content_type,
-            self.body.len(),
-            if self.close { "connection: close\r\n" } else { "" },
-        );
-        w.write_all(head.as_bytes())?;
+        let (mut status, mut length) = ([0; 20], [0; 20]);
+        let pieces: [&[u8]; 9] = [
+            b"HTTP/1.1 ",
+            decimal(u64::from(self.status), &mut status),
+            b" ",
+            reason(self.status).as_bytes(),
+            b"\r\ncontent-type: ",
+            self.content_type.as_bytes(),
+            b"\r\ncontent-length: ",
+            decimal(self.body.len() as u64, &mut length),
+            if self.close { b"\r\nconnection: close\r\n\r\n" } else { b"\r\n\r\n" },
+        ];
+        let len = pieces.iter().map(|p| p.len()).sum();
+        let (mut stack, mut spill) = ([0; HEAD_STACK_BYTES], Vec::new());
+        let head = match stack.get_mut(..len) {
+            Some(head) => head,
+            None => {
+                spill.resize(len, 0);
+                &mut spill[..]
+            }
+        };
+        let mut at = 0;
+        for piece in pieces {
+            head[at..at + piece.len()].copy_from_slice(piece);
+            at += piece.len();
+        }
+        w.write_all(head)?;
         w.write_all(&self.body)?;
         w.flush()
+    }
+}
+
+/// `n` in decimal ASCII, written into the tail of `digits`.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &digits[at..];
+        }
     }
 }
 
@@ -515,7 +701,7 @@ mod tests {
         assert_eq!(req.method, Method::Get);
         assert_eq!(req.path(), "/healthz");
         assert_eq!(req.header("host"), Some("x"));
-        assert!(req.body.is_empty());
+        assert!(req.body().is_empty());
         assert!(!req.wants_close());
     }
 
@@ -527,7 +713,7 @@ mod tests {
         assert_eq!(req.method, Method::Post);
         assert_eq!(req.path(), "/v1/register");
         assert_eq!(req.target(), "/v1/register?dry=1");
-        assert_eq!(req.body, b"abcd");
+        assert_eq!(req.body(), b"abcd");
     }
 
     #[test]
@@ -537,7 +723,7 @@ mod tests {
         let mut reader = RequestReader::new(Cursor::new(bytes.to_vec()), Limits::default());
         assert_eq!(reader.next_request().unwrap().unwrap().path(), "/a");
         let b = reader.next_request().unwrap().unwrap();
-        assert_eq!((b.path(), b.body.as_slice()), ("/b", b"hi".as_slice()));
+        assert_eq!((b.path(), b.body()), ("/b", b"hi".as_slice()));
         assert_eq!(reader.next_request().unwrap().unwrap().path(), "/c");
         assert!(reader.next_request().unwrap().is_none(), "clean EOF after the pipeline");
     }
@@ -623,7 +809,7 @@ mod tests {
             b"POST /a HTTP/1.1\r\ncontent-length: 4\r\nContent-Length: 4\r\n\r\nabcd",
         ] {
             let req = parse_one(ok).unwrap().unwrap();
-            assert_eq!(req.body, b"abcd", "input {ok:?}");
+            assert_eq!(req.body(), b"abcd", "input {ok:?}");
         }
         for bad in [
             b"POST /a HTTP/1.1\r\ncontent-length: banana\r\n\r\n".as_slice(),
@@ -657,6 +843,36 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 201 Created\r\n"), "got {text}");
         assert!(text.contains("content-length: 11\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    /// The head assembled on the stack (or spilled to the heap for a
+    /// content type too long for the stack) is byte for byte the one
+    /// the `format!` template below writes.
+    #[test]
+    fn response_bytes_match_the_header_template() {
+        let long = format!("application/vnd.{}+json", "x".repeat(HEAD_STACK_BYTES));
+        let long: &'static str = Box::leak(long.into_boxed_str());
+        for (status, content_type, body, close) in [
+            (200, "application/json", b"{}".to_vec(), false),
+            (431, "text/plain; charset=utf-8", b"too large\n".to_vec(), true),
+            (599, long, vec![b'x'; 100_000], false),
+            (0, long, Vec::new(), true),
+        ] {
+            let resp = Response { status, content_type, body, close };
+            let mut got = Vec::new();
+            resp.write_to(&mut got).unwrap();
+            let mut want = format!(
+                "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n{}\r\n",
+                resp.status,
+                reason(resp.status),
+                resp.content_type,
+                resp.body.len(),
+                if resp.close { "connection: close\r\n" } else { "" },
+            )
+            .into_bytes();
+            want.extend_from_slice(&resp.body);
+            assert_eq!(got, want, "status {status}");
+        }
     }
 
     #[test]

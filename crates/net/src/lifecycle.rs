@@ -266,8 +266,9 @@ impl Lifecycle {
     }
 
     /// Records a heartbeat from `name`: feeds the accrual detector and
-    /// promotes `Approved` → `Online` on the first beat. Returns the
-    /// node's state after the beat.
+    /// promotes `Approved` → `Online` on the first beat. One clock read
+    /// stamps both the row's `last_heartbeat` and the detector's
+    /// observation. Returns the node's state after the beat.
     ///
     /// # Errors
     /// [`LifecycleError::Conflict`] for nodes not yet approved,
@@ -292,13 +293,15 @@ impl Lifecycle {
             entry.state = NodeState::Online;
         }
         let state = entry.state;
-        hooks.heartbeat(id)?;
+        hooks.heartbeat_at(id, now)?;
         Ok(state)
     }
 
     /// Ingests a metrics update from `name`: each sample in
     /// `service_seconds` feeds the node's service window, and an
-    /// optional revised `rate` updates the declared capacity.
+    /// optional revised `rate` updates the declared capacity. Every
+    /// field is checked first; the runtime then takes the rate and the
+    /// samples in one `state` section.
     ///
     /// # Errors
     /// As [`Lifecycle::heartbeat`] for state checks; bad samples or
@@ -326,11 +329,8 @@ impl Lifecycle {
                 return Err(LifecycleError::Invalid("rate must be a positive finite number"));
             }
             entry.rate = rate;
-            hooks.set_node_rate(id, rate)?;
         }
-        for &s in service_seconds {
-            hooks.record_service(id, s);
-        }
+        hooks.record_metrics(id, service_seconds, rate)?;
         Ok(())
     }
 

@@ -285,11 +285,11 @@ fn nodes(state: &AppState) -> Response {
     Response::json(200, body)
 }
 
-fn parse_body(req: &Request) -> Result<Json, Response> {
-    Json::parse(&req.body).map_err(|e| Response::text(400, &format!("{e}\n")))
+fn parse_body(req: &Request) -> Result<Json<'_>, Response> {
+    Json::parse(req.body()).map_err(|e| Response::text(400, &format!("{e}\n")))
 }
 
-fn body_name(doc: &Json) -> Result<&str, Response> {
+fn body_name<'d>(doc: &'d Json<'_>) -> Result<&'d str, Response> {
     doc.get("name")
         .and_then(Json::as_str)
         .ok_or_else(|| Response::text(400, "missing string field \"name\"\n"))

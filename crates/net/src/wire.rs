@@ -8,8 +8,14 @@
 //! numbers, booleans, null) with a recursion-depth cap, and the
 //! encoder side reuses the shared [`gtlb_telemetry::json_escape`]
 //! helper so hostile strings round-trip safely in both directions.
+//!
+//! A parsed [`Json`] borrows from the bytes it was parsed from: a
+//! string without escapes, key or value, is a slice of the document,
+//! and only a string with an escape is decoded into an owned `String`.
+//! An object keeps its members in document order in one `Vec`, so a
+//! request body parses with one allocation per object and array.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use gtlb_telemetry::json_escape_into;
@@ -36,31 +42,34 @@ impl std::fmt::Display for WireError {
     }
 }
 
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing its unescaped strings from the
+/// document (`'a`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
     /// Any JSON number (parsed as `f64`).
     Num(f64),
-    /// A string, with escapes decoded.
-    Str(String),
+    /// A string: borrowed from the document when it has no escape,
+    /// decoded into an owned `String` when it has one.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
-    /// An object; keys sorted (duplicates: last wins).
-    Obj(BTreeMap<String, Json>),
+    Arr(Vec<Json<'a>>),
+    /// An object's members in document order, duplicates included;
+    /// [`Json::get`] resolves a duplicate key to its last member.
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parses `bytes` as a single JSON document (UTF-8, no trailing
     /// garbage).
     ///
     /// # Errors
     /// [`WireError`] on malformed input or nesting deeper than the
     /// depth cap (16 levels).
-    pub fn parse(bytes: &[u8]) -> Result<Self, WireError> {
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
         let text = std::str::from_utf8(bytes).map_err(|_| WireError::Invalid("not UTF-8"))?;
         let mut p = Parser { text, pos: 0 };
         p.skip_ws();
@@ -72,12 +81,12 @@ impl Json {
         Ok(value)
     }
 
-    /// Member `key` of an object (`None` for other variants or a
-    /// missing key).
+    /// Member `key` of an object — the last one when the key repeats
+    /// (`None` for other variants or a missing key).
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
-            Self::Obj(map) => map.get(key),
+            Self::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -95,7 +104,7 @@ impl Json {
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Self::Str(s) => Some(s.as_str()),
+            Self::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -111,7 +120,7 @@ impl Json {
 
     /// The elements, if this is an array.
     #[must_use]
-    pub fn as_array(&self) -> Option<&[Json]> {
+    pub fn as_array(&self) -> Option<&[Json<'a>]> {
         match self {
             Self::Arr(items) => Some(items.as_slice()),
             _ => None,
@@ -121,14 +130,13 @@ impl Json {
 
 /// A cursor over the document's bytes. It slices `text` only at ASCII
 /// bytes and at the end, which are always char boundaries; any other
-/// byte is either copied inside a string run or ends the parse with an
-/// error.
+/// byte is either inside a string run or ends the parse with an error.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
@@ -145,7 +153,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, WireError> {
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, WireError> {
         if depth > MAX_DEPTH {
             return Err(WireError::TooDeep);
         }
@@ -162,7 +170,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &'static str, value: Json) -> Result<Json, WireError> {
+    fn literal(&mut self, word: &'static str, value: Json<'a>) -> Result<Json<'a>, WireError> {
         if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             return Err(WireError::Invalid("bad literal"));
         }
@@ -170,7 +178,7 @@ impl Parser<'_> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<Json, WireError> {
+    fn number(&mut self) -> Result<Json<'a>, WireError> {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
             self.pos += 1;
@@ -183,18 +191,31 @@ impl Parser<'_> {
         Ok(Json::Num(n))
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    /// The run of string bytes from the cursor up to the next quote,
+    /// backslash or control byte (or the end), which it stops at.
+    fn run(&mut self) -> &'a str {
+        let text: &'a str = self.text;
+        let rest = &text.as_bytes()[self.pos..];
+        let len = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+        let start = self.pos;
+        self.pos += len.unwrap_or(rest.len());
+        &text[start..self.pos]
+    }
+
+    /// A string: the slice of the document between its quotes when it
+    /// has no escape, otherwise the decoded text.
+    fn string(&mut self) -> Result<Cow<'a, str>, WireError> {
         self.pos += 1; // opening quote
-        let mut out = String::new();
+        let first = self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(first));
+        }
+        let mut out = String::from(first);
         loop {
-            let rest = &self.text.as_bytes()[self.pos..];
-            let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
-            let end = self.pos + run.unwrap_or(rest.len());
-            out.push_str(&self.text[self.pos..end]);
-            self.pos = end;
             match self.bump() {
                 None => return Err(WireError::Invalid("unterminated string")),
-                Some(b'"') => return Ok(out),
+                Some(b'"') => return Ok(Cow::Owned(out)),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -224,16 +245,17 @@ impl Parser<'_> {
                 },
                 Some(_) => return Err(WireError::Invalid("raw control character in string")),
             }
+            out.push_str(self.run());
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, WireError> {
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, WireError> {
         self.pos += 1; // '{'
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(Json::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -247,17 +269,17 @@ impl Parser<'_> {
             }
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            map.insert(key, value);
+            members.push((key, value));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => {}
-                Some(b'}') => return Ok(Json::Obj(map)),
+                Some(b'}') => return Ok(Json::Obj(members)),
                 _ => return Err(WireError::Invalid("missing ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, WireError> {
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, WireError> {
         self.pos += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();

@@ -169,7 +169,21 @@ impl ControlPlaneHooks {
     /// # Errors
     /// As [`Runtime::observe_success`].
     pub fn heartbeat(&self, id: NodeId) -> Result<Option<HealthTransition>, RuntimeError> {
-        self.runtime.observe_success(id, self.now())
+        self.heartbeat_at(id, self.now())
+    }
+
+    /// [`ControlPlaneHooks::heartbeat`] stamped with `now`, a reading of
+    /// [`ControlPlaneHooks::now`] the caller already took, so a caller
+    /// that stamps its own record of the beat reads the clock once.
+    ///
+    /// # Errors
+    /// As [`Runtime::observe_success`].
+    pub fn heartbeat_at(
+        &self,
+        id: NodeId,
+        now: f64,
+    ) -> Result<Option<HealthTransition>, RuntimeError> {
+        self.runtime.observe_success(id, now)
     }
 
     /// Feeds one *missed* heartbeat (deadline passed with no message)
@@ -187,6 +201,21 @@ impl ControlPlaneHooks {
     /// service window — the external `metrics-update` path.
     pub fn record_service(&self, id: NodeId, seconds: f64) {
         self.runtime.record_service(id, seconds);
+    }
+
+    /// A node's whole metrics update — an optional revised declared
+    /// rate, then its service samples — in one `state` section, as
+    /// [`Runtime::record_metrics`].
+    ///
+    /// # Errors
+    /// As [`Runtime::record_metrics`].
+    pub fn record_metrics(
+        &self,
+        id: NodeId,
+        service_seconds: &[f64],
+        rate: Option<f64>,
+    ) -> Result<(), RuntimeError> {
+        self.runtime.record_metrics(id, service_seconds, rate)
     }
 
     // ---- state & scrape -------------------------------------------------
@@ -413,6 +442,34 @@ mod tests {
         let ghost = NodeId::from_raw(99);
         assert_eq!(rt.set_node_rate(ghost, 1.0), Err(RuntimeError::UnknownNode(ghost)));
         assert_eq!(rt.node_rate(id), Some(3.0), "rejected rates leave the row alone");
+    }
+
+    #[test]
+    fn record_metrics_is_set_rate_then_record_service_in_one_call() {
+        let separate =
+            Arc::new(Runtime::builder().nominal_arrival_rate(0.4).min_observations(8, 4).build());
+        let merged =
+            Arc::new(Runtime::builder().nominal_arrival_rate(0.4).min_observations(8, 4).build());
+        let (a, b) = (separate.attach_control_plane(), merged.attach_control_plane());
+        let (id, same) = (a.register_node(1.0).unwrap(), b.register_node(1.0).unwrap());
+        assert_eq!(id, same);
+        let samples = [0.25, 0.5, 0.125, 0.25];
+        a.set_node_rate(id, 3.0).unwrap();
+        samples.iter().for_each(|&s| a.record_service(id, s));
+        b.record_metrics(id, &samples, Some(3.0)).unwrap();
+        b.record_metrics(id, &[], None).unwrap();
+        assert_eq!(a.nodes(), b.nodes(), "no heartbeats: φ is 0 on both");
+        // A rejected rate records nothing; an unknown node's samples
+        // are dropped unless a rate makes the call an error.
+        assert!(b.record_metrics(id, &[9.0], Some(f64::NAN)).is_err());
+        let ghost = NodeId::from_raw(99);
+        assert_eq!(
+            b.record_metrics(ghost, &[1.0], Some(2.0)),
+            Err(RuntimeError::UnknownNode(ghost))
+        );
+        assert_eq!(b.record_metrics(ghost, &[1.0], None), Ok(()));
+        assert_eq!(b.nodes()[0].estimated_rate, a.nodes()[0].estimated_rate);
+        assert_eq!(b.nodes()[0].nominal_rate, 3.0);
     }
 
     #[test]

@@ -575,6 +575,33 @@ impl Runtime {
         let _ = self.state().registry.observe_service(node, duration);
     }
 
+    /// A node agent's metrics update in one `state` critical section: a
+    /// revised declared capacity `rate`, if any, as
+    /// [`Runtime::set_node_rate`] sets it, then every duration in
+    /// `service_seconds` as [`Runtime::record_service`] records it.
+    ///
+    /// # Errors
+    /// With a `rate`, as [`Runtime::set_node_rate`], and then nothing is
+    /// recorded. Without one, never: the samples of a node that is not
+    /// registered are dropped.
+    pub fn record_metrics(
+        &self,
+        node: NodeId,
+        service_seconds: &[f64],
+        rate: Option<f64>,
+    ) -> Result<(), RuntimeError> {
+        let mut state = self.state();
+        if let Some(rate) = rate {
+            state.registry.set_nominal_rate(node, rate)?;
+        }
+        if let Some(row) = state.registry.node_mut(node) {
+            for &duration in service_seconds {
+                row.observe_service(duration);
+            }
+        }
+        Ok(())
+    }
+
     /// A served attempt's runtime work in one `state` critical section,
     /// in the order of the separate calls: `arrival` (the job's pending
     /// arrival, when this is its first section) into `Φ̂`; one lookup of

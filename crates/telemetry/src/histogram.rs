@@ -222,13 +222,17 @@ impl Histogram {
     /// and exemplars equal those of recording each buffered value
     /// directly; the sum differs only by floating-point association.
     ///
-    /// Emptying includes the exemplar cells, so a later absorb never
-    /// stores a stale trace id over a newer one.
+    /// Only the buckets between the lowest and the highest that
+    /// `pending` holds are visited, so a buffer of a few nearby values
+    /// costs a few cells, not all [`BUCKET_COUNT`]. Emptying includes
+    /// the exemplar cells, so a later absorb never stores a stale trace
+    /// id over a newer one.
     pub fn absorb(&self, pending: &mut HistogramSnapshot) {
-        let cells = self.buckets.iter().zip(&self.exemplars);
-        for ((bucket, exemplar), (count, cell)) in
-            cells.zip(pending.buckets.iter_mut().zip(pending.exemplars.iter_mut()))
-        {
+        let span = pending.lo.min(pending.hi)..pending.hi;
+        (pending.lo, pending.hi) = (BUCKET_COUNT, 0);
+        let cells = self.buckets[span.clone()].iter().zip(&self.exemplars[span.clone()]);
+        let buffered = pending.buckets[span.clone()].iter_mut().zip(&mut pending.exemplars[span]);
+        for ((bucket, exemplar), (count, cell)) in cells.zip(buffered) {
             if *count != 0 {
                 bucket.fetch_add(std::mem::take(count), Ordering::Relaxed);
             }
@@ -249,9 +253,17 @@ impl Histogram {
 
     /// Copies the current cells into a [`HistogramSnapshot`].
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let exemplars: Vec<u64> =
+            self.exemplars.iter().map(|e| e.load(Ordering::Relaxed)).collect();
+        let held = |i: &usize| buckets[*i] != 0 || exemplars[*i] != 0;
+        let lo = (0..BUCKET_COUNT).find(held).unwrap_or(BUCKET_COUNT);
+        let hi = (0..BUCKET_COUNT).rfind(held).map_or(0, |i| i + 1);
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            exemplars: self.exemplars.iter().map(|e| e.load(Ordering::Relaxed)).collect(),
+            buckets,
+            exemplars,
+            lo,
+            hi,
             sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
             max: f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
         }
@@ -273,6 +285,12 @@ pub struct HistogramSnapshot {
     buckets: Vec<u64>,
     /// Exemplar cells as stored (`trace_id + 1`, `0` = none).
     exemplars: Vec<u64>,
+    /// `lo..hi` is the smallest range of bucket indexes holding every
+    /// non-zero bucket and exemplar cell, so [`Histogram::absorb`]
+    /// visits only that range; without any, `lo` is [`BUCKET_COUNT`]
+    /// and `hi` is 0, so that recording is two branch-free updates.
+    lo: usize,
+    hi: usize,
     sum: f64,
     max: f64,
 }
@@ -289,6 +307,8 @@ impl HistogramSnapshot {
         Self {
             buckets: vec![0; BUCKET_COUNT],
             exemplars: vec![0; BUCKET_COUNT],
+            lo: BUCKET_COUNT,
+            hi: 0,
             sum: 0.0,
             max: 0.0,
         }
@@ -305,6 +325,8 @@ impl HistogramSnapshot {
     /// into bucket `index`.
     fn record_at(&mut self, index: usize, value: f64) {
         self.buckets[index] += 1;
+        self.lo = self.lo.min(index);
+        self.hi = self.hi.max(index + 1);
         let clamped = clamp(value);
         self.sum += clamped;
         self.max = self.max.max(clamped);

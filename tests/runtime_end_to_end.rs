@@ -8,7 +8,7 @@
 //! COOP publishes.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gtlb::desim::par::par_map_with_threads;
 use gtlb::prelude::*;
@@ -183,9 +183,17 @@ fn background_resolver_follows_measured_rates() {
     rt.register_node(2.0).unwrap();
     rt.resolve_now().unwrap();
 
+    let published_at_spawn = rt.swap_stats().publishes;
     let handle = rt.spawn_resolver(Duration::from_millis(2));
     let mut driver = TraceDriver::new(2.4, TraceConfig { seed: 5, batch_size: 500 });
     driver.run_jobs(&rt, 30_000).unwrap();
+    // The jobs can finish before the resolver thread is first
+    // scheduled; stopping it then would end the loop before its first
+    // solve. Wait (boundedly) for that solve's publish.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rt.swap_stats().publishes == published_at_spawn && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let solves = handle.stop();
     assert!(solves >= 1, "background loop never solved");
 
