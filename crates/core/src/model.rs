@@ -10,6 +10,8 @@ use crate::error::CoreError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     rates: Vec<f64>,
+    /// `Σ μ_i`, summed once by [`Cluster::new`].
+    total: f64,
 }
 
 impl Cluster {
@@ -38,7 +40,7 @@ impl Cluster {
                 rates.len()
             )));
         }
-        Ok(Self { rates })
+        Ok(Self { rates, total })
     }
 
     /// Builds the paper's "groups of identical computers" configuration:
@@ -70,10 +72,11 @@ impl Cluster {
         &self.rates
     }
 
-    /// Aggregate processing rate `Σ μ_i`.
+    /// Aggregate processing rate `Σ μ_i`: the compensated sum of the
+    /// rates in computer order, computed once at construction.
     #[must_use]
     pub fn total_rate(&self) -> f64 {
-        neumaier_sum(self.rates.iter().copied())
+        self.total
     }
 
     /// The arrival rate `Φ` that loads the system to utilization
@@ -125,16 +128,22 @@ impl Cluster {
     /// (ties keep original order). Both COOP and OPTIM start here
     /// ("Sort the computers in decreasing order of their average
     /// processing rate", step 1 of both algorithms).
+    ///
+    /// Sorts by the plain key `!μ_i.to_bits()`: positive finite rates
+    /// order as their bit patterns do, so the complement puts the
+    /// fastest first, and the sort is stable.
     #[must_use]
     pub fn order_by_rate_desc(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.rates.len()).collect();
-        idx.sort_by(|&a, &b| self.rates[b].partial_cmp(&self.rates[a]).expect("rates are finite"));
+        idx.sort_by_key(|&i| !self.rates[i].to_bits());
         idx
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// The paper's Table 3.1 configuration.
@@ -189,6 +198,46 @@ mod tests {
     fn ordering_is_stable_descending() {
         let c = Cluster::new(vec![1.0, 3.0, 2.0, 3.0]).unwrap();
         assert_eq!(c.order_by_rate_desc(), vec![1, 3, 2, 0]);
+    }
+
+    /// The comparison sort `order_by_rate_desc` used before it sorted by
+    /// bit-pattern keys.
+    fn reference(c: &Cluster) -> Vec<usize> {
+        let rates = c.rates();
+        let mut idx: Vec<usize> = (0..rates.len()).collect();
+        idx.sort_by(|&a, &b| rates[b].partial_cmp(&rates[a]).expect("rates are finite"));
+        idx
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On random clusters with many ties, subnormal rates and rates
+        /// near `f64::MAX / n`, the key sort orders as the comparison
+        /// sort does.
+        #[test]
+        fn key_ordering_matches_the_comparison_sort(
+            picks in prop::collection::vec((0u64..5, 0.0f64..1.0), 1..64),
+        ) {
+            let n = picks.len() as f64;
+            let rates: Vec<f64> = picks
+                .iter()
+                .map(|&(family, x)| {
+                    // Four values per family, so ties are common.
+                    let q = (x * 4.0).floor();
+                    match family {
+                        0 => f64::from_bits(1 + q as u64),
+                        1 => f64::MIN_POSITIVE * (1.0 + q),
+                        2 => f64::MAX / n * (1.0 - 1e-3 * q),
+                        3 => [0.13, 0.065, 0.026, 0.013][q as usize],
+                        _ => 1.0 + q,
+                    }
+                })
+                .collect();
+            if let Ok(c) = Cluster::new(rates) {
+                prop_assert_eq!(c.order_by_rate_desc(), reference(&c), "rates {:?}", c.rates());
+            }
+        }
     }
 
     #[test]

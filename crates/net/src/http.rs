@@ -368,12 +368,15 @@ impl<R: Read> RequestReader<R> {
 
     /// 431 once the head outgrows its caps: `head_bytes` (the head so
     /// far, or all of it) over the whole-head budget, or a request line
-    /// over the request-line budget — counting every buffered byte while
-    /// no CRLF has arrived.
+    /// over the request-line budget. While no CRLF has arrived, every
+    /// buffered byte counts as request line except a trailing CR, which
+    /// may be the CRLF's first byte: the next byte decides, so the
+    /// verdict does not depend on where the reads split the stream.
     fn check_head_limits(&self, scan: &HeadScan, head_bytes: usize) -> Result<(), HttpError> {
-        if head_bytes > self.limits.max_head_bytes
-            || scan.line_end.unwrap_or(head_bytes) > self.limits.max_request_line
-        {
+        let line = scan.line_end.unwrap_or_else(|| {
+            head_bytes - usize::from(head_bytes > 0 && self.buf[head_bytes - 1] == b'\r')
+        });
+        if head_bytes > self.limits.max_head_bytes || line > self.limits.max_request_line {
             return Err(HttpError::HeadersTooLarge);
         }
         Ok(())

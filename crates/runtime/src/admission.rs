@@ -187,14 +187,14 @@ impl std::fmt::Display for AdmissionStats {
 
 /// Shared admission state: the policy, the latest offered-utilization
 /// estimate, and the verdict counters. One instance serves every shard;
-/// the hot path touches only relaxed atomics.
+/// the hot path touches only relaxed atomics, one read-modify-write per
+/// decision: the submitted count is the verdict counters' sum.
 #[derive(Debug)]
 pub struct AdmissionControl {
     policy: AdmissionPolicy,
     /// `f64` bits of the last offered utilization published by the
     /// re-solver (`Φ̂ / Σμ̂ᵢ`, *unclamped*).
     rho_bits: AtomicU64,
-    submitted: AtomicU64,
     accepted: AtomicU64,
     deferred: AtomicU64,
     rejected: AtomicU64,
@@ -208,7 +208,6 @@ impl AdmissionControl {
         Self {
             policy,
             rho_bits: AtomicU64::new(0.0f64.to_bits()),
-            submitted: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             deferred: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -237,7 +236,6 @@ impl AdmissionControl {
     /// shared counters.
     pub fn decide(&self, u: f64) -> AdmissionVerdict {
         let verdict = self.policy.verdict(self.offered_utilization(), u);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
         match verdict {
             AdmissionVerdict::Accept => &self.accepted,
             AdmissionVerdict::Defer => &self.deferred,
@@ -248,16 +246,15 @@ impl AdmissionControl {
     }
 
     /// Counter snapshot. Taken counter-by-counter without a global lock,
-    /// so under concurrent submission the four reads may straddle a
-    /// decision; quiesce submitters for an exact conservation check.
+    /// so under concurrent submission the three reads may straddle a
+    /// decision; `submitted` is their sum, so every snapshot conserves
+    /// `accepted + deferred + rejected == submitted` all the same.
     #[must_use]
     pub fn stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            deferred: self.deferred.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-        }
+        let accepted = self.accepted.load(Ordering::Relaxed);
+        let deferred = self.deferred.load(Ordering::Relaxed);
+        let rejected = self.rejected.load(Ordering::Relaxed);
+        AdmissionStats { submitted: accepted + deferred + rejected, accepted, deferred, rejected }
     }
 }
 
@@ -350,6 +347,38 @@ mod tests {
         assert_eq!(stats.deferred, 0, "band is zero");
         let rate = stats.rejection_rate();
         assert!((rate - 0.5).abs() < 0.05, "rejection rate {rate} vs shed prob 0.5");
+    }
+
+    #[test]
+    fn concurrent_snapshots_are_conserved() {
+        let control = AdmissionControl::new(policy(0.5, 0.05));
+        let deciders = 2;
+        let per_thread = 20_000;
+        std::thread::scope(|scope| {
+            for seed in 0..deciders {
+                let control = &control;
+                scope.spawn(move || {
+                    let mut rng = gtlb_desim::rng::Xoshiro256PlusPlus::seed_from_u64(seed);
+                    for k in 0..per_thread {
+                        // ρ inside the defer band, then past it: all
+                        // three verdicts occur.
+                        control.publish_offered_utilization(if k % 2 == 0 { 0.52 } else { 0.9 });
+                        control.decide(rng.next_open01());
+                    }
+                });
+            }
+            let mut last = 0;
+            while last < deciders * per_thread {
+                let s = control.stats();
+                assert_eq!(s.accepted + s.deferred + s.rejected, s.submitted, "{s}");
+                assert!(s.submitted >= last, "submitted went backwards");
+                last = s.submitted;
+                std::hint::spin_loop();
+            }
+        });
+        let s = control.stats();
+        assert_eq!(s.submitted, deciders * per_thread);
+        assert!(s.accepted > 0 && s.deferred > 0 && s.rejected > 0, "{s}");
     }
 
     #[test]

@@ -55,12 +55,13 @@
 //! single-threaded trace driver fixes, so a chaos trace is a pure
 //! function of `(seed, plan, shard count)`.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
 
-use crate::registry::NodeId;
+use crate::registry::{index_of, NodeId};
 
 /// Base RNG stream id of the fault family: node `i`'s flaky-drop draws
 /// come from stream `FAULT_STREAM + i` of the plan seed. Disjoint from
@@ -546,12 +547,6 @@ impl FaultPlan {
         &self.domain_events
     }
 
-    /// The domain assignments, in insertion order.
-    #[must_use]
-    pub fn domains(&self) -> &[(NodeId, String)] {
-        &self.domains
-    }
-
     /// The failure domain `node` belongs to, if any.
     #[must_use]
     pub fn domain_of(&self, node: NodeId) -> Option<&str> {
@@ -683,10 +678,35 @@ impl ActiveFaults {
     /// insertion order) at time `t`. The multiplication order is the
     /// slice order, so `service_factor` is bit-identical to a product
     /// over the plan's events filtered to the node.
-    fn fold(events: &[(f64, FaultKind)], t: f64) -> Self {
+    ///
+    /// Also returns the window `[lo, hi)` around `t` on which the fold
+    /// cannot change: `lo` is the latest edge at or before `t`
+    /// (`f64::MIN` when there is none) and `hi` the earliest edge after
+    /// it (`+∞` when there is none), where the edges are each event's
+    /// `at` and its end `at + lasts` (or `at + down_for`), the very
+    /// values the window tests compare `t` with. Every edge lies at or
+    /// below `lo` or at or above `hi`, so every test, and with it every
+    /// field of the fold, answers alike for all times in the window. A
+    /// NaN or infinite `t` lies outside its own window.
+    fn fold(events: &[(f64, FaultKind)], t: f64) -> (Self, f64, f64) {
         let mut a = Self::NONE;
+        let (mut lo, mut hi) = (f64::MIN, f64::INFINITY);
+        let mut edge = |e: f64| {
+            if e <= t {
+                lo = lo.max(e);
+            } else {
+                hi = hi.min(e);
+            }
+        };
         for &(at, kind) in events {
-            let within = |lasts: f64| t >= at && t < at + lasts;
+            edge(at);
+            let mut within = |lasts: f64| {
+                let end = at + lasts;
+                edge(end);
+                t >= at && t < end
+            };
+            // Every windowed kind calls `within` in its guard, so its
+            // end is an edge whether or not the window holds `t`.
             match kind {
                 FaultKind::Crash => a.crashed |= t >= at,
                 FaultKind::CrashRecover { down_for } => a.crashed |= within(down_for),
@@ -705,7 +725,7 @@ impl ActiveFaults {
                 _ => {}
             }
         }
-        a
+        (a, lo, hi)
     }
 
     fn partitioned(&self, direction: PartitionDirection) -> bool {
@@ -716,12 +736,28 @@ impl ActiveFaults {
     }
 }
 
+/// A slot's last fold and the window `[lo, hi)` it holds on (see
+/// [`ActiveFaults::fold`]).
+#[derive(Debug, Clone, Copy)]
+struct Cached {
+    active: ActiveFaults,
+    lo: f64,
+    hi: f64,
+}
+
+impl Cached {
+    /// Holds on no time at all.
+    const EMPTY: Self =
+        Self { active: ActiveFaults::NONE, lo: f64::INFINITY, hi: f64::NEG_INFINITY };
+}
+
 /// One indexed node: the events that apply to it (its own, then its
-/// domain's, each in insertion order) and its drop streams, seeded on
-/// first draw.
+/// domain's, each in insertion order), its last fold, and its drop
+/// streams, seeded on first draw.
 #[derive(Debug)]
 struct NodeSlot {
     events: Box<[(f64, FaultKind)]>,
+    cached: Cell<Cached>,
     flaky_rng: Option<Xoshiro256PlusPlus>,
     gray_rng: Option<Xoshiro256PlusPlus>,
 }
@@ -738,10 +774,18 @@ fn draw(rng: &mut Option<Xoshiro256PlusPlus>, seed: u64, stream: u64, p: f64) ->
 ///
 /// Construction indexes the plan by node once: every node the plan
 /// touches gets one contiguous slice holding its own events, then its
-/// domain's, each in insertion order. A query binary-searches the
-/// sorted node ids and folds that one slice, so its cost does not grow
+/// domain's, each in insertion order. A query finds the node's slot in
+/// the sorted ids, first at the index of the id's value (one compare
+/// when the plan names every node from 0) and by binary search before
+/// it otherwise, and folds that one slice, so its cost does not grow
 /// with the size of the plan or the cluster. The index is keyed by
 /// [`NodeId`], never by the raw id value, so a plan may name any id.
+///
+/// Each slot keeps its last fold and the window around its time in
+/// which none of the slot's events opens or closes; a query inside that
+/// window returns the kept fold, which equals a fresh one bit for bit.
+/// Query times need not be monotone. The queries take `&self` and keep
+/// the fold in a [`Cell`], so an injector is `Send` but not `Sync`.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -775,7 +819,12 @@ impl FaultInjector {
         let mut slots = Vec::with_capacity(per_node.len());
         for (node, events) in per_node {
             ids.push(node);
-            slots.push(NodeSlot { events: events.into(), flaky_rng: None, gray_rng: None });
+            slots.push(NodeSlot {
+                events: events.into(),
+                cached: Cell::new(Cached::EMPTY),
+                flaky_rng: None,
+                gray_rng: None,
+            });
         }
         Self { plan, ids, slots, markers, marker_cursor: 0 }
     }
@@ -787,11 +836,23 @@ impl FaultInjector {
     }
 
     fn slot(&self, node: NodeId) -> Option<usize> {
-        self.ids.binary_search(&node).ok()
+        index_of(&self.ids, node, |&id| id)
     }
 
+    /// The faults active on `slot` at `t`: the kept fold when `t` lies in
+    /// its window, otherwise a fresh fold, kept when its window holds
+    /// `t` (never for a NaN or infinite `t`).
     fn active_at(&self, slot: usize, t: f64) -> ActiveFaults {
-        ActiveFaults::fold(&self.slots[slot].events, t)
+        let slot = &self.slots[slot];
+        let cached = slot.cached.get();
+        if cached.lo <= t && t < cached.hi {
+            return cached.active;
+        }
+        let (active, lo, hi) = ActiveFaults::fold(&slot.events, t);
+        if lo <= t && t < hi {
+            slot.cached.set(Cached { active, lo, hi });
+        }
+        active
     }
 
     fn active(&self, node: NodeId, t: f64) -> ActiveFaults {

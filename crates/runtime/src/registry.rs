@@ -39,6 +39,21 @@ impl NodeId {
     }
 }
 
+/// The index of `id` in `rows`, whose ids, read by `id_of`, are
+/// distinct and ascending. Ids are unsigned, so the row at index `i`
+/// holds an id of at least `i`, and the row of id `k` sits at index
+/// `min(k, len − 1)` or before it: that guess is checked first, and only
+/// the rows before it are binary-searched on a miss. Allocates nothing,
+/// whatever `id` is.
+pub(crate) fn index_of<T>(rows: &[T], id: NodeId, id_of: impl Fn(&T) -> NodeId) -> Option<usize> {
+    let last = rows.len().checked_sub(1)?;
+    let guess = usize::try_from(id.0).map_or(last, |k| k.min(last));
+    if id_of(&rows[guess]) == id {
+        return Some(guess);
+    }
+    rows[..guess].binary_search_by_key(&id, id_of).ok()
+}
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "node-{}", self.0)
@@ -164,9 +179,14 @@ impl Node {
 
 /// Membership and health of the cluster's nodes, in registration order.
 ///
-/// Registration order is ascending id order: ids are issued increasing,
+/// Registration order is ascending id order: ids are issued 0, 1, 2, …,
 /// `register` appends, and `deregister` removes without reordering. So
-/// `nodes` stays sorted by id and every lookup is a binary search.
+/// `nodes` stays sorted by id, and the row of id `k` sits at index `k`
+/// until some node deregisters, and at an index below `k` after. A
+/// lookup checks `nodes[min(k, len − 1)]` first and binary-searches
+/// only the rows before it on a miss: one compare while no node has
+/// deregistered, and no id→index table whose size would grow with
+/// churn.
 #[derive(Debug, Clone)]
 pub struct Registry {
     next_id: u64,
@@ -220,7 +240,7 @@ impl Registry {
     /// # Errors
     /// [`RuntimeError::UnknownNode`] when `id` is not registered.
     pub fn deregister(&mut self, id: NodeId) -> Result<Node, RuntimeError> {
-        let pos = self.position(id)?;
+        let pos = self.position(id).ok_or(RuntimeError::UnknownNode(id))?;
         Ok(self.nodes.remove(pos))
     }
 
@@ -250,8 +270,7 @@ impl Registry {
             ))
             .into());
         }
-        let pos = self.position(id)?;
-        self.nodes[pos].nominal_rate = rate;
+        self.node_mut(id).ok_or(RuntimeError::UnknownNode(id))?.nominal_rate = rate;
         Ok(())
     }
 
@@ -267,13 +286,13 @@ impl Registry {
     /// Looks a node up.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.position(id).ok().map(|pos| &self.nodes[pos])
+        self.position(id).map(|pos| &self.nodes[pos])
     }
 
     /// Looks a node up for a caller that reads and writes its row in
     /// one lookup.
     pub(crate) fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        self.position(id).ok().map(|pos| &mut self.nodes[pos])
+        self.position(id).map(|pos| &mut self.nodes[pos])
     }
 
     /// All nodes in registration order, which is ascending id order.
@@ -323,8 +342,8 @@ impl Registry {
         Ok((ids, cluster))
     }
 
-    fn position(&self, id: NodeId) -> Result<usize, RuntimeError> {
-        self.nodes.binary_search_by_key(&id, Node::id).map_err(|_| RuntimeError::UnknownNode(id))
+    fn position(&self, id: NodeId) -> Option<usize> {
+        index_of(&self.nodes, id, Node::id)
     }
 }
 

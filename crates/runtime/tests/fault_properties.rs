@@ -278,6 +278,116 @@ proptest! {
     }
 }
 
+/// The times at which one of `events` opens or closes: each `at`, and
+/// its end `at + lasts` (or `at + down_for`) computed as the injector
+/// computes it.
+fn edges(events: &[(f64, FaultKind)]) -> Vec<f64> {
+    let mut out = Vec::new();
+    for &(at, kind) in events {
+        out.push(at);
+        match kind {
+            FaultKind::Crash => {}
+            FaultKind::CrashRecover { down_for } => out.push(at + down_for),
+            FaultKind::Slow { lasts, .. }
+            | FaultKind::Flaky { lasts, .. }
+            | FaultKind::Partition { lasts, .. }
+            | FaultKind::Gray { lasts, .. } => out.push(at + lasts),
+        }
+    }
+    out
+}
+
+/// `t` moved by `n` units in the last place (`t ≥ 0`).
+fn ulps(t: f64, n: i64) -> f64 {
+    match n {
+        0 => t,
+        _ if t == 0.0 && n < 0 => -f64::from_bits(n.unsigned_abs()),
+        _ => f64::from_bits(t.to_bits().wrapping_add_signed(n)),
+    }
+}
+
+/// The three neighbours of an edge in one of their six orders.
+fn neighbours(edge: f64, order: u64) -> [f64; 3] {
+    let [a, b, c] = [ulps(edge, -1), edge, ulps(edge, 1)];
+    match order % 6 {
+        0 => [a, b, c],
+        1 => [a, c, b],
+        2 => [b, a, c],
+        3 => [b, c, a],
+        4 => [c, a, b],
+        _ => [c, b, a],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One injector asked every kind of query, drop decisions included,
+    /// at times that jump back and forth: mostly an edge of the probed
+    /// node's events and the floats one ulp either side of it, in any
+    /// order, sometimes an arbitrary time, and sometimes NaN or ±∞
+    /// followed by an arbitrary time. Every answer equals the linear
+    /// scan's, `service_factor` to the bit, so a fold kept for a window
+    /// never outlives the window.
+    #[test]
+    fn queries_at_window_edges_match_the_linear_scan(
+        seed in 0u64..1_000,
+        steps in prop::collection::vec(step_strategy(), 1..40),
+        probes in prop::collection::vec(
+            (0u64..12, 0u64..1_000, 0u64..6, 0u32..8, 0.0f64..60.0),
+            1..120,
+        ),
+    ) {
+        let plan = build_plan(seed, &steps);
+        let mut reference = Reference::new(plan.clone());
+        let mut injector = FaultInjector::new(plan);
+        for (k, &(pick, edge, order, kind, free)) in probes.iter().enumerate() {
+            let n = probe_node(pick);
+            let own = edges(&reference.events_on(n));
+            let times = match (own.is_empty(), edge % 10) {
+                (false, 0..=6) => neighbours(own[edge as usize % own.len()], order),
+                (_, 7) => {
+                    [[f64::NAN, f64::INFINITY, f64::NEG_INFINITY][order as usize % 3], free, free]
+                }
+                _ => [free, ulps(free, 1), free + 1.0],
+            };
+            for t in times {
+                let d = [PartitionDirection::DropDispatch, PartitionDirection::DropHeartbeats]
+                    [(kind % 2) as usize];
+                match kind {
+                    0 => prop_assert_eq!(injector.crashed(n, t), reference.crashed(n, t)),
+                    1 | 2 => prop_assert_eq!(
+                        injector.partitioned(n, t, d),
+                        reference.partitioned(n, t, d)
+                    ),
+                    3 => prop_assert_eq!(
+                        injector.service_factor(n, t).to_bits(),
+                        reference.service_factor(n, t).to_bits(),
+                        "service factor of {} at {} (probe {})", n, t, k
+                    ),
+                    4 => prop_assert_eq!(
+                        injector.drop_probability(n, t).to_bits(),
+                        reference.drop_probability(n, t).to_bits()
+                    ),
+                    5 => prop_assert_eq!(
+                        injector.gray_loss_probability(n, t).to_bits(),
+                        reference.gray_loss_probability(n, t).to_bits()
+                    ),
+                    6 => {
+                        let want = reference.attempt_drop(n, t, PartitionDirection::DropDispatch);
+                        prop_assert_eq!(injector.dispatch_drop_cause(n, t), want, "probe {}", k);
+                    }
+                    _ => {
+                        let want = reference.attempt_drop(n, t, PartitionDirection::DropHeartbeats);
+                        let got = injector.heartbeat_drops(n, t);
+                        prop_assert_eq!(got, want.is_some(), "probe {}", k);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The largest id may itself carry faults: its flaky and gray streams
 /// derive with a wrapping offset instead of overflowing.
 #[test]

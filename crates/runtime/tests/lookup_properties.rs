@@ -3,8 +3,10 @@
 //!
 //! * The registry keeps `nodes()` strictly increasing by id under any
 //!   interleaving of register, deregister and `set_health`, and its
-//!   binary-searched `node(id)` agrees with a linear `find` for live,
-//!   removed and never-issued ids.
+//!   `node(id)` — a guess at the id's own index, then a binary search
+//!   below it — agrees with a linear `find` for live, removed and
+//!   never-issued ids, also once deregistrations have moved rows below
+//!   their ids; an absent id answers unknown without allocating.
 //! * Each row owns its node's detector track. Nodes of one [`Runtime`]
 //!   observed in any interleaving behave exactly as if each had a
 //!   runtime of its own, and a hostile id such as `u64::MAX` gets no
@@ -185,6 +187,47 @@ proptest! {
                 let row = |n: &Node| (n.id(), n.health());
                 let linear = registry.nodes().iter().find(|n| n.id() == id).map(row);
                 prop_assert_eq!(registry.node(id).map(row), linear);
+            }
+        }
+    }
+
+    /// A registry of ids `0..n` with some of them deregistered, so that
+    /// rows sit below their ids and the lookup's first guess misses:
+    /// every id answers as a linear scan would, and every absent one —
+    /// removed, past the last issued, up to `u64::MAX` — answers unknown
+    /// to each lookup without allocating.
+    #[test]
+    fn guessed_lookups_survive_deregistration_and_unissued_ids(
+        n in 1u64..80,
+        removed in prop::collection::vec(0u64..96, 0..48),
+        past in prop::collection::vec(0u64..1_000, 1..8),
+    ) {
+        let mut registry = Registry::new(16, &DetectorConfig::default());
+        for k in 0..n {
+            prop_assert_eq!(registry.register(1.0 + k as f64).unwrap(), NodeId::from_raw(k));
+        }
+        for &raw in &removed {
+            let id = NodeId::from_raw(raw);
+            let live = registry.nodes().iter().any(|row| row.id() == id);
+            prop_assert_eq!(registry.deregister(id).is_ok(), live);
+        }
+        let far = [u64::MAX, u64::MAX - 1, u64::MAX / 2, 1 << 32];
+        let probes = (0..n).chain(past.iter().map(|&p| n + p)).chain(far).map(NodeId::from_raw);
+        for id in probes {
+            let linear = registry.nodes().iter().find(|row| row.id() == id).map(Node::id);
+            prop_assert_eq!(registry.node(id).map(Node::id), linear);
+            if linear.is_none() {
+                let (answers, allocations, _) = allocations_during(|| {
+                    [
+                        registry.node(id).map(|_| ()).ok_or(RuntimeError::UnknownNode(id)),
+                        registry.set_health(id, Health::Down).map(|_| ()),
+                        registry.observe_service(id, 1.0),
+                        registry.set_nominal_rate(id, 2.0),
+                        registry.deregister(id).map(|_| ()),
+                    ]
+                });
+                prop_assert_eq!(answers, [0; 5].map(|_| Err(RuntimeError::UnknownNode(id))));
+                prop_assert_eq!(allocations, 0, "{} allocated", id);
             }
         }
     }
