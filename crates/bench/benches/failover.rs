@@ -179,14 +179,14 @@ fn bench_fault_lookup(c: &mut Criterion) {
         let mut t = 1.0;
         b.iter(|| {
             t += 0.01;
-            black_box(inj.dispatch_drops(ids[0], t))
+            black_box(inj.dispatch_drop_cause(ids[0], t))
         })
     });
     group.bench_function("attempt_clean", |b| {
         let mut t = 1.0;
         b.iter(|| {
             t += 0.01;
-            black_box(inj.dispatch_drops(ids[3], t))
+            black_box(inj.dispatch_drop_cause(ids[3], t))
         })
     });
     group.bench_function("service_factor", |b| {
@@ -218,7 +218,7 @@ fn bench_fault_lookup(c: &mut Criterion) {
         b.iter(|| {
             k = (k + 1) % clean.len();
             let (node, t) = clean[k];
-            black_box(inj.dispatch_drops(node, t))
+            black_box(inj.dispatch_drop_cause(node, t))
         })
     });
     group.bench_function(BenchmarkId::new("service_factor", ids.len()), |b| {

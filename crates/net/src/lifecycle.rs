@@ -18,10 +18,11 @@
 //!
 //! A node only joins the runtime's registry (and thus the routing
 //! table) at *approval*; before that it is a pending row the operator
-//! can inspect via `GET /nodes` and admit or reject. Once Online, the
+//! can inspect via `GET /nodes` and admit or reject. Once approved, the
 //! monitor thread sweeps the table and feeds `heartbeat_miss` into the
 //! detector for any node whose heartbeat is overdue, driving the
-//! existing Up → Suspect → Down walk.
+//! existing Up → Suspect → Down walk; a node that never beats after
+//! approval is overdue from its approval on.
 
 use std::collections::HashMap;
 
@@ -94,8 +95,11 @@ pub struct NodeEntry {
     pub node: Option<NodeId>,
     /// Timestamp (hooks clock) of the last heartbeat received.
     pub last_heartbeat: Option<f64>,
-    /// Timestamp (hooks clock) of registration.
-    pub registered_at: f64,
+    /// Timestamp (hooks clock) the sweep times an `Approved` row's
+    /// silence from: its approval, moved to each miss the sweep records
+    /// for it, as a miss moves `last_heartbeat` for an `Online` row.
+    /// `None` before approval.
+    pub approved_at: Option<f64>,
     /// Heartbeats received since registration.
     pub heartbeats: u64,
 }
@@ -219,12 +223,13 @@ impl Lifecycle {
             state: NodeState::Registering,
             node: None,
             last_heartbeat: None,
-            registered_at: hooks.now(),
+            approved_at: None,
             heartbeats: 0,
         };
         if self.config.auto_approve {
             entry.node = Some(hooks.register_node(rate)?);
             entry.state = NodeState::Approved;
+            entry.approved_at = Some(hooks.now());
         }
         let state = entry.state;
         // A reused name replaces its tombstone in place, keeping the
@@ -259,9 +264,11 @@ impl Lifecycle {
             }
         };
         let id = hooks.register_node(rate)?;
+        let now = hooks.now();
         let entry = self.entry_mut(name).expect("entry checked above");
         entry.node = Some(id);
         entry.state = NodeState::Approved;
+        entry.approved_at = Some(now);
         Ok(id)
     }
 
@@ -378,22 +385,25 @@ impl Lifecycle {
 
     /// One monitor sweep at time `now`: feeds one [`heartbeat_miss`]
     /// into the detector for every `Online` node whose last heartbeat
-    /// is overdue (`now - last > interval * miss_grace`). Returns how
-    /// many misses were recorded.
+    /// is overdue, and every `Approved` node that has been silent since
+    /// approval as long (`now - last > interval * miss_grace`). Returns
+    /// how many misses were recorded.
     ///
     /// [`heartbeat_miss`]: ControlPlaneHooks::heartbeat_miss
     pub fn sweep(&mut self, hooks: &ControlPlaneHooks, now: f64) -> usize {
         let grace = self.config.miss_grace;
         let mut misses = 0;
         for entry in &mut self.entries {
-            if entry.state != NodeState::Online {
-                continue;
-            }
-            let (Some(id), Some(last)) = (entry.node, entry.last_heartbeat) else { continue };
-            if now - last > entry.heartbeat_interval * grace {
+            let last = match entry.state {
+                NodeState::Online => &mut entry.last_heartbeat,
+                NodeState::Approved => &mut entry.approved_at,
+                _ => continue,
+            };
+            let (Some(id), Some(since)) = (entry.node, *last) else { continue };
+            if now - since > entry.heartbeat_interval * grace {
                 // Count the sweep as the node's "signal" so each sweep
                 // tick contributes exactly one miss, not a flood.
-                entry.last_heartbeat = Some(now);
+                *last = Some(now);
                 if hooks.heartbeat_miss(id).is_ok() {
                     misses += 1;
                 }
@@ -488,6 +498,28 @@ mod tests {
         assert_eq!(lc.sweep(&hooks, far + 2.0), 1);
         assert_eq!(hooks.node_health(id_a), Some(Health::Down), "three misses walked a down");
         assert_eq!(hooks.node_health(id_b), Some(Health::Draining));
+    }
+
+    #[test]
+    fn sweep_times_a_silent_approved_node_from_approval() {
+        let hooks = hooks();
+        let mut lc = Lifecycle::new(LifecycleConfig {
+            auto_approve: true,
+            default_heartbeat_interval: 0.01,
+            miss_grace: 1.0,
+        });
+        assert_eq!(lc.register(&hooks, "a", 1.0, None).unwrap(), NodeState::Approved);
+        let id = lc.entries()[0].node.unwrap();
+        let approved_at = lc.entries()[0].approved_at.unwrap();
+        assert_eq!(lc.sweep(&hooks, approved_at), 0, "not overdue at approval");
+        // The node never beats: it is overdue from its approval on, and
+        // each sweep records one miss.
+        let far = hooks.now() + 1.0;
+        let misses: usize = (0..3).map(|k| lc.sweep(&hooks, far + f64::from(k))).sum();
+        assert_eq!(misses, 3);
+        assert_eq!(hooks.node_health(id), Some(Health::Down), "three misses walked a down");
+        assert_eq!(lc.entries()[0].state, NodeState::Approved);
+        assert_eq!(lc.entries()[0].last_heartbeat, None, "a miss is no heartbeat");
     }
 
     #[test]

@@ -109,15 +109,6 @@ impl<'a> Json<'a> {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Self::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     #[must_use]
     pub fn as_array(&self) -> Option<&[Json<'a>]> {
@@ -421,7 +412,7 @@ mod tests {
         let v = Json::parse(br#"{"name": "node-a", "rate": 4.5, "auto": true}"#).unwrap();
         assert_eq!(v.get("name").and_then(Json::as_str), Some("node-a"));
         assert_eq!(v.get("rate").and_then(Json::as_f64), Some(4.5));
-        assert_eq!(v.get("auto").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("auto"), Some(&Json::Bool(true)));
         assert!(v.get("missing").is_none());
     }
 

@@ -394,7 +394,7 @@ impl TraceDriver {
         let arrived = self.clock;
         // Publish the virtual clock so telemetry events carry it.
         runtime.telemetry().set_clock(arrived);
-        // Surface due partition/domain milestones before the
+        // Surface due partition milestones before the
         // detector observations they explain.
         if let Some(f) = self.faults.as_mut() {
             for marker in f.drain_markers(arrived) {

@@ -4,15 +4,15 @@
 //! A [`FaultPlan`] is a seeded script of per-node fault events on the
 //! driver's virtual clock — crash, crash-and-recover, slow-node (degraded
 //! `μ`), flaky (intermittent drops), asymmetric link partitions, and gray
-//! failures — plus rack/zone *failure domains* whose events strike a
-//! whole node group atomically. A [`FaultInjector`] evaluates the plan:
-//! "is this node crashed at time `t`?", "by what factor is its service
-//! rate degraded?", "does this particular dispatch (or heartbeat) drop?".
+//! failures. A fault that strikes several nodes at once is one event per
+//! node at the same time. A [`FaultInjector`] evaluates the plan: "is
+//! this node crashed at time `t`?", "by what factor is its service rate
+//! degraded?", "does this particular dispatch (or heartbeat) drop?".
 //!
 //! ## The adversarial network model
 //!
 //! The original fault kinds assume a perfect star network: a node is
-//! either reachable by everyone or by no one. Three kinds break that
+//! either reachable by everyone or by no one. Two kinds break that
 //! symmetry:
 //!
 //! * **Asymmetric partitions** ([`FaultKind::Partition`]) cut exactly
@@ -22,10 +22,6 @@
 //!   with [`PartitionDirection::DropHeartbeats`] dispatch works but the
 //!   detector watches the node go silent. Detector and retry path are
 //!   forced to disagree.
-//! * **Failure domains**: [`FaultPlan::assign_domain`] labels nodes with
-//!   a rack/zone, and `domain_*` events apply one fault to every member
-//!   atomically — the correlated-failure regime where independence
-//!   assumptions in the detector break.
 //! * **Gray failures** ([`FaultKind::Gray`]) inflate service times and
 //!   drop a fraction of attempts while staying *below* the crash
 //!   threshold — the degraded-but-Up state a fixed-threshold detector
@@ -33,7 +29,7 @@
 //!
 //! ## Determinism contract
 //!
-//! The crash/recover/slow/partition/domain schedule is pure data — a
+//! The crash/recover/slow/partition schedule is pure data — a
 //! function of the plan alone, identical for every shard count and
 //! thread count. Randomness is confined to two disjoint stream
 //! families of the plan seed:
@@ -56,7 +52,7 @@
 //! function of `(seed, plan, shard count)`.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
@@ -173,21 +169,9 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// One scheduled domain fault: `kind` strikes every node assigned to
-/// `domain` at virtual time `at`, atomically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DomainEvent {
-    /// The rack/zone label (see [`FaultPlan::assign_domain`]).
-    pub domain: String,
-    /// Virtual time the fault begins.
-    pub at: f64,
-    /// What happens to every member.
-    pub kind: FaultKind,
-}
-
 /// A fault-schedule milestone the injector surfaces for telemetry: the
-/// moments partitions open and heal, and the moments domain faults
-/// strike. Pure data, derived from the plan at injector construction.
+/// moments partitions open and heal. Pure data, derived from the plan
+/// at injector construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultMarker {
     /// Virtual time of the milestone.
@@ -213,11 +197,6 @@ pub enum FaultMarkerKind {
         /// Which direction had dropped.
         direction: PartitionDirection,
     },
-    /// A domain-scoped fault struck every member of `domain`.
-    DomainFault {
-        /// The rack/zone label.
-        domain: String,
-    },
 }
 
 /// A seeded, scripted schedule of fault events. Build with the chaining
@@ -227,8 +206,6 @@ pub enum FaultMarkerKind {
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
-    domains: Vec<(NodeId, String)>,
-    domain_events: Vec<DomainEvent>,
 }
 
 fn assert_time(at: f64, what: &str) {
@@ -291,14 +268,6 @@ fn fnv_fold(h: &mut u64, word: u64) {
     }
 }
 
-fn fnv_fold_bytes(h: &mut u64, bytes: &[u8]) {
-    fnv_fold(h, bytes.len() as u64);
-    for &byte in bytes {
-        *h ^= u64::from(byte);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 fn fold_kind(h: &mut u64, kind: &FaultKind) {
     match *kind {
         FaultKind::Crash => fnv_fold(h, 1),
@@ -342,7 +311,7 @@ impl FaultPlan {
     /// families of `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        Self { seed, events: Vec::new(), domains: Vec::new(), domain_events: Vec::new() }
+        Self { seed, events: Vec::new() }
     }
 
     /// Schedules a permanent crash of `node` at time `at`.
@@ -436,98 +405,6 @@ impl FaultPlan {
         self
     }
 
-    /// Assigns `node` to failure domain `label` (a rack/zone). A node
-    /// belongs to at most one domain; re-assigning replaces the label.
-    /// Domain membership is pure data and may be declared before or
-    /// after the domain's events — evaluation is lazy.
-    #[must_use]
-    pub fn assign_domain(mut self, node: NodeId, label: &str) -> Self {
-        if let Some(slot) = self.domains.iter_mut().find(|(n, _)| *n == node) {
-            slot.1 = label.to_string();
-        } else {
-            self.domains.push((node, label.to_string()));
-        }
-        self
-    }
-
-    /// Schedules a permanent crash of every member of `label` at `at`.
-    ///
-    /// # Panics
-    /// If `at` is invalid.
-    #[must_use]
-    pub fn domain_crash(mut self, label: &str, at: f64) -> Self {
-        assert_time(at, "domain crash time");
-        self.domain_events.push(DomainEvent {
-            domain: label.to_string(),
-            at,
-            kind: FaultKind::Crash,
-        });
-        self
-    }
-
-    /// Schedules a crash of every member of `label` at `at`, healing
-    /// `down_for` seconds later — the whole rack power-cycles together.
-    ///
-    /// # Panics
-    /// If `at` or `down_for` is invalid.
-    #[must_use]
-    pub fn domain_crash_recover(mut self, label: &str, at: f64, down_for: f64) -> Self {
-        assert_time(at, "domain crash time");
-        let kind = checked_crash_recover(down_for);
-        self.domain_events.push(DomainEvent { domain: label.to_string(), at, kind });
-        self
-    }
-
-    /// Schedules a slow window on every member of `label`.
-    ///
-    /// # Panics
-    /// If `factor` is outside `(0, 1]` or a time is invalid.
-    #[must_use]
-    pub fn domain_slow(mut self, label: &str, at: f64, lasts: f64, factor: f64) -> Self {
-        assert_time(at, "domain slow-window start");
-        let kind = checked_slow(factor, lasts);
-        self.domain_events.push(DomainEvent { domain: label.to_string(), at, kind });
-        self
-    }
-
-    /// Schedules an asymmetric partition of every member of `label` —
-    /// the top-of-rack switch loses one direction for the whole group.
-    ///
-    /// # Panics
-    /// If a time is invalid.
-    #[must_use]
-    pub fn domain_partition(
-        mut self,
-        label: &str,
-        at: f64,
-        lasts: f64,
-        direction: PartitionDirection,
-    ) -> Self {
-        assert_time(at, "domain partition start");
-        let kind = checked_partition(direction, lasts);
-        self.domain_events.push(DomainEvent { domain: label.to_string(), at, kind });
-        self
-    }
-
-    /// Schedules a gray failure of every member of `label`.
-    ///
-    /// # Panics
-    /// As [`FaultPlan::gray`].
-    #[must_use]
-    pub fn domain_gray(
-        mut self,
-        label: &str,
-        at: f64,
-        lasts: f64,
-        inflation: f64,
-        loss_probability: f64,
-    ) -> Self {
-        assert_time(at, "domain gray-window start");
-        let kind = checked_gray(inflation, loss_probability, lasts);
-        self.domain_events.push(DomainEvent { domain: label.to_string(), at, kind });
-        self
-    }
-
     /// The plan seed (flaky draws use its [`FAULT_STREAM`] family, gray
     /// loss draws its [`ADVERSARIAL_STREAM`] family).
     #[must_use]
@@ -541,31 +418,18 @@ impl FaultPlan {
         &self.events
     }
 
-    /// The scheduled domain events, in insertion order.
-    #[must_use]
-    pub fn domain_events(&self) -> &[DomainEvent] {
-        &self.domain_events
-    }
-
-    /// The failure domain `node` belongs to, if any.
-    #[must_use]
-    pub fn domain_of(&self, node: NodeId) -> Option<&str> {
-        self.domains.iter().find(|(n, _)| *n == node).map(|(_, label)| label.as_str())
-    }
-
-    /// Whether the plan schedules nothing (domain assignments without
-    /// events are inert and don't count).
+    /// Whether the plan schedules nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.domain_events.is_empty()
+        self.events.is_empty()
     }
 
-    /// FNV-1a fingerprint of the schedule (seed + every event, domain
-    /// assignment, and domain event, payloads included — two plans
-    /// differing only in a partition direction or a domain label hash
-    /// differently). Because the schedule is pure data, this fingerprint
-    /// is invariant across shard counts and thread counts — the chaos CI
-    /// job diffs it alongside the decision-stream fingerprints.
+    /// FNV-1a fingerprint of the schedule (seed + every event, payloads
+    /// included — two plans differing only in a partition direction
+    /// hash differently). Because the schedule is pure data, this
+    /// fingerprint is invariant across shard counts and thread counts —
+    /// the chaos CI job diffs it alongside the decision-stream
+    /// fingerprints.
     #[must_use]
     pub fn schedule_fingerprint(&self) -> u64 {
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -575,57 +439,24 @@ impl FaultPlan {
             fnv_fold(&mut h, e.at.to_bits());
             fold_kind(&mut h, &e.kind);
         }
-        for (node, label) in &self.domains {
-            fnv_fold(&mut h, 7);
-            fnv_fold(&mut h, node.raw());
-            fnv_fold_bytes(&mut h, label.as_bytes());
-        }
-        for e in &self.domain_events {
-            fnv_fold(&mut h, 8);
-            fnv_fold_bytes(&mut h, e.domain.as_bytes());
-            fnv_fold(&mut h, e.at.to_bits());
-            fold_kind(&mut h, &e.kind);
-        }
         h
     }
 
-    /// The telemetry milestones the plan implies, sorted by time:
-    /// partition open/heal edges (per node, domain partitions expanded
-    /// per member) and domain-fault strikes.
+    /// The telemetry milestones the plan implies, sorted by time: each
+    /// partition's open and heal edges.
     fn markers(&self) -> Vec<FaultMarker> {
         let mut out = Vec::new();
-        fn push_partition(
-            out: &mut Vec<FaultMarker>,
-            node: NodeId,
-            at: f64,
-            lasts: f64,
-            d: PartitionDirection,
-        ) {
-            out.push(FaultMarker {
-                at,
-                kind: FaultMarkerKind::PartitionOpened { node, direction: d },
-            });
-            out.push(FaultMarker {
-                at: at + lasts,
-                kind: FaultMarkerKind::PartitionHealed { node, direction: d },
-            });
-        }
         for e in &self.events {
             if let FaultKind::Partition { direction, lasts } = e.kind {
-                push_partition(&mut out, e.node, e.at, lasts, direction);
-            }
-        }
-        for e in &self.domain_events {
-            out.push(FaultMarker {
-                at: e.at,
-                kind: FaultMarkerKind::DomainFault { domain: e.domain.clone() },
-            });
-            if let FaultKind::Partition { direction, lasts } = e.kind {
-                for (node, label) in &self.domains {
-                    if *label == e.domain {
-                        push_partition(&mut out, *node, e.at, lasts, direction);
-                    }
-                }
+                let node = e.node;
+                out.push(FaultMarker {
+                    at: e.at,
+                    kind: FaultMarkerKind::PartitionOpened { node, direction },
+                });
+                out.push(FaultMarker {
+                    at: e.at + lasts,
+                    kind: FaultMarkerKind::PartitionHealed { node, direction },
+                });
             }
         }
         out.sort_by(|a, b| a.at.total_cmp(&b.at));
@@ -637,7 +468,7 @@ impl FaultPlan {
 /// attempt (see [`FaultInjector::dispatch_drop_cause`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropCause {
-    /// The node is crashed (own event or its domain's).
+    /// The node is crashed.
     Crash,
     /// An active dispatch-cutting asymmetric partition.
     Partition,
@@ -674,10 +505,10 @@ impl ActiveFaults {
         service_factor: 1.0,
     };
 
-    /// Folds `events` (one node's own events, then its domain's, each in
-    /// insertion order) at time `t`. The multiplication order is the
-    /// slice order, so `service_factor` is bit-identical to a product
-    /// over the plan's events filtered to the node.
+    /// Folds `events` (one node's events, in insertion order) at time
+    /// `t`. The multiplication order is the slice order, so
+    /// `service_factor` is bit-identical to a product over the plan's
+    /// events filtered to the node.
     ///
     /// Also returns the window `[lo, hi)` around `t` on which the fold
     /// cannot change: `lo` is the latest edge at or before `t`
@@ -751,9 +582,8 @@ impl Cached {
         Self { active: ActiveFaults::NONE, lo: f64::INFINITY, hi: f64::NEG_INFINITY };
 }
 
-/// One indexed node: the events that apply to it (its own, then its
-/// domain's, each in insertion order), its last fold, and its drop
-/// streams, seeded on first draw.
+/// One indexed node: its events in insertion order, its last fold, and
+/// its drop streams, seeded on first draw.
 #[derive(Debug)]
 struct NodeSlot {
     events: Box<[(f64, FaultKind)]>,
@@ -770,16 +600,17 @@ fn draw(rng: &mut Option<Xoshiro256PlusPlus>, seed: u64, stream: u64, p: f64) ->
 /// Evaluates a [`FaultPlan`] against the virtual clock. Stateless for
 /// crash/slow/partition queries; flaky and gray drop draws advance the
 /// per-node fault streams (hence `&mut` on
-/// [`FaultInjector::dispatch_drops`] / [`FaultInjector::heartbeat_drops`]).
+/// [`FaultInjector::dispatch_drop_cause`] /
+/// [`FaultInjector::heartbeat_drops`]).
 ///
 /// Construction indexes the plan by node once: every node the plan
-/// touches gets one contiguous slice holding its own events, then its
-/// domain's, each in insertion order. A query finds the node's slot in
-/// the sorted ids, first at the index of the id's value (one compare
-/// when the plan names every node from 0) and by binary search before
-/// it otherwise, and folds that one slice, so its cost does not grow
-/// with the size of the plan or the cluster. The index is keyed by
-/// [`NodeId`], never by the raw id value, so a plan may name any id.
+/// touches gets one contiguous slice holding its events in insertion
+/// order. A query finds the node's slot in the sorted ids, first at the
+/// index of the id's value (one compare when the plan names every node
+/// from 0) and by binary search before it otherwise, and folds that one
+/// slice, so its cost does not grow with the size of the plan or the
+/// cluster. The index is keyed by [`NodeId`], never by the raw id
+/// value, so a plan may name any id.
 ///
 /// Each slot keeps its last fold and the window around its time in
 /// which none of the slot's events opens or closes; a query inside that
@@ -802,18 +633,9 @@ impl FaultInjector {
     #[must_use]
     pub fn new(plan: FaultPlan) -> Self {
         let markers = plan.markers();
-        let mut shared: HashMap<&str, Vec<(f64, FaultKind)>> = HashMap::new();
-        for e in &plan.domain_events {
-            shared.entry(e.domain.as_str()).or_default().push((e.at, e.kind));
-        }
         let mut per_node: BTreeMap<NodeId, Vec<(f64, FaultKind)>> = BTreeMap::new();
         for e in &plan.events {
             per_node.entry(e.node).or_default().push((e.at, e.kind));
-        }
-        for (node, label) in &plan.domains {
-            if let Some(events) = shared.get(label.as_str()) {
-                per_node.entry(*node).or_default().extend_from_slice(events);
-            }
         }
         let mut ids = Vec::with_capacity(per_node.len());
         let mut slots = Vec::with_capacity(per_node.len());
@@ -860,8 +682,7 @@ impl FaultInjector {
     }
 
     /// Whether `node` is dead at time `t` (inside a crash, or a
-    /// crash-recover window that has not healed yet), its own events and
-    /// its domain's counted alike.
+    /// crash-recover window that has not healed yet).
     #[must_use]
     pub fn crashed(&self, node: NodeId, t: f64) -> bool {
         self.active(node, t).crashed
@@ -904,30 +725,23 @@ impl FaultInjector {
         self.active(node, t).gray_loss
     }
 
-    /// Decides one dispatch attempt against `node` at time `t`: `true`
-    /// means the attempt drops. Deterministic draw-order contract, per
-    /// attempt: (1) crashed nodes drop everything without consuming
-    /// randomness; (2) an active dispatch-cutting partition drops
-    /// everything, also without randomness; (3) an active flaky window
-    /// draws from the node's [`FAULT_STREAM`] stream — byte-identical to
-    /// the legacy injector; (4) an active gray window draws from the
-    /// node's [`ADVERSARIAL_STREAM`] stream. A step that fires
-    /// short-circuits the later ones.
-    pub fn dispatch_drops(&mut self, node: NodeId, t: f64) -> bool {
-        self.dispatch_drop_cause(node, t).is_some()
-    }
-
-    /// As [`FaultInjector::dispatch_drops`], but reports *which* step
-    /// dropped the attempt. The draw-order contract is identical —
-    /// this is the same decision procedure, not a second one — so the
-    /// tracing layer can label attempt outcomes without perturbing a
-    /// single RNG draw.
+    /// Decides one dispatch attempt against `node` at time `t`: `Some`
+    /// names the step that dropped it, so the tracing layer can label
+    /// attempt outcomes without perturbing a single RNG draw.
+    /// Deterministic draw-order contract, per attempt: (1) crashed nodes
+    /// drop everything without consuming randomness; (2) an active
+    /// dispatch-cutting partition drops everything, also without
+    /// randomness; (3) an active flaky window draws from the node's
+    /// [`FAULT_STREAM`] stream — byte-identical to the legacy injector;
+    /// (4) an active gray window draws from the node's
+    /// [`ADVERSARIAL_STREAM`] stream. A step that fires short-circuits
+    /// the later ones.
     pub fn dispatch_drop_cause(&mut self, node: NodeId, t: f64) -> Option<DropCause> {
         self.attempt_drop(node, t, PartitionDirection::DropDispatch)
     }
 
     /// Decides one heartbeat attempt against `node` at time `t`: same
-    /// contract as [`FaultInjector::dispatch_drops`] — sharing the flaky
+    /// contract as [`FaultInjector::dispatch_drop_cause`] — sharing the flaky
     /// and gray streams with dispatch, in attempt order — except step
     /// (2) tests for a *heartbeat*-cutting partition.
     pub fn heartbeat_drops(&mut self, node: NodeId, t: f64) -> bool {
@@ -1013,12 +827,12 @@ mod tests {
     fn flaky_drops_at_the_configured_rate() {
         let plan = FaultPlan::new(3).flaky(node(0), 0.0, 1e6, 0.3);
         let mut inj = FaultInjector::new(plan);
-        let drops = (0..10_000).filter(|_| inj.dispatch_drops(node(0), 1.0)).count();
+        let drops = (0..10_000).filter(|_| inj.dispatch_drop_cause(node(0), 1.0).is_some()).count();
         let rate = drops as f64 / 10_000.0;
         assert!((rate - 0.3).abs() < 0.02, "drop rate {rate} vs p 0.3");
         // Outside the window (or for other nodes) nothing drops and no
         // randomness is consumed.
-        assert!(!inj.dispatch_drops(node(1), 1.0));
+        assert!(inj.dispatch_drop_cause(node(1), 1.0).is_none());
     }
 
     #[test]
@@ -1032,9 +846,9 @@ mod tests {
                     if probe_other {
                         // Interleave draws on node 1; node 0's sequence
                         // must not shift.
-                        let _ = inj.dispatch_drops(node(1), k as f64);
+                        let _ = inj.dispatch_drop_cause(node(1), k as f64);
                     }
-                    inj.dispatch_drops(node(0), k as f64)
+                    inj.dispatch_drop_cause(node(0), k as f64)
                 })
                 .collect::<Vec<_>>()
         };
@@ -1046,7 +860,7 @@ mod tests {
         let plan = FaultPlan::new(4).crash(node(0), 0.0).flaky(node(0), 0.0, 100.0, 0.5);
         let mut inj = FaultInjector::new(plan);
         for _ in 0..16 {
-            assert!(inj.dispatch_drops(node(0), 1.0));
+            assert_eq!(inj.dispatch_drop_cause(node(0), 1.0), Some(DropCause::Crash));
         }
         assert!(inj.no_stream_seeded(), "crash short-circuits the flaky draw");
         assert_eq!(inj.drop_probability(node(0), 1.0), 1.0);
@@ -1059,14 +873,14 @@ mod tests {
             .partition(node(1), 10.0, 5.0, PartitionDirection::DropHeartbeats);
         let mut inj = FaultInjector::new(plan);
         // Dispatch-cut: jobs drop, heartbeats pass.
-        assert!(inj.dispatch_drops(node(0), 12.0));
+        assert_eq!(inj.dispatch_drop_cause(node(0), 12.0), Some(DropCause::Partition));
         assert!(!inj.heartbeat_drops(node(0), 12.0));
         // Heartbeat-cut: the mirror.
-        assert!(!inj.dispatch_drops(node(1), 12.0));
+        assert!(inj.dispatch_drop_cause(node(1), 12.0).is_none());
         assert!(inj.heartbeat_drops(node(1), 12.0));
         // Outside the window nothing drops; partitions are pure data.
-        assert!(!inj.dispatch_drops(node(0), 9.9));
-        assert!(!inj.dispatch_drops(node(0), 15.0));
+        assert!(inj.dispatch_drop_cause(node(0), 9.9).is_none());
+        assert!(inj.dispatch_drop_cause(node(0), 15.0).is_none());
         assert!(inj.no_stream_seeded(), "no draws consumed");
         assert!(!inj.crashed(node(0), 12.0), "partitioned is not crashed");
     }
@@ -1078,7 +892,7 @@ mod tests {
         assert_eq!(inj.service_factor(node(0), 1.0), 0.5, "inflation 2 halves the rate");
         assert_eq!(inj.gray_loss_probability(node(0), 1.0), 0.25);
         assert_eq!(inj.drop_probability(node(0), 1.0), 0.0, "gray is not flaky");
-        let drops = (0..10_000).filter(|_| inj.dispatch_drops(node(0), 1.0)).count();
+        let drops = (0..10_000).filter(|_| inj.dispatch_drop_cause(node(0), 1.0).is_some()).count();
         let rate = drops as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "loss rate {rate} vs p 0.25");
         assert!(
@@ -1098,9 +912,9 @@ mod tests {
             (0..64)
                 .map(|k| {
                     if with_gray {
-                        let _ = inj.dispatch_drops(node(1), k as f64);
+                        let _ = inj.dispatch_drop_cause(node(1), k as f64);
                     }
-                    inj.dispatch_drops(node(0), k as f64)
+                    inj.dispatch_drop_cause(node(0), k as f64)
                 })
                 .collect::<Vec<_>>()
         };
@@ -1108,56 +922,25 @@ mod tests {
     }
 
     #[test]
-    fn domain_events_strike_members_atomically() {
-        let plan = FaultPlan::new(12)
-            .assign_domain(node(0), "rack-a")
-            .domain_crash_recover("rack-a", 10.0, 5.0)
-            // Assignment after the event must work: evaluation is lazy.
-            .assign_domain(node(1), "rack-a")
-            .assign_domain(node(2), "rack-b");
-        let inj = FaultInjector::new(plan);
-        assert!(inj.crashed(node(0), 12.0) && inj.crashed(node(1), 12.0), "whole rack down");
-        assert!(!inj.crashed(node(2), 12.0), "other rack untouched");
-        assert!(!inj.crashed(node(0), 15.0) && !inj.crashed(node(1), 15.0), "heals together");
-        assert_eq!(inj.plan().domain_of(node(1)), Some("rack-a"));
-        assert_eq!(inj.plan().domain_of(node(3)), None);
-        assert!(!inj.plan().is_empty());
-        assert!(FaultPlan::new(0).assign_domain(node(0), "rack-a").is_empty(), "inert labels");
-    }
-
-    #[test]
-    fn domain_partition_and_gray_cover_the_group() {
-        let plan = FaultPlan::new(13)
-            .assign_domain(node(0), "zone-1")
-            .assign_domain(node(1), "zone-1")
-            .domain_partition("zone-1", 5.0, 5.0, PartitionDirection::DropDispatch)
-            .domain_gray("zone-1", 20.0, 5.0, 4.0, 0.0);
-        let inj = FaultInjector::new(plan);
-        assert!(inj.partitioned(node(0), 7.0, PartitionDirection::DropDispatch));
-        assert!(inj.partitioned(node(1), 7.0, PartitionDirection::DropDispatch));
-        assert!(!inj.partitioned(node(1), 7.0, PartitionDirection::DropHeartbeats));
-        assert_eq!(inj.service_factor(node(0), 22.0), 0.25);
-        assert_eq!(inj.service_factor(node(1), 22.0), 0.25);
-    }
-
-    #[test]
     fn markers_drain_in_time_order_once() {
         let plan = FaultPlan::new(14)
-            .assign_domain(node(1), "rack-a")
             .partition(node(0), 10.0, 5.0, PartitionDirection::DropDispatch)
-            .domain_crash("rack-a", 12.0);
+            .partition(node(1), 12.0, 10.0, PartitionDirection::DropHeartbeats)
+            .crash(node(2), 11.0);
         let mut inj = FaultInjector::new(plan);
         let early = inj.drain_markers(11.0);
-        assert_eq!(early.len(), 1);
+        assert_eq!(early.len(), 1, "a crash is no marker");
         assert!(matches!(
             early[0].kind,
             FaultMarkerKind::PartitionOpened { direction: PartitionDirection::DropDispatch, .. }
         ));
         let late = inj.drain_markers(100.0);
-        assert_eq!(late.len(), 2, "domain strike then heal, each once");
-        assert!(
-            matches!(&late[0].kind, FaultMarkerKind::DomainFault { domain } if domain == "rack-a")
-        );
+        let at: Vec<f64> = late.iter().map(|m| m.at).collect();
+        assert_eq!(at, [12.0, 15.0, 22.0], "open, heal, heal, each once, in time order");
+        assert!(matches!(
+            late[0].kind,
+            FaultMarkerKind::PartitionOpened { direction: PartitionDirection::DropHeartbeats, .. }
+        ));
         assert!(matches!(late[1].kind, FaultMarkerKind::PartitionHealed { .. }));
         assert!(inj.drain_markers(1e9).is_empty(), "cursor never rewinds");
     }
@@ -1184,19 +967,16 @@ mod tests {
             mk(PartitionDirection::DropHeartbeats).schedule_fingerprint(),
             "direction is folded"
         );
-        let label = |l: &str| FaultPlan::new(7).assign_domain(node(0), l).domain_crash(l, 5.0);
-        assert_ne!(
-            label("rack-a").schedule_fingerprint(),
-            label("rack-b").schedule_fingerprint(),
-            "domain labels are folded"
-        );
-        let gray = |inflation: f64| FaultPlan::new(7).gray(node(0), 1.0, 2.0, inflation, 0.1);
-        assert_ne!(gray(1.5).schedule_fingerprint(), gray(2.5).schedule_fingerprint());
-        // Same node-level schedule, one expressed via a domain: must not
+        let gray = |inflation: f64, loss: f64| {
+            FaultPlan::new(7).gray(node(0), 1.0, 2.0, inflation, loss).schedule_fingerprint()
+        };
+        assert_ne!(gray(1.5, 0.1), gray(2.5, 0.1), "inflation is folded");
+        assert_ne!(gray(1.5, 0.1), gray(1.5, 0.2), "loss probability is folded");
+        // The same event on another node, or at another time, must not
         // collide.
-        let direct = FaultPlan::new(7).crash(node(0), 5.0);
-        let via_domain = FaultPlan::new(7).assign_domain(node(0), "r").domain_crash("r", 5.0);
-        assert_ne!(direct.schedule_fingerprint(), via_domain.schedule_fingerprint());
+        let at = |n: u64, t: f64| FaultPlan::new(7).crash(node(n), t).schedule_fingerprint();
+        assert_ne!(at(0, 5.0), at(1, 5.0), "the node is folded");
+        assert_ne!(at(0, 5.0), at(0, 6.0), "the time is folded");
     }
 
     #[test]

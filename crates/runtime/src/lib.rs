@@ -9,7 +9,7 @@
 //!   service window → μ̂ᵢ, accrual track → φ), arrival EWMA Φ̂
 //!       │ snapshot of serving nodes
 //!       ▼
-//!   re-solver (COOP/NASH/…)
+//!   re-solver (COOP/OPTIM/PROP)
 //!       │ publish (epoch n+1)
 //!       ▼
 //!   dispatch shards ◀── routing-table slot (Arc snapshot)
@@ -85,8 +85,8 @@ pub use detector::{DetectorConfig, HealthTransition};
 pub use driver::{TraceConfig, TraceDriver, TraceStats};
 pub use error::RuntimeError;
 pub use fault::{
-    DomainEvent, DropCause, FaultEvent, FaultInjector, FaultKind, FaultMarker, FaultMarkerKind,
-    FaultPlan, PartitionDirection, ADVERSARIAL_STREAM, FAULT_STREAM,
+    DropCause, FaultEvent, FaultInjector, FaultKind, FaultMarker, FaultMarkerKind, FaultPlan,
+    PartitionDirection, ADVERSARIAL_STREAM, FAULT_STREAM,
 };
 pub use registry::{Health, Node, NodeId, Registry};
 pub use resolver::{ResolveOutcome, SchemeKind};
@@ -663,12 +663,6 @@ impl Runtime {
         self.arrival_rate(&self.state())
     }
 
-    /// The current service-rate estimate of one node, once warm.
-    #[must_use]
-    pub fn estimated_service_rate(&self, id: NodeId) -> Option<f64> {
-        self.state().registry.node(id)?.estimated_rate(self.cfg.min_service_obs)
-    }
-
     // ---- solving & dispatching -----------------------------------------
 
     /// Runs a full solve now: snapshot the serving nodes, pick measured
@@ -1085,6 +1079,11 @@ mod tests {
         Runtime::builder().seed(5).scheme(SchemeKind::Coop).nominal_arrival_rate(phi).build()
     }
 
+    /// Node `id`'s service-rate estimate, once warm: what a solve reads.
+    fn service_estimate(rt: &Runtime, id: NodeId) -> Option<f64> {
+        rt.state().registry.node(id)?.estimated_rate(rt.cfg.min_service_obs)
+    }
+
     #[test]
     fn dispatch_before_resolve_fails() {
         let rt = coop_runtime(0.5);
@@ -1219,7 +1218,7 @@ mod tests {
             rt.record_service(a, 0.5);
         }
         assert!((rt.estimated_arrival_rate().unwrap() - 2.0).abs() < 1e-9);
-        assert!((rt.estimated_service_rate(a).unwrap() - 2.0).abs() < 1e-9);
+        assert!((service_estimate(&rt, a).unwrap() - 2.0).abs() < 1e-9);
         let outcome = rt.resolve_now().unwrap();
         assert!((outcome.phi - 2.0).abs() < 1e-9, "solve used the measured Φ");
         assert!((outcome.rates[0] - 2.0).abs() < 1e-9, "solve used the measured μ");
@@ -1239,11 +1238,11 @@ mod tests {
         for _ in 0..2 {
             rt.record_service(a, 0.5);
         }
-        assert_eq!(rt.estimated_service_rate(a), None, "2 services < min 3");
+        assert_eq!(service_estimate(&rt, a), None, "2 services < min 3");
         rt.record_service(a, 0.5);
-        assert_eq!(rt.estimated_service_rate(a), Some(2.0));
+        assert_eq!(service_estimate(&rt, a), Some(2.0));
         rt.deregister_node(a).unwrap();
-        assert_eq!(rt.estimated_service_rate(a), None);
+        assert_eq!(service_estimate(&rt, a), None);
     }
 
     #[test]
@@ -1254,7 +1253,7 @@ mod tests {
         for _ in 0..16 {
             rt.record_service(a, 0.25);
         }
-        assert_eq!(rt.estimated_service_rate(a), None);
+        assert_eq!(service_estimate(&rt, a), None);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //!
 //! Two paths publish tables:
 //!
-//! * the **solve path** ([`solve_table`]) runs a full game-theoretic
-//!   allocation (COOP / NASH / PROP / OPTIM / WARDROP) over the serving
-//!   nodes — periodic, driven by the background loop or called
-//!   synchronously;
+//! * the **solve path** ([`solve_table`]) runs a full allocation (COOP,
+//!   or the OPTIM and PROP baselines) over the serving nodes — periodic,
+//!   driven by the background loop or called synchronously;
 //! * the **failure path** ([`RoutingTable::without_node`]) renormalizes
 //!   the live table immediately when a node goes down, so no job is
 //!   routed into the failed node during the (comparatively slow) next
@@ -15,8 +14,7 @@
 use gtlb_core::allocation::Allocation;
 use gtlb_core::error::CoreError;
 use gtlb_core::model::Cluster;
-use gtlb_core::noncoop::{nash, NashInit, NashOptions, UserSystem};
-use gtlb_core::schemes::{Coop, Optim, Prop, SingleClassScheme, Wardrop};
+use gtlb_core::schemes::{Coop, Optim, Prop, SingleClassScheme};
 
 use crate::error::RuntimeError;
 use crate::registry::NodeId;
@@ -31,15 +29,6 @@ pub enum SchemeKind {
     Optim,
     /// Rate-proportional baseline.
     Prop,
-    /// Individually-optimal (Wardrop equilibrium) baseline.
-    Wardrop,
-    /// The Chapter-4 noncooperative scheme: the Nash equilibrium among
-    /// `users` equal-demand dispatchers, aggregated into one routing
-    /// distribution.
-    Nash {
-        /// Number of symmetric users sharing the stream (`m ≥ 1`).
-        users: usize,
-    },
 }
 
 impl SchemeKind {
@@ -50,8 +39,6 @@ impl SchemeKind {
             Self::Coop => "COOP",
             Self::Optim => "OPTIM",
             Self::Prop => "PROP",
-            Self::Wardrop => "WARDROP",
-            Self::Nash { .. } => "NASH",
         }
     }
 
@@ -60,28 +47,12 @@ impl SchemeKind {
     ///
     /// # Errors
     /// [`CoreError::Overloaded`] when `phi` meets capacity,
-    /// [`CoreError::BadInput`] on malformed parameters (including
-    /// `Nash { users: 0 }`), [`CoreError::NoConvergence`] from the
-    /// iterative solvers.
+    /// [`CoreError::BadInput`] on malformed parameters.
     pub fn allocate(&self, cluster: &Cluster, phi: f64) -> Result<Allocation, CoreError> {
         match *self {
             Self::Coop => Coop.allocate(cluster, phi),
             Self::Optim => Optim.allocate(cluster, phi),
             Self::Prop => Prop.allocate(cluster, phi),
-            Self::Wardrop => Wardrop::default().allocate(cluster, phi),
-            Self::Nash { users } => {
-                if users == 0 {
-                    return Err(CoreError::BadInput("NASH needs at least one user".into()));
-                }
-                cluster.check_arrival_rate(phi)?;
-                if phi == 0.0 {
-                    return Ok(Allocation::new(vec![0.0; cluster.n()]));
-                }
-                let system = UserSystem::new(cluster.clone(), vec![phi / users as f64; users])?;
-                let outcome =
-                    nash::solve(&system, &NashInit::Proportional, &NashOptions::default())?;
-                Ok(outcome.profile.to_allocation(&system))
-            }
         }
     }
 }
@@ -158,41 +129,20 @@ mod tests {
     #[test]
     fn scheme_names() {
         assert_eq!(SchemeKind::Coop.name(), "COOP");
-        assert_eq!(SchemeKind::Nash { users: 3 }.name(), "NASH");
+        assert_eq!(SchemeKind::Optim.name(), "OPTIM");
+        assert_eq!(SchemeKind::Prop.name(), "PROP");
     }
 
     #[test]
     fn all_schemes_produce_feasible_allocations() {
         let cl = cluster();
         let phi = cl.arrival_rate_for_utilization(0.6);
-        for scheme in [
-            SchemeKind::Coop,
-            SchemeKind::Optim,
-            SchemeKind::Prop,
-            SchemeKind::Wardrop,
-            SchemeKind::Nash { users: 4 },
-        ] {
+        for scheme in [SchemeKind::Coop, SchemeKind::Optim, SchemeKind::Prop] {
             let alloc = scheme.allocate(&cl, phi).unwrap();
             alloc.verify(&cl, phi, 1e-6).unwrap_or_else(|e| {
                 panic!("{} produced infeasible allocation: {e}", scheme.name())
             });
         }
-    }
-
-    #[test]
-    fn nash_with_one_user_matches_optim() {
-        let cl = cluster();
-        let phi = cl.arrival_rate_for_utilization(0.5);
-        let nash1 = SchemeKind::Nash { users: 1 }.allocate(&cl, phi).unwrap();
-        let optim = SchemeKind::Optim.allocate(&cl, phi).unwrap();
-        for (a, b) in nash1.loads().iter().zip(optim.loads()) {
-            assert!((a - b).abs() < 1e-6, "single-user NASH should equal OPTIM");
-        }
-    }
-
-    #[test]
-    fn nash_rejects_zero_users() {
-        assert!(SchemeKind::Nash { users: 0 }.allocate(&cluster(), 0.1).is_err());
     }
 
     #[test]

@@ -173,12 +173,6 @@ pub enum RuntimeEvent {
         /// Which link direction had dropped.
         direction: PartitionDirection,
     },
-    /// A domain-scoped fault struck every member of a failure domain
-    /// atomically.
-    DomainFault {
-        /// The rack/zone label.
-        domain: String,
-    },
 }
 
 impl std::fmt::Display for RuntimeEvent {
@@ -196,7 +190,6 @@ impl std::fmt::Display for RuntimeEvent {
             Self::PartitionHealed { node, direction } => {
                 write!(f, "partition healed on {node} ({direction})")
             }
-            Self::DomainFault { domain } => write!(f, "domain fault struck {domain}"),
         }
     }
 }
@@ -459,9 +452,9 @@ impl Telemetry {
         }
     }
 
-    /// Records a fault-schedule milestone (partition opened/healed,
-    /// domain fault struck) at the marker's own virtual time, on the
-    /// adversarial stream family.
+    /// Records a fault-schedule milestone (partition opened or healed)
+    /// at the marker's own virtual time, on the adversarial stream
+    /// family.
     #[inline]
     pub(crate) fn record_fault_marker(&self, marker: &FaultMarker) {
         if let Some(inner) = self.inner() {
@@ -471,9 +464,6 @@ impl Telemetry {
                 }
                 FaultMarkerKind::PartitionHealed { node, direction } => {
                     RuntimeEvent::PartitionHealed { node: *node, direction: *direction }
-                }
-                FaultMarkerKind::DomainFault { domain } => {
-                    RuntimeEvent::DomainFault { domain: domain.clone() }
                 }
             };
             inner.push_at(marker.at, 0, ADVERSARIAL_STREAM, event);

@@ -30,13 +30,6 @@ use std::sync::Arc;
 
 use gtlb_telemetry::trace::{trace_id, FlightRecorder, Trace, TraceId, TracingConfig};
 
-/// The instrument behind an enabled [`Tracer`].
-#[derive(Debug)]
-struct TracerInner {
-    cfg: TracingConfig,
-    recorder: FlightRecorder,
-}
-
 /// The runtime's tracing facade: either a no-op ([`Tracer::disabled`])
 /// or a shared flight recorder plus the deterministic identity scheme
 /// ([`Tracer::enabled`]). Cloning shares the recorder.
@@ -49,14 +42,14 @@ struct TracerInner {
 pub struct Tracer {
     seed: u64,
     mask: u64,
-    inner: Option<Arc<TracerInner>>,
+    recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl Tracer {
     /// The no-op facade: [`Tracer::begin`] always returns `None`.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { seed: 0, mask: 0, inner: None }
+        Self { seed: 0, mask: 0, recorder: None }
     }
 
     /// An enabled facade: trace ids hash from `seed`, the flight
@@ -64,19 +57,13 @@ impl Tracer {
     #[must_use]
     pub fn enabled(seed: u64, shards: usize, cfg: TracingConfig) -> Self {
         let recorder = FlightRecorder::new(shards, cfg.recorder_capacity, cfg.slow_threshold);
-        Self { seed, mask: cfg.sample_mask, inner: Some(Arc::new(TracerInner { cfg, recorder })) }
+        Self { seed, mask: cfg.sample_mask, recorder: Some(Arc::new(recorder)) }
     }
 
     /// Whether this facade records anything.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The active configuration, when enabled.
-    #[must_use]
-    pub fn config(&self) -> Option<TracingConfig> {
-        self.inner.as_ref().map(|i| i.cfg)
+        self.recorder.is_some()
     }
 
     /// The deterministic id job `sequence` would get (hash of the base
@@ -84,7 +71,7 @@ impl Tracer {
     /// `None` when tracing is disabled.
     #[must_use]
     pub fn id_of(&self, sequence: u64) -> Option<TraceId> {
-        self.inner.is_some().then(|| trace_id(self.seed, sequence))
+        self.recorder.is_some().then(|| trace_id(self.seed, sequence))
     }
 
     /// Starts a trace for job `sequence` if tracing is enabled and the
@@ -93,7 +80,7 @@ impl Tracer {
     /// chase.
     #[must_use]
     pub fn begin(&self, sequence: u64) -> Option<Trace> {
-        self.inner.as_ref()?;
+        self.recorder.as_ref()?;
         let id = trace_id(self.seed, sequence);
         id.sampled(self.mask).then(|| Trace::new(id, sequence))
     }
@@ -101,8 +88,8 @@ impl Tracer {
     /// Lands a finished trace in the flight recorder's lane for
     /// `shard` (and the tail lane when it is slow or failed).
     pub fn finish(&self, shard: usize, trace: Trace) {
-        if let Some(inner) = &self.inner {
-            inner.recorder.record(shard, trace);
+        if let Some(recorder) = &self.recorder {
+            recorder.record(shard, trace);
         }
     }
 
@@ -110,26 +97,26 @@ impl Tracer {
     /// disabled).
     #[must_use]
     pub fn traces(&self) -> Vec<Trace> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.recorder.traces())
+        self.recorder.as_ref().map_or_else(Vec::new, |r| r.traces())
     }
 
     /// Looks up one recorded trace by id.
     #[must_use]
     pub fn trace(&self, id: TraceId) -> Option<Trace> {
-        self.inner.as_ref()?.recorder.trace(id)
+        self.recorder.as_ref()?.trace(id)
     }
 
     /// Traces ever recorded (tail-lane copies counted; 0 when
     /// disabled).
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.recorder.recorded())
+        self.recorder.as_ref().map_or(0, |r| r.recorded())
     }
 
     /// Traces evicted across every lane (0 when disabled).
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.recorder.dropped())
+        self.recorder.as_ref().map_or(0, |r| r.dropped())
     }
 }
 

@@ -2,12 +2,11 @@
 //! proptest shim).
 //!
 //! `FaultInjector` indexes its plan by node once and folds one node's
-//! slice per query. The oracle here is the linear scan it replaced,
-//! kept verbatim: a node's events are its own, filtered from the whole
-//! plan, then its domain's. Over random plans — per-node and domain
-//! events, overlapping windows of every kind, domain assignments made
-//! before and after the events they join — both must agree on every
-//! query (`service_factor` to the bit) and on every drop decision in
+//! slice per query. The oracle here is the linear scan it replaced: a
+//! node's events, filtered from the whole plan. Over random plans —
+//! overlapping windows of every kind, and events striking a group of
+//! nodes at one time — both must agree on every query
+//! (`service_factor` to the bit) and on every drop decision in
 //! sequence, which pins the draw order of the flaky and gray streams.
 //! Ids the plan never names answer "no fault" without allocating.
 
@@ -30,34 +29,35 @@ fn node(raw: u64) -> NodeId {
     NodeId::from_raw(raw)
 }
 
-fn label(raw: u64) -> &'static str {
-    ["rack-a", "rack-b", "zone-1"][(raw % 3) as usize]
+/// The plan nodes whose bit is set in `mask`.
+fn group(mask: u64) -> impl Iterator<Item = NodeId> {
+    (0..PLAN_NODES).filter(move |i| mask >> i & 1 == 1).map(node)
 }
 
-/// Builds a plan from generated steps `(op, node, at, lasts, x)`: ops
-/// 0–6 schedule per-node events, 7 assigns a domain (so assignments
-/// land before and after the domain events they join), 8–12 schedule
-/// domain events. `x ∈ [0, 1)` parameterises factors and probabilities.
+/// Builds a plan from generated steps `(op, pick, at, lasts, x)`: ops
+/// 0–6 schedule one event on node `pick % PLAN_NODES`; ops 7–13
+/// schedule one event at one time on every node whose bit is set in
+/// `pick`, as a rack that fails together, so windows open and close at
+/// once across nodes. `x ∈ [0, 1)` parameterises factors and
+/// probabilities.
 fn build_plan(seed: u64, steps: &[(usize, u64, f64, f64, f64)]) -> FaultPlan {
     let mut plan = FaultPlan::new(seed);
-    for &(op, raw, at, lasts, x) in steps {
-        let n = node(raw);
+    for &(op, pick, at, lasts, x) in steps {
         let factor = 1.0 - 0.95 * x;
         let (inflation, loss) = (1.0 + 2.0 * x, 0.05 + 0.5 * x);
-        plan = match op {
+        let event = |plan: FaultPlan, n: NodeId| match op % 7 {
             0 => plan.crash(n, at),
             1 => plan.crash_recover(n, at, lasts),
             2 => plan.slow(n, at, lasts, factor),
             3 => plan.flaky(n, at, lasts, 1.0 - x),
             4 => plan.partition(n, at, lasts, PartitionDirection::DropDispatch),
             5 => plan.partition(n, at, lasts, PartitionDirection::DropHeartbeats),
-            6 => plan.gray(n, at, lasts, inflation, loss),
-            7 => plan.assign_domain(n, label((x * 3.0) as u64)),
-            8 => plan.domain_crash_recover(label(raw), at, lasts),
-            9 => plan.domain_slow(label(raw), at, lasts, factor),
-            10 => plan.domain_partition(label(raw), at, lasts, PartitionDirection::DropDispatch),
-            11 => plan.domain_gray(label(raw), at, lasts, inflation, loss),
-            _ => plan.domain_crash(label(raw), at + 15.0),
+            _ => plan.gray(n, at, lasts, inflation, loss),
+        };
+        plan = if op < 7 {
+            event(plan, node(pick % PLAN_NODES))
+        } else {
+            group(pick).fold(plan, event)
         };
     }
     plan
@@ -77,15 +77,7 @@ impl Reference {
     }
 
     fn events_on(&self, n: NodeId) -> Vec<(f64, FaultKind)> {
-        let domain = self.plan.domain_of(n);
-        let own = self.plan.events().iter().filter(|e| e.node == n).map(|e| (e.at, e.kind));
-        let shared = self
-            .plan
-            .domain_events()
-            .iter()
-            .filter(|e| domain == Some(e.domain.as_str()))
-            .map(|e| (e.at, e.kind));
-        own.chain(shared).collect()
+        self.plan.events().iter().filter(|e| e.node == n).map(|e| (e.at, e.kind)).collect()
     }
 
     fn crashed(&self, n: NodeId, t: f64) -> bool {
@@ -176,7 +168,7 @@ impl Reference {
 }
 
 fn step_strategy() -> impl Strategy<Value = (usize, u64, f64, f64, f64)> {
-    (0usize..13, 0u64..PLAN_NODES, 0.0f64..20.0, 1.0f64..25.0, 0.0f64..1.0)
+    (0usize..14, 0u64..1 << PLAN_NODES, 0.0f64..20.0, 1.0f64..25.0, 0.0f64..1.0)
 }
 
 /// A probe id: mostly plan nodes, sometimes an id the plan never names,

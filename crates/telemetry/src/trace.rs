@@ -382,19 +382,6 @@ impl FlightRecorder {
         None
     }
 
-    /// Traces evicted from shard lane `i` (wrapping), mirroring
-    /// `EventRing::lane_dropped`.
-    #[must_use]
-    pub fn lane_dropped(&self, i: usize) -> u64 {
-        self.lane(i % self.shard_lanes()).dropped
-    }
-
-    /// Traces evicted from the reserved tail-sampling lane.
-    #[must_use]
-    pub fn tail_dropped(&self) -> u64 {
-        self.lane(self.lanes.len() - 1).dropped
-    }
-
     /// Total traces evicted across every lane (tail included).
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -516,8 +503,7 @@ mod tests {
             r.record(0, finished(7, seq, seq as f64, 0.1, false));
         }
         assert_eq!(r.recorded(), 5);
-        assert_eq!(r.lane_dropped(0), 3);
-        assert_eq!(r.tail_dropped(), 0);
+        assert_eq!(r.dropped(), 3, "the shard lane evicted 3; the tail lane held nothing");
         let held = r.traces();
         assert_eq!(held.len(), 2);
         assert_eq!(held[0].sequence, 3, "oldest evicted first");
@@ -534,8 +520,7 @@ mod tests {
         // The shard lane wrapped past them, but the tail lane kept both.
         let ids: Vec<u64> = r.traces().iter().map(|t| t.sequence).collect();
         assert!(ids.contains(&0) && ids.contains(&1), "{ids:?}");
-        assert_eq!(r.tail_dropped(), 0);
-        assert!(r.lane_dropped(0) > 0);
+        assert_eq!(r.dropped(), 8, "the shard lane evicted 8 of 10; the tail lane none");
     }
 
     #[test]

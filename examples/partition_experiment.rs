@@ -1,7 +1,7 @@
 //! Adversarial network sweeps: COOP under asymmetric link partitions
-//! (both directions), gray failures, and a correlated rack-wide
-//! partition, all driven through the closed-loop trace driver with the
-//! self-tuning accrual detector.
+//! (both directions), gray failures, and two nodes partitioned at once,
+//! all driven through the closed-loop trace driver with the self-tuning
+//! accrual detector.
 //!
 //! For every scenario the experiment reports the
 //! healthy baseline response, the response while the fault is live
@@ -18,20 +18,23 @@
 //! Honors the bench harness's environment: `GTLB_BENCH_QUICK=1` shrinks
 //! the horizons and `GTLB_BENCH_JSON=<path>` writes the
 //! machine-readable report (`meta` provenance block + `results` rows) —
-//! CI uploads it as `BENCH_partitions.json`.
+//! CI uploads it as `BENCH_partitions.json`. `tests/partition_experiment.rs`
+//! runs the quick-mode sweep and checks its rows against
+//! `tests/expected_partitions.txt`.
 
 use gtlb::prelude::*;
 use gtlb::runtime::DetectorConfig;
 
 /// One scenario of the report.
-struct Row {
+pub struct Row {
     scenario: String,
     fields: Vec<(&'static str, String)>,
 }
 
 impl Row {
-    fn json(&self) -> String {
-        let mut out = format!("  {{\"scenario\": \"{}\"", self.scenario);
+    /// The row as one JSON object on one line.
+    pub fn json(&self) -> String {
+        let mut out = format!("{{\"scenario\": \"{}\"", self.scenario);
         for (k, v) in &self.fields {
             out.push_str(&format!(", \"{k}\": {v}"));
         }
@@ -49,8 +52,8 @@ fn num(x: f64) -> String {
 }
 
 /// The fault scripts the experiment sweeps. Victims are always node 0
-/// (the fast node) except the domain scenario, which cuts nodes 1 + 2
-/// (a shared rack) atomically.
+/// (the fast node) except the rack scenario, which cuts nodes 1 + 2 at
+/// the same time.
 #[derive(Clone, Copy)]
 enum Scenario {
     /// Heartbeats flow, dispatch drops — the detector must demote on
@@ -61,7 +64,8 @@ enum Scenario {
     AsymmetricHeartbeat,
     /// 3× service inflation + 40% loss, below the crash threshold.
     Gray,
-    /// One rack-scoped dispatch partition striking two nodes at once.
+    /// A dispatch partition striking two nodes at once, as a rack's
+    /// switch would.
     DomainPartition,
 }
 
@@ -99,9 +103,8 @@ impl Scenario {
             ),
             Scenario::Gray => FaultPlan::new(seed).gray(ids[0], open, lasts, 3.0, 0.4),
             Scenario::DomainPartition => FaultPlan::new(seed)
-                .assign_domain(ids[1], "rack-a")
-                .assign_domain(ids[2], "rack-a")
-                .domain_partition("rack-a", open, lasts, PartitionDirection::DropDispatch),
+                .partition(ids[1], open, lasts, PartitionDirection::DropDispatch)
+                .partition(ids[2], open, lasts, PartitionDirection::DropDispatch),
         }
     }
 }
@@ -165,8 +168,8 @@ fn run_cell(scenario: Scenario, quick: bool) -> CellOutcome {
     let healed = driver.stats();
     assert!(healed.is_conserved(), "{}: post-heal conservation", scenario.name());
 
-    // First Down per victim, worst case across the group — the time to
-    // quarantine the whole fault domain.
+    // First Down per victim, worst case across the victims — the time
+    // to quarantine all of them.
     let timeline = rt.health_transitions();
     let detection_latency = victims
         .iter()
@@ -192,65 +195,99 @@ fn run_cell(scenario: Scenario, quick: bool) -> CellOutcome {
     }
 }
 
-fn main() {
-    let quick = criterion::quick_mode();
-    let scenarios = [
+/// The acceptance gates of one scenario.
+fn check_gates(scenario: Scenario, out: &CellOutcome) {
+    let name = scenario.name();
+    match scenario {
+        Scenario::AsymmetricDispatch | Scenario::DomainPartition => {
+            assert!(
+                out.detection_latency.is_finite() && out.detection_latency < 10.0,
+                "{name}: detection latency {}",
+                out.detection_latency
+            );
+            assert!(out.dropped > 0, "{name}: no mis-routing seen");
+            assert!(out.readmitted, "{name}: heal not readmitted");
+        }
+        Scenario::AsymmetricHeartbeat => {
+            // Dispatch works: live traffic keeps proving the node
+            // up, so nothing may drop and the fault-window response
+            // stays at the healthy baseline.
+            assert_eq!(out.dropped, 0, "{name}: dispatch direction must be clean");
+            assert!(
+                out.fault_response < 2.0 * out.healthy_response,
+                "{name}: heartbeat-only partition wrecked the response ({} vs {})",
+                out.fault_response,
+                out.healthy_response
+            );
+        }
+        Scenario::Gray => {
+            assert!(
+                out.detection_latency.is_finite(),
+                "{name}: gray loss must demote without a crash"
+            );
+            assert!(out.readmitted, "{name}: gray heal not readmitted");
+        }
+    }
+    assert!(
+        out.failure_rate < 0.02,
+        "{name}: retries must absorb the faults ({})",
+        out.failure_rate
+    );
+}
+
+/// Runs every scenario in report order (short horizons when `quick`)
+/// and checks its gates.
+fn sweep(quick: bool) -> Vec<(Scenario, CellOutcome)> {
+    [
         Scenario::AsymmetricDispatch,
         Scenario::AsymmetricHeartbeat,
         Scenario::Gray,
         Scenario::DomainPartition,
-    ];
+    ]
+    .into_iter()
+    .map(|scenario| {
+        let out = run_cell(scenario, quick);
+        check_gates(scenario, &out);
+        (scenario, out)
+    })
+    .collect()
+}
 
+/// The report rows of a sweep, in scenario order; each scenario's gates
+/// hold or this panics.
+pub fn report_rows(quick: bool) -> Vec<Row> {
+    sweep(quick).iter().map(|(scenario, out)| row(*scenario, out)).collect()
+}
+
+fn row(scenario: Scenario, out: &CellOutcome) -> Row {
+    Row {
+        scenario: scenario.name().to_string(),
+        fields: vec![
+            ("healthy_response", num(out.healthy_response)),
+            ("fault_response", num(out.fault_response)),
+            ("post_heal_response", num(out.post_heal_response)),
+            ("detection_latency", num(out.detection_latency)),
+            ("misrouting_rate", num(out.misrouting_rate)),
+            ("failure_rate", num(out.failure_rate)),
+            ("dropped", out.dropped.to_string()),
+            ("retried", out.retried.to_string()),
+            ("readmitted", out.readmitted.to_string()),
+        ],
+    }
+}
+
+fn main() {
+    let quick = criterion::quick_mode();
     println!("adversarial sweep — 4 nodes, ρ = 0.5, self-tuning detector");
     println!(
         "{:>22}  {:>9} {:>9} {:>9}  {:>9} {:>10} {:>9}",
         "scenario", "T_healthy", "T_fault", "T_healed", "latency", "misroute", "readmit"
     );
-    let mut rows: Vec<Row> = Vec::new();
-    for scenario in scenarios {
-        let name = scenario.name();
-        let out = run_cell(scenario, quick);
-
-        // The acceptance gates, per scenario.
-        match scenario {
-            Scenario::AsymmetricDispatch | Scenario::DomainPartition => {
-                assert!(
-                    out.detection_latency.is_finite() && out.detection_latency < 10.0,
-                    "{name}: detection latency {}",
-                    out.detection_latency
-                );
-                assert!(out.dropped > 0, "{name}: no mis-routing seen");
-                assert!(out.readmitted, "{name}: heal not readmitted");
-            }
-            Scenario::AsymmetricHeartbeat => {
-                // Dispatch works: live traffic keeps proving the node
-                // up, so nothing may drop and the fault-window response
-                // stays at the healthy baseline.
-                assert_eq!(out.dropped, 0, "{name}: dispatch direction must be clean");
-                assert!(
-                    out.fault_response < 2.0 * out.healthy_response,
-                    "{name}: heartbeat-only partition wrecked the response ({} vs {})",
-                    out.fault_response,
-                    out.healthy_response
-                );
-            }
-            Scenario::Gray => {
-                assert!(
-                    out.detection_latency.is_finite(),
-                    "{name}: gray loss must demote without a crash"
-                );
-                assert!(out.readmitted, "{name}: gray heal not readmitted");
-            }
-        }
-        assert!(
-            out.failure_rate < 0.02,
-            "{name}: retries must absorb the faults ({})",
-            out.failure_rate
-        );
-
+    let cells = sweep(quick);
+    for (scenario, out) in &cells {
         println!(
             "{:>22}  {:>9.4} {:>9.4} {:>9.4}  {:>9} {:>10.5} {:>9}",
-            name,
+            scenario.name(),
             out.healthy_response,
             out.fault_response,
             out.post_heal_response,
@@ -262,32 +299,21 @@ fn main() {
             out.misrouting_rate,
             out.readmitted
         );
-        rows.push(Row {
-            scenario: name.to_string(),
-            fields: vec![
-                ("healthy_response", num(out.healthy_response)),
-                ("fault_response", num(out.fault_response)),
-                ("post_heal_response", num(out.post_heal_response)),
-                ("detection_latency", num(out.detection_latency)),
-                ("misrouting_rate", num(out.misrouting_rate)),
-                ("failure_rate", num(out.failure_rate)),
-                ("dropped", out.dropped.to_string()),
-                ("retried", out.retried.to_string()),
-                ("readmitted", out.readmitted.to_string()),
-            ],
-        });
     }
 
     if let Ok(path) = std::env::var("GTLB_BENCH_JSON") {
         if !path.is_empty() {
-            let body: Vec<String> = rows.iter().map(Row::json).collect();
+            let body: Vec<String> = cells
+                .iter()
+                .map(|(scenario, out)| format!("  {}", row(*scenario, out).json()))
+                .collect();
             let report = format!(
                 "{{\n\"meta\": {},\n\"results\": [\n{}\n]\n}}\n",
                 criterion::meta_json(),
                 body.join(",\n")
             );
             std::fs::write(&path, report).expect("write GTLB_BENCH_JSON");
-            println!("\nwrote {} result rows to {path}", rows.len());
+            println!("\nwrote {} result rows to {path}", body.len());
         }
     }
 }

@@ -209,18 +209,12 @@ fn background_resolver_follows_measured_rates() {
 
 #[test]
 fn all_schemes_serve_the_same_stream() {
-    // Every allocator must serve the stream end to end; COOP/OPTIM/NASH
+    // Every allocator must serve the stream end to end; COOP/OPTIM/PROP
     // at the same load should order as the paper predicts (OPTIM fastest).
     let rates = [5.0, 1.0, 1.0];
     let phi = 0.6 * rates.iter().sum::<f64>();
     let mut means = Vec::new();
-    for scheme in [
-        SchemeKind::Coop,
-        SchemeKind::Optim,
-        SchemeKind::Prop,
-        SchemeKind::Wardrop,
-        SchemeKind::Nash { users: 2 },
-    ] {
+    for scheme in [SchemeKind::Coop, SchemeKind::Optim, SchemeKind::Prop] {
         let rt = Runtime::builder().seed(1).scheme(scheme).nominal_arrival_rate(phi).build();
         for &r in &rates {
             rt.register_node(r).unwrap();
