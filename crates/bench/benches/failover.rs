@@ -16,8 +16,8 @@ use gtlb_core::model::Cluster;
 use gtlb_core::schemes::{Coop, SingleClassScheme};
 use gtlb_desim::rng::Xoshiro256PlusPlus;
 use gtlb_runtime::{
-    FaultInjector, FaultPlan, NodeId, PartitionDirection, RetryConfig, RetryPolicy, Runtime,
-    SchemeKind, TraceConfig, TraceDriver,
+    AdmissionConfig, FaultInjector, FaultPlan, Health, NodeId, PartitionDirection, RetryConfig,
+    RetryPolicy, Runtime, SchemeKind, TraceConfig, TraceDriver,
 };
 
 fn serving_runtime(n_nodes: usize) -> Runtime {
@@ -264,7 +264,65 @@ fn bench_failover_cycle(c: &mut Criterion) {
             black_box(rt.resolve_now().unwrap())
         })
     });
+
+    // A flap by observations at chaos size: one dropped attempt takes
+    // the node Up→Suspect (no publish), two successes bring it back
+    // Suspect→Up, which re-solves all 256 nodes and publishes. The
+    // windows are warm, each node at its own measured rate, and the
+    // arrival estimator too, as in the `chaos` workload.
+    let rt = warm_chaos_runtime(256);
+    let victim = rt.node_ids()[0];
+    // The warm-up's last success landed at t = 0.07.
+    let mut t = 0.07;
+    group.bench_function(BenchmarkId::new("suspect_recover", 256), |b| {
+        b.iter(|| {
+            t += 0.01;
+            let down = rt.observe_failure(victim, t).unwrap();
+            assert_eq!(down.map(|tr| tr.to), Some(Health::Suspect));
+            t += 0.01;
+            assert_eq!(rt.observe_success(victim, t).unwrap(), None);
+            t += 0.01;
+            let up = rt.observe_success(victim, t).unwrap();
+            assert_eq!(up.map(|tr| tr.to), Some(Health::Up));
+        })
+    });
     group.finish();
+}
+
+/// `n_nodes` nodes with warm service windows, each a few percent off
+/// its declared rate, a warm arrival estimator at ρ = 0.7, admission on,
+/// and detector tracks warmed by one success per node per 0.01 s.
+fn warm_chaos_runtime(n_nodes: usize) -> Runtime {
+    const SAMPLES: usize = 16;
+    let rt = Runtime::builder()
+        .seed(42)
+        .scheme(SchemeKind::Coop)
+        .nominal_arrival_rate(0.5 * n_nodes as f64)
+        .min_observations(64, SAMPLES)
+        .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.0 })
+        .build();
+    let mut capacity = 0.0;
+    for i in 0..n_nodes {
+        let rate = if i < n_nodes / 4 + 1 { 4.0 } else { 1.0 };
+        let id = rt.register_node(rate).unwrap();
+        let measured = rate * (0.95 + 0.1 * (i as f64 * 0.618_034).fract());
+        for _ in 0..SAMPLES {
+            rt.record_service(id, 1.0 / measured);
+        }
+        capacity += measured;
+    }
+    let gap = 1.0 / (0.7 * capacity);
+    for k in 0..64 {
+        rt.record_arrival(f64::from(k) * gap);
+    }
+    let ids = rt.node_ids();
+    for k in 0..8 {
+        for &id in &ids {
+            rt.observe_success(id, 0.01 * f64::from(k)).unwrap();
+        }
+    }
+    rt.resolve_now().unwrap();
+    rt
 }
 
 fn bench_chaos_trace(c: &mut Criterion) {

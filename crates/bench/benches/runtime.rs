@@ -121,11 +121,43 @@ fn bench_sharded_vs_mutex(c: &mut Criterion) {
     group.finish();
 }
 
+/// As [`serving_runtime`], but each node's service window is warm at its
+/// own measured rate, a few percent off its declared one, so a solve
+/// reads distinct measured rates as it does in a running cluster. The
+/// arrival estimator stays cold: Φ is the nominal rate.
+fn warm_runtime(n_nodes: usize) -> Runtime {
+    const SAMPLES: usize = 16;
+    let rt = Runtime::builder()
+        .seed(42)
+        .scheme(SchemeKind::Coop)
+        .nominal_arrival_rate(0.7 * n_nodes as f64)
+        .min_observations(u64::MAX, SAMPLES)
+        .build();
+    for i in 0..n_nodes {
+        let rate = if i < n_nodes / 4 + 1 { 4.0 } else { 1.0 };
+        let id = rt.register_node(rate).unwrap();
+        let measured = rate * (0.95 + 0.1 * (i as f64 * 0.618_034).fract());
+        for _ in 0..SAMPLES {
+            rt.record_service(id, 1.0 / measured);
+        }
+    }
+    rt.resolve_now().unwrap();
+    rt
+}
+
 fn bench_resolve(c: &mut Criterion) {
-    // The full periodic re-solve: snapshot, COOP solve, build, publish.
+    // The full periodic re-solve: snapshot, COOP solve, build, publish,
+    // and the outcome `resolve_now` returns. At 8 and 32 nodes on
+    // declared rates; at chaos and control-plane size on warm windows.
     let mut group = c.benchmark_group("runtime_resolve");
     for &n in &[8usize, 32] {
         let rt = serving_runtime(n);
+        group.bench_with_input(BenchmarkId::new("coop_resolve", n), &rt, |b, rt| {
+            b.iter(|| black_box(rt.resolve_now().unwrap()))
+        });
+    }
+    for &n in &[256usize, 2048] {
+        let rt = warm_runtime(n);
         group.bench_with_input(BenchmarkId::new("coop_resolve", n), &rt, |b, rt| {
             b.iter(|| black_box(rt.resolve_now().unwrap()))
         });

@@ -128,15 +128,49 @@ impl Cluster {
     /// (ties keep original order). Both COOP and OPTIM start here
     /// ("Sort the computers in decreasing order of their average
     /// processing rate", step 1 of both algorithms).
-    ///
-    /// Sorts by the plain key `!μ_i.to_bits()`: positive finite rates
-    /// order as their bit patterns do, so the complement puts the
-    /// fastest first, and the sort is stable.
     #[must_use]
     pub fn order_by_rate_desc(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.rates.len()).collect();
-        idx.sort_by_key(|&i| !self.rates[i].to_bits());
-        idx
+        let mut order = Vec::with_capacity(self.rates.len());
+        self.sort_by_rate_desc(&mut order);
+        order
+    }
+
+    /// Re-sorts `order`, a permutation of `0..n` such as the order of an
+    /// earlier solve, into [`Cluster::order_by_rate_desc`]'s order; an
+    /// `order` of any other length is reset to the identity first. A
+    /// caller that re-solves a cluster whose rates drift keeps `order`
+    /// between calls, so the sort starts from a near-sorted order.
+    ///
+    /// The key `(!μ_i.to_bits(), i)` is total: positive finite rates
+    /// order as their bit patterns do, so the complement puts the fastest
+    /// first, and the index breaks ties in original order whatever the
+    /// starting permutation. So the result is the same however it is
+    /// sorted: an insertion pass repairs a near-sorted order in one step
+    /// per entry plus one move per entry it passes, and once the moves
+    /// exceed two per entry the stable sort finishes instead.
+    pub fn sort_by_rate_desc(&self, order: &mut Vec<usize>) {
+        let rates = &self.rates;
+        let key = |i: usize| (!rates[i].to_bits(), i);
+        if order.len() != rates.len() {
+            order.clear();
+            order.extend(0..rates.len());
+        }
+        let mut budget = 2 * order.len();
+        for k in 1..order.len() {
+            let x = order[k];
+            let x_key = key(x);
+            let mut j = k;
+            while j > 0 && x_key < key(order[j - 1]) {
+                order[j] = order[j - 1];
+                j -= 1;
+            }
+            order[j] = x;
+            let Some(left) = budget.checked_sub(k - j) else {
+                order.sort_by_key(|&i| key(i));
+                return;
+            };
+            budget = left;
+        }
     }
 }
 
@@ -202,11 +236,23 @@ mod tests {
 
     /// The comparison sort `order_by_rate_desc` used before it sorted by
     /// bit-pattern keys.
-    fn reference(c: &Cluster) -> Vec<usize> {
-        let rates = c.rates();
+    fn reference(rates: &[f64]) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..rates.len()).collect();
         idx.sort_by(|&a, &b| rates[b].partial_cmp(&rates[a]).expect("rates are finite"));
         idx
+    }
+
+    /// A Fisher–Yates shuffle of `0..n` driven by xorshift64 from `seed`.
+    fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+        let mut state = seed | 1;
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        order
     }
 
     proptest! {
@@ -214,7 +260,10 @@ mod tests {
 
         /// On random clusters with many ties, subnormal rates and rates
         /// near `f64::MAX / n`, the key sort orders as the comparison
-        /// sort does.
+        /// sort does, and `sort_by_rate_desc` reaches the same order from
+        /// the identity, reversed and shuffled permutations, a previous
+        /// order over one more computer after that computer's removal,
+        /// and vectors of the wrong length.
         #[test]
         fn key_ordering_matches_the_comparison_sort(
             picks in prop::collection::vec((0u64..5, 0.0f64..1.0), 1..64),
@@ -235,7 +284,34 @@ mod tests {
                 })
                 .collect();
             if let Ok(c) = Cluster::new(rates) {
-                prop_assert_eq!(c.order_by_rate_desc(), reference(&c), "rates {:?}", c.rates());
+                let want = reference(c.rates());
+                prop_assert_eq!(c.order_by_rate_desc(), want.clone(), "rates {:?}", c.rates());
+                let n = c.n();
+                let seed = picks.iter().fold(0u64, |h, &(f, x)| h.rotate_left(7) ^ f ^ x.to_bits());
+                // The computer at `gone` (a copy of another one's rate, so
+                // it ties) left after the previous sort: indices above it
+                // shift down by one.
+                let gone = (seed % (n as u64 + 1)) as usize;
+                let mut wider = c.rates().to_vec();
+                wider.insert(gone, c.rates()[(seed >> 8) as usize % n]);
+                let after_removal: Vec<usize> = reference(&wider)
+                    .into_iter()
+                    .filter(|&i| i != gone)
+                    .map(|i| if i > gone { i - 1 } else { i })
+                    .collect();
+                let starts = [
+                    (0..n).collect(),
+                    (0..n).rev().collect(),
+                    shuffled(n, seed),
+                    after_removal,
+                    Vec::new(),
+                    vec![0; n + 3],
+                ];
+                for start in starts {
+                    let mut order = start.clone();
+                    c.sort_by_rate_desc(&mut order);
+                    prop_assert_eq!(&order, &want, "from {:?}, rates {:?}", start, c.rates());
+                }
             }
         }
     }

@@ -60,6 +60,33 @@ impl Coop {
         }
         Ok((used_mu - used_lambda) / k as f64)
     }
+
+    /// [`allocate`](SingleClassScheme::allocate) after step 1: `order`
+    /// lists the computers by decreasing rate, as
+    /// [`Cluster::sort_by_rate_desc`] leaves it. A caller that re-solves
+    /// a drifting cluster keeps `order` from solve to solve.
+    ///
+    /// # Errors
+    /// As [`allocate`](SingleClassScheme::allocate).
+    ///
+    /// # Panics
+    /// If `order` does not hold one index per computer.
+    pub fn allocate_sorted(
+        &self,
+        cluster: &Cluster,
+        phi: f64,
+        order: &[usize],
+    ) -> Result<Allocation, CoreError> {
+        sorted_waterfill(
+            cluster,
+            phi,
+            order,
+            |_mu| 1.0, // prefix statistic: count (via sum of 1)
+            |sum_mu, _count, k| (sum_mu - phi) / k as f64, // α
+            |mu_slowest, alpha| mu_slowest > alpha, // keep iff λ = μ − α > 0
+            |mu, alpha| mu - alpha,
+        )
+    }
 }
 
 impl SingleClassScheme for Coop {
@@ -68,14 +95,7 @@ impl SingleClassScheme for Coop {
     }
 
     fn allocate(&self, cluster: &Cluster, phi: f64) -> Result<Allocation, CoreError> {
-        sorted_waterfill(
-            cluster,
-            phi,
-            |_mu| 1.0, // prefix statistic: count (via sum of 1)
-            |sum_mu, _count, k| (sum_mu - phi) / k as f64, // α
-            |mu_slowest, alpha| mu_slowest > alpha, // keep iff λ = μ − α > 0
-            |mu, alpha| mu - alpha,
-        )
+        self.allocate_sorted(cluster, phi, &cluster.order_by_rate_desc())
     }
 }
 

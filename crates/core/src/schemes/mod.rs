@@ -54,20 +54,29 @@ pub trait SingleClassScheme {
 /// * the prefix statistic itself and the per-computer load formula,
 ///   supplied by the caller via `stat` and `load`.
 ///
-/// `stat(μ)` is accumulated over the active prefix; `keep(μ_slowest,
-/// level)` decides whether the slowest active computer stays; `load(μ,
-/// level)` produces the final loads.
+/// `order` is step (i)'s result, as [`Cluster::sort_by_rate_desc`]
+/// leaves it. `stat(μ)` is accumulated over the active prefix;
+/// `keep(μ_slowest, level)` decides whether the slowest active computer
+/// stays; `load(μ, level)` produces the final loads.
+///
+/// # Panics
+/// If `order` does not hold one index per computer.
 pub(crate) fn sorted_waterfill(
     cluster: &Cluster,
     phi: f64,
+    order: &[usize],
     stat: impl Fn(f64) -> f64,
     level: impl Fn(f64, f64, usize) -> f64,
     keep: impl Fn(f64, f64) -> bool,
     load: impl Fn(f64, f64) -> f64,
 ) -> Result<Allocation, CoreError> {
-    cluster.check_arrival_rate(phi)?;
-    let order = cluster.order_by_rate_desc();
     let rates = cluster.rates();
+    assert_eq!(order.len(), rates.len(), "waterfill: the order must cover every computer");
+    debug_assert!(
+        order.windows(2).all(|w| rates[w[0]] >= rates[w[1]]),
+        "waterfill: the order must be by decreasing rate"
+    );
+    cluster.check_arrival_rate(phi)?;
     let mut loads = vec![0.0; cluster.n()];
     if phi == 0.0 {
         return Ok(Allocation::new(loads));

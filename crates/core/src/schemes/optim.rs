@@ -34,20 +34,41 @@ use crate::schemes::{sorted_waterfill, SingleClassScheme};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Optim;
 
+impl Optim {
+    /// [`allocate`](SingleClassScheme::allocate) after step 1: `order`
+    /// lists the computers by decreasing rate, as
+    /// [`Cluster::sort_by_rate_desc`] leaves it.
+    ///
+    /// # Errors
+    /// As [`allocate`](SingleClassScheme::allocate).
+    ///
+    /// # Panics
+    /// If `order` does not hold one index per computer.
+    pub fn allocate_sorted(
+        &self,
+        cluster: &Cluster,
+        phi: f64,
+        order: &[usize],
+    ) -> Result<Allocation, CoreError> {
+        sorted_waterfill(
+            cluster,
+            phi,
+            order,
+            f64::sqrt,                                        // prefix statistic: Σ√μ
+            |sum_mu, sum_sqrt, _k| (sum_mu - phi) / sum_sqrt, // c
+            |mu_slowest, c| mu_slowest.sqrt() > c,            // keep iff λ = μ − c√μ > 0
+            |mu, c| mu - c * mu.sqrt(),
+        )
+    }
+}
+
 impl SingleClassScheme for Optim {
     fn name(&self) -> &'static str {
         "OPTIM"
     }
 
     fn allocate(&self, cluster: &Cluster, phi: f64) -> Result<Allocation, CoreError> {
-        sorted_waterfill(
-            cluster,
-            phi,
-            f64::sqrt,                                        // prefix statistic: Σ√μ
-            |sum_mu, sum_sqrt, _k| (sum_mu - phi) / sum_sqrt, // c
-            |mu_slowest, c| mu_slowest.sqrt() > c,            // keep iff λ = μ − c√μ > 0
-            |mu, c| mu - c * mu.sqrt(),
-        )
+        self.allocate_sorted(cluster, phi, &cluster.order_by_rate_desc())
     }
 }
 

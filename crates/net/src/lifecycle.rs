@@ -95,11 +95,11 @@ pub struct NodeEntry {
     pub node: Option<NodeId>,
     /// Timestamp (hooks clock) of the last heartbeat received.
     pub last_heartbeat: Option<f64>,
-    /// Timestamp (hooks clock) the sweep times an `Approved` row's
-    /// silence from: its approval, moved to each miss the sweep records
-    /// for it, as a miss moves `last_heartbeat` for an `Online` row.
-    /// `None` before approval.
-    pub approved_at: Option<f64>,
+    /// Timestamp (hooks clock) the sweep times the node's silence from:
+    /// set at approval, at each heartbeat, and at each miss the sweep
+    /// records, so each overdue sweep records one miss. `None` before
+    /// approval.
+    pub silent_since: Option<f64>,
     /// Heartbeats received since registration.
     pub heartbeats: u64,
 }
@@ -223,13 +223,13 @@ impl Lifecycle {
             state: NodeState::Registering,
             node: None,
             last_heartbeat: None,
-            approved_at: None,
+            silent_since: None,
             heartbeats: 0,
         };
         if self.config.auto_approve {
             entry.node = Some(hooks.register_node(rate)?);
             entry.state = NodeState::Approved;
-            entry.approved_at = Some(hooks.now());
+            entry.silent_since = Some(hooks.now());
         }
         let state = entry.state;
         // A reused name replaces its tombstone in place, keeping the
@@ -268,7 +268,7 @@ impl Lifecycle {
         let entry = self.entry_mut(name).expect("entry checked above");
         entry.node = Some(id);
         entry.state = NodeState::Approved;
-        entry.approved_at = Some(now);
+        entry.silent_since = Some(now);
         Ok(id)
     }
 
@@ -295,6 +295,7 @@ impl Lifecycle {
             _ => entry.node.ok_or(LifecycleError::Conflict("node has no runtime id"))?,
         };
         entry.last_heartbeat = Some(now);
+        entry.silent_since = Some(now);
         entry.heartbeats += 1;
         if entry.state == NodeState::Approved {
             entry.state = NodeState::Online;
@@ -384,26 +385,24 @@ impl Lifecycle {
     }
 
     /// One monitor sweep at time `now`: feeds one [`heartbeat_miss`]
-    /// into the detector for every `Online` node whose last heartbeat
-    /// is overdue, and every `Approved` node that has been silent since
-    /// approval as long (`now - last > interval * miss_grace`). Returns
-    /// how many misses were recorded.
+    /// into the detector for every `Online` or `Approved` node that has
+    /// been silent too long (`now - silent_since > interval *
+    /// miss_grace`). `last_heartbeat` keeps the node's own last beat.
+    /// Returns how many misses were recorded.
     ///
     /// [`heartbeat_miss`]: ControlPlaneHooks::heartbeat_miss
     pub fn sweep(&mut self, hooks: &ControlPlaneHooks, now: f64) -> usize {
         let grace = self.config.miss_grace;
         let mut misses = 0;
         for entry in &mut self.entries {
-            let last = match entry.state {
-                NodeState::Online => &mut entry.last_heartbeat,
-                NodeState::Approved => &mut entry.approved_at,
-                _ => continue,
-            };
-            let (Some(id), Some(since)) = (entry.node, *last) else { continue };
+            if !matches!(entry.state, NodeState::Online | NodeState::Approved) {
+                continue;
+            }
+            let (Some(id), Some(since)) = (entry.node, entry.silent_since) else { continue };
             if now - since > entry.heartbeat_interval * grace {
-                // Count the sweep as the node's "signal" so each sweep
+                // Restart the silence at the recorded miss so each sweep
                 // tick contributes exactly one miss, not a flood.
-                *last = Some(now);
+                entry.silent_since = Some(now);
                 if hooks.heartbeat_miss(id).is_ok() {
                     misses += 1;
                 }
@@ -487,6 +486,8 @@ mod tests {
         lc.heartbeat(&hooks, "b").unwrap();
         let id_a = lc.entries()[0].node.unwrap();
         let id_b = lc.entries()[1].node.unwrap();
+        let beat_a = lc.entries()[0].last_heartbeat;
+        assert!(beat_a.is_some());
         // Both nodes go silent. Sweep far past the deadline: each sweep
         // records exactly one miss per overdue Online node, not a flood.
         let far = hooks.now() + 1.0;
@@ -498,6 +499,9 @@ mod tests {
         assert_eq!(lc.sweep(&hooks, far + 2.0), 1);
         assert_eq!(hooks.node_health(id_a), Some(Health::Down), "three misses walked a down");
         assert_eq!(hooks.node_health(id_b), Some(Health::Draining));
+        // A miss is no heartbeat: `GET /nodes` still reports a's one beat.
+        assert_eq!(lc.entries()[0].last_heartbeat, beat_a, "the sweep forged a heartbeat");
+        assert_eq!(lc.entries()[0].heartbeats, 1);
     }
 
     #[test]
@@ -510,7 +514,7 @@ mod tests {
         });
         assert_eq!(lc.register(&hooks, "a", 1.0, None).unwrap(), NodeState::Approved);
         let id = lc.entries()[0].node.unwrap();
-        let approved_at = lc.entries()[0].approved_at.unwrap();
+        let approved_at = lc.entries()[0].silent_since.unwrap();
         assert_eq!(lc.sweep(&hooks, approved_at), 0, "not overdue at approval");
         // The node never beats: it is overdue from its approval on, and
         // each sweep records one miss.

@@ -82,31 +82,45 @@ impl AliasTable {
         }
         assert!(probs[heaviest] > 0.0, "alias table needs a positive probability");
 
-        let mut scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64).collect();
-        let mut prob = vec![0.0; n];
+        // `prob` starts as the scaled weights `p·n` and the stacks drain
+        // inside it: a bucket popped from `small` keeps its scaled weight
+        // as its threshold and is never pushed again, and only the top
+        // of `large` changes after.
+        let mut prob: Vec<f64> = probs.iter().map(|&p| p * n as f64).collect();
         let mut alias: Vec<u32> = vec![heaviest as u32; n];
         // Two stacks, filled in index order, popped from the back: the
-        // construction is a pure function of `probs`.
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &s) in scaled.iter().enumerate() {
+        // construction is a pure function of `probs`. A bucket sits in
+        // at most one of them, so neither outgrows `n`.
+        let mut small: Vec<u32> = Vec::with_capacity(n);
+        let mut large: Vec<u32> = Vec::with_capacity(n);
+        for (i, &s) in prob.iter().enumerate() {
             if s < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
             }
         }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            let (s_idx, l_idx) = (s as usize, l as usize);
-            prob[s_idx] = scaled[s_idx];
-            alias[s_idx] = l;
-            // Donate the deficit 1 − scaled[s] out of the large bucket.
-            scaled[l_idx] = (scaled[l_idx] + scaled[s_idx]) - 1.0;
-            if scaled[l_idx] < 1.0 {
-                large.pop();
-                small.push(l);
+        // The top of `large` donates to small buckets until it falls
+        // below 1 and moves to `small`, or `small` runs out; its running
+        // weight stays in a local meanwhile.
+        while let Some(&l) = large.last() {
+            let mut rest = prob[l as usize];
+            let mut spent = false;
+            while let Some(s) = small.pop() {
+                alias[s as usize] = l;
+                // Donate the deficit 1 − prob[s] out of the large bucket.
+                rest = (rest + prob[s as usize]) - 1.0;
+                if rest < 1.0 {
+                    spent = true;
+                    break;
+                }
             }
+            prob[l as usize] = rest;
+            if !spent {
+                break;
+            }
+            large.pop();
+            small.push(l);
         }
         // Leftovers hold exactly 1.0 in exact arithmetic; under
         // rounding, pin genuine mass to "always keep" and stranded
@@ -163,7 +177,85 @@ impl AliasTable {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The construction `AliasTable::new` used before its stacks drained
+    /// inside `prob`: a separate scaled copy and unreserved stacks.
+    fn reference(probs: &[f64]) -> AliasTable {
+        let n = probs.len();
+        let mut heaviest = 0usize;
+        for (i, &p) in probs.iter().enumerate() {
+            if p > probs[heaviest] {
+                heaviest = i;
+            }
+        }
+        let mut scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64).collect();
+        let mut prob = vec![0.0; n];
+        let mut alias: Vec<u32> = vec![heaviest as u32; n];
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for (i, &s) in scaled.iter().enumerate() {
+            if s < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            let (s_idx, l_idx) = (s as usize, l as usize);
+            prob[s_idx] = scaled[s_idx];
+            alias[s_idx] = l;
+            scaled[l_idx] = (scaled[l_idx] + scaled[s_idx]) - 1.0;
+            if scaled[l_idx] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &l in &large {
+            prob[l as usize] = 1.0;
+        }
+        for &s in &small {
+            prob[s as usize] = if probs[s as usize] > 0.0 { 1.0 } else { 0.0 };
+        }
+        AliasTable { prob, alias }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On random, tied, subnormal and zero weights, normalized as
+        /// `RoutingTable::new` normalizes them, the in-place build gives
+        /// the reference's `prob` and `alias` bit for bit.
+        #[test]
+        fn in_place_build_matches_the_reference(
+            picks in prop::collection::vec((0u64..5, 0.0f64..1.0), 1..300),
+        ) {
+            let weights: Vec<f64> = picks
+                .iter()
+                .map(|&(family, x)| {
+                    let q = (x * 4.0).floor();
+                    match family {
+                        0 => 0.0,
+                        1 => f64::from_bits(1 + q as u64),
+                        2 => [0.13, 0.065, 0.026, 0.013][q as usize],
+                        3 => x,
+                        _ => f64::MIN_POSITIVE * (1.0 + q),
+                    }
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            if total > 0.0 {
+                let probs: Vec<f64> = weights.iter().map(|&w| w / total).collect();
+                let (got, want) = (AliasTable::new(&probs), reference(&probs));
+                let bits = |t: &AliasTable| t.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want), "probs {:?}", probs);
+                prop_assert_eq!(got.alias, want.alias, "probs {:?}", probs);
+            }
+        }
+    }
 
     fn frequencies(table: &AliasTable, draws: usize) -> Vec<f64> {
         let mut counts = vec![0u64; table.len()];

@@ -75,6 +75,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use estimator::EwmaRate;
+use gtlb_core::allocation::Allocation;
+use gtlb_core::model::Cluster;
 
 pub use admission::{
     AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmissionStats, AdmissionVerdict,
@@ -285,6 +287,10 @@ struct State {
     arrivals: EwmaRate,
     /// Every transition the detector drove, in order.
     transitions: Vec<HealthTransition>,
+    /// The serving nodes by decreasing rate, as the last solve sorted
+    /// them: the next solve's sort starts here, near-sorted while
+    /// measured rates drift (see [`Cluster::sort_by_rate_desc`]).
+    order: resolver::KeptOrder,
 }
 
 /// What happened to one job offered through [`Runtime::submit`].
@@ -376,6 +382,7 @@ impl Runtime {
                 registry: Registry::new(cfg.service_window, &cfg.detector),
                 arrivals: EwmaRate::new(cfg.ewma_alpha),
                 transitions: Vec::new(),
+                order: resolver::KeptOrder::default(),
             }),
             table,
             sharded,
@@ -500,9 +507,12 @@ impl Runtime {
     /// Feeds the failure detector one successful observation (heartbeat
     /// ack or completed response) of `node` at virtual time `t`, and
     /// applies any health transition it decides on: Suspect→Up past the
-    /// hysteresis band, Down→Up after the probation window (which also
-    /// triggers a best-effort re-solve so the node regains routing
-    /// mass). Unknown or draining nodes are ignored (`Ok(None)`) —
+    /// hysteresis band, Down→Up after the probation window. Both
+    /// recoveries trigger a best-effort re-solve: Down→Up so the node
+    /// regains routing mass, Suspect→Up because a suspect node's
+    /// measured rate reaches routing only through a solve, and a caller
+    /// that solves nothing else while faults are live depends on it.
+    /// Unknown or draining nodes are ignored (`Ok(None)`) —
     /// observations may race deregistration, and drains are
     /// administrative, not health. The health check, the detector's
     /// decision and its application run in one critical section, so a
@@ -675,7 +685,7 @@ impl Runtime {
     /// [`RuntimeError::Core`] from the allocator (e.g. a nominal arrival
     /// rate at or above capacity).
     pub fn resolve_now(&self) -> Result<ResolveOutcome, RuntimeError> {
-        self.resolve(&self.state())
+        self.resolve(&mut self.state(), ResolveOutcome::new)
     }
 
     /// Table publishes by construction path since this runtime was
@@ -901,8 +911,16 @@ impl Runtime {
         (arrivals.count() >= self.cfg.min_arrival_obs).then(|| arrivals.rate()).flatten()
     }
 
-    /// [`Runtime::resolve_now`] under the held `state` lock.
-    fn resolve(&self, state: &State) -> Result<ResolveOutcome, RuntimeError> {
+    /// The one solve path, [`Runtime::resolve_now`]'s body under the held
+    /// `state` lock. The sort by rate starts from the last solve's order.
+    /// `report` reads the solve before its table is published:
+    /// `resolve_now` builds its [`ResolveOutcome`] there, and a
+    /// transition takes only the capacity it publishes ρ from.
+    fn resolve<R>(
+        &self,
+        state: &mut State,
+        report: impl FnOnce(&RoutingTable, &Cluster, f64, Allocation) -> R,
+    ) -> Result<R, RuntimeError> {
         let (ids, cluster) = state.registry.serving_cluster(|n| self.solve_rate(n))?;
         // Estimated Φ is clamped below capacity (transient overshoot must
         // not wedge the solver); the configured nominal rate is not — an
@@ -919,10 +937,13 @@ impl Runtime {
             control.publish_offered_utilization(phi_offered / cluster.total_rate());
         }
         let epoch = self.next_epoch();
-        let (table, outcome) = resolver::solve_table(self.cfg.scheme, epoch, ids, &cluster, phi)?;
+        let order = state.order.rebase(&ids);
+        let (table, allocation) =
+            resolver::build_table(self.cfg.scheme, epoch, ids, &cluster, phi, order)?;
         self.telemetry.record_solve();
+        let report = report(&table, &cluster, phi, allocation);
         self.publish_table(table);
-        Ok(outcome)
+        Ok(report)
     }
 
     /// A manual mark: one write of the node's row, which the detector
@@ -973,11 +994,22 @@ impl Runtime {
                 self.refresh_offered_utilization(state);
             }
             Health::Up => {
-                // Rejoining needs a real allocation; a failed re-solve
-                // (e.g. Φ transiently at capacity) is retried by the
-                // resolver loop, so best-effort here.
-                let _ = self.resolve(state);
-                self.refresh_offered_utilization(state);
+                // Down→Up: rejoining needs a real allocation. Suspect→Up:
+                // the node never left the table, but its measured rate
+                // reaches routing only through a solve, and a caller may
+                // solve nothing else while faults are live: without these
+                // solves the gray node of `partition_experiment` flapped
+                // Suspect↔Up 30+ times and was never demoted. A failed
+                // re-solve (e.g. Φ transiently at capacity) is retried by
+                // the resolver loop, so best-effort here. ρ comes from the
+                // solve's own rates, the serving set's solve rates in row
+                // order, so only a failed solve walks the rows for it.
+                let capacity =
+                    self.resolve(state, |_, cluster, _, _| cluster.rates().iter().sum::<f64>());
+                match capacity {
+                    Ok(capacity) => self.publish_offered_utilization(state, capacity),
+                    Err(_) => self.refresh_offered_utilization(state),
+                }
             }
             Health::Suspect | Health::Draining => {}
         }
@@ -992,8 +1024,18 @@ impl Runtime {
     /// serving and positive demand, ρ is published as `f64::MAX`
     /// (reject everything).
     fn refresh_offered_utilization(&self, state: &State) {
+        if self.admission.is_none() {
+            return;
+        }
+        let capacity = state.registry.serving().map(|n| self.solve_rate(n)).sum();
+        self.publish_offered_utilization(state, capacity);
+    }
+
+    /// Publishes `ρ = Φ / capacity` to the admission policy, as
+    /// [`Runtime::refresh_offered_utilization`] does once it has summed
+    /// the serving capacity. No-op without admission control.
+    fn publish_offered_utilization(&self, state: &State, capacity: f64) {
         let Some(control) = &self.admission else { return };
-        let capacity: f64 = state.registry.serving().map(|n| self.solve_rate(n)).sum();
         let phi = self.arrival_rate(state).unwrap_or(self.cfg.nominal_arrival_rate);
         let rho = if capacity > 0.0 {
             phi / capacity
@@ -1464,6 +1506,159 @@ mod tests {
         assert_eq!(rt.node_health(a), Some(Health::Up));
         assert!(rt.current_table().prob_of(a).is_some(), "re-solved back in");
         assert_eq!(rt.health_transitions().len(), 3, "Down→Up logged");
+    }
+
+    #[test]
+    fn transitions_publish_by_kind() {
+        // One node of four, driven by observations alone through
+        // Up→Suspect→Up→Suspect→Down→Up. A demotion to Suspect publishes
+        // nothing; each recovery re-solves and publishes once (Suspect→Up
+        // too: a suspect node's measured rate reaches routing only
+        // through a solve); Down renormalizes once.
+        let rt = coop_runtime(2.0);
+        let a = rt.register_node(2.0).unwrap();
+        for _ in 0..3 {
+            rt.register_node(1.0).unwrap();
+        }
+        rt.resolve_now().unwrap();
+        let mut t = 0.0;
+        for _ in 0..5 {
+            assert_eq!(rt.observe_success(a, t).unwrap(), None);
+            t += 1.0;
+        }
+        // Feeds `outcomes` one observation per 0.1 s; only the last may
+        // move the node. Returns its move and the publishes it cost.
+        let mut drive = |outcomes: &[bool]| {
+            let before = rt.swap_stats().publishes;
+            let mut last = None;
+            for (k, &success) in outcomes.iter().enumerate() {
+                let tr = if success {
+                    rt.observe_success(a, t).unwrap()
+                } else {
+                    rt.observe_failure(a, t).unwrap()
+                };
+                t += 0.1;
+                assert!(tr.is_none() || k + 1 == outcomes.len(), "early move {tr:?}");
+                last = tr.map(|tr| (tr.from, tr.to));
+            }
+            (last, rt.swap_stats().publishes - before)
+        };
+        use Health::{Down, Suspect, Up};
+        assert_eq!(drive(&[false]), (Some((Up, Suspect)), 0));
+        assert_eq!(drive(&[true, true]), (Some((Suspect, Up)), 1), "recovery re-solves");
+        assert_eq!(drive(&[false]), (Some((Up, Suspect)), 0));
+        assert_eq!(drive(&[false, false]), (Some((Suspect, Down)), 1), "renormalize");
+        assert_eq!(rt.current_table().prob_of(a), None);
+        assert_eq!(drive(&[true, true, true]), (Some((Down, Up)), 1), "rejoin solve");
+        assert!(rt.current_table().prob_of(a).is_some());
+        assert_eq!(rt.health_transitions().len(), 5);
+    }
+
+    #[test]
+    fn a_recovery_publishes_rho_over_the_row_sum() {
+        // A recovery re-solve publishes ρ over the plain left-to-right
+        // sum of the serving rates, as the row walk adds them, where
+        // `resolve_now` publishes it over the cluster's compensated
+        // total: with these rates the two differ in the last place.
+        let rt = Runtime::builder()
+            .seed(3)
+            .nominal_arrival_rate(0.5)
+            .admission(AdmissionConfig { target_utilization: 0.9, defer_band: 0.0 })
+            .build();
+        let rates = [1.0, 1e-16, 1e-16, 1e-16];
+        let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
+        let plain: f64 = rates.iter().sum();
+        let compensated = Cluster::new(rates.to_vec()).unwrap().total_rate();
+        assert_ne!(plain, compensated);
+        rt.resolve_now().unwrap();
+        assert_eq!(rt.offered_utilization(), Some(0.5 / compensated));
+        for k in 0..5 {
+            rt.observe_success(ids[0], f64::from(k)).unwrap();
+        }
+        rt.observe_failure(ids[0], 5.0).unwrap();
+        rt.observe_success(ids[0], 5.1).unwrap();
+        let tr = rt.observe_success(ids[0], 5.2).unwrap();
+        assert_eq!(tr.map(|tr| (tr.from, tr.to)), Some((Health::Suspect, Health::Up)));
+        assert_eq!(rt.offered_utilization(), Some(0.5 / plain));
+    }
+
+    #[test]
+    fn every_solve_publishes_a_fresh_solve_bit_for_bit() {
+        // 256 nodes whose measured rates drift between solves, with ties,
+        // so each solve's sort starts from a stale order, and whose
+        // serving set shrinks and grows, so the kept order is rebased.
+        // Every published solve — 200 `resolve_now`s, and the Suspect→Up
+        // and Down→Up re-solves between them — equals a fresh
+        // `solve_table` at the same inputs and epoch.
+        let rt = Runtime::builder()
+            .seed(11)
+            .nominal_arrival_rate(300.0)
+            .service_window(8)
+            .min_observations(u64::MAX, 4)
+            .build();
+        let ids: Vec<NodeId> =
+            (0..256).map(|k| rt.register_node(f64::from(1 + k % 4)).unwrap()).collect();
+        let mut rng = gtlb_desim::rng::Xoshiro256PlusPlus::seed_from_u64(0x50_7E);
+        let check = |rt: &Runtime| {
+            let state = rt.state();
+            let (ids, cluster) = state.registry.serving_cluster(|n| rt.solve_rate(n)).unwrap();
+            let live = rt.current_table();
+            let (fresh, _) =
+                resolver::solve_table(rt.cfg.scheme, live.epoch(), ids, &cluster, 300.0).unwrap();
+            assert_eq!(*live, fresh, "epoch {}", live.epoch());
+        };
+        let mut t = 0.0;
+        // Feeds `node` five successes 1 s apart, then `outcomes` 0.1 s
+        // apart, and returns the health of the last move among them.
+        let mut drive = |node: NodeId, outcomes: &[bool]| {
+            let mut last = None;
+            let warm = [(true, 1.0); 5].into_iter();
+            for (success, dt) in warm.chain(outcomes.iter().map(|&s| (s, 0.1))) {
+                let tr = if success {
+                    rt.observe_success(node, t).unwrap()
+                } else {
+                    rt.observe_failure(node, t).unwrap()
+                };
+                last = tr.map(|tr| tr.to).or(last);
+                t += dt;
+            }
+            last
+        };
+        let mut recoveries = [0; 2];
+        for round in 0..200 {
+            for &id in &ids {
+                if rt.node_health(id) == Some(Health::Down) {
+                    continue;
+                }
+                // Quantized durations: many nodes measure the same rate.
+                let draw = (rng.next_open01() * 8.0).floor();
+                let mu = rt.node_rate(id).unwrap() * (0.9 + 0.025 * draw);
+                rt.record_service(id, 1.0 / mu);
+            }
+            rt.resolve_now().unwrap();
+            check(&rt);
+            let node = ids[(7 * round) % ids.len()];
+            match round % 10 {
+                // A flap: Up→Suspect publishes nothing, Suspect→Up
+                // re-solves over the same serving set.
+                0 => {
+                    assert_eq!(drive(node, &[false, true, true]), Some(Health::Up));
+                    recoveries[0] += 1;
+                    check(&rt);
+                }
+                // Down renormalizes; the next solves run without the
+                // node, and its probation re-solves with it back.
+                3 => assert_eq!(drive(ids[round], &[false, false, false]), Some(Health::Down)),
+                7 => {
+                    let back = ids[round - 4];
+                    assert_eq!(drive(back, &[]), Some(Health::Up));
+                    recoveries[1] += 1;
+                    check(&rt);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(recoveries, [20, 20]);
     }
 
     #[test]

@@ -329,8 +329,9 @@ impl Registry {
         &self,
         mut rate_of: impl FnMut(&Node) -> f64,
     ) -> Result<(Vec<NodeId>, Cluster), RuntimeError> {
-        let mut ids = Vec::new();
-        let mut rates = Vec::new();
+        // Sized for every row: one allocation each, however many serve.
+        let mut ids = Vec::with_capacity(self.nodes.len());
+        let mut rates = Vec::with_capacity(self.nodes.len());
         for node in self.serving() {
             ids.push(node.id);
             rates.push(rate_of(node));

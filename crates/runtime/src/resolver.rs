@@ -49,9 +49,28 @@ impl SchemeKind {
     /// [`CoreError::Overloaded`] when `phi` meets capacity,
     /// [`CoreError::BadInput`] on malformed parameters.
     pub fn allocate(&self, cluster: &Cluster, phi: f64) -> Result<Allocation, CoreError> {
+        self.allocate_from(cluster, phi, &mut Vec::new())
+    }
+
+    /// As [`SchemeKind::allocate`], with COOP's and OPTIM's sort by rate
+    /// starting from `order` and leaving the sorted order there for the
+    /// next solve (see [`Cluster::sort_by_rate_desc`]). PROP sorts
+    /// nothing and leaves `order` alone.
+    pub(crate) fn allocate_from(
+        &self,
+        cluster: &Cluster,
+        phi: f64,
+        order: &mut Vec<usize>,
+    ) -> Result<Allocation, CoreError> {
         match *self {
-            Self::Coop => Coop.allocate(cluster, phi),
-            Self::Optim => Optim.allocate(cluster, phi),
+            Self::Coop => {
+                cluster.sort_by_rate_desc(order);
+                Coop.allocate_sorted(cluster, phi, order)
+            }
+            Self::Optim => {
+                cluster.sort_by_rate_desc(order);
+                Optim.allocate_sorted(cluster, phi, order)
+            }
             Self::Prop => Prop.allocate(cluster, phi),
         }
     }
@@ -77,6 +96,27 @@ pub struct ResolveOutcome {
     pub predicted_mean_response: f64,
 }
 
+impl ResolveOutcome {
+    /// The outcome of the solve that built `table` over `cluster` at
+    /// arrival rate `phi`: copies the table's ids and the cluster's rates
+    /// and predicts the mean response time.
+    pub(crate) fn new(
+        table: &RoutingTable,
+        cluster: &Cluster,
+        phi: f64,
+        allocation: Allocation,
+    ) -> Self {
+        Self {
+            epoch: table.epoch(),
+            nodes: table.nodes().to_vec(),
+            rates: cluster.rates().to_vec(),
+            phi,
+            predicted_mean_response: allocation.mean_response_time(cluster),
+            allocation,
+        }
+    }
+}
+
 /// Runs `scheme` over `(ids, cluster)` at arrival rate `phi` and builds
 /// the table for `epoch`.
 ///
@@ -95,18 +135,70 @@ pub fn solve_table(
     cluster: &Cluster,
     phi: f64,
 ) -> Result<(RoutingTable, ResolveOutcome), RuntimeError> {
-    let allocation = scheme.allocate(cluster, phi)?;
-    let table = RoutingTable::from_allocation(epoch, ids.clone(), &allocation, cluster.rates())?;
-    let predicted_mean_response = allocation.mean_response_time(cluster);
-    let outcome = ResolveOutcome {
-        epoch,
-        nodes: ids,
-        rates: cluster.rates().to_vec(),
-        phi,
-        allocation,
-        predicted_mean_response,
-    };
+    let (table, allocation) = build_table(scheme, epoch, ids, cluster, phi, &mut Vec::new())?;
+    let outcome = ResolveOutcome::new(&table, cluster, phi, allocation);
     Ok((table, outcome))
+}
+
+/// [`solve_table`] without the outcome: the table and the allocation
+/// it routes by, with the sort by rate starting from `order` (see
+/// [`SchemeKind::allocate_from`]).
+pub(crate) fn build_table(
+    scheme: SchemeKind,
+    epoch: u64,
+    ids: Vec<NodeId>,
+    cluster: &Cluster,
+    phi: f64,
+    order: &mut Vec<usize>,
+) -> Result<(RoutingTable, Allocation), RuntimeError> {
+    let allocation = scheme.allocate_from(cluster, phi, order)?;
+    let table = RoutingTable::from_allocation(epoch, ids, &allocation, cluster.rates())?;
+    Ok((table, allocation))
+}
+
+/// The last solve's order, kept for the next solve's sort: serving nodes
+/// by decreasing rate, as indices into the ids that solve ran over.
+#[derive(Debug, Default)]
+pub(crate) struct KeptOrder {
+    /// The serving ids of the last solve, ascending.
+    ids: Vec<NodeId>,
+    /// A permutation of `0..ids.len()`, by decreasing rate at the last
+    /// solve.
+    order: Vec<usize>,
+}
+
+impl KeptOrder {
+    /// The kept order re-expressed over `ids`, the next solve's serving
+    /// ids (ascending), for [`Cluster::sort_by_rate_desc`] to repair: a
+    /// node that stopped serving is dropped, one that started serving is
+    /// appended, and every other node keeps its place. A serving set that
+    /// changed therefore costs a few moves, not a sort from the identity.
+    pub(crate) fn rebase(&mut self, ids: &[NodeId]) -> &mut Vec<usize> {
+        if self.ids != ids {
+            let mut moved_to = vec![usize::MAX; self.ids.len()];
+            let mut joined = Vec::new();
+            let mut old = 0;
+            for (new, &id) in ids.iter().enumerate() {
+                while old < self.ids.len() && self.ids[old] < id {
+                    old += 1;
+                }
+                if old < self.ids.len() && self.ids[old] == id {
+                    moved_to[old] = new;
+                    old += 1;
+                } else {
+                    joined.push(new);
+                }
+            }
+            self.order.retain_mut(|k| {
+                *k = moved_to[*k];
+                *k != usize::MAX
+            });
+            self.order.extend(joined);
+            self.ids.clear();
+            self.ids.extend_from_slice(ids);
+        }
+        &mut self.order
+    }
 }
 
 /// Caps an *estimated* arrival rate just below the cluster capacity so a
@@ -171,6 +263,63 @@ mod tests {
         for (p, mu) in table.probs().iter().zip(cl.rates()) {
             assert!((p - mu / total).abs() < 1e-12);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whatever nodes leave or join between two solves, the rebased
+        /// order is a permutation of the new serving set that keeps the
+        /// survivors in their old relative order and sorts to a fresh
+        /// sort's order.
+        #[test]
+        fn a_rebased_order_sorts_to_a_fresh_sort(
+            picks in proptest::collection::vec((0u64..4, 0.0f64..1.0), 1..80),
+        ) {
+            // Each pick is a node id: 0 serves at both solves, 1 only at
+            // the first, 2 only at the second, 3 at neither.
+            let at = |keep: fn(u64) -> bool| -> Vec<NodeId> {
+                (0..picks.len() as u64)
+                    .filter(|&k| keep(picks[k as usize].0))
+                    .map(NodeId::from_raw)
+                    .collect()
+            };
+            let (first, second) = (at(|s| s <= 1), at(|s| s == 0 || s == 2));
+            let rate = |id: &NodeId| 1.0 + (picks[id.raw() as usize].1 * 4.0).floor();
+            let mut kept = KeptOrder::default();
+            if !first.is_empty() {
+                let cluster = Cluster::new(first.iter().map(rate).collect()).unwrap();
+                cluster.sort_by_rate_desc(kept.rebase(&first));
+            }
+            if second.is_empty() {
+                return Ok(());
+            }
+            let cluster = Cluster::new(second.iter().map(rate).collect()).unwrap();
+            let start = kept.rebase(&second).clone();
+            let mut seen = start.clone();
+            seen.sort_unstable();
+            proptest::prop_assert_eq!(seen, (0..second.len()).collect::<Vec<_>>());
+            let survivors: Vec<NodeId> = start
+                .iter()
+                .map(|&k| second[k])
+                .filter(|id| first.contains(id))
+                .collect();
+            let before: Vec<NodeId> =
+                cluster_order(&first, rate).into_iter().filter(|id| second.contains(id)).collect();
+            proptest::prop_assert_eq!(survivors, before);
+            let order = kept.rebase(&second);
+            cluster.sort_by_rate_desc(order);
+            proptest::prop_assert_eq!(order.clone(), cluster.order_by_rate_desc());
+        }
+    }
+
+    /// `ids` by decreasing `rate`, ties by id: a fresh sort's order.
+    fn cluster_order(ids: &[NodeId], rate: impl Fn(&NodeId) -> f64) -> Vec<NodeId> {
+        if ids.is_empty() {
+            return Vec::new();
+        }
+        let cluster = Cluster::new(ids.iter().map(&rate).collect()).unwrap();
+        cluster.order_by_rate_desc().into_iter().map(|k| ids[k]).collect()
     }
 
     #[test]
