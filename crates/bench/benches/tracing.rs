@@ -5,8 +5,9 @@
 //! three quick runs from `BENCH_tracing.json`). The primitive
 //! microbenches ride along to keep the building-block costs visible:
 //! the SplitMix64 identity hash, the begin() hash-plus-mask test an
-//! unsampled job pays, and a full flight-recorder record of a finished
-//! trace.
+//! unsampled job pays, a full flight-recorder record of a finished
+//! trace, and a read of every held trace (`/traces`) from four full
+//! 4,096-trace lanes.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -51,7 +52,8 @@ fn bench_driver_overhead(c: &mut Criterion) {
 }
 
 /// Primitive costs: the identity hash, the unsampled-job fast path
-/// (one hash plus one mask test), and a whole-trace recorder push.
+/// (one hash plus one mask test), a whole-trace recorder push, and a
+/// read of 16,384 held traces.
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracing_primitive");
     group.bench_function("trace_id_hash", |b| {
@@ -69,24 +71,40 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(tracer.begin(seq).is_some())
         })
     });
-    let recorder = FlightRecorder::new(1, 256, 4.0);
+    let recorder = FlightRecorder::new(1, TracingConfig::default().recorder_capacity);
     group.bench_function("recorder_record", |b| {
         let mut seq = 0u64;
         b.iter(|| {
-            let mut t = Trace::new(trace_id(7, seq), seq);
-            t.instant(SpanKind::Admitted, 0.0);
-            t.instant(SpanKind::Routed { node: 1, epoch: 1, shard: 0 }, 0.0);
-            t.interval(
-                SpanKind::Attempt { n: 1, outcome: AttemptOutcome::Ok, backoff: 0.0 },
-                0.0,
-                0.5,
-            );
-            t.instant(SpanKind::Completed, 0.5);
-            recorder.record(0, t);
+            recorder.record(0, finished(seq, 0.0));
             seq += 1;
         })
     });
+    // Four shard lanes of 4,096 traces each, all held: what `/traces`
+    // reads from a recorder at a large capacity.
+    const LANES: usize = 4;
+    const HELD: usize = 4096;
+    let full = FlightRecorder::new(LANES, HELD);
+    for seq in 0..(LANES * HELD) as u64 {
+        full.record(seq as usize % LANES, finished(seq, seq as f64 * 0.01));
+    }
+    group.bench_function(BenchmarkId::new("recorder_traces", LANES * HELD), |b| {
+        b.iter(|| black_box(full.traces().len()))
+    });
     group.finish();
+}
+
+/// A finished one-attempt trace of job `seq`, admitted at `start`.
+fn finished(seq: u64, start: f64) -> Trace {
+    let mut t = Trace::new(trace_id(7, seq), seq);
+    t.instant(SpanKind::Admitted, start);
+    t.instant(SpanKind::Routed { node: 1, epoch: 1, shard: 0 }, start);
+    t.interval(
+        SpanKind::Attempt { n: 1, outcome: AttemptOutcome::Ok, backoff: 0.0 },
+        start,
+        start + 0.5,
+    );
+    t.instant(SpanKind::Completed, start + 0.5);
+    t
 }
 
 criterion_group!(benches, bench_driver_overhead, bench_primitives);

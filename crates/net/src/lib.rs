@@ -25,8 +25,8 @@
 //! Determinism: the net layer owns **no RNG stream** and never draws.
 //! It only reads runtime state and forwards observations through the
 //! deterministic ingestion paths, so a control plane that is attached
-//! but idle leaves every determinism fingerprint bit-identical (CI
-//! enforces this).
+//! but idle leaves every determinism fingerprint bit-identical
+//! (`tests/fingerprints.rs` checks this).
 //!
 //! [`Runtime::telemetry_snapshot`]: gtlb_runtime::Runtime::telemetry_snapshot
 //!
@@ -70,7 +70,6 @@ use crate::lifecycle::{Lifecycle, LifecycleConfig};
 use crate::router::AppState;
 use crate::server::{Server, ServerConfig};
 
-pub use crate::http::Limits;
 pub use crate::lifecycle::NodeState;
 
 /// Configures and starts a [`ControlPlane`]. Defaults: bind
@@ -126,13 +125,6 @@ impl ControlPlaneBuilder {
     #[must_use]
     pub fn read_timeout(mut self, timeout: Duration) -> Self {
         self.server.read_timeout = timeout;
-        self
-    }
-
-    /// Request parsing limits.
-    #[must_use]
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.server.limits = limits;
         self
     }
 
@@ -275,7 +267,6 @@ mod tests {
             .miss_grace(2.0)
             .sweep_every(Duration::from_millis(50))
             .read_timeout(Duration::from_millis(500))
-            .limits(Limits::default())
             .start()
             .unwrap();
         assert_ne!(cp.local_addr().port(), 0, "port 0 resolved to a real port");

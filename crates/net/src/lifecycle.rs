@@ -80,6 +80,15 @@ impl Default for LifecycleConfig {
     }
 }
 
+/// Whether `name` can name a node: 1–128 bytes from RFC 3986's
+/// unreserved set (`A–Z a–z 0–9 - . _ ~`), which a path segment carries
+/// unescaped, so `/v1/nodes/{name}` and `/v1/nodes/{name}/approve`
+/// address every node registration accepts.
+fn valid_name(name: &str) -> bool {
+    let unreserved = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_' | b'~');
+    (1..=128).contains(&name.len()) && name.bytes().all(unreserved)
+}
+
 /// One lifecycle table row.
 #[derive(Debug, Clone)]
 pub struct NodeEntry {
@@ -192,7 +201,9 @@ impl Lifecycle {
     /// [`Lifecycle::approve`]. Returns the new row's state.
     ///
     /// # Errors
-    /// [`LifecycleError::Invalid`] for bad fields,
+    /// [`LifecycleError::Invalid`] for bad fields, including a name
+    /// that is not 1–128 bytes of `A–Z a–z 0–9 - . _ ~` (the characters
+    /// a path segment carries unescaped);
     /// [`LifecycleError::Conflict`] for a duplicate active name.
     pub fn register(
         &mut self,
@@ -201,8 +212,10 @@ impl Lifecycle {
         rate: f64,
         heartbeat_interval: Option<f64>,
     ) -> Result<NodeState, LifecycleError> {
-        if name.is_empty() || name.len() > 128 {
-            return Err(LifecycleError::Invalid("name must be 1..=128 bytes"));
+        if !valid_name(name) {
+            return Err(LifecycleError::Invalid(
+                "name must be 1..=128 bytes of A-Z a-z 0-9 - . _ ~",
+            ));
         }
         if !rate.is_finite() || rate <= 0.0 {
             return Err(LifecycleError::Invalid("rate must be a positive finite number"));
@@ -227,7 +240,7 @@ impl Lifecycle {
             heartbeats: 0,
         };
         if self.config.auto_approve {
-            entry.node = Some(hooks.register_node(rate)?);
+            entry.node = Some(hooks.runtime().register_node(rate)?);
             entry.state = NodeState::Approved;
             entry.silent_since = Some(hooks.now());
         }
@@ -263,7 +276,7 @@ impl Lifecycle {
                 _ => return Err(LifecycleError::Conflict("node is already approved")),
             }
         };
-        let id = hooks.register_node(rate)?;
+        let id = hooks.runtime().register_node(rate)?;
         let now = hooks.now();
         let entry = self.entry_mut(name).expect("entry checked above");
         entry.node = Some(id);
@@ -338,7 +351,7 @@ impl Lifecycle {
             }
             entry.rate = rate;
         }
-        hooks.record_metrics(id, service_seconds, rate)?;
+        hooks.runtime().record_metrics(id, service_seconds, rate)?;
         Ok(())
     }
 
@@ -358,7 +371,7 @@ impl Lifecycle {
             _ => entry.node.ok_or(LifecycleError::Conflict("node has no runtime id"))?,
         };
         entry.state = NodeState::Draining;
-        hooks.drain(id)?;
+        hooks.runtime().drain_node(id)?;
         Ok(())
     }
 
@@ -379,7 +392,7 @@ impl Lifecycle {
         if let Some(id) = id {
             // Deregistration can race a detector-driven Down; the row
             // is tombstoned either way.
-            let _ = hooks.deregister(id);
+            let _ = hooks.runtime().deregister_node(id);
         }
         Ok(())
     }
@@ -432,7 +445,7 @@ mod tests {
         assert_eq!(lc.register(&hooks, "a", 2.0, None).unwrap(), NodeState::Registering);
         assert!(hooks.nodes().is_empty(), "not admitted before approval");
         let id = lc.approve(&hooks, "a").unwrap();
-        assert_eq!(hooks.node_health(id), Some(Health::Up));
+        assert_eq!(hooks.runtime().node_health(id), Some(Health::Up));
         assert_eq!(lc.heartbeat(&hooks, "a").unwrap(), NodeState::Online);
         assert_eq!(lc.entries()[0].heartbeats, 1);
     }
@@ -492,13 +505,14 @@ mod tests {
         // records exactly one miss per overdue Online node, not a flood.
         let far = hooks.now() + 1.0;
         assert_eq!(lc.sweep(&hooks, far), 2, "both overdue at first sweep");
-        assert_eq!(hooks.node_health(id_a), Some(Health::Suspect), "one miss: Suspect");
+        let rt = hooks.runtime();
+        assert_eq!(rt.node_health(id_a), Some(Health::Suspect), "one miss: Suspect");
         // Draining nodes leave the sweep's jurisdiction.
         lc.drain(&hooks, "b").unwrap();
         assert_eq!(lc.sweep(&hooks, far + 1.0), 1, "only a is swept now");
         assert_eq!(lc.sweep(&hooks, far + 2.0), 1);
-        assert_eq!(hooks.node_health(id_a), Some(Health::Down), "three misses walked a down");
-        assert_eq!(hooks.node_health(id_b), Some(Health::Draining));
+        assert_eq!(rt.node_health(id_a), Some(Health::Down), "three misses walked a down");
+        assert_eq!(rt.node_health(id_b), Some(Health::Draining));
         // A miss is no heartbeat: `GET /nodes` still reports a's one beat.
         assert_eq!(lc.entries()[0].last_heartbeat, beat_a, "the sweep forged a heartbeat");
         assert_eq!(lc.entries()[0].heartbeats, 1);
@@ -521,7 +535,8 @@ mod tests {
         let far = hooks.now() + 1.0;
         let misses: usize = (0..3).map(|k| lc.sweep(&hooks, far + f64::from(k))).sum();
         assert_eq!(misses, 3);
-        assert_eq!(hooks.node_health(id), Some(Health::Down), "three misses walked a down");
+        let health = hooks.runtime().node_health(id);
+        assert_eq!(health, Some(Health::Down), "three misses walked a down");
         assert_eq!(lc.entries()[0].state, NodeState::Approved);
         assert_eq!(lc.entries()[0].last_heartbeat, None, "a miss is no heartbeat");
     }
@@ -557,7 +572,7 @@ mod tests {
         let id = lc.entries()[0].node.unwrap();
         lc.drain(&hooks, "a").unwrap();
         lc.drain(&hooks, "a").unwrap();
-        assert_eq!(hooks.node_health(id), Some(Health::Draining));
+        assert_eq!(hooks.runtime().node_health(id), Some(Health::Draining));
         assert_eq!(lc.entries()[0].state, NodeState::Draining);
     }
 }

@@ -16,10 +16,15 @@
 //! | `POST /v1/metrics` | `{"name", "service_seconds": […], "rate"?}` → feed the node's service window; a `rate` reaches routing at the next resolve |
 //! | `POST /v1/drain` | `{"name"}` → drain |
 //! | `DELETE /v1/nodes/{name}` | deregister + tombstone |
+//!
+//! A node name is 1–128 bytes of `A–Z a–z 0–9 - . _ ~`, RFC 3986's
+//! unreserved set: a path segment carries them unescaped, so the
+//! `{name}` routes address every name `POST /v1/register` accepts. Any
+//! other name gets 400.
 
 use std::sync::Mutex;
 
-use gtlb_runtime::{ControlPlaneHooks, SpanKind, Trace, TraceId};
+use gtlb_runtime::{to_chrome_json, ControlPlaneHooks, SpanKind, Trace, TraceId};
 
 use crate::http::{Method, Request, Response};
 use crate::lifecycle::{Lifecycle, LifecycleError, NodeState};
@@ -133,16 +138,16 @@ fn node_resource(state: &AppState, method: Method, rest: &str) -> Response {
 fn healthz(state: &AppState) -> Response {
     let mut b = ObjBuilder::new();
     b.str("status", "ok").num("uptime_seconds", state.hooks().now());
-    b.bool("telemetry", state.hooks().telemetry_enabled());
+    b.bool("telemetry", state.hooks().runtime().telemetry().is_enabled());
     Response::json(200, b.finish())
 }
 
 fn metrics_text(state: &AppState) -> Response {
-    match state.hooks().prometheus() {
-        Some(text) => Response {
+    match state.hooks().runtime().telemetry_snapshot() {
+        Some(snap) => Response {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: text.into_bytes(),
+            body: snap.to_prometheus().into_bytes(),
             close: false,
         },
         None => Response::text(503, "telemetry is disabled on this runtime\n"),
@@ -150,8 +155,8 @@ fn metrics_text(state: &AppState) -> Response {
 }
 
 fn metrics_json(state: &AppState) -> Response {
-    match state.hooks().telemetry_json() {
-        Some(json) => Response::json(200, json),
+    match state.hooks().runtime().telemetry_snapshot() {
+        Some(snap) => Response::json(200, snap.to_json()),
         None => Response::text(503, "telemetry is disabled on this runtime\n"),
     }
 }
@@ -200,11 +205,12 @@ fn tracing_disabled() -> Response {
 /// `GET /traces`: every trace the flight recorder currently holds,
 /// with the recorder's exact accounting alongside.
 fn traces(state: &AppState) -> Response {
-    if !state.hooks().tracing_enabled() {
+    let tracer = state.hooks().runtime().tracer();
+    if !tracer.is_enabled() {
         return tracing_disabled();
     }
-    let all = state.hooks().traces();
-    let (recorded, dropped) = state.hooks().trace_counters();
+    let all = tracer.traces();
+    let (recorded, dropped) = (tracer.recorded(), tracer.dropped());
     let mut rows = String::from("[");
     for (i, t) in all.iter().enumerate() {
         if i > 0 {
@@ -222,21 +228,23 @@ fn traces(state: &AppState) -> Response {
 /// `GET /traces.chrome`: the recorder's contents as Chrome
 /// `trace_event` JSON, loadable in `about:tracing` / Perfetto.
 fn traces_chrome(state: &AppState) -> Response {
-    match state.hooks().traces_chrome() {
-        Some(json) => Response::json(200, json),
-        None => tracing_disabled(),
+    let tracer = state.hooks().runtime().tracer();
+    if !tracer.is_enabled() {
+        return tracing_disabled();
     }
+    Response::json(200, to_chrome_json(&tracer.traces()))
 }
 
 /// `GET /traces/{id}`: one recorded trace by its hex id.
 fn trace_by_id(state: &AppState, rest: &str) -> Response {
-    if !state.hooks().tracing_enabled() {
+    let tracer = state.hooks().runtime().tracer();
+    if !tracer.is_enabled() {
         return tracing_disabled();
     }
     let Some(id) = TraceId::from_hex(rest) else {
         return Response::text(400, "trace ids are 1-16 hex digits\n");
     };
-    match state.hooks().trace(id) {
+    match tracer.trace(id) {
         Some(t) => Response::json(200, trace_json(&t)),
         None => Response::text(404, "no such trace\n"),
     }
@@ -544,6 +552,29 @@ mod tests {
         assert_eq!(route(&app, &req(Method::Post, "/v1/nodes//approve", "")).status, 404);
     }
 
+    /// Registration accepts only names the `{name}` routes can carry:
+    /// a `?` would end the path, a `/` would split the segment, and a
+    /// space cannot appear in a request line.
+    #[test]
+    fn node_names_must_be_unreserved_path_characters() {
+        let app = app(false);
+        let register = |name: &str| {
+            let body = format!(r#"{{"name":"{name}","rate":1.0}}"#);
+            route(&app, &req(Method::Post, "/v1/register", &body)).status
+        };
+        for name in ["a?x", "a/b", "a b", "a%20b", "é", &"n".repeat(129)] {
+            assert_eq!(register(name), 400, "{name:?} registered");
+        }
+        assert!(app.with_lifecycle(|lc| lc.entries().is_empty()));
+        for name in ["node-1.a_~", &"n".repeat(128)] {
+            assert_eq!(register(name), 201, "{name:?} rejected");
+            let approve = format!("/v1/nodes/{name}/approve");
+            assert_eq!(route(&app, &req(Method::Post, &approve, "")).status, 200, "{name:?}");
+            let delete = format!("/v1/nodes/{name}");
+            assert_eq!(route(&app, &req(Method::Delete, &delete, "")).status, 200, "{name:?}");
+        }
+    }
+
     #[test]
     fn healthz_and_metrics_without_telemetry() {
         let app = app(true);
@@ -601,7 +632,12 @@ mod tests {
         let resp = route(&app, &req(Method::Get, "/traces", ""));
         assert_eq!(resp.status, 200);
         let doc = Json::parse(&resp.body).unwrap();
-        assert!(doc.get("count").and_then(Json::as_f64).unwrap() > 0.0);
+        let held = rt.tracer().traces();
+        assert!(!held.is_empty());
+        let count = |key| doc.get(key).and_then(Json::as_f64);
+        assert_eq!(count("count"), Some(held.len() as f64));
+        assert_eq!(count("recorded"), Some(rt.tracer().recorded() as f64));
+        assert_eq!(count("dropped"), Some(rt.tracer().dropped() as f64));
         let first = doc.get("traces").and_then(|t| t.as_array()).unwrap()[0].clone();
         let id = first.get("id").and_then(Json::as_str).unwrap().to_string();
         assert_eq!(first.get("terminal").and_then(Json::as_str), Some("completed"));
@@ -618,6 +654,7 @@ mod tests {
 
         let resp = route(&app, &req(Method::Get, "/traces.chrome", ""));
         assert_eq!(resp.status, 200);
+        assert_eq!(body_text(&resp), to_chrome_json(&held));
         let chrome = Json::parse(&resp.body).unwrap();
         assert!(!chrome.get("traceEvents").and_then(|e| e.as_array()).unwrap().is_empty());
     }

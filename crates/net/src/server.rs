@@ -20,7 +20,11 @@ use std::time::Duration;
 use crate::http::{HttpError, Limits, RequestReader, Response};
 use crate::router::{route, AppState};
 
-/// Listener tuning knobs.
+/// Keep-alive budget: requests served per connection before the server
+/// closes it (bounds how long one client can hold a worker).
+const MAX_REQUESTS_PER_CONN: usize = 64;
+
+/// Listener tuning knobs. Requests parse under [`Limits::default`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads accepting connections.
@@ -28,21 +32,11 @@ pub struct ServerConfig {
     /// Per-read socket timeout; a client silent this long mid-request
     /// gets 408 and a close.
     pub read_timeout: Duration,
-    /// Request parsing limits.
-    pub limits: Limits,
-    /// Keep-alive budget: requests served per connection before the
-    /// server closes it (bounds how long one client can hold a worker).
-    pub max_requests_per_conn: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            workers: 2,
-            read_timeout: Duration::from_secs(2),
-            limits: Limits::default(),
-            max_requests_per_conn: 64,
-        }
+        Self { workers: 2, read_timeout: Duration::from_secs(2) }
     }
 }
 
@@ -137,7 +131,7 @@ fn handle_connection(
     stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
-    let mut reader = RequestReader::new(stream, config.limits);
+    let mut reader = RequestReader::new(stream, Limits::default());
     for served in 0.. {
         if stop.load(Ordering::SeqCst) {
             return Ok(());
@@ -146,7 +140,7 @@ fn handle_connection(
             Ok(None) => return Ok(()),
             Ok(Some(req)) => {
                 let mut resp = route(state, &req);
-                if req.wants_close() || served + 1 >= config.max_requests_per_conn {
+                if req.wants_close() || served + 1 >= MAX_REQUESTS_PER_CONN {
                     resp.close = true;
                 }
                 resp.write_to(&mut out)?;

@@ -20,8 +20,8 @@
 //! observation through APIs the deterministic path already exposes
 //! (`observe_success`, `record_service`, …). Attaching hooks to a
 //! runtime and leaving them idle is therefore invisible to every
-//! determinism fingerprint — CI's `fingerprint-invariance` job checks
-//! them with `GTLB_CONTROL_PLANE=1`.
+//! determinism fingerprint — `tests/fingerprints.rs` checks them with
+//! and without a live control plane attached.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,8 +84,9 @@ pub struct NodeStatus {
 }
 
 /// The control-plane port of a [`Runtime`]: a shareable handle bundling
-/// the wall→virtual [`ClockAdapter`] with the lifecycle, observation,
-/// and scrape methods an external control plane drives. Obtained from
+/// the wall→virtual [`ClockAdapter`] with the observations an external
+/// control plane stamps on that clock. Lifecycle calls and scrapes go
+/// to [`ControlPlaneHooks::runtime`] directly. Obtained from
 /// [`Runtime::attach_control_plane`]; cloning shares the runtime and
 /// the clock origin.
 #[derive(Clone)]
@@ -98,7 +99,7 @@ impl std::fmt::Debug for ControlPlaneHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlPlaneHooks")
             .field("clock", &self.clock)
-            .field("telemetry_enabled", &self.telemetry_enabled())
+            .field("telemetry_enabled", &self.runtime.telemetry().is_enabled())
             .finish_non_exhaustive()
     }
 }
@@ -118,46 +119,6 @@ impl ControlPlaneHooks {
     #[must_use]
     pub fn runtime(&self) -> &Arc<Runtime> {
         &self.runtime
-    }
-
-    // ---- lifecycle -----------------------------------------------------
-
-    /// Registers a node with declared capacity `rate`; it joins the
-    /// routing table at the next resolve.
-    ///
-    /// # Errors
-    /// [`RuntimeError::Core`] for a nonpositive or non-finite rate.
-    pub fn register_node(&self, rate: f64) -> Result<NodeId, RuntimeError> {
-        self.runtime.register_node(rate)
-    }
-
-    /// Updates a node's declared capacity (a control-plane
-    /// `metrics-update` can carry a revised self-reported rate). The
-    /// new rate reaches routing at the next resolve, and only while the
-    /// node's service window is cold.
-    ///
-    /// # Errors
-    /// [`RuntimeError::UnknownNode`] / [`RuntimeError::Core`] as
-    /// [`Runtime::set_node_rate`].
-    pub fn set_node_rate(&self, id: NodeId, rate: f64) -> Result<(), RuntimeError> {
-        self.runtime.set_node_rate(id, rate)
-    }
-
-    /// Starts draining a node (finishes queued work, receives no new
-    /// jobs). Returns the previous health.
-    ///
-    /// # Errors
-    /// [`RuntimeError::UnknownNode`] for unregistered ids.
-    pub fn drain(&self, id: NodeId) -> Result<Health, RuntimeError> {
-        self.runtime.drain_node(id)
-    }
-
-    /// Deregisters a node entirely.
-    ///
-    /// # Errors
-    /// [`RuntimeError::UnknownNode`] for unregistered ids.
-    pub fn deregister(&self, id: NodeId) -> Result<(), RuntimeError> {
-        self.runtime.deregister_node(id)
     }
 
     // ---- observations ---------------------------------------------------
@@ -203,35 +164,19 @@ impl ControlPlaneHooks {
         self.runtime.record_service(id, seconds);
     }
 
-    /// A node's whole metrics update — an optional revised declared
-    /// rate, then its service samples — in one `state` section, as
-    /// [`Runtime::record_metrics`].
+    /// Updates a node's declared capacity (a control-plane
+    /// `metrics-update` can carry a revised self-reported rate). The
+    /// new rate reaches routing at the next resolve, and only while the
+    /// node's service window is cold.
     ///
     /// # Errors
-    /// As [`Runtime::record_metrics`].
-    pub fn record_metrics(
-        &self,
-        id: NodeId,
-        service_seconds: &[f64],
-        rate: Option<f64>,
-    ) -> Result<(), RuntimeError> {
-        self.runtime.record_metrics(id, service_seconds, rate)
+    /// [`RuntimeError::UnknownNode`] / [`RuntimeError::Core`] as
+    /// [`Runtime::set_node_rate`].
+    pub fn set_node_rate(&self, id: NodeId, rate: f64) -> Result<(), RuntimeError> {
+        self.runtime.set_node_rate(id, rate)
     }
 
-    // ---- state & scrape -------------------------------------------------
-
-    /// A node's current health, if registered.
-    #[must_use]
-    pub fn node_health(&self, id: NodeId) -> Option<Health> {
-        self.runtime.node_health(id)
-    }
-
-    /// The detector's suspicion level φ for `id` at the hooks' current
-    /// time (zero for unobserved nodes).
-    #[must_use]
-    pub fn suspicion(&self, id: NodeId) -> f64 {
-        self.runtime.suspicion(id, self.now())
-    }
+    // ---- state ----------------------------------------------------------
 
     /// Status rows for every registered node, in registration order
     /// (which is ascending id order): one pass over the registry rows
@@ -259,63 +204,6 @@ impl ControlPlaneHooks {
                 }
             })
             .collect()
-    }
-
-    /// Whether the runtime records telemetry.
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.runtime.telemetry().is_enabled()
-    }
-
-    /// The telemetry snapshot rendered as Prometheus text exposition
-    /// (`None` when telemetry is disabled). Byte-identical to
-    /// rendering [`Runtime::telemetry_snapshot`] at the same instant —
-    /// the `/metrics` endpoint serves exactly this.
-    #[must_use]
-    pub fn prometheus(&self) -> Option<String> {
-        self.runtime.telemetry_snapshot().map(|s| s.to_prometheus())
-    }
-
-    /// The telemetry snapshot rendered as JSON (`None` when telemetry
-    /// is disabled).
-    #[must_use]
-    pub fn telemetry_json(&self) -> Option<String> {
-        self.runtime.telemetry_snapshot().map(|s| s.to_json())
-    }
-
-    /// Whether the runtime records per-job traces.
-    #[must_use]
-    pub fn tracing_enabled(&self) -> bool {
-        self.runtime.tracer().is_enabled()
-    }
-
-    /// Every trace currently held in the flight recorder, in start-time
-    /// order (empty when tracing is disabled) — the `/traces` endpoint
-    /// serves exactly this.
-    #[must_use]
-    pub fn traces(&self) -> Vec<crate::Trace> {
-        self.runtime.tracer().traces()
-    }
-
-    /// One recorded trace looked up by id across every recorder lane.
-    #[must_use]
-    pub fn trace(&self, id: crate::TraceId) -> Option<crate::Trace> {
-        self.runtime.tracer().trace(id)
-    }
-
-    /// The flight recorder's contents rendered as Chrome `trace_event`
-    /// JSON (`None` when tracing is disabled) — the `/traces.chrome`
-    /// endpoint serves exactly this.
-    #[must_use]
-    pub fn traces_chrome(&self) -> Option<String> {
-        self.tracing_enabled().then(|| crate::to_chrome_json(&self.runtime.tracer().traces()))
-    }
-
-    /// Flight-recorder accounting as `(recorded, dropped)` whole-trace
-    /// counts, both zero when tracing is disabled.
-    #[must_use]
-    pub fn trace_counters(&self) -> (u64, u64) {
-        (self.runtime.tracer().recorded(), self.runtime.tracer().dropped())
     }
 }
 
@@ -371,8 +259,8 @@ mod tests {
     fn hooks_register_heartbeat_and_report() {
         let rt = arc_runtime();
         let hooks = rt.attach_control_plane();
-        let id = hooks.register_node(2.0).unwrap();
-        assert_eq!(hooks.node_health(id), Some(Health::Up));
+        let id = rt.register_node(2.0).unwrap();
+        assert_eq!(rt.node_health(id), Some(Health::Up));
         assert_eq!(hooks.heartbeat(id).unwrap(), None, "healthy heartbeat, no transition");
         let rows = hooks.nodes();
         assert_eq!(rows.len(), 1);
@@ -383,7 +271,7 @@ mod tests {
         assert_eq!(
             (rows[0].effective_suspect_phi, rows[0].effective_down_phi),
             (2.0, 6.0),
-            "fixed-config thresholds surface as configured"
+            "fixed-mode thresholds surface as the detector constants"
         );
     }
 
@@ -391,8 +279,8 @@ mod tests {
     fn repeated_misses_drive_down_through_the_detector() {
         let rt = arc_runtime();
         let hooks = rt.attach_control_plane();
-        let id = hooks.register_node(1.0).unwrap();
-        hooks.register_node(1.0).unwrap();
+        let id = rt.register_node(1.0).unwrap();
+        rt.register_node(1.0).unwrap();
         rt.resolve_now().unwrap();
         // Two beats stay under the detector's min_samples, so the
         // wall-clock silence term is withheld and suspicion is exactly
@@ -408,8 +296,8 @@ mod tests {
         hooks.heartbeat_miss(id).unwrap();
         let tr = hooks.heartbeat_miss(id).unwrap().expect("Suspect→Down");
         assert_eq!(tr.to, Health::Down);
-        assert_eq!(hooks.node_health(id), Some(Health::Down));
-        assert!(hooks.suspicion(id) > 0.0);
+        assert_eq!(rt.node_health(id), Some(Health::Down));
+        assert!(rt.suspicion(id, hooks.now()) > 0.0);
     }
 
     #[test]
@@ -417,7 +305,7 @@ mod tests {
         let rt =
             Arc::new(Runtime::builder().nominal_arrival_rate(0.4).min_observations(8, 4).build());
         let hooks = rt.attach_control_plane();
-        let id = hooks.register_node(1.0).unwrap();
+        let id = rt.register_node(1.0).unwrap();
         for _ in 0..8 {
             hooks.record_service(id, 0.25);
         }
@@ -451,23 +339,23 @@ mod tests {
         let merged =
             Arc::new(Runtime::builder().nominal_arrival_rate(0.4).min_observations(8, 4).build());
         let (a, b) = (separate.attach_control_plane(), merged.attach_control_plane());
-        let (id, same) = (a.register_node(1.0).unwrap(), b.register_node(1.0).unwrap());
+        let (id, same) = (separate.register_node(1.0).unwrap(), merged.register_node(1.0).unwrap());
         assert_eq!(id, same);
         let samples = [0.25, 0.5, 0.125, 0.25];
         a.set_node_rate(id, 3.0).unwrap();
         samples.iter().for_each(|&s| a.record_service(id, s));
-        b.record_metrics(id, &samples, Some(3.0)).unwrap();
-        b.record_metrics(id, &[], None).unwrap();
+        merged.record_metrics(id, &samples, Some(3.0)).unwrap();
+        merged.record_metrics(id, &[], None).unwrap();
         assert_eq!(a.nodes(), b.nodes(), "no heartbeats: φ is 0 on both");
         // A rejected rate records nothing; an unknown node's samples
         // are dropped unless a rate makes the call an error.
-        assert!(b.record_metrics(id, &[9.0], Some(f64::NAN)).is_err());
+        assert!(merged.record_metrics(id, &[9.0], Some(f64::NAN)).is_err());
         let ghost = NodeId::from_raw(99);
         assert_eq!(
-            b.record_metrics(ghost, &[1.0], Some(2.0)),
+            merged.record_metrics(ghost, &[1.0], Some(2.0)),
             Err(RuntimeError::UnknownNode(ghost))
         );
-        assert_eq!(b.record_metrics(ghost, &[1.0], None), Ok(()));
+        assert_eq!(merged.record_metrics(ghost, &[1.0], None), Ok(()));
         assert_eq!(b.nodes()[0].estimated_rate, a.nodes()[0].estimated_rate);
         assert_eq!(b.nodes()[0].nominal_rate, 3.0);
     }
@@ -482,12 +370,12 @@ mod tests {
         for _ in 0..64 {
             rt.dispatch().unwrap();
         }
-        assert!(hooks.telemetry_enabled());
         let snap = rt.telemetry_snapshot().unwrap();
-        assert_eq!(hooks.prometheus(), Some(snap.to_prometheus()));
-        assert_eq!(hooks.telemetry_json(), Some(snap.to_json()));
+        let scraped = hooks.runtime().telemetry_snapshot().unwrap();
+        assert_eq!(scraped.to_prometheus(), snap.to_prometheus());
+        assert_eq!(scraped.to_json(), snap.to_json());
         // Swap stats surface in the scrape, not only via swap_stats().
-        let text = hooks.prometheus().unwrap();
+        let text = scraped.to_prometheus();
         assert!(text.contains("gtlb_table_publishes_total 1"), "swap stats missing:\n{text}");
     }
 
@@ -495,8 +383,7 @@ mod tests {
     fn disabled_telemetry_scrapes_nothing() {
         let rt = arc_runtime();
         let hooks = rt.attach_control_plane();
-        assert!(!hooks.telemetry_enabled());
-        assert_eq!(hooks.prometheus(), None);
-        assert_eq!(hooks.telemetry_json(), None);
+        assert!(!hooks.runtime().telemetry().is_enabled());
+        assert!(hooks.runtime().telemetry_snapshot().is_none());
     }
 }

@@ -16,23 +16,23 @@
 //! silence term grows with time since the last *successful* observation,
 //! scaled by the node's own observed cadence (`(now − last) /
 //! (mean_interval · ln 10)` — the φ-detector's exponential-tail
-//! approximation). Crossing `suspect_phi` demotes Up→Suspect; crossing
-//! `down_phi` demotes to Down. Recovery is deliberately harder than
-//! demotion: Suspect→Up needs φ to fall *below* `recovery_factor ·
-//! suspect_phi` (hysteresis, so a node flapping around the threshold
+//! approximation). Crossing [`SUSPECT_PHI`] demotes Up→Suspect; crossing
+//! [`DOWN_PHI`] demotes to Down. Recovery is deliberately harder than
+//! demotion: Suspect→Up needs φ to fall *below* `RECOVERY_FACTOR ·
+//! SUSPECT_PHI` (hysteresis, so a node flapping around the threshold
 //! does not oscillate), and Down→Up additionally needs
 //! `probation_successes` consecutive successes (the probation window).
 //!
 //! ## Self-tuning thresholds
 //!
-//! Fixed `suspect_phi`/`down_phi` assume a clean, steady heartbeat
+//! Fixed thresholds assume a clean, steady heartbeat
 //! cadence; under gray failures and partial partitions the observed
 //! cadence is jittery and a hand-set threshold either flaps or sleeps.
 //! [`DetectorConfig::self_tuning`] opts a detector into true φ-accrual:
 //! each track keeps a sliding window of the last `window` heartbeat
 //! interarrival gaps and scales both thresholds by `1 + CV`, where `CV =
 //! σ/μ` is the window's coefficient of variation. A steady cadence (`CV
-//! → 0`) recovers the configured baselines exactly; a jittery cadence
+//! → 0`) recovers the fixed baselines exactly; a jittery cadence
 //! raises the bar in proportion to its own noise, so the thresholds are
 //! monotone in the observed variance and never invert (`down > suspect`
 //! is preserved by the common scale). The silence term uses the windowed
@@ -51,29 +51,31 @@ use crate::registry::{Health, NodeId};
 use gtlb_desim::stats::Ewma;
 use std::collections::VecDeque;
 
-/// Tunables of the accrual detector. Defaults are deliberately snappy
-/// for simulation timescales; production deployments would scale them
-/// with real heartbeat cadences.
+/// Suspicion level at which an Up node is demoted to Suspect.
+pub const SUSPECT_PHI: f64 = 2.0;
+/// Suspicion level at which a node is demoted to Down.
+pub const DOWN_PHI: f64 = 6.0;
+/// Suspect→Up requires φ below `RECOVERY_FACTOR * SUSPECT_PHI` (the
+/// hysteresis band).
+pub const RECOVERY_FACTOR: f64 = 0.5;
+/// Suspicion added by each observed failure.
+pub const FAILURE_BOOST: f64 = 2.0;
+/// Multiplier applied to the accrued boost on each success (smaller
+/// forgives faster).
+pub const SUCCESS_DECAY: f64 = 0.5;
+/// Successful observations required before the silence term is trusted
+/// (the interval EWMA needs a baseline).
+pub const MIN_SAMPLES: u64 = 3;
+/// Smoothing factor of the inter-observation interval EWMA.
+pub const INTERVAL_ALPHA: f64 = 0.2;
+
+/// Tunables of the accrual detector. The thresholds, boost and decay
+/// are the constants above: the silence term of φ is measured in units
+/// of each node's own cadence and the boost counts failures, so no
+/// threshold depends on the heartbeat interval, and the self-tuning
+/// mode adapts them to jitter.
 #[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
-    /// Suspicion level at which an Up node is demoted to Suspect.
-    pub suspect_phi: f64,
-    /// Suspicion level at which a node is demoted to Down.
-    pub down_phi: f64,
-    /// Suspect→Up requires φ below `recovery_factor * suspect_phi`
-    /// (hysteresis band; must lie in `(0, 1)`).
-    pub recovery_factor: f64,
-    /// Suspicion added by each observed failure.
-    pub failure_boost: f64,
-    /// Multiplier applied to the accrued boost on each success (in
-    /// `[0, 1)`; smaller forgives faster).
-    pub success_decay: f64,
-    /// Successful observations required before the silence term is
-    /// trusted (the interval EWMA needs a baseline).
-    pub min_samples: u64,
-    /// Smoothing factor of the inter-observation interval EWMA (in
-    /// `(0, 1]`).
-    pub interval_alpha: f64,
     /// Consecutive successes a Down node must string together before it
     /// is promoted back to Up (the probation window).
     pub probation_successes: u32,
@@ -87,26 +89,16 @@ pub struct DetectorConfig {
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        Self {
-            suspect_phi: 2.0,
-            down_phi: 6.0,
-            recovery_factor: 0.5,
-            failure_boost: 2.0,
-            success_decay: 0.5,
-            min_samples: 3,
-            interval_alpha: 0.2,
-            probation_successes: 3,
-            self_tuning_window: 0,
-        }
+        Self { probation_successes: 3, self_tuning_window: 0 }
     }
 }
 
 impl DetectorConfig {
     /// The self-tuning preset: defaults everywhere, plus a sliding
     /// window of the last `window` interarrival gaps per node from which
-    /// the *effective* `suspect_phi`/`down_phi` are derived (`threshold
-    /// × (1 + σ/μ)` over the window). No hand-set thresholds needed —
-    /// the configured values act as the steady-cadence baseline.
+    /// the *effective* thresholds are derived (`threshold × (1 + σ/μ)`
+    /// over the window). No hand-set thresholds needed — [`SUSPECT_PHI`]
+    /// and [`DOWN_PHI`] act as the steady-cadence baseline.
     ///
     /// # Panics
     /// If `window < 2`.
@@ -118,30 +110,6 @@ impl DetectorConfig {
 
     /// Panics unless every field lies in its documented range.
     pub(crate) fn validate(&self) {
-        assert!(
-            self.suspect_phi.is_finite() && self.suspect_phi > 0.0,
-            "detector: suspect_phi must be positive and finite"
-        );
-        assert!(
-            self.down_phi.is_finite() && self.down_phi > self.suspect_phi,
-            "detector: down_phi must exceed suspect_phi"
-        );
-        assert!(
-            self.recovery_factor > 0.0 && self.recovery_factor < 1.0,
-            "detector: recovery_factor must lie in (0, 1)"
-        );
-        assert!(
-            self.failure_boost.is_finite() && self.failure_boost > 0.0,
-            "detector: failure_boost must be positive and finite"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.success_decay),
-            "detector: success_decay must lie in [0, 1)"
-        );
-        assert!(
-            self.interval_alpha > 0.0 && self.interval_alpha <= 1.0,
-            "detector: interval_alpha must lie in (0, 1]"
-        );
         assert!(self.probation_successes >= 1, "detector: probation window must be at least 1");
         assert!(
             self.self_tuning_window == 0 || self.self_tuning_window >= 2,
@@ -183,10 +151,10 @@ pub(crate) struct Track {
 }
 
 impl Track {
-    /// A fresh track whose interval EWMA smooths with `alpha`.
-    pub(crate) fn new(alpha: f64) -> Self {
+    /// A fresh track whose interval EWMA smooths with [`INTERVAL_ALPHA`].
+    pub(crate) fn new() -> Self {
         Self {
-            intervals: Ewma::new(alpha),
+            intervals: Ewma::new(INTERVAL_ALPHA),
             gaps: VecDeque::new(),
             last_seen: None,
             boost: 0.0,
@@ -224,7 +192,7 @@ impl Track {
             }
         }
         self.last_seen = Some(t);
-        self.boost *= cfg.success_decay;
+        self.boost *= SUCCESS_DECAY;
         self.consecutive_successes += 1;
         // Effective suspect threshold after this observation landed (the
         // identity in fixed mode).
@@ -233,7 +201,7 @@ impl Track {
             Health::Down if self.consecutive_successes >= cfg.probation_successes => Health::Up,
             // Re-read φ with the refreshed boost/last_seen; the silence
             // term is zero at the observation instant.
-            Health::Suspect if self.boost < cfg.recovery_factor * eff_suspect => Health::Up,
+            Health::Suspect if self.boost < RECOVERY_FACTOR * eff_suspect => Health::Up,
             _ => health,
         }
     }
@@ -248,7 +216,7 @@ impl Track {
         health: Health,
         t: f64,
     ) -> Health {
-        self.boost += cfg.failure_boost;
+        self.boost += FAILURE_BOOST;
         self.consecutive_successes = 0;
         let phi = track_phi(cfg, self, t);
         let (eff_suspect, eff_down) = thresholds(cfg, self);
@@ -277,23 +245,23 @@ fn tuning_scale(cfg: &DetectorConfig, track: &Track) -> f64 {
 }
 
 /// The cadence estimate backing the silence term: the windowed mean in
-/// self-tuning mode (gated on `min(min_samples, window)` gaps), the
-/// interval EWMA in fixed mode (gated on `min_samples`, exactly as
+/// self-tuning mode (gated on `min(MIN_SAMPLES, window)` gaps), the
+/// interval EWMA in fixed mode (gated on [`MIN_SAMPLES`], exactly as
 /// before).
 fn mean_interval(cfg: &DetectorConfig, track: &Track) -> Option<f64> {
     if cfg.self_tuning_window > 0 {
-        let need = cfg.min_samples.min(cfg.self_tuning_window as u64) as usize;
+        let need = MIN_SAMPLES.min(cfg.self_tuning_window as u64) as usize;
         let n = track.gaps.len();
         (n >= need && n > 0).then(|| track.gaps.iter().sum::<f64>() / n as f64)
     } else {
-        track.intervals.value().filter(|_| track.intervals.count() >= cfg.min_samples)
+        track.intervals.value().filter(|_| track.intervals.count() >= MIN_SAMPLES)
     }
 }
 
-/// `(suspect_phi, down_phi)` scaled by the track's tuning factor.
+/// `(SUSPECT_PHI, DOWN_PHI)` scaled by the track's tuning factor.
 pub(crate) fn thresholds(cfg: &DetectorConfig, track: &Track) -> (f64, f64) {
     let scale = tuning_scale(cfg, track);
-    (cfg.suspect_phi * scale, cfg.down_phi * scale)
+    (SUSPECT_PHI * scale, DOWN_PHI * scale)
 }
 
 /// Suspicion of one track at `now`: accrued boost plus the silence term.
@@ -446,25 +414,5 @@ mod tests {
     #[should_panic(expected = "self-tuning window")]
     fn config_rejects_tiny_tuning_window() {
         let _ = DetectorConfig::self_tuning(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "down_phi must exceed suspect_phi")]
-    fn config_rejects_inverted_thresholds() {
-        let _ =
-            watch(DetectorConfig { suspect_phi: 5.0, down_phi: 2.0, ..DetectorConfig::default() });
-    }
-
-    /// A smoothing factor outside `(0, 1]` is rejected when the runtime
-    /// is built, before any node's track could be.
-    #[test]
-    #[should_panic(expected = "interval_alpha must lie in (0, 1]")]
-    fn config_rejects_bad_interval_alpha() {
-        let build = |alpha: f64| {
-            watch(DetectorConfig { interval_alpha: alpha, ..DetectorConfig::default() })
-        };
-        assert!(std::panic::catch_unwind(|| build(0.0)).is_err(), "interval_alpha 0 accepted");
-        assert!(std::panic::catch_unwind(|| build(f64::NAN)).is_err(), "NaN accepted");
-        build(1.5);
     }
 }

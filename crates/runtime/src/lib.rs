@@ -259,7 +259,7 @@ impl RuntimeBuilder {
     }
 
     /// Enables per-job tracing with an explicit configuration
-    /// (sampling mask, recorder capacity, slow-trace threshold).
+    /// (sampling mask, recorder capacity).
     #[must_use]
     pub fn tracing_config(mut self, cfg: TracingConfig) -> Self {
         self.cfg.tracing = Some(cfg);
@@ -275,7 +275,44 @@ impl RuntimeBuilder {
     /// service window is zero.
     #[must_use]
     pub fn build(self) -> Runtime {
-        Runtime::with_config(self.cfg)
+        let cfg = self.cfg;
+        cfg.detector.validate();
+        let table = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
+        let telemetry = if cfg.telemetry {
+            Telemetry::enabled(cfg.shards.max(1))
+        } else {
+            Telemetry::disabled()
+        };
+        let tracer = cfg
+            .tracing
+            .map_or_else(Tracer::disabled, |tc| Tracer::enabled(cfg.seed, cfg.shards.max(1), tc));
+        let sharded = ShardedDispatcher::with_telemetry(
+            Arc::clone(&table),
+            cfg.seed,
+            cfg.shards.max(1),
+            telemetry.clone(),
+        );
+        let admission = cfg.admission.map(|a| {
+            AdmissionControl::new(
+                AdmissionPolicy::new(a).unwrap_or_else(|e| panic!("invalid admission config: {e}")),
+            )
+        });
+        Runtime {
+            cfg,
+            state: Mutex::new(State {
+                registry: Registry::new(cfg.service_window),
+                arrivals: EwmaRate::new(cfg.ewma_alpha),
+                transitions: Vec::new(),
+                order: resolver::KeptOrder::default(),
+            }),
+            table,
+            sharded,
+            admission,
+            epoch: AtomicU64::new(0),
+            tables_built: AtomicU64::new(0),
+            telemetry,
+            tracer,
+        }
     }
 }
 
@@ -346,52 +383,6 @@ impl Runtime {
     #[must_use]
     pub fn builder() -> RuntimeBuilder {
         RuntimeBuilder::new()
-    }
-
-    /// Builds a runtime from an explicit configuration.
-    ///
-    /// # Panics
-    /// If `cfg.admission` is invalid (see [`AdmissionPolicy::new`]),
-    /// `cfg.detector` is inconsistent (see [`DetectorConfig`]), or
-    /// `cfg.service_window` is zero.
-    #[must_use]
-    pub fn with_config(cfg: RuntimeConfig) -> Self {
-        let table = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
-        let telemetry = if cfg.telemetry {
-            Telemetry::enabled(cfg.shards.max(1))
-        } else {
-            Telemetry::disabled()
-        };
-        let tracer = cfg
-            .tracing
-            .map_or_else(Tracer::disabled, |tc| Tracer::enabled(cfg.seed, cfg.shards.max(1), tc));
-        let sharded = ShardedDispatcher::with_telemetry(
-            Arc::clone(&table),
-            cfg.seed,
-            cfg.shards.max(1),
-            telemetry.clone(),
-        );
-        let admission = cfg.admission.map(|a| {
-            AdmissionControl::new(
-                AdmissionPolicy::new(a).unwrap_or_else(|e| panic!("invalid admission config: {e}")),
-            )
-        });
-        Self {
-            cfg,
-            state: Mutex::new(State {
-                registry: Registry::new(cfg.service_window, &cfg.detector),
-                arrivals: EwmaRate::new(cfg.ewma_alpha),
-                transitions: Vec::new(),
-                order: resolver::KeptOrder::default(),
-            }),
-            table,
-            sharded,
-            admission,
-            epoch: AtomicU64::new(0),
-            tables_built: AtomicU64::new(0),
-            telemetry,
-            tracer,
-        }
     }
 
     /// The configuration this runtime was built with.
@@ -560,15 +551,15 @@ impl Runtime {
     }
 
     /// The detector thresholds in force for `node` right now:
-    /// `(suspect_phi, down_phi)` — the configured values in fixed mode,
-    /// the variance-scaled effective values in self-tuning mode (see
-    /// [`DetectorConfig::self_tuning`]; the configured values for
+    /// `(SUSPECT_PHI, DOWN_PHI)` in fixed mode, the variance-scaled
+    /// effective values in self-tuning mode (see
+    /// [`DetectorConfig::self_tuning`]; the fixed values for
     /// unregistered nodes).
     #[must_use]
     pub fn effective_thresholds(&self, node: NodeId) -> (f64, f64) {
         let cfg = &self.cfg.detector;
         let row = self.state().registry.node(node).map(|n| n.effective_thresholds(cfg));
-        row.unwrap_or((cfg.suspect_phi, cfg.down_phi))
+        row.unwrap_or((detector::SUSPECT_PHI, detector::DOWN_PHI))
     }
 
     // ---- telemetry ------------------------------------------------------

@@ -192,23 +192,18 @@ pub struct Registry {
     next_id: u64,
     nodes: Vec<Node>,
     service_window: usize,
-    interval_alpha: f64,
 }
 
 impl Registry {
     /// Empty registry whose nodes each remember their last
-    /// `service_window` service times and keep an accrual track tuned
-    /// by `detector`.
+    /// `service_window` service times and keep an accrual track.
     ///
     /// # Panics
-    /// If `service_window == 0` or `detector` is inconsistent (see
-    /// [`DetectorConfig`]).
+    /// If `service_window == 0`.
     #[must_use]
-    pub fn new(service_window: usize, detector: &DetectorConfig) -> Self {
+    pub fn new(service_window: usize) -> Self {
         assert!(service_window > 0, "service window must be positive");
-        detector.validate();
-        let interval_alpha = detector.interval_alpha;
-        Self { next_id: 0, nodes: Vec::new(), service_window, interval_alpha }
+        Self { next_id: 0, nodes: Vec::new(), service_window }
     }
 
     /// Registers a node with declared capacity `rate`, initially
@@ -230,7 +225,7 @@ impl Registry {
             nominal_rate: rate,
             health: Health::Up,
             service: WindowRate::new(self.service_window),
-            track: Track::new(self.interval_alpha),
+            track: Track::new(),
         });
         Ok(id)
     }
@@ -353,7 +348,7 @@ mod tests {
     use super::*;
 
     fn registry() -> Registry {
-        Registry::new(16, &DetectorConfig::default())
+        Registry::new(16)
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! node. The policy here is pure arithmetic: it owns the budget and the
 //! backoff curve, not the RNG or the clock.
 //!
-//! Backoff is **decorrelated jitter** (`min(cap, base + u·(3·prev −
-//! base))`): each wait is drawn uniformly between `base` and three times
-//! the previous wait, which empirically spreads retry storms better than
+//! Backoff is **decorrelated jitter** (`min(MAX_BACKOFF, BASE_BACKOFF +
+//! u·(3·prev − BASE_BACKOFF))`): each wait is drawn uniformly between
+//! [`BASE_BACKOFF`] and three times the previous wait, capped at
+//! [`MAX_BACKOFF`], which empirically spreads retry storms better than
 //! either full jitter or plain exponential doubling. The uniform draw
 //! `u` comes from the driver's dedicated retry stream
 //! ([`RETRY_STREAM`]), so enabling retries never perturbs the arrival,
@@ -24,6 +25,12 @@ use crate::error::RuntimeError;
 /// admission `0x0700`, and fault `0x0800+i`.
 pub const RETRY_STREAM: u64 = 0x0900;
 
+/// Lower bound of every backoff wait (virtual seconds).
+pub const BASE_BACKOFF: f64 = 0.05;
+
+/// Upper bound (cap) of every backoff wait (virtual seconds).
+pub const MAX_BACKOFF: f64 = 2.0;
+
 /// Tuning of the retry/timeout policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryConfig {
@@ -33,15 +40,11 @@ pub struct RetryConfig {
     /// Virtual seconds charged to an attempt before it is declared
     /// dropped (the per-attempt deadline).
     pub timeout: f64,
-    /// Lower bound of every backoff wait.
-    pub base_backoff: f64,
-    /// Upper bound (cap) of every backoff wait.
-    pub max_backoff: f64,
 }
 
 impl Default for RetryConfig {
     fn default() -> Self {
-        Self { max_attempts: 4, timeout: 1.0, base_backoff: 0.05, max_backoff: 2.0 }
+        Self { max_attempts: 4, timeout: 1.0 }
     }
 }
 
@@ -55,8 +58,8 @@ impl RetryPolicy {
     /// Validates and wraps a configuration.
     ///
     /// # Errors
-    /// [`RuntimeError::Core`] when the budget is zero, a duration is
-    /// nonpositive or non-finite, or the cap is below the base.
+    /// [`RuntimeError::Core`] when the budget is zero or the timeout is
+    /// nonpositive or non-finite.
     pub fn new(cfg: RetryConfig) -> Result<Self, RuntimeError> {
         if cfg.max_attempts == 0 {
             return Err(CoreError::BadInput(
@@ -64,22 +67,10 @@ impl RetryPolicy {
             )
             .into());
         }
-        for (name, v) in [
-            ("timeout", cfg.timeout),
-            ("base_backoff", cfg.base_backoff),
-            ("max_backoff", cfg.max_backoff),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(CoreError::BadInput(format!(
-                    "retry: {name} must be positive and finite, got {v}"
-                ))
-                .into());
-            }
-        }
-        if cfg.max_backoff < cfg.base_backoff {
+        if !(cfg.timeout.is_finite() && cfg.timeout > 0.0) {
             return Err(CoreError::BadInput(format!(
-                "retry: max_backoff {} is below base_backoff {}",
-                cfg.max_backoff, cfg.base_backoff
+                "retry: timeout must be positive and finite, got {}",
+                cfg.timeout
             ))
             .into());
         }
@@ -106,12 +97,11 @@ impl RetryPolicy {
 
     /// The next backoff wait after a wait of `prev` (`0.0` before the
     /// first retry), given a uniform draw `u ∈ [0, 1)`: decorrelated
-    /// jitter, always within `[base_backoff, max_backoff]`.
+    /// jitter, always within `[BASE_BACKOFF, MAX_BACKOFF]`.
     #[must_use]
     pub fn backoff(&self, prev: f64, u: f64) -> f64 {
-        let base = self.cfg.base_backoff;
-        let span = (3.0 * prev).max(base) - base;
-        (base + u * span).min(self.cfg.max_backoff)
+        let span = (3.0 * prev).max(BASE_BACKOFF) - BASE_BACKOFF;
+        (BASE_BACKOFF + u * span).min(MAX_BACKOFF)
     }
 }
 
@@ -121,38 +111,26 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        assert!(
-            RetryPolicy::new(RetryConfig { max_attempts: 0, ..RetryConfig::default() }).is_err()
-        );
-        assert!(RetryPolicy::new(RetryConfig { timeout: 0.0, ..RetryConfig::default() }).is_err());
-        assert!(RetryPolicy::new(RetryConfig { base_backoff: f64::NAN, ..RetryConfig::default() })
-            .is_err());
-        assert!(RetryPolicy::new(RetryConfig {
-            base_backoff: 1.0,
-            max_backoff: 0.5,
-            ..RetryConfig::default()
-        })
-        .is_err());
+        let with = |max_attempts, timeout| RetryPolicy::new(RetryConfig { max_attempts, timeout });
+        assert!(with(0, 1.0).is_err());
+        for timeout in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(with(4, timeout).is_err(), "timeout {timeout}");
+        }
+        assert!(with(1, 0.3).is_ok());
         assert!(RetryPolicy::new(RetryConfig::default()).is_ok());
     }
 
     #[test]
     fn backoff_stays_within_bounds_and_grows() {
-        let p = RetryPolicy::new(RetryConfig {
-            max_attempts: 8,
-            timeout: 1.0,
-            base_backoff: 0.1,
-            max_backoff: 1.0,
-        })
-        .unwrap();
+        let p = RetryPolicy::new(RetryConfig::default()).unwrap();
         // First wait ignores prev = 0: collapses to the base.
-        assert!((p.backoff(0.0, 0.99) - 0.1).abs() < 1e-12);
+        assert_eq!(p.backoff(0.0, 0.99), BASE_BACKOFF);
         // Subsequent waits are uniform on [base, 3·prev], capped.
         let w = p.backoff(0.1, 0.5);
-        assert!((0.1..=0.3).contains(&w), "got {w}");
-        assert_eq!(p.backoff(10.0, 0.9), 1.0, "cap binds");
+        assert!((BASE_BACKOFF..=0.3).contains(&w), "got {w}");
+        assert_eq!(p.backoff(10.0, 0.9), MAX_BACKOFF, "cap binds");
         // u = 0 pins to the base; u → 1 approaches 3·prev.
-        assert!((p.backoff(0.2, 0.0) - 0.1).abs() < 1e-12);
+        assert_eq!(p.backoff(0.2, 0.0), BASE_BACKOFF);
         assert!((p.backoff(0.2, 1.0) - 0.6).abs() < 1e-12);
     }
 

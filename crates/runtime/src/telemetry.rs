@@ -17,8 +17,8 @@
 //! or `0` for subsystems that draw nothing); telemetry itself has no
 //! entry in the stream-family map because it never draws. Enabling
 //! telemetry therefore leaves every determinism fingerprint
-//! bit-identical — CI's `fingerprint-invariance` job checks them with
-//! `GTLB_TELEMETRY=1`.
+//! bit-identical — `tests/fingerprints.rs` checks them with telemetry
+//! on and off.
 //!
 //! ## Hot-path budget
 //!

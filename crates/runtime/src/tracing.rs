@@ -14,8 +14,8 @@
 //! mask test on that id. Every span timestamp is the driver's virtual
 //! time, already computed for the decision being traced. Enabling
 //! tracing therefore leaves all determinism fingerprints bit-identical
-//! — CI's `fingerprint-invariance` job checks them with
-//! `GTLB_TRACING=1` — and the trace *set* itself is a pure function of
+//! — `tests/fingerprints.rs` checks them with tracing on and off — and
+//! the trace *set* itself is a pure function of
 //! `(seed, plan, shard count)`, identical across thread counts.
 //!
 //! ## Hot-path budget
@@ -56,7 +56,7 @@ impl Tracer {
     /// recorder gets one lane per shard plus the tail-sampling lane.
     #[must_use]
     pub fn enabled(seed: u64, shards: usize, cfg: TracingConfig) -> Self {
-        let recorder = FlightRecorder::new(shards, cfg.recorder_capacity, cfg.slow_threshold);
+        let recorder = FlightRecorder::new(shards, cfg.recorder_capacity);
         Self { seed, mask: cfg.sample_mask, recorder: Some(Arc::new(recorder)) }
     }
 

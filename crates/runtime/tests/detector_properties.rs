@@ -17,6 +17,10 @@
 
 use std::collections::HashMap;
 
+use gtlb_runtime::detector::{
+    DOWN_PHI, FAILURE_BOOST, INTERVAL_ALPHA, MIN_SAMPLES, RECOVERY_FACTOR, SUCCESS_DECAY,
+    SUSPECT_PHI,
+};
 use gtlb_runtime::{DetectorConfig, Health, NodeId, Runtime};
 use proptest::prelude::*;
 
@@ -42,7 +46,7 @@ fn feed_alternating(rt: &Runtime, n: NodeId, gap: f64, spread: f64, beats: usize
 }
 
 /// The original fixed-threshold detector, re-implemented verbatim (EWMA
-/// intervals, fixed `suspect_phi`/`down_phi`, boost/decay, hysteresis
+/// intervals, fixed `SUSPECT_PHI`/`DOWN_PHI`, boost/decay, hysteresis
 /// band, probation streak) as the bit-identity oracle for property 3.
 struct ReferenceDetector {
     cfg: DetectorConfig,
@@ -77,7 +81,7 @@ impl ReferenceDetector {
     fn phi(&self, n: NodeId, now: f64) -> f64 {
         let Some(t) = self.tracks.get(&n.raw()) else { return 0.0 };
         let silence = match t.last_seen {
-            Some(last) if t.samples >= self.cfg.min_samples && t.mean > 0.0 => {
+            Some(last) if t.samples >= MIN_SAMPLES && t.mean > 0.0 => {
                 ((now - last).max(0.0)) / (t.mean * std::f64::consts::LN_10)
             }
             _ => 0.0,
@@ -95,17 +99,17 @@ impl ReferenceDetector {
                 if track.samples == 0 {
                     track.mean = gap;
                 } else {
-                    track.mean += cfg.interval_alpha * (gap - track.mean);
+                    track.mean += INTERVAL_ALPHA * (gap - track.mean);
                 }
                 track.samples += 1;
             }
         }
         track.last_seen = Some(t);
-        track.boost *= cfg.success_decay;
+        track.boost *= SUCCESS_DECAY;
         track.streak += 1;
         match track.view {
             Health::Down if track.streak >= cfg.probation_successes => track.view = Health::Up,
-            Health::Suspect if track.boost < cfg.recovery_factor * cfg.suspect_phi => {
+            Health::Suspect if track.boost < RECOVERY_FACTOR * SUSPECT_PHI => {
                 track.view = Health::Up;
             }
             _ => {}
@@ -114,15 +118,14 @@ impl ReferenceDetector {
     }
 
     fn observe_failure(&mut self, n: NodeId, t: f64) -> Health {
-        let cfg = self.cfg;
         let track = self.track(n);
-        track.boost += cfg.failure_boost;
+        track.boost += FAILURE_BOOST;
         track.streak = 0;
         let phi = self.phi(n, t);
         let track = self.tracks.get_mut(&n.raw()).expect("track just created");
         match track.view {
-            Health::Up | Health::Suspect if phi >= cfg.down_phi => track.view = Health::Down,
-            Health::Up if phi >= cfg.suspect_phi => track.view = Health::Suspect,
+            Health::Up | Health::Suspect if phi >= DOWN_PHI => track.view = Health::Down,
+            Health::Up if phi >= SUSPECT_PHI => track.view = Health::Suspect,
             _ => {}
         }
         track.view
@@ -152,10 +155,9 @@ proptest! {
         feed_alternating(&noisy, n, gap, hi, beats);
         let (cs, cd) = calm.effective_thresholds(c);
         let (ns, nd) = noisy.effective_thresholds(n);
-        let cfg = DetectorConfig::default();
         prop_assert!(ns >= cs - 1e-12, "suspect threshold fell with variance: {cs} -> {ns}");
         prop_assert!(nd >= cd - 1e-12, "down threshold fell with variance: {cd} -> {nd}");
-        prop_assert!(cs >= cfg.suspect_phi - 1e-12 && ns >= cfg.suspect_phi - 1e-12,
+        prop_assert!(cs >= SUSPECT_PHI - 1e-12 && ns >= SUSPECT_PHI - 1e-12,
             "never below the configured baseline");
         prop_assert!(cd > cs && nd > ns, "ordering preserved under tuning");
     }
@@ -245,8 +247,8 @@ proptest! {
                 "silence-term φ diverged at t={}", t + probe_offset
             );
             let (s, d) = rt.effective_thresholds(n);
-            prop_assert_eq!(s.to_bits(), cfg.suspect_phi.to_bits());
-            prop_assert_eq!(d.to_bits(), cfg.down_phi.to_bits());
+            prop_assert_eq!(s.to_bits(), SUSPECT_PHI.to_bits());
+            prop_assert_eq!(d.to_bits(), DOWN_PHI.to_bits());
         }
     }
 }

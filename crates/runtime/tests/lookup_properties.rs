@@ -20,6 +20,10 @@ mod support;
 
 use std::collections::{BTreeMap, VecDeque};
 
+use gtlb_runtime::detector::{
+    DOWN_PHI, FAILURE_BOOST, INTERVAL_ALPHA, MIN_SAMPLES, RECOVERY_FACTOR, SUCCESS_DECAY,
+    SUSPECT_PHI,
+};
 use gtlb_runtime::{
     DetectorConfig, Health, HealthTransition, Node, NodeId, Registry, Runtime, RuntimeError,
 };
@@ -75,7 +79,7 @@ impl ModelNode {
             let var = self.gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / (n - 1.0);
             1.0 + var.sqrt() / mean
         };
-        (cfg.suspect_phi * scale, cfg.down_phi * scale)
+        (SUSPECT_PHI * scale, DOWN_PHI * scale)
     }
 
     /// Accrued boost plus silence since the last success, in units of
@@ -83,11 +87,11 @@ impl ModelNode {
     /// EWMA otherwise), once enough gaps back it.
     fn phi(&self, cfg: &DetectorConfig, now: f64) -> f64 {
         let cadence = if cfg.self_tuning_window > 0 {
-            let need = cfg.min_samples.min(cfg.self_tuning_window as u64) as usize;
+            let need = MIN_SAMPLES.min(cfg.self_tuning_window as u64) as usize;
             let n = self.gaps.len();
             (n >= need && n > 0).then(|| self.gaps.iter().sum::<f64>() / n as f64)
         } else {
-            (self.samples > 0 && self.samples >= cfg.min_samples).then_some(self.mean)
+            (self.samples >= MIN_SAMPLES).then_some(self.mean)
         };
         let silence = match (self.last_seen, cadence) {
             (Some(last), Some(mean)) if mean > 0.0 => {
@@ -109,7 +113,7 @@ impl ModelNode {
             if gap > 0.0 {
                 let first = self.samples == 0;
                 self.mean =
-                    if first { gap } else { self.mean + cfg.interval_alpha * (gap - self.mean) };
+                    if first { gap } else { self.mean + INTERVAL_ALPHA * (gap - self.mean) };
                 self.samples += 1;
                 if cfg.self_tuning_window > 0 {
                     self.gaps.push_back(gap);
@@ -119,18 +123,18 @@ impl ModelNode {
                 }
             }
             self.last_seen = Some(t);
-            self.boost *= cfg.success_decay;
+            self.boost *= SUCCESS_DECAY;
             self.streak += 1;
             let recovered = match from {
                 Health::Down => self.streak >= cfg.probation_successes,
-                Health::Suspect => self.boost < cfg.recovery_factor * self.thresholds(cfg).0,
+                Health::Suspect => self.boost < RECOVERY_FACTOR * self.thresholds(cfg).0,
                 _ => false,
             };
             if recovered {
                 self.health = Health::Up;
             }
         } else {
-            self.boost += cfg.failure_boost;
+            self.boost += FAILURE_BOOST;
             self.streak = 0;
             let phi = self.phi(cfg, t);
             let (suspect, down) = self.thresholds(cfg);
@@ -159,7 +163,7 @@ proptest! {
     fn registry_stays_sorted_and_lookups_match_a_linear_find(
         ops in prop::collection::vec((0u32..3, 0u64..64, 0u64..4), 1..80),
     ) {
-        let mut registry = Registry::new(16, &DetectorConfig::default());
+        let mut registry = Registry::new(16);
         let mut model: BTreeMap<NodeId, Health> = BTreeMap::new();
         let mut issued: Vec<NodeId> = Vec::new();
         for &(op, pick, h) in &ops {
@@ -202,7 +206,7 @@ proptest! {
         removed in prop::collection::vec(0u64..96, 0..48),
         past in prop::collection::vec(0u64..1_000, 1..8),
     ) {
-        let mut registry = Registry::new(16, &DetectorConfig::default());
+        let mut registry = Registry::new(16);
         for k in 0..n {
             prop_assert_eq!(registry.register(1.0 + k as f64).unwrap(), NodeId::from_raw(k));
         }
@@ -293,8 +297,8 @@ proptest! {
     /// `observe_failure` (7), each aimed at a live, removed or
     /// never-issued id. After every step, each live node's health, φ
     /// bits and effective thresholds match its model, and every
-    /// unknown id answers `Ok(None)`, φ 0 and the configured
-    /// thresholds without allocating.
+    /// unknown id answers `Ok(None)`, φ 0 and the fixed thresholds
+    /// without allocating.
     #[test]
     fn runtime_rows_match_a_per_node_model(
         ops in prop::collection::vec((0u32..8, 0u64..64, 0.0f64..3.0), 1..120),
@@ -359,8 +363,8 @@ proptest! {
                         let read = (rt.suspicion(id, later), rt.effective_thresholds(id));
                         (observed, read, rt.node_health(id))
                     });
-                    let configured = (cfg.suspect_phi, cfg.down_phi);
-                    let unregistered = ((Ok(None), Ok(None)), (0.0, configured), None);
+                    let fixed = (SUSPECT_PHI, DOWN_PHI);
+                    let unregistered = ((Ok(None), Ok(None)), (0.0, fixed), None);
                     prop_assert_eq!(answers, unregistered, "{} answered as registered", id);
                     prop_assert_eq!(allocations, 0, "{} allocated", id);
                 }
@@ -404,7 +408,7 @@ fn the_largest_id_costs_one_track() {
         let (observed, marked, read, deregistered) = answers;
         assert_eq!(observed, [Ok(None), Ok(None), Ok(None), Ok(None)]);
         assert_eq!(marked, [0; 4].map(|_| Err(RuntimeError::UnknownNode(max))));
-        assert_eq!(read, (None, 0.0, (cfg.suspect_phi, cfg.down_phi)));
+        assert_eq!(read, (None, 0.0, (SUSPECT_PHI, DOWN_PHI)));
         assert_eq!(deregistered, Err(RuntimeError::UnknownNode(max)));
         assert_eq!(view(node), before, "the registered node's track changed");
         assert_eq!(rt.node_ids(), vec![node]);

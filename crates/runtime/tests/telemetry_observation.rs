@@ -15,23 +15,9 @@ use gtlb_runtime::{
     RuntimeError, RuntimeEvent, SchemeKind, TraceConfig, TraceDriver, TraceStats,
 };
 
-/// Clears the harness/observability knobs once per process: these
-/// tests choose telemetry on/off explicitly per run, and an ambient
-/// `GTLB_TELEMETRY`/`GTLB_CONTROL_PLANE`/`GTLB_BENCH_*` from the
-/// caller's shell (or a CI invariance job) must not leak in.
-fn pin_env() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        for var in ["GTLB_TELEMETRY", "GTLB_CONTROL_PLANE", "GTLB_BENCH_QUICK", "GTLB_BENCH_JSON"] {
-            std::env::remove_var(var);
-        }
-    });
-}
-
 /// One chaos trace: crash-recover + flaky faults, retries, heartbeats,
 /// admission pressure, across 2 shards.
 fn chaos_run(telemetry: bool) -> (Arc<Runtime>, TraceStats, f64) {
-    pin_env();
     let rt = Arc::new(
         Runtime::builder()
             .seed(0x0B5E)
@@ -198,7 +184,6 @@ fn the_snapshot_exports_exactly_the_named_series() {
 /// telemetry clock published past the last beat (so φ carries a
 /// silence term).
 fn heartbeating_fleet(rates: &[f64]) -> (Runtime, Vec<NodeId>) {
-    pin_env();
     let rt = Runtime::builder()
         .seed(0x0F4A)
         .nominal_arrival_rate(0.5)
@@ -284,7 +269,6 @@ fn gauge_count_is_independent_of_fleet_size() {
 /// flaky window, retries, heartbeats and default (1-in-64) tracing on
 /// a telemetry-on runtime.
 fn flush_rule_run() -> (Arc<Runtime>, TraceDriver) {
-    pin_env();
     let rt = Arc::new(
         Runtime::builder()
             .seed(0xF1A5)
@@ -365,7 +349,6 @@ fn alternating_runtimes_each_hold_the_jobs_they_served() {
 
 /// A telemetry-on runtime over three fault-free nodes, resolved.
 fn fault_free_runtime() -> (Arc<Runtime>, Vec<NodeId>) {
-    pin_env();
     let rt = Arc::new(
         Runtime::builder()
             .seed(0x5C4A)

@@ -72,11 +72,7 @@ fn run_traced(
         .seed(seed)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(1.2)
-        .tracing_config(TracingConfig {
-            sample_mask: mask,
-            recorder_capacity: 8192,
-            ..TracingConfig::default()
-        })
+        .tracing_config(TracingConfig { sample_mask: mask, recorder_capacity: 8192 })
         .build();
     let ids: Vec<NodeId> = [2.0, 1.0, 0.5].iter().map(|&r| rt.register_node(r).unwrap()).collect();
     rt.resolve_now().unwrap();

@@ -276,10 +276,6 @@ pub struct TracingConfig {
     pub sample_mask: u64,
     /// Per-lane capacity of the flight recorder, in whole traces.
     pub recorder_capacity: usize,
-    /// Traces whose end-to-end duration is at least this many virtual
-    /// seconds are tail-sampled into the reserved lane (failed traces
-    /// always are).
-    pub slow_threshold: f64,
 }
 
 impl Default for TracingConfig {
@@ -290,7 +286,7 @@ impl Default for TracingConfig {
         // to ~2% of the driver's per-job cost — inside CI's 1.03×
         // overhead ceiling — while a few-thousand-job run still lands
         // dozens of traces in the recorder.
-        Self { sample_mask: 0x3F, recorder_capacity: 256, slow_threshold: 4.0 }
+        Self { sample_mask: 0x3F, recorder_capacity: 256 }
     }
 }
 
@@ -302,29 +298,33 @@ impl TracingConfig {
     }
 }
 
+/// Traces whose end-to-end duration is at least this many virtual
+/// seconds are tail-sampled into the flight recorder's reserved lane
+/// (failed traces always are).
+pub const SLOW_TRACE_SECONDS: f64 = 4.0;
+
 /// The control-plane flight recorder: per-shard lanes of finished
 /// traces plus one reserved tail-sampling lane, each bounded and
 /// drop-oldest at whole-trace granularity with exact dropped counters.
 ///
-/// Slow (duration ≥ `slow_threshold`) and failed traces are copied
-/// into the tail lane in addition to their shard lane, so the
+/// Slow (duration ≥ [`SLOW_TRACE_SECONDS`]) and failed traces are
+/// copied into the tail lane in addition to their shard lane, so the
 /// interesting traces survive wraparound of the busy shard lanes.
 #[derive(Debug)]
 pub struct FlightRecorder {
     /// Shard lanes followed by the reserved tail lane (last).
     lanes: Vec<Mutex<Lane<Trace>>>,
     capacity: usize,
-    slow_threshold: f64,
 }
 
 impl FlightRecorder {
     /// A recorder with `shards` primary lanes (min 1) plus the tail
     /// lane, each holding up to `capacity` traces (min 1).
     #[must_use]
-    pub fn new(shards: usize, capacity: usize, slow_threshold: f64) -> Self {
+    pub fn new(shards: usize, capacity: usize) -> Self {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
-        Self { lanes: Lane::set(shards + 1, capacity), capacity, slow_threshold }
+        Self { lanes: Lane::set(shards + 1, capacity), capacity }
     }
 
     /// Number of primary (shard) lanes, excluding the tail lane.
@@ -347,7 +347,7 @@ impl FlightRecorder {
     /// lane count). Slow and failed traces are additionally copied
     /// into the reserved tail lane.
     pub fn record(&self, shard: usize, trace: Trace) {
-        let tail = trace.failed() || trace.duration() >= self.slow_threshold;
+        let tail = trace.failed() || trace.duration() >= SLOW_TRACE_SECONDS;
         if tail {
             self.lane(self.lanes.len() - 1).push(trace.clone(), self.capacity);
         }
@@ -356,17 +356,18 @@ impl FlightRecorder {
 
     /// All currently-held traces from every lane (tail lane excluded
     /// unless a trace only survives there), sorted by start time then
-    /// id, deduplicated by id.
+    /// id, deduplicated by id: of two copies with one id, the first in
+    /// lane order survives. Each lane's lock is held only to copy its
+    /// traces out; the dedup and the sort run after, in O(n log n).
     #[must_use]
     pub fn traces(&self) -> Vec<Trace> {
         let mut out: Vec<Trace> = Vec::new();
         for i in 0..self.lanes.len() {
-            for t in &self.lane(i).buf {
-                if !out.iter().any(|o| o.id == t.id) {
-                    out.push(t.clone());
-                }
-            }
+            out.extend(self.lane(i).buf.iter().cloned());
         }
+        // The sort is stable, so equal ids keep their lane order.
+        out.sort_by_key(|t| t.id);
+        out.dedup_by_key(|t| t.id);
         out.sort_by(|a, b| a.started_at().total_cmp(&b.started_at()).then_with(|| a.id.cmp(&b.id)));
         out
     }
@@ -453,6 +454,7 @@ pub fn to_chrome_json(traces: &[Trace]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn finished(seed: u64, seq: u64, start: f64, dur: f64, fail: bool) -> Trace {
         let mut t = Trace::new(trace_id(seed, seq), seq);
@@ -498,7 +500,7 @@ mod tests {
 
     #[test]
     fn recorder_drops_oldest_with_exact_accounting() {
-        let r = FlightRecorder::new(1, 2, f64::INFINITY);
+        let r = FlightRecorder::new(1, 2);
         for seq in 0..5 {
             r.record(0, finished(7, seq, seq as f64, 0.1, false));
         }
@@ -511,7 +513,7 @@ mod tests {
 
     #[test]
     fn tail_lane_keeps_slow_and_failed_traces() {
-        let r = FlightRecorder::new(1, 2, 1.0);
+        let r = FlightRecorder::new(1, 2);
         r.record(0, finished(7, 0, 0.0, 5.0, false)); // slow
         r.record(0, finished(7, 1, 1.0, 0.1, true)); // failed
         for seq in 2..10 {
@@ -523,9 +525,50 @@ mod tests {
         assert_eq!(r.dropped(), 8, "the shard lane evicted 8 of 10; the tail lane none");
     }
 
+    /// The scan [`FlightRecorder::traces`] replaced, kept as the
+    /// reference its output must match: every lane in order, each trace
+    /// kept unless an earlier one has its id (a quadratic scan under
+    /// the lane's lock), then sorted by start time and id.
+    fn reference_traces(r: &FlightRecorder) -> Vec<Trace> {
+        let mut out: Vec<Trace> = Vec::new();
+        for i in 0..r.lanes.len() {
+            for t in &r.lane(i).buf {
+                if !out.iter().any(|o| o.id == t.id) {
+                    out.push(t.clone());
+                }
+            }
+        }
+        out.sort_by(|a, b| a.started_at().total_cmp(&b.started_at()).then_with(|| a.id.cmp(&b.id)));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Records across shards read back exactly as the reference
+        /// scan reads them. Ids come from a few sequence numbers, so one
+        /// id recurs in several lanes with different starts and
+        /// durations; starts come from a few values, so distinct ids
+        /// tie on start; slow (kind 1) and failed (kind 2) traces also
+        /// land in the tail lane; small capacities make lanes wrap.
+        #[test]
+        fn traces_match_the_reference_scan(
+            shards in 1usize..4,
+            capacity in 1usize..6,
+            records in prop::collection::vec((0usize..5, 0u64..12, 0u32..4, 0u32..3), 0..40),
+        ) {
+            let r = FlightRecorder::new(shards, capacity);
+            for &(shard, seq, start, kind) in &records {
+                let dur = if kind == 1 { SLOW_TRACE_SECONDS + 1.0 } else { 0.1 };
+                r.record(shard, finished(7, seq, f64::from(start), dur, kind == 2));
+            }
+            prop_assert_eq!(r.traces(), reference_traces(&r));
+        }
+    }
+
     #[test]
     fn lookup_by_id_spans_lanes() {
-        let r = FlightRecorder::new(2, 4, f64::INFINITY);
+        let r = FlightRecorder::new(2, 4);
         let t = finished(7, 3, 0.0, 0.1, false);
         let id = t.id;
         r.record(1, t);

@@ -14,35 +14,24 @@
 //! every line against `tests/expected_fingerprints.txt`, so `cargo test`
 //! under any `RAYON_NUM_THREADS` catches a determinism regression.
 //!
-//! A third contract rides along: telemetry is observation-only. With
-//! `GTLB_TELEMETRY=1` every runtime here records metrics and events,
-//! and every fingerprint must still be bit-identical — telemetry draws
-//! no RNG and never feeds a deterministic output.
+//! Three more contracts ride along: telemetry, tracing and the control
+//! plane are observation-only. [`Observers`] switches each of them on
+//! for every runtime here — telemetry records metrics and events,
+//! tracing records sampled traces into the flight recorder, and a live
+//! `gtlb-net` listener is attached (bound to a loopback port, probed
+//! once, otherwise idle) — and every fingerprint must still be
+//! bit-identical: none of them draws from an RNG stream or feeds a
+//! deterministic output. `tests/fingerprints.rs` checks all eight
+//! combinations. The `traced_chaos` line complements it from the other
+//! side: it forces tracing on whatever the observers say and folds the
+//! recorded trace set itself, so the *traces* are pinned as a pure
+//! function of (seed, plan) too — identical across the thread matrix
+//! and across every other observer.
 //!
-//! A fourth contract mirrors it for the network layer: the control
-//! plane is ingestion-only and owns no RNG stream. With
-//! `GTLB_CONTROL_PLANE=1` every runtime-backed fingerprint here runs
-//! with a live `gtlb-net` listener attached (bound to a loopback port,
-//! scraped once, otherwise idle), and every fingerprint must still be
-//! bit-identical.
-//!
-//! A fifth contract covers tracing: per-job traces are identity-hashed
-//! and head-sampled with **no RNG stream and no clock** of their own.
-//! With `GTLB_TRACING=1` every runtime here records sampled traces into
-//! its flight recorder, and every fingerprint must still be
-//! bit-identical. CI's `fingerprint-invariance` matrix runs
-//! `tests/fingerprints.rs` with each of the three knobs set. The
-//! `traced_chaos` line complements it from the other side: it forces
-//! tracing on regardless of the knob and folds the recorded trace set
-//! itself, so the *traces* are pinned as a pure function of (seed,
-//! plan) too — identical across the thread matrix and across every
-//! other knob.
+//! `main` prints the fingerprints with every observer off:
 //!
 //! ```text
 //! RAYON_NUM_THREADS=2 cargo run --release --example determinism_fingerprint
-//! GTLB_TELEMETRY=1 cargo run --release --example determinism_fingerprint
-//! GTLB_CONTROL_PLANE=1 cargo run --release --example determinism_fingerprint
-//! GTLB_TRACING=1 cargo run --release --example determinism_fingerprint
 //! ```
 
 use std::io::{Read, Write};
@@ -66,57 +55,24 @@ fn fold(hash: &mut u64, word: u64) {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// Whether this run records telemetry (`GTLB_TELEMETRY=1`). Either way
-/// the printed fingerprints must be identical — that is the invariance
-/// CI checks. Read once and pinned: a knob flipping mid-run (or a test
-/// harness mutating the environment) must not split one invocation's
-/// fingerprints across two configurations.
-fn telemetry_on() -> bool {
-    static PINNED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PINNED.get_or_init(|| std::env::var("GTLB_TELEMETRY").is_ok_and(|v| v == "1"))
+/// The observation-only features every runtime-backed fingerprint runs
+/// with. Each combination must print the same fingerprints.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Observers {
+    /// Telemetry: metrics and the event ring.
+    pub telemetry: bool,
+    /// Per-job tracing at the default 1-in-64 sampling.
+    pub tracing: bool,
+    /// A live loopback control plane, probed once and otherwise idle.
+    pub control_plane: bool,
 }
 
-/// Whether this run attaches a live control plane to every
-/// runtime-backed fingerprint (`GTLB_CONTROL_PLANE=1`). The listener is
-/// bound, scraped once, and left idle — and the printed fingerprints
-/// must be identical either way. Pinned at first read, like
-/// [`telemetry_on`].
-fn control_plane_on() -> bool {
-    static PINNED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PINNED.get_or_init(|| std::env::var("GTLB_CONTROL_PLANE").is_ok_and(|v| v == "1"))
-}
-
-/// Whether this run records per-job traces (`GTLB_TRACING=1`, default
-/// sampling). Tracing owns no RNG stream and no clock, so the printed
-/// fingerprints must be identical either way. Pinned at first read,
-/// like [`telemetry_on`].
-fn tracing_on() -> bool {
-    static PINNED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PINNED.get_or_init(|| std::env::var("GTLB_TRACING").is_ok_and(|v| v == "1"))
-}
-
-/// Pin the process environment before any fingerprint runs: the three
-/// invariance knobs are captured once (and echoed to stderr so a CI log
-/// shows which configuration produced the output), and the bench
-/// harness's variables are cleared — `GTLB_BENCH_QUICK`/`GTLB_BENCH_JSON`
-/// leaking in from an operator's shell must never reshape this output.
-pub fn pin_environment() {
-    std::env::remove_var("GTLB_BENCH_QUICK");
-    std::env::remove_var("GTLB_BENCH_JSON");
-    eprintln!(
-        "telemetry: {}, control plane: {}, tracing: {}",
-        telemetry_on(),
-        control_plane_on(),
-        tracing_on()
-    );
-}
-
-/// Attaches an idle loopback control plane to `rt` when
-/// `GTLB_CONTROL_PLANE=1`, probing `/healthz` once so the listener is
-/// demonstrably live, not just bound. The returned guard keeps it
-/// serving until the fingerprint is folded.
-fn attach_idle_control_plane(rt: &Arc<Runtime>) -> Option<ControlPlane> {
-    if !control_plane_on() {
+/// Attaches an idle loopback control plane to `rt` when `obs` asks for
+/// one, probing `/healthz` once so the listener is demonstrably live,
+/// not just bound. The returned guard keeps it serving until the
+/// fingerprint is folded.
+fn attach_idle_control_plane(rt: &Arc<Runtime>, obs: Observers) -> Option<ControlPlane> {
+    if !obs.control_plane {
         return None;
     }
     let cp = ControlPlane::builder(Arc::clone(rt))
@@ -161,7 +117,7 @@ fn replication_fingerprint(res: &ReplicatedResult) -> u64 {
 /// transition). The fault and retry draws live on their own stream
 /// families, so this trace is a pure function of (seed, plan, shard
 /// count) — checked across the thread matrix with faults *enabled*.
-fn chaos_trace_fingerprint(shards: usize) -> u64 {
+fn chaos_trace_fingerprint(shards: usize, obs: Observers) -> u64 {
     let rt = Arc::new(
         Runtime::builder()
             .seed(0xF1A6)
@@ -169,11 +125,11 @@ fn chaos_trace_fingerprint(shards: usize) -> u64 {
             .nominal_arrival_rate(2.1)
             .shards(shards)
             .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.0 })
-            .telemetry(telemetry_on())
-            .tracing(tracing_on())
+            .telemetry(obs.telemetry)
+            .tracing(obs.tracing)
             .build(),
     );
-    let _cp = attach_idle_control_plane(&rt);
+    let _cp = attach_idle_control_plane(&rt, obs);
     let ids: Vec<NodeId> =
         [4.0, 2.0, 1.0].iter().map(|&rate| rt.register_node(rate).unwrap()).collect();
     rt.resolve_now().unwrap();
@@ -232,20 +188,20 @@ fn span_words(kind: SpanKind) -> (u64, u64, u64, u64) {
 /// recorded trace's id, sequence, spans (kind, fields, and virtual-time
 /// stamps), plus the flight recorder's exact accounting. Tracing draws
 /// nothing, so this line is a pure function of (seed, plan) — identical
-/// across the thread matrix and under every invariance knob, including
-/// `GTLB_TRACING` itself (the forced config wins over the knob).
-fn traced_chaos_fingerprint() -> u64 {
+/// across the thread matrix and under every [`Observers`] combination,
+/// including `tracing` itself (the forced config wins).
+fn traced_chaos_fingerprint(obs: Observers) -> u64 {
     let rt = Arc::new(
         Runtime::builder()
             .seed(0xF1A6)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.1)
             .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.0 })
-            .telemetry(telemetry_on())
+            .telemetry(obs.telemetry)
             .tracing_config(TracingConfig::default())
             .build(),
     );
-    let _cp = attach_idle_control_plane(&rt);
+    let _cp = attach_idle_control_plane(&rt, obs);
     let ids: Vec<NodeId> =
         [4.0, 2.0, 1.0].iter().map(|&rate| rt.register_node(rate).unwrap()).collect();
     rt.resolve_now().unwrap();
@@ -284,7 +240,7 @@ fn traced_chaos_fingerprint() -> u64 {
 /// The merged sharded-dispatch decision sequence (node id and epoch of
 /// every decision), executed by however many workers the environment
 /// grants, folded to one word.
-fn sharded_dispatch_fingerprint() -> u64 {
+fn sharded_dispatch_fingerprint(obs: Observers) -> u64 {
     const SHARDS: usize = 4;
     const JOBS: usize = 8_192;
     let rt = Arc::new(
@@ -293,11 +249,11 @@ fn sharded_dispatch_fingerprint() -> u64 {
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(4.2)
             .shards(SHARDS)
-            .telemetry(telemetry_on())
-            .tracing(tracing_on())
+            .telemetry(obs.telemetry)
+            .tracing(obs.tracing)
             .build(),
     );
-    let _cp = attach_idle_control_plane(&rt);
+    let _cp = attach_idle_control_plane(&rt, obs);
     for &rate in &[4.0, 2.0, 1.0] {
         rt.register_node(rate).unwrap();
     }
@@ -323,8 +279,8 @@ fn sharded_dispatch_fingerprint() -> u64 {
     h
 }
 
-/// Every fingerprint, in output order, as `(name, value)`.
-pub fn fingerprints() -> Vec<(&'static str, u64)> {
+/// Every fingerprint under `obs`, in output order, as `(name, value)`.
+pub fn fingerprints(obs: Observers) -> Vec<(&'static str, u64)> {
     let cluster = Cluster::from_groups(&[(1, 4.0), (3, 1.0)]).unwrap();
     let phi = cluster.arrival_rate_for_utilization(0.7);
     let loads = Coop.allocate(&cluster, phi).unwrap();
@@ -335,17 +291,16 @@ pub fn fingerprints() -> Vec<(&'static str, u64)> {
 
     vec![
         ("replication_fingerprint", replication_fingerprint(&replicated)),
-        ("sharded_dispatch_fingerprint", sharded_dispatch_fingerprint()),
-        ("chaos_trace_fingerprint", chaos_trace_fingerprint(1)),
-        ("chaos_trace_sharded_fingerprint", chaos_trace_fingerprint(4)),
-        ("traced_chaos_fingerprint", traced_chaos_fingerprint()),
+        ("sharded_dispatch_fingerprint", sharded_dispatch_fingerprint(obs)),
+        ("chaos_trace_fingerprint", chaos_trace_fingerprint(1, obs)),
+        ("chaos_trace_sharded_fingerprint", chaos_trace_fingerprint(4, obs)),
+        ("traced_chaos_fingerprint", traced_chaos_fingerprint(obs)),
     ]
 }
 
 fn main() {
-    pin_environment();
     eprintln!("workers: {}", thread_count());
-    for (name, value) in fingerprints() {
+    for (name, value) in fingerprints(Observers::default()) {
         println!("{name} {value:016x}");
     }
 }

@@ -43,7 +43,7 @@ fn phase_row(label: &str, stats: &TraceStats, analytic: f64) -> Vec<String> {
     ]
 }
 
-fn main() {
+pub fn main() {
     // A 2-fast/4-slow cluster designed for 55% utilization — low enough
     // that losing a fast node (capacity 24 → 16) leaves the stream
     // carryable at ρ = 0.825.

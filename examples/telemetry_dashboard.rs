@@ -16,9 +16,9 @@
 //! slowest trace the flight recorder holds — admission to terminal,
 //! every retry attempt on the way.
 //!
-//! Telemetry and tracing are observation-only: run this with
-//! `GTLB_TELEMETRY` unset or `=0` and the job stream is bit-identical
-//! — only the dashboard goes dark.
+//! Telemetry and tracing are observation-only: built without them, the
+//! runtime routes a bit-identical job stream — only the dashboard goes
+//! dark.
 //!
 //! ```text
 //! cargo run --release --example telemetry_dashboard
@@ -157,7 +157,7 @@ fn render_frame(
     *prev = Some(snap);
 }
 
-fn main() {
+pub fn main() {
     // A 1-fast/2-slow cluster at moderate load; the fast node crashes
     // mid-trace and the slow one turns flaky while it is gone.
     let rates = [4.0, 2.0, 1.0];

@@ -15,19 +15,6 @@ use gtlb::runtime::{
     TracingConfig,
 };
 
-/// Clears the harness/observability knobs once per process: this test
-/// wires its control plane and telemetry explicitly, and an ambient
-/// `GTLB_TELEMETRY`/`GTLB_CONTROL_PLANE`/`GTLB_BENCH_*` from the
-/// caller's shell must not leak into the runtimes it builds.
-fn pin_env() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        for var in ["GTLB_TELEMETRY", "GTLB_CONTROL_PLANE", "GTLB_BENCH_QUICK", "GTLB_BENCH_JSON"] {
-            std::env::remove_var(var);
-        }
-    });
-}
-
 /// Sends one HTTP/1.1 request and returns `(status, body)`.
 fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
     let mut conn = TcpStream::connect(addr).expect("connect to control plane");
@@ -74,7 +61,6 @@ fn wait_for_nodes(addr: SocketAddr, deadline: Duration, pred: impl Fn(&str) -> b
 
 #[test]
 fn control_plane_drives_the_full_node_lifecycle() {
-    pin_env();
     let runtime = Arc::new(
         Runtime::builder()
             .seed(41)
@@ -184,7 +170,6 @@ fn control_plane_drives_the_full_node_lifecycle() {
 
 #[test]
 fn malformed_and_oversized_requests_get_typed_errors() {
-    pin_env();
     let runtime = Arc::new(Runtime::builder().seed(42).nominal_arrival_rate(0.5).build());
     let cp = ControlPlane::builder(runtime).bind("127.0.0.1:0").start().unwrap();
     let addr = cp.local_addr();
@@ -224,7 +209,6 @@ fn malformed_and_oversized_requests_get_typed_errors() {
 
 #[test]
 fn traces_of_a_chaos_run_are_served_causally_ordered_over_http() {
-    pin_env();
     // A traced chaos run first: crash/recover plus a flaky window so
     // the recorder holds retried and failed traces, not just happy
     // paths.
@@ -233,11 +217,7 @@ fn traces_of_a_chaos_run_are_served_causally_ordered_over_http() {
             .seed(0xC4A0)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(1.2)
-            .tracing_config(TracingConfig {
-                sample_mask: 0,
-                recorder_capacity: 4096,
-                ..TracingConfig::default()
-            })
+            .tracing_config(TracingConfig { sample_mask: 0, recorder_capacity: 4096 })
             .build(),
     );
     let ids: Vec<_> = [2.0, 1.0, 0.5].iter().map(|&r| runtime.register_node(r).unwrap()).collect();
