@@ -16,7 +16,8 @@
 //!   requests parse back-to-back and a request split across arbitrary
 //!   TCP segment boundaries reassembles exactly (property-tested);
 //! * one buffer per request: each read lands straight in the reader's
-//!   buffer, and a complete request takes that buffer with it when no
+//!   buffer (a request's first read asks for 512 bytes, later ones for
+//!   4 KiB), and a complete request takes that buffer with it when no
 //!   pipelined bytes follow (it is copied out only when they do). A
 //!   [`Request`] keeps its target, header lines and body as ranges of
 //!   those bytes, so parsing a request allocates once;
@@ -245,6 +246,12 @@ impl std::fmt::Debug for Request {
 /// is zeroed only when it grows, by the bytes earlier reads filled.
 const READ_CHUNK: usize = 4096;
 
+/// Bytes a request's first read asks for: an agent's heartbeat or
+/// metrics POST fits, so a short request allocates and zeroes no more.
+/// The caps do not depend on read boundaries, so a longer request only
+/// takes more reads.
+const FIRST_READ: usize = 512;
+
 /// Incremental request reader over any [`Read`] stream. Bytes beyond
 /// the current request stay buffered, so pipelined requests parse
 /// back-to-back with no data loss.
@@ -382,11 +389,13 @@ impl<R: Read> RequestReader<R> {
         Ok(())
     }
 
-    /// Reads once, at most [`READ_CHUNK`] bytes, straight into the
-    /// buffer after the bytes already read; returns the byte count (0
-    /// on EOF). Timeouts map to [`HttpError::Timeout`].
+    /// Reads once, at most [`FIRST_READ`] bytes into an empty buffer and
+    /// [`READ_CHUNK`] bytes otherwise, straight into the buffer after
+    /// the bytes already read; returns the byte count (0 on EOF).
+    /// Timeouts map to [`HttpError::Timeout`].
     fn fill(&mut self) -> Result<usize, HttpError> {
-        let window = self.filled..self.filled + READ_CHUNK;
+        let chunk = if self.filled == 0 { FIRST_READ } else { READ_CHUNK };
+        let window = self.filled..self.filled + chunk;
         if self.buf.len() < window.end {
             // Zeroes only the bytes the window adds; the capacity
             // doubles, so growth stays amortized.

@@ -28,8 +28,9 @@ use crate::error::RuntimeError;
 use crate::fault::{DropCause, FaultInjector, FaultPlan};
 use crate::registry::NodeId;
 use crate::retry::{RetryPolicy, RETRY_STREAM};
+use crate::shard::ShardGuard;
 use crate::telemetry::Telemetry;
-use crate::{AttemptOutcome, Runtime, SpanKind, Submission, Trace};
+use crate::{AttemptOutcome, Runtime, SpanKind, State, Submission, Trace};
 
 /// RNG stream id of the driver's arrival process.
 pub const DRIVER_ARRIVAL_STREAM: u64 = 0x0500;
@@ -179,6 +180,11 @@ struct NodeLane {
 /// shared histograms, at most: a scrape made during
 /// [`TraceDriver::run_jobs`] lags it by at most this many completions.
 const FLUSH_EVERY: u64 = 4_096;
+
+/// Jobs [`TraceDriver::run_jobs`] runs under one hold of the runtime's
+/// locks, at most: a batch ends early, after its current job, when
+/// another thread waits for one of them.
+const BATCH: u64 = 64;
 
 /// Served jobs' response times and queue waits, recorded in plain cells
 /// and added into the runtime's `gtlb_response_seconds` and
@@ -342,15 +348,18 @@ impl TraceDriver {
     /// arrival still feeds `Φ̂`, because admission reacts to *offered*
     /// load.
     ///
-    /// Each attempt that the runtime learns from is one `state` critical
-    /// section: a served attempt records its service time (and, with
-    /// faults on, the detector's success) together, a dropped one the
-    /// detector's failure. The job's arrival lands in its first such
-    /// section, or on its own after the attempts when there is none (a
-    /// job shed on its first attempt, or one whose budget ran out on an
-    /// empty table). The order is the separate calls' order — heartbeats,
-    /// then the arrival, then the job's observations — and nothing reads
-    /// `Φ̂` before the arrival lands.
+    /// Jobs run in batches of at most 64. A batch takes every dispatch
+    /// shard in ascending order and then `state` once, and runs each
+    /// job's heartbeats, arrival, admission, dispatch and feedback on the
+    /// held guards, re-solves and renormalizations included, through the
+    /// same bodies the public methods lock and call, in the separate
+    /// calls' order: heartbeats, then the arrival, then the job's
+    /// attempts. Before each attempt the held shard re-reads the table
+    /// slot if a publish has landed, so every attempt routes on the table
+    /// a fresh guard would have seen. When another thread waits for
+    /// `state` or a shard, the batch ends after its current job and the
+    /// driver yields until that thread has the lock; no lock is held
+    /// between calls.
     ///
     /// Resumable: queues, clocks and RNG streams persist across calls, so
     /// callers can inject control-plane events between chunks.
@@ -377,7 +386,30 @@ impl TraceDriver {
     /// [`RuntimeError::UnknownNode`] when a chosen node was deregistered
     /// mid-flight.
     pub fn run_jobs(&mut self, runtime: &Runtime, jobs: u64) -> Result<(), RuntimeError> {
-        let result = (0..jobs).try_for_each(|_| self.run_job(runtime));
+        let mut shards = Vec::with_capacity(runtime.shard_count());
+        let mut left = jobs;
+        let mut result = Ok(());
+        while left > 0 && result.is_ok() {
+            // The lock order: every shard in ascending index, then `state`.
+            let dispatcher = runtime.sharded_dispatcher();
+            shards.extend((0..dispatcher.shard_count()).map(|k| dispatcher.shard(k)));
+            let mut state = runtime.state();
+            let end = left.saturating_sub(BATCH);
+            while left > end && result.is_ok() {
+                left -= 1;
+                result = self.run_job(runtime, &mut shards, &mut state);
+                if runtime.has_waiters() {
+                    break;
+                }
+            }
+            drop(state);
+            shards.clear();
+            // `Mutex` lets its holder take it again before a woken waiter
+            // runs: without this, a waiter could wait out many batches.
+            while runtime.has_waiters() {
+                std::thread::yield_now();
+            }
+        }
         // Flushing on every return puts each record in the runtime that
         // served its job, even when one driver alternates runtimes.
         if let Some(served) = &mut self.served {
@@ -386,9 +418,15 @@ impl TraceDriver {
         result
     }
 
-    /// One job of [`TraceDriver::run_jobs`]: its arrival, the heartbeats
-    /// due by then, and the offer.
-    fn run_job(&mut self, runtime: &Runtime) -> Result<(), RuntimeError> {
+    /// One job of [`TraceDriver::run_jobs`] on a batch's held `shards`
+    /// and `state`: its arrival, the heartbeats due by then, and the
+    /// offer.
+    fn run_job(
+        &mut self,
+        runtime: &Runtime,
+        shards: &mut [ShardGuard<'_>],
+        state: &mut State,
+    ) -> Result<(), RuntimeError> {
         let gap = -self.arrivals.next_open01().ln() / self.phi;
         self.clock += gap;
         let arrived = self.clock;
@@ -401,21 +439,16 @@ impl TraceDriver {
                 runtime.telemetry().record_fault_marker(&marker);
             }
         }
-        self.run_heartbeats(runtime, arrived)?;
+        self.run_heartbeats(runtime, state, arrived);
 
         self.submitted += 1;
         self.sequence += 1;
         // Tracing is draw-free: begin() is a hash plus a mask test,
         // so the sampled/unsampled decision cannot perturb the run.
         let mut trace = runtime.tracer().begin(self.sequence);
-        // The arrival rides in the job's first `state` critical
-        // section; a job that never reaches one records it here.
-        // Nothing in between reads Φ̂.
-        let mut arrival = Some(arrived);
-        let outcome = self.offer_job(runtime, arrived, &mut arrival, &mut trace);
-        if let Some(at) = arrival {
-            runtime.record_arrival(at);
-        }
+        // Every arrival feeds Φ̂, whatever happens to the job.
+        state.record_arrival(arrived);
+        let outcome = self.offer_job(runtime, shards, state, arrived, &mut trace);
         if let Some(t) = trace.take() {
             let shard = t
                 .spans
@@ -433,23 +466,19 @@ impl TraceDriver {
     /// Delivers all heartbeat ticks due at or before `upto`: every
     /// registered node is probed in registration order (Down nodes too —
     /// the probation path runs on probes), and the outcome feeds the
-    /// runtime's failure detector.
-    fn run_heartbeats(&mut self, runtime: &Runtime, upto: f64) -> Result<(), RuntimeError> {
-        let Some(hb) = &mut self.heartbeat else { return Ok(()) };
+    /// runtime's failure detector as [`Runtime::observe_success`] and
+    /// [`Runtime::observe_failure`] feed it.
+    fn run_heartbeats(&mut self, runtime: &Runtime, state: &mut State, upto: f64) {
+        let Some(hb) = &mut self.heartbeat else { return };
         while hb.next <= upto {
             let t = hb.next;
             hb.next += hb.interval;
-            runtime.node_ids_into(&mut hb.ids);
+            state.node_ids_into(&mut hb.ids);
             for &node in &hb.ids {
                 let dropped = self.faults.as_mut().is_some_and(|f| f.heartbeat_drops(node, t));
-                if dropped {
-                    runtime.observe_failure(node, t)?;
-                } else {
-                    runtime.observe_success(node, t)?;
-                }
+                runtime.observe(state, node, t, !dropped);
             }
         }
-        Ok(())
     }
 
     /// Offers one job through admission/dispatch, simulating drops and
@@ -463,14 +492,15 @@ impl TraceDriver {
     /// stamped with the virtual times the loop computed anyway, so
     /// tracing adds no draws and no clock reads.
     ///
-    /// Each served or dropped attempt makes one `state` critical
-    /// section ([`Runtime::record_served`] / [`Runtime::record_dropped`]);
-    /// the first one takes the job's pending `arrival` with it.
+    /// Each attempt routes on its shard's held guard, refreshed first,
+    /// and a served or dropped one feeds the held `state`
+    /// ([`Runtime::record_served`] / [`Runtime::record_dropped`]).
     fn offer_job(
         &mut self,
         runtime: &Runtime,
+        shards: &mut [ShardGuard<'_>],
+        state: &mut State,
         arrived: f64,
-        arrival: &mut Option<f64>,
         trace: &mut Option<Trace>,
     ) -> Result<(), RuntimeError> {
         let budget = self.retry.as_ref().map_or(1, |(p, _)| p.max_attempts());
@@ -486,9 +516,13 @@ impl TraceDriver {
             attempt += 1;
             // Claim the round-robin shard explicitly so the trace can
             // name it; `submit()` is exactly `submit_on(next_shard())`,
-            // so the decision stream is untouched.
+            // so the decision stream is untouched. A publish since the
+            // shard last looked (a transition this batch applied) reaches
+            // it here, as it would reach a fresh guard.
             let shard = runtime.sharded_dispatcher().next_shard();
-            let decision = match runtime.submit_on(shard) {
+            let guard = &mut shards[shard];
+            guard.refresh();
+            let decision = match runtime.submit_with(guard) {
                 Ok(Submission::Dispatched(d)) => Some(d),
                 Ok(Submission::Rejected) if attempt == 1 => {
                     if let Some(t) = trace.as_mut() {
@@ -544,7 +578,7 @@ impl TraceDriver {
                     let seed = self.seed;
                     let lane = self.lane(node);
                     let start = t_attempt.max(lane.next_free);
-                    let done = runtime.record_served(arrival.take(), node, chaos, |mu| {
+                    let done = runtime.record_served(state, node, chaos, |mu| {
                         let rng = lane.service.get_or_insert_with(|| {
                             Xoshiro256PlusPlus::stream(
                                 seed,
@@ -585,7 +619,7 @@ impl TraceDriver {
                 // detector hears about it at the deadline.
                 self.dropped += 1;
                 runtime.telemetry().record_fault_drop(0, node, t_attempt);
-                runtime.record_dropped(arrival.take(), node, t_attempt + timeout)?;
+                runtime.record_dropped(state, node, t_attempt + timeout)?;
                 if let Some(t) = trace.as_mut() {
                     let outcome = match cause {
                         DropCause::Partition => AttemptOutcome::PartitionDrop,
@@ -987,6 +1021,127 @@ mod tests {
         assert_eq!(sequences, (1..=200).collect::<Vec<_>>());
         let last = rt.tracer().id_of(200).unwrap();
         assert_eq!(rt.tracer().trace(last).unwrap().sequence, 200);
+    }
+
+    /// Everything a chaos-style run leaves behind, offered `chunk` jobs
+    /// per `run_jobs` call: the books, the detector's transitions, the
+    /// publishes, the dispatch counts and the recorded traces.
+    type Books = (TraceStats, Vec<crate::HealthTransition>, u64, Vec<(NodeId, u64)>, Vec<Trace>);
+
+    fn chaos_books(jobs: u64, chunk: u64) -> Books {
+        let rt = RuntimeBuilder::new()
+            .seed(17)
+            .scheme(SchemeKind::Coop)
+            .nominal_arrival_rate(2.4)
+            .admission(crate::AdmissionConfig { target_utilization: 0.8, defer_band: 0.05 })
+            .tracing_config(crate::TracingConfig::sample_all())
+            .build();
+        let ids: Vec<NodeId> =
+            [2.0, 1.0, 1.0, 0.5].iter().map(|&r| rt.register_node(r).unwrap()).collect();
+        rt.resolve_now().unwrap();
+        let plan = FaultPlan::new(29)
+            .crash_recover(ids[0], 60.0, 40.0)
+            .flaky(ids[1], 20.0, 200.0, 0.3)
+            .slow(ids[2], 80.0, 120.0, 0.5)
+            .gray(ids[2], 300.0, 60.0, 2.0, 0.2)
+            .partition(ids[3], 150.0, 40.0, crate::PartitionDirection::DropDispatch)
+            .partition(ids[1], 400.0, 30.0, crate::PartitionDirection::DropHeartbeats);
+        let mut driver = TraceDriver::new(2.4, TraceConfig { seed: 5, batch_size: 100 })
+            .with_faults(plan)
+            .with_retry(RetryPolicy::new(crate::RetryConfig::default()).unwrap())
+            .with_heartbeats(1.0);
+        let mut left = jobs;
+        while left > 0 {
+            let n = chunk.min(left);
+            driver.run_jobs(&rt, n).unwrap();
+            left -= n;
+        }
+        (
+            driver.stats(),
+            rt.health_transitions(),
+            rt.swap_stats().publishes,
+            rt.hit_counts(),
+            rt.tracer().traces(),
+        )
+    }
+
+    #[test]
+    fn batching_is_invisible() {
+        // One call runs the jobs in batches under held locks; one call
+        // per job takes fresh locks for every job, as the runtime's
+        // public entry points do. Transitions publish inside batches, so
+        // this holds only if each attempt sees the publishes before it.
+        let (stats, transitions, publishes, hits, traces) = chaos_books(1_500, 1_500);
+        assert!(stats.is_conserved(), "{stats:?}");
+        assert!(stats.rejected + stats.deferred > 0 && stats.dropped > 0, "{stats:?}");
+        assert!(stats.retried > 0 && stats.failed > 0, "{stats:?}");
+        assert!(transitions.len() > 20, "the plan must drive transitions: {transitions:?}");
+        assert!(publishes > 20, "transitions must publish: {publishes}");
+        assert_eq!(hits.len(), 4);
+        assert!(!traces.is_empty());
+
+        let (single, single_transitions, single_publishes, single_hits, single_traces) =
+            chaos_books(1_500, 1);
+        assert_eq!(single.mean_response.to_bits(), stats.mean_response.to_bits());
+        assert_eq!(format!("{single:?}"), format!("{stats:?}"));
+        assert_eq!(single_transitions, transitions);
+        assert_eq!(single_publishes, publishes);
+        assert_eq!(single_hits, hits);
+        assert_eq!(single_traces, traces);
+    }
+
+    #[test]
+    fn a_waiting_thread_gets_the_locks_within_a_batch() {
+        // Measured in virtual time, so a loaded machine cannot fail it:
+        // the driver publishes each job's arrival as the telemetry clock,
+        // so the clock's advance during another thread's call, times Φ,
+        // counts the jobs the driver ran while that call waited. The
+        // calls come a few batches apart, so each finds the driver
+        // mid-batch (back to back, they would starve the driver instead).
+        // The paper's Table 3.1 cluster at ρ = 0.7, every job traced.
+        let phi = 0.7 * 51.0;
+        let rt = RuntimeBuilder::new()
+            .seed(11)
+            .nominal_arrival_rate(phi)
+            .telemetry(true)
+            .tracing_config(crate::TracingConfig::sample_all())
+            .build();
+        let rates = [[10.0; 2].as_slice(), &[5.0; 3], &[2.0; 5], &[1.0; 6]].concat();
+        let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
+        let node = ids[0];
+        rt.resolve_now().unwrap();
+        let running = std::sync::atomic::AtomicBool::new(true);
+        let mut jobs: Vec<f64> = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut driver = TraceDriver::new(phi, TraceConfig::default());
+                while running.load(std::sync::atomic::Ordering::Relaxed) {
+                    driver.run_jobs(&rt, 10_000).unwrap();
+                }
+            });
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            let mut after = 0.0;
+            let jobs = (0..200)
+                .map(|_| {
+                    while rt.telemetry().clock() < after + (4 * BATCH) as f64 / phi {
+                        assert!(std::time::Instant::now() < deadline, "the driver stalled");
+                        std::thread::yield_now();
+                    }
+                    let before = rt.telemetry().clock();
+                    rt.observe_success(node, before).unwrap();
+                    after = rt.telemetry().clock();
+                    (after - before) * phi
+                })
+                .collect();
+            running.store(false, std::sync::atomic::Ordering::Relaxed);
+            jobs
+        });
+        jobs.sort_by(f64::total_cmp);
+        let median = jobs[jobs.len() / 2];
+        assert!(
+            median <= BATCH as f64,
+            "the driver ran {median:.1} jobs during the median call (max {:.1})",
+            jobs[jobs.len() - 1]
+        );
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub mod table;
 pub mod telemetry;
 pub mod tracing;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration;
 
 use estimator::EwmaRate;
@@ -305,6 +305,7 @@ impl RuntimeBuilder {
                 transitions: Vec::new(),
                 order: resolver::KeptOrder::default(),
             }),
+            state_waiters: AtomicU32::new(0),
             table,
             sharded,
             admission,
@@ -328,6 +329,39 @@ struct State {
     /// them: the next solve's sort starts here, near-sorted while
     /// measured rates drift (see [`Cluster::sort_by_rate_desc`]).
     order: resolver::KeptOrder,
+}
+
+impl State {
+    /// Records a job arrival at `t` into `Φ̂`: the body of
+    /// [`Runtime::record_arrival`].
+    pub(crate) fn record_arrival(&mut self, t: f64) {
+        self.arrivals.observe(t);
+    }
+
+    /// The body of [`Runtime::node_ids_into`].
+    pub(crate) fn node_ids_into(&self, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(self.registry.nodes().iter().map(Node::id));
+    }
+}
+
+/// Locks `mutex`, first with `try_lock`. A caller that finds it held
+/// counts itself in `waiters` until it holds the lock, so a thread that
+/// holds the lock across many operations (the trace driver's batch) can
+/// see that it should hand it over. Uncontended, this is one lock. The
+/// count guards no data, only the holder's choice to yield, so its
+/// updates are relaxed.
+pub(crate) fn lock_counted<'a, T>(mutex: &'a Mutex<T>, waiters: &AtomicU32) -> MutexGuard<'a, T> {
+    match mutex.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            waiters.fetch_add(1, Ordering::Relaxed);
+            let guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
+            waiters.fetch_sub(1, Ordering::Relaxed);
+            guard
+        }
+    }
 }
 
 /// What happened to one job offered through [`Runtime::submit`].
@@ -357,13 +391,19 @@ impl Submission {
 /// sharded dispatcher behind one shareable handle.
 pub struct Runtime {
     cfg: RuntimeConfig,
-    // Lock order: `state`, then the table slot. The dispatch path never
-    // takes `state`. Each method takes `state` once (`Mutex` is not
+    // Lock order: a dispatch shard's mutex (in ascending shard index),
+    // then `state`, then the table slot; the event ring's lanes and the
+    // flight recorder are leaves. Nothing locks a shard while holding
+    // `state`. Each method takes `state` once (`Mutex` is not
     // re-entrant) and hands the guard to the helpers it calls. The trace
-    // driver takes it once per served or dropped attempt
-    // (`record_served` / `record_dropped`, never under a shard guard),
-    // plus one `record_arrival` for a job that has neither.
+    // driver takes every shard and then `state` once per batch of jobs
+    // and runs each job's runtime work on the held guards, through the
+    // same bodies the public methods lock and call.
     state: Mutex<State>,
+    // Threads blocked on `state` right now (see `Runtime::state`): the
+    // trace driver ends its batch and hands the locks over while this,
+    // or the dispatcher's count, is nonzero.
+    state_waiters: AtomicU32,
     // Publish rule: both publishers (resolve and renormalize) hold
     // `state` from reading the live table or taking its epoch until
     // `publish_table` returns, so publishes land in epoch order and none
@@ -489,8 +529,7 @@ impl Runtime {
     /// periodic pollers (heartbeat loops and the like) reuse one `Vec`
     /// instead of allocating per tick. `out` is cleared first.
     pub fn node_ids_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.state().registry.nodes().iter().map(Node::id));
+        self.state().node_ids_into(out);
     }
 
     // ---- failure detection ---------------------------------------------
@@ -517,7 +556,7 @@ impl Runtime {
         node: NodeId,
         t: f64,
     ) -> Result<Option<HealthTransition>, RuntimeError> {
-        self.observe(node, t, true)
+        Ok(self.observe(&mut self.state(), node, t, true))
     }
 
     /// Feeds the failure detector one failed observation (dropped
@@ -534,7 +573,7 @@ impl Runtime {
         node: NodeId,
         t: f64,
     ) -> Result<Option<HealthTransition>, RuntimeError> {
-        self.observe(node, t, false)
+        Ok(self.observe(&mut self.state(), node, t, false))
     }
 
     /// Every health transition the detector has driven, in order.
@@ -566,7 +605,7 @@ impl Runtime {
 
     /// Records a job arrival at time `t` (drives `Φ̂`).
     pub fn record_arrival(&self, t: f64) {
-        self.state().arrivals.observe(t);
+        self.state().record_arrival(t);
     }
 
     /// Records a completed service at `node` (drives `μ̂ᵢ`). A completion
@@ -603,58 +642,50 @@ impl Runtime {
         Ok(())
     }
 
-    /// A served attempt's runtime work in one `state` critical section,
-    /// in the order of the separate calls: `arrival` (the job's pending
-    /// arrival, when this is its first section) into `Φ̂`; one lookup of
-    /// `node`'s row, whose declared μ `serve` turns into the service
-    /// time and the completion time; the service time into the node's
-    /// window; and, when `detect`, the detector's success at the
-    /// completion time. Returns the completion time.
+    /// A served attempt's runtime work on the held `state`, in the order
+    /// of the separate calls: one lookup of `node`'s row, whose declared
+    /// μ `serve` turns into the service time and the completion time;
+    /// the service time into the node's window, as
+    /// [`Runtime::record_service`] records it; and, when `detect`, the
+    /// detector's success at the completion time, as
+    /// [`Runtime::observe_success`] applies it. Returns the completion
+    /// time.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownNode`] when `node` is not registered, in
-    /// which case `serve` does not run; the arrival is recorded anyway.
+    /// which case `serve` does not run.
     pub(crate) fn record_served(
         &self,
-        arrival: Option<f64>,
+        state: &mut State,
         node: NodeId,
         detect: bool,
         serve: impl FnOnce(f64) -> (f64, f64),
     ) -> Result<f64, RuntimeError> {
-        let mut state = self.state();
-        if let Some(at) = arrival {
-            state.arrivals.observe(at);
-        }
         let row = state.registry.node_mut(node).ok_or(RuntimeError::UnknownNode(node))?;
         let (service, done) = serve(row.nominal_rate());
         row.observe_service(service);
         if detect {
             let transition = row.observe(&self.cfg.detector, done, true);
-            self.apply_transition(&mut state, transition);
+            self.apply_transition(state, transition);
         }
         Ok(done)
     }
 
-    /// A dropped attempt's runtime work in one `state` critical section:
-    /// `arrival` (the job's pending arrival, when this is its first
-    /// section) into `Φ̂`, then the detector's failure of `node` at `t`.
+    /// A dropped attempt's runtime work on the held `state`: the
+    /// detector's failure of `node` at `t`, as
+    /// [`Runtime::observe_failure`] applies it.
     ///
     /// # Errors
-    /// [`RuntimeError::UnknownNode`] when `node` is not registered; the
-    /// arrival is recorded anyway.
+    /// [`RuntimeError::UnknownNode`] when `node` is not registered.
     pub(crate) fn record_dropped(
         &self,
-        arrival: Option<f64>,
+        state: &mut State,
         node: NodeId,
         t: f64,
     ) -> Result<(), RuntimeError> {
-        let mut state = self.state();
-        if let Some(at) = arrival {
-            state.arrivals.observe(at);
-        }
         let row = state.registry.node_mut(node).ok_or(RuntimeError::UnknownNode(node))?;
         let transition = row.observe(&self.cfg.detector, t, false);
-        self.apply_transition(&mut state, transition);
+        self.apply_transition(state, transition);
         Ok(())
     }
 
@@ -734,13 +765,21 @@ impl Runtime {
     /// # Panics
     /// If `shard >= shard_count()`.
     pub fn submit_on(&self, shard: usize) -> Result<Submission, RuntimeError> {
-        let mut guard = self.sharded.shard(shard);
+        self.submit_with(&mut self.sharded.shard(shard))
+    }
+
+    /// [`Runtime::submit_on`]'s body on a held shard guard, which routes
+    /// on its own table: the trace driver refreshes it before each call.
+    pub(crate) fn submit_with(
+        &self,
+        guard: &mut ShardGuard<'_>,
+    ) -> Result<Submission, RuntimeError> {
         if let Some(control) = &self.admission {
             let u = guard.next_admission_draw();
             match control.decide(u) {
                 AdmissionVerdict::Accept => {}
                 verdict @ (AdmissionVerdict::Defer | AdmissionVerdict::Reject) => {
-                    self.telemetry.record_admission_shed(shard, verdict);
+                    self.telemetry.record_admission_shed(guard.index(), verdict);
                     return Ok(match verdict {
                         AdmissionVerdict::Defer => Submission::Deferred,
                         _ => Submission::Rejected,
@@ -884,8 +923,17 @@ impl Runtime {
 
     // ---- internals ------------------------------------------------------
 
+    /// Locks `state`. A caller that finds it held counts as waiting
+    /// until it gets it, so the trace driver hands over a batch's locks.
     fn state(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock_counted(&self.state, &self.state_waiters)
+    }
+
+    /// Whether a thread is blocked on `state` or on a dispatch shard:
+    /// two relaxed loads, which the trace driver makes after each job of
+    /// a batch.
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.state_waiters.load(Ordering::Relaxed) != 0 || self.sharded.has_waiters()
     }
 
     /// The rate `node` is solved with: the measured `μ̂` once its service
@@ -955,18 +1003,18 @@ impl Runtime {
         Ok(prev)
     }
 
-    /// Shared body of the `observe_*` pair: one row lookup and one
-    /// detector step under one `state` lock. An unknown node is ignored.
-    fn observe(
+    /// Shared body of the `observe_*` pair on the held `state`: one row
+    /// lookup and one detector step. An unknown node is ignored.
+    pub(crate) fn observe(
         &self,
+        state: &mut State,
         node: NodeId,
         t: f64,
         success: bool,
-    ) -> Result<Option<HealthTransition>, RuntimeError> {
-        let mut state = self.state();
-        let Some(row) = state.registry.node_mut(node) else { return Ok(None) };
+    ) -> Option<HealthTransition> {
+        let row = state.registry.node_mut(node)?;
         let transition = row.observe(&self.cfg.detector, t, success);
-        Ok(self.apply_transition(&mut state, transition))
+        self.apply_transition(state, transition)
     }
 
     /// Logs a transition the detector wrote into a row, under the held

@@ -77,12 +77,6 @@ impl RetryPolicy {
         Ok(Self { cfg })
     }
 
-    /// The validated configuration.
-    #[must_use]
-    pub fn config(&self) -> &RetryConfig {
-        &self.cfg
-    }
-
     /// Total attempts per job (first try included).
     #[must_use]
     pub fn max_attempts(&self) -> u32 {
@@ -139,6 +133,5 @@ mod tests {
         let p = RetryPolicy::new(RetryConfig::default()).unwrap();
         assert_eq!(p.max_attempts(), 4);
         assert!((p.timeout() - 1.0).abs() < 1e-12);
-        assert_eq!(p.config().max_attempts, 4);
     }
 }

@@ -33,12 +33,24 @@
 //! routes on the table that was live when it was taken, and the per-job
 //! entry points ([`ShardedDispatcher::dispatch_on`]) take a fresh guard
 //! per job, so they always see the latest publish. A held guard never
-//! delays a publish. Per job the hot path is one shard lock, one atomic
-//! load, one RNG draw, one O(1) alias lookup and one array increment;
-//! the round-robin claim adds one `fetch_add` only when there is more
-//! than one shard.
+//! delays a publish.
+//!
+//! The trace driver holds its guards for a batch of jobs instead and
+//! makes the same check before each attempt, so it routes on the same
+//! tables a fresh guard per job would. Per job its hot path is one
+//! atomic load, one RNG draw, one O(1) alias lookup and one array
+//! increment, plus one shard lock per batch; the round-robin claim adds
+//! one `fetch_add` only when there is more than one shard.
+//!
+//! ## Handing a held shard over
+//!
+//! Every shard lock the dispatcher takes first tries the mutex. A
+//! caller that finds it held counts itself in the dispatcher's waiter
+//! count while it blocks, and a batch holder that sees the count
+//! nonzero ends its batch and lets the waiter in (see
+//! [`TraceDriver::run_jobs`](crate::TraceDriver::run_jobs)).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
@@ -81,8 +93,8 @@ struct ShardCore {
     hits: Vec<u64>,
     /// Slot generation `table` was read at.
     generation: u64,
-    /// The table this shard routes on; [`ShardedDispatcher::shard`]
-    /// refreshes it when the slot's generation has moved.
+    /// The table this shard routes on; [`ShardGuard::refresh`] re-reads
+    /// it when the slot's generation has moved.
     table: Arc<RoutingTable>,
 }
 
@@ -106,6 +118,9 @@ pub struct ShardedDispatcher {
     table: Arc<EpochSwap<RoutingTable>>,
     shards: Vec<Mutex<ShardCore>>,
     round_robin: AtomicUsize,
+    /// Threads blocked on a shard's mutex right now (see
+    /// [`ShardedDispatcher::lock`]).
+    waiters: AtomicU32,
     telemetry: Telemetry,
 }
 
@@ -149,7 +164,13 @@ impl ShardedDispatcher {
                 })
             })
             .collect();
-        Self { table, shards, round_robin: AtomicUsize::new(0), telemetry }
+        Self {
+            table,
+            shards,
+            round_robin: AtomicUsize::new(0),
+            waiters: AtomicU32::new(0),
+            telemetry,
+        }
     }
 
     /// Number of shards.
@@ -160,7 +181,9 @@ impl ShardedDispatcher {
 
     /// Locks shard `shard`, first refreshing its cached table if a
     /// publish has landed since the shard last looked. The lock is
-    /// uncontended when each worker owns one shard.
+    /// uncontended when each worker owns one shard; a caller that finds
+    /// it held counts as waiting until it gets it (see the
+    /// [module docs](self)).
     ///
     /// Every dispatch through the guard routes on the table that was
     /// live when it was taken; take a new guard to observe a newer
@@ -171,15 +194,21 @@ impl ShardedDispatcher {
     /// If `shard >= shard_count()`.
     #[must_use]
     pub fn shard(&self, shard: usize) -> ShardGuard<'_> {
-        let mut core = self.shards[shard].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if core.generation != self.table.generation() {
-            // Generation and table come from one read of the slot, so
-            // the cache never pairs a new generation with an old table.
-            let (generation, table) = self.table.load_current();
-            core.generation = generation;
-            core.table = table;
-        }
-        ShardGuard { core, telemetry: &self.telemetry, shard }
+        let mut guard = ShardGuard { core: self.lock(shard), dispatcher: self, shard };
+        guard.refresh();
+        guard
+    }
+
+    /// Locks shard `shard`, counting the caller in the waiter count
+    /// while it blocks. Every shard lock goes through here.
+    fn lock(&self, shard: usize) -> MutexGuard<'_, ShardCore> {
+        crate::lock_counted(&self.shards[shard], &self.waiters)
+    }
+
+    /// Whether a thread is blocked on one of the shards: a batch holder
+    /// then ends its batch and hands the shards over.
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.waiters.load(Ordering::Relaxed) != 0
     }
 
     /// Routes one job on shard `shard`.
@@ -223,10 +252,7 @@ impl ShardedDispatcher {
     /// Total jobs routed, merged over all shards.
     #[must_use]
     pub fn dispatched(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner).dispatched)
-            .sum()
+        (0..self.shards.len()).map(|k| self.lock(k).dispatched).sum()
     }
 
     /// Per-node hit counts merged over all shards, sorted by node id
@@ -236,8 +262,8 @@ impl ShardedDispatcher {
     #[must_use]
     pub fn hit_counts(&self) -> Vec<(NodeId, u64)> {
         let mut merged: Vec<u64> = Vec::new();
-        for shard in &self.shards {
-            let core = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for k in 0..self.shards.len() {
+            let core = self.lock(k);
             if core.hits.len() > merged.len() {
                 merged.resize(core.hits.len(), 0);
             }
@@ -265,11 +291,32 @@ impl ShardedDispatcher {
 #[derive(Debug)]
 pub struct ShardGuard<'a> {
     core: MutexGuard<'a, ShardCore>,
-    telemetry: &'a Telemetry,
+    dispatcher: &'a ShardedDispatcher,
     shard: usize,
 }
 
 impl ShardGuard<'_> {
+    /// Re-reads the shard's table if a publish has landed since the
+    /// shard last looked: one atomic load when none has.
+    /// [`ShardedDispatcher::shard`] calls it once, so a public guard
+    /// pins its table; the trace driver calls it before every attempt
+    /// on the guards it holds for a batch.
+    pub(crate) fn refresh(&mut self) {
+        let slot = &self.dispatcher.table;
+        if self.core.generation != slot.generation() {
+            // Generation and table come from one read of the slot, so
+            // the cache never pairs a new generation with an old table.
+            let (generation, table) = slot.load_current();
+            self.core.generation = generation;
+            self.core.table = table;
+        }
+    }
+
+    /// The index of the shard this guard holds.
+    pub(crate) fn index(&self) -> usize {
+        self.shard
+    }
+
     /// Routes one job on this shard, on the guard's table: one RNG draw,
     /// one O(1) alias lookup, one counter increment. With telemetry
     /// enabled, every [`ROUTE_SAMPLE_EVERY`]-th decision of this shard is
@@ -289,8 +336,9 @@ impl ShardGuard<'_> {
         let epoch = core.table.epoch();
         core.dispatched += 1;
         core.count_hit(node);
-        if core.dispatched & (ROUTE_SAMPLE_EVERY - 1) == 0 && self.telemetry.is_enabled() {
-            self.telemetry.record_routed(self.shard, node, epoch);
+        let telemetry = &self.dispatcher.telemetry;
+        if core.dispatched & (ROUTE_SAMPLE_EVERY - 1) == 0 && telemetry.is_enabled() {
+            telemetry.record_routed(self.shard, node, epoch);
         }
         Ok(Decision { node, epoch })
     }

@@ -18,14 +18,18 @@
 //!
 //! ## Lock order
 //!
-//! The slot's mutex is a leaf lock: nothing else is locked while it is
-//! held, and it is held only to clone or replace one `Arc`. A publisher
-//! takes the runtime's `state` lock and then the slot (the publish rule
-//! on [`Runtime`](crate::Runtime)); a dispatch shard takes its own mutex
+//! A dispatch shard's mutex (in ascending shard index), then the
+//! runtime's `state` lock, then the slot; the event ring's lanes and the
+//! flight recorder are leaves, and nothing locks a shard while holding
+//! `state`. The slot's mutex is a leaf lock: nothing else is locked
+//! while it is held, and it is held only to clone or replace one `Arc`.
+//! A publisher takes `state` and then the slot (the publish rule on
+//! [`Runtime`](crate::Runtime)); a dispatch shard takes its own mutex
 //! and then the slot (the refresh in
-//! [`ShardedDispatcher::shard`](crate::ShardedDispatcher::shard)).
-//! Neither path locks anything after the slot, so the two cannot
-//! deadlock.
+//! [`ShardedDispatcher::shard`](crate::ShardedDispatcher::shard)); the
+//! trace driver's batch takes every shard, then `state`, and publishes
+//! and refreshes under both. No path locks anything after the slot, and
+//! every path takes the others in that order, so none can deadlock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -16,6 +16,28 @@ use crate::alias::AliasTable;
 use crate::error::RuntimeError;
 use crate::registry::NodeId;
 
+/// Whether `w` can weigh a node: nonnegative and finite.
+fn is_weight(w: f64) -> bool {
+    w.is_finite() && w >= 0.0
+}
+
+/// [`RoutingTable::new`]'s first checks: one weight per node, and at
+/// least one node.
+fn check_shape(nodes: &[NodeId], weights: &[f64]) -> Result<(), RuntimeError> {
+    if nodes.len() != weights.len() {
+        return Err(CoreError::BadInput(format!(
+            "routing table has {} nodes but {} weights",
+            nodes.len(),
+            weights.len()
+        ))
+        .into());
+    }
+    if nodes.is_empty() {
+        return Err(RuntimeError::NoServingNodes);
+    }
+    Ok(())
+}
+
 /// An immutable routing table: node ids, routing probabilities, and the
 /// alias table used by the hot path.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,20 +74,8 @@ impl RoutingTable {
     /// any weight is negative or non-finite, or the weights sum to more
     /// than the largest finite `f64`.
     pub fn new(epoch: u64, nodes: Vec<NodeId>, weights: &[f64]) -> Result<Self, RuntimeError> {
-        if nodes.len() != weights.len() {
-            return Err(CoreError::BadInput(format!(
-                "routing table has {} nodes but {} weights",
-                nodes.len(),
-                weights.len()
-            ))
-            .into());
-        }
-        if nodes.is_empty() {
-            return Err(RuntimeError::NoServingNodes);
-        }
-        if let Some((i, &w)) =
-            weights.iter().enumerate().find(|&(_, &w)| !(w.is_finite() && w >= 0.0))
-        {
+        check_shape(&nodes, weights)?;
+        if let Some((i, &w)) = weights.iter().enumerate().find(|&(_, &w)| !is_weight(w)) {
             return Err(CoreError::BadInput(format!(
                 "routing weight for {} must be nonnegative and finite, got {w}",
                 nodes[i]
@@ -73,6 +83,16 @@ impl RoutingTable {
             .into());
         }
         let total: f64 = weights.iter().sum();
+        Self::normalized(epoch, nodes, weights, total)
+    }
+
+    /// The table of checked `weights` whose plain sum is `total`.
+    fn normalized(
+        epoch: u64,
+        nodes: Vec<NodeId>,
+        weights: &[f64],
+        total: f64,
+    ) -> Result<Self, RuntimeError> {
         if !total.is_finite() {
             // Normalizing by ∞ would zero every probability.
             return Err(CoreError::BadInput(format!(
@@ -102,8 +122,21 @@ impl RoutingTable {
         allocation: &Allocation,
         fallback_weights: &[f64],
     ) -> Result<Self, RuntimeError> {
-        if allocation.total() > 0.0 {
-            Self::new(epoch, nodes, allocation.loads())
+        let loads = allocation.loads();
+        if !loads.iter().all(|&w| is_weight(w)) {
+            // The compensated total picks the weights, and `new` rejects
+            // whichever it picked if they are bad.
+            let weights = if allocation.total() > 0.0 { loads } else { fallback_weights };
+            return Self::new(epoch, nodes, weights);
+        }
+        // Nonnegative finite loads have a positive compensated total
+        // exactly when their plain sum is positive and finite (a sum that
+        // overflows makes the compensated one NaN), so the one sum that
+        // normalizes them also decides.
+        let total: f64 = loads.iter().sum();
+        if total > 0.0 && total.is_finite() {
+            check_shape(&nodes, loads)?;
+            Self::normalized(epoch, nodes, loads, total)
         } else {
             Self::new(epoch, nodes, fallback_weights)
         }

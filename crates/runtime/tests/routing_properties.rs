@@ -11,9 +11,14 @@
 //! Two fixed-table tests pin the reference router itself: its
 //! boundaries and clamping, and its agreement with the alias path on a
 //! fine grid.
+//!
+//! A third property holds [`RoutingTable::from_allocation`] to the
+//! construction it replaced ([`reference::from_allocation`]): the same
+//! probabilities bit for bit, or the same error, for any loads.
 
 mod support;
 
+use gtlb_core::allocation::Allocation;
 use gtlb_desim::rng::Xoshiro256PlusPlus;
 use gtlb_runtime::{NodeId, RoutingTable};
 use proptest::prelude::*;
@@ -121,6 +126,100 @@ proptest! {
         for u in [0.0, 0.5, 1.0 - 1e-17, 1.0] {
             prop_assert!(!zero_ids.contains(&table.route(u)));
             prop_assert!(!zero_ids.contains(&cdf.route(u)));
+        }
+    }
+}
+
+/// A load a solve can hand over: ties, zeros of both signs,
+/// subnormals, ordinary values, and values near `f64::MAX`, two of
+/// which overflow a sum.
+fn arb_load() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(1.0),
+        0.0f64..8.0,
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        (0.25f64..1.0).prop_map(|x| x * f64::MAX),
+    ]
+}
+
+/// A value no load may take: negative, NaN or infinite.
+fn arb_bad_load() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (1e-300f64..8.0).prop_map(|x| -x),
+        Just(-f64::MAX),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
+/// `values` with `bad` written over one of them, at an index drawn
+/// from `at`, when `put` is 0 of its 0–2.
+fn spoil(mut values: Vec<f64>, (bad, at, put): (f64, usize, u32)) -> Vec<f64> {
+    if put == 0 && !values.is_empty() {
+        let i = at % values.len();
+        values[i] = bad;
+    }
+    values
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+    #[test]
+    fn from_allocation_matches_the_reference(
+        loads in prop::collection::vec(arb_load(), 0..9),
+        zeroed in 0u32..4,
+        bad_load in (arb_bad_load(), 0usize..9, 0u32..3),
+        fallback in prop::collection::vec(arb_load(), 0..9),
+        bad_fallback in (arb_bad_load(), 0usize..9, 0u32..6),
+        shape in 0u32..8,
+    ) {
+        // A quarter of the allocations are all zero, as at Φ = 0.
+        let loads = if zeroed == 0 { vec![0.0; loads.len()] } else { loads };
+        let loads = spoil(loads, bad_load);
+        // Mostly one fallback weight and one id per load, as a solve
+        // passes them; otherwise lengths that disagree.
+        let n = loads.len();
+        let mut fallback = spoil(fallback, bad_fallback);
+        if shape > 0 {
+            fallback.resize(n, 1.0);
+        }
+        let nodes: Vec<NodeId> = (0..(n + usize::from(shape == 1)) as u64)
+            .map(NodeId::from_raw)
+            .collect();
+        let allocation = Allocation::new(loads.clone());
+        let got = RoutingTable::from_allocation(9, nodes.clone(), &allocation, &fallback);
+        let want = reference::from_allocation(9, nodes, &allocation, &fallback);
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                let bits = |t: &RoutingTable| t.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want), "loads {:?}", loads);
+                prop_assert_eq!(got, want);
+            }
+            (got, want) => prop_assert_eq!(got.err(), want.err(), "loads {:?}", loads),
+        }
+    }
+}
+
+/// The construction [`RoutingTable::from_allocation`] replaced: the
+/// loads' compensated total picks the loads or the fallback weights.
+mod reference {
+    use gtlb_core::allocation::Allocation;
+    use gtlb_runtime::{NodeId, RoutingTable, RuntimeError};
+
+    pub fn from_allocation(
+        epoch: u64,
+        nodes: Vec<NodeId>,
+        allocation: &Allocation,
+        fallback_weights: &[f64],
+    ) -> Result<RoutingTable, RuntimeError> {
+        if allocation.total() > 0.0 {
+            RoutingTable::new(epoch, nodes, allocation.loads())
+        } else {
+            RoutingTable::new(epoch, nodes, fallback_weights)
         }
     }
 }

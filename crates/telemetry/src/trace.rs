@@ -333,12 +333,6 @@ impl FlightRecorder {
         self.lanes.len() - 1
     }
 
-    /// Per-lane capacity in whole traces.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn lane(&self, i: usize) -> MutexGuard<'_, Lane<Trace>> {
         Lane::lock(&self.lanes[i])
     }
