@@ -3,8 +3,8 @@
 //! Two groups feed `BENCH_hotpath.json` (via `GTLB_BENCH_JSON`):
 //!
 //! * `hotpath_route/table/{16,1024,65536}` — ns/route through a plain
-//!   `&RoutingTable`, as a shard routes on its cached table, at three
-//!   table sizes;
+//!   `&RoutingTable`, as the dispatcher routes on its cached table, at
+//!   three table sizes;
 //! * `hotpath_publish/rebuild/65536` — publish latency of one full
 //!   `RoutingTable::new` build at n = 65536, the path every publish
 //!   takes.

@@ -1,15 +1,13 @@
 //! Online runtime hot paths: dispatch throughput (one uniform draw plus
-//! an O(1) alias lookup on the shard's cached table), the cost of
-//! publishing a fresh table under reader load, and the sharding payoff
-//! — N threads sharing one shard, one mutex acquisition per job, versus
-//! the same N threads each pinned to their own shard of a
-//! `ShardedDispatcher`.
+//! an O(1) alias lookup on the dispatcher's cached table), the cost of
+//! publishing a fresh table under reader load, and the re-solve and
+//! renormalize paths.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gtlb_runtime::{EpochSwap, Runtime, SchemeKind, ShardedDispatcher};
+use gtlb_runtime::{EpochSwap, Runtime, SchemeKind};
 
 fn serving_runtime(n_nodes: usize) -> Runtime {
     let rt = Runtime::builder()
@@ -70,57 +68,6 @@ fn bench_publish(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded_vs_mutex(c: &mut Criterion) {
-    // The sharding payoff: four producer threads routing jobs through
-    // (a) shard 0 of a one-shard ShardedDispatcher, every job taking the
-    // shared shard's mutex through `dispatch_on(0)` — holding it across
-    // a batch would starve the other producers — versus (b) four shards,
-    // one per thread, each holding its ShardGuard across its whole
-    // batch, which nothing else contends for. Both read the same table
-    // slot; the CI perf gate asserts (b) is at least twice as fast.
-    const THREADS: usize = 4;
-    const JOBS_PER_THREAD: u64 = 10_000;
-
-    let rt = serving_runtime(8);
-    let mut group = c.benchmark_group("runtime_sharding");
-    group.sample_size(15);
-    group.throughput(Throughput::Elements(THREADS as u64 * JOBS_PER_THREAD));
-
-    let shared = Arc::new(ShardedDispatcher::new(rt.table_handle(), 42, 1));
-    group.bench_function(BenchmarkId::new("mutex", THREADS), |b| {
-        b.iter(|| {
-            std::thread::scope(|s| {
-                for _ in 0..THREADS {
-                    let d = Arc::clone(&shared);
-                    s.spawn(move || {
-                        for _ in 0..JOBS_PER_THREAD {
-                            black_box(d.dispatch_on(0).unwrap());
-                        }
-                    });
-                }
-            })
-        })
-    });
-
-    let sharded = Arc::new(ShardedDispatcher::new(rt.table_handle(), 42, THREADS));
-    group.bench_function(BenchmarkId::new("sharded", THREADS), |b| {
-        b.iter(|| {
-            std::thread::scope(|s| {
-                for t in 0..THREADS {
-                    let d = Arc::clone(&sharded);
-                    s.spawn(move || {
-                        let mut guard = d.shard(t);
-                        for _ in 0..JOBS_PER_THREAD {
-                            black_box(guard.dispatch().unwrap());
-                        }
-                    });
-                }
-            })
-        })
-    });
-    group.finish();
-}
-
 /// As [`serving_runtime`], but each node's service window is warm at its
 /// own measured rate, a few percent off its declared one, so a solve
 /// reads distinct measured rates as it does in a running cluster. The
@@ -178,12 +125,5 @@ fn bench_failure_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_dispatch,
-    bench_publish,
-    bench_sharded_vs_mutex,
-    bench_resolve,
-    bench_failure_path
-);
+criterion_group!(benches, bench_dispatch, bench_publish, bench_resolve, bench_failure_path);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! The PR-5 observability overhead benchmarks. The headline gate:
-//! dispatching through a shard with telemetry **enabled** must cost
+//! dispatching with telemetry **enabled** must cost
 //! ≤ 1.03× the disabled path on the n = 1024 alias table
 //! (`telemetry_route/{disabled,enabled}/1024`; CI compares medians of
 //! three quick runs from `BENCH_telemetry.json`). The driver rows
@@ -17,9 +17,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gtlb_runtime::driver::{TraceConfig, TraceDriver};
 use gtlb_runtime::telemetry::TELEMETRY_EVENT_CAPACITY;
-use gtlb_runtime::{
-    EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind, ShardedDispatcher, Telemetry,
-};
+use gtlb_runtime::{Dispatcher, EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind, Telemetry};
 use gtlb_sim::scenario::table31;
 use gtlb_telemetry::{Counter, EventRing, Histogram, HistogramSnapshot, Registry, TaggedEvent};
 
@@ -30,9 +28,9 @@ fn skewed_table(n: usize) -> RoutingTable {
     RoutingTable::new(1, ids, &weights).unwrap()
 }
 
-fn dispatcher(n: usize, telemetry: Telemetry) -> ShardedDispatcher {
+fn dispatcher(n: usize, telemetry: Telemetry) -> Dispatcher {
     let swap = Arc::new(EpochSwap::new(skewed_table(n)));
-    ShardedDispatcher::with_telemetry(swap, 0xBE9C, 1, telemetry)
+    Dispatcher::with_telemetry(swap, 0xBE9C, telemetry)
 }
 
 /// The gated comparison: the identical decision stream, drawn through
@@ -45,12 +43,12 @@ fn bench_route_overhead(c: &mut Criterion) {
     group.throughput(Throughput::Elements(JOBS as u64));
     for &n in &[64usize, 1024] {
         for (label, telemetry) in
-            [("disabled", Telemetry::disabled()), ("enabled", Telemetry::enabled(1))]
+            [("disabled", Telemetry::disabled()), ("enabled", Telemetry::enabled())]
         {
-            let sharded = dispatcher(n, telemetry);
-            group.bench_with_input(BenchmarkId::new(label, n), &sharded, |b, s| {
+            let dispatcher = dispatcher(n, telemetry);
+            group.bench_with_input(BenchmarkId::new(label, n), &dispatcher, |b, d| {
                 b.iter(|| {
-                    let mut guard = s.shard(0);
+                    let mut guard = d.guard();
                     let mut sink = 0u64;
                     for _ in 0..JOBS {
                         sink = sink.wrapping_add(guard.dispatch().unwrap().node.raw());
@@ -143,14 +141,14 @@ fn bench_instruments(c: &mut Criterion) {
             x = next_latency(x);
         })
     });
-    let ring: EventRing<u64> = EventRing::new(1, TELEMETRY_EVENT_CAPACITY);
+    let ring: EventRing<u64> = EventRing::new(TELEMETRY_EVENT_CAPACITY);
     for k in 0..TELEMETRY_EVENT_CAPACITY as u64 {
-        ring.push(0, TaggedEvent { time: k as f64, shard: 0, stream: 0, event: k });
+        ring.push(TaggedEvent { time: k as f64, stream: 0, event: k });
     }
     group.bench_function("ring_push_wrapped", |b| {
         let mut k = 0u64;
         b.iter(|| {
-            ring.push(0, TaggedEvent { time: k as f64, shard: 0, stream: 0, event: k });
+            ring.push(TaggedEvent { time: k as f64, stream: 0, event: k });
             k += 1;
         })
     });

@@ -63,7 +63,7 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(trace_id(0xF1A6, seq))
         })
     });
-    let tracer = Tracer::enabled(0xF1A6, 1, TracingConfig::default());
+    let tracer = Tracer::enabled(0xF1A6, TracingConfig::default());
     group.bench_function("begin_default_mask", |b| {
         let mut seq = 0u64;
         b.iter(|| {
@@ -71,23 +71,22 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(tracer.begin(seq).is_some())
         })
     });
-    let recorder = FlightRecorder::new(1, TracingConfig::default().recorder_capacity);
+    let recorder = FlightRecorder::new(TracingConfig::default().recorder_capacity);
     group.bench_function("recorder_record", |b| {
         let mut seq = 0u64;
         b.iter(|| {
-            recorder.record(0, finished(seq, 0.0));
+            recorder.record(finished(seq, 0.0));
             seq += 1;
         })
     });
-    // Four shard lanes of 4,096 traces each, all held: what `/traces`
-    // reads from a recorder at a large capacity.
-    const LANES: usize = 4;
-    const HELD: usize = 4096;
-    let full = FlightRecorder::new(LANES, HELD);
-    for seq in 0..(LANES * HELD) as u64 {
-        full.record(seq as usize % LANES, finished(seq, seq as f64 * 0.01));
+    // A full lane of 16,384 traces: what `/traces` reads from a recorder
+    // at a large capacity.
+    const HELD: usize = 16_384;
+    let full = FlightRecorder::new(HELD);
+    for seq in 0..HELD as u64 {
+        full.record(finished(seq, seq as f64 * 0.01));
     }
-    group.bench_function(BenchmarkId::new("recorder_traces", LANES * HELD), |b| {
+    group.bench_function(BenchmarkId::new("recorder_traces", HELD), |b| {
         b.iter(|| black_box(full.traces().len()))
     });
     group.finish();

@@ -94,7 +94,10 @@ fn valid_name(name: &str) -> bool {
 pub struct NodeEntry {
     /// Operator-chosen node name (unique among non-removed rows).
     pub name: String,
-    /// Declared capacity `μ` (jobs/second).
+    /// Capacity `μ` (jobs/second) declared at registration: the rate
+    /// [`Lifecycle::approve`] registers. Later updates go to the
+    /// runtime's registry only, which `GET /nodes` reads once the node
+    /// is admitted.
     pub rate: f64,
     /// This node's heartbeat interval (seconds).
     pub heartbeat_interval: f64,
@@ -320,9 +323,9 @@ impl Lifecycle {
 
     /// Ingests a metrics update from `name`: each sample in
     /// `service_seconds` feeds the node's service window, and an
-    /// optional revised `rate` updates the declared capacity. Every
-    /// field is checked first; the runtime then takes the rate and the
-    /// samples in one `state` section.
+    /// optional revised `rate` updates the declared capacity in the
+    /// runtime's registry. Every field is checked first; the runtime
+    /// then takes the rate and the samples in one `state` section.
     ///
     /// # Errors
     /// As [`Lifecycle::heartbeat`] for state checks; bad samples or
@@ -345,11 +348,8 @@ impl Lifecycle {
             NodeState::Removed => return Err(LifecycleError::Gone),
             _ => entry.node.ok_or(LifecycleError::Conflict("node has no runtime id"))?,
         };
-        if let Some(rate) = rate {
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(LifecycleError::Invalid("rate must be a positive finite number"));
-            }
-            entry.rate = rate;
+        if rate.is_some_and(|rate| !rate.is_finite() || rate <= 0.0) {
+            return Err(LifecycleError::Invalid("rate must be a positive finite number"));
         }
         hooks.runtime().record_metrics(id, service_seconds, rate)?;
         Ok(())

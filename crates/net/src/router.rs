@@ -255,9 +255,11 @@ fn trace_by_id(state: &AppState, rest: &str) -> Response {
 const NODE_ROW_BYTES: usize = 256;
 
 /// `GET /nodes`: every lifecycle row joined with live registry and
-/// detector state for admitted nodes. The status rows come in ascending
-/// id order, so each row's join is a binary search. The document is
-/// written into one buffer sized for the row count.
+/// detector state for admitted nodes. A row with a registry status shows
+/// the registry's declared rate, the one the solver reads; other rows
+/// show the rate declared at registration. The status rows come in
+/// ascending id order, so each row's join is a binary search. The
+/// document is written into one buffer sized for the row count.
 fn nodes(state: &AppState) -> Response {
     let statuses = state.hooks().nodes();
     let status_of = |id| statuses.binary_search_by_key(&id, |s| s.id).ok().map(|i| &statuses[i]);
@@ -267,8 +269,10 @@ fn nodes(state: &AppState) -> Response {
         let mut doc = ObjBuilder::with_capacity(NODE_ROW_BYTES * (entries.len() + 1));
         doc.num("now", now);
         doc.obj_array("nodes", entries, |b, entry| {
+            let status = entry.node.and_then(status_of);
             b.str("name", &entry.name).str("state", entry.state.as_str());
-            b.num("rate", entry.rate).num("heartbeat_interval", entry.heartbeat_interval);
+            b.num("rate", status.map_or(entry.rate, |s| s.nominal_rate));
+            b.num("heartbeat_interval", entry.heartbeat_interval);
             b.int("heartbeats", entry.heartbeats);
             match entry.last_heartbeat {
                 Some(t) => b.num("last_heartbeat", t),
@@ -276,7 +280,7 @@ fn nodes(state: &AppState) -> Response {
             };
             if let Some(id) = entry.node {
                 b.int("node", id.raw());
-                if let Some(status) = status_of(id) {
+                if let Some(status) = status {
                     b.str("health", status.health.name());
                     b.num("phi", status.phi);
                     b.num("suspect_phi", status.effective_suspect_phi);
@@ -528,6 +532,20 @@ mod tests {
         let nodes_at = text.find(r#","nodes":"#).expect("a nodes member");
         assert!(text.starts_with(r#"{"now":"#), "{text}");
         assert_eq!(&text[nodes_at..], PINNED_NODES);
+    }
+
+    #[test]
+    fn nodes_shows_the_rate_the_registry_holds() {
+        // A rate set in process, not through `/v1/metrics`, reaches
+        // `/nodes`: the row shows the registry's rate, not its own copy.
+        let app = app(false);
+        let resp = route(&app, &req(Method::Post, "/v1/register", r#"{"name":"a","rate":1.0}"#));
+        assert_eq!(resp.status, 201);
+        assert_eq!(route(&app, &req(Method::Post, "/v1/nodes/a/approve", "")).status, 200);
+        let id = app.with_lifecycle(|lc| lc.entries()[0].node).expect("approved");
+        app.hooks().set_node_rate(id, 3.0).unwrap();
+        let text = body_text(&route(&app, &req(Method::Get, "/nodes", "")));
+        assert!(text.contains(r#""name":"a","state":"approved","rate":3,"#), "{text}");
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! tests pin.
 //!
 //! The verdict function is pure (`(ρ, u) → verdict`); the caller
-//! supplies the uniform draw from a deterministic per-shard stream
-//! ([`ShardGuard::next_admission_draw`](crate::shard::ShardGuard)), so
-//! sharded submission stays reproducible. [`AdmissionControl`] wraps the
+//! supplies the uniform draw from the dispatcher's deterministic
+//! admission stream
+//! ([`DispatchGuard::next_admission_draw`](crate::DispatchGuard::next_admission_draw)),
+//! so submission stays reproducible. [`AdmissionControl`] wraps the
 //! policy with the shared atomics: the latest `ρ` (refreshed by the
 //! re-solver) and the accepted/rejected/deferred counters surfaced in
 //! `TraceStats`.
@@ -186,8 +187,7 @@ impl std::fmt::Display for AdmissionStats {
 }
 
 /// Shared admission state: the policy, the latest offered-utilization
-/// estimate, and the verdict counters. One instance serves every shard;
-/// the hot path touches only relaxed atomics, one read-modify-write per
+/// estimate, and the verdict counters. The hot path touches only relaxed atomics, one read-modify-write per
 /// decision: the submitted count is the verdict counters' sum.
 #[derive(Debug)]
 pub struct AdmissionControl {

@@ -28,7 +28,7 @@ use crate::error::RuntimeError;
 use crate::fault::{DropCause, FaultInjector, FaultPlan};
 use crate::registry::NodeId;
 use crate::retry::{RetryPolicy, RETRY_STREAM};
-use crate::shard::ShardGuard;
+use crate::shard::DispatchGuard;
 use crate::telemetry::Telemetry;
 use crate::{AttemptOutcome, Runtime, SpanKind, State, Submission, Trace};
 
@@ -348,18 +348,17 @@ impl TraceDriver {
     /// arrival still feeds `Φ̂`, because admission reacts to *offered*
     /// load.
     ///
-    /// Jobs run in batches of at most 64. A batch takes every dispatch
-    /// shard in ascending order and then `state` once, and runs each
-    /// job's heartbeats, arrival, admission, dispatch and feedback on the
-    /// held guards, re-solves and renormalizations included, through the
-    /// same bodies the public methods lock and call, in the separate
-    /// calls' order: heartbeats, then the arrival, then the job's
-    /// attempts. Before each attempt the held shard re-reads the table
-    /// slot if a publish has landed, so every attempt routes on the table
-    /// a fresh guard would have seen. When another thread waits for
-    /// `state` or a shard, the batch ends after its current job and the
-    /// driver yields until that thread has the lock; no lock is held
-    /// between calls.
+    /// Jobs run in batches of at most 64. A batch takes the dispatcher
+    /// and then `state` once, and runs each job's heartbeats, arrival,
+    /// admission, dispatch and feedback on the held guards, re-solves and
+    /// renormalizations included, through the same bodies the public
+    /// methods lock and call, in the separate calls' order: heartbeats,
+    /// then the arrival, then the job's attempts. Before each attempt the
+    /// held dispatcher re-reads the table slot if a publish has landed,
+    /// so every attempt routes on the table a fresh guard would have
+    /// seen. When another thread waits for `state` or the dispatcher, the
+    /// batch ends after its current job and the driver yields until that
+    /// thread has the lock; no lock is held between calls.
     ///
     /// Resumable: queues, clocks and RNG streams persist across calls, so
     /// callers can inject control-plane events between chunks.
@@ -386,24 +385,22 @@ impl TraceDriver {
     /// [`RuntimeError::UnknownNode`] when a chosen node was deregistered
     /// mid-flight.
     pub fn run_jobs(&mut self, runtime: &Runtime, jobs: u64) -> Result<(), RuntimeError> {
-        let mut shards = Vec::with_capacity(runtime.shard_count());
         let mut left = jobs;
         let mut result = Ok(());
         while left > 0 && result.is_ok() {
-            // The lock order: every shard in ascending index, then `state`.
-            let dispatcher = runtime.sharded_dispatcher();
-            shards.extend((0..dispatcher.shard_count()).map(|k| dispatcher.shard(k)));
+            // The lock order: the dispatcher, then `state`.
+            let mut dispatch = runtime.dispatcher.guard();
             let mut state = runtime.state();
             let end = left.saturating_sub(BATCH);
             while left > end && result.is_ok() {
                 left -= 1;
-                result = self.run_job(runtime, &mut shards, &mut state);
+                result = self.run_job(runtime, &mut dispatch, &mut state);
                 if runtime.has_waiters() {
                     break;
                 }
             }
             drop(state);
-            shards.clear();
+            drop(dispatch);
             // `Mutex` lets its holder take it again before a woken waiter
             // runs: without this, a waiter could wait out many batches.
             while runtime.has_waiters() {
@@ -418,13 +415,13 @@ impl TraceDriver {
         result
     }
 
-    /// One job of [`TraceDriver::run_jobs`] on a batch's held `shards`
-    /// and `state`: its arrival, the heartbeats due by then, and the
-    /// offer.
+    /// One job of [`TraceDriver::run_jobs`] on a batch's held `dispatch`
+    /// guard and `state`: its arrival, the heartbeats due by then, and
+    /// the offer.
     fn run_job(
         &mut self,
         runtime: &Runtime,
-        shards: &mut [ShardGuard<'_>],
+        dispatch: &mut DispatchGuard<'_>,
         state: &mut State,
     ) -> Result<(), RuntimeError> {
         let gap = -self.arrivals.next_open01().ln() / self.phi;
@@ -448,17 +445,9 @@ impl TraceDriver {
         let mut trace = runtime.tracer().begin(self.sequence);
         // Every arrival feeds Φ̂, whatever happens to the job.
         state.record_arrival(arrived);
-        let outcome = self.offer_job(runtime, shards, state, arrived, &mut trace);
+        let outcome = self.offer_job(runtime, dispatch, state, arrived, &mut trace);
         if let Some(t) = trace.take() {
-            let shard = t
-                .spans
-                .iter()
-                .find_map(|s| match s.kind {
-                    SpanKind::Routed { shard, .. } => Some(shard as usize),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            runtime.tracer().finish(shard, t);
+            runtime.tracer().finish(0, t);
         }
         outcome
     }
@@ -492,13 +481,13 @@ impl TraceDriver {
     /// stamped with the virtual times the loop computed anyway, so
     /// tracing adds no draws and no clock reads.
     ///
-    /// Each attempt routes on its shard's held guard, refreshed first,
-    /// and a served or dropped one feeds the held `state`
+    /// Each attempt routes on the held `dispatch` guard, refreshed
+    /// first, and a served or dropped one feeds the held `state`
     /// ([`Runtime::record_served`] / [`Runtime::record_dropped`]).
     fn offer_job(
         &mut self,
         runtime: &Runtime,
-        shards: &mut [ShardGuard<'_>],
+        dispatch: &mut DispatchGuard<'_>,
         state: &mut State,
         arrived: f64,
         trace: &mut Option<Trace>,
@@ -514,15 +503,11 @@ impl TraceDriver {
         // attempt `budget`.
         loop {
             attempt += 1;
-            // Claim the round-robin shard explicitly so the trace can
-            // name it; `submit()` is exactly `submit_on(next_shard())`,
-            // so the decision stream is untouched. A publish since the
-            // shard last looked (a transition this batch applied) reaches
-            // it here, as it would reach a fresh guard.
-            let shard = runtime.sharded_dispatcher().next_shard();
-            let guard = &mut shards[shard];
-            guard.refresh();
-            let decision = match runtime.submit_with(guard) {
+            // A publish since the dispatcher last looked (a transition
+            // this batch applied) reaches it here, as it would reach a
+            // fresh guard.
+            dispatch.refresh();
+            let decision = match runtime.submit_with(dispatch) {
                 Ok(Submission::Dispatched(d)) => Some(d),
                 Ok(Submission::Rejected) if attempt == 1 => {
                     if let Some(t) = trace.as_mut() {
@@ -558,11 +543,7 @@ impl TraceDriver {
                         t.instant(SpanKind::Queued { depth: 0 }, arrived);
                     }
                     t.instant(
-                        SpanKind::Routed {
-                            node: node.raw(),
-                            epoch: decision.epoch,
-                            shard: shard as u32,
-                        },
+                        SpanKind::Routed { node: node.raw(), epoch: decision.epoch, shard: 0 },
                         t_attempt,
                     );
                 }

@@ -30,8 +30,7 @@
 //! ## Determinism contract
 //!
 //! The crash/recover/slow/partition schedule is pure data — a
-//! function of the plan alone, identical for every shard count and
-//! thread count. Randomness is confined to two disjoint stream
+//! function of the plan alone, identical for every thread count. Randomness is confined to two disjoint stream
 //! families of the plan seed:
 //!
 //! * flaky drop draws on [`FAULT_STREAM`]` + node id` (`0x0800`), the
@@ -49,7 +48,7 @@
 //! toggling faults off reproduces the fault-free trace bit for bit; and
 //! per-node drop draws are consumed in attempt order, which the
 //! single-threaded trace driver fixes, so a chaos trace is a pure
-//! function of `(seed, plan, shard count)`.
+//! function of `(seed, plan)`.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -427,9 +426,8 @@ impl FaultPlan {
     /// FNV-1a fingerprint of the schedule (seed + every event, payloads
     /// included — two plans differing only in a partition direction
     /// hash differently). Because the schedule is pure data, this
-    /// fingerprint is invariant across shard counts and thread counts —
-    /// the chaos CI job diffs it alongside the decision-stream
-    /// fingerprints.
+    /// fingerprint is invariant across thread counts; the chaos trace
+    /// fingerprint of `tests/fingerprints.rs` folds it in.
     #[must_use]
     pub fn schedule_fingerprint(&self) -> u64 {
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;

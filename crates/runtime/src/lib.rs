@@ -12,7 +12,7 @@
 //!   re-solver (COOP/OPTIM/PROP)
 //!       │ publish (epoch n+1)
 //!       ▼
-//!   dispatch shards ◀── routing-table slot (Arc snapshot)
+//!   dispatcher ◀── routing-table slot (Arc snapshot)
 //!       │ jobs
 //!       ▼
 //!   nodes … whose arrivals, service times and heartbeats feed `state`
@@ -30,12 +30,12 @@
 //!   prebuilt Walker alias table for O(1) sampling) behind one slot that
 //!   a publish replaces wholesale and that never makes a publish wait
 //!   for a reader;
-//! * [`shard`] — the dispatch path: N per-core dispatchers over that
-//!   slot, each with its own RNG stream (seed `base ^ shard_id`), its
-//!   own cached table and local counters merged on read; one job is one
-//!   deterministic uniform draw and one O(1) alias lookup;
+//! * [`shard`] — the dispatch path: the paper's central dispatcher over
+//!   that slot, with the seed's own RNG stream, a cached table and hit
+//!   counters; one job is one deterministic uniform draw and one O(1)
+//!   alias lookup;
 //! * [`admission`] — target-utilization admission control in front of
-//!   the shards: accept/defer/reject verdicts that keep the admitted
+//!   the dispatcher: accept/defer/reject verdicts that keep the admitted
 //!   load at the design point once `Φ̂` nears capacity;
 //! * [`fault`] / [`retry`] — seeded fault plans (crashes, slow and
 //!   flaky nodes, partitions, gray failures) and the retry budget with
@@ -70,6 +70,7 @@ pub mod table;
 pub mod telemetry;
 pub mod tracing;
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration;
@@ -93,7 +94,7 @@ pub use fault::{
 pub use registry::{Health, Node, NodeId, Registry};
 pub use resolver::{ResolveOutcome, SchemeKind};
 pub use retry::{RetryConfig, RetryPolicy, RETRY_STREAM};
-pub use shard::{Decision, ShardGuard, ShardedDispatcher};
+pub use shard::{Decision, DispatchGuard, Dispatcher};
 pub use swap::{EpochSwap, SwapStats};
 pub use table::RoutingTable;
 pub use telemetry::{RuntimeEvent, Telemetry};
@@ -106,7 +107,7 @@ pub use gtlb_telemetry::trace::{
 /// Tunables of a [`Runtime`]; built through [`RuntimeBuilder`].
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Base seed for the dispatcher's RNG stream.
+    /// Seed of the dispatcher's RNG streams and of trace ids.
     pub seed: u64,
     /// Allocation scheme the re-solver runs.
     pub scheme: SchemeKind,
@@ -122,11 +123,7 @@ pub struct RuntimeConfig {
     pub min_arrival_obs: u64,
     /// Per-node services required before `μ̂ᵢ` is trusted.
     pub min_service_obs: usize,
-    /// Dispatch shards. `1` reproduces the single-dispatcher decision
-    /// stream exactly (shard 0's RNG is seeded `seed ^ 0 = seed`);
-    /// larger counts give per-core dispatchers that never contend.
-    pub shards: usize,
-    /// Admission control in front of the shards; `None` admits
+    /// Admission control in front of the dispatcher; `None` admits
     /// everything (the default).
     pub admission: Option<AdmissionConfig>,
     /// Tuning of the accrual failure detector behind
@@ -153,7 +150,6 @@ impl Default for RuntimeConfig {
             service_window: 256,
             min_arrival_obs: 64,
             min_service_obs: 16,
-            shards: 1,
             admission: None,
             detector: DetectorConfig::default(),
             telemetry: false,
@@ -218,13 +214,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the number of dispatch shards (clamped to at least 1).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards.max(1);
-        self
-    }
-
     /// Enables admission control with the given policy configuration.
     #[must_use]
     pub fn admission(mut self, cfg: AdmissionConfig) -> Self {
@@ -278,20 +267,10 @@ impl RuntimeBuilder {
         let cfg = self.cfg;
         cfg.detector.validate();
         let table = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
-        let telemetry = if cfg.telemetry {
-            Telemetry::enabled(cfg.shards.max(1))
-        } else {
-            Telemetry::disabled()
-        };
-        let tracer = cfg
-            .tracing
-            .map_or_else(Tracer::disabled, |tc| Tracer::enabled(cfg.seed, cfg.shards.max(1), tc));
-        let sharded = ShardedDispatcher::with_telemetry(
-            Arc::clone(&table),
-            cfg.seed,
-            cfg.shards.max(1),
-            telemetry.clone(),
-        );
+        let telemetry = if cfg.telemetry { Telemetry::enabled() } else { Telemetry::disabled() };
+        let tracer = cfg.tracing.map_or_else(Tracer::disabled, |tc| Tracer::enabled(cfg.seed, tc));
+        let dispatcher =
+            Dispatcher::with_telemetry(Arc::clone(&table), cfg.seed, telemetry.clone());
         let admission = cfg.admission.map(|a| {
             AdmissionControl::new(
                 AdmissionPolicy::new(a).unwrap_or_else(|e| panic!("invalid admission config: {e}")),
@@ -302,12 +281,12 @@ impl RuntimeBuilder {
             state: Mutex::new(State {
                 registry: Registry::new(cfg.service_window),
                 arrivals: EwmaRate::new(cfg.ewma_alpha),
-                transitions: Vec::new(),
+                transitions: VecDeque::new(),
                 order: resolver::KeptOrder::default(),
             }),
             state_waiters: AtomicU32::new(0),
             table,
-            sharded,
+            dispatcher,
             admission,
             epoch: AtomicU64::new(0),
             tables_built: AtomicU64::new(0),
@@ -317,14 +296,21 @@ impl RuntimeBuilder {
     }
 }
 
+/// Detector transitions [`Runtime::health_transitions`] keeps, at most
+/// (24 bytes each): the oldest is dropped to make room. Well above the
+/// longest run in this repository, a `chaos` benchmark pass, which
+/// drives 2,209 transitions at seed 31 and 2,214 at seed 53.
+const TRANSITIONS_KEPT: usize = 8_192;
+
 /// Everything the runtime knows per node, plus the arrival estimator,
 /// behind the one `state` lock: no method sees a node's health, rate,
 /// service window or detector track half-updated by another.
 struct State {
     registry: Registry,
     arrivals: EwmaRate,
-    /// Every transition the detector drove, in order.
-    transitions: Vec<HealthTransition>,
+    /// The newest [`TRANSITIONS_KEPT`] transitions the detector drove,
+    /// oldest first.
+    transitions: VecDeque<HealthTransition>,
     /// The serving nodes by decreasing rate, as the last solve sorted
     /// them: the next solve's sort starts here, near-sorted while
     /// measured rates drift (see [`Cluster::sort_by_rate_desc`]).
@@ -388,17 +374,18 @@ impl Submission {
 }
 
 /// The online dispatch runtime: registry + estimators + re-solver +
-/// sharded dispatcher behind one shareable handle.
+/// dispatcher behind one shareable handle.
 pub struct Runtime {
     cfg: RuntimeConfig,
-    // Lock order: a dispatch shard's mutex (in ascending shard index),
-    // then `state`, then the table slot; the event ring's lanes and the
-    // flight recorder are leaves. Nothing locks a shard while holding
-    // `state`. Each method takes `state` once (`Mutex` is not
-    // re-entrant) and hands the guard to the helpers it calls. The trace
-    // driver takes every shard and then `state` once per batch of jobs
-    // and runs each job's runtime work on the held guards, through the
-    // same bodies the public methods lock and call.
+    // Lock order: the dispatcher's mutex, then `state`, then the table
+    // slot; the event ring and the flight recorder are leaves. Nothing
+    // locks the dispatcher while holding `state`. Each method takes
+    // `state` once (`Mutex` is not re-entrant) and hands the guard to the
+    // helpers it calls. The trace driver takes the dispatcher and then
+    // `state` once per batch of jobs and runs each job's runtime work on
+    // the held guards, through the same bodies the public methods lock
+    // and call. The dispatcher keeps its own mutex so that `submit`
+    // never waits behind a solve.
     state: Mutex<State>,
     // Threads blocked on `state` right now (see `Runtime::state`): the
     // trace driver ends its batch and hands the locks over while this,
@@ -409,7 +396,7 @@ pub struct Runtime {
     // `publish_table` returns, so publishes land in epoch order and none
     // is built from a table an interleaved publish replaced.
     table: Arc<EpochSwap<RoutingTable>>,
-    sharded: ShardedDispatcher,
+    dispatcher: Dispatcher,
     admission: Option<AdmissionControl>,
     epoch: AtomicU64,
     // Non-empty tables published; each one was a full build.
@@ -576,10 +563,12 @@ impl Runtime {
         Ok(self.observe(&mut self.state(), node, t, false))
     }
 
-    /// Every health transition the detector has driven, in order.
+    /// The most recent health transitions the detector has driven,
+    /// oldest first: the newest 8,192, where a longer run drops the
+    /// oldest.
     #[must_use]
     pub fn health_transitions(&self) -> Vec<HealthTransition> {
-        self.state().transitions.clone()
+        self.state().transitions.iter().copied().collect()
     }
 
     /// The detector's current suspicion level φ for `node` at time
@@ -719,67 +708,52 @@ impl Runtime {
         (0, self.tables_built.load(Ordering::Relaxed))
     }
 
-    /// Routes one job via the published table, on the next shard in
-    /// round-robin order. With one shard (the default) this replays the
-    /// single-dispatcher decision stream exactly.
+    /// Routes one job via the published table: the seed's dispatch
+    /// stream, draw by draw.
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] before the first resolve or after
     /// the last node went down.
     pub fn dispatch(&self) -> Result<Decision, RuntimeError> {
-        self.sharded.dispatch()
-    }
-
-    /// Routes one job on shard `shard` — the per-core path: workers that
-    /// pin a shard never contend with each other.
-    ///
-    /// # Errors
-    /// [`RuntimeError::NoServingNodes`] as [`Runtime::dispatch`].
-    ///
-    /// # Panics
-    /// If `shard >= shard_count()`.
-    pub fn dispatch_on(&self, shard: usize) -> Result<Decision, RuntimeError> {
-        self.sharded.dispatch_on(shard)
+        self.dispatcher.dispatch()
     }
 
     /// Offers one job: admission control first (when configured), then
-    /// dispatch, all on the next round-robin shard. Without admission
-    /// this is [`Runtime::dispatch`] wrapped in
-    /// [`Submission::Dispatched`].
+    /// dispatch. The admission draw comes from its own stream, so the
+    /// routing decision sequence is the same whether or not admission is
+    /// enabled. Without admission this is [`Runtime::dispatch`] wrapped
+    /// in [`Submission::Dispatched`].
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] when an *admitted* job has
     /// nowhere to route (shed verdicts return `Ok`).
     pub fn submit(&self) -> Result<Submission, RuntimeError> {
-        self.submit_on(self.sharded.next_shard())
+        self.submit_with(&mut self.dispatcher.guard())
     }
 
-    /// Offers one job on shard `shard`: the pinned-worker variant of
-    /// [`Runtime::submit`]. The admission draw comes from the shard's
-    /// dedicated admission stream, so the routing decision sequence is
-    /// the same whether or not admission is enabled.
+    /// [`Runtime::submit`]; the argument is ignored. Kept for the
+    /// benchmark's job loop, which passes [`Dispatcher::next_shard`],
+    /// until that loop is retired.
     ///
     /// # Errors
-    /// [`RuntimeError::NoServingNodes`] as [`Runtime::submit`].
-    ///
-    /// # Panics
-    /// If `shard >= shard_count()`.
-    pub fn submit_on(&self, shard: usize) -> Result<Submission, RuntimeError> {
-        self.submit_with(&mut self.sharded.shard(shard))
+    /// As [`Runtime::submit`].
+    pub fn submit_on(&self, _shard: usize) -> Result<Submission, RuntimeError> {
+        self.submit()
     }
 
-    /// [`Runtime::submit_on`]'s body on a held shard guard, which routes
-    /// on its own table: the trace driver refreshes it before each call.
+    /// [`Runtime::submit`]'s body on a held dispatcher guard, which
+    /// routes on its own table: the trace driver refreshes it before
+    /// each call.
     pub(crate) fn submit_with(
         &self,
-        guard: &mut ShardGuard<'_>,
+        guard: &mut DispatchGuard<'_>,
     ) -> Result<Submission, RuntimeError> {
         if let Some(control) = &self.admission {
             let u = guard.next_admission_draw();
             match control.decide(u) {
                 AdmissionVerdict::Accept => {}
                 verdict @ (AdmissionVerdict::Defer | AdmissionVerdict::Reject) => {
-                    self.telemetry.record_admission_shed(guard.index(), verdict);
+                    self.telemetry.record_admission_shed(verdict);
                     return Ok(match verdict {
                         AdmissionVerdict::Defer => Submission::Deferred,
                         _ => Submission::Rejected,
@@ -790,29 +764,24 @@ impl Runtime {
         guard.dispatch().map(Submission::Dispatched)
     }
 
-    /// Number of dispatch shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.sharded.shard_count()
-    }
-
-    /// Jobs dispatched so far, merged over all shards.
+    /// Jobs dispatched so far.
     #[must_use]
     pub fn dispatched(&self) -> u64 {
-        self.sharded.dispatched()
+        self.dispatcher.dispatched()
     }
 
-    /// Per-node dispatch counts merged over all shards, sorted by id.
+    /// Per-node dispatch counts, sorted by id.
     #[must_use]
     pub fn hit_counts(&self) -> Vec<(NodeId, u64)> {
-        self.sharded.hit_counts()
+        self.dispatcher.hit_counts()
     }
 
-    /// The sharded dispatcher itself (benchmarks, pinned-worker loops
-    /// that hold a [`ShardedDispatcher::shard`] guard).
+    /// The dispatcher itself (benchmarks, loops that hold a
+    /// [`Dispatcher::guard`]). Kept under this name for the benchmark's
+    /// job loop until it is retired.
     #[must_use]
-    pub fn sharded_dispatcher(&self) -> &ShardedDispatcher {
-        &self.sharded
+    pub fn sharded_dispatcher(&self) -> &Dispatcher {
+        &self.dispatcher
     }
 
     /// Admission counters, when admission control is configured.
@@ -845,7 +814,7 @@ impl Runtime {
     }
 
     /// Scrapes every telemetry instrument into one snapshot, after
-    /// syncing the derived totals (merged dispatch counter, table
+    /// syncing the derived totals (dispatch counter, table
     /// publishes, admission counters, offered ρ, ring drops) and
     /// rewriting the per-node suspicion families (live φ at the
     /// telemetry clock plus the effective detector thresholds, one cell
@@ -855,7 +824,7 @@ impl Runtime {
     pub fn telemetry_snapshot(&self) -> Option<gtlb_telemetry::Snapshot> {
         let inner = self.telemetry.inner()?;
         inner.sync(
-            self.sharded.dispatched(),
+            self.dispatcher.dispatched(),
             self.table.stats().publishes,
             self.admission.as_ref().map(|c| (c.stats(), c.offered_utilization())),
         );
@@ -885,12 +854,6 @@ impl Runtime {
     #[must_use]
     pub fn current_table(&self) -> Arc<RoutingTable> {
         self.table.load()
-    }
-
-    /// The routing-table slot itself (benchmarks, custom dispatch loops).
-    #[must_use]
-    pub fn table_handle(&self) -> Arc<EpochSwap<RoutingTable>> {
-        Arc::clone(&self.table)
     }
 
     /// Spawns the background re-solve loop: every `interval`, run
@@ -929,11 +892,11 @@ impl Runtime {
         lock_counted(&self.state, &self.state_waiters)
     }
 
-    /// Whether a thread is blocked on `state` or on a dispatch shard:
-    /// two relaxed loads, which the trace driver makes after each job of
-    /// a batch.
+    /// Whether a thread is blocked on `state` or on the dispatcher: two
+    /// relaxed loads, which the trace driver makes after each job of a
+    /// batch.
     pub(crate) fn has_waiters(&self) -> bool {
-        self.state_waiters.load(Ordering::Relaxed) != 0 || self.sharded.has_waiters()
+        self.state_waiters.load(Ordering::Relaxed) != 0 || self.dispatcher.has_waiters()
     }
 
     /// The rate `node` is solved with: the measured `μ̂` once its service
@@ -1025,7 +988,10 @@ impl Runtime {
         transition: Option<HealthTransition>,
     ) -> Option<HealthTransition> {
         let tr = transition?;
-        state.transitions.push(tr);
+        if state.transitions.len() == TRANSITIONS_KEPT {
+            state.transitions.pop_front();
+        }
+        state.transitions.push_back(tr);
         self.telemetry.record_health(tr);
         match tr.to {
             Health::Down => {
@@ -1374,39 +1340,30 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_replays_the_unsharded_stream() {
-        // shards = 1 (the default) must reproduce the single central
-        // dispatcher: the seed's dispatch stream routed draw by draw
-        // through the published table.
+    fn dispatch_replays_the_seeds_stream() {
+        // The runtime's dispatcher is the paper's central dispatcher: the
+        // seed's dispatch stream routed draw by draw through the
+        // published table, every decision counted.
         let rt = coop_runtime(0.9);
         rt.register_node(2.0).unwrap();
         rt.register_node(1.0).unwrap();
         rt.resolve_now().unwrap();
-        assert_eq!(rt.shard_count(), 1);
         let table = rt.current_table();
         let mut rng =
             gtlb_desim::rng::Xoshiro256PlusPlus::stream(rt.config().seed, shard::DISPATCH_STREAM);
+        let mut hits = vec![0; table.nodes().len()];
         for _ in 0..256 {
             let expected = Decision { node: table.route(rng.next_open01()), epoch: table.epoch() };
             assert_eq!(rt.dispatch().unwrap(), expected);
+            hits[expected.node.raw() as usize] += 1;
         }
-    }
-
-    #[test]
-    fn sharded_round_robin_spreads_and_counts() {
-        let rt = Runtime::builder().seed(8).nominal_arrival_rate(1.5).shards(4).build();
-        let a = rt.register_node(2.0).unwrap();
-        rt.register_node(1.0).unwrap();
-        rt.resolve_now().unwrap();
-        for _ in 0..4000 {
-            rt.dispatch().unwrap();
-        }
-        assert_eq!(rt.dispatched(), 4000);
-        let hits = rt.hit_counts();
-        assert_eq!(hits.iter().map(|&(_, c)| c).sum::<u64>(), 4000);
-        let p_a = rt.current_table().prob_of(a).unwrap();
-        let f_a = hits.iter().find(|&&(id, _)| id == a).map_or(0, |&(_, c)| c) as f64 / 4000.0;
-        assert!((f_a - p_a).abs() < 0.05, "merged freq {f_a} vs p {p_a}");
+        assert_eq!(rt.dispatched(), 256);
+        let expected: Vec<(NodeId, u64)> = (0u64..)
+            .zip(hits)
+            .filter(|&(_, count)| count > 0)
+            .map(|(raw, count)| (NodeId::from_raw(raw), count))
+            .collect();
+        assert_eq!(rt.hit_counts(), expected);
     }
 
     #[test]
@@ -1428,7 +1385,6 @@ mod tests {
             .seed(4)
             .nominal_arrival_rate(0.9)
             .admission(AdmissionConfig { target_utilization: 0.5, defer_band: 0.0 })
-            .shards(2)
             .build();
         rt.register_node(1.0).unwrap();
         rt.resolve_now().unwrap();
@@ -1698,6 +1654,35 @@ mod tests {
             }
         }
         assert_eq!(recoveries, [20, 20]);
+    }
+
+    #[test]
+    fn the_transition_log_keeps_the_newest_in_order() {
+        // One node of two flaps Up→Suspect→Up, observation by observation,
+        // until the detector has driven more transitions than the log
+        // keeps; the log then holds exactly the newest, oldest first.
+        let rt = coop_runtime(0.5);
+        let a = rt.register_node(1.0).unwrap();
+        rt.register_node(1.0).unwrap();
+        rt.resolve_now().unwrap();
+        let mut t = 0.0;
+        for _ in 0..5 {
+            rt.observe_success(a, t).unwrap();
+            t += 1.0;
+        }
+        let mut driven = Vec::new();
+        while driven.len() < TRANSITIONS_KEPT + 100 {
+            for success in [false, true, true] {
+                let tr = if success {
+                    rt.observe_success(a, t).unwrap()
+                } else {
+                    rt.observe_failure(a, t).unwrap()
+                };
+                driven.extend(tr);
+                t += 0.1;
+            }
+        }
+        assert_eq!(rt.health_transitions(), driven[driven.len() - TRANSITIONS_KEPT..]);
     }
 
     #[test]

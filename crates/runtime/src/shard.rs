@@ -1,56 +1,44 @@
-//! Sharded dispatch: N per-core dispatchers over one routing-table slot.
+//! Dispatch: the paper's central dispatcher over the routing-table slot.
 //!
 //! The paper's COOP scheme is static: a central dispatcher sends each
-//! job to computer `i` with probability `λ_i / Φ`. A
-//! [`ShardedDispatcher`] runs that dispatcher as N shards, each with its
-//! **own** deterministic RNG stream, hit counters and cached table, so
-//! concurrent dispatch on distinct shards never contends. Counters are
-//! merged only when read.
+//! job to computer `i` with probability `λ_i / Φ` (§3.4.1). A
+//! [`Dispatcher`] is that dispatcher: one deterministic RNG stream, hit
+//! counters and a cached table behind one mutex.
 //!
 //! ## Seed derivation
 //!
-//! Shard `k` of base seed `s` draws from
-//! `Xoshiro256PlusPlus::stream(s ^ k, DISPATCH_STREAM)`. Two
-//! consequences worth relying on:
-//!
-//! * **shard 0 replays the seed's stream** — `s ^ 0 = s`, so shard 0
-//!   routes exactly the draws of `Xoshiro256PlusPlus::stream(s,
-//!   DISPATCH_STREAM)` through [`RoutingTable::route`], and a one-shard
-//!   runtime is the single central dispatcher;
-//! * **determinism** — for a fixed `(seed, shard count)` the per-shard
-//!   decision sequences, and therefore any fixed interleaving of them
-//!   (e.g. round-robin by job index), are reproducible regardless of
-//!   which OS threads executed which shards.
+//! The dispatcher of seed `s` routes on the draws of
+//! `Xoshiro256PlusPlus::stream(s, DISPATCH_STREAM)` and takes its
+//! admission draws from `Xoshiro256PlusPlus::stream(s,
+//! ADMISSION_STREAM)`, so the decision sequence is a pure function of
+//! the seed and the published tables, whichever thread dispatches.
 //!
 //! ## The cached table
 //!
-//! Each shard sits behind its own mutex, uncontended when each worker
-//! owns a shard, and caches the `Arc<RoutingTable>` it routes on
-//! together with the slot generation it was read at.
-//! [`ShardedDispatcher::shard`] compares that generation with the
-//! slot's (one atomic load) and re-reads the pair under the slot's
-//! mutex only when a publish has landed. A [`ShardGuard`] therefore
-//! routes on the table that was live when it was taken, and the per-job
-//! entry points ([`ShardedDispatcher::dispatch_on`]) take a fresh guard
-//! per job, so they always see the latest publish. A held guard never
-//! delays a publish.
+//! The dispatcher caches the `Arc<RoutingTable>` it routes on together
+//! with the slot generation it was read at. [`Dispatcher::guard`]
+//! compares that generation with the slot's (one atomic load) and
+//! re-reads the pair under the slot's mutex only when a publish has
+//! landed. A [`DispatchGuard`] therefore routes on the table that was
+//! live when it was taken, and [`Dispatcher::dispatch`] takes a fresh
+//! guard per job, so it always sees the latest publish. A held guard
+//! never delays a publish.
 //!
-//! The trace driver holds its guards for a batch of jobs instead and
+//! The trace driver holds the guard for a batch of jobs instead and
 //! makes the same check before each attempt, so it routes on the same
 //! tables a fresh guard per job would. Per job its hot path is one
 //! atomic load, one RNG draw, one O(1) alias lookup and one array
-//! increment, plus one shard lock per batch; the round-robin claim adds
-//! one `fetch_add` only when there is more than one shard.
+//! increment, plus one dispatcher lock per batch.
 //!
-//! ## Handing a held shard over
+//! ## Handing a held dispatcher over
 //!
-//! Every shard lock the dispatcher takes first tries the mutex. A
-//! caller that finds it held counts itself in the dispatcher's waiter
-//! count while it blocks, and a batch holder that sees the count
-//! nonzero ends its batch and lets the waiter in (see
+//! Every lock of the dispatcher first tries the mutex. A caller that
+//! finds it held counts itself in the dispatcher's waiter count while it
+//! blocks, and a batch holder that sees the count nonzero ends its batch
+//! and lets the waiter in (see
 //! [`TraceDriver::run_jobs`](crate::TraceDriver::run_jobs)).
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use gtlb_desim::rng::Xoshiro256PlusPlus;
@@ -66,9 +54,9 @@ use crate::telemetry::{Telemetry, ROUTE_SAMPLE_EVERY};
 /// families.
 pub const DISPATCH_STREAM: u64 = 0x0400;
 
-/// RNG stream id of per-shard admission draws — disjoint from dispatch
-/// (0x0400) and the driver's streams (0x0500/0x0600), so toggling
-/// admission control never perturbs the routing decision sequence.
+/// RNG stream id of admission draws — disjoint from dispatch (0x0400)
+/// and the driver's streams (0x0500/0x0600), so toggling admission
+/// control never perturbs the routing decision sequence.
 pub const ADMISSION_STREAM: u64 = 0x0700;
 
 /// One routing decision.
@@ -81,24 +69,24 @@ pub struct Decision {
     pub epoch: u64,
 }
 
-/// Per-shard mutable state: the RNG streams, the local counters and the
+/// The dispatcher's mutable state: the RNG streams, the counters and the
 /// cached table. Hit counts are a dense vector indexed by raw node id
 /// (ids are assigned sequentially and never reused), so counting a hit
 /// is an array increment, not a hash lookup.
 #[derive(Debug)]
-struct ShardCore {
+struct Core {
     rng: Xoshiro256PlusPlus,
     admission_rng: Xoshiro256PlusPlus,
     dispatched: u64,
     hits: Vec<u64>,
     /// Slot generation `table` was read at.
     generation: u64,
-    /// The table this shard routes on; [`ShardGuard::refresh`] re-reads
-    /// it when the slot's generation has moved.
+    /// The table the dispatcher routes on; [`DispatchGuard::refresh`]
+    /// re-reads it when the slot's generation has moved.
     table: Arc<RoutingTable>,
 }
 
-impl ShardCore {
+impl Core {
     #[inline]
     fn count_hit(&mut self, node: NodeId) {
         let idx = node.raw() as usize;
@@ -109,198 +97,127 @@ impl ShardCore {
     }
 }
 
-/// N independent dispatchers over one shared routing table.
+/// The central dispatcher over one shared routing table.
 ///
-/// See the [module docs](self) for the seed-derivation rule and the
-/// determinism contract.
+/// See the [module docs](self) for the seed derivation and the cached
+/// table.
 #[derive(Debug)]
-pub struct ShardedDispatcher {
+pub struct Dispatcher {
     table: Arc<EpochSwap<RoutingTable>>,
-    shards: Vec<Mutex<ShardCore>>,
-    round_robin: AtomicUsize,
-    /// Threads blocked on a shard's mutex right now (see
-    /// [`ShardedDispatcher::lock`]).
+    core: Mutex<Core>,
+    /// Threads blocked on the dispatcher's mutex right now (see
+    /// [`Dispatcher::lock`]).
     waiters: AtomicU32,
     telemetry: Telemetry,
 }
 
-impl ShardedDispatcher {
-    /// `shards` dispatchers reading `table`; shard `k` draws from stream
-    /// `DISPATCH_STREAM` of seed `base_seed ^ k`. Telemetry is disabled;
-    /// use [`with_telemetry`](Self::with_telemetry) to record sampled
+impl Dispatcher {
+    /// A dispatcher reading `table`, drawing from stream
+    /// `DISPATCH_STREAM` of `seed`. Telemetry is disabled; use
+    /// [`with_telemetry`](Self::with_telemetry) to record sampled
     /// routing events.
-    ///
-    /// # Panics
-    /// If `shards` is zero.
     #[must_use]
-    pub fn new(table: Arc<EpochSwap<RoutingTable>>, base_seed: u64, shards: usize) -> Self {
-        Self::with_telemetry(table, base_seed, shards, Telemetry::disabled())
+    pub fn new(table: Arc<EpochSwap<RoutingTable>>, seed: u64) -> Self {
+        Self::with_telemetry(table, seed, Telemetry::disabled())
     }
 
     /// Like [`new`](Self::new), with a telemetry facade. Telemetry
     /// consumes no RNG draws and never alters a decision: the sequences
     /// are bit-identical whether `telemetry` is enabled or not.
-    ///
-    /// # Panics
-    /// If `shards` is zero.
     #[must_use]
     pub fn with_telemetry(
         table: Arc<EpochSwap<RoutingTable>>,
-        base_seed: u64,
-        shards: usize,
+        seed: u64,
         telemetry: Telemetry,
     ) -> Self {
-        assert!(shards > 0, "a sharded dispatcher needs at least one shard");
         let (generation, current) = table.load_current();
-        let shards = (0..shards as u64)
-            .map(|k| {
-                Mutex::new(ShardCore {
-                    rng: Xoshiro256PlusPlus::stream(base_seed ^ k, DISPATCH_STREAM),
-                    admission_rng: Xoshiro256PlusPlus::stream(base_seed ^ k, ADMISSION_STREAM),
-                    dispatched: 0,
-                    hits: Vec::new(),
-                    generation,
-                    table: Arc::clone(&current),
-                })
-            })
-            .collect();
-        Self {
-            table,
-            shards,
-            round_robin: AtomicUsize::new(0),
-            waiters: AtomicU32::new(0),
-            telemetry,
-        }
+        let core = Core {
+            rng: Xoshiro256PlusPlus::stream(seed, DISPATCH_STREAM),
+            admission_rng: Xoshiro256PlusPlus::stream(seed, ADMISSION_STREAM),
+            dispatched: 0,
+            hits: Vec::new(),
+            generation,
+            table: current,
+        };
+        Self { table, core: Mutex::new(core), waiters: AtomicU32::new(0), telemetry }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Locks shard `shard`, first refreshing its cached table if a
-    /// publish has landed since the shard last looked. The lock is
-    /// uncontended when each worker owns one shard; a caller that finds
-    /// it held counts as waiting until it gets it (see the
+    /// Locks the dispatcher, first refreshing its cached table if a
+    /// publish has landed since it last looked. A caller that finds it
+    /// held counts as waiting until it gets it (see the
     /// [module docs](self)).
     ///
     /// Every dispatch through the guard routes on the table that was
     /// live when it was taken; take a new guard to observe a newer
-    /// publish — per-job paths like [`dispatch_on`](Self::dispatch_on)
-    /// do so implicitly. Holding a guard never delays a publish.
-    ///
-    /// # Panics
-    /// If `shard >= shard_count()`.
+    /// publish — [`dispatch`](Self::dispatch) does so implicitly.
+    /// Holding a guard never delays a publish.
     #[must_use]
-    pub fn shard(&self, shard: usize) -> ShardGuard<'_> {
-        let mut guard = ShardGuard { core: self.lock(shard), dispatcher: self, shard };
+    pub fn guard(&self) -> DispatchGuard<'_> {
+        let mut guard = DispatchGuard { core: self.lock(), dispatcher: self };
         guard.refresh();
         guard
     }
 
-    /// Locks shard `shard`, counting the caller in the waiter count
-    /// while it blocks. Every shard lock goes through here.
-    fn lock(&self, shard: usize) -> MutexGuard<'_, ShardCore> {
-        crate::lock_counted(&self.shards[shard], &self.waiters)
+    /// Locks the dispatcher, counting the caller in the waiter count
+    /// while it blocks. Every lock of the dispatcher goes through here.
+    fn lock(&self) -> MutexGuard<'_, Core> {
+        crate::lock_counted(&self.core, &self.waiters)
     }
 
-    /// Whether a thread is blocked on one of the shards: a batch holder
-    /// then ends its batch and hands the shards over.
+    /// Whether a thread is blocked on the dispatcher: a batch holder
+    /// then ends its batch and hands the dispatcher over.
     pub(crate) fn has_waiters(&self) -> bool {
         self.waiters.load(Ordering::Relaxed) != 0
     }
 
-    /// Routes one job on shard `shard`.
-    ///
-    /// # Errors
-    /// [`RuntimeError::NoServingNodes`] while the published table is
-    /// empty.
-    ///
-    /// # Panics
-    /// If `shard >= shard_count()`.
-    pub fn dispatch_on(&self, shard: usize) -> Result<Decision, RuntimeError> {
-        self.shard(shard).dispatch()
-    }
-
-    /// Routes one job on the next shard in round-robin order — the
-    /// drop-in replacement for a single mutex dispatcher when callers do
-    /// not pin shards to workers. A single-threaded caller sees a
-    /// deterministic shard sequence `0, 1, …, N-1, 0, …`.
+    /// Routes one job on a fresh guard.
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] while the published table is
     /// empty.
     pub fn dispatch(&self) -> Result<Decision, RuntimeError> {
-        self.dispatch_on(self.next_shard())
+        self.guard().dispatch()
     }
 
-    /// Claims the next shard in round-robin order (the selection
-    /// [`dispatch`](Self::dispatch) uses); callers that need admission
-    /// and dispatch on the *same* shard claim once and reuse the index.
-    /// With one shard (the default) this is 0 without touching the
-    /// shared counter, so the one-shard path makes no atomic
-    /// read-modify-write here.
+    /// Always 0. Kept for the benchmark's job loop, which claims a
+    /// dispatch index before [`Runtime::submit_on`](crate::Runtime::submit_on)
+    /// and stamps it into its traces, until that loop is retired.
     #[must_use]
     pub fn next_shard(&self) -> usize {
-        match self.shards.len() {
-            1 => 0,
-            n => self.round_robin.fetch_add(1, Ordering::Relaxed) % n,
-        }
+        0
     }
 
-    /// Total jobs routed, merged over all shards.
+    /// Total jobs routed.
     #[must_use]
     pub fn dispatched(&self) -> u64 {
-        (0..self.shards.len()).map(|k| self.lock(k).dispatched).sum()
+        self.lock().dispatched
     }
 
-    /// Per-node hit counts merged over all shards, sorted by node id
-    /// (nodes that were never hit are omitted). This is the read-side
-    /// merge: shards never synchronize on the dispatch path, so the
-    /// merge is a point-in-time sum.
+    /// Per-node hit counts, sorted by node id (nodes that were never hit
+    /// are omitted).
     #[must_use]
     pub fn hit_counts(&self) -> Vec<(NodeId, u64)> {
-        let mut merged: Vec<u64> = Vec::new();
-        for k in 0..self.shards.len() {
-            let core = self.lock(k);
-            if core.hits.len() > merged.len() {
-                merged.resize(core.hits.len(), 0);
-            }
-            for (m, &c) in merged.iter_mut().zip(&core.hits) {
-                *m += c;
-            }
-        }
-        merged
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, count)| count > 0)
-            .map(|(raw, count)| (NodeId::from_raw(raw as u64), count))
+        (0u64..)
+            .zip(&self.lock().hits)
+            .filter(|&(_, &count)| count > 0)
+            .map(|(raw, &count)| (NodeId::from_raw(raw), count))
             .collect()
     }
-
-    /// The shared table slot (benchmarks, custom publish loops).
-    #[must_use]
-    pub fn table_handle(&self) -> Arc<EpochSwap<RoutingTable>> {
-        Arc::clone(&self.table)
-    }
 }
 
-/// Exclusive access to one shard. Routes on the table that was live
-/// when the guard was taken (see [`ShardedDispatcher::shard`]).
+/// Exclusive access to the dispatcher. Routes on the table that was live
+/// when the guard was taken (see [`Dispatcher::guard`]).
 #[derive(Debug)]
-pub struct ShardGuard<'a> {
-    core: MutexGuard<'a, ShardCore>,
-    dispatcher: &'a ShardedDispatcher,
-    shard: usize,
+pub struct DispatchGuard<'a> {
+    core: MutexGuard<'a, Core>,
+    dispatcher: &'a Dispatcher,
 }
 
-impl ShardGuard<'_> {
-    /// Re-reads the shard's table if a publish has landed since the
-    /// shard last looked: one atomic load when none has.
-    /// [`ShardedDispatcher::shard`] calls it once, so a public guard
-    /// pins its table; the trace driver calls it before every attempt
-    /// on the guards it holds for a batch.
+impl DispatchGuard<'_> {
+    /// Re-reads the dispatcher's table if a publish has landed since it
+    /// last looked: one atomic load when none has. [`Dispatcher::guard`]
+    /// calls it once, so a public guard pins its table; the trace driver
+    /// calls it before every attempt on the guard it holds for a batch.
     pub(crate) fn refresh(&mut self) {
         let slot = &self.dispatcher.table;
         if self.core.generation != slot.generation() {
@@ -312,17 +229,11 @@ impl ShardGuard<'_> {
         }
     }
 
-    /// The index of the shard this guard holds.
-    pub(crate) fn index(&self) -> usize {
-        self.shard
-    }
-
-    /// Routes one job on this shard, on the guard's table: one RNG draw,
-    /// one O(1) alias lookup, one counter increment. With telemetry
-    /// enabled, every [`ROUTE_SAMPLE_EVERY`]-th decision of this shard is
-    /// additionally pushed to the event ring (the dispatch counter
-    /// doubles as the sample clock, so sampling adds no per-dispatch
-    /// state and no RNG draw).
+    /// Routes one job on the guard's table: one RNG draw, one O(1) alias
+    /// lookup, one counter increment. With telemetry enabled, every
+    /// [`ROUTE_SAMPLE_EVERY`]-th decision is additionally pushed to the
+    /// event ring (the dispatch counter doubles as the sample clock, so
+    /// sampling adds no per-dispatch state and no RNG draw).
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] while the guard's table is empty.
@@ -338,22 +249,16 @@ impl ShardGuard<'_> {
         core.count_hit(node);
         let telemetry = &self.dispatcher.telemetry;
         if core.dispatched & (ROUTE_SAMPLE_EVERY - 1) == 0 && telemetry.is_enabled() {
-            telemetry.record_routed(self.shard, node, epoch);
+            telemetry.record_routed(node, epoch);
         }
         Ok(Decision { node, epoch })
     }
 
-    /// A uniform draw from this shard's [`ADMISSION_STREAM`] — a stream
-    /// disjoint from the routing stream, so probabilistic admission stays
-    /// deterministic per shard without perturbing the decision sequence.
+    /// A uniform draw from the [`ADMISSION_STREAM`] — a stream disjoint
+    /// from the routing stream, so probabilistic admission stays
+    /// deterministic without perturbing the decision sequence.
     pub fn next_admission_draw(&mut self) -> f64 {
         self.core.admission_rng.next_open01()
-    }
-
-    /// Jobs routed by this shard so far.
-    #[must_use]
-    pub fn dispatched(&self) -> u64 {
-        self.core.dispatched
     }
 }
 
@@ -371,119 +276,50 @@ mod tests {
     }
 
     #[test]
-    fn shard_zero_matches_the_unsharded_dispatcher() {
-        // The single central dispatcher: seed 42's dispatch stream,
-        // routed draw by draw through the table.
+    fn dispatch_replays_the_seeds_stream() {
+        // The central dispatcher: seed 42's dispatch stream, routed draw
+        // by draw through the table.
         let probs = [0.5, 0.3, 0.2];
         let reference = table(1, &probs);
         let mut rng = Xoshiro256PlusPlus::stream(42, DISPATCH_STREAM);
-        let sharded = ShardedDispatcher::new(swap(&probs), 42, 4);
-        let mut guard = sharded.shard(0);
+        let dispatcher = Dispatcher::new(swap(&probs), 42);
+        let mut guard = dispatcher.guard();
         for _ in 0..256 {
             let expected = Decision { node: reference.route(rng.next_open01()), epoch: 1 };
             assert_eq!(guard.dispatch().unwrap(), expected);
         }
-    }
-
-    #[test]
-    fn shards_draw_independent_streams() {
-        let sharded = ShardedDispatcher::new(swap(&[0.5, 0.5]), 7, 2);
-        let a: Vec<NodeId> = (0..128).map(|_| sharded.dispatch_on(0).unwrap().node).collect();
-        let b: Vec<NodeId> = (0..128).map(|_| sharded.dispatch_on(1).unwrap().node).collect();
-        assert_ne!(a, b, "distinct shards must not replay the same stream");
-    }
-
-    #[test]
-    fn merged_sequence_is_reproducible_for_fixed_seed_and_shards() {
-        let run = || {
-            let sharded = ShardedDispatcher::new(swap(&[0.6, 0.4]), 99, 4);
-            // Round-robin job placement: job j runs on shard j % 4.
-            (0..1000).map(|j| sharded.dispatch_on(j % 4).unwrap().node).collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn merged_sequence_is_independent_of_execution_interleaving() {
-        // Dispatch shard-by-shard (as parallel workers would, in some
-        // arbitrary thread order) and compare against the round-robin
-        // merge of a job-by-job run: per-shard streams make the merged
-        // sequence a pure function of (seed, shard count, placement).
-        let n_shards = 4usize;
-        let jobs = 1024usize;
-        let per_shard = jobs / n_shards;
-
-        let sharded = ShardedDispatcher::new(swap(&[0.3, 0.3, 0.4]), 5, n_shards);
-        let mut by_shard: Vec<Vec<NodeId>> = Vec::new();
-        // Worst-case interleaving: entire shards run back to back, in
-        // reverse order.
-        for k in (0..n_shards).rev() {
-            let mut guard = sharded.shard(k);
-            by_shard.push((0..per_shard).map(|_| guard.dispatch().unwrap().node).collect());
-        }
-        by_shard.reverse(); // index by shard id again
-        let merged: Vec<NodeId> = (0..jobs).map(|j| by_shard[j % n_shards][j / n_shards]).collect();
-
-        let reference = ShardedDispatcher::new(swap(&[0.3, 0.3, 0.4]), 5, n_shards);
-        let sequential: Vec<NodeId> =
-            (0..jobs).map(|j| reference.dispatch_on(j % n_shards).unwrap().node).collect();
-        assert_eq!(merged, sequential);
-    }
-
-    #[test]
-    fn counters_merge_on_read() {
-        let sharded = ShardedDispatcher::new(swap(&[0.8, 0.2]), 3, 3);
-        for j in 0..3000usize {
-            sharded.dispatch_on(j % 3).unwrap();
-        }
-        assert_eq!(sharded.dispatched(), 3000);
-        let counts = sharded.hit_counts();
-        let total: u64 = counts.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 3000);
-        // Frequencies follow the table across the merge.
-        let n0 = counts.iter().find(|&&(id, _)| id == NodeId::from_raw(0)).unwrap().1;
-        let f0 = n0 as f64 / 3000.0;
-        assert!((f0 - 0.8).abs() < 0.05, "merged frequency {f0} vs p 0.8");
-    }
-
-    #[test]
-    fn round_robin_dispatch_covers_all_shards() {
-        let sharded = ShardedDispatcher::new(swap(&[1.0]), 0, 4);
-        for _ in 0..40 {
-            sharded.dispatch().unwrap();
-        }
-        assert_eq!(sharded.dispatched(), 40);
-        let per_shard: Vec<u64> = (0..4).map(|k| sharded.shard(k).dispatched()).collect();
-        assert_eq!(per_shard, vec![10, 10, 10, 10]);
+        drop(guard);
+        assert_eq!(dispatcher.dispatched(), 256);
     }
 
     #[test]
     fn empty_table_fails_dispatch() {
         let slot = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
-        let sharded = ShardedDispatcher::new(slot, 1, 2);
-        assert_eq!(sharded.dispatch(), Err(RuntimeError::NoServingNodes));
+        let dispatcher = Dispatcher::new(slot, 1);
+        assert_eq!(dispatcher.dispatch(), Err(RuntimeError::NoServingNodes));
     }
 
     #[test]
-    fn shards_follow_a_publish() {
+    fn dispatch_follows_a_publish() {
         let slot = swap(&[1.0, 0.0]);
-        let sharded = ShardedDispatcher::new(Arc::clone(&slot), 11, 2);
-        for j in 0..20usize {
-            assert_eq!(sharded.dispatch_on(j % 2).unwrap().node, NodeId::from_raw(0));
+        let dispatcher = Dispatcher::new(Arc::clone(&slot), 11);
+        for _ in 0..20 {
+            assert_eq!(dispatcher.dispatch().unwrap().node, NodeId::from_raw(0));
         }
         slot.publish(table(2, &[0.0, 1.0]));
-        for j in 0..20usize {
-            let d = sharded.dispatch_on(j % 2).unwrap();
+        for _ in 0..20 {
+            let d = dispatcher.dispatch().unwrap();
             assert_eq!(d.node, NodeId::from_raw(1));
             assert_eq!(d.epoch, 2);
         }
+        assert_eq!(dispatcher.hit_counts(), [(NodeId::from_raw(0), 20), (NodeId::from_raw(1), 20)]);
     }
 
     #[test]
     fn guard_pins_the_snapshot_at_acquisition() {
         let slot = swap(&[1.0, 0.0]);
-        let sharded = ShardedDispatcher::new(Arc::clone(&slot), 3, 1);
-        let mut guard = sharded.shard(0);
+        let dispatcher = Dispatcher::new(Arc::clone(&slot), 3);
+        let mut guard = dispatcher.guard();
         slot.publish(table(2, &[0.0, 1.0]));
         // The held guard keeps routing on the epoch-1 snapshot...
         for _ in 0..10 {
@@ -492,13 +328,7 @@ mod tests {
         }
         drop(guard);
         // ...and a re-acquired guard observes the publish.
-        let d = sharded.shard(0).dispatch().unwrap();
+        let d = dispatcher.guard().dispatch().unwrap();
         assert_eq!((d.node, d.epoch), (NodeId::from_raw(1), 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = ShardedDispatcher::new(swap(&[1.0]), 0, 0);
     }
 }

@@ -13,22 +13,21 @@
 //!
 //! A reader that caches a snapshot checks whether it is still current
 //! with one load of the atomic generation and takes the mutex only when
-//! a publish has landed. Every dispatch shard works this way (`shard.rs`),
-//! so the per-job path never touches the slot's mutex or refcount.
+//! a publish has landed. The dispatcher works this way (`shard.rs`), so
+//! the per-job path never touches the slot's mutex or refcount.
 //!
 //! ## Lock order
 //!
-//! A dispatch shard's mutex (in ascending shard index), then the
-//! runtime's `state` lock, then the slot; the event ring's lanes and the
-//! flight recorder are leaves, and nothing locks a shard while holding
-//! `state`. The slot's mutex is a leaf lock: nothing else is locked
-//! while it is held, and it is held only to clone or replace one `Arc`.
-//! A publisher takes `state` and then the slot (the publish rule on
-//! [`Runtime`](crate::Runtime)); a dispatch shard takes its own mutex
-//! and then the slot (the refresh in
-//! [`ShardedDispatcher::shard`](crate::ShardedDispatcher::shard)); the
-//! trace driver's batch takes every shard, then `state`, and publishes
-//! and refreshes under both. No path locks anything after the slot, and
+//! The dispatcher's mutex, then the runtime's `state` lock, then the
+//! slot; the event ring and the flight recorder are leaves, and nothing
+//! locks the dispatcher while holding `state`. The slot's mutex is a
+//! leaf lock: nothing else is locked while it is held, and it is held
+//! only to clone or replace one `Arc`. A publisher takes `state` and
+//! then the slot (the publish rule on [`Runtime`](crate::Runtime)); the
+//! dispatcher takes its own mutex and then the slot (the refresh in
+//! [`Dispatcher::guard`](crate::Dispatcher::guard)); the trace driver's
+//! batch takes the dispatcher, then `state`, and publishes and
+//! refreshes under both. No path locks anything after the slot, and
 //! every path takes the others in that order, so none can deadlock.
 
 use std::sync::atomic::{AtomicU64, Ordering};

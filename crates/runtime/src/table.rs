@@ -1,5 +1,5 @@
 //! Probabilistic routing tables: the immutable artifact the re-solver
-//! publishes and the dispatch shards read.
+//! publishes and the dispatcher reads.
 //!
 //! A table maps a uniform draw `u ∈ [0,1)` to a node with probability
 //! `p_i = λ_i / Φ` of the current allocation, in O(1) per draw via a

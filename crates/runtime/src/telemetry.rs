@@ -5,7 +5,7 @@
 //! default) carries `None` and every record method compiles to a plain
 //! branch on it, so the instrumented paths cost one predictable
 //! never-taken branch when telemetry is off. [`Telemetry::enabled`]
-//! allocates the instrument set and the per-shard event ring.
+//! allocates the instrument set and the event ring.
 //!
 //! ## Determinism contract
 //!
@@ -23,7 +23,7 @@
 //! ## Hot-path budget
 //!
 //! The alias-routing hot path gains only the enabled-check branch plus,
-//! every [`ROUTE_SAMPLE_EVERY`]-th dispatch of a shard, one sampled
+//! every [`ROUTE_SAMPLE_EVERY`]-th dispatch, one sampled
 //! [`RuntimeEvent::Routed`] ring push (amortized to well under a
 //! nanosecond). CI gates the enabled/disabled ratio at ≤ 1.03× on the
 //! n=1024 route bench.
@@ -60,19 +60,20 @@ use crate::fault::{
 use crate::registry::{Health, NodeId};
 use crate::shard::{ADMISSION_STREAM, DISPATCH_STREAM};
 
-/// Events per event-ring lane (one lane per shard).
+/// Events the event ring holds.
 pub const TELEMETRY_EVENT_CAPACITY: usize = 1024;
 
-/// A shard pushes one sampled [`RuntimeEvent::Routed`] event every this
-/// many dispatches (a power of two, so the check is one mask). Routing
-/// *counts* are exact regardless — they come from the shard counters —
-/// only the per-decision event stream is sampled.
+/// The dispatcher pushes one sampled [`RuntimeEvent::Routed`] event
+/// every this many dispatches (a power of two, so the check is one
+/// mask). Routing *counts* are exact regardless — they come from the
+/// dispatcher's counters — only the per-decision event stream is
+/// sampled.
 pub const ROUTE_SAMPLE_EVERY: u64 = 1024;
 
 /// Canonical metric names, as they appear in [`Snapshot`] and both
 /// exposition formats. The README's metric table documents each.
 pub mod names {
-    /// Jobs routed, merged over all shards (synced from shard counters).
+    /// Jobs routed (synced from the dispatcher's counter).
     pub const DISPATCHES: &str = "gtlb_dispatches_total";
     /// Jobs that asked admission for a verdict.
     pub const ADMISSION_SUBMITTED: &str = "gtlb_admission_submitted_total";
@@ -123,11 +124,11 @@ pub mod names {
 }
 
 /// A structured happening recorded in the event ring, tagged (by
-/// [`TaggedEvent`]) with virtual time, shard, and seed-stream family.
+/// [`TaggedEvent`]) with virtual time and seed-stream family.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeEvent {
     /// A sampled routing decision (every [`ROUTE_SAMPLE_EVERY`]-th
-    /// dispatch per shard).
+    /// dispatch).
     Routed {
         /// The chosen node.
         node: NodeId,
@@ -224,10 +225,10 @@ pub(crate) struct TelemetryInner {
 }
 
 impl TelemetryInner {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         let registry = MetricRegistry::new();
         Self {
-            ring: EventRing::new(shards.max(1), TELEMETRY_EVENT_CAPACITY),
+            ring: EventRing::new(TELEMETRY_EVENT_CAPACITY),
             clock_bits: AtomicU64::new(0f64.to_bits()),
             dispatches: registry.counter(names::DISPATCHES),
             admission_submitted: registry.counter(names::ADMISSION_SUBMITTED),
@@ -257,12 +258,12 @@ impl TelemetryInner {
         f64::from_bits(self.clock_bits.load(Ordering::Relaxed))
     }
 
-    fn push(&self, shard: usize, stream: u64, event: RuntimeEvent) {
-        self.push_at(self.clock(), shard, stream, event);
+    fn push(&self, stream: u64, event: RuntimeEvent) {
+        self.push_at(self.clock(), stream, event);
     }
 
-    fn push_at(&self, time: f64, shard: usize, stream: u64, event: RuntimeEvent) {
-        self.ring.push(shard, TaggedEvent { time, shard: shard as u32, stream, event });
+    fn push_at(&self, time: f64, stream: u64, event: RuntimeEvent) {
+        self.ring.push(TaggedEvent { time, stream, event });
     }
 
     /// Mirrors externally-maintained totals into the registry so a
@@ -326,10 +327,10 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled facade with one event-ring lane per shard.
+    /// An enabled facade.
     #[must_use]
-    pub fn enabled(shards: usize) -> Self {
-        Self { inner: Some(Arc::new(TelemetryInner::new(shards))) }
+    pub fn enabled() -> Self {
+        Self { inner: Some(Arc::new(TelemetryInner::new())) }
     }
 
     /// Whether this facade records anything.
@@ -358,25 +359,25 @@ impl Telemetry {
         self.inner().map_or(0.0, TelemetryInner::clock)
     }
 
-    /// Records a sampled routing decision from `shard`.
+    /// Records a sampled routing decision.
     #[inline]
-    pub(crate) fn record_routed(&self, shard: usize, node: NodeId, epoch: u64) {
+    pub(crate) fn record_routed(&self, node: NodeId, epoch: u64) {
         if let Some(inner) = self.inner() {
-            inner.push(shard, DISPATCH_STREAM, RuntimeEvent::Routed { node, epoch });
+            inner.push(DISPATCH_STREAM, RuntimeEvent::Routed { node, epoch });
         }
     }
 
     /// Records an admission shed verdict (accepts are counted via the
     /// synced [`AdmissionStats`], not per-event).
     #[inline]
-    pub(crate) fn record_admission_shed(&self, shard: usize, verdict: AdmissionVerdict) {
+    pub(crate) fn record_admission_shed(&self, verdict: AdmissionVerdict) {
         if let Some(inner) = self.inner() {
             let deferred = match verdict {
                 AdmissionVerdict::Accept => return,
                 AdmissionVerdict::Defer => true,
                 AdmissionVerdict::Reject => false,
             };
-            inner.push(shard, ADMISSION_STREAM, RuntimeEvent::AdmissionShed { deferred });
+            inner.push(ADMISSION_STREAM, RuntimeEvent::AdmissionShed { deferred });
         }
     }
 
@@ -433,7 +434,8 @@ impl Telemetry {
     }
 
     /// Records one retry and the backoff it waited (virtual seconds).
-    /// `shard` is unused: every retry lands in one counter.
+    /// The first argument is ignored; it is kept for the benchmark's job
+    /// loop until that loop is retired.
     #[inline]
     pub fn record_retry(&self, _shard: usize, backoff_seconds: f64) {
         if let Some(inner) = self.inner() {
@@ -443,12 +445,13 @@ impl Telemetry {
     }
 
     /// Records a dispatch attempt dropped by an injected fault at
-    /// virtual time `t`.
+    /// virtual time `t`. The first argument is ignored, as in
+    /// [`Telemetry::record_retry`].
     #[inline]
-    pub fn record_fault_drop(&self, shard: usize, node: NodeId, t: f64) {
+    pub fn record_fault_drop(&self, _shard: usize, node: NodeId, t: f64) {
         if let Some(inner) = self.inner() {
             inner.fault_drops.incr();
-            inner.push_at(t, shard, FAULT_STREAM, RuntimeEvent::FaultDropped { node });
+            inner.push_at(t, FAULT_STREAM, RuntimeEvent::FaultDropped { node });
         }
     }
 
@@ -466,7 +469,7 @@ impl Telemetry {
                     RuntimeEvent::PartitionHealed { node: *node, direction: *direction }
                 }
             };
-            inner.push_at(marker.at, 0, ADVERSARIAL_STREAM, event);
+            inner.push_at(marker.at, ADVERSARIAL_STREAM, event);
         }
     }
 
@@ -477,7 +480,6 @@ impl Telemetry {
             inner.health_transitions.incr();
             inner.push_at(
                 tr.at,
-                0,
                 0,
                 RuntimeEvent::HealthChanged { node: tr.node, from: tr.from, to: tr.to },
             );
@@ -496,7 +498,7 @@ impl Telemetry {
     #[inline]
     pub(crate) fn record_publish(&self, epoch: u64) {
         if let Some(inner) = self.inner() {
-            inner.push(0, 0, RuntimeEvent::EpochPublished { epoch });
+            inner.push(0, RuntimeEvent::EpochPublished { epoch });
         }
     }
 
@@ -525,20 +527,19 @@ mod tests {
 
     #[test]
     fn enabled_records_and_tags_with_virtual_time() {
-        let tel = Telemetry::enabled(2);
+        let tel = Telemetry::enabled();
         tel.set_clock(3.5);
-        tel.record_routed(1, NodeId::from_raw(7), 4);
+        tel.record_routed(NodeId::from_raw(7), 4);
         let events = tel.recent_events(8);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].time, 3.5);
-        assert_eq!(events[0].shard, 1);
         assert_eq!(events[0].stream, DISPATCH_STREAM);
         assert_eq!(events[0].event, RuntimeEvent::Routed { node: NodeId::from_raw(7), epoch: 4 });
     }
 
     #[test]
     fn sync_mirrors_external_totals() {
-        let tel = Telemetry::enabled(1);
+        let tel = Telemetry::enabled();
         let inner = tel.inner().unwrap();
         inner.sync(
             42,

@@ -15,8 +15,8 @@
 //! time, already computed for the decision being traced. Enabling
 //! tracing therefore leaves all determinism fingerprints bit-identical
 //! — `tests/fingerprints.rs` checks them with tracing on and off — and
-//! the trace *set* itself is a pure function of
-//! `(seed, plan, shard count)`, identical across thread counts.
+//! the trace *set* itself is a pure function of `(seed, plan)`,
+//! identical across thread counts.
 //!
 //! ## Hot-path budget
 //!
@@ -52,11 +52,12 @@ impl Tracer {
         Self { seed: 0, mask: 0, recorder: None }
     }
 
-    /// An enabled facade: trace ids hash from `seed`, the flight
-    /// recorder gets one lane per shard plus the tail-sampling lane.
+    /// An enabled facade: trace ids hash from `seed`, and the flight
+    /// recorder holds `cfg.recorder_capacity` traces in its lane plus as
+    /// many in its tail-sampling lane.
     #[must_use]
-    pub fn enabled(seed: u64, shards: usize, cfg: TracingConfig) -> Self {
-        let recorder = FlightRecorder::new(shards, cfg.recorder_capacity);
+    pub fn enabled(seed: u64, cfg: TracingConfig) -> Self {
+        let recorder = FlightRecorder::new(cfg.recorder_capacity);
         Self { seed, mask: cfg.sample_mask, recorder: Some(Arc::new(recorder)) }
     }
 
@@ -85,11 +86,13 @@ impl Tracer {
         id.sampled(self.mask).then(|| Trace::new(id, sequence))
     }
 
-    /// Lands a finished trace in the flight recorder's lane for
-    /// `shard` (and the tail lane when it is slow or failed).
-    pub fn finish(&self, shard: usize, trace: Trace) {
+    /// Lands a finished trace in the flight recorder (and in its tail
+    /// lane when it is slow or failed). The first argument is ignored;
+    /// it is kept for the benchmark's job loop until that loop is
+    /// retired.
+    pub fn finish(&self, _shard: usize, trace: Trace) {
         if let Some(recorder) = &self.recorder {
-            recorder.record(shard, trace);
+            recorder.record(trace);
         }
     }
 
@@ -137,11 +140,8 @@ mod tests {
 
     #[test]
     fn sampling_is_a_pure_function_of_the_id() {
-        let t = Tracer::enabled(
-            0xF1A6,
-            2,
-            TracingConfig { sample_mask: 0x3, ..TracingConfig::default() },
-        );
+        let t =
+            Tracer::enabled(0xF1A6, TracingConfig { sample_mask: 0x3, ..TracingConfig::default() });
         let sampled: Vec<u64> = (1..=100).filter(|&s| t.begin(s).is_some()).collect();
         let again: Vec<u64> = (1..=100).filter(|&s| t.begin(s).is_some()).collect();
         assert_eq!(sampled, again, "replayable");
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn finished_traces_are_queryable() {
-        let t = Tracer::enabled(7, 1, TracingConfig::sample_all());
+        let t = Tracer::enabled(7, TracingConfig::sample_all());
         let mut trace = t.begin(1).unwrap();
         trace.instant(SpanKind::Admitted, 0.5);
         trace.instant(SpanKind::Completed, 1.0);

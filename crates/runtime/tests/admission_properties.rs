@@ -104,7 +104,6 @@ proptest! {
             .scheme(SchemeKind::Prop)
             .nominal_arrival_rate((0.95 * capacity).min(phi))
             .admission(AdmissionConfig { target_utilization, defer_band })
-            .shards(2)
             .build();
         for &r in &rates {
             rt.register_node(r).unwrap();

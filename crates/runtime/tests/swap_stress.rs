@@ -1,21 +1,21 @@
 //! Stress tests of the routing-table slot [`EpochSwap`] and of the
-//! dispatch shards that cache its tables, under racing readers and
-//! writers.
+//! dispatcher that caches its tables, under racing readers and writers.
 //!
 //! Each published value carries a redundant payload derived from its
 //! version, so a torn read — a reader observing a value mid-replacement
 //! — fails an assertion instead of going unnoticed. The single-writer
 //! test additionally checks that readers observe versions monotonically
 //! (a reader can never see an older table after a newer one), and that
-//! `publish` hands back the previous value in order. The shard tests
-//! check that a held [`ShardGuard`](gtlb_runtime::ShardGuard) never
-//! delays a publish and that a shard's cached table never stays stale.
+//! `publish` hands back the previous value in order. The dispatcher
+//! tests check that a held [`DispatchGuard`](gtlb_runtime::DispatchGuard)
+//! never delays a publish and that the dispatcher's cached table never
+//! stays stale, however many threads dispatch.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use gtlb_runtime::{EpochSwap, NodeId, RoutingTable, ShardedDispatcher};
+use gtlb_runtime::{Dispatcher, EpochSwap, NodeId, RoutingTable};
 
 /// A value whose payload is a pure function of its version: any
 /// mixed-generation read trips `check`.
@@ -141,7 +141,7 @@ fn held_snapshots_are_immutable_across_publishes() {
     assert_eq!(swap.load().version, 1099);
 }
 
-/// Nodes of the shard tests' tables.
+/// Nodes of the dispatcher tests' tables.
 const NODES: u64 = 7;
 
 /// Epoch `epoch`'s table over [`NODES`] nodes: all its mass on node
@@ -156,10 +156,10 @@ fn point_table(epoch: u64) -> RoutingTable {
 #[test]
 fn publishes_never_wait_for_a_held_guard() {
     let slot = Arc::new(EpochSwap::new(point_table(1)));
-    let sharded = ShardedDispatcher::new(Arc::clone(&slot), 5, 1);
+    let dispatcher = Dispatcher::new(Arc::clone(&slot), 5);
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
-        let mut guard = sharded.shard(0);
+        let mut guard = dispatcher.guard();
         let publisher = Arc::clone(&slot);
         s.spawn(move || {
             for epoch in 2..=4 {
@@ -178,39 +178,54 @@ fn publishes_never_wait_for_a_held_guard() {
         assert_eq!(held.epoch, 1);
     });
     assert_eq!(slot.stats().publishes, 3);
-    assert_eq!(sharded.dispatch_on(0).unwrap().epoch, 4, "a new guard sees the last publish");
+    assert_eq!(dispatcher.dispatch().unwrap().epoch, 4, "a new guard sees the last publish");
 }
 
 #[test]
-fn racing_shards_follow_every_publish_and_end_current() {
-    const SHARDS: usize = 4;
+fn racing_dispatches_follow_every_publish_and_end_current() {
+    const THREADS: usize = 4;
     const LAST: u64 = 2_000;
     let slot = Arc::new(EpochSwap::new(point_table(1)));
-    let sharded = ShardedDispatcher::new(Arc::clone(&slot), 9, SHARDS);
+    let dispatcher = Dispatcher::new(Arc::clone(&slot), 9);
     let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for shard in 0..SHARDS {
-            let (sharded, done) = (&sharded, &done);
-            s.spawn(move || {
-                let mut last = 0;
-                while !done.load(Ordering::Relaxed) {
-                    let d = sharded.dispatch_on(shard).unwrap();
-                    assert_eq!(d.node.raw(), d.epoch % NODES, "epoch {} routed elsewhere", d.epoch);
-                    assert!(d.epoch >= last, "shard {shard} went back from {last} to {}", d.epoch);
-                    last = d.epoch;
-                }
-            });
-        }
+    let decisions: u64 = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..THREADS)
+            .map(|k| {
+                let (dispatcher, done) = (&dispatcher, &done);
+                s.spawn(move || {
+                    let (mut last, mut made) = (0, 0u64);
+                    loop {
+                        // Read before the dispatch: once `done` is seen,
+                        // the last publish has landed, so this dispatch
+                        // must route on the last table.
+                        let ended = done.load(Ordering::Acquire);
+                        let d = dispatcher.dispatch().unwrap();
+                        made += 1;
+                        assert_eq!(
+                            d.node.raw(),
+                            d.epoch % NODES,
+                            "epoch {} routed elsewhere",
+                            d.epoch
+                        );
+                        assert!(d.epoch >= last, "thread {k} went back from {last} to {}", d.epoch);
+                        last = d.epoch;
+                        if ended {
+                            assert_eq!(d.epoch, LAST, "thread {k} stayed stale");
+                            return made;
+                        }
+                    }
+                })
+            })
+            .collect();
         let (slot, done) = (&slot, &done);
         s.spawn(move || {
             for epoch in 2..=LAST {
                 slot.publish(point_table(epoch));
             }
-            done.store(true, Ordering::Relaxed);
+            done.store(true, Ordering::Release);
         });
+        racers.into_iter().map(|racer| racer.join().unwrap()).sum()
     });
-    for shard in 0..SHARDS {
-        let d = sharded.dispatch_on(shard).unwrap();
-        assert_eq!((d.node.raw(), d.epoch), (LAST % NODES, LAST), "shard {shard} stayed stale");
-    }
+    assert_eq!(dispatcher.dispatched(), decisions);
+    assert_eq!(dispatcher.hit_counts().iter().map(|&(_, count)| count).sum::<u64>(), decisions);
 }

@@ -16,14 +16,13 @@ use gtlb_runtime::{
 };
 
 /// One chaos trace: crash-recover + flaky faults, retries, heartbeats,
-/// admission pressure, across 2 shards.
+/// admission pressure.
 fn chaos_run(telemetry: bool) -> (Arc<Runtime>, TraceStats, f64) {
     let rt = Arc::new(
         Runtime::builder()
             .seed(0x0B5E)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.8)
-            .shards(2)
             .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.05 })
             .telemetry(telemetry)
             .build(),
@@ -274,7 +273,6 @@ fn flush_rule_run() -> (Arc<Runtime>, TraceDriver) {
             .seed(0xF1A5)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.8)
-            .shards(2)
             .telemetry(true)
             .tracing(true)
             .build(),

@@ -11,8 +11,7 @@
 //!   p50/p90/p99/max queries; a single owner can also record into a
 //!   plain snapshot and add it in with [`Histogram::absorb`].
 //! * [`EventRing`] — a bounded, structured, drop-oldest event buffer
-//!   with one lane per shard and an exact per-lane dropped counter,
-//!   for recording discrete happenings (routing decisions, health
+//!   with an exact dropped counter, for recording discrete happenings (routing decisions, health
 //!   transitions, faults) tagged with virtual time and provenance.
 //! * [`Registry`] + [`Snapshot`] — a scrape surface that reads every
 //!   registered instrument into an immutable snapshot and renders

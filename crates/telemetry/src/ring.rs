@@ -1,25 +1,20 @@
 //! A bounded, structured, drop-oldest event ring.
 //!
-//! [`EventRing`] holds one fixed-capacity lane per shard. The runtime
-//! writes each lane from a single shard at a time (the shard's
-//! dispatch path is already serialized by its own lock), so the
-//! per-lane mutex here is uncontended on the write path; it exists so
-//! that a scrape can read a consistent lane without racing the writer.
-//! When a lane is full the oldest event is dropped and an exact
-//! per-lane dropped counter is incremented.
+//! [`EventRing`] holds one fixed-capacity lane behind a mutex, so that a
+//! scrape can read a consistent lane without racing a writer. When the
+//! lane is full the oldest event is dropped and an exact dropped counter
+//! is incremented.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// An event tagged with its provenance: virtual time, writing shard,
-/// and the deterministic seed-stream id of the subsystem that emitted
-/// it (`0` for subsystems that consume no RNG stream).
+/// An event tagged with its provenance: virtual time and the
+/// deterministic seed-stream id of the subsystem that emitted it (`0`
+/// for subsystems that consume no RNG stream).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaggedEvent<T> {
     /// Virtual (simulation) time of the event, in seconds.
     pub time: f64,
-    /// Shard that recorded the event.
-    pub shard: u32,
     /// Seed-stream family id of the emitting subsystem.
     pub stream: u64,
     /// The structured event payload.
@@ -27,8 +22,8 @@ pub struct TaggedEvent<T> {
 }
 
 /// One bounded, drop-oldest lane with exact accounting: the storage of
-/// each [`EventRing`] lane and each
-/// [`FlightRecorder`](crate::FlightRecorder) lane.
+/// the [`EventRing`] and of each [`FlightRecorder`](crate::FlightRecorder)
+/// lane.
 #[derive(Debug)]
 pub(crate) struct Lane<T> {
     pub(crate) buf: VecDeque<T>,
@@ -39,10 +34,9 @@ pub(crate) struct Lane<T> {
 }
 
 impl<T> Lane<T> {
-    /// `lanes` empty lanes of `capacity` items, each behind its own lock.
-    pub(crate) fn set(lanes: usize, capacity: usize) -> Vec<Mutex<Self>> {
-        let lane = || Self { buf: VecDeque::with_capacity(capacity), dropped: 0, recorded: 0 };
-        (0..lanes).map(|_| Mutex::new(lane())).collect()
+    /// An empty lane of `capacity` items behind its own lock.
+    pub(crate) fn new(capacity: usize) -> Mutex<Self> {
+        Mutex::new(Self { buf: VecDeque::with_capacity(capacity), dropped: 0, recorded: 0 })
     }
 
     /// Locks `lane`. A holder that panicked leaves the lane valid, at
@@ -64,49 +58,41 @@ impl<T> Lane<T> {
     }
 }
 
-/// A bounded multi-lane event ring with drop-oldest semantics and
-/// exact dropped counters.
+/// A bounded event ring with drop-oldest semantics and an exact
+/// dropped counter.
 #[derive(Debug)]
 pub struct EventRing<T> {
-    lanes: Vec<Mutex<Lane<TaggedEvent<T>>>>,
+    lane: Mutex<Lane<TaggedEvent<T>>>,
     capacity: usize,
 }
 
 impl<T: Clone> EventRing<T> {
-    /// Creates a ring with `lanes` lanes (minimum 1) of
-    /// `capacity_per_lane` events each (minimum 1).
+    /// Creates a ring of `capacity` events (minimum 1).
     #[must_use]
-    pub fn new(lanes: usize, capacity_per_lane: usize) -> Self {
-        let capacity = capacity_per_lane.max(1);
-        Self { lanes: Lane::set(lanes.max(1), capacity), capacity }
+    pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        Self { lane: Lane::new(capacity), capacity }
     }
 
-    fn lane(&self, i: usize) -> MutexGuard<'_, Lane<TaggedEvent<T>>> {
-        Lane::lock(&self.lanes[i % self.lanes.len()])
+    fn lane(&self) -> MutexGuard<'_, Lane<TaggedEvent<T>>> {
+        Lane::lock(&self.lane)
     }
 
-    /// Number of lanes.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Capacity of each lane.
+    /// Capacity of the ring.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Appends `event` to the lane owned by `shard` (wrapped by lane
-    /// count), dropping the lane's oldest event if it is full.
-    pub fn push(&self, shard: usize, event: TaggedEvent<T>) {
-        self.lane(shard).push(event, self.capacity);
+    /// Appends `event`, dropping the oldest event if the ring is full.
+    pub fn push(&self, event: TaggedEvent<T>) {
+        self.lane().push(event, self.capacity);
     }
 
-    /// Total events currently buffered across all lanes.
+    /// Events currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
-        (0..self.lanes.len()).map(|i| self.lane(i).buf.len()).sum()
+        self.lane().buf.len()
     }
 
     /// Whether no events are buffered.
@@ -115,32 +101,24 @@ impl<T: Clone> EventRing<T> {
         self.len() == 0
     }
 
-    /// Total events ever pushed across all lanes.
+    /// Events ever pushed.
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        (0..self.lanes.len()).map(|i| self.lane(i).recorded).sum()
+        self.lane().recorded
     }
 
-    /// Total events dropped (overwritten) across all lanes.
+    /// Events dropped (overwritten).
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        (0..self.lanes.len()).map(|i| self.lane(i).dropped).sum()
+        self.lane().dropped
     }
 
-    /// Events dropped from one lane.
-    #[must_use]
-    pub fn lane_dropped(&self, lane: usize) -> u64 {
-        self.lane(lane).dropped
-    }
-
-    /// Copies out every buffered event, merged across lanes and sorted
-    /// by virtual time (ties keep lane order).
+    /// Copies out every buffered event, sorted by virtual time (ties keep
+    /// push order): events may be pushed stamped with a time other than
+    /// the latest.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TaggedEvent<T>> {
-        let mut all: Vec<TaggedEvent<T>> = Vec::with_capacity(self.len());
-        for i in 0..self.lanes.len() {
-            all.extend(self.lane(i).buf.iter().cloned());
-        }
+        let mut all: Vec<TaggedEvent<T>> = self.lane().buf.iter().cloned().collect();
         all.sort_by(|a, b| a.time.total_cmp(&b.time));
         all
     }
@@ -161,43 +139,31 @@ mod tests {
     use super::*;
 
     fn ev(time: f64, event: u32) -> TaggedEvent<u32> {
-        TaggedEvent { time, shard: 0, stream: 0, event }
+        TaggedEvent { time, stream: 0, event }
     }
 
     #[test]
     fn drop_oldest_keeps_exact_counts() {
-        let ring = EventRing::new(1, 4);
+        let ring = EventRing::new(4);
         for i in 0..10u32 {
-            ring.push(0, ev(i as f64, i));
+            ring.push(ev(i as f64, i));
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.recorded(), 10);
         assert_eq!(ring.dropped(), 6);
-        assert_eq!(ring.lane_dropped(0), 6);
         let kept: Vec<u32> = ring.snapshot().iter().map(|e| e.event).collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
     }
 
     #[test]
-    fn lanes_are_independent() {
-        let ring = EventRing::new(2, 2);
-        ring.push(0, ev(0.0, 0));
-        ring.push(0, ev(1.0, 1));
-        ring.push(0, ev(2.0, 2)); // drops event 0 from lane 0
-        ring.push(1, ev(0.5, 10));
-        assert_eq!(ring.lane_dropped(0), 1);
-        assert_eq!(ring.lane_dropped(1), 0);
-        let times: Vec<f64> = ring.snapshot().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![0.5, 1.0, 2.0]);
-    }
-
-    #[test]
     fn recent_takes_the_tail() {
-        let ring = EventRing::new(2, 8);
-        for i in 0..6u32 {
-            ring.push((i % 2) as usize, ev(i as f64, i));
+        // Pushed out of time order: the snapshot sorts by time, and
+        // equal times keep push order.
+        let ring = EventRing::new(8);
+        for (time, event) in [(0.0, 0), (2.0, 1), (1.0, 2), (3.0, 3), (3.0, 4), (2.5, 5)] {
+            ring.push(ev(time, event));
         }
-        let tail: Vec<u32> = ring.recent(2).iter().map(|e| e.event).collect();
-        assert_eq!(tail, vec![4, 5]);
+        let tail: Vec<u32> = ring.recent(3).iter().map(|e| e.event).collect();
+        assert_eq!(tail, vec![5, 3, 4]);
     }
 }

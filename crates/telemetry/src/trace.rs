@@ -12,11 +12,11 @@
 //! dispatch fingerprint bit-identical.
 //!
 //! Finished traces land in a [`FlightRecorder`]: a bounded,
-//! drop-oldest ring with one lane per shard plus one reserved
-//! tail-sampling lane for slow/failed traces, mirroring
-//! [`EventRing`](crate::EventRing)'s exact per-lane accounting
-//! (recorded and dropped counters). Dropping happens at whole-trace
-//! granularity — a trace is either fully present or fully evicted.
+//! drop-oldest lane plus one reserved tail-sampling lane for
+//! slow/failed traces, with [`EventRing`](crate::EventRing)'s exact
+//! accounting (recorded and dropped counters) per lane. Dropping
+//! happens at whole-trace granularity — a trace is either fully present
+//! or fully evicted.
 
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard};
@@ -139,7 +139,9 @@ pub enum SpanKind {
         node: u64,
         /// Routing-table epoch the decision was made under.
         epoch: u64,
-        /// Dispatch shard that served the decision.
+        /// Always 0, the runtime's one dispatcher. Kept for the
+        /// benchmark's job loop, which names it, and still rendered in
+        /// `/traces`.
         shard: u32,
     },
     /// One dispatch attempt.
@@ -274,7 +276,7 @@ pub struct TracingConfig {
     /// `trace_id & sample_mask == 0` (see [`TraceId::sampled`]).
     /// `0` traces every job; `(1 << k) - 1` traces one in `2^k`.
     pub sample_mask: u64,
-    /// Per-lane capacity of the flight recorder, in whole traces.
+    /// Capacity of each flight-recorder lane, in whole traces.
     pub recorder_capacity: usize,
 }
 
@@ -303,56 +305,48 @@ impl TracingConfig {
 /// (failed traces always are).
 pub const SLOW_TRACE_SECONDS: f64 = 4.0;
 
-/// The control-plane flight recorder: per-shard lanes of finished
-/// traces plus one reserved tail-sampling lane, each bounded and
-/// drop-oldest at whole-trace granularity with exact dropped counters.
+/// The control-plane flight recorder: one lane of finished traces plus
+/// one reserved tail-sampling lane, each bounded and drop-oldest at
+/// whole-trace granularity with exact dropped counters.
 ///
 /// Slow (duration ≥ [`SLOW_TRACE_SECONDS`]) and failed traces are
-/// copied into the tail lane in addition to their shard lane, so the
-/// interesting traces survive wraparound of the busy shard lanes.
+/// copied into the tail lane in addition to the main lane, so the
+/// interesting traces survive wraparound of the busy main lane.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    /// Shard lanes followed by the reserved tail lane (last).
-    lanes: Vec<Mutex<Lane<Trace>>>,
+    /// The main lane, then the reserved tail lane.
+    lanes: [Mutex<Lane<Trace>>; 2],
     capacity: usize,
 }
 
 impl FlightRecorder {
-    /// A recorder with `shards` primary lanes (min 1) plus the tail
-    /// lane, each holding up to `capacity` traces (min 1).
+    /// A recorder whose main and tail lanes each hold up to `capacity`
+    /// traces (min 1).
     #[must_use]
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
+    pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        Self { lanes: Lane::set(shards + 1, capacity), capacity }
-    }
-
-    /// Number of primary (shard) lanes, excluding the tail lane.
-    #[must_use]
-    pub fn shard_lanes(&self) -> usize {
-        self.lanes.len() - 1
+        Self { lanes: [Lane::new(capacity), Lane::new(capacity)], capacity }
     }
 
     fn lane(&self, i: usize) -> MutexGuard<'_, Lane<Trace>> {
         Lane::lock(&self.lanes[i])
     }
 
-    /// Records a finished trace into the lane for `shard` (wrapping on
-    /// lane count). Slow and failed traces are additionally copied
-    /// into the reserved tail lane.
-    pub fn record(&self, shard: usize, trace: Trace) {
+    /// Records a finished trace into the main lane. Slow and failed
+    /// traces are additionally copied into the reserved tail lane.
+    pub fn record(&self, trace: Trace) {
         let tail = trace.failed() || trace.duration() >= SLOW_TRACE_SECONDS;
         if tail {
-            self.lane(self.lanes.len() - 1).push(trace.clone(), self.capacity);
+            self.lane(1).push(trace.clone(), self.capacity);
         }
-        self.lane(shard % self.shard_lanes()).push(trace, self.capacity);
+        self.lane(0).push(trace, self.capacity);
     }
 
-    /// All currently-held traces from every lane (tail lane excluded
+    /// All currently-held traces from both lanes (tail lane excluded
     /// unless a trace only survives there), sorted by start time then
-    /// id, deduplicated by id: of two copies with one id, the first in
-    /// lane order survives. Each lane's lock is held only to copy its
-    /// traces out; the dedup and the sort run after, in O(n log n).
+    /// id, deduplicated by id: of two copies with one id, the main
+    /// lane's survives. Each lane's lock is held only to copy its traces
+    /// out; the dedup and the sort run after, in O(n log n).
     #[must_use]
     pub fn traces(&self) -> Vec<Trace> {
         let mut out: Vec<Trace> = Vec::new();
@@ -366,7 +360,7 @@ impl FlightRecorder {
         out
     }
 
-    /// Looks up a single trace by id across every lane.
+    /// Looks up a single trace by id in both lanes.
     #[must_use]
     pub fn trace(&self, id: TraceId) -> Option<Trace> {
         for i in 0..self.lanes.len() {
@@ -377,14 +371,14 @@ impl FlightRecorder {
         None
     }
 
-    /// Total traces evicted across every lane (tail included).
+    /// Total traces evicted from both lanes.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         (0..self.lanes.len()).map(|i| self.lane(i).dropped).sum()
     }
 
-    /// Total traces ever recorded across every lane (a tail-sampled
-    /// trace counts in both its shard lane and the tail lane).
+    /// Total traces ever recorded in both lanes (a tail-sampled trace
+    /// counts in each).
     #[must_use]
     pub fn recorded(&self) -> u64 {
         (0..self.lanes.len()).map(|i| self.lane(i).recorded).sum()
@@ -397,21 +391,13 @@ impl FlightRecorder {
 ///
 /// Virtual seconds map to microseconds (`ts = start * 1e6`); each
 /// trace renders as complete (`"X"`) events for intervals and instant
-/// (`"i"`) events for zero-width spans, with the shard as `pid` and
-/// the job sequence as `tid` so concurrent jobs stack into rows.
+/// (`"i"`) events for zero-width spans, all in `pid` 0, with the job
+/// sequence as `tid` so concurrent jobs stack into rows.
 #[must_use]
 pub fn to_chrome_json(traces: &[Trace]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut any = false;
     for t in traces {
-        let shard = t
-            .spans
-            .iter()
-            .find_map(|s| match s.kind {
-                SpanKind::Routed { shard, .. } => Some(u64::from(shard)),
-                _ => None,
-            })
-            .unwrap_or(0);
         for s in &t.spans {
             if any {
                 out.push(',');
@@ -435,7 +421,7 @@ pub fn to_chrome_json(traces: &[Trace]) -> String {
             }
             let _ = write!(
                 out,
-                ",\"pid\":{shard},\"tid\":{},\"args\":{{\"trace_id\":\"{}\"}}}}",
+                ",\"pid\":0,\"tid\":{},\"args\":{{\"trace_id\":\"{}\"}}}}",
                 t.sequence,
                 t.id.to_hex()
             );
@@ -494,12 +480,12 @@ mod tests {
 
     #[test]
     fn recorder_drops_oldest_with_exact_accounting() {
-        let r = FlightRecorder::new(1, 2);
+        let r = FlightRecorder::new(2);
         for seq in 0..5 {
-            r.record(0, finished(7, seq, seq as f64, 0.1, false));
+            r.record(finished(7, seq, seq as f64, 0.1, false));
         }
         assert_eq!(r.recorded(), 5);
-        assert_eq!(r.dropped(), 3, "the shard lane evicted 3; the tail lane held nothing");
+        assert_eq!(r.dropped(), 3, "the main lane evicted 3; the tail lane held nothing");
         let held = r.traces();
         assert_eq!(held.len(), 2);
         assert_eq!(held[0].sequence, 3, "oldest evicted first");
@@ -507,16 +493,16 @@ mod tests {
 
     #[test]
     fn tail_lane_keeps_slow_and_failed_traces() {
-        let r = FlightRecorder::new(1, 2);
-        r.record(0, finished(7, 0, 0.0, 5.0, false)); // slow
-        r.record(0, finished(7, 1, 1.0, 0.1, true)); // failed
+        let r = FlightRecorder::new(2);
+        r.record(finished(7, 0, 0.0, 5.0, false)); // slow
+        r.record(finished(7, 1, 1.0, 0.1, true)); // failed
         for seq in 2..10 {
-            r.record(0, finished(7, seq, seq as f64, 0.1, false));
+            r.record(finished(7, seq, seq as f64, 0.1, false));
         }
-        // The shard lane wrapped past them, but the tail lane kept both.
+        // The main lane wrapped past them, but the tail lane kept both.
         let ids: Vec<u64> = r.traces().iter().map(|t| t.sequence).collect();
         assert!(ids.contains(&0) && ids.contains(&1), "{ids:?}");
-        assert_eq!(r.dropped(), 8, "the shard lane evicted 8 of 10; the tail lane none");
+        assert_eq!(r.dropped(), 8, "the main lane evicted 8 of 10; the tail lane none");
     }
 
     /// The scan [`FlightRecorder::traces`] replaced, kept as the
@@ -539,22 +525,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Records across shards read back exactly as the reference
-        /// scan reads them. Ids come from a few sequence numbers, so one
-        /// id recurs in several lanes with different starts and
-        /// durations; starts come from a few values, so distinct ids
-        /// tie on start; slow (kind 1) and failed (kind 2) traces also
-        /// land in the tail lane; small capacities make lanes wrap.
+        /// Records read back exactly as the reference scan reads them.
+        /// Ids come from a few sequence numbers, so one id recurs in a
+        /// lane and in both lanes with different starts and durations;
+        /// starts come from a few values, so distinct ids tie on start;
+        /// slow (kind 1) and failed (kind 2) traces also land in the
+        /// tail lane; small capacities make lanes wrap.
         #[test]
         fn traces_match_the_reference_scan(
-            shards in 1usize..4,
             capacity in 1usize..6,
-            records in prop::collection::vec((0usize..5, 0u64..12, 0u32..4, 0u32..3), 0..40),
+            records in prop::collection::vec((0u64..12, 0u32..4, 0u32..3), 0..40),
         ) {
-            let r = FlightRecorder::new(shards, capacity);
-            for &(shard, seq, start, kind) in &records {
+            let r = FlightRecorder::new(capacity);
+            for &(seq, start, kind) in &records {
                 let dur = if kind == 1 { SLOW_TRACE_SECONDS + 1.0 } else { 0.1 };
-                r.record(shard, finished(7, seq, f64::from(start), dur, kind == 2));
+                r.record(finished(7, seq, f64::from(start), dur, kind == 2));
             }
             prop_assert_eq!(r.traces(), reference_traces(&r));
         }
@@ -562,10 +547,15 @@ mod tests {
 
     #[test]
     fn lookup_by_id_spans_lanes() {
-        let r = FlightRecorder::new(2, 4);
-        let t = finished(7, 3, 0.0, 0.1, false);
-        let id = t.id;
-        r.record(1, t);
+        let r = FlightRecorder::new(2);
+        let failed = finished(7, 3, 0.0, 0.1, true);
+        let id = failed.id;
+        r.record(failed);
+        assert_eq!(r.trace(id).unwrap().sequence, 3);
+        // Once the main lane wraps past it, the tail lane still has it.
+        for seq in 4..6 {
+            r.record(finished(7, seq, seq as f64, 0.1, false));
+        }
         assert_eq!(r.trace(id).unwrap().sequence, 3);
         assert!(r.trace(trace_id(7, 999)).is_none());
     }

@@ -131,51 +131,23 @@ proptest! {
         );
     }
 
-    /// Drop-oldest wraparound: push `n` events round-robin over `lanes`
-    /// lanes of capacity `cap`; each lane keeps its newest
-    /// `min(pushed, cap)`, and the global dropped counter equals the
-    /// exact number of overwritten events.
+    /// Drop-oldest wraparound: push `n` events into a ring of capacity
+    /// `cap`; it keeps the newest `min(n, cap)`, in time order, and the
+    /// dropped counter equals the exact number of overwritten events.
     #[test]
     fn ring_wraparound_counts_drops_exactly(
-        lanes in 1usize..5,
         cap in 1usize..17,
         n in 0u64..200,
     ) {
-        let ring = EventRing::new(lanes, cap);
+        let ring = EventRing::new(cap);
         for k in 0..n {
-            let lane = (k as usize) % lanes;
-            let tagged = TaggedEvent { time: k as f64, shard: lane as u32, stream: 0, event: k };
-            ring.push(lane, tagged);
+            ring.push(TaggedEvent { time: k as f64, stream: 0, event: k });
         }
-        let mut expect_dropped = 0u64;
-        let mut expect_len = 0usize;
-        for lane in 0..lanes {
-            // Events `lane, lane + lanes, lane + 2·lanes, …` below `n`.
-            let pushed = (n.saturating_sub(lane as u64)).div_ceil(lanes as u64);
-            expect_dropped += pushed.saturating_sub(cap as u64);
-            expect_len += pushed.min(cap as u64) as usize;
-            prop_assert_eq!(ring.lane_dropped(lane), pushed.saturating_sub(cap as u64));
-        }
+        let dropped = n.saturating_sub(cap as u64);
         prop_assert_eq!(ring.recorded(), n);
-        prop_assert_eq!(ring.dropped(), expect_dropped);
-        prop_assert_eq!(ring.len(), expect_len);
-
-        // The survivors are exactly the newest per lane, time-ordered.
-        let snap = ring.snapshot();
-        prop_assert_eq!(snap.len(), expect_len);
-        for w in snap.windows(2) {
-            prop_assert!(w[0].time <= w[1].time, "snapshot out of time order");
-        }
-        for ev in &snap {
-            let lane = ev.shard as usize;
-            let pushed = (n.saturating_sub(lane as u64)).div_ceil(lanes as u64);
-            let dropped = pushed.saturating_sub(cap as u64);
-            // The oldest surviving event of this lane is its
-            // `dropped`-th push: id = lane + dropped·lanes.
-            prop_assert!(
-                ev.event >= lane as u64 + dropped * lanes as u64,
-                "overwritten event {} resurfaced in lane {}", ev.event, lane
-            );
-        }
+        prop_assert_eq!(ring.dropped(), dropped);
+        prop_assert_eq!(ring.len(), n.min(cap as u64) as usize);
+        let kept: Vec<u64> = ring.snapshot().iter().map(|ev| ev.event).collect();
+        prop_assert_eq!(kept, (dropped..n).collect::<Vec<u64>>());
     }
 }

@@ -1,15 +1,15 @@
 //! Print the determinism fingerprints `tests/expected_fingerprints.txt` pins.
 //!
-//! Two contracts claim that worker count never leaks into results:
+//! Two contracts claim that nothing but the seed decides a result:
 //!
 //! * **replication** — `replicate_parallel` fans simulation replications
 //!   out over `RAYON_NUM_THREADS` workers, and the aggregated result is
 //!   bit-identical to the sequential run;
-//! * **sharded dispatch** — the merged decision sequence of a
-//!   `ShardedDispatcher` is a pure function of (seed, shard count, job
-//!   placement), regardless of which threads executed which shards.
+//! * **chaos trace** — a closed-loop run through the runtime's one
+//!   dispatcher, with faults, retries and the failure detector, is a
+//!   pure function of (seed, plan).
 //!
-//! This example condenses both into one stable hex line each on stdout
+//! This example condenses them into one stable hex line each on stdout
 //! (environment details go to stderr). `tests/fingerprints.rs` checks
 //! every line against `tests/expected_fingerprints.txt`, so `cargo test`
 //! under any `RAYON_NUM_THREADS` catches a determinism regression.
@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use gtlb::balancing::model::Cluster;
 use gtlb::balancing::schemes::{Coop, SingleClassScheme};
-use gtlb::desim::par::{par_map, thread_count};
+use gtlb::desim::par::thread_count;
 use gtlb::desim::replication::ReplicatedResult;
 use gtlb::net::ControlPlane;
 use gtlb::prelude::*;
@@ -115,15 +115,14 @@ fn replication_fingerprint(res: &ReplicatedResult) -> u64 {
 /// accrual detector on heartbeats, and retry/backoff dispatch, folded
 /// into one word (stats, counters, queue clock, and every health
 /// transition). The fault and retry draws live on their own stream
-/// families, so this trace is a pure function of (seed, plan, shard
-/// count) — checked across the thread matrix with faults *enabled*.
-fn chaos_trace_fingerprint(shards: usize, obs: Observers) -> u64 {
+/// families, so this trace is a pure function of (seed, plan) — checked
+/// across the thread matrix with faults *enabled*.
+fn chaos_trace_fingerprint(obs: Observers) -> u64 {
     let rt = Arc::new(
         Runtime::builder()
             .seed(0xF1A6)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.1)
-            .shards(shards)
             .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.0 })
             .telemetry(obs.telemetry)
             .tracing(obs.tracing)
@@ -237,48 +236,6 @@ fn traced_chaos_fingerprint(obs: Observers) -> u64 {
     h
 }
 
-/// The merged sharded-dispatch decision sequence (node id and epoch of
-/// every decision), executed by however many workers the environment
-/// grants, folded to one word.
-fn sharded_dispatch_fingerprint(obs: Observers) -> u64 {
-    const SHARDS: usize = 4;
-    const JOBS: usize = 8_192;
-    let rt = Arc::new(
-        Runtime::builder()
-            .seed(0xF1A6)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(4.2)
-            .shards(SHARDS)
-            .telemetry(obs.telemetry)
-            .tracing(obs.tracing)
-            .build(),
-    );
-    let _cp = attach_idle_control_plane(&rt, obs);
-    for &rate in &[4.0, 2.0, 1.0] {
-        rt.register_node(rate).unwrap();
-    }
-    rt.resolve_now().unwrap();
-    let sharded = rt.sharded_dispatcher();
-    // Workers claim whole shards in arbitrary real-time order; the
-    // round-robin merge below is fixed by job index, not by timing.
-    let per_shard: Vec<Vec<(u64, u64)>> = par_map((0..SHARDS).collect(), |k| {
-        let mut guard = sharded.shard(k);
-        (0..JOBS / SHARDS)
-            .map(|_| {
-                let d = guard.dispatch().unwrap();
-                (d.node.raw(), d.epoch)
-            })
-            .collect()
-    });
-    let mut h = FNV_OFFSET;
-    for j in 0..JOBS {
-        let (node, epoch) = per_shard[j % SHARDS][j / SHARDS];
-        fold(&mut h, node);
-        fold(&mut h, epoch);
-    }
-    h
-}
-
 /// Every fingerprint under `obs`, in output order, as `(name, value)`.
 pub fn fingerprints(obs: Observers) -> Vec<(&'static str, u64)> {
     let cluster = Cluster::from_groups(&[(1, 4.0), (3, 1.0)]).unwrap();
@@ -291,9 +248,7 @@ pub fn fingerprints(obs: Observers) -> Vec<(&'static str, u64)> {
 
     vec![
         ("replication_fingerprint", replication_fingerprint(&replicated)),
-        ("sharded_dispatch_fingerprint", sharded_dispatch_fingerprint(obs)),
-        ("chaos_trace_fingerprint", chaos_trace_fingerprint(1, obs)),
-        ("chaos_trace_sharded_fingerprint", chaos_trace_fingerprint(4, obs)),
+        ("chaos_trace_fingerprint", chaos_trace_fingerprint(obs)),
         ("traced_chaos_fingerprint", traced_chaos_fingerprint(obs)),
     ]
 }

@@ -2,8 +2,8 @@
 //! cluster, replay a Poisson job stream through the online runtime, kill
 //! a node mid-run (renormalize, then re-solve), and check the observed
 //! closed-loop mean response time against the allocator's analytic
-//! prediction. A final phase overloads the cluster to show the sharded
-//! dispatchers and admission control working together, fed over a
+//! prediction. A final phase overloads the cluster to show the
+//! dispatcher and admission control working together, fed over a
 //! bounded channel.
 //!
 //! ```text
@@ -150,11 +150,10 @@ pub fn main() {
     overload_with_admission(fast, slow);
 }
 
-/// Phase 4: the same cluster shape pushed past its design point. Four
-/// dispatch shards route without a global lock (shard `k` draws from
-/// stream `seed ^ k`), admission control thins the offered stream to a
-/// 0.75 utilization target, and a bounded channel backpressures the
-/// producer feeding the shards.
+/// Phase 4: the same cluster shape pushed past its design point.
+/// Admission control thins the offered stream to a 0.75 utilization
+/// target, and a bounded channel backpressures the producer feeding the
+/// dispatcher.
 fn overload_with_admission(fast: f64, slow: f64) {
     let capacity = 2.0 * fast + 4.0 * slow;
     let phi_offered = 0.95 * capacity; // ρ = 0.95 ≫ the 0.75 target
@@ -163,7 +162,6 @@ fn overload_with_admission(fast: f64, slow: f64) {
         .seed(2026)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(phi_offered)
-        .shards(4)
         .admission(AdmissionConfig { target_utilization: target, defer_band: 0.05 })
         .build();
     for _ in 0..2 {
@@ -174,21 +172,19 @@ fn overload_with_admission(fast: f64, slow: f64) {
     }
     rt.resolve_now().unwrap();
     println!(
-        "\noverload phase: {} shards, offered ρ = {:.2}, admission target {target}",
-        rt.shard_count(),
+        "\noverload phase: offered ρ = {:.2}, admission target {target}",
         rt.offered_utilization().unwrap()
     );
 
     // A producer hands job tokens to a bounded channel, blocking while
     // it is full; a consumer drains them onto the runtime, where
-    // admission decides before any shard routes.
+    // admission decides before the dispatcher routes.
     const JOBS: usize = 40_000;
     let (tx, rx) = mpsc::sync_channel::<usize>(128);
     std::thread::scope(|s| {
         let consumer = s.spawn(|| {
-            for token in rx {
-                let shard = token % rt.shard_count();
-                let _ = rt.submit_on(shard).unwrap();
+            for _ in rx {
+                let _ = rt.submit().unwrap();
             }
         });
         for j in 0..JOBS {

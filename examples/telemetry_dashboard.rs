@@ -80,7 +80,7 @@ fn render_waterfall(rt: &Runtime) {
     for s in &t.spans {
         let label = match s.kind {
             SpanKind::Queued { depth } => format!("queued (depth {depth})"),
-            SpanKind::Routed { node, shard, .. } => format!("routed → node {node} / shard {shard}"),
+            SpanKind::Routed { node, .. } => format!("routed → node {node}"),
             SpanKind::Attempt { n, outcome, backoff } if backoff > 0.0 => {
                 format!("attempt {n} [{}] +{backoff:.2}s", outcome.as_str())
             }
@@ -118,7 +118,7 @@ fn render_frame(
     let dispatched: u64 = snap.counter(names::DISPATCHES).unwrap_or(0);
     println!("┄┄ frame {frame} ┄ t = {:>7.1} s ┄ {} dispatched ┄┄", clock, dispatched);
 
-    // Routing share bars from the exact shard hit counters, annotated
+    // Routing share bars from the dispatcher's exact hit counters, annotated
     // with the detector's current verdict per node.
     let hits: BTreeMap<NodeId, u64> = rt.hit_counts().into_iter().collect();
     let total: u64 = hits.values().sum::<u64>().max(1);
@@ -150,7 +150,7 @@ fn render_frame(
             snap.counter(names::EVENTS_DROPPED).unwrap_or(0)
         );
         for ev in recent {
-            println!("    t = {:>8.3}  shard {}  {}", ev.time, ev.shard, ev.event);
+            println!("    t = {:>8.3}  {}", ev.time, ev.event);
         }
     }
     println!();
@@ -166,7 +166,6 @@ pub fn main() {
         .seed(0xDA5B)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(phi)
-        .shards(2)
         .telemetry(true)
         // 1-in-16 head sampling: dense enough that a ~1k-job demo
         // lands exemplars on every percentile and a slow trace in

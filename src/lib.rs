@@ -22,8 +22,8 @@
 //! * [`runtime`] — the online dispatch runtime: node registry, rate
 //!   estimators, background re-solver, and an epoch-swapped routing table
 //!   serving live job streams from the allocators above, dispatched
-//!   through per-core shards behind admission control, with
-//!   deterministic fault injection, an accrual
+//!   through the paper's central dispatcher behind admission control,
+//!   with deterministic fault injection, an accrual
 //!   failure detector, and retry/timeout dispatch hardening the loop
 //!   against node churn;
 //! * [`telemetry`] — lock-free counters/gauges, log-linear
@@ -83,10 +83,9 @@ pub mod prelude {
     pub use gtlb_queueing::Mm1;
     pub use gtlb_runtime::{
         AdmissionConfig, AdmissionStats, AdmissionVerdict, AttemptOutcome, DetectorConfig,
-        FaultPlan, Health, HealthTransition, NodeId, PartitionDirection, RetryConfig, RetryPolicy,
-        Runtime, RuntimeBuilder, RuntimeError, RuntimeEvent, SchemeKind, ShardedDispatcher,
-        SpanKind, Submission, Telemetry, Trace, TraceConfig, TraceDriver, TraceId, Tracer,
-        TracingConfig,
+        Dispatcher, FaultPlan, Health, HealthTransition, NodeId, PartitionDirection, RetryConfig,
+        RetryPolicy, Runtime, RuntimeBuilder, RuntimeError, RuntimeEvent, SchemeKind, SpanKind,
+        Submission, Telemetry, Trace, TraceConfig, TraceDriver, TraceId, Tracer, TracingConfig,
     };
     pub use gtlb_telemetry::{Histogram, HistogramSnapshot, Snapshot, TaggedEvent};
 }

@@ -6,10 +6,10 @@
 //! * **smooth degradation** — after the detector routes around a crash,
 //!   the measured mean response matches the analytic value of the
 //!   post-failure allocation;
-//! * **determinism** — a chaos trace is a pure function of (seed, plan,
-//!   shard count): bit-identical across repeated runs and worker
-//!   counts, and an idle fault plan reproduces the fault-free trace
-//!   unchanged (the fault/retry stream families are routing-invariant).
+//! * **determinism** — a chaos trace is a pure function of (seed,
+//!   plan): bit-identical across repeated runs and worker counts, and
+//!   an idle fault plan reproduces the fault-free trace unchanged (the
+//!   fault/retry stream families are routing-invariant).
 
 use gtlb::desim::par::par_map_with_threads;
 use gtlb::prelude::*;
@@ -186,12 +186,11 @@ fn crash_recover_rejoins_through_probation() {
 
 /// One full chaos closed loop, returning a tuple fingerprint of
 /// everything downstream can observe.
-fn chaos_run(shards: usize) -> (u64, u64, Vec<(NodeId, u64)>, u64, u64, usize) {
+fn chaos_run() -> (u64, u64, Vec<(NodeId, u64)>, u64, u64, usize) {
     let rt = Runtime::builder()
         .seed(0xF1A6)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(2.1)
-        .shards(shards)
         .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.0 })
         .build();
     let ids: Vec<NodeId> = [4.0, 2.0, 1.0].iter().map(|&r| rt.register_node(r).unwrap()).collect();
@@ -218,34 +217,22 @@ fn chaos_run(shards: usize) -> (u64, u64, Vec<(NodeId, u64)>, u64, u64, usize) {
 #[test]
 fn chaos_trace_is_invariant_across_worker_counts() {
     // The acceptance contract: with faults *enabled*, the trace is a
-    // pure function of (seed, plan, shard count) — the worker pool that
-    // physically hosts the run must not leak into it. Run the entire
-    // closed loop inside worker pools of different sizes and compare
-    // everything observable.
+    // pure function of (seed, plan) — the worker pool that physically
+    // hosts the run must not leak into it. Run the entire closed loop
+    // inside worker pools of different sizes and compare everything
+    // observable; `chaos_run` checks conservation in each.
     let under_pool =
-        |threads: usize| par_map_with_threads(threads, vec![4usize], chaos_run).pop().unwrap();
-    let reference = chaos_run(4);
+        |threads: usize| par_map_with_threads(threads, vec![()], |()| chaos_run()).pop().unwrap();
+    let reference = chaos_run();
     assert_eq!(reference, under_pool(1));
     assert_eq!(reference, under_pool(2));
     assert_eq!(reference, under_pool(4));
 }
 
 #[test]
-fn chaos_trace_is_reproducible_per_shard_count_and_conserves_everywhere() {
-    // Shard count is an *input* of the decision sequence (each shard has
-    // its own stream), so traces differ across shard counts — but each
-    // is bit-reproducible, and conservation holds for all of them.
-    for shards in [1, 2, 4] {
-        let a = chaos_run(shards);
-        let b = chaos_run(shards);
-        assert_eq!(a, b, "shards = {shards}: chaos trace not reproducible");
-    }
-}
-
-#[test]
 fn idle_fault_plan_reproduces_the_fault_free_closed_loop() {
     // Toggling the fault plan off (or leaving it empty) must reproduce
-    // the fault-free trace bit for bit — admission and shards included.
+    // the fault-free trace bit for bit — admission included.
     // This is the routing-invariance guarantee of the 0x0800/0x0900
     // stream families.
     let run = |chaos: bool| {
@@ -253,7 +240,6 @@ fn idle_fault_plan_reproduces_the_fault_free_closed_loop() {
             .seed(19)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.7)
-            .shards(2)
             .admission(AdmissionConfig { target_utilization: 0.9, defer_band: 0.1 })
             .build();
         for &r in &[2.0, 1.0, 1.0] {

@@ -1,16 +1,13 @@
 //! End-to-end test of the online runtime: register a cluster, serve a
 //! live job stream, fail a node mid-run, and hold the closed-loop mean
 //! response time against the allocator's analytic prediction — the same
-//! scenario `examples/online_runtime.rs` narrates. Also pins the sharded
-//! dispatch determinism contract (merged decision sequence invariant
-//! under `RAYON_NUM_THREADS`-style worker counts) and the
+//! scenario `examples/online_runtime.rs` narrates. Also pins the
 //! admission-control closed loop, and checks Theorem 3.8 on the tables
 //! COOP publishes.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gtlb::desim::par::par_map_with_threads;
 use gtlb::prelude::*;
 use gtlb::runtime::{ResolveOutcome, RoutingTable, TraceStats};
 
@@ -235,41 +232,6 @@ fn all_schemes_serve_the_same_stream() {
 }
 
 #[test]
-fn sharded_dispatch_is_invariant_across_thread_counts() {
-    // The determinism contract of the sharded dispatcher: for a fixed
-    // (seed, shard count, job placement), the merged decision sequence is
-    // a pure function of those inputs — the worker count that physically
-    // executed the shards (the knob the CI matrix turns via
-    // RAYON_NUM_THREADS) must not appear in the output.
-    const SHARDS: usize = 4;
-    const JOBS: usize = 4_096;
-    let run = |threads: usize| -> Vec<NodeId> {
-        let rt = Runtime::builder()
-            .seed(77)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(4.0)
-            .shards(SHARDS)
-            .build();
-        for &r in &[4.0, 2.0, 1.0] {
-            rt.register_node(r).unwrap();
-        }
-        rt.resolve_now().unwrap();
-        let sharded = rt.sharded_dispatcher();
-        // Each worker claims whole shards in arbitrary real-time order;
-        // per-shard RNG streams make the round-robin merge exact anyway.
-        let per_shard: Vec<Vec<NodeId>> =
-            par_map_with_threads(threads, (0..SHARDS).collect(), |k| {
-                let mut guard = sharded.shard(k);
-                (0..JOBS / SHARDS).map(|_| guard.dispatch().unwrap().node).collect()
-            });
-        (0..JOBS).map(|j| per_shard[j % SHARDS][j / SHARDS]).collect()
-    };
-    let sequential = run(1);
-    assert_eq!(sequential, run(2), "2 workers changed the merged sequence");
-    assert_eq!(sequential, run(4), "4 workers changed the merged sequence");
-}
-
-#[test]
 fn admission_keeps_the_closed_loop_at_the_target() {
     // Two unit-rate nodes, offered load 1.8 ⇒ ρ = 0.9 against a 0.6
     // target: admission thins the stream by 0.6/0.9, and thinning a
@@ -284,7 +246,6 @@ fn admission_keeps_the_closed_loop_at_the_target() {
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(phi)
         .admission(AdmissionConfig { target_utilization: target, defer_band: 0.0 })
-        .shards(2)
         .build();
     let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
     rt.resolve_now().unwrap();
