@@ -7,8 +7,10 @@
 //! costs a whole job on the paper's Table 3.1 cluster; CI prints their
 //! ratio without gating it. The instrument microbenches ride along to
 //! keep the primitive costs visible: counter add, histogram record, the
-//! driver's buffered record-and-absorb, event-ring push, and a full
-//! registry scrape, alone and at control-plane size (three 2,048-cell
+//! driver's buffered record-and-absorb and event-ring push. The scrape
+//! rows time the code a scrape runs, `Runtime::telemetry_snapshot` and
+//! both renderings, on a 16-node runtime after a run and on a
+//! control-plane-sized one (2,048 heartbeated nodes, so three 2,048-cell
 //! per-node gauge families).
 
 use std::hint::black_box;
@@ -19,7 +21,7 @@ use gtlb_runtime::driver::{TraceConfig, TraceDriver};
 use gtlb_runtime::telemetry::TELEMETRY_EVENT_CAPACITY;
 use gtlb_runtime::{Dispatcher, EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind, Telemetry};
 use gtlb_sim::scenario::table31;
-use gtlb_telemetry::{Counter, EventRing, Histogram, HistogramSnapshot, Registry, TaggedEvent};
+use gtlb_telemetry::{Counter, EventRing, Histogram, HistogramSnapshot, TaggedEvent};
 
 /// The same mildly skewed table shape the routing bench gates on.
 fn skewed_table(n: usize) -> RoutingTable {
@@ -155,57 +157,72 @@ fn bench_instruments(c: &mut Criterion) {
     group.finish();
 }
 
-/// A registry shaped like the runtime's fixed instrument set: three
-/// counters, one gauge and two well-filled histograms.
-fn runtime_shaped_registry() -> Registry {
-    let registry = Registry::new();
-    for name in ["gtlb_dispatches_total", "gtlb_retries_total", "gtlb_fault_drops_total"] {
-        registry.counter(name).add(4_006);
+/// The Table 3.1 cluster at ρ = 0.7 with telemetry on, after 20,000
+/// jobs through `TraceDriver`: the plain scrape rows' runtime, with
+/// well-filled latency histograms.
+fn farm_runtime() -> Runtime {
+    let cluster = table31();
+    let phi = 0.7 * cluster.rates().iter().sum::<f64>();
+    let rt = Runtime::builder()
+        .seed(0xBE9C)
+        .scheme(SchemeKind::Coop)
+        .nominal_arrival_rate(phi)
+        .telemetry(true)
+        .build();
+    for &rate in cluster.rates() {
+        rt.register_node(rate).unwrap();
     }
-    registry.gauge("gtlb_offered_utilization").set(0.83);
-    for name in ["gtlb_response_seconds", "gtlb_queue_wait_seconds"] {
-        let h = registry.histogram(name);
-        let mut x = 0.0005f64;
-        for _ in 0..10_000 {
-            h.record(x);
-            x = if x > 500.0 { 0.0005 } else { x * 1.003 };
+    rt.resolve_now().unwrap();
+    let mut driver = TraceDriver::new(phi, TraceConfig { seed: 0xBEEF, batch_size: 500 });
+    driver.run_jobs(&rt, 20_000).unwrap();
+    rt
+}
+
+/// A runtime shaped like the `control` workload's: `nodes` registered
+/// nodes at rates 1–16 with full service windows, each heartbeated
+/// eight times, resolved once, and the telemetry clock past the last
+/// beat, so every node's φ carries a silence term.
+fn fleet_runtime(nodes: u64) -> Runtime {
+    let rt = Runtime::builder()
+        .seed(31)
+        .scheme(SchemeKind::Coop)
+        .nominal_arrival_rate(0.5 * nodes as f64)
+        .telemetry(true)
+        .build();
+    let window = rt.config().service_window;
+    for i in 0..nodes {
+        let rate = 1.0 + (i % 16) as f64;
+        let id = rt.register_node(rate).unwrap();
+        for k in 0..window {
+            rt.record_service(id, [0.8, 1.0, 1.2][k % 3] / rate);
+        }
+        for beat in 1..=8 {
+            rt.observe_success(id, f64::from(beat)).unwrap();
         }
     }
-    registry
+    rt.resolve_now().unwrap();
+    rt.telemetry().set_clock(9.5);
+    rt
 }
 
 /// A full scrape (the reader side; never on the hot path, but it
-/// bounds dashboard poll cost) of the runtime-shaped registry, alone
-/// and with the three per-node suspicion families a 2,048-node
-/// control plane holds (`…/nodes2048`), each rewritten as the runtime
-/// does before every scrape.
+/// bounds dashboard poll cost): `Runtime::telemetry_snapshot` and its
+/// two renderings, on the 16-node runtime and at control-plane size
+/// (`…/nodes2048`).
 fn bench_scrape(c: &mut Criterion) {
     const NODES: u64 = 2048;
-    let registry = runtime_shaped_registry();
-    let fleet = runtime_shaped_registry();
-    let families: Vec<_> = ["gtlb_node_phi", "gtlb_node_suspect_phi", "gtlb_node_down_phi"]
-        .into_iter()
-        .map(|name| fleet.gauge_family(name, "node"))
-        .collect();
-    let rewrite = || {
-        for (k, family) in families.iter().enumerate() {
-            family.replace((0..NODES).map(|id| (id, (k as f64 + 1.0) * 0.37 + id as f64 * 1e-3)));
-        }
-    };
     let mut group = c.benchmark_group("telemetry_scrape");
-    group.bench_function("snapshot", |b| b.iter(|| black_box(registry.snapshot())));
-    let snap = registry.snapshot();
+    let rt = farm_runtime();
+    group.bench_function("snapshot", |b| b.iter(|| black_box(rt.telemetry_snapshot())));
+    let snap = rt.telemetry_snapshot().unwrap();
     group.bench_function("prometheus", |b| b.iter(|| black_box(snap.to_prometheus())));
     group.bench_function("json", |b| b.iter(|| black_box(snap.to_json())));
+    let fleet = fleet_runtime(NODES);
     let nodes = format!("nodes{NODES}");
     group.bench_function(BenchmarkId::new("snapshot", &nodes), |b| {
-        b.iter(|| {
-            rewrite();
-            black_box(fleet.snapshot())
-        })
+        b.iter(|| black_box(fleet.telemetry_snapshot()))
     });
-    rewrite();
-    let snap = fleet.snapshot();
+    let snap = fleet.telemetry_snapshot().unwrap();
     group.bench_function(BenchmarkId::new("prometheus", &nodes), |b| {
         b.iter(|| black_box(snap.to_prometheus()))
     });

@@ -6,14 +6,16 @@
 //! The runtime's detector, estimators, and registry all speak
 //! **virtual time** — the trace driver owns that clock and stamps every
 //! observation with it. An external node agent has no virtual clock; it
-//! has wall time. [`ClockAdapter`] bridges the two: it pins an origin at
-//! attach time and maps every subsequent wall-clock instant to seconds
-//! since that origin, producing a monotone `f64` timeline with the same
-//! shape the detector already consumes. The two timelines never mix *per
-//! node*: a node is either driven by the trace driver (virtual stamps)
-//! or by the control plane (wall stamps), and each node's registry row
-//! owns its own detector track, so cross-node timeline skew is
-//! irrelevant.
+//! has wall time. The runtime's wall clock bridges the two: it pins one
+//! origin when the runtime is built and maps every later wall-clock
+//! instant to seconds since that origin, producing a monotone `f64`
+//! timeline with the same shape the detector already consumes. Every
+//! attachment of a control plane reads that one timeline, so two hooks
+//! stamp a node's detector track alike. The two timelines never mix
+//! *per node*: a node is either driven by the trace driver (virtual
+//! stamps) or by the control plane (wall stamps), and each node's
+//! registry row owns its own detector track, so cross-node timeline
+//! skew is irrelevant.
 //!
 //! Determinism: [`ControlPlaneHooks`] owns **no RNG stream** and draws
 //! nothing. Every method either reads runtime state or forwards an
@@ -33,30 +35,22 @@ use crate::Runtime;
 
 /// Maps wall-clock instants onto the `f64` seconds timeline the
 /// detector and estimators consume: `now()` is seconds since the
-/// adapter's origin (attach time), monotone and starting near zero —
-/// exactly the shape of the trace driver's virtual clock.
+/// adapter's origin (the runtime's build), monotone and starting near
+/// zero — exactly the shape of the trace driver's virtual clock.
 #[derive(Debug, Clone, Copy)]
-pub struct ClockAdapter {
+pub(crate) struct ClockAdapter {
     origin: Instant,
 }
 
 impl ClockAdapter {
     /// An adapter whose timeline starts now.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { origin: Instant::now() }
     }
 
     /// Seconds elapsed since the adapter's origin.
-    #[must_use]
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.origin.elapsed().as_secs_f64()
-    }
-}
-
-impl Default for ClockAdapter {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -73,7 +67,8 @@ pub struct NodeStatus {
     pub estimated_rate: Option<f64>,
     /// Current health.
     pub health: Health,
-    /// The detector's suspicion level φ at the hooks' current time.
+    /// The detector's suspicion level φ at the time the row was read
+    /// (the hooks' current time in `/nodes`).
     pub phi: f64,
     /// The Suspect threshold in force for this node (self-tuned when
     /// the detector runs in self-tuning mode, configured otherwise) —
@@ -83,36 +78,32 @@ pub struct NodeStatus {
     pub effective_down_phi: f64,
 }
 
-/// The control-plane port of a [`Runtime`]: a shareable handle bundling
-/// the wall→virtual [`ClockAdapter`] with the observations an external
-/// control plane stamps on that clock. Lifecycle calls and scrapes go
-/// to [`ControlPlaneHooks::runtime`] directly. Obtained from
-/// [`Runtime::attach_control_plane`]; cloning shares the runtime and
-/// the clock origin.
+/// The control-plane port of a [`Runtime`]: a shareable handle for the
+/// observations an external control plane stamps on the runtime's wall
+/// clock. Lifecycle calls and scrapes go to
+/// [`ControlPlaneHooks::runtime`] directly. Obtained from
+/// [`Runtime::attach_control_plane`]; every attachment, and every
+/// clone, shares the runtime and its clock origin.
 #[derive(Clone)]
 pub struct ControlPlaneHooks {
     runtime: Arc<Runtime>,
-    clock: ClockAdapter,
 }
 
 impl std::fmt::Debug for ControlPlaneHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlPlaneHooks")
-            .field("clock", &self.clock)
+            .field("clock", &self.runtime.clock)
             .field("telemetry_enabled", &self.runtime.telemetry().is_enabled())
             .finish_non_exhaustive()
     }
 }
 
 impl ControlPlaneHooks {
-    pub(crate) fn new(runtime: Arc<Runtime>) -> Self {
-        Self { runtime, clock: ClockAdapter::new() }
-    }
-
-    /// The current time on the hooks' timeline (seconds since attach).
+    /// The current time on the runtime's wall clock (seconds since the
+    /// runtime was built).
     #[must_use]
     pub fn now(&self) -> f64 {
-        self.clock.now()
+        self.runtime.clock.now()
     }
 
     /// The underlying runtime.
@@ -178,22 +169,43 @@ impl ControlPlaneHooks {
 
     // ---- state ----------------------------------------------------------
 
-    /// Status rows for every registered node, in registration order
-    /// (which is ascending id order): one pass over the registry rows
-    /// under the state lock.
+    /// Status rows for every registered node at the hooks' current
+    /// time, in registration order (which is ascending id order).
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeStatus> {
-        let now = self.now();
-        let cfg = &self.runtime.cfg;
-        self.runtime
-            .state()
+        self.runtime.node_rows(self.now(), |status| status)
+    }
+}
+
+impl Runtime {
+    /// Attaches a control plane to this runtime: returns the
+    /// [`ControlPlaneHooks`] port an external transport (e.g. the
+    /// `gtlb-net` HTTP listener) drives. Every attachment stamps the
+    /// runtime's one wall clock, whose origin is pinned when the runtime
+    /// is built, so two hooks driving one node stamp its detector track
+    /// from one timeline.
+    #[must_use]
+    pub fn attach_control_plane(self: &Arc<Self>) -> ControlPlaneHooks {
+        ControlPlaneHooks { runtime: Arc::clone(self) }
+    }
+
+    /// `row` of the status of every registered node, with φ at `now`,
+    /// in ascending id order: one pass over the registry rows under the
+    /// `state` lock. `/nodes` ([`ControlPlaneHooks::nodes`], at the wall
+    /// clock) and the per-node families of
+    /// [`Runtime::telemetry_snapshot`] (at the telemetry clock) both
+    /// read φ and the thresholds here; each keeps only the columns it
+    /// renders.
+    pub(crate) fn node_rows<T>(&self, now: f64, mut row: impl FnMut(NodeStatus) -> T) -> Vec<T> {
+        let cfg = &self.cfg;
+        self.state()
             .registry
             .nodes()
             .iter()
             .map(|n| {
                 let (effective_suspect_phi, effective_down_phi) =
                     n.effective_thresholds(&cfg.detector);
-                NodeStatus {
+                row(NodeStatus {
                     id: n.id(),
                     nominal_rate: n.nominal_rate(),
                     estimated_rate: n.estimated_rate(cfg.min_service_obs),
@@ -201,22 +213,9 @@ impl ControlPlaneHooks {
                     phi: n.phi(&cfg.detector, now),
                     effective_suspect_phi,
                     effective_down_phi,
-                }
+                })
             })
             .collect()
-    }
-}
-
-impl Runtime {
-    /// Attaches a control plane to this runtime: returns the
-    /// [`ControlPlaneHooks`] port an external transport (e.g. the
-    /// `gtlb-net` HTTP listener) drives. The hooks' clock origin is
-    /// pinned at attach time; multiple attachments get independent
-    /// origins, which is fine — each node's row owns its own detector
-    /// track, and a node should be driven by exactly one control plane.
-    #[must_use]
-    pub fn attach_control_plane(self: &Arc<Self>) -> ControlPlaneHooks {
-        ControlPlaneHooks::new(Arc::clone(self))
     }
 
     /// Updates a node's declared capacity `μ` (e.g. a control-plane
@@ -253,6 +252,17 @@ mod tests {
         let b = clock.now();
         assert!(a >= 0.0);
         assert!(b >= a);
+    }
+
+    #[test]
+    fn every_attachment_reads_the_runtimes_clock() {
+        let rt = arc_runtime();
+        let a = rt.attach_control_plane();
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let b = rt.attach_control_plane();
+        let (at_a, at_b) = (a.now(), b.now());
+        assert!(at_a >= 0.2, "A counts from the runtime's build: {at_a}");
+        assert!((at_a - at_b).abs() < 0.1, "one timeline: A {at_a}, B {at_b}");
     }
 
     #[test]

@@ -20,12 +20,14 @@
 
 use std::collections::VecDeque;
 
-/// EWMA estimator of an event rate from event timestamps.
+use gtlb_desim::stats::Ewma;
+
+/// EWMA estimator of an event rate from event timestamps: the smoothed
+/// inter-event gap is an [`Ewma`], seeded with the first gap.
 #[derive(Debug, Clone)]
 pub struct EwmaRate {
-    alpha: f64,
+    mean_gap: Ewma,
     last_event: Option<f64>,
-    mean_gap: Option<f64>,
     count: u64,
 }
 
@@ -37,8 +39,7 @@ impl EwmaRate {
     /// If `alpha` is outside `(0, 1]`.
     #[must_use]
     pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must lie in (0, 1]");
-        Self { alpha, last_event: None, mean_gap: None, count: 0 }
+        Self { mean_gap: Ewma::new(alpha), last_event: None, count: 0 }
     }
 
     /// Records an event at time `t` (nondecreasing; a backwards step is
@@ -52,10 +53,7 @@ impl EwmaRate {
         if let Some(last) = self.last_event {
             let gap = t - last;
             if gap >= 0.0 {
-                self.mean_gap = Some(match self.mean_gap {
-                    Some(m) => m + self.alpha * (gap - m),
-                    None => gap,
-                });
+                self.mean_gap.observe(gap);
             }
         }
         self.last_event = Some(t);
@@ -65,7 +63,7 @@ impl EwmaRate {
     /// event or while the smoothed gap is zero.
     #[must_use]
     pub fn rate(&self) -> Option<f64> {
-        match self.mean_gap {
+        match self.mean_gap.value() {
             Some(gap) if gap > 0.0 => Some(1.0 / gap),
             _ => None,
         }

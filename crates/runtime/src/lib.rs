@@ -75,6 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration;
 
+use control::ClockAdapter;
 use estimator::EwmaRate;
 use gtlb_core::allocation::Allocation;
 use gtlb_core::model::Cluster;
@@ -83,7 +84,7 @@ pub use admission::{
     AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmissionStats, AdmissionVerdict,
 };
 pub use alias::{AliasTable, MAX_BELOW_ONE};
-pub use control::{ClockAdapter, ControlPlaneHooks, NodeStatus};
+pub use control::{ControlPlaneHooks, NodeStatus};
 pub use detector::{DetectorConfig, HealthTransition};
 pub use driver::{TraceConfig, TraceDriver, TraceStats};
 pub use error::RuntimeError;
@@ -292,6 +293,7 @@ impl RuntimeBuilder {
             tables_built: AtomicU64::new(0),
             telemetry,
             tracer,
+            clock: ClockAdapter::new(),
         }
     }
 }
@@ -403,6 +405,9 @@ pub struct Runtime {
     tables_built: AtomicU64,
     telemetry: Telemetry,
     tracer: Tracer,
+    // The wall-clock origin every control-plane attachment stamps
+    // observations from, pinned at build.
+    clock: ClockAdapter,
 }
 
 impl Runtime {
@@ -813,35 +818,25 @@ impl Runtime {
         &self.tracer
     }
 
-    /// Scrapes every telemetry instrument into one snapshot, after
-    /// syncing the derived totals (dispatch counter, table
-    /// publishes, admission counters, offered ρ, ring drops) and
-    /// rewriting the per-node suspicion families (live φ at the
-    /// telemetry clock plus the effective detector thresholds, one cell
-    /// per registered node). Linear in the node count. `None` when
-    /// telemetry is disabled.
+    /// Scrapes telemetry into one snapshot, reading each source once:
+    /// the recorded instruments, the ring's drops and the telemetry
+    /// clock, the dispatcher's count, the table publishes, admission's
+    /// counters and offered ρ, and one status row per registered node
+    /// (live φ at the telemetry clock plus the effective detector
+    /// thresholds, the rows [`ControlPlaneHooks::nodes`] reads).
+    /// Linear in the node count. `None` when telemetry is disabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Option<gtlb_telemetry::Snapshot> {
         let inner = self.telemetry.inner()?;
-        inner.sync(
-            self.dispatcher.dispatched(),
-            self.table.stats().publishes,
-            self.admission.as_ref().map(|c| (c.stats(), c.offered_utilization())),
-        );
-        let now = self.telemetry.clock();
-        let cfg = &self.cfg.detector;
-        let suspicion: Vec<(NodeId, f64, f64, f64)> = self
-            .state()
-            .registry
-            .nodes()
-            .iter()
-            .map(|n| {
-                let (suspect, down) = n.effective_thresholds(cfg);
-                (n.id(), n.phi(cfg, now), suspect, down)
-            })
-            .collect();
-        inner.sync_node_suspicion(&suspicion);
-        Some(inner.snapshot())
+        let now = inner.clock();
+        let nodes = self
+            .node_rows(now, |n| (n.id.raw(), n.phi, n.effective_suspect_phi, n.effective_down_phi));
+        // Read before the responses and drops it is set against, so
+        // `gtlb_jobs_inflight` reads high by no more than the driver's
+        // unflushed completions.
+        let dispatched = self.dispatcher.dispatched();
+        let admission = self.admission.as_ref().map(|c| (c.stats(), c.offered_utilization()));
+        Some(inner.snapshot(now, dispatched, self.table.stats().publishes, admission, &nodes))
     }
 
     /// Publish statistics of the routing-table slot.

@@ -5,7 +5,8 @@
 //! default) carries `None` and every record method compiles to a plain
 //! branch on it, so the instrumented paths cost one predictable
 //! never-taken branch when telemetry is off. [`Telemetry::enabled`]
-//! allocates the instrument set and the event ring.
+//! allocates the event ring and the seven instruments the runtime
+//! records into.
 //!
 //! ## Determinism contract
 //!
@@ -40,6 +41,22 @@
 //! health events and retries record on paths that are already cold or
 //! lock-bound.
 //!
+//! ## Scrape
+//!
+//! [`Runtime::telemetry_snapshot`] builds a [`Snapshot`] from the
+//! sources themselves and reads each once: here, the seven recorded
+//! instruments (retries, fault drops, health transitions and solves,
+//! plus the response, queue-wait and backoff histograms), the ring's
+//! drop count and the telemetry clock; in the runtime, the
+//! dispatcher's count, the table slot's publishes, admission's
+//! counters and ρ, and one pass over the registry rows under the
+//! `state` lock for each node's φ and thresholds, the same pass
+//! `/nodes` reads ([`ControlPlaneHooks::nodes`]). `gtlb_jobs_inflight`
+//! is derived from the exported values, so every scrape agrees with
+//! itself. A new per-node series is one more column of that pass.
+//!
+//! [`Runtime::telemetry_snapshot`]: crate::Runtime::telemetry_snapshot
+//! [`ControlPlaneHooks::nodes`]: crate::ControlPlaneHooks::nodes
 //! [`TraceDriver`]: crate::driver::TraceDriver
 //! [`DISPATCH_STREAM`]: crate::shard::DISPATCH_STREAM
 //! [`FAULT_STREAM`]: crate::fault::FAULT_STREAM
@@ -48,8 +65,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gtlb_telemetry::{
-    Counter, EventRing, Gauge, GaugeFamily, Histogram, HistogramSnapshot,
-    Registry as MetricRegistry, Snapshot, TaggedEvent,
+    Counter, EventRing, FamilySnapshot, Histogram, HistogramSnapshot, Snapshot, TaggedEvent,
 };
 
 use crate::admission::{AdmissionStats, AdmissionVerdict};
@@ -73,7 +89,7 @@ pub const ROUTE_SAMPLE_EVERY: u64 = 1024;
 /// Canonical metric names, as they appear in [`Snapshot`] and both
 /// exposition formats. The README's metric table documents each.
 pub mod names {
-    /// Jobs routed (synced from the dispatcher's counter).
+    /// Jobs routed (the dispatcher's count, read at scrape).
     pub const DISPATCHES: &str = "gtlb_dispatches_total";
     /// Jobs that asked admission for a verdict.
     pub const ADMISSION_SUBMITTED: &str = "gtlb_admission_submitted_total";
@@ -93,7 +109,8 @@ pub mod names {
     pub const TABLE_PUBLISHES: &str = "gtlb_table_publishes_total";
     /// Events overwritten in the ring (drop-oldest).
     pub const EVENTS_DROPPED: &str = "gtlb_events_dropped_total";
-    /// Offered utilization `ρ = Φ̂ / Σμ̂` admission acts on.
+    /// Offered utilization `ρ = Φ̂ / Σμ̂` admission acts on (0 without
+    /// admission).
     pub const OFFERED_UTILIZATION: &str = "gtlb_offered_utilization";
     /// The driver's virtual clock, in seconds.
     pub const VIRTUAL_CLOCK: &str = "gtlb_virtual_clock_seconds";
@@ -111,7 +128,7 @@ pub mod names {
     /// Successful solves published.
     pub const SOLVER_RESOLVES: &str = "gtlb_solver_resolves_total";
     /// Per-node gauge family: each registered node's live accrual φ at
-    /// the telemetry clock (rewritten on snapshot).
+    /// the telemetry clock (read at scrape).
     pub const NODE_PHI: &str = "gtlb_node_phi";
     /// Per-node gauge family: the effective Suspect threshold
     /// (self-tuned when the detector runs in self-tuning mode, the
@@ -195,66 +212,39 @@ impl std::fmt::Display for RuntimeEvent {
     }
 }
 
-/// The instrument set behind an enabled [`Telemetry`].
+/// The instrument set behind an enabled [`Telemetry`]: the event ring,
+/// the telemetry clock and the seven instruments the runtime records
+/// into.
 #[derive(Debug)]
 pub(crate) struct TelemetryInner {
-    registry: MetricRegistry,
     ring: EventRing<RuntimeEvent>,
     /// `f64` bits of the driver-published virtual clock.
     clock_bits: AtomicU64,
-    dispatches: Arc<Counter>,
-    admission_submitted: Arc<Counter>,
-    admission_accepted: Arc<Counter>,
-    admission_deferred: Arc<Counter>,
-    admission_rejected: Arc<Counter>,
-    retries: Arc<Counter>,
-    fault_drops: Arc<Counter>,
-    health_transitions: Arc<Counter>,
-    table_publishes: Arc<Counter>,
-    events_dropped: Arc<Counter>,
-    offered_utilization: Arc<Gauge>,
-    virtual_clock: Arc<Gauge>,
-    jobs_inflight: Arc<Gauge>,
-    response: Arc<Histogram>,
-    queue_wait: Arc<Histogram>,
-    backoff: Arc<Histogram>,
-    solver_resolves: Arc<Counter>,
-    node_phi: Arc<GaugeFamily>,
-    node_suspect_phi: Arc<GaugeFamily>,
-    node_down_phi: Arc<GaugeFamily>,
+    retries: Counter,
+    fault_drops: Counter,
+    health_transitions: Counter,
+    solver_resolves: Counter,
+    response: Histogram,
+    queue_wait: Histogram,
+    backoff: Histogram,
 }
 
 impl TelemetryInner {
     fn new() -> Self {
-        let registry = MetricRegistry::new();
         Self {
             ring: EventRing::new(TELEMETRY_EVENT_CAPACITY),
             clock_bits: AtomicU64::new(0f64.to_bits()),
-            dispatches: registry.counter(names::DISPATCHES),
-            admission_submitted: registry.counter(names::ADMISSION_SUBMITTED),
-            admission_accepted: registry.counter(names::ADMISSION_ACCEPTED),
-            admission_deferred: registry.counter(names::ADMISSION_DEFERRED),
-            admission_rejected: registry.counter(names::ADMISSION_REJECTED),
-            retries: registry.counter(names::RETRIES),
-            fault_drops: registry.counter(names::FAULT_DROPS),
-            health_transitions: registry.counter(names::HEALTH_TRANSITIONS),
-            table_publishes: registry.counter(names::TABLE_PUBLISHES),
-            events_dropped: registry.counter(names::EVENTS_DROPPED),
-            offered_utilization: registry.gauge(names::OFFERED_UTILIZATION),
-            virtual_clock: registry.gauge(names::VIRTUAL_CLOCK),
-            jobs_inflight: registry.gauge(names::JOBS_INFLIGHT),
-            response: registry.histogram(names::RESPONSE_SECONDS),
-            queue_wait: registry.histogram(names::QUEUE_WAIT_SECONDS),
-            backoff: registry.histogram(names::RETRY_BACKOFF_SECONDS),
-            solver_resolves: registry.counter(names::SOLVER_RESOLVES),
-            node_phi: registry.gauge_family(names::NODE_PHI, names::NODE_LABEL),
-            node_suspect_phi: registry.gauge_family(names::NODE_SUSPECT_PHI, names::NODE_LABEL),
-            node_down_phi: registry.gauge_family(names::NODE_DOWN_PHI, names::NODE_LABEL),
-            registry,
+            retries: Counter::new(),
+            fault_drops: Counter::new(),
+            health_transitions: Counter::new(),
+            solver_resolves: Counter::new(),
+            response: Histogram::new(),
+            queue_wait: Histogram::new(),
+            backoff: Histogram::new(),
         }
     }
 
-    fn clock(&self) -> f64 {
+    pub(crate) fn clock(&self) -> f64 {
         f64::from_bits(self.clock_bits.load(Ordering::Relaxed))
     }
 
@@ -266,50 +256,67 @@ impl TelemetryInner {
         self.ring.push(TaggedEvent { time, stream, event });
     }
 
-    /// Mirrors externally-maintained totals into the registry so a
-    /// scrape sees them; called by
-    /// [`Runtime::telemetry_snapshot`](crate::Runtime::telemetry_snapshot).
-    pub(crate) fn sync(
+    /// One scrape, every series in exposition order, each source read
+    /// once. The caller passes what the runtime holds: the clock
+    /// reading `now` the rows' φ was evaluated at, the dispatch count,
+    /// the table publishes, admission's counters and ρ (`None` without
+    /// admission, exported as zeros) and one `(node, φ, suspect, down)`
+    /// row per registered node in ascending id order. `gtlb_jobs_inflight` is derived from
+    /// the exported values: dispatched minus responses minus
+    /// fault-dropped attempts, floored at 0 (a job loop that records no
+    /// responses leaves it at the raw dispatch count, still an honest
+    /// upper bound).
+    pub(crate) fn snapshot(
         &self,
+        now: f64,
         dispatched: u64,
         publishes: u64,
         admission: Option<(AdmissionStats, f64)>,
-    ) {
-        self.dispatches.set_total(dispatched);
-        self.table_publishes.set_total(publishes);
-        if let Some((stats, rho)) = admission {
-            self.admission_submitted.set_total(stats.submitted);
-            self.admission_accepted.set_total(stats.accepted);
-            self.admission_deferred.set_total(stats.deferred);
-            self.admission_rejected.set_total(stats.rejected);
-            self.offered_utilization.set(rho);
-        }
-        self.events_dropped.set_total(self.ring.dropped());
-        self.virtual_clock.set(self.clock());
-        // Jobs routed whose completion is not recorded yet: dispatched
-        // minus responses minus fault-dropped attempts, floored at 0
-        // (drivers that don't record responses leave this at the raw
-        // dispatch count, which is still the honest upper bound).
-        let completed = self.response.count();
+        nodes: &[(u64, f64, f64, f64)],
+    ) -> Snapshot {
+        let (admission, rho) = admission.unwrap_or_default();
+        let response = self.response.snapshot();
         let drops = self.fault_drops.value();
-        self.jobs_inflight.set(dispatched.saturating_sub(completed + drops) as f64);
+        let inflight = dispatched.saturating_sub(response.count() + drops) as f64;
+        let counters = named([
+            (names::DISPATCHES, dispatched),
+            (names::ADMISSION_SUBMITTED, admission.submitted),
+            (names::ADMISSION_ACCEPTED, admission.accepted),
+            (names::ADMISSION_DEFERRED, admission.deferred),
+            (names::ADMISSION_REJECTED, admission.rejected),
+            (names::RETRIES, self.retries.value()),
+            (names::FAULT_DROPS, drops),
+            (names::HEALTH_TRANSITIONS, self.health_transitions.value()),
+            (names::TABLE_PUBLISHES, publishes),
+            (names::EVENTS_DROPPED, self.ring.dropped()),
+            (names::SOLVER_RESOLVES, self.solver_resolves.value()),
+        ]);
+        let gauges = named([
+            (names::OFFERED_UTILIZATION, rho),
+            (names::VIRTUAL_CLOCK, now),
+            (names::JOBS_INFLIGHT, inflight),
+        ]);
+        let histograms = named([
+            (names::RESPONSE_SECONDS, response),
+            (names::QUEUE_WAIT_SECONDS, self.queue_wait.snapshot()),
+            (names::RETRY_BACKOFF_SECONDS, self.backoff.snapshot()),
+        ]);
+        let family = |column: fn(&(u64, f64, f64, f64)) -> f64| {
+            let cells = nodes.iter().map(|row| (row.0, column(row))).collect();
+            FamilySnapshot::new(names::NODE_LABEL, cells)
+        };
+        let families = named([
+            (names::NODE_PHI, family(|row| row.1)),
+            (names::NODE_SUSPECT_PHI, family(|row| row.2)),
+            (names::NODE_DOWN_PHI, family(|row| row.3)),
+        ]);
+        Snapshot::new(counters, gauges, histograms, families)
     }
+}
 
-    /// Rewrites the per-node suspicion families (live φ and the
-    /// effective thresholds) from `rows`, one `(node, φ, suspect,
-    /// down)` row per registered node in ascending id order; called by
-    /// [`Runtime::telemetry_snapshot`](crate::Runtime::telemetry_snapshot).
-    /// A node missing from `rows` (it was deregistered) drops out of
-    /// every family.
-    pub(crate) fn sync_node_suspicion(&self, rows: &[(NodeId, f64, f64, f64)]) {
-        self.node_phi.replace(rows.iter().map(|&(node, phi, _, _)| (node.raw(), phi)));
-        self.node_suspect_phi.replace(rows.iter().map(|&(node, _, s, _)| (node.raw(), s)));
-        self.node_down_phi.replace(rows.iter().map(|&(node, _, _, d)| (node.raw(), d)));
-    }
-
-    pub(crate) fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
-    }
+/// `series` with owned names, in the order given.
+fn named<T, const N: usize>(series: [(&str, T); N]) -> Vec<(String, T)> {
+    series.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
 }
 
 /// The runtime's telemetry facade: either a no-op
@@ -367,8 +374,8 @@ impl Telemetry {
         }
     }
 
-    /// Records an admission shed verdict (accepts are counted via the
-    /// synced [`AdmissionStats`], not per-event).
+    /// Records an admission shed verdict (accepts are counted by
+    /// admission's own [`AdmissionStats`], not per-event).
     #[inline]
     pub(crate) fn record_admission_shed(&self, verdict: AdmissionVerdict) {
         if let Some(inner) = self.inner() {
@@ -535,22 +542,6 @@ mod tests {
         assert_eq!(events[0].time, 3.5);
         assert_eq!(events[0].stream, DISPATCH_STREAM);
         assert_eq!(events[0].event, RuntimeEvent::Routed { node: NodeId::from_raw(7), epoch: 4 });
-    }
-
-    #[test]
-    fn sync_mirrors_external_totals() {
-        let tel = Telemetry::enabled();
-        let inner = tel.inner().unwrap();
-        inner.sync(
-            42,
-            7,
-            Some((AdmissionStats { submitted: 10, accepted: 8, deferred: 1, rejected: 1 }, 0.75)),
-        );
-        let snap = inner.snapshot();
-        assert_eq!(snap.counter(names::DISPATCHES), Some(42));
-        assert_eq!(snap.counter(names::TABLE_PUBLISHES), Some(7));
-        assert_eq!(snap.counter(names::ADMISSION_ACCEPTED), Some(8));
-        assert_eq!(snap.gauge(names::OFFERED_UTILIZATION), Some(0.75));
     }
 
     #[test]

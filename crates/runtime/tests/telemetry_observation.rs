@@ -6,13 +6,14 @@
 //! runtime: on every return from `run_jobs`, and often enough inside a
 //! call that a concurrent scrape lags by at most 4,096 completions.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use gtlb_runtime::telemetry::names;
 use gtlb_runtime::{
-    AdmissionConfig, DetectorConfig, FaultPlan, NodeId, RetryConfig, RetryPolicy, Runtime,
-    RuntimeError, RuntimeEvent, SchemeKind, TraceConfig, TraceDriver, TraceStats,
+    AdmissionConfig, DetectorConfig, FaultPlan, NodeId, PartitionDirection, RetryConfig,
+    RetryPolicy, Runtime, RuntimeError, RuntimeEvent, SchemeKind, TraceConfig, TraceDriver,
+    TraceStats, TracingConfig,
 };
 
 /// One chaos trace: crash-recover + flaky faults, retries, heartbeats,
@@ -416,4 +417,114 @@ fn an_error_return_still_flushes_the_served_jobs() {
     assert_eq!(snap.histogram(names::RESPONSE_SECONDS).unwrap().count(), stats.jobs);
     assert_eq!(snap.histogram(names::QUEUE_WAIT_SECONDS).unwrap().count(), stats.jobs);
     assert_eq!(snap.gauge(names::JOBS_INFLIGHT), Some(0.0));
+}
+
+/// The scrape the exposition files pin: a chaos run on eight nodes with
+/// admission, one window of every fault kind, retries, 1 s heartbeats,
+/// the self-tuning detector, telemetry and every job traced (so the
+/// JSON carries exemplars), then one node marked Down and one
+/// deregistered, scraped after `run_jobs` returns.
+fn pinned_scrape() -> gtlb_telemetry::Snapshot {
+    let rates = [6.0, 5.0, 4.0, 3.0, 2.5, 2.0, 1.5, 1.0];
+    let phi = 0.9 * rates.iter().sum::<f64>();
+    let rt = Runtime::builder()
+        .seed(0x5EED)
+        .scheme(SchemeKind::Coop)
+        .nominal_arrival_rate(phi)
+        .admission(AdmissionConfig { target_utilization: 0.8, defer_band: 0.1 })
+        .detector(DetectorConfig::self_tuning(8))
+        .telemetry(true)
+        .tracing_config(TracingConfig::sample_all())
+        .build();
+    let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
+    rt.resolve_now().unwrap();
+    let plan = FaultPlan::new(0xFA17)
+        .crash(ids[7], 120.0)
+        .crash_recover(ids[0], 20.0, 15.0)
+        .slow(ids[1], 30.0, 40.0, 0.5)
+        .flaky(ids[2], 10.0, 60.0, 0.3)
+        .partition(ids[3], 40.0, 20.0, PartitionDirection::DropDispatch)
+        .partition(ids[4], 50.0, 10.0, PartitionDirection::DropHeartbeats)
+        .gray(ids[5], 60.0, 30.0, 2.0, 0.2);
+    let mut driver = TraceDriver::new(phi, TraceConfig { seed: 0x0DD, batch_size: 500 })
+        .with_faults(plan)
+        .with_retry(RetryPolicy::new(RetryConfig::default()).unwrap())
+        .with_heartbeats(1.0);
+    driver.run_jobs(&rt, 4_000).unwrap();
+    rt.mark_down(ids[6]).unwrap();
+    rt.deregister_node(ids[2]).unwrap();
+    rt.telemetry_snapshot().unwrap()
+}
+
+/// Asserts `got == want`, naming the first line that differs.
+fn assert_same_lines(got: &str, want: &str, what: &str) {
+    if let Some((i, (g, w))) = got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w)
+    {
+        panic!("{what} line {}: got {g:?}, want {w:?}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "{what}: line count");
+    assert_eq!(got, want, "{what}: bytes");
+}
+
+#[test]
+fn the_exposition_is_pinned_byte_for_byte() {
+    let snap = pinned_scrape();
+    // The scenario exercises every series the files pin.
+    let count = |name| snap.counter(name).unwrap();
+    assert!(count(names::RETRIES) > 0 && count(names::FAULT_DROPS) > 0);
+    assert!(count(names::HEALTH_TRANSITIONS) > 0);
+    assert!(count(names::ADMISSION_DEFERRED) > 0 && count(names::ADMISSION_REJECTED) > 0);
+    let suspect = cells(&snap, names::NODE_SUSPECT_PHI);
+    assert_eq!(suspect.len(), 7, "one node deregistered: {suspect:?}");
+    assert!(suspect.iter().any(|&(_, s)| s != suspect[0].1), "thresholds differ: {suspect:?}");
+    assert_same_lines(&snap.to_prometheus(), include_str!("expected_metrics.prom"), "/metrics");
+    assert_same_lines(&snap.to_json(), include_str!("expected_metrics.json"), "/metrics.json");
+}
+
+/// A runtime whose fastest node drops a tenth of its attempts for the
+/// whole run, so fault drops keep landing while a scrape reads.
+fn steady_chaos_run() -> (Arc<Runtime>, TraceDriver) {
+    let (rt, ids) = fault_free_runtime();
+    let plan = FaultPlan::new(0xC0DE).flaky(ids[0], 0.0, 1e9, 0.1);
+    let driver = TraceDriver::new(2.1, TraceConfig { seed: 23, batch_size: 1_000 })
+        .with_faults(plan)
+        .with_retry(RetryPolicy::new(RetryConfig::default()).unwrap())
+        .with_heartbeats(1.0);
+    (rt, driver)
+}
+
+#[test]
+fn every_scrape_during_a_run_agrees_with_itself() {
+    const SCRAPES: u64 = 1_000;
+    let (rt, mut driver) = steady_chaos_run();
+    let (start, scraped) = (Barrier::new(2), AtomicU64::new(0));
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let scraper = s.spawn(|| {
+            start.wait();
+            while !done.load(Ordering::Acquire) {
+                let snap = rt.telemetry_snapshot().unwrap();
+                let dispatched = snap.counter(names::DISPATCHES).unwrap();
+                let served = snap.histogram(names::RESPONSE_SECONDS).unwrap().count();
+                let drops = snap.counter(names::FAULT_DROPS).unwrap();
+                let inflight = snap.gauge(names::JOBS_INFLIGHT).unwrap();
+                let k = scraped.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(
+                    inflight,
+                    dispatched.saturating_sub(served + drops) as f64,
+                    "scrape {k}: {dispatched} dispatched, {served} served, {drops} dropped"
+                );
+            }
+        });
+        start.wait();
+        // Calls of 5,000 jobs until the scraper has read its share
+        // while the driver runs, or has failed.
+        while scraped.load(Ordering::Relaxed) < SCRAPES && !scraper.is_finished() {
+            driver.run_jobs(&rt, 5_000).unwrap();
+        }
+        done.store(true, Ordering::Release);
+        scraper.join().unwrap();
+    });
+    assert!(scraped.load(Ordering::Relaxed) >= SCRAPES);
+    assert!(driver.stats().dropped > 0, "the flaky node must drop attempts");
 }

@@ -3,8 +3,8 @@
 //! The crate provides five building blocks, all safe Rust over `std`
 //! atomics with no external dependencies:
 //!
-//! * [`Counter`] / [`Gauge`] — metric cells of one relaxed atomic
-//!   each: a write is one `fetch_add` or one store.
+//! * [`Counter`] — a metric cell of one relaxed atomic: an add is
+//!   one `fetch_add`.
 //! * [`Histogram`] — a log-linear HDR-style latency histogram with a
 //!   fixed bucket layout (16 sub-buckets per power of two across
 //!   2⁻³² … 2³², ~6.25 % relative error). Snapshots answer
@@ -13,12 +13,11 @@
 //! * [`EventRing`] — a bounded, structured, drop-oldest event buffer
 //!   with an exact dropped counter, for recording discrete happenings (routing decisions, health
 //!   transitions, faults) tagged with virtual time and provenance.
-//! * [`Registry`] + [`Snapshot`] — a scrape surface that reads every
-//!   registered instrument into an immutable snapshot and renders
-//!   Prometheus text or JSON exposition.
-//!   A [`GaugeFamily`] is the labelled member of that set: one gauge
-//!   cell per integer label value (a node id), rewritten whole at
-//!   scrape time and rendered as one metric with one sample per cell.
+//! * [`Snapshot`] — an immutable scrape built from values its caller
+//!   has already read (counters, gauges, histogram snapshots and
+//!   [`FamilySnapshot`]s, the labelled gauge families: one cell per
+//!   integer label value, a node id say), rendered as Prometheus text or
+//!   JSON exposition.
 //! * [`trace`] — deterministic per-job tracing: [`Trace`]s of
 //!   causally-ordered [`Span`]s with hash-derived [`TraceId`]s and a
 //!   bounded [`FlightRecorder`] ring, plus Chrome `trace_event`
@@ -45,8 +44,8 @@ pub use histogram::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, Histogram, HistogramSnapshot,
     BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET, SUB_BUCKET_BITS, UNDERFLOW_BUCKET,
 };
-pub use metrics::{Counter, Gauge};
-pub use registry::{FamilySnapshot, GaugeFamily, Registry, Snapshot};
+pub use metrics::Counter;
+pub use registry::{FamilySnapshot, Snapshot};
 pub use ring::{EventRing, TaggedEvent};
 pub use trace::{
     to_chrome_json, trace_id, AttemptOutcome, FlightRecorder, Span, SpanKind, Trace, TraceId,

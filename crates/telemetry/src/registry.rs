@@ -1,68 +1,18 @@
-//! Instrument registry and scrape snapshots.
+//! Scrape snapshots and their exposition.
 //!
-//! A [`Registry`] hands out shared instruments
-//! ([`Counter`]/[`Gauge`]/[`Histogram`]/[`GaugeFamily`]) under stable
-//! names and reads them all into an immutable [`Snapshot`] on scrape.
-//! Snapshots render to Prometheus text exposition or a small JSON
-//! document.
+//! A [`Snapshot`] holds values its caller has already read (counters,
+//! gauges, histogram snapshots and labelled gauge families, each under
+//! its metric name) and renders them to Prometheus text exposition or a
+//! small JSON document.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
-use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::metrics::{Counter, Gauge};
+use crate::histogram::HistogramSnapshot;
 
-/// A named-instrument registry. Registration takes a short lock;
-/// instrument updates after registration are lock-free, except a
-/// [`GaugeFamily`] rewrite, which takes the family's own lock.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<Vec<(String, Arc<Counter>)>>,
-    gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
-    histograms: Mutex<Vec<(String, Arc<Histogram>)>>,
-    families: Mutex<Vec<(String, Arc<GaugeFamily>)>>,
-}
-
-/// A labelled gauge family: one `f64` cell per value of a single
-/// integer label (a node id, say), exposed as
-/// `name{label="value"}` samples under one metric name.
-///
-/// The family is rewritten whole by [`GaugeFamily::replace`], so a
-/// label value that is not supplied again drops out of the next
-/// snapshot. Cells are kept in ascending label order, which makes both
-/// a rewrite and a scrape one pass and a lookup one binary search.
-#[derive(Debug)]
-pub struct GaugeFamily {
-    label: String,
-    cells: Mutex<Vec<(u64, f64)>>,
-}
-
-impl GaugeFamily {
-    fn new(label: &str) -> Self {
-        Self { label: label.to_string(), cells: Mutex::new(Vec::new()) }
-    }
-
-    /// Replaces every cell with `cells`, given as `(label value,
-    /// value)` pairs. Input in ascending label order is stored as is;
-    /// other input is sorted first, and a repeated label value keeps
-    /// its first value.
-    pub fn replace(&self, cells: impl IntoIterator<Item = (u64, f64)>) {
-        let mut held = self.cells.lock().expect("a gauge family rewrite panicked");
-        held.clear();
-        held.extend(cells);
-        // Linear on input that is already sorted.
-        held.sort_by_key(|&(label, _)| label);
-        held.dedup_by_key(|&mut (label, _)| label);
-    }
-
-    fn snapshot(&self) -> FamilySnapshot {
-        let cells = self.cells.lock().expect("a gauge family rewrite panicked").clone();
-        FamilySnapshot { label: self.label.clone(), cells }
-    }
-}
-
-/// The cells of one [`GaugeFamily`] at scrape time, in ascending label
-/// order.
+/// The cells of one labelled gauge family at scrape time: one `f64`
+/// cell per value of a single integer label (a node id, say), exposed
+/// as `name{label="value"}` samples under one metric name. Cells are
+/// kept in ascending label order, so a lookup is one binary search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilySnapshot {
     label: String,
@@ -70,6 +20,18 @@ pub struct FamilySnapshot {
 }
 
 impl FamilySnapshot {
+    /// A family keyed by the label `label` holding `cells`, given as
+    /// `(label value, value)` pairs. Input in ascending label order is
+    /// kept as is; other input is sorted first, and a repeated label
+    /// value keeps its first value.
+    #[must_use]
+    pub fn new(label: &str, mut cells: Vec<(u64, f64)>) -> Self {
+        // Linear on input that is already sorted.
+        cells.sort_by_key(|&(label, _)| label);
+        cells.dedup_by_key(|&mut (label, _)| label);
+        Self { label: label.to_string(), cells }
+    }
+
     /// The label name every cell is keyed by (e.g. `node`).
     #[must_use]
     pub fn label(&self) -> &str {
@@ -89,86 +51,9 @@ impl FamilySnapshot {
     }
 }
 
-impl Registry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or retrieves) a counter under `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut list = self.counters.lock().unwrap();
-        if let Some((_, c)) = list.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::new());
-        list.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    /// Registers (or retrieves) a gauge under `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut list = self.gauges.lock().unwrap();
-        if let Some((_, g)) = list.iter().find(|(n, _)| n == name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::new());
-        list.push((name.to_string(), Arc::clone(&g)));
-        g
-    }
-
-    /// Registers (or retrieves) a histogram under `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut list = self.histograms.lock().unwrap();
-        if let Some((_, h)) = list.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        list.push((name.to_string(), Arc::clone(&h)));
-        h
-    }
-
-    /// Registers (or retrieves) a gauge family under `name`, keyed by
-    /// the integer label `label`. A retrieved family keeps the label it
-    /// was registered with.
-    pub fn gauge_family(&self, name: &str, label: &str) -> Arc<GaugeFamily> {
-        let mut list = self.families.lock().expect("a family registration panicked");
-        if let Some((_, f)) = list.iter().find(|(n, _)| n == name) {
-            return Arc::clone(f);
-        }
-        let f = Arc::new(GaugeFamily::new(label));
-        list.push((name.to_string(), Arc::clone(&f)));
-        f
-    }
-
-    /// Reads every registered instrument into an immutable snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        let counters =
-            self.counters.lock().unwrap().iter().map(|(n, c)| (n.clone(), c.value())).collect();
-        let gauges =
-            self.gauges.lock().unwrap().iter().map(|(n, g)| (n.clone(), g.value())).collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, h)| (n.clone(), h.snapshot()))
-            .collect();
-        let families = self
-            .families
-            .lock()
-            .expect("a family registration panicked")
-            .iter()
-            .map(|(n, f)| (n.clone(), f.snapshot()))
-            .collect();
-        Snapshot { counters, gauges, histograms, families }
-    }
-}
-
-/// An immutable scrape of every instrument in a [`Registry`]:
-/// counters, gauges, histogram snapshots and gauge families, each under
-/// its registered name.
+/// An immutable scrape: counters, gauges, histogram snapshots and gauge
+/// families, each under its metric name and rendered in the order
+/// given.
 #[derive(Debug, Clone, PartialEq)]
 #[must_use = "a snapshot carries the scraped data; query or render it"]
 pub struct Snapshot {
@@ -179,48 +64,59 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Value of the counter registered under `name`, if any.
+    /// A snapshot of the series given, each list in the order it
+    /// renders.
+    pub fn new(
+        counters: Vec<(String, u64)>,
+        gauges: Vec<(String, f64)>,
+        histograms: Vec<(String, HistogramSnapshot)>,
+        families: Vec<(String, FamilySnapshot)>,
+    ) -> Self {
+        Self { counters, gauges, histograms, families }
+    }
+
+    /// Value of the counter named `name`, if any.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Value of the gauge registered under `name`.
+    /// Value of the gauge named `name`.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Snapshot of the histogram registered under `name`.
+    /// Snapshot of the histogram named `name`.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// All counter names and values, in registration order.
+    /// All counter names and values, in order.
     #[must_use]
     pub fn counters(&self) -> &[(String, u64)] {
         &self.counters
     }
 
-    /// All gauge names and values, in registration order.
+    /// All gauge names and values, in order.
     #[must_use]
     pub fn gauges(&self) -> &[(String, f64)] {
         &self.gauges
     }
 
-    /// All histogram names and snapshots, in registration order.
+    /// All histogram names and snapshots, in order.
     pub fn histograms(&self) -> &[(String, HistogramSnapshot)] {
         &self.histograms
     }
 
-    /// Snapshot of the gauge family registered under `name`.
+    /// Snapshot of the gauge family named `name`.
     #[must_use]
     pub fn family(&self, name: &str) -> Option<&FamilySnapshot> {
         self.families.iter().find(|(n, _)| n == name).map(|(_, f)| f)
     }
 
-    /// All gauge-family names and snapshots, in registration order.
+    /// All gauge-family names and snapshots, in order.
     #[must_use]
     pub fn families(&self) -> &[(String, FamilySnapshot)] {
         &self.families
@@ -271,7 +167,7 @@ impl Snapshot {
     /// knowing the layout constants. Non-finite gauge and cell values
     /// render as `null`; instrument and label names pass through
     /// [`json_escape`](crate::json_escape), so a quote or control
-    /// character in a registered name cannot corrupt the document.
+    /// character in a metric name cannot corrupt the document.
     #[must_use]
     pub fn to_json(&self) -> String {
         use crate::histogram::{bucket_lower_bound, bucket_upper_bound, OVERFLOW_BUCKET};
@@ -366,31 +262,38 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::Histogram;
 
-    fn sample_registry() -> Registry {
-        let r = Registry::new();
-        let c = r.counter("gtlb_jobs_total");
-        c.add(5);
-        c.add(7);
-        r.gauge("gtlb_depth").set(3.5);
-        r.gauge("gtlb_utilization").set(0.5);
-        let h = r.histogram("gtlb_response_seconds");
+    fn named<T>(series: Vec<(&str, T)>) -> Vec<(String, T)> {
+        series.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
+    }
+
+    fn sample_snapshot() -> Snapshot {
+        let mut response = HistogramSnapshot::empty();
         for v in [0.1, 0.2, 0.4] {
-            h.record(v);
+            response.record(v);
         }
-        r.gauge_family("gtlb_node_phi", "node").replace([(0, 0.5), (7, 1.25), (12, f64::NAN)]);
-        r
+        // Unsorted, with node 7 given twice: the family keeps the first.
+        let phi = FamilySnapshot::new("node", vec![(12, f64::NAN), (0, 0.5), (7, 1.25), (7, 9.0)]);
+        Snapshot::new(
+            named(vec![("gtlb_jobs_total", 12)]),
+            named(vec![("gtlb_depth", 3.5), ("gtlb_utilization", 0.5)]),
+            named(vec![("gtlb_response_seconds", response)]),
+            named(vec![("gtlb_node_phi", phi)]),
+        )
     }
 
     #[test]
     fn snapshot_merges_every_instrument() {
-        let s = sample_registry().snapshot();
+        let s = sample_snapshot();
         assert_eq!(s.counter("gtlb_jobs_total"), Some(12));
         assert_eq!(s.gauge("gtlb_depth"), Some(3.5));
         assert_eq!(s.gauge("gtlb_utilization"), Some(0.5));
         assert_eq!(s.histogram("gtlb_response_seconds").unwrap().count(), 3);
         let phi = s.family("gtlb_node_phi").unwrap();
         assert_eq!((phi.label(), phi.get(7), phi.get(8)), ("node", Some(1.25), None));
+        let labels: Vec<u64> = phi.cells().iter().map(|&(l, _)| l).collect();
+        assert_eq!(labels, [0, 7, 12], "cells ascend, one per label value");
         assert_eq!(s.counter("missing"), None);
         assert!(s.family("missing").is_none());
         // Family cells are not gauges: a gauge count stays independent
@@ -399,41 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn registration_is_idempotent() {
-        let r = Registry::new();
-        let a = r.counter("c");
-        let b = r.counter("c");
-        a.incr();
-        b.incr();
-        assert_eq!(r.snapshot().counter("c"), Some(2));
-        assert_eq!(r.snapshot().counters().len(), 1);
-
-        let f = r.gauge_family("f", "node");
-        let g = r.gauge_family("f", "node");
-        assert!(Arc::ptr_eq(&f, &g));
-        g.replace([(1, 2.0)]);
-        assert_eq!(r.snapshot().families().len(), 1);
-        assert_eq!(r.snapshot().family("f").unwrap().cells(), &[(1, 2.0)]);
-    }
-
-    #[test]
-    fn family_replace_drops_cells_not_supplied_again() {
-        let r = Registry::new();
-        let f = r.gauge_family("gtlb_node_phi", "node");
-        f.replace([(0, 0.5), (1, 1.0), (2, 2.0)]);
-        // Unsorted input is sorted; a repeated label keeps its first value.
-        f.replace([(2, 4.0), (0, 3.0), (2, 9.0)]);
-        let s = r.snapshot();
-        let phi = s.family("gtlb_node_phi").unwrap();
-        assert_eq!(phi.cells(), &[(0, 3.0), (2, 4.0)]);
-        assert_eq!(phi.get(1), None, "node 1 was not supplied again");
-        f.replace([]);
-        assert!(r.snapshot().family("gtlb_node_phi").unwrap().cells().is_empty());
-    }
-
-    #[test]
     fn prometheus_text_has_types_and_samples() {
-        let text = sample_registry().snapshot().to_prometheus();
+        let text = sample_snapshot().to_prometheus();
         assert!(text.contains("# TYPE gtlb_jobs_total counter"));
         assert!(text.contains("gtlb_jobs_total 12"));
         assert!(text.contains("# TYPE gtlb_depth gauge"));
@@ -461,9 +331,8 @@ mod tests {
 
     #[test]
     fn json_escapes_hostile_instrument_names() {
-        let r = Registry::new();
-        r.counter("evil\"name\nwith\\stuff").add(3);
-        let json = r.snapshot().to_json();
+        let s = Snapshot::new(named(vec![("evil\"name\nwith\\stuff", 3)]), vec![], vec![], vec![]);
+        let json = s.to_json();
         assert!(json.contains("\"evil\\\"name\\nwith\\\\stuff\":3"), "got {json}");
         assert!(!json.contains('\n'), "raw newline leaked into {json:?}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -472,11 +341,16 @@ mod tests {
     #[test]
     fn json_exposes_bucket_boundaries_and_exemplars() {
         use crate::histogram::bucket_index;
-        let r = Registry::new();
-        let h = r.histogram("gtlb_response_seconds");
+        let h = Histogram::new();
         h.record(0.1);
         h.record_with_exemplar(0.4, 0xAB);
-        let json = r.snapshot().to_json();
+        let s = Snapshot::new(
+            vec![],
+            vec![],
+            named(vec![("gtlb_response_seconds", h.snapshot())]),
+            vec![],
+        );
+        let json = s.to_json();
         let b = bucket_index(0.4);
         assert!(json.contains("\"buckets\":["), "{json}");
         assert!(json.contains(&format!("\"index\":{b}")), "{json}");
@@ -488,12 +362,12 @@ mod tests {
         assert!(json.contains("\"exemplar\":null"), "untraced bucket: {json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Prometheus text is unchanged by the bucket exposition.
-        assert!(!r.snapshot().to_prometheus().contains("bucket"));
+        assert!(!s.to_prometheus().contains("bucket"));
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let json = sample_registry().snapshot().to_json();
+        let json = sample_snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"gtlb_jobs_total\":12"));
         assert!(json.contains("\"count\":3"));

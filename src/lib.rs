@@ -26,10 +26,11 @@
 //!   with deterministic fault injection, an accrual
 //!   failure detector, and retry/timeout dispatch hardening the loop
 //!   against node churn;
-//! * [`telemetry`] — lock-free counters/gauges, log-linear
-//!   latency histograms, and a bounded structured event ring; the
-//!   runtime records into them behind an observation-only facade that
-//!   consumes no RNG and never perturbs a deterministic trace;
+//! * [`telemetry`] — lock-free counters, log-linear latency
+//!   histograms, a bounded structured event ring and the scrape
+//!   snapshot; the runtime records into them behind an
+//!   observation-only facade that consumes no RNG and never perturbs a
+//!   deterministic trace;
 //! * [`net`] — the networked control plane: a dependency-free blocking
 //!   HTTP/1.1 listener through which external node agents register,
 //!   heartbeat, and report metrics into the runtime's detector and
