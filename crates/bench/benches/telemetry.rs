@@ -1,67 +1,22 @@
-//! The PR-5 observability overhead benchmarks. The headline gate:
-//! dispatching with telemetry **enabled** must cost
-//! ≤ 1.03× the disabled path on the n = 1024 alias table
-//! (`telemetry_route/{disabled,enabled}/1024`; CI compares medians of
-//! three quick runs from `BENCH_telemetry.json`). The driver rows
+//! The observability overhead benchmarks. The driver rows
 //! (`telemetry_driver/{disabled,enabled}/4096`) time what telemetry
-//! costs a whole job on the paper's Table 3.1 cluster; CI prints their
-//! ratio without gating it. The instrument microbenches ride along to
-//! keep the primitive costs visible: counter add, histogram record, the
-//! driver's buffered record-and-absorb and event-ring push. The scrape
-//! rows time the code a scrape runs, `Runtime::telemetry_snapshot` and
-//! both renderings, on a 16-node runtime after a run and on a
-//! control-plane-sized one (2,048 heartbeated nodes, so three 2,048-cell
-//! per-node gauge families).
+//! costs a whole job on the paper's Table 3.1 cluster; CI prints the
+//! ratio of their medians over three quick runs without gating it. The
+//! dispatcher holds no telemetry handle, so a route costs the same
+//! either way and has no rows here. The instrument microbenches keep
+//! the primitive costs visible: counter add, histogram record and the
+//! driver's buffered record-and-absorb. The scrape rows time the code a
+//! scrape runs, `Runtime::telemetry_snapshot` and both renderings, on a
+//! 16-node runtime after a run and on a control-plane-sized one (2,048
+//! heartbeated nodes, so three 2,048-cell per-node gauge families).
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gtlb_runtime::driver::{TraceConfig, TraceDriver};
-use gtlb_runtime::telemetry::TELEMETRY_EVENT_CAPACITY;
-use gtlb_runtime::{Dispatcher, EpochSwap, NodeId, RoutingTable, Runtime, SchemeKind, Telemetry};
+use gtlb_runtime::{Runtime, SchemeKind};
 use gtlb_sim::scenario::table31;
-use gtlb_telemetry::{Counter, EventRing, Histogram, HistogramSnapshot, TaggedEvent};
-
-/// The same mildly skewed table shape the routing bench gates on.
-fn skewed_table(n: usize) -> RoutingTable {
-    let ids = (0..n as u64).map(NodeId::from_raw).collect();
-    let weights: Vec<f64> = (0..n).map(|i| if i < n / 4 + 1 { 4.0 } else { 1.0 }).collect();
-    RoutingTable::new(1, ids, &weights).unwrap()
-}
-
-fn dispatcher(n: usize, telemetry: Telemetry) -> Dispatcher {
-    let swap = Arc::new(EpochSwap::new(skewed_table(n)));
-    Dispatcher::with_telemetry(swap, 0xBE9C, telemetry)
-}
-
-/// The gated comparison: the identical decision stream, drawn through
-/// the alias table at n = 1024, with the facade disabled vs enabled
-/// (sampled ring pushes every 1024th dispatch). Both sides route the
-/// same 4096-job block per iteration.
-fn bench_route_overhead(c: &mut Criterion) {
-    const JOBS: usize = 4096;
-    let mut group = c.benchmark_group("telemetry_route");
-    group.throughput(Throughput::Elements(JOBS as u64));
-    for &n in &[64usize, 1024] {
-        for (label, telemetry) in
-            [("disabled", Telemetry::disabled()), ("enabled", Telemetry::enabled())]
-        {
-            let dispatcher = dispatcher(n, telemetry);
-            group.bench_with_input(BenchmarkId::new(label, n), &dispatcher, |b, d| {
-                b.iter(|| {
-                    let mut guard = d.guard();
-                    let mut sink = 0u64;
-                    for _ in 0..JOBS {
-                        sink = sink.wrapping_add(guard.dispatch().unwrap().node.raw());
-                    }
-                    black_box(sink)
-                })
-            });
-        }
-    }
-    group.finish();
-}
+use gtlb_telemetry::{Counter, Histogram, HistogramSnapshot};
 
 /// What telemetry costs a whole job: the paper's Table 3.1 cluster at
 /// ρ = 0.7 (the shape of the benchmark's `farm` workload) through
@@ -109,9 +64,8 @@ fn next_latency(x: f64) -> f64 {
 /// Primitive write costs: one counter add, one histogram
 /// record, the driver's buffered path (4,096 plain records and the
 /// absorb that adds them in; divide by 4,096 to set it against one
-/// record), one record absorbed on its own (the absorb's fixed cost,
-/// which visits only the buckets the buffer touched), one ring push (at
-/// wraparound, the worst case).
+/// record) and one record absorbed on its own (the absorb's fixed cost,
+/// which visits only the buckets the buffer touched).
 fn bench_instruments(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_instrument");
     let counter = Counter::new();
@@ -141,17 +95,6 @@ fn bench_instruments(c: &mut Criterion) {
             pending.record(black_box(x));
             histogram.absorb(&mut pending);
             x = next_latency(x);
-        })
-    });
-    let ring: EventRing<u64> = EventRing::new(TELEMETRY_EVENT_CAPACITY);
-    for k in 0..TELEMETRY_EVENT_CAPACITY as u64 {
-        ring.push(TaggedEvent { time: k as f64, stream: 0, event: k });
-    }
-    group.bench_function("ring_push_wrapped", |b| {
-        let mut k = 0u64;
-        b.iter(|| {
-            ring.push(TaggedEvent { time: k as f64, stream: 0, event: k });
-            k += 1;
         })
     });
     group.finish();
@@ -231,11 +174,5 @@ fn bench_scrape(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_route_overhead,
-    bench_driver_overhead,
-    bench_instruments,
-    bench_scrape
-);
+criterion_group!(benches, bench_driver_overhead, bench_instruments, bench_scrape);
 criterion_main!(benches);

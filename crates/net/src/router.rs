@@ -175,8 +175,8 @@ fn trace_json(t: &Trace) -> String {
             SpanKind::Queued { depth } => {
                 b.int("depth", depth);
             }
-            SpanKind::Routed { node, epoch, shard } => {
-                b.int("node", node).int("epoch", epoch).int("shard", u64::from(shard));
+            SpanKind::Routed { node, epoch, .. } => {
+                b.int("node", node).int("epoch", epoch);
             }
             SpanKind::Attempt { n, outcome, backoff } => {
                 b.int("n", u64::from(n)).str("outcome", outcome.as_str()).num("backoff", backoff);
@@ -666,6 +666,13 @@ mod tests {
         assert_eq!(one.get("id").and_then(Json::as_str), Some(id.as_str()));
         let spans = one.get("spans").and_then(|s| s.as_array()).unwrap();
         assert!(spans.len() >= 4, "admitted/queued/routed/attempt/completed");
+        let routed = spans
+            .iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some("routed"))
+            .expect("a routed span");
+        assert_eq!(routed.get("node").and_then(Json::as_f64), Some(0.0), "the one node");
+        assert!(routed.get("epoch").and_then(Json::as_f64).is_some());
+        assert!(routed.get("shard").is_none(), "no shard member");
 
         assert_eq!(route(&app, &req(Method::Get, "/traces/zz", "")).status, 400);
         assert_eq!(route(&app, &req(Method::Get, "/traces/ffffffffffffffff", "")).status, 404);

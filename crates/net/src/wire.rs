@@ -7,7 +7,8 @@
 //! the complete JSON grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null) with a recursion-depth cap, and the
 //! encoder side reuses the shared [`gtlb_telemetry::json_escape`]
-//! helper so hostile strings round-trip safely in both directions.
+//! helper so hostile strings round-trip safely in both directions, and
+//! prints numbers in the shared [`gtlb_telemetry::Number`] format.
 //!
 //! A parsed [`Json`] borrows from the bytes it was parsed from: a
 //! string without escapes, key or value, is a slice of the document,
@@ -18,7 +19,7 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use gtlb_telemetry::json_escape_into;
+use gtlb_telemetry::{json_escape_into, Number};
 
 /// Maximum nesting depth accepted by [`Json::parse`]; deeper input is
 /// a [`WireError::TooDeep`], not a stack overflow.
@@ -339,11 +340,12 @@ impl ObjBuilder {
         self
     }
 
-    /// Appends a numeric member; non-finite values encode as `null`.
+    /// Appends a numeric member in the format [`Number`] prints;
+    /// non-finite values encode as `null`.
     pub fn num(&mut self, key: &str, value: f64) -> &mut Self {
         self.key(key);
         if value.is_finite() {
-            let _ = write!(self.out, "{value}");
+            let _ = write!(self.out, "{}", Number(value));
         } else {
             self.out.push_str("null");
         }

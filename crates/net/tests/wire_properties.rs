@@ -2,15 +2,17 @@
 //! escapes decodes back to the same string, strings without escapes are
 //! borrowed from the document and strings with them decode as the
 //! reference decoder decodes them, a repeated key resolves to its last
-//! member, finite numbers round-trip bit for bit, the depth cap sits
-//! exactly at 16 levels, and arbitrary bytes give a value or a typed
-//! error — never a panic.
+//! member, finite numbers round-trip bit for bit (and the shared number
+//! format, on its own and through `ObjBuilder::num`, writes each in at
+//! most 24 characters after the sign), the depth cap sits exactly at 16
+//! levels, and arbitrary bytes give a value or a typed error — never a
+//! panic.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use gtlb_net::wire::{Json, WireError};
-use gtlb_telemetry::json_escape;
+use gtlb_net::wire::{Json, ObjBuilder, WireError};
+use gtlb_telemetry::{json_escape, Number};
 use proptest::prelude::*;
 
 /// The string decoder as it was when every string was copied into an
@@ -164,6 +166,21 @@ proptest! {
         let parsed = Json::parse(doc.as_bytes()).unwrap();
         let back = parsed.as_array().and_then(|items| items[0].as_f64()).unwrap();
         prop_assert_eq!(back.to_bits(), x.to_bits(), "{} came back as {}", x, back);
+
+        // The exposition format: the same bits back, in at most 24
+        // characters after the sign, also through `ObjBuilder::num`.
+        let text = Number(x).to_string();
+        prop_assert!(text.trim_start_matches('-').len() <= 24, "{:?} printed as {}", x, text);
+        let doc = format!("[{text}]");
+        let parsed = Json::parse(doc.as_bytes()).unwrap();
+        let back = parsed.as_array().and_then(|items| items[0].as_f64()).unwrap();
+        prop_assert_eq!(back.to_bits(), x.to_bits(), "{} came back as {}", text, back);
+        let mut b = ObjBuilder::new();
+        b.num("x", x);
+        let obj = b.finish();
+        prop_assert_eq!(&obj, &format!("{{\"x\":{text}}}"));
+        let back = Json::parse(obj.as_bytes()).unwrap().get("x").and_then(Json::as_f64).unwrap();
+        prop_assert_eq!(back.to_bits(), x.to_bits(), "{} came back as {}", obj, back);
     }
 
     /// Sixteen levels of any mix of arrays and objects parse; the

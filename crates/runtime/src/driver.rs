@@ -427,15 +427,8 @@ impl TraceDriver {
         let gap = -self.arrivals.next_open01().ln() / self.phi;
         self.clock += gap;
         let arrived = self.clock;
-        // Publish the virtual clock so telemetry events carry it.
+        // Publish the virtual clock: a scrape exports it and reads φ at it.
         runtime.telemetry().set_clock(arrived);
-        // Surface due partition milestones before the
-        // detector observations they explain.
-        if let Some(f) = self.faults.as_mut() {
-            for marker in f.drain_markers(arrived) {
-                runtime.telemetry().record_fault_marker(&marker);
-            }
-        }
         self.run_heartbeats(runtime, state, arrived);
 
         self.submitted += 1;

@@ -168,9 +168,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A fault-schedule milestone the injector surfaces for telemetry: the
-/// moments partitions open and heal. Pure data, derived from the plan
-/// at injector construction.
+/// A fault-schedule milestone: the moment a partition opens or heals.
+/// Pure data, derived from the plan at injector construction. No runtime
+/// path reads them; [`FaultInjector::drain_markers`] hands them out for
+/// the benchmark's job loop until that loop is retired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultMarker {
     /// Virtual time of the milestone.
@@ -440,8 +441,8 @@ impl FaultPlan {
         h
     }
 
-    /// The telemetry milestones the plan implies, sorted by time: each
-    /// partition's open and heal edges.
+    /// The milestones the plan implies, sorted by time: each partition's
+    /// open and heal edges.
     fn markers(&self) -> Vec<FaultMarker> {
         let mut out = Vec::new();
         for e in &self.events {
@@ -748,7 +749,8 @@ impl FaultInjector {
 
     /// Drains the fault markers scheduled at or before `upto`, in time
     /// order, each at most once. O(1) when no adversarial faults are
-    /// scheduled.
+    /// scheduled. Kept for the benchmark's job loop, which times it,
+    /// until that loop is retired: the runtime itself drains none.
     pub fn drain_markers(&mut self, upto: f64) -> Vec<FaultMarker> {
         let start = self.marker_cursor;
         let mut end = start;

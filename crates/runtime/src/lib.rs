@@ -44,8 +44,8 @@
 //!   response times against the allocator's analytic prediction;
 //! * [`control`] — the control-plane port ([`ControlPlaneHooks`]) an
 //!   external transport drives, on a wall clock mapped to virtual time;
-//! * [`telemetry`] / [`tracing`] — metrics, the event ring and per-job
-//!   traces, all observation-only.
+//! * [`telemetry`] / [`tracing`] — the counters, histograms and clock a
+//!   scrape reads, and per-job traces, all observation-only.
 //!
 //! The [`Runtime`] ties these together behind one handle that is cheap
 //! to share across threads; [`Runtime::spawn_resolver`] runs the
@@ -98,7 +98,7 @@ pub use retry::{RetryConfig, RetryPolicy, RETRY_STREAM};
 pub use shard::{Decision, DispatchGuard, Dispatcher};
 pub use swap::{EpochSwap, SwapStats};
 pub use table::RoutingTable;
-pub use telemetry::{RuntimeEvent, Telemetry};
+pub use telemetry::Telemetry;
 pub use tracing::Tracer;
 // Trace primitives, re-exported so downstream crates name one source.
 pub use gtlb_telemetry::trace::{
@@ -130,9 +130,10 @@ pub struct RuntimeConfig {
     /// Tuning of the accrual failure detector behind
     /// [`Runtime::observe_success`] / [`Runtime::observe_failure`].
     pub detector: DetectorConfig,
-    /// Whether the runtime records telemetry (metrics + event ring).
-    /// Off by default. Telemetry consumes no RNG draws and leaves every
-    /// decision sequence bit-identical; it only adds instruments.
+    /// Whether the runtime records telemetry (the counters, histograms
+    /// and clock a scrape reads). Off by default. Telemetry consumes no
+    /// RNG draws and leaves every decision sequence bit-identical; it
+    /// only adds instruments.
     pub telemetry: bool,
     /// Per-job tracing (spans + flight recorder); `None` (the default)
     /// disables it. Tracing owns no RNG stream and no clock — trace
@@ -229,8 +230,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables or disables telemetry (metrics + event ring). Disabled by
-    /// default; enabling it never perturbs a decision sequence.
+    /// Enables or disables telemetry (the counters, histograms and clock
+    /// a scrape reads). Disabled by default; enabling it never perturbs
+    /// a decision sequence.
     #[must_use]
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.cfg.telemetry = enabled;
@@ -270,8 +272,7 @@ impl RuntimeBuilder {
         let table = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
         let telemetry = if cfg.telemetry { Telemetry::enabled() } else { Telemetry::disabled() };
         let tracer = cfg.tracing.map_or_else(Tracer::disabled, |tc| Tracer::enabled(cfg.seed, tc));
-        let dispatcher =
-            Dispatcher::with_telemetry(Arc::clone(&table), cfg.seed, telemetry.clone());
+        let dispatcher = Dispatcher::new(Arc::clone(&table), cfg.seed);
         let admission = cfg.admission.map(|a| {
             AdmissionControl::new(
                 AdmissionPolicy::new(a).unwrap_or_else(|e| panic!("invalid admission config: {e}")),
@@ -380,14 +381,14 @@ impl Submission {
 pub struct Runtime {
     cfg: RuntimeConfig,
     // Lock order: the dispatcher's mutex, then `state`, then the table
-    // slot; the event ring and the flight recorder are leaves. Nothing
-    // locks the dispatcher while holding `state`. Each method takes
-    // `state` once (`Mutex` is not re-entrant) and hands the guard to the
-    // helpers it calls. The trace driver takes the dispatcher and then
-    // `state` once per batch of jobs and runs each job's runtime work on
-    // the held guards, through the same bodies the public methods lock
-    // and call. The dispatcher keeps its own mutex so that `submit`
-    // never waits behind a solve.
+    // slot; the flight recorder is a leaf. Nothing locks the dispatcher
+    // while holding `state`. Each method takes `state` once (`Mutex` is
+    // not re-entrant) and hands the guard to the helpers it calls. The
+    // trace driver takes the dispatcher and then `state` once per batch
+    // of jobs and runs each job's runtime work on the held guards,
+    // through the same bodies the public methods lock and call. The
+    // dispatcher keeps its own mutex so that `submit` never waits behind
+    // a solve.
     state: Mutex<State>,
     // Threads blocked on `state` right now (see `Runtime::state`): the
     // trace driver ends its batch and hands the locks over while this,
@@ -754,16 +755,10 @@ impl Runtime {
         guard: &mut DispatchGuard<'_>,
     ) -> Result<Submission, RuntimeError> {
         if let Some(control) = &self.admission {
-            let u = guard.next_admission_draw();
-            match control.decide(u) {
+            match control.decide(guard.next_admission_draw()) {
                 AdmissionVerdict::Accept => {}
-                verdict @ (AdmissionVerdict::Defer | AdmissionVerdict::Reject) => {
-                    self.telemetry.record_admission_shed(verdict);
-                    return Ok(match verdict {
-                        AdmissionVerdict::Defer => Submission::Deferred,
-                        _ => Submission::Rejected,
-                    });
-                }
+                AdmissionVerdict::Defer => return Ok(Submission::Deferred),
+                AdmissionVerdict::Reject => return Ok(Submission::Rejected),
             }
         }
         guard.dispatch().map(Submission::Dispatched)
@@ -819,8 +814,8 @@ impl Runtime {
     }
 
     /// Scrapes telemetry into one snapshot, reading each source once:
-    /// the recorded instruments, the ring's drops and the telemetry
-    /// clock, the dispatcher's count, the table publishes, admission's
+    /// the recorded instruments and the telemetry clock, the
+    /// dispatcher's count, the table publishes, admission's
     /// counters and offered ρ, and one status row per registered node
     /// (live φ at the telemetry clock plus the effective detector
     /// thresholds, the rows [`ControlPlaneHooks::nodes`] reads).
@@ -949,14 +944,8 @@ impl Runtime {
     fn mark(&self, state: &mut State, id: NodeId, health: Health) -> Result<Health, RuntimeError> {
         let prev = state.registry.set_health(id, health)?;
         if prev != health {
-            // Manual marks are health transitions too; tag them with the
-            // driver's published virtual clock (0 when no driver runs).
-            self.telemetry.record_health(HealthTransition {
-                node: id,
-                from: prev,
-                to: health,
-                at: self.telemetry.clock(),
-            });
+            // Manual marks are health transitions too.
+            self.telemetry.record_health();
         }
         Ok(prev)
     }
@@ -987,7 +976,7 @@ impl Runtime {
             state.transitions.pop_front();
         }
         state.transitions.push_back(tr);
-        self.telemetry.record_health(tr);
+        self.telemetry.record_health();
         match tr.to {
             Health::Down => {
                 self.republish_without(state, tr.node);
@@ -1074,15 +1063,13 @@ impl Runtime {
         self.publish_table(table);
     }
 
-    /// Publishes a table through the slot and records the publish when
-    /// telemetry is enabled.
+    /// Publishes a table through the slot, counting it when it is
+    /// non-empty.
     fn publish_table(&self, table: RoutingTable) {
-        let epoch = table.epoch();
         if !table.is_empty() {
             self.tables_built.fetch_add(1, Ordering::Relaxed);
         }
         self.table.publish(table);
-        self.telemetry.record_publish(epoch);
     }
 }
 
@@ -1766,8 +1753,7 @@ mod tests {
         let b = rt.register_node(1.0).unwrap();
         let epoch = rt.resolve_now().unwrap().epoch;
         assert_eq!(resolves(&rt), Some(1));
-        let events = rt.telemetry().recent_events(16);
-        assert!(events.iter().any(|e| e.event == RuntimeEvent::EpochPublished { epoch }));
+        assert_eq!(rt.current_table().epoch(), epoch);
         // A failed resolve (nothing serves) counts nothing.
         rt.mark_down(a).unwrap();
         rt.mark_down(b).unwrap();

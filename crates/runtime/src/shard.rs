@@ -47,7 +47,6 @@ use crate::error::RuntimeError;
 use crate::registry::NodeId;
 use crate::swap::EpochSwap;
 use crate::table::RoutingTable;
-use crate::telemetry::{Telemetry, ROUTE_SAMPLE_EVERY};
 
 /// RNG stream id for dispatch draws — disjoint from the simulator's
 /// arrival (0x0100), routing (0x0200) and service (0x0300) stream
@@ -108,28 +107,13 @@ pub struct Dispatcher {
     /// Threads blocked on the dispatcher's mutex right now (see
     /// [`Dispatcher::lock`]).
     waiters: AtomicU32,
-    telemetry: Telemetry,
 }
 
 impl Dispatcher {
     /// A dispatcher reading `table`, drawing from stream
-    /// `DISPATCH_STREAM` of `seed`. Telemetry is disabled; use
-    /// [`with_telemetry`](Self::with_telemetry) to record sampled
-    /// routing events.
+    /// `DISPATCH_STREAM` of `seed`.
     #[must_use]
     pub fn new(table: Arc<EpochSwap<RoutingTable>>, seed: u64) -> Self {
-        Self::with_telemetry(table, seed, Telemetry::disabled())
-    }
-
-    /// Like [`new`](Self::new), with a telemetry facade. Telemetry
-    /// consumes no RNG draws and never alters a decision: the sequences
-    /// are bit-identical whether `telemetry` is enabled or not.
-    #[must_use]
-    pub fn with_telemetry(
-        table: Arc<EpochSwap<RoutingTable>>,
-        seed: u64,
-        telemetry: Telemetry,
-    ) -> Self {
         let (generation, current) = table.load_current();
         let core = Core {
             rng: Xoshiro256PlusPlus::stream(seed, DISPATCH_STREAM),
@@ -139,7 +123,7 @@ impl Dispatcher {
             generation,
             table: current,
         };
-        Self { table, core: Mutex::new(core), waiters: AtomicU32::new(0), telemetry }
+        Self { table, core: Mutex::new(core), waiters: AtomicU32::new(0) }
     }
 
     /// Locks the dispatcher, first refreshing its cached table if a
@@ -230,10 +214,7 @@ impl DispatchGuard<'_> {
     }
 
     /// Routes one job on the guard's table: one RNG draw, one O(1) alias
-    /// lookup, one counter increment. With telemetry enabled, every
-    /// [`ROUTE_SAMPLE_EVERY`]-th decision is additionally pushed to the
-    /// event ring (the dispatch counter doubles as the sample clock, so
-    /// sampling adds no per-dispatch state and no RNG draw).
+    /// lookup, one counter increment.
     ///
     /// # Errors
     /// [`RuntimeError::NoServingNodes`] while the guard's table is empty.
@@ -247,10 +228,6 @@ impl DispatchGuard<'_> {
         let epoch = core.table.epoch();
         core.dispatched += 1;
         core.count_hit(node);
-        let telemetry = &self.dispatcher.telemetry;
-        if core.dispatched & (ROUTE_SAMPLE_EVERY - 1) == 0 && telemetry.is_enabled() {
-            telemetry.record_routed(node, epoch);
-        }
         Ok(Decision { node, epoch })
     }
 

@@ -19,8 +19,8 @@
 //! ## Lock order
 //!
 //! The dispatcher's mutex, then the runtime's `state` lock, then the
-//! slot; the event ring and the flight recorder are leaves, and nothing
-//! locks the dispatcher while holding `state`. The slot's mutex is a
+//! slot; the flight recorder is a leaf, and nothing locks the
+//! dispatcher while holding `state`. The slot's mutex is a
 //! leaf lock: nothing else is locked while it is held, and it is held
 //! only to clone or replace one `Arc`. A publisher takes `state` and
 //! then the slot (the publish rule on [`Runtime`](crate::Runtime)); the

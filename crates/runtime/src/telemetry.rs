@@ -5,29 +5,24 @@
 //! default) carries `None` and every record method compiles to a plain
 //! branch on it, so the instrumented paths cost one predictable
 //! never-taken branch when telemetry is off. [`Telemetry::enabled`]
-//! allocates the event ring and the seven instruments the runtime
+//! allocates the telemetry clock and the seven instruments the runtime
 //! records into.
 //!
 //! ## Determinism contract
 //!
-//! Telemetry consumes **no RNG draws** and owns **no clock**: every
-//! event is tagged with the virtual time the [`TraceDriver`] publishes
-//! through [`Telemetry::set_clock`], and no instrument reads wall-clock
-//! time. The `stream` tag on an event names the seed-stream family of the
-//! subsystem that emitted it ([`DISPATCH_STREAM`], [`FAULT_STREAM`], …,
-//! or `0` for subsystems that draw nothing); telemetry itself has no
-//! entry in the stream-family map because it never draws. Enabling
-//! telemetry therefore leaves every determinism fingerprint
-//! bit-identical — `tests/fingerprints.rs` checks them with telemetry
-//! on and off.
+//! Telemetry consumes **no RNG draws** and owns **no clock**: its clock
+//! is the virtual time the [`TraceDriver`] publishes through
+//! [`Telemetry::set_clock`], and no instrument reads wall-clock time;
+//! telemetry has no entry in the stream-family map because it never
+//! draws. Enabling telemetry therefore leaves every determinism
+//! fingerprint bit-identical — `tests/fingerprints.rs` checks them with
+//! telemetry on and off.
 //!
 //! ## Hot-path budget
 //!
-//! The alias-routing hot path gains only the enabled-check branch plus,
-//! every [`ROUTE_SAMPLE_EVERY`]-th dispatch, one sampled
-//! [`RuntimeEvent::Routed`] ring push (amortized to well under a
-//! nanosecond). CI gates the enabled/disabled ratio at ≤ 1.03× on the
-//! n=1024 route bench.
+//! The dispatcher holds no telemetry handle: a route costs the same
+//! with telemetry on and off, and the dispatch count a scrape exports is
+//! the dispatcher's own.
 //!
 //! Every served job has a response time and a queue wait. The
 //! [`TraceDriver`] records both into plain buffers of its own and adds
@@ -37,54 +32,35 @@
 //! served jobs inside a call. A scrape between calls is exact; one
 //! during a call lags the driver by at most 4,096 completions, and
 //! `gtlb_jobs_inflight` reads high by at most 4,096. Other job loops
-//! record per call through the `record_*` methods. Admission, fault and
-//! health events and retries record on paths that are already cold or
-//! lock-bound.
+//! record per call through the `record_*` methods. Fault drops, health
+//! transitions, solves and retries record on paths that are already
+//! cold or lock-bound.
 //!
 //! ## Scrape
 //!
 //! [`Runtime::telemetry_snapshot`] builds a [`Snapshot`] from the
 //! sources themselves and reads each once: here, the seven recorded
 //! instruments (retries, fault drops, health transitions and solves,
-//! plus the response, queue-wait and backoff histograms), the ring's
-//! drop count and the telemetry clock; in the runtime, the
-//! dispatcher's count, the table slot's publishes, admission's
-//! counters and ρ, and one pass over the registry rows under the
-//! `state` lock for each node's φ and thresholds, the same pass
-//! `/nodes` reads ([`ControlPlaneHooks::nodes`]). `gtlb_jobs_inflight`
-//! is derived from the exported values, so every scrape agrees with
-//! itself. A new per-node series is one more column of that pass.
+//! plus the response, queue-wait and backoff histograms) and the
+//! telemetry clock; in the runtime, the dispatcher's count, the table
+//! slot's publishes, admission's counters and ρ, and one pass over the
+//! registry rows under the `state` lock for each node's φ and
+//! thresholds, the same pass `/nodes` reads
+//! ([`ControlPlaneHooks::nodes`]). `gtlb_jobs_inflight` is derived from
+//! the exported values, so every scrape agrees with itself. A new
+//! per-node series is one more column of that pass.
 //!
 //! [`Runtime::telemetry_snapshot`]: crate::Runtime::telemetry_snapshot
 //! [`ControlPlaneHooks::nodes`]: crate::ControlPlaneHooks::nodes
 //! [`TraceDriver`]: crate::driver::TraceDriver
-//! [`DISPATCH_STREAM`]: crate::shard::DISPATCH_STREAM
-//! [`FAULT_STREAM`]: crate::fault::FAULT_STREAM
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gtlb_telemetry::{
-    Counter, EventRing, FamilySnapshot, Histogram, HistogramSnapshot, Snapshot, TaggedEvent,
-};
+use gtlb_telemetry::{Counter, FamilySnapshot, Histogram, HistogramSnapshot, Snapshot};
 
-use crate::admission::{AdmissionStats, AdmissionVerdict};
-use crate::detector::HealthTransition;
-use crate::fault::{
-    FaultMarker, FaultMarkerKind, PartitionDirection, ADVERSARIAL_STREAM, FAULT_STREAM,
-};
-use crate::registry::{Health, NodeId};
-use crate::shard::{ADMISSION_STREAM, DISPATCH_STREAM};
-
-/// Events the event ring holds.
-pub const TELEMETRY_EVENT_CAPACITY: usize = 1024;
-
-/// The dispatcher pushes one sampled [`RuntimeEvent::Routed`] event
-/// every this many dispatches (a power of two, so the check is one
-/// mask). Routing *counts* are exact regardless — they come from the
-/// dispatcher's counters — only the per-decision event stream is
-/// sampled.
-pub const ROUTE_SAMPLE_EVERY: u64 = 1024;
+use crate::admission::AdmissionStats;
+use crate::registry::NodeId;
 
 /// Canonical metric names, as they appear in [`Snapshot`] and both
 /// exposition formats. The README's metric table documents each.
@@ -107,8 +83,6 @@ pub mod names {
     pub const HEALTH_TRANSITIONS: &str = "gtlb_health_transitions_total";
     /// Routing tables published through the table slot.
     pub const TABLE_PUBLISHES: &str = "gtlb_table_publishes_total";
-    /// Events overwritten in the ring (drop-oldest).
-    pub const EVENTS_DROPPED: &str = "gtlb_events_dropped_total";
     /// Offered utilization `ρ = Φ̂ / Σμ̂` admission acts on (0 without
     /// admission).
     pub const OFFERED_UTILIZATION: &str = "gtlb_offered_utilization";
@@ -140,84 +114,10 @@ pub mod names {
     pub const NODE_LABEL: &str = "node";
 }
 
-/// A structured happening recorded in the event ring, tagged (by
-/// [`TaggedEvent`]) with virtual time and seed-stream family.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuntimeEvent {
-    /// A sampled routing decision (every [`ROUTE_SAMPLE_EVERY`]-th
-    /// dispatch).
-    Routed {
-        /// The chosen node.
-        node: NodeId,
-        /// Epoch of the table that chose it.
-        epoch: u64,
-    },
-    /// A health transition was applied.
-    HealthChanged {
-        /// The node that moved.
-        node: NodeId,
-        /// Health before.
-        from: Health,
-        /// Health after.
-        to: Health,
-    },
-    /// An injected fault dropped a dispatch attempt.
-    FaultDropped {
-        /// The node whose attempt dropped.
-        node: NodeId,
-    },
-    /// Admission shed a job.
-    AdmissionShed {
-        /// `true` for defer (retry-later), `false` for reject.
-        deferred: bool,
-    },
-    /// A routing table was published.
-    EpochPublished {
-        /// The new table's epoch.
-        epoch: u64,
-    },
-    /// An asymmetric partition opened on a node (scheduled by the fault
-    /// plan; surfaced by the driver at the plan's virtual time).
-    PartitionOpened {
-        /// The partitioned node.
-        node: NodeId,
-        /// Which link direction dropped.
-        direction: PartitionDirection,
-    },
-    /// The asymmetric partition on a node healed.
-    PartitionHealed {
-        /// The healed node.
-        node: NodeId,
-        /// Which link direction had dropped.
-        direction: PartitionDirection,
-    },
-}
-
-impl std::fmt::Display for RuntimeEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Routed { node, epoch } => write!(f, "routed {node} (epoch {epoch})"),
-            Self::HealthChanged { node, from, to } => write!(f, "health {node} {from} -> {to}"),
-            Self::FaultDropped { node } => write!(f, "fault dropped attempt at {node}"),
-            Self::AdmissionShed { deferred: true } => write!(f, "admission deferred a job"),
-            Self::AdmissionShed { deferred: false } => write!(f, "admission rejected a job"),
-            Self::EpochPublished { epoch } => write!(f, "published table epoch {epoch}"),
-            Self::PartitionOpened { node, direction } => {
-                write!(f, "partition opened on {node} ({direction})")
-            }
-            Self::PartitionHealed { node, direction } => {
-                write!(f, "partition healed on {node} ({direction})")
-            }
-        }
-    }
-}
-
-/// The instrument set behind an enabled [`Telemetry`]: the event ring,
-/// the telemetry clock and the seven instruments the runtime records
-/// into.
+/// The instrument set behind an enabled [`Telemetry`]: the telemetry
+/// clock and the seven instruments the runtime records into.
 #[derive(Debug)]
 pub(crate) struct TelemetryInner {
-    ring: EventRing<RuntimeEvent>,
     /// `f64` bits of the driver-published virtual clock.
     clock_bits: AtomicU64,
     retries: Counter,
@@ -232,7 +132,6 @@ pub(crate) struct TelemetryInner {
 impl TelemetryInner {
     fn new() -> Self {
         Self {
-            ring: EventRing::new(TELEMETRY_EVENT_CAPACITY),
             clock_bits: AtomicU64::new(0f64.to_bits()),
             retries: Counter::new(),
             fault_drops: Counter::new(),
@@ -246,14 +145,6 @@ impl TelemetryInner {
 
     pub(crate) fn clock(&self) -> f64 {
         f64::from_bits(self.clock_bits.load(Ordering::Relaxed))
-    }
-
-    fn push(&self, stream: u64, event: RuntimeEvent) {
-        self.push_at(self.clock(), stream, event);
-    }
-
-    fn push_at(&self, time: f64, stream: u64, event: RuntimeEvent) {
-        self.ring.push(TaggedEvent { time, stream, event });
     }
 
     /// One scrape, every series in exposition order, each source read
@@ -288,7 +179,6 @@ impl TelemetryInner {
             (names::FAULT_DROPS, drops),
             (names::HEALTH_TRANSITIONS, self.health_transitions.value()),
             (names::TABLE_PUBLISHES, publishes),
-            (names::EVENTS_DROPPED, self.ring.dropped()),
             (names::SOLVER_RESOLVES, self.solver_resolves.value()),
         ]);
         let gauges = named([
@@ -351,8 +241,8 @@ impl Telemetry {
         self.inner.as_deref()
     }
 
-    /// Publishes the driver's virtual clock; subsequent events are
-    /// tagged with it.
+    /// Publishes the driver's virtual clock: a scrape exports it as
+    /// `gtlb_virtual_clock_seconds` and evaluates each node's φ at it.
     #[inline]
     pub fn set_clock(&self, t: f64) {
         if let Some(inner) = self.inner() {
@@ -364,28 +254,6 @@ impl Telemetry {
     #[must_use]
     pub fn clock(&self) -> f64 {
         self.inner().map_or(0.0, TelemetryInner::clock)
-    }
-
-    /// Records a sampled routing decision.
-    #[inline]
-    pub(crate) fn record_routed(&self, node: NodeId, epoch: u64) {
-        if let Some(inner) = self.inner() {
-            inner.push(DISPATCH_STREAM, RuntimeEvent::Routed { node, epoch });
-        }
-    }
-
-    /// Records an admission shed verdict (accepts are counted by
-    /// admission's own [`AdmissionStats`], not per-event).
-    #[inline]
-    pub(crate) fn record_admission_shed(&self, verdict: AdmissionVerdict) {
-        if let Some(inner) = self.inner() {
-            let deferred = match verdict {
-                AdmissionVerdict::Accept => return,
-                AdmissionVerdict::Defer => true,
-                AdmissionVerdict::Reject => false,
-            };
-            inner.push(ADMISSION_STREAM, RuntimeEvent::AdmissionShed { deferred });
-        }
     }
 
     /// Records a completed job's response time together with its trace
@@ -451,45 +319,22 @@ impl Telemetry {
         }
     }
 
-    /// Records a dispatch attempt dropped by an injected fault at
-    /// virtual time `t`. The first argument is ignored, as in
-    /// [`Telemetry::record_retry`].
+    /// Records a dispatch attempt dropped by an injected fault. Every
+    /// argument is ignored, as the first is in
+    /// [`Telemetry::record_retry`]: the node and the virtual time are
+    /// kept for the benchmark's job loop until that loop is retired.
     #[inline]
-    pub fn record_fault_drop(&self, _shard: usize, node: NodeId, t: f64) {
+    pub fn record_fault_drop(&self, _shard: usize, _node: NodeId, _t: f64) {
         if let Some(inner) = self.inner() {
             inner.fault_drops.incr();
-            inner.push_at(t, FAULT_STREAM, RuntimeEvent::FaultDropped { node });
         }
     }
 
-    /// Records a fault-schedule milestone (partition opened or healed)
-    /// at the marker's own virtual time, on the adversarial stream
-    /// family.
+    /// Records an applied health transition, detector-driven or manual.
     #[inline]
-    pub(crate) fn record_fault_marker(&self, marker: &FaultMarker) {
-        if let Some(inner) = self.inner() {
-            let event = match &marker.kind {
-                FaultMarkerKind::PartitionOpened { node, direction } => {
-                    RuntimeEvent::PartitionOpened { node: *node, direction: *direction }
-                }
-                FaultMarkerKind::PartitionHealed { node, direction } => {
-                    RuntimeEvent::PartitionHealed { node: *node, direction: *direction }
-                }
-            };
-            inner.push_at(marker.at, ADVERSARIAL_STREAM, event);
-        }
-    }
-
-    /// Records an applied health transition.
-    #[inline]
-    pub(crate) fn record_health(&self, tr: HealthTransition) {
+    pub(crate) fn record_health(&self) {
         if let Some(inner) = self.inner() {
             inner.health_transitions.incr();
-            inner.push_at(
-                tr.at,
-                0,
-                RuntimeEvent::HealthChanged { node: tr.node, from: tr.from, to: tr.to },
-            );
         }
     }
 
@@ -499,21 +344,6 @@ impl Telemetry {
         if let Some(inner) = self.inner() {
             inner.solver_resolves.incr();
         }
-    }
-
-    /// Records a table publish.
-    #[inline]
-    pub(crate) fn record_publish(&self, epoch: u64) {
-        if let Some(inner) = self.inner() {
-            inner.push(0, RuntimeEvent::EpochPublished { epoch });
-        }
-    }
-
-    /// The most recent `n` ring events in virtual-time order (empty
-    /// when disabled).
-    #[must_use]
-    pub fn recent_events(&self, n: usize) -> Vec<TaggedEvent<RuntimeEvent>> {
-        self.inner().map_or_else(Vec::new, |inner| inner.ring.recent(n))
     }
 }
 
@@ -529,32 +359,5 @@ mod tests {
         tel.record_response_traced(1.0, Some(7));
         tel.record_retry(0, 0.1);
         assert_eq!(tel.clock(), 0.0);
-        assert!(tel.recent_events(8).is_empty());
-    }
-
-    #[test]
-    fn enabled_records_and_tags_with_virtual_time() {
-        let tel = Telemetry::enabled();
-        tel.set_clock(3.5);
-        tel.record_routed(NodeId::from_raw(7), 4);
-        let events = tel.recent_events(8);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].time, 3.5);
-        assert_eq!(events[0].stream, DISPATCH_STREAM);
-        assert_eq!(events[0].event, RuntimeEvent::Routed { node: NodeId::from_raw(7), epoch: 4 });
-    }
-
-    #[test]
-    fn event_display_is_readable() {
-        let e = RuntimeEvent::HealthChanged {
-            node: NodeId::from_raw(3),
-            from: Health::Up,
-            to: Health::Suspect,
-        };
-        assert_eq!(e.to_string(), "health node-3 up -> suspect");
-        assert_eq!(
-            RuntimeEvent::EpochPublished { epoch: 9 }.to_string(),
-            "published table epoch 9"
-        );
     }
 }

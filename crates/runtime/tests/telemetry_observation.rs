@@ -12,8 +12,8 @@ use std::sync::{Arc, Barrier};
 use gtlb_runtime::telemetry::names;
 use gtlb_runtime::{
     AdmissionConfig, DetectorConfig, FaultPlan, NodeId, PartitionDirection, RetryConfig,
-    RetryPolicy, Runtime, RuntimeError, RuntimeEvent, SchemeKind, TraceConfig, TraceDriver,
-    TraceStats, TracingConfig,
+    RetryPolicy, Runtime, RuntimeError, SchemeKind, TraceConfig, TraceDriver, TraceStats,
+    TracingConfig,
 };
 
 /// One chaos trace: crash-recover + flaky faults, retries, heartbeats,
@@ -81,7 +81,6 @@ fn disabled_runtime_scrapes_nothing() {
     let (rt, _, _) = chaos_run(false);
     assert!(!rt.telemetry().is_enabled());
     assert!(rt.telemetry_snapshot().is_none());
-    assert!(rt.telemetry().recent_events(8).is_empty());
 }
 
 #[test]
@@ -110,15 +109,6 @@ fn enabled_snapshot_is_populated_and_consistent() {
     assert!(response.p99() >= response.p50());
     let backoff = snap.histogram(names::RETRY_BACKOFF_SECONDS).unwrap();
     assert_eq!(backoff.count(), stats.retried);
-
-    // The event ring saw sampled routing plus the chaos events, tagged
-    // with virtual times within the trace.
-    let events = rt.telemetry().recent_events(64);
-    assert!(!events.is_empty());
-    assert!(events.iter().any(|e| matches!(e.event, RuntimeEvent::HealthChanged { .. })));
-    for ev in &events {
-        assert!(ev.time.is_finite() && ev.time <= clock, "event tagged after the clock");
-    }
 
     // Both exposition formats render every catalog metric they should.
     let prom = snap.to_prometheus();
@@ -154,7 +144,6 @@ fn the_snapshot_exports_exactly_the_named_series() {
             names::FAULT_DROPS,
             names::HEALTH_TRANSITIONS,
             names::TABLE_PUBLISHES,
-            names::EVENTS_DROPPED,
             names::SOLVER_RESOLVES,
         ],
     );
@@ -172,10 +161,10 @@ fn the_snapshot_exports_exactly_the_named_series() {
     );
     assert!(snap.families().iter().all(|(_, f)| f.label() == names::NODE_LABEL));
     let plain = snap.counters().len() + snap.gauges().len() + snap.histograms().len();
-    assert_eq!(plain, 17);
+    assert_eq!(plain, 16);
     // One `# TYPE` line per plain series and per family.
     let types = snap.to_prometheus().lines().filter(|l| l.starts_with("# TYPE ")).count();
-    assert_eq!(types, 20);
+    assert_eq!(types, 19);
 }
 
 /// A telemetry-on runtime with `rates.len()` nodes, each heartbeated

@@ -1,15 +1,41 @@
-//! JSON string escaping shared by every hand-rolled JSON encoder in
-//! the workspace.
+//! The text encoding shared by every hand-rolled exposition writer in
+//! the workspace: JSON string escaping and the one number format.
 //!
-//! Both this crate's [`Snapshot::to_json`](crate::Snapshot::to_json)
-//! exposition and the `gtlb-net` control plane emit JSON by string
-//! concatenation (the workspace is dependency-free by design, so there
-//! is no serde). Every string that crosses into a JSON document —
-//! metric names, node names, error messages — must pass through
-//! [`json_escape`], or a quote, backslash, or control character in an
-//! operator-supplied name would corrupt the document.
+//! Both this crate's [`Snapshot`](crate::Snapshot) expositions and
+//! the `gtlb-net` control plane emit text by string concatenation (the
+//! workspace is dependency-free by design, so there is no serde). Every
+//! string that crosses into a JSON document — metric names, node names,
+//! error messages — must pass through [`json_escape`], or a quote,
+//! backslash, or control character in an operator-supplied name would
+//! corrupt the document. Every `f64` a writer prints goes through
+//! [`Number`], so one place decides how numbers look.
 
-use std::fmt::Write;
+use std::fmt::{self, Write};
+
+/// An `f64` in the number format every exposition writes: the shortest
+/// digits that read back to the same bits, as plain decimals when the
+/// value is 0 or its magnitude is in `[1e-6, 1e21)` (where ECMAScript
+/// prints decimals too) and in exponent form (`2.5e-7`, `1e21`)
+/// otherwise. A finite value therefore takes at most 24 characters
+/// after its sign, however close to zero it decays; a plain decimal
+/// would print a value near `f64::MIN_POSITIVE` with over 300 digits.
+///
+/// Non-finite values print as `f64`'s `Display` prints them (`NaN`,
+/// `inf`, `-inf`); a JSON writer maps them to `null` before it gets
+/// here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Number(pub f64);
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let x = self.0;
+        if x == 0.0 || (1e-6..1e21).contains(&x.abs()) {
+            fmt::Display::fmt(&x, f)
+        } else {
+            fmt::LowerExp::fmt(&x, f)
+        }
+    }
+}
 
 /// Appends `s` to `out` with JSON string escaping applied: `"` and
 /// `\` are backslash-escaped, the common control characters get their
@@ -105,6 +131,31 @@ mod tests {
     fn every_control_character_matches_the_reference() {
         let all: String = (0u8..0x80).map(char::from).collect();
         assert_eq!(json_escape(&all), reference_escape(&all));
+    }
+
+    #[test]
+    fn numbers_are_decimal_inside_the_ecmascript_range_and_exponents_outside() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for (x, want) in [
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (1e-6, "0.000001"),
+            (below(1e-6), "9.999999999999997e-7"),
+            (5e-324, "5e-324"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (2.797196527009782e-255, "2.797196527009782e-255"),
+            (1e21, "1e21"),
+            (below(1e21), "999999999999999900000"),
+            (f64::MAX, "1.7976931348623157e308"),
+            (0.1, "0.1"),
+            (123.456, "123.456"),
+        ] {
+            let got = Number(x).to_string();
+            assert_eq!(got, want, "{x:?}");
+            assert_eq!(got.parse::<f64>().unwrap().to_bits(), x.to_bits(), "{got} round-trips");
+        }
+        assert_eq!(Number(f64::NAN).to_string(), "NaN");
+        assert_eq!(Number(f64::NEG_INFINITY).to_string(), "-inf");
     }
 
     #[test]

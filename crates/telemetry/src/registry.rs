@@ -8,6 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::histogram::HistogramSnapshot;
+use crate::Number;
 
 /// The cells of one labelled gauge family at scrape time: one `f64`
 /// cell per value of a single integer label (a node id, say), exposed
@@ -126,7 +127,9 @@ impl Snapshot {
     /// Histograms render as summaries (p50/p90/p99 quantiles plus
     /// `_sum`/`_count`/`_max` samples). Each gauge family renders after
     /// the plain gauges as one `# TYPE` line and one
-    /// `name{label="value"}` sample per cell.
+    /// `name{label="value"}` sample per cell. Values print as
+    /// [`Number`] prints them, non-finite ones as `NaN`, `inf` or
+    /// `-inf`.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         // Writing into a `String` cannot fail, so `write!` results are
@@ -136,22 +139,22 @@ impl Snapshot {
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
         }
         for (name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
+            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", Number(*v));
         }
         for (name, f) in &self.families {
             let _ = writeln!(out, "# TYPE {name} gauge");
             for (value, v) in &f.cells {
-                let _ = writeln!(out, "{name}{{{}=\"{value}\"}} {v}", f.label);
+                let _ = writeln!(out, "{name}{{{}=\"{value}\"}} {}", f.label, Number(*v));
             }
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(out, "# TYPE {name} summary");
             for (label, q) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
-                let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {q}");
+                let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", Number(q));
             }
-            let _ = writeln!(out, "{name}_sum {}", h.sum());
+            let _ = writeln!(out, "{name}_sum {}", Number(h.sum()));
             let _ = writeln!(out, "{name}_count {}", h.count());
-            let _ = writeln!(out, "{name}_max {}", h.max());
+            let _ = writeln!(out, "{name}_max {}", Number(h.max()));
         }
         out
     }
@@ -164,10 +167,10 @@ impl Snapshot {
     /// index, its exact `[lo, hi)` boundaries, its count, and — when a
     /// traced observation landed there — the hex trace id of its
     /// exemplar, so a client can resolve an exemplar's bucket without
-    /// knowing the layout constants. Non-finite gauge and cell values
-    /// render as `null`; instrument and label names pass through
-    /// [`json_escape`](crate::json_escape), so a quote or control
-    /// character in a metric name cannot corrupt the document.
+    /// knowing the layout constants. Numbers print as [`Number`] prints
+    /// them, and non-finite ones as `null`; instrument and label names
+    /// pass through [`json_escape`](crate::json_escape), so a quote or
+    /// control character in a metric name cannot corrupt the document.
     #[must_use]
     pub fn to_json(&self) -> String {
         use crate::histogram::{bucket_lower_bound, bucket_upper_bound, OVERFLOW_BUCKET};
@@ -175,7 +178,7 @@ impl Snapshot {
         // ignored throughout.
         fn num(out: &mut String, v: f64) {
             if v.is_finite() {
-                let _ = write!(out, "{v}");
+                let _ = write!(out, "{}", Number(v));
             } else {
                 out.push_str("null");
             }

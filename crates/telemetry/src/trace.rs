@@ -13,15 +13,15 @@
 //!
 //! Finished traces land in a [`FlightRecorder`]: a bounded,
 //! drop-oldest lane plus one reserved tail-sampling lane for
-//! slow/failed traces, with [`EventRing`](crate::EventRing)'s exact
-//! accounting (recorded and dropped counters) per lane. Dropping
-//! happens at whole-trace granularity — a trace is either fully present
-//! or fully evicted.
+//! slow/failed traces, with exact accounting (recorded and dropped
+//! counters) per lane. Dropping happens at whole-trace granularity — a
+//! trace is either fully present or fully evicted.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::ring::Lane;
+use crate::Number;
 
 /// A deterministic trace identifier.
 ///
@@ -140,8 +140,8 @@ pub enum SpanKind {
         /// Routing-table epoch the decision was made under.
         epoch: u64,
         /// Always 0, the runtime's one dispatcher. Kept for the
-        /// benchmark's job loop, which names it, and still rendered in
-        /// `/traces`.
+        /// benchmark's job loop, which names it, and for the determinism
+        /// fingerprint, which folds it; `/traces` does not render it.
         shard: u32,
     },
     /// One dispatch attempt.
@@ -308,6 +308,42 @@ impl TracingConfig {
 /// (failed traces always are).
 pub const SLOW_TRACE_SECONDS: f64 = 4.0;
 
+/// One bounded, drop-oldest lane of a [`FlightRecorder`], with exact
+/// accounting.
+#[derive(Debug)]
+struct Lane {
+    buf: VecDeque<Trace>,
+    /// Traces evicted to make room.
+    dropped: u64,
+    /// Traces ever pushed.
+    recorded: u64,
+}
+
+impl Lane {
+    /// An empty lane of `capacity` traces behind its own lock.
+    fn new(capacity: usize) -> Mutex<Self> {
+        Mutex::new(Self { buf: VecDeque::with_capacity(capacity), dropped: 0, recorded: 0 })
+    }
+
+    /// Locks `lane`. A holder that panicked leaves the lane valid, at
+    /// worst with one count off, so a poisoned lock is recovered rather
+    /// than propagated.
+    fn lock(lane: &Mutex<Self>) -> MutexGuard<'_, Self> {
+        lane.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `trace`, first evicting the oldest one if the lane holds
+    /// `capacity` traces.
+    fn push(&mut self, trace: Trace, capacity: usize) {
+        if self.buf.len() == capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(trace);
+        self.recorded += 1;
+    }
+}
+
 /// The control-plane flight recorder: one lane of finished traces plus
 /// one reserved tail-sampling lane, each bounded and drop-oldest at
 /// whole-trace granularity with exact dropped counters.
@@ -318,7 +354,7 @@ pub const SLOW_TRACE_SECONDS: f64 = 4.0;
 #[derive(Debug)]
 pub struct FlightRecorder {
     /// The main lane, then the reserved tail lane.
-    lanes: [Mutex<Lane<Trace>>; 2],
+    lanes: [Mutex<Lane>; 2],
     capacity: usize,
 }
 
@@ -331,7 +367,7 @@ impl FlightRecorder {
         Self { lanes: [Lane::new(capacity), Lane::new(capacity)], capacity }
     }
 
-    fn lane(&self, i: usize) -> MutexGuard<'_, Lane<Trace>> {
+    fn lane(&self, i: usize) -> MutexGuard<'_, Lane> {
         Lane::lock(&self.lanes[i])
     }
 
@@ -406,7 +442,7 @@ pub fn to_chrome_json(traces: &[Trace]) -> String {
                 out.push(',');
             }
             any = true;
-            let ts = s.start * 1e6;
+            let ts = Number(s.start * 1e6);
             let dur = (s.end - s.start) * 1e6;
             let name = match s.kind {
                 SpanKind::Attempt { n, outcome, .. } => {
@@ -418,7 +454,7 @@ pub fn to_chrome_json(traces: &[Trace]) -> String {
             out.push_str(&name);
             out.push_str("\",\"cat\":\"job\",\"ph\":\"");
             if dur > 0.0 {
-                let _ = write!(out, "X\",\"ts\":{ts},\"dur\":{dur}");
+                let _ = write!(out, "X\",\"ts\":{ts},\"dur\":{}", Number(dur));
             } else {
                 let _ = write!(out, "i\",\"s\":\"t\",\"ts\":{ts}");
             }

@@ -4,18 +4,19 @@
 //!    whose `[lower, upper)` bounds contain it, and every bucket lower
 //!    bound indexes back to its own bucket (the log-linear grid has no
 //!    cracks and no overlaps);
-//! 2. **ring wraparound** — after any push pattern across lanes, the
-//!    drop-oldest ring retains exactly `min(pushed, capacity)` events
-//!    per lane, the newest survive, and `dropped()` counts exactly the
-//!    overwritten ones;
+//! 2. **recorder wraparound** — after any number of fast, completed
+//!    traces, the flight recorder's drop-oldest main lane retains
+//!    exactly `min(recorded, capacity)` of them, the newest survive, and
+//!    `dropped()` counts exactly the evicted ones;
 //! 3. **buffered recording** — values recorded into a plain snapshot
 //!    and added in by `Histogram::absorb`, at any absorb points, leave
 //!    the same buckets, count, maximum and exemplars as recording each
 //!    value into the shared histogram directly, junk values included.
 
+use gtlb_telemetry::trace::{trace_id, AttemptOutcome, FlightRecorder, SpanKind, Trace};
 use gtlb_telemetry::{
-    bucket_index, bucket_lower_bound, bucket_upper_bound, EventRing, Histogram, HistogramSnapshot,
-    TaggedEvent, BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET, UNDERFLOW_BUCKET,
+    bucket_index, bucket_lower_bound, bucket_upper_bound, Histogram, HistogramSnapshot,
+    BUCKET_COUNT, MAX_TRACKED, MIN_TRACKED, OVERFLOW_BUCKET, UNDERFLOW_BUCKET,
 };
 use proptest::prelude::*;
 
@@ -131,23 +132,27 @@ proptest! {
         );
     }
 
-    /// Drop-oldest wraparound: push `n` events into a ring of capacity
-    /// `cap`; it keeps the newest `min(n, cap)`, in time order, and the
-    /// dropped counter equals the exact number of overwritten events.
+    /// Drop-oldest wraparound: record `n` fast, completed traces (none
+    /// reaches the tail lane) into a recorder of capacity `cap`; it
+    /// keeps the newest `min(n, cap)`, in order, and the dropped counter
+    /// equals the exact number of evicted traces.
     #[test]
-    fn ring_wraparound_counts_drops_exactly(
+    fn recorder_wraparound_counts_drops_exactly(
         cap in 1usize..17,
         n in 0u64..200,
     ) {
-        let ring = EventRing::new(cap);
+        let recorder = FlightRecorder::new(cap);
         for k in 0..n {
-            ring.push(TaggedEvent { time: k as f64, stream: 0, event: k });
+            let mut t = Trace::new(trace_id(7, k), k);
+            let ok = SpanKind::Attempt { n: 1, outcome: AttemptOutcome::Ok, backoff: 0.0 };
+            t.interval(ok, k as f64, k as f64 + 0.1);
+            t.instant(SpanKind::Completed, k as f64 + 0.1);
+            recorder.record(t);
         }
         let dropped = n.saturating_sub(cap as u64);
-        prop_assert_eq!(ring.recorded(), n);
-        prop_assert_eq!(ring.dropped(), dropped);
-        prop_assert_eq!(ring.len(), n.min(cap as u64) as usize);
-        let kept: Vec<u64> = ring.snapshot().iter().map(|ev| ev.event).collect();
+        prop_assert_eq!(recorder.recorded(), n);
+        prop_assert_eq!(recorder.dropped(), dropped);
+        let kept: Vec<u64> = recorder.traces().iter().map(|t| t.sequence).collect();
         prop_assert_eq!(kept, (dropped..n).collect::<Vec<u64>>());
     }
 }

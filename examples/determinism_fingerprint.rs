@@ -59,7 +59,7 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// with. Each combination must print the same fingerprints.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Observers {
-    /// Telemetry: metrics and the event ring.
+    /// Telemetry: the counters, histograms and clock a scrape reads.
     pub telemetry: bool,
     /// Per-job tracing at the default 1-in-64 sampling.
     pub tracing: bool,

@@ -1,17 +1,17 @@
 //! A live text dashboard over a chaos trace, rendered entirely from the
 //! runtime's scrape calls — no driver internals, no `stats()` call
 //! until the final summary. `Runtime::telemetry_snapshot`,
-//! `telemetry().recent_events` and `tracer().traces()` are polled
-//! between job chunks, exactly as an operator sidecar would poll the
-//! control plane's `/metrics` and `/traces` mid-run.
+//! `health_transitions()` and `tracer().traces()` are polled between
+//! job chunks, exactly as an operator sidecar would poll the control
+//! plane's `/metrics`, `/nodes` and `/traces` mid-run.
 //!
 //! Each frame shows per-node routing share bars with detector states,
 //! the latency histogram percentiles (response, queue wait, retry
 //! backoff) with the exemplar trace id behind each response
 //! percentile, the counter deltas since the previous frame, and the
-//! tail of the structured event ring. The trace itself is the chaos
-//! scenario: a crash-recover on the fast node plus a flaky window on
-//! the slowest one, survived by retry/backoff and the accrual
+//! newest health transitions the detector drove. The trace itself is
+//! the chaos scenario: a crash-recover on the fast node plus a flaky
+//! window on the slowest one, survived by retry/backoff and the accrual
 //! detector. The closing summary renders a span waterfall of the
 //! slowest trace the flight recorder holds — admission to terminal,
 //! every retry attempt on the way.
@@ -143,14 +143,11 @@ fn render_frame(
         counter_delta(&snap, prev_snap, names::TABLE_PUBLISHES, "table publishes");
     }
 
-    let recent = rt.telemetry().recent_events(4);
-    if !recent.is_empty() {
-        println!(
-            "  recent events ({} overwritten in ring so far):",
-            snap.counter(names::EVENTS_DROPPED).unwrap_or(0)
-        );
-        for ev in recent {
-            println!("    t = {:>8.3}  {}", ev.time, ev.event);
+    let transitions = rt.health_transitions();
+    if !transitions.is_empty() {
+        println!("  recent health transitions ({} so far):", transitions.len());
+        for tr in &transitions[transitions.len().saturating_sub(4)..] {
+            println!("    {tr}");
         }
     }
     println!();
@@ -200,9 +197,8 @@ pub fn main() {
         }
     }
 
-    // The final summary uses the driver's exact books (telemetry's event
-    // stream is sampled; its counters are synced from the same exact
-    // sources, so the two agree).
+    // The final summary uses the driver's exact books (a scrape reads
+    // the same exact sources, so the two agree).
     let stats = driver.stats();
     assert!(stats.is_conserved(), "job conservation violated");
     println!("{stats}");

@@ -27,8 +27,8 @@
 //!   failure detector, and retry/timeout dispatch hardening the loop
 //!   against node churn;
 //! * [`telemetry`] — lock-free counters, log-linear latency
-//!   histograms, a bounded structured event ring and the scrape
-//!   snapshot; the runtime records into them behind an
+//!   histograms, the scrape snapshot and per-job traces; the runtime
+//!   records into them behind an
 //!   observation-only facade that consumes no RNG and never perturbs a
 //!   deterministic trace;
 //! * [`net`] — the networked control plane: a dependency-free blocking
@@ -85,8 +85,8 @@ pub mod prelude {
     pub use gtlb_runtime::{
         AdmissionConfig, AdmissionStats, AdmissionVerdict, AttemptOutcome, DetectorConfig,
         Dispatcher, FaultPlan, Health, HealthTransition, NodeId, PartitionDirection, RetryConfig,
-        RetryPolicy, Runtime, RuntimeBuilder, RuntimeError, RuntimeEvent, SchemeKind, SpanKind,
-        Submission, Telemetry, Trace, TraceConfig, TraceDriver, TraceId, Tracer, TracingConfig,
+        RetryPolicy, Runtime, RuntimeBuilder, RuntimeError, SchemeKind, SpanKind, Submission,
+        Telemetry, Trace, TraceConfig, TraceDriver, TraceId, Tracer, TracingConfig,
     };
-    pub use gtlb_telemetry::{Histogram, HistogramSnapshot, Snapshot, TaggedEvent};
+    pub use gtlb_telemetry::{Histogram, HistogramSnapshot, Snapshot};
 }

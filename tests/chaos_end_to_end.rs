@@ -332,15 +332,6 @@ fn asymmetric_partition_routes_around_and_readmits() {
         .expect("dispatch failures alone must down the victim")
         .at;
     assert!(down_at - open < 5.0, "detection latency {} too slow", down_at - open);
-    let events = rt.telemetry().recent_events(1024);
-    assert!(
-        events.iter().any(|e| e.event
-            == RuntimeEvent::PartitionOpened {
-                node: victim,
-                direction: PartitionDirection::DropDispatch
-            }),
-        "PartitionOpened missing from the event ring"
-    );
 
     // Mid-partition: the victim serves nothing, retries save every job,
     // and the loop matches the survivors-only analytic response.
@@ -378,15 +369,6 @@ fn asymmetric_partition_routes_around_and_readmits() {
         })
         .expect("missing the post-heal readmission");
     assert!(readmit.at - (open + lasts) < 30.0, "readmission at {} too slow", readmit.at);
-    let events = rt.telemetry().recent_events(1024);
-    assert!(
-        events.iter().any(|e| e.event
-            == RuntimeEvent::PartitionHealed {
-                node: victim,
-                direction: PartitionDirection::DropDispatch
-            }),
-        "PartitionHealed missing from the event ring"
-    );
 
     // Post-heal: the full cluster matches the full-table analytic value
     // again — the partition left no residue.
