@@ -37,18 +37,15 @@ fn parse(raw: &[u8]) -> Request {
     RequestReader::new(raw, Limits::default()).next_request().unwrap().unwrap()
 }
 
-/// A control plane over a COOP runtime with telemetry and tracing on
-/// and `NODES` agents registered over HTTP, auto-approved and resolved
-/// once; the benchmarked agent's service window is full, as after a
-/// backfill.
+/// A control plane over a COOP runtime with `NODES` agents registered
+/// over HTTP, auto-approved and resolved once; the benchmarked agent's
+/// service window is full, as after a backfill.
 fn fleet(agent: usize) -> AppState {
     let runtime = Arc::new(
         Runtime::builder()
             .seed(31)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(0.5 * NODES as f64)
-            .telemetry(true)
-            .tracing(true)
             .build(),
     );
     let lifecycle = Lifecycle::new(LifecycleConfig { auto_approve: true, ..Default::default() });

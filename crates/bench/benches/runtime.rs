@@ -1,13 +1,15 @@
-//! Online runtime hot paths: dispatch throughput (one uniform draw plus
-//! an O(1) alias lookup on the dispatcher's cached table), the cost of
-//! publishing a fresh table under reader load, and the re-solve and
-//! renormalize paths.
+//! Online runtime hot paths: a whole job through the trace driver,
+//! dispatch throughput (one uniform draw plus an O(1) alias lookup on
+//! the dispatcher's cached table), the cost of publishing a fresh table
+//! under reader load, and the re-solve and renormalize paths.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use gtlb_runtime::driver::{TraceConfig, TraceDriver};
 use gtlb_runtime::{EpochSwap, Runtime, SchemeKind};
+use gtlb_sim::scenario::table31;
 
 fn serving_runtime(n_nodes: usize) -> Runtime {
     let rt = Runtime::builder()
@@ -22,6 +24,34 @@ fn serving_runtime(n_nodes: usize) -> Runtime {
     }
     rt.resolve_now().unwrap();
     rt
+}
+
+/// What a whole job costs: the paper's Table 3.1 cluster at ρ = 0.7
+/// (the shape of the benchmark's `farm` workload) through
+/// `TraceDriver::run_jobs` on a runtime built with the defaults, so
+/// each job pays its arrival, route, service draw, estimator
+/// feedback, telemetry and 1-in-64 tracing. One iteration runs 4,096
+/// jobs.
+fn bench_driver(c: &mut Criterion) {
+    const JOBS: u64 = 4096;
+    let cluster = table31();
+    let phi = 0.7 * cluster.rates().iter().sum::<f64>();
+    let rt =
+        Runtime::builder().seed(0xBE9C).scheme(SchemeKind::Coop).nominal_arrival_rate(phi).build();
+    for &rate in cluster.rates() {
+        rt.register_node(rate).unwrap();
+    }
+    rt.resolve_now().unwrap();
+    let mut driver = TraceDriver::new(phi, TraceConfig { seed: 0xBEEF, batch_size: 500 });
+    let mut group = c.benchmark_group("runtime_driver");
+    group.throughput(Throughput::Elements(JOBS));
+    group.bench_function(BenchmarkId::new("table31", JOBS), |b| {
+        b.iter(|| {
+            driver.run_jobs(&rt, JOBS).unwrap();
+            black_box(driver.clock())
+        })
+    });
+    group.finish();
 }
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -125,5 +155,12 @@ fn bench_failure_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dispatch, bench_publish, bench_resolve, bench_failure_path);
+criterion_group!(
+    benches,
+    bench_driver,
+    bench_dispatch,
+    bench_publish,
+    bench_resolve,
+    bench_failure_path
+);
 criterion_main!(benches);

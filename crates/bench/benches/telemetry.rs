@@ -1,10 +1,8 @@
-//! The observability overhead benchmarks. The driver rows
-//! (`telemetry_driver/{disabled,enabled}/4096`) time what telemetry
-//! costs a whole job on the paper's Table 3.1 cluster; CI prints the
-//! ratio of their medians over three quick runs without gating it. The
-//! dispatcher holds no telemetry handle, so a route costs the same
-//! either way and has no rows here. The instrument microbenches keep
-//! the primitive costs visible: counter add, histogram record and the
+//! The telemetry benchmarks. Every runtime records telemetry, so what
+//! it costs a whole job is inside `runtime_driver/table31/4096` in the
+//! `runtime` bench, and the dispatcher holds no telemetry handle, so a
+//! route records nothing. The instrument microbenches keep the
+//! primitive costs visible: counter add, histogram record and the
 //! driver's buffered record-and-absorb. The scrape rows time the code a
 //! scrape runs, `Runtime::telemetry_snapshot` and both renderings, on a
 //! 16-node runtime after a run and on a control-plane-sized one (2,048
@@ -12,44 +10,11 @@
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtlb_runtime::driver::{TraceConfig, TraceDriver};
 use gtlb_runtime::{Runtime, SchemeKind};
 use gtlb_sim::scenario::table31;
 use gtlb_telemetry::{Counter, Histogram, HistogramSnapshot};
-
-/// What telemetry costs a whole job: the paper's Table 3.1 cluster at
-/// ρ = 0.7 (the shape of the benchmark's `farm` workload) through
-/// `TraceDriver::run_jobs`, tracing off, with telemetry disabled vs
-/// enabled. Both sides push the same 4096-job block per iteration, so
-/// the difference of the two rows is the telemetry cost of 4,096 jobs.
-fn bench_driver_overhead(c: &mut Criterion) {
-    const JOBS: u64 = 4096;
-    let cluster = table31();
-    let phi = 0.7 * cluster.rates().iter().sum::<f64>();
-    let mut group = c.benchmark_group("telemetry_driver");
-    group.throughput(Throughput::Elements(JOBS));
-    for (label, enabled) in [("disabled", false), ("enabled", true)] {
-        let rt = Runtime::builder()
-            .seed(0xBE9C)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(phi)
-            .telemetry(enabled)
-            .build();
-        for &rate in cluster.rates() {
-            rt.register_node(rate).unwrap();
-        }
-        rt.resolve_now().unwrap();
-        let mut driver = TraceDriver::new(phi, TraceConfig { seed: 0xBEEF, batch_size: 500 });
-        group.bench_function(BenchmarkId::new(label, JOBS), |b| {
-            b.iter(|| {
-                driver.run_jobs(&rt, JOBS).unwrap();
-                black_box(driver.clock())
-            })
-        });
-    }
-    group.finish();
-}
 
 /// Latency-shaped values for the histogram rows: 0.001 … 100, each
 /// 1 % above the last.
@@ -100,18 +65,14 @@ fn bench_instruments(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Table 3.1 cluster at ρ = 0.7 with telemetry on, after 20,000
-/// jobs through `TraceDriver`: the plain scrape rows' runtime, with
-/// well-filled latency histograms.
+/// The Table 3.1 cluster at ρ = 0.7 after 20,000 jobs through
+/// `TraceDriver`: the plain scrape rows' runtime, with well-filled
+/// latency histograms.
 fn farm_runtime() -> Runtime {
     let cluster = table31();
     let phi = 0.7 * cluster.rates().iter().sum::<f64>();
-    let rt = Runtime::builder()
-        .seed(0xBE9C)
-        .scheme(SchemeKind::Coop)
-        .nominal_arrival_rate(phi)
-        .telemetry(true)
-        .build();
+    let rt =
+        Runtime::builder().seed(0xBE9C).scheme(SchemeKind::Coop).nominal_arrival_rate(phi).build();
     for &rate in cluster.rates() {
         rt.register_node(rate).unwrap();
     }
@@ -130,7 +91,6 @@ fn fleet_runtime(nodes: u64) -> Runtime {
         .seed(31)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(0.5 * nodes as f64)
-        .telemetry(true)
         .build();
     let window = rt.config().service_window;
     for i in 0..nodes {
@@ -174,5 +134,5 @@ fn bench_scrape(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_driver_overhead, bench_instruments, bench_scrape);
+criterion_group!(benches, bench_instruments, bench_scrape);
 criterion_main!(benches);

@@ -1,55 +1,15 @@
-//! The per-job tracing overhead benchmarks. The headline gate: the
-//! closed-loop driver with tracing **enabled** (default 1-in-64 head
-//! sampling) must cost ≤ 1.03× the untraced driver loop
-//! (`tracing_driver/{untraced,traced}/4096`; CI compares medians of
-//! three quick runs from `BENCH_tracing.json`). The primitive
-//! microbenches ride along to keep the building-block costs visible:
-//! the SplitMix64 identity hash, the begin() hash-plus-mask test an
-//! unsampled job pays, a full flight-recorder record of a finished
-//! trace, and a read of every held trace (`/traces`) from four full
-//! 4,096-trace lanes.
+//! The tracing primitives every runtime's jobs pay for: the SplitMix64
+//! identity hash, the `begin()` hash-plus-mask test an unsampled job
+//! pays, a full flight-recorder record of a finished trace, and a read
+//! of every held trace (`/traces`) from one full 16,384-trace lane.
+//! Every runtime traces one job in 64, so what tracing costs a whole
+//! job is inside `runtime_driver/table31/4096` in the `runtime` bench.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gtlb_runtime::driver::{TraceConfig, TraceDriver};
-use gtlb_runtime::{Runtime, SchemeKind, Tracer, TracingConfig};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gtlb_runtime::{Tracer, TracingConfig};
 use gtlb_telemetry::trace::{trace_id, AttemptOutcome, FlightRecorder, SpanKind, Trace};
-
-fn runtime(tracing: Option<TracingConfig>) -> Arc<Runtime> {
-    let mut b = Runtime::builder().seed(0xBE9C).scheme(SchemeKind::Coop).nominal_arrival_rate(2.1);
-    if let Some(cfg) = tracing {
-        b = b.tracing_config(cfg);
-    }
-    let rt = Arc::new(b.build());
-    for &rate in &[4.0, 2.0, 1.0] {
-        rt.register_node(rate).unwrap();
-    }
-    rt.resolve_now().unwrap();
-    rt
-}
-
-/// The gated comparison: the identical driver loop (arrival draw,
-/// dispatch, FCFS service simulation, estimator feedback) per job,
-/// untraced vs traced at the default sampling mask. Both sides push
-/// the same 4096-job block per iteration.
-fn bench_driver_overhead(c: &mut Criterion) {
-    const JOBS: u64 = 4096;
-    let mut group = c.benchmark_group("tracing_driver");
-    group.throughput(Throughput::Elements(JOBS));
-    for (label, cfg) in [("untraced", None), ("traced", Some(TracingConfig::default()))] {
-        let rt = runtime(cfg);
-        let mut driver = TraceDriver::new(2.1, TraceConfig { seed: 0xBEEF, batch_size: 500 });
-        group.bench_function(BenchmarkId::new(label, JOBS), |b| {
-            b.iter(|| {
-                driver.run_jobs(&rt, JOBS).unwrap();
-                black_box(driver.clock())
-            })
-        });
-    }
-    group.finish();
-}
 
 /// Primitive costs: the identity hash, the unsampled-job fast path
 /// (one hash plus one mask test), a whole-trace recorder push, and a
@@ -63,7 +23,7 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(trace_id(0xF1A6, seq))
         })
     });
-    let tracer = Tracer::enabled(0xF1A6, TracingConfig::default());
+    let tracer = Tracer::new(0xF1A6, TracingConfig::default());
     group.bench_function("begin_default_mask", |b| {
         let mut seq = 0u64;
         b.iter(|| {
@@ -106,5 +66,5 @@ fn finished(seq: u64, start: f64) -> Trace {
     t
 }
 
-criterion_group!(benches, bench_driver_overhead, bench_primitives);
+criterion_group!(benches, bench_primitives);
 criterion_main!(benches);

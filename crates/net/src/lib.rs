@@ -19,8 +19,10 @@
 //!   resolve picks up);
 //! * `GET /metrics` serves the Prometheus text of
 //!   [`Runtime::telemetry_snapshot`], byte for byte, `GET
-//!   /metrics.json` the JSON twin, `GET /nodes` the merged lifecycle +
-//!   detector table, and `GET /healthz` a liveness probe.
+//!   /metrics.json` the JSON twin, `GET /traces` the flight recorder's
+//!   sampled traces, `GET /nodes` the merged lifecycle + detector
+//!   table, and `GET /healthz` a liveness probe. Every runtime records
+//!   telemetry and traces, so every route answers on any runtime.
 //!
 //! Determinism: the net layer owns **no RNG stream** and never draws.
 //! It only reads runtime state and forwards observations through the

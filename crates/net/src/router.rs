@@ -4,9 +4,9 @@
 //! | Route | Effect |
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
-//! | `GET /metrics` | Prometheus text exposition (503 when telemetry is off) |
+//! | `GET /metrics` | Prometheus text exposition |
 //! | `GET /metrics.json` | the same snapshot as JSON |
-//! | `GET /traces` | flight-recorder contents as JSON (503 when tracing is off) |
+//! | `GET /traces` | flight-recorder contents as JSON |
 //! | `GET /traces/{id}` | one trace by hex id |
 //! | `GET /traces.chrome` | the same traces as Chrome `trace_event` JSON |
 //! | `GET /nodes` | lifecycle table merged with registry/detector state |
@@ -25,6 +25,7 @@
 use std::sync::Mutex;
 
 use gtlb_runtime::{to_chrome_json, ControlPlaneHooks, SpanKind, Trace, TraceId};
+use gtlb_telemetry::Snapshot;
 
 use crate::http::{Method, Request, Response};
 use crate::lifecycle::{Lifecycle, LifecycleError, NodeState};
@@ -138,27 +139,25 @@ fn node_resource(state: &AppState, method: Method, rest: &str) -> Response {
 fn healthz(state: &AppState) -> Response {
     let mut b = ObjBuilder::new();
     b.str("status", "ok").num("uptime_seconds", state.hooks().now());
-    b.bool("telemetry", state.hooks().runtime().telemetry().is_enabled());
     Response::json(200, b.finish())
 }
 
 fn metrics_text(state: &AppState) -> Response {
-    match state.hooks().runtime().telemetry_snapshot() {
-        Some(snap) => Response {
-            status: 200,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: snap.to_prometheus().into_bytes(),
-            close: false,
-        },
-        None => Response::text(503, "telemetry is disabled on this runtime\n"),
+    Response {
+        status: 200,
+        content_type: "text/plain; version=0.0.4; charset=utf-8",
+        body: snapshot(state).to_prometheus().into_bytes(),
+        close: false,
     }
 }
 
 fn metrics_json(state: &AppState) -> Response {
-    match state.hooks().runtime().telemetry_snapshot() {
-        Some(snap) => Response::json(200, snap.to_json()),
-        None => Response::text(503, "telemetry is disabled on this runtime\n"),
-    }
+    Response::json(200, snapshot(state).to_json())
+}
+
+/// One scrape of the runtime's telemetry, which every runtime records.
+fn snapshot(state: &AppState) -> Snapshot {
+    state.hooks().runtime().telemetry_snapshot().expect("every runtime records telemetry")
 }
 
 /// One trace rendered as a JSON object: identity, shape summary, and
@@ -198,17 +197,10 @@ fn trace_json(t: &Trace) -> String {
     b.finish()
 }
 
-fn tracing_disabled() -> Response {
-    Response::text(503, "tracing is disabled on this runtime\n")
-}
-
 /// `GET /traces`: every trace the flight recorder currently holds,
 /// with the recorder's exact accounting alongside.
 fn traces(state: &AppState) -> Response {
     let tracer = state.hooks().runtime().tracer();
-    if !tracer.is_enabled() {
-        return tracing_disabled();
-    }
     let all = tracer.traces();
     let (recorded, dropped) = (tracer.recorded(), tracer.dropped());
     let mut rows = String::from("[");
@@ -228,23 +220,15 @@ fn traces(state: &AppState) -> Response {
 /// `GET /traces.chrome`: the recorder's contents as Chrome
 /// `trace_event` JSON, loadable in `about:tracing` / Perfetto.
 fn traces_chrome(state: &AppState) -> Response {
-    let tracer = state.hooks().runtime().tracer();
-    if !tracer.is_enabled() {
-        return tracing_disabled();
-    }
-    Response::json(200, to_chrome_json(&tracer.traces()))
+    Response::json(200, to_chrome_json(&state.hooks().runtime().tracer().traces()))
 }
 
 /// `GET /traces/{id}`: one recorded trace by its hex id.
 fn trace_by_id(state: &AppState, rest: &str) -> Response {
-    let tracer = state.hooks().runtime().tracer();
-    if !tracer.is_enabled() {
-        return tracing_disabled();
-    }
     let Some(id) = TraceId::from_hex(rest) else {
         return Response::text(400, "trace ids are 1-16 hex digits\n");
     };
-    match tracer.trace(id) {
+    match state.hooks().runtime().tracer().trace(id) {
         Some(t) => Response::json(200, trace_json(&t)),
         None => Response::text(404, "no such trace\n"),
     }
@@ -594,39 +578,21 @@ mod tests {
     }
 
     #[test]
-    fn healthz_and_metrics_without_telemetry() {
-        let app = app(true);
-        let resp = route(&app, &req(Method::Get, "/healthz", ""));
-        assert_eq!(resp.status, 200);
-        assert!(body_text(&resp).contains("\"telemetry\":false"));
-        assert_eq!(route(&app, &req(Method::Get, "/metrics", "")).status, 503);
-        assert_eq!(route(&app, &req(Method::Get, "/metrics.json", "")).status, 503);
-    }
-
-    #[test]
     fn metrics_serve_the_telemetry_exposition() {
-        let rt =
-            Arc::new(Runtime::builder().seed(5).nominal_arrival_rate(0.5).telemetry(true).build());
+        let rt = Arc::new(Runtime::builder().seed(5).nominal_arrival_rate(0.5).build());
         rt.register_node(1.0).unwrap();
         rt.resolve_now().unwrap();
         let app =
             AppState::new(rt.attach_control_plane(), Lifecycle::new(LifecycleConfig::default()));
+        let resp = route(&app, &req(Method::Get, "/healthz", ""));
+        assert_eq!(resp.status, 200);
+        assert!(body_text(&resp).starts_with(r#"{"status":"ok","uptime_seconds":"#));
         let resp = route(&app, &req(Method::Get, "/metrics", ""));
         assert_eq!(resp.status, 200);
         assert_eq!(body_text(&resp), rt.telemetry_snapshot().unwrap().to_prometheus());
         let resp = route(&app, &req(Method::Get, "/metrics.json", ""));
         assert_eq!(resp.status, 200);
         assert_eq!(body_text(&resp), rt.telemetry_snapshot().unwrap().to_json());
-    }
-
-    #[test]
-    fn traces_endpoints_503_when_tracing_is_off() {
-        let app = app(true);
-        assert_eq!(route(&app, &req(Method::Get, "/traces", "")).status, 503);
-        assert_eq!(route(&app, &req(Method::Get, "/traces.chrome", "")).status, 503);
-        assert_eq!(route(&app, &req(Method::Get, "/traces/0badc0de", "")).status, 503);
-        assert_eq!(route(&app, &req(Method::Post, "/traces", "")).status, 405);
-        assert_eq!(route(&app, &req(Method::Delete, "/traces/0badc0de", "")).status, 405);
     }
 
     #[test]
@@ -676,6 +642,8 @@ mod tests {
 
         assert_eq!(route(&app, &req(Method::Get, "/traces/zz", "")).status, 400);
         assert_eq!(route(&app, &req(Method::Get, "/traces/ffffffffffffffff", "")).status, 404);
+        assert_eq!(route(&app, &req(Method::Post, "/traces", "")).status, 405);
+        assert_eq!(route(&app, &req(Method::Delete, &format!("/traces/{id}"), "")).status, 405);
 
         let resp = route(&app, &req(Method::Get, "/traces.chrome", ""));
         assert_eq!(resp.status, 200);

@@ -359,13 +359,6 @@ impl ObjBuilder {
         self
     }
 
-    /// Appends a boolean member.
-    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        self.out.push_str(if value { "true" } else { "false" });
-        self
-    }
-
     /// Appends a pre-rendered JSON fragment (e.g. a nested array).
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
         self.key(key);
@@ -461,7 +454,7 @@ mod tests {
     #[test]
     fn builder_escapes_and_separates() {
         let mut b = ObjBuilder::new();
-        b.str("na\"me", "line\nbreak").num("rate", 2.5).int("count", 7).bool("ok", true);
+        b.str("na\"me", "line\nbreak").num("rate", 2.5).int("count", 7);
         b.num("bad", f64::NAN).raw("rows", "[1,2]");
         b.obj_array("objs", [1u64, 2], |o, v| {
             o.int("v", v);
@@ -470,7 +463,7 @@ mod tests {
         let text = b.finish();
         assert_eq!(
             text,
-            "{\"na\\\"me\":\"line\\nbreak\",\"rate\":2.5,\"count\":7,\"ok\":true,\"bad\":null,\"rows\":[1,2],\"objs\":[{\"v\":1},{\"v\":2}],\"none\":[]}"
+            "{\"na\\\"me\":\"line\\nbreak\",\"rate\":2.5,\"count\":7,\"bad\":null,\"rows\":[1,2],\"objs\":[{\"v\":1},{\"v\":2}],\"none\":[]}"
         );
         // And the output re-parses.
         assert!(Json::parse(text.as_bytes()).is_ok());

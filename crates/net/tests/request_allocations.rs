@@ -85,16 +85,14 @@ fn serve(state: &AppState, raw: &[u8], out: &mut Vec<u8>) -> u16 {
     resp.status
 }
 
-/// A control plane over a 2,048-node COOP runtime with telemetry and
-/// tracing on, every node registered over HTTP and resolved once.
+/// A control plane over a 2,048-node COOP runtime, every node
+/// registered over HTTP and resolved once.
 fn fleet() -> AppState {
     let runtime = Arc::new(
         Runtime::builder()
             .seed(31)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(0.5 * NODES as f64)
-            .telemetry(true)
-            .tracing(true)
             .build(),
     );
     let lifecycle = Lifecycle::new(LifecycleConfig { auto_approve: true, ..Default::default() });

@@ -119,7 +119,10 @@ impl HyperExp2 {
     /// `r1 = r2 = 1/mean`).
     ///
     /// # Panics
-    /// If `mean ≤ 0` or `cv < 1`.
+    /// If `mean ≤ 0`, if `cv < 1` or `cv` is NaN, or if `cv` is so large
+    /// that `p` rounds to 1 and the second rate to 0: some values from
+    /// about 8.5e7 and every value from about 1.01e8 (at `cv = ∞`, `p`
+    /// is NaN).
     #[must_use]
     pub fn fit_balanced(mean: f64, cv: f64) -> Self {
         assert!(mean > 0.0, "HyperExp2::fit_balanced: mean must be positive");

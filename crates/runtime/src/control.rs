@@ -93,7 +93,6 @@ impl std::fmt::Debug for ControlPlaneHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlPlaneHooks")
             .field("clock", &self.runtime.clock)
-            .field("telemetry_enabled", &self.runtime.telemetry().is_enabled())
             .finish_non_exhaustive()
     }
 }
@@ -372,8 +371,7 @@ mod tests {
 
     #[test]
     fn scrapes_match_the_runtime_snapshot() {
-        let rt =
-            Arc::new(Runtime::builder().seed(2).nominal_arrival_rate(0.5).telemetry(true).build());
+        let rt = Arc::new(Runtime::builder().seed(2).nominal_arrival_rate(0.5).build());
         let hooks = rt.attach_control_plane();
         rt.register_node(1.0).unwrap();
         rt.resolve_now().unwrap();
@@ -387,13 +385,5 @@ mod tests {
         // Swap stats surface in the scrape, not only via swap_stats().
         let text = scraped.to_prometheus();
         assert!(text.contains("gtlb_table_publishes_total 1"), "swap stats missing:\n{text}");
-    }
-
-    #[test]
-    fn disabled_telemetry_scrapes_nothing() {
-        let rt = arc_runtime();
-        let hooks = rt.attach_control_plane();
-        assert!(!hooks.runtime().telemetry().is_enabled());
-        assert!(hooks.runtime().telemetry_snapshot().is_none());
     }
 }

@@ -257,9 +257,8 @@ pub struct TraceDriver {
     faults: Option<FaultInjector>,
     retry: Option<(RetryPolicy, Xoshiro256PlusPlus)>,
     heartbeat: Option<Heartbeat>,
-    /// Allocated on the first job served by a runtime with telemetry
-    /// on, and empty between calls of [`TraceDriver::run_jobs`].
-    served: Option<ServedLatencies>,
+    /// Empty between calls of [`TraceDriver::run_jobs`].
+    served: ServedLatencies,
 }
 
 impl TraceDriver {
@@ -291,7 +290,7 @@ impl TraceDriver {
             faults: None,
             retry: None,
             heartbeat: None,
-            served: None,
+            served: ServedLatencies::default(),
         }
     }
 
@@ -363,12 +362,11 @@ impl TraceDriver {
     /// Resumable: queues, clocks and RNG streams persist across calls, so
     /// callers can inject control-plane events between chunks.
     ///
-    /// With telemetry on, the driver buffers each served job's response
-    /// time and queue wait, and adds them into the runtime's
-    /// `gtlb_response_seconds` and `gtlb_queue_wait_seconds` on every
-    /// return (an error one too) and every 4,096 served jobs inside a
-    /// call. A scrape between calls is exact; one during a call lags by
-    /// at most 4,096 completions.
+    /// The driver buffers each served job's response time and queue
+    /// wait, and adds them into the runtime's `gtlb_response_seconds`
+    /// and `gtlb_queue_wait_seconds` on every return (an error one too)
+    /// and every 4,096 served jobs inside a call. A scrape between calls
+    /// is exact; one during a call lags by at most 4,096 completions.
     ///
     /// With a fault plan ([`TraceDriver::with_faults`]) attempts against
     /// sick nodes drop; with a retry policy ([`TraceDriver::with_retry`])
@@ -409,9 +407,7 @@ impl TraceDriver {
         }
         // Flushing on every return puts each record in the runtime that
         // served its job, even when one driver alternates runtimes.
-        if let Some(served) = &mut self.served {
-            served.flush(runtime.telemetry());
-        }
+        self.served.flush(runtime.telemetry());
         result
     }
 
@@ -579,12 +575,8 @@ impl TraceDriver {
                         );
                         t.instant(SpanKind::Completed, done);
                     }
-                    let telemetry = runtime.telemetry();
-                    if telemetry.is_enabled() {
-                        let exemplar = trace.as_ref().map(|t| t.id.raw());
-                        let served = self.served.get_or_insert_with(ServedLatencies::default);
-                        served.record(telemetry, start - t_attempt, response, exemplar);
-                    }
+                    let exemplar = trace.as_ref().map(|t| t.id.raw());
+                    self.served.record(runtime.telemetry(), start - t_attempt, response, exemplar);
                     self.responses.add(response);
                     self.batches.add(response);
                     return Ok(());
@@ -931,13 +923,13 @@ mod tests {
 
     #[test]
     fn tracing_is_observation_only_and_records_causal_traces() {
-        let run = |traced: bool| {
-            let mut b =
-                RuntimeBuilder::new().seed(11).scheme(SchemeKind::Coop).nominal_arrival_rate(0.6);
-            if traced {
-                b = b.tracing_config(crate::TracingConfig::sample_all());
-            }
-            let rt = b.build();
+        let run = |tracing: crate::TracingConfig| {
+            let rt = RuntimeBuilder::new()
+                .seed(11)
+                .scheme(SchemeKind::Coop)
+                .nominal_arrival_rate(0.6)
+                .tracing_config(tracing)
+                .build();
             let ids: Vec<NodeId> =
                 [1.0, 0.5].iter().map(|&r| rt.register_node(r).unwrap()).collect();
             rt.resolve_now().unwrap();
@@ -950,11 +942,10 @@ mod tests {
             driver.run_jobs(&rt, 2_000).unwrap();
             (driver.stats().mean_response.to_bits(), driver.clock().to_bits(), rt.tracer().traces())
         };
-        let (a, ta, none) = run(false);
-        let (b, tb, traces) = run(true);
-        assert_eq!(a, b, "tracing must not perturb the trace");
+        let (a, ta, _) = run(crate::TracingConfig::default());
+        let (b, tb, traces) = run(crate::TracingConfig::sample_all());
+        assert_eq!(a, b, "the sampling mask must not perturb the trace");
         assert_eq!(ta, tb);
-        assert!(none.is_empty(), "disabled tracer records nothing");
         assert!(!traces.is_empty(), "sample-all chaos run must record traces");
         for t in &traces {
             t.terminal().expect("every trace ends in a terminal span");
@@ -993,7 +984,7 @@ mod tests {
         let mut sequences: Vec<u64> = traces.iter().map(|t| t.sequence).collect();
         sequences.sort_unstable();
         assert_eq!(sequences, (1..=200).collect::<Vec<_>>());
-        let last = rt.tracer().id_of(200).unwrap();
+        let last = rt.tracer().id_of(200);
         assert_eq!(rt.tracer().trace(last).unwrap().sequence, 200);
     }
 
@@ -1077,7 +1068,6 @@ mod tests {
         let rt = RuntimeBuilder::new()
             .seed(11)
             .nominal_arrival_rate(phi)
-            .telemetry(true)
             .tracing_config(crate::TracingConfig::sample_all())
             .build();
         let rates = [[10.0; 2].as_slice(), &[5.0; 3], &[2.0; 5], &[1.0; 6]].concat();

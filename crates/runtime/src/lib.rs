@@ -45,7 +45,8 @@
 //! * [`control`] — the control-plane port ([`ControlPlaneHooks`]) an
 //!   external transport drives, on a wall clock mapped to virtual time;
 //! * [`telemetry`] / [`tracing`] — the counters, histograms and clock a
-//!   scrape reads, and per-job traces, all observation-only.
+//!   scrape reads, and sampled per-job traces: every runtime records
+//!   both, and both are observation-only.
 //!
 //! The [`Runtime`] ties these together behind one handle that is cheap
 //! to share across threads; [`Runtime::spawn_resolver`] runs the
@@ -130,16 +131,12 @@ pub struct RuntimeConfig {
     /// Tuning of the accrual failure detector behind
     /// [`Runtime::observe_success`] / [`Runtime::observe_failure`].
     pub detector: DetectorConfig,
-    /// Whether the runtime records telemetry (the counters, histograms
-    /// and clock a scrape reads). Off by default. Telemetry consumes no
-    /// RNG draws and leaves every decision sequence bit-identical; it
-    /// only adds instruments.
-    pub telemetry: bool,
-    /// Per-job tracing (spans + flight recorder); `None` (the default)
-    /// disables it. Tracing owns no RNG stream and no clock — trace
-    /// ids hash from `seed` and the job sequence — so enabling it
-    /// leaves every decision sequence and fingerprint bit-identical.
-    pub tracing: Option<TracingConfig>,
+    /// Per-job tracing: the sampling mask and the flight recorder's
+    /// capacity (by default one job in 64 and 256 traces per lane).
+    /// Tracing owns no RNG stream and no clock — trace ids hash from
+    /// `seed` and the job sequence — so which jobs it samples leaves
+    /// every decision sequence and fingerprint bit-identical.
+    pub tracing: TracingConfig,
 }
 
 impl Default for RuntimeConfig {
@@ -154,8 +151,7 @@ impl Default for RuntimeConfig {
             min_service_obs: 16,
             admission: None,
             detector: DetectorConfig::default(),
-            telemetry: false,
-            tracing: None,
+            tracing: TracingConfig::default(),
         }
     }
 }
@@ -167,7 +163,8 @@ pub struct RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Default configuration: COOP, seed 0, idle nominal rate.
+    /// Default configuration: COOP, seed 0, idle nominal rate, tracing
+    /// one job in 64.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -230,31 +227,27 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables or disables telemetry (the counters, histograms and clock
-    /// a scrape reads). Disabled by default; enabling it never perturbs
-    /// a decision sequence.
+    /// Ignores its argument: every runtime records telemetry. Kept for
+    /// the benchmark's callers until the benchmark next changes.
     #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.cfg.telemetry = enabled;
+    pub fn telemetry(self, _enabled: bool) -> Self {
         self
     }
 
-    /// Enables or disables per-job tracing with the default
-    /// [`TracingConfig`] (1-in-64 head sampling). Disabled by default;
-    /// enabling it never perturbs a decision sequence — trace identity
-    /// and sampling are pure hash functions of the seed and job
-    /// sequence number.
+    /// Ignores its argument: every runtime traces, at the
+    /// [`TracingConfig`] that [`RuntimeBuilder::tracing_config`] sets.
+    /// Kept for the benchmark's callers until the benchmark next
+    /// changes.
     #[must_use]
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.cfg.tracing = enabled.then(TracingConfig::default);
+    pub fn tracing(self, _enabled: bool) -> Self {
         self
     }
 
-    /// Enables per-job tracing with an explicit configuration
-    /// (sampling mask, recorder capacity).
+    /// Sets the tracing configuration (sampling mask, recorder
+    /// capacity); the default samples one job in 64.
     #[must_use]
     pub fn tracing_config(mut self, cfg: TracingConfig) -> Self {
-        self.cfg.tracing = Some(cfg);
+        self.cfg.tracing = cfg;
         self
     }
 
@@ -263,15 +256,13 @@ impl RuntimeBuilder {
     /// # Panics
     /// If the admission configuration is invalid (target utilization
     /// outside `(0, 1)`, negative defer band), the detector
-    /// configuration is inconsistent (see [`DetectorConfig`]), or the
-    /// service window is zero.
+    /// configuration is inconsistent (see [`DetectorConfig`]), the
+    /// service window is zero, or `ewma_alpha` lies outside `(0, 1]`.
     #[must_use]
     pub fn build(self) -> Runtime {
         let cfg = self.cfg;
         cfg.detector.validate();
         let table = Arc::new(EpochSwap::new(RoutingTable::empty(0)));
-        let telemetry = if cfg.telemetry { Telemetry::enabled() } else { Telemetry::disabled() };
-        let tracer = cfg.tracing.map_or_else(Tracer::disabled, |tc| Tracer::enabled(cfg.seed, tc));
         let dispatcher = Dispatcher::new(Arc::clone(&table), cfg.seed);
         let admission = cfg.admission.map(|a| {
             AdmissionControl::new(
@@ -292,8 +283,8 @@ impl RuntimeBuilder {
             admission,
             epoch: AtomicU64::new(0),
             tables_built: AtomicU64::new(0),
-            telemetry,
-            tracer,
+            telemetry: Telemetry::default(),
+            tracer: Tracer::new(cfg.seed, cfg.tracing),
             clock: ClockAdapter::new(),
         }
     }
@@ -797,17 +788,15 @@ impl Runtime {
         self.admission.as_ref().map(AdmissionControl::offered_utilization)
     }
 
-    /// The telemetry facade (disabled unless [`RuntimeBuilder::telemetry`]
-    /// turned it on). Drivers use it to publish the virtual clock and to
-    /// record per-job observations.
+    /// The runtime's telemetry. Drivers use it to publish the virtual
+    /// clock and to record per-job observations.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
-    /// The tracing facade (disabled unless [`RuntimeBuilder::tracing`]
-    /// turned it on). Drivers use it to begin sampled per-job traces
-    /// and land them in the flight recorder.
+    /// The runtime's tracer. Drivers use it to begin sampled per-job
+    /// traces and land them in the flight recorder.
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -819,11 +808,12 @@ impl Runtime {
     /// counters and offered ρ, and one status row per registered node
     /// (live φ at the telemetry clock plus the effective detector
     /// thresholds, the rows [`ControlPlaneHooks::nodes`] reads).
-    /// Linear in the node count. `None` when telemetry is disabled.
+    /// Linear in the node count. Always `Some`: every runtime records
+    /// telemetry, and the `Option` is kept for the benchmark's callers
+    /// until the benchmark next changes.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Option<gtlb_telemetry::Snapshot> {
-        let inner = self.telemetry.inner()?;
-        let now = inner.clock();
+        let now = self.telemetry.clock();
         let nodes = self
             .node_rows(now, |n| (n.id.raw(), n.phi, n.effective_suspect_phi, n.effective_down_phi));
         // Read before the responses and drops it is set against, so
@@ -831,7 +821,8 @@ impl Runtime {
         // unflushed completions.
         let dispatched = self.dispatcher.dispatched();
         let admission = self.admission.as_ref().map(|c| (c.stats(), c.offered_utilization()));
-        Some(inner.snapshot(now, dispatched, self.table.stats().publishes, admission, &nodes))
+        let publishes = self.table.stats().publishes;
+        Some(self.telemetry.snapshot(now, dispatched, publishes, admission, &nodes))
     }
 
     /// Publish statistics of the routing-table slot.
@@ -1745,7 +1736,7 @@ mod tests {
 
     #[test]
     fn solver_events_and_metrics_are_recorded() {
-        let rt = Runtime::builder().seed(9).nominal_arrival_rate(0.8).telemetry(true).build();
+        let rt = Runtime::builder().seed(9).nominal_arrival_rate(0.8).build();
         let resolves = |rt: &Runtime| {
             rt.telemetry_snapshot().unwrap().counter(telemetry::names::SOLVER_RESOLVES)
         };

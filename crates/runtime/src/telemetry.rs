@@ -1,12 +1,9 @@
-//! Runtime observability: a [`Telemetry`] facade over the
-//! `gtlb-telemetry` instruments, threaded through every subsystem.
+//! Runtime observability: the [`Telemetry`] instruments every
+//! [`Runtime`] records into, over the `gtlb-telemetry` primitives.
 //!
-//! The facade is an `Option<Arc<_>>`: [`Telemetry::disabled`] (the
-//! default) carries `None` and every record method compiles to a plain
-//! branch on it, so the instrumented paths cost one predictable
-//! never-taken branch when telemetry is off. [`Telemetry::enabled`]
-//! allocates the telemetry clock and the seven instruments the runtime
-//! records into.
+//! The runtime holds one [`Telemetry`] by value, the telemetry clock
+//! and the seven instruments, and every record lands in it: telemetry
+//! has no off switch.
 //!
 //! ## Determinism contract
 //!
@@ -14,15 +11,14 @@
 //! is the virtual time the [`TraceDriver`] publishes through
 //! [`Telemetry::set_clock`], and no instrument reads wall-clock time;
 //! telemetry has no entry in the stream-family map because it never
-//! draws. Enabling telemetry therefore leaves every determinism
-//! fingerprint bit-identical — `tests/fingerprints.rs` checks them with
-//! telemetry on and off.
+//! draws. Recording therefore cannot move a determinism fingerprint;
+//! `tests/fingerprints.rs` pins them with telemetry recording in every
+//! run.
 //!
 //! ## Hot-path budget
 //!
-//! The dispatcher holds no telemetry handle: a route costs the same
-//! with telemetry on and off, and the dispatch count a scrape exports is
-//! the dispatcher's own.
+//! The dispatcher holds no telemetry handle: a route records nothing,
+//! and the dispatch count a scrape exports is the dispatcher's own.
 //!
 //! Every served job has a response time and a queue wait. The
 //! [`TraceDriver`] records both into plain buffers of its own and adds
@@ -50,12 +46,12 @@
 //! the exported values, so every scrape agrees with itself. A new
 //! per-node series is one more column of that pass.
 //!
+//! [`Runtime`]: crate::Runtime
 //! [`Runtime::telemetry_snapshot`]: crate::Runtime::telemetry_snapshot
 //! [`ControlPlaneHooks::nodes`]: crate::ControlPlaneHooks::nodes
 //! [`TraceDriver`]: crate::driver::TraceDriver
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use gtlb_telemetry::{Counter, FamilySnapshot, Histogram, HistogramSnapshot, Snapshot};
 
@@ -114,11 +110,14 @@ pub mod names {
     pub const NODE_LABEL: &str = "node";
 }
 
-/// The instrument set behind an enabled [`Telemetry`]: the telemetry
-/// clock and the seven instruments the runtime records into.
-#[derive(Debug)]
-pub(crate) struct TelemetryInner {
-    /// `f64` bits of the driver-published virtual clock.
+/// The runtime's telemetry: the telemetry clock and the seven
+/// instruments the runtime records into. Every [`Runtime`] holds one.
+///
+/// [`Runtime`]: crate::Runtime
+#[derive(Debug, Default)]
+pub struct Telemetry {
+    /// `f64` bits of the driver-published virtual clock (all-zero bits
+    /// read 0.0).
     clock_bits: AtomicU64,
     retries: Counter,
     fault_drops: Counter,
@@ -129,21 +128,10 @@ pub(crate) struct TelemetryInner {
     backoff: Histogram,
 }
 
-impl TelemetryInner {
-    fn new() -> Self {
-        Self {
-            clock_bits: AtomicU64::new(0f64.to_bits()),
-            retries: Counter::new(),
-            fault_drops: Counter::new(),
-            health_transitions: Counter::new(),
-            solver_resolves: Counter::new(),
-            response: Histogram::new(),
-            queue_wait: Histogram::new(),
-            backoff: Histogram::new(),
-        }
-    }
-
-    pub(crate) fn clock(&self) -> f64 {
+impl Telemetry {
+    /// The last published virtual time (0 before the first).
+    #[must_use]
+    pub fn clock(&self) -> f64 {
         f64::from_bits(self.clock_bits.load(Ordering::Relaxed))
     }
 
@@ -152,11 +140,11 @@ impl TelemetryInner {
     /// reading `now` the rows' φ was evaluated at, the dispatch count,
     /// the table publishes, admission's counters and ρ (`None` without
     /// admission, exported as zeros) and one `(node, φ, suspect, down)`
-    /// row per registered node in ascending id order. `gtlb_jobs_inflight` is derived from
-    /// the exported values: dispatched minus responses minus
-    /// fault-dropped attempts, floored at 0 (a job loop that records no
-    /// responses leaves it at the raw dispatch count, still an honest
-    /// upper bound).
+    /// row per registered node in ascending id order.
+    /// `gtlb_jobs_inflight` is derived from the exported values:
+    /// dispatched minus responses minus fault-dropped attempts, floored
+    /// at 0 (a job loop that records no responses leaves it at the raw
+    /// dispatch count, still an honest upper bound).
     pub(crate) fn snapshot(
         &self,
         now: f64,
@@ -202,58 +190,12 @@ impl TelemetryInner {
         ]);
         Snapshot::new(counters, gauges, histograms, families)
     }
-}
-
-/// `series` with owned names, in the order given.
-fn named<T, const N: usize>(series: [(&str, T); N]) -> Vec<(String, T)> {
-    series.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
-}
-
-/// The runtime's telemetry facade: either a no-op
-/// ([`Telemetry::disabled`]) or a shared instrument set
-/// ([`Telemetry::enabled`]). Cloning shares the instruments.
-#[derive(Debug, Clone, Default)]
-pub struct Telemetry {
-    inner: Option<Arc<TelemetryInner>>,
-}
-
-impl Telemetry {
-    /// The no-op facade: every record method is a never-taken branch.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// An enabled facade.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Self { inner: Some(Arc::new(TelemetryInner::new())) }
-    }
-
-    /// Whether this facade records anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    #[inline]
-    pub(crate) fn inner(&self) -> Option<&TelemetryInner> {
-        self.inner.as_deref()
-    }
 
     /// Publishes the driver's virtual clock: a scrape exports it as
     /// `gtlb_virtual_clock_seconds` and evaluates each node's φ at it.
     #[inline]
     pub fn set_clock(&self, t: f64) {
-        if let Some(inner) = self.inner() {
-            inner.clock_bits.store(t.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// The last published virtual time (0 when disabled).
-    #[must_use]
-    pub fn clock(&self) -> f64 {
-        self.inner().map_or(0.0, TelemetryInner::clock)
+        self.clock_bits.store(t.to_bits(), Ordering::Relaxed);
     }
 
     /// Records a completed job's response time together with its trace
@@ -265,11 +207,9 @@ impl Telemetry {
     /// [`TraceDriver`]: crate::driver::TraceDriver
     #[inline]
     pub fn record_response_traced(&self, seconds: f64, exemplar: Option<u64>) {
-        if let Some(inner) = self.inner() {
-            match exemplar {
-                Some(id) => inner.response.record_with_exemplar(seconds, id),
-                None => inner.response.record(seconds),
-            }
+        match exemplar {
+            Some(id) => self.response.record_with_exemplar(seconds, id),
+            None => self.response.record(seconds),
         }
     }
 
@@ -289,23 +229,19 @@ impl Telemetry {
     /// like [`Telemetry::record_response_traced`].
     #[inline]
     pub fn record_queue_wait(&self, seconds: f64) {
-        if let Some(inner) = self.inner() {
-            inner.queue_wait.record(seconds);
-        }
+        self.queue_wait.record(seconds);
     }
 
     /// Adds a driver's buffered response times and queue waits into
     /// `gtlb_response_seconds` and `gtlb_queue_wait_seconds`, leaving
-    /// both buffers empty (a no-op when disabled).
+    /// both buffers empty.
     pub(crate) fn absorb_served(
         &self,
         response: &mut HistogramSnapshot,
         queue_wait: &mut HistogramSnapshot,
     ) {
-        if let Some(inner) = self.inner() {
-            inner.response.absorb(response);
-            inner.queue_wait.absorb(queue_wait);
-        }
+        self.response.absorb(response);
+        self.queue_wait.absorb(queue_wait);
     }
 
     /// Records one retry and the backoff it waited (virtual seconds).
@@ -313,10 +249,8 @@ impl Telemetry {
     /// loop until that loop is retired.
     #[inline]
     pub fn record_retry(&self, _shard: usize, backoff_seconds: f64) {
-        if let Some(inner) = self.inner() {
-            inner.retries.incr();
-            inner.backoff.record(backoff_seconds);
-        }
+        self.retries.incr();
+        self.backoff.record(backoff_seconds);
     }
 
     /// Records a dispatch attempt dropped by an injected fault. Every
@@ -325,39 +259,23 @@ impl Telemetry {
     /// kept for the benchmark's job loop until that loop is retired.
     #[inline]
     pub fn record_fault_drop(&self, _shard: usize, _node: NodeId, _t: f64) {
-        if let Some(inner) = self.inner() {
-            inner.fault_drops.incr();
-        }
+        self.fault_drops.incr();
     }
 
     /// Records an applied health transition, detector-driven or manual.
     #[inline]
     pub(crate) fn record_health(&self) {
-        if let Some(inner) = self.inner() {
-            inner.health_transitions.incr();
-        }
+        self.health_transitions.incr();
     }
 
     /// Records one successful solve.
     #[inline]
     pub(crate) fn record_solve(&self) {
-        if let Some(inner) = self.inner() {
-            inner.solver_resolves.incr();
-        }
+        self.solver_resolves.incr();
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_is_inert() {
-        let tel = Telemetry::disabled();
-        assert!(!tel.is_enabled());
-        tel.set_clock(5.0);
-        tel.record_response_traced(1.0, Some(7));
-        tel.record_retry(0, 0.1);
-        assert_eq!(tel.clock(), 0.0);
-    }
+/// `series` with owned names, in the order given.
+fn named<T, const N: usize>(series: [(&str, T); N]) -> Vec<(String, T)> {
+    series.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
 }

@@ -1,10 +1,9 @@
-//! The runtime's tracing facade: deterministic per-job traces over the
+//! The runtime's tracer: deterministic per-job traces over the
 //! `gtlb-telemetry` [`trace`](gtlb_telemetry::trace) primitives.
 //!
-//! Like [`Telemetry`](crate::telemetry::Telemetry), the facade is an
-//! `Option<Arc<_>>`: [`Tracer::disabled`] (the default) costs one
-//! never-taken branch per record site. [`Tracer::enabled`] allocates
-//! the [`FlightRecorder`] and pins the identity scheme.
+//! Every [`Runtime`](crate::Runtime) holds one [`Tracer`] by value: the
+//! [`FlightRecorder`] and the identity scheme, sampling one job in 64
+//! unless [`RuntimeBuilder::tracing_config`] sets another mask.
 //!
 //! ## Determinism contract
 //!
@@ -12,77 +11,61 @@
 //! a SplitMix64 hash of the runtime's base seed and the job's sequence
 //! number ([`gtlb_telemetry::trace_id`]); the sampling decision is a
 //! mask test on that id. Every span timestamp is the driver's virtual
-//! time, already computed for the decision being traced. Enabling
-//! tracing therefore leaves all determinism fingerprints bit-identical
-//! — `tests/fingerprints.rs` checks them with tracing on and off — and
-//! the trace *set* itself is a pure function of `(seed, plan)`,
-//! identical across thread counts.
+//! time, already computed for the decision being traced. Which jobs
+//! build spans therefore leaves all determinism fingerprints
+//! bit-identical — `tests/fingerprints.rs` checks them under the
+//! default mask and with every job sampled — and the trace *set* itself
+//! is a pure function of `(seed, plan)`, identical across thread
+//! counts.
 //!
 //! ## Hot-path budget
 //!
 //! An unsampled job costs exactly one hash and one mask test
 //! ([`Tracer::begin`] returning `None`); only sampled jobs build spans
 //! (a handful of `Vec` pushes on the driver's already-cold per-job
-//! path) and take the recorder lock once, at the terminal span. CI
-//! gates sampled tracing at ≤ 1.03× the untraced driver loop.
-
-use std::sync::Arc;
+//! path) and take the recorder lock once, at the terminal span. At the
+//! default mask that is ≈ 2 ns per job; the benchmark's workloads pay it
+//! in every run.
+//!
+//! [`RuntimeBuilder::tracing_config`]: crate::RuntimeBuilder::tracing_config
 
 use gtlb_telemetry::trace::{trace_id, FlightRecorder, Trace, TraceId, TracingConfig};
 
-/// The runtime's tracing facade: either a no-op ([`Tracer::disabled`])
-/// or a shared flight recorder plus the deterministic identity scheme
-/// ([`Tracer::enabled`]). Cloning shares the recorder.
+/// The runtime's tracer: a flight recorder plus the deterministic
+/// identity scheme.
 ///
-/// The identity seed and sampling mask live inline (not behind the
-/// `Arc`) so the per-job unsampled path — hash, mask test, return —
-/// never chases the shared pointer; only sampled jobs touch the
-/// shared recorder state.
-#[derive(Debug, Clone, Default)]
+/// The identity seed and sampling mask sit beside the recorder, so the
+/// per-job unsampled path — hash, mask test, return — reads two words
+/// and takes no lock; only sampled jobs touch the recorder.
+#[derive(Debug)]
 pub struct Tracer {
     seed: u64,
     mask: u64,
-    recorder: Option<Arc<FlightRecorder>>,
+    recorder: FlightRecorder,
 }
 
 impl Tracer {
-    /// The no-op facade: [`Tracer::begin`] always returns `None`.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { seed: 0, mask: 0, recorder: None }
-    }
-
-    /// An enabled facade: trace ids hash from `seed`, and the flight
+    /// A tracer whose trace ids hash from `seed`, and whose flight
     /// recorder holds `cfg.recorder_capacity` traces in its lane plus as
     /// many in its tail-sampling lane.
     #[must_use]
-    pub fn enabled(seed: u64, cfg: TracingConfig) -> Self {
-        let recorder = FlightRecorder::new(cfg.recorder_capacity);
-        Self { seed, mask: cfg.sample_mask, recorder: Some(Arc::new(recorder)) }
+    pub fn new(seed: u64, cfg: TracingConfig) -> Self {
+        Self { seed, mask: cfg.sample_mask, recorder: FlightRecorder::new(cfg.recorder_capacity) }
     }
 
-    /// Whether this facade records anything.
+    /// The deterministic id job `sequence` gets (hash of the base seed
+    /// and the sequence number), even when the job is not sampled.
     #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.recorder.is_some()
+    pub fn id_of(&self, sequence: u64) -> TraceId {
+        trace_id(self.seed, sequence)
     }
 
-    /// The deterministic id job `sequence` would get (hash of the base
-    /// seed and the sequence number), even when the job is not sampled.
-    /// `None` when tracing is disabled.
-    #[must_use]
-    pub fn id_of(&self, sequence: u64) -> Option<TraceId> {
-        self.recorder.is_some().then(|| trace_id(self.seed, sequence))
-    }
-
-    /// Starts a trace for job `sequence` if tracing is enabled and the
-    /// job's id falls under the sampling mask. Pure: one hash, one mask
-    /// test against inline fields, no draws, no clock, no pointer
-    /// chase.
+    /// Starts a trace for job `sequence` if the job's id falls under the
+    /// sampling mask. Pure: one hash, one mask test against inline
+    /// fields, no draws, no clock, no lock.
     #[must_use]
     pub fn begin(&self, sequence: u64) -> Option<Trace> {
-        self.recorder.as_ref()?;
-        let id = trace_id(self.seed, sequence);
+        let id = self.id_of(sequence);
         id.sampled(self.mask).then(|| Trace::new(id, sequence))
     }
 
@@ -91,35 +74,31 @@ impl Tracer {
     /// it is kept for the benchmark's job loop until that loop is
     /// retired.
     pub fn finish(&self, _shard: usize, trace: Trace) {
-        if let Some(recorder) = &self.recorder {
-            recorder.record(trace);
-        }
+        self.recorder.record(trace);
     }
 
-    /// All currently-held traces, in start-time order (empty when
-    /// disabled).
+    /// All currently-held traces, in start-time order.
     #[must_use]
     pub fn traces(&self) -> Vec<Trace> {
-        self.recorder.as_ref().map_or_else(Vec::new, |r| r.traces())
+        self.recorder.traces()
     }
 
     /// Looks up one recorded trace by id.
     #[must_use]
     pub fn trace(&self, id: TraceId) -> Option<Trace> {
-        self.recorder.as_ref()?.trace(id)
+        self.recorder.trace(id)
     }
 
-    /// Traces ever recorded (tail-lane copies counted; 0 when
-    /// disabled).
+    /// Traces ever recorded (tail-lane copies counted).
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        self.recorder.as_ref().map_or(0, |r| r.recorded())
+        self.recorder.recorded()
     }
 
-    /// Traces evicted across every lane (0 when disabled).
+    /// Traces evicted across every lane.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.recorder.as_ref().map_or(0, |r| r.dropped())
+        self.recorder.dropped()
     }
 }
 
@@ -129,32 +108,21 @@ mod tests {
     use gtlb_telemetry::trace::SpanKind;
 
     #[test]
-    fn disabled_is_inert() {
-        let t = Tracer::disabled();
-        assert!(!t.is_enabled());
-        assert!(t.begin(1).is_none());
-        assert!(t.id_of(1).is_none());
-        assert!(t.traces().is_empty());
-        assert_eq!(t.recorded(), 0);
-    }
-
-    #[test]
     fn sampling_is_a_pure_function_of_the_id() {
-        let t =
-            Tracer::enabled(0xF1A6, TracingConfig { sample_mask: 0x3, ..TracingConfig::default() });
+        let t = Tracer::new(0xF1A6, TracingConfig { sample_mask: 0x3, ..TracingConfig::default() });
         let sampled: Vec<u64> = (1..=100).filter(|&s| t.begin(s).is_some()).collect();
         let again: Vec<u64> = (1..=100).filter(|&s| t.begin(s).is_some()).collect();
         assert_eq!(sampled, again, "replayable");
         assert!(!sampled.is_empty() && sampled.len() < 100, "mask thins: {}", sampled.len());
         // Every sampled sequence's id passes the mask test.
         for s in sampled {
-            assert!(t.id_of(s).unwrap().sampled(0x3));
+            assert!(t.id_of(s).sampled(0x3));
         }
     }
 
     #[test]
     fn finished_traces_are_queryable() {
-        let t = Tracer::enabled(7, TracingConfig::sample_all());
+        let t = Tracer::new(7, TracingConfig::sample_all());
         let mut trace = t.begin(1).unwrap();
         trace.instant(SpanKind::Admitted, 0.5);
         trace.instant(SpanKind::Completed, 1.0);

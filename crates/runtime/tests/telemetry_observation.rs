@@ -1,10 +1,11 @@
-//! Telemetry is observation-only: the same chaos trace run with
-//! telemetry enabled and disabled produces bit-identical outputs
-//! (stats, decision totals, health timelines) — and the enabled run's
-//! snapshot actually contains the data. The driver buffers served jobs'
-//! latencies, so the last tests pin when those buffers reach the
-//! runtime: on every return from `run_jobs`, and often enough inside a
-//! call that a concurrent scrape lags by at most 4,096 completions.
+//! Tracing's sampling is observation-only: the same chaos trace run
+//! under the default 1-in-64 mask and with every job traced produces
+//! bit-identical outputs (stats, decision totals, health timelines) —
+//! and the run's telemetry snapshot actually contains the data. The
+//! driver buffers served jobs' latencies, so the last tests pin when
+//! those buffers reach the runtime: on every return from `run_jobs`, and
+//! often enough inside a call that a concurrent scrape lags by at most
+//! 4,096 completions.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -17,15 +18,15 @@ use gtlb_runtime::{
 };
 
 /// One chaos trace: crash-recover + flaky faults, retries, heartbeats,
-/// admission pressure.
-fn chaos_run(telemetry: bool) -> (Arc<Runtime>, TraceStats, f64) {
+/// admission pressure, traced at `tracing`'s mask.
+fn chaos_run(tracing: TracingConfig) -> (Arc<Runtime>, TraceStats, f64) {
     let rt = Arc::new(
         Runtime::builder()
             .seed(0x0B5E)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.8)
             .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.05 })
-            .telemetry(telemetry)
+            .tracing_config(tracing)
             .build(),
     );
     let ids: Vec<NodeId> = [4.0, 2.0, 1.0].iter().map(|&r| rt.register_node(r).unwrap()).collect();
@@ -43,32 +44,32 @@ fn chaos_run(telemetry: bool) -> (Arc<Runtime>, TraceStats, f64) {
 }
 
 #[test]
-fn enabled_and_disabled_traces_are_bit_identical() {
-    let (rt_off, stats_off, clock_off) = chaos_run(false);
-    let (rt_on, stats_on, clock_on) = chaos_run(true);
+fn default_and_sample_all_traces_are_bit_identical() {
+    let (rt_default, stats_default, clock_default) = chaos_run(TracingConfig::default());
+    let (rt_all, stats_all, clock_all) = chaos_run(TracingConfig::sample_all());
 
-    assert_eq!(clock_off.to_bits(), clock_on.to_bits(), "virtual clocks diverged");
-    assert_eq!(stats_off.submitted, stats_on.submitted);
-    assert_eq!(stats_off.jobs, stats_on.jobs);
-    assert_eq!(stats_off.accepted, stats_on.accepted);
-    assert_eq!(stats_off.rejected, stats_on.rejected);
-    assert_eq!(stats_off.deferred, stats_on.deferred);
-    assert_eq!(stats_off.failed, stats_on.failed);
-    assert_eq!(stats_off.retried, stats_on.retried);
+    assert_eq!(clock_default.to_bits(), clock_all.to_bits(), "virtual clocks diverged");
+    assert_eq!(stats_default.submitted, stats_all.submitted);
+    assert_eq!(stats_default.jobs, stats_all.jobs);
+    assert_eq!(stats_default.accepted, stats_all.accepted);
+    assert_eq!(stats_default.rejected, stats_all.rejected);
+    assert_eq!(stats_default.deferred, stats_all.deferred);
+    assert_eq!(stats_default.failed, stats_all.failed);
+    assert_eq!(stats_default.retried, stats_all.retried);
     assert_eq!(
-        stats_off.mean_response.to_bits(),
-        stats_on.mean_response.to_bits(),
+        stats_default.mean_response.to_bits(),
+        stats_all.mean_response.to_bits(),
         "mean response diverged"
     );
-    assert_eq!(stats_off.per_node, stats_on.per_node);
-    assert_eq!(stats_off.attempts, stats_on.attempts);
-    assert_eq!(rt_off.dispatched(), rt_on.dispatched());
-    assert_eq!(rt_off.hit_counts(), rt_on.hit_counts());
+    assert_eq!(stats_default.per_node, stats_all.per_node);
+    assert_eq!(stats_default.attempts, stats_all.attempts);
+    assert_eq!(rt_default.dispatched(), rt_all.dispatched());
+    assert_eq!(rt_default.hit_counts(), rt_all.hit_counts());
 
-    let offs: Vec<_> = rt_off.health_transitions();
-    let ons: Vec<_> = rt_on.health_transitions();
-    assert_eq!(offs.len(), ons.len(), "health timelines diverged in length");
-    for (a, b) in offs.iter().zip(&ons) {
+    let defaults: Vec<_> = rt_default.health_transitions();
+    let alls: Vec<_> = rt_all.health_transitions();
+    assert_eq!(defaults.len(), alls.len(), "health timelines diverged in length");
+    for (a, b) in defaults.iter().zip(&alls) {
         assert_eq!(a.node, b.node);
         assert_eq!(a.from, b.from);
         assert_eq!(a.to, b.to);
@@ -77,16 +78,9 @@ fn enabled_and_disabled_traces_are_bit_identical() {
 }
 
 #[test]
-fn disabled_runtime_scrapes_nothing() {
-    let (rt, _, _) = chaos_run(false);
-    assert!(!rt.telemetry().is_enabled());
-    assert!(rt.telemetry_snapshot().is_none());
-}
-
-#[test]
 fn enabled_snapshot_is_populated_and_consistent() {
-    let (rt, stats, clock) = chaos_run(true);
-    let snap = rt.telemetry_snapshot().expect("telemetry enabled");
+    let (rt, stats, clock) = chaos_run(TracingConfig::default());
+    let snap = rt.telemetry_snapshot().unwrap();
 
     // Synced totals mirror the exact books.
     assert_eq!(snap.counter(names::DISPATCHES), Some(rt.dispatched()));
@@ -167,17 +161,15 @@ fn the_snapshot_exports_exactly_the_named_series() {
     assert_eq!(types, 19);
 }
 
-/// A telemetry-on runtime with `rates.len()` nodes, each heartbeated
-/// at uneven intervals (so the self-tuning detector gives every node
-/// its own thresholds), one failure on the last node, and the
-/// telemetry clock published past the last beat (so φ carries a
-/// silence term).
+/// A runtime with `rates.len()` nodes, each heartbeated at uneven
+/// intervals (so the self-tuning detector gives every node its own
+/// thresholds), one failure on the last node, and the telemetry clock
+/// published past the last beat (so φ carries a silence term).
 fn heartbeating_fleet(rates: &[f64]) -> (Runtime, Vec<NodeId>) {
     let rt = Runtime::builder()
         .seed(0x0F4A)
         .nominal_arrival_rate(0.5)
         .detector(DetectorConfig::self_tuning(8))
-        .telemetry(true)
         .build();
     let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();
     for (k, &id) in ids.iter().enumerate() {
@@ -255,17 +247,10 @@ fn gauge_count_is_independent_of_fleet_size() {
 }
 
 /// The chaos scenario of the flush-rule tests: a crash-recover and a
-/// flaky window, retries, heartbeats and default (1-in-64) tracing on
-/// a telemetry-on runtime.
+/// flaky window, retries, heartbeats and default (1-in-64) tracing.
 fn flush_rule_run() -> (Arc<Runtime>, TraceDriver) {
     let rt = Arc::new(
-        Runtime::builder()
-            .seed(0xF1A5)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(2.8)
-            .telemetry(true)
-            .tracing(true)
-            .build(),
+        Runtime::builder().seed(0xF1A5).scheme(SchemeKind::Coop).nominal_arrival_rate(2.8).build(),
     );
     let ids: Vec<NodeId> = [4.0, 2.0, 1.0].iter().map(|&r| rt.register_node(r).unwrap()).collect();
     rt.resolve_now().unwrap();
@@ -335,15 +320,10 @@ fn alternating_runtimes_each_hold_the_jobs_they_served() {
     }
 }
 
-/// A telemetry-on runtime over three fault-free nodes, resolved.
+/// A runtime over three fault-free nodes, resolved.
 fn fault_free_runtime() -> (Arc<Runtime>, Vec<NodeId>) {
     let rt = Arc::new(
-        Runtime::builder()
-            .seed(0x5C4A)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(2.1)
-            .telemetry(true)
-            .build(),
+        Runtime::builder().seed(0x5C4A).scheme(SchemeKind::Coop).nominal_arrival_rate(2.1).build(),
     );
     let ids = [4.0, 2.0, 1.0].iter().map(|&r| rt.register_node(r).unwrap()).collect();
     rt.resolve_now().unwrap();
@@ -422,7 +402,6 @@ fn pinned_scrape() -> gtlb_telemetry::Snapshot {
         .nominal_arrival_rate(phi)
         .admission(AdmissionConfig { target_utilization: 0.8, defer_band: 0.1 })
         .detector(DetectorConfig::self_tuning(8))
-        .telemetry(true)
         .tracing_config(TracingConfig::sample_all())
         .build();
     let ids: Vec<NodeId> = rates.iter().map(|&r| rt.register_node(r).unwrap()).collect();

@@ -286,11 +286,9 @@ impl Default for TracingConfig {
         // a handful of inlined span pushes, one recorder lock; 2-vCPU
         // VM), so this mask plus the per-job id hash amortizes tracing
         // to ≈ 2 ns per job, while a few-thousand-job run still lands
-        // dozens of traces in the recorder. Against the untraced
-        // driver loop of 59–66 ns per job that is 1.028–1.043× with
-        // the two loops interleaved in one process, at or above CI's
-        // 1.03× ceiling: 10 of 12 median-of-3 triples read above it.
-        // ROADMAP item 9 replaces that self-relative gate.
+        // dozens of traces in the recorder. Every runtime traces at
+        // this mask unless told otherwise, so those ≈ 2 ns are part of
+        // every benchmark workload's per-job cost.
         Self { sample_mask: 0x3F, recorder_capacity: 256 }
     }
 }

@@ -36,12 +36,7 @@ fn main() {
         .map_or_else(|| "127.0.0.1:7070".to_string(), String::clone);
 
     let runtime = Arc::new(
-        Runtime::builder()
-            .seed(7)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(1.0)
-            .telemetry(true)
-            .build(),
+        Runtime::builder().seed(7).scheme(SchemeKind::Coop).nominal_arrival_rate(1.0).build(),
     );
     let cp = ControlPlane::builder(Arc::clone(&runtime))
         .bind(&bind)

@@ -14,21 +14,21 @@
 //! every line against `tests/expected_fingerprints.txt`, so `cargo test`
 //! under any `RAYON_NUM_THREADS` catches a determinism regression.
 //!
-//! Three more contracts ride along: telemetry, tracing and the control
-//! plane are observation-only. [`Observers`] switches each of them on
-//! for every runtime here — telemetry records metrics and events,
-//! tracing records sampled traces into the flight recorder, and a live
-//! `gtlb-net` listener is attached (bound to a loopback port, probed
-//! once, otherwise idle) — and every fingerprint must still be
-//! bit-identical: none of them draws from an RNG stream or feeds a
-//! deterministic output. `tests/fingerprints.rs` checks all eight
-//! combinations. The `traced_chaos` line complements it from the other
-//! side: it forces tracing on whatever the observers say and folds the
-//! recorded trace set itself, so the *traces* are pinned as a pure
-//! function of (seed, plan) too — identical across the thread matrix
-//! and across every other observer.
+//! Two more contracts ride along: which jobs tracing samples, and the
+//! control plane, are observation-only. Every runtime records telemetry
+//! and traces one job in 64; [`Observers`] makes the chaos trace's
+//! runtime trace every job instead, and attaches a live `gtlb-net`
+//! listener (bound to a loopback port, probed once, otherwise idle) —
+//! and every fingerprint must still be bit-identical: neither draws
+//! from an RNG stream or feeds a deterministic output.
+//! `tests/fingerprints.rs` checks all four combinations. The
+//! `traced_chaos` line complements it from the other side: it keeps
+//! the default mask whatever the observers say and folds the recorded
+//! trace set itself, so the *traces* are pinned as a pure function of
+//! (seed, plan) too — identical across the thread matrix and across
+//! every observer.
 //!
-//! `main` prints the fingerprints with every observer off:
+//! `main` prints the fingerprints with the defaults:
 //!
 //! ```text
 //! RAYON_NUM_THREADS=2 cargo run --release --example determinism_fingerprint
@@ -55,14 +55,12 @@ fn fold(hash: &mut u64, word: u64) {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// The observation-only features every runtime-backed fingerprint runs
+/// The observation-only choices every runtime-backed fingerprint runs
 /// with. Each combination must print the same fingerprints.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Observers {
-    /// Telemetry: the counters, histograms and clock a scrape reads.
-    pub telemetry: bool,
-    /// Per-job tracing at the default 1-in-64 sampling.
-    pub tracing: bool,
+    /// Trace every job of the chaos trace, not the default one in 64.
+    pub sample_all: bool,
     /// A live loopback control plane, probed once and otherwise idle.
     pub control_plane: bool,
 }
@@ -118,14 +116,15 @@ fn replication_fingerprint(res: &ReplicatedResult) -> u64 {
 /// families, so this trace is a pure function of (seed, plan) — checked
 /// across the thread matrix with faults *enabled*.
 fn chaos_trace_fingerprint(obs: Observers) -> u64 {
+    let tracing =
+        if obs.sample_all { TracingConfig::sample_all() } else { TracingConfig::default() };
     let rt = Arc::new(
         Runtime::builder()
             .seed(0xF1A6)
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.1)
             .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.0 })
-            .telemetry(obs.telemetry)
-            .tracing(obs.tracing)
+            .tracing_config(tracing)
             .build(),
     );
     let _cp = attach_idle_control_plane(&rt, obs);
@@ -182,13 +181,13 @@ fn span_words(kind: SpanKind) -> (u64, u64, u64, u64) {
     }
 }
 
-/// The chaos run of [`chaos_trace_fingerprint`] with tracing forced on
-/// (default 1-in-64 sampling) and the **trace set itself** folded: every
-/// recorded trace's id, sequence, spans (kind, fields, and virtual-time
-/// stamps), plus the flight recorder's exact accounting. Tracing draws
-/// nothing, so this line is a pure function of (seed, plan) — identical
-/// across the thread matrix and under every [`Observers`] combination,
-/// including `tracing` itself (the forced config wins).
+/// The chaos run of [`chaos_trace_fingerprint`] at the default 1-in-64
+/// sampling, whatever `obs.sample_all` says, and the **trace set
+/// itself** folded: every recorded trace's id, sequence, spans (kind,
+/// fields, and virtual-time stamps), plus the flight recorder's exact
+/// accounting. Tracing draws nothing, so this line is a pure function
+/// of (seed, plan) — identical across the thread matrix and under every
+/// [`Observers`] combination.
 fn traced_chaos_fingerprint(obs: Observers) -> u64 {
     let rt = Arc::new(
         Runtime::builder()
@@ -196,8 +195,6 @@ fn traced_chaos_fingerprint(obs: Observers) -> u64 {
             .scheme(SchemeKind::Coop)
             .nominal_arrival_rate(2.1)
             .admission(AdmissionConfig { target_utilization: 0.95, defer_band: 0.0 })
-            .telemetry(obs.telemetry)
-            .tracing_config(TracingConfig::default())
             .build(),
     );
     let _cp = attach_idle_control_plane(&rt, obs);
@@ -216,7 +213,7 @@ fn traced_chaos_fingerprint(obs: Observers) -> u64 {
     driver.run_jobs(&rt, 6_000).unwrap();
 
     let traces = rt.tracer().traces();
-    assert!(!traces.is_empty(), "forced tracing must record traces");
+    assert!(!traces.is_empty(), "default tracing must record traces");
     let mut h = FNV_OFFSET;
     for t in &traces {
         fold(&mut h, t.id.raw());

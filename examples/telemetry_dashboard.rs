@@ -16,9 +16,8 @@
 //! slowest trace the flight recorder holds — admission to terminal,
 //! every retry attempt on the way.
 //!
-//! Telemetry and tracing are observation-only: built without them, the
-//! runtime routes a bit-identical job stream — only the dashboard goes
-//! dark.
+//! Telemetry and tracing are observation-only: whichever jobs the
+//! sampling mask traces, the runtime routes a bit-identical job stream.
 //!
 //! ```text
 //! cargo run --release --example telemetry_dashboard
@@ -113,7 +112,7 @@ fn render_frame(
     names_by_id: &BTreeMap<NodeId, String>,
     prev: &mut Option<Snapshot>,
 ) {
-    let Some(snap) = rt.telemetry_snapshot() else { return };
+    let snap = rt.telemetry_snapshot().unwrap();
     let clock = snap.gauge(names::VIRTUAL_CLOCK).unwrap_or(0.0);
     let dispatched: u64 = snap.counter(names::DISPATCHES).unwrap_or(0);
     println!("┄┄ frame {frame} ┄ t = {:>7.1} s ┄ {} dispatched ┄┄", clock, dispatched);
@@ -163,7 +162,6 @@ pub fn main() {
         .seed(0xDA5B)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(phi)
-        .telemetry(true)
         // 1-in-16 head sampling: dense enough that a ~1k-job demo
         // lands exemplars on every percentile and a slow trace in
         // the recorder's tail lane.
@@ -173,8 +171,6 @@ pub fn main() {
     let names_by_id: BTreeMap<NodeId, String> =
         ids.iter().enumerate().map(|(k, &id)| (id, format!("node-{k}"))).collect();
     rt.resolve_now().unwrap();
-
-    assert!(rt.telemetry().is_enabled(), "built with .telemetry(true)");
 
     let plan =
         FaultPlan::new(0xFEED).crash_recover(ids[0], 60.0, 80.0).flaky(ids[2], 90.0, 60.0, 0.4);
@@ -203,7 +199,7 @@ pub fn main() {
     assert!(stats.is_conserved(), "job conservation violated");
     println!("{stats}");
 
-    let snap = rt.telemetry_snapshot().expect("telemetry enabled");
+    let snap = rt.telemetry_snapshot().unwrap();
     assert_eq!(snap.counter(names::DISPATCHES), Some(rt.dispatched()));
     println!("\nscrape tail (Prometheus text format):");
     let expo = snap.to_prometheus();

@@ -84,6 +84,22 @@ fn parse_num(flags: &Flags, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
+/// `--key` as an unsigned integer, if given: `2.5`, `-1` and `1e12` are
+/// errors, not casts.
+fn parse_count<T>(flags: &Flags, key: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match flags.get(key) {
+        None => Ok(None),
+        Some(raw) => raw
+            .parse::<T>()
+            .map(Some)
+            .map_err(|e| format!("--{key}: bad unsigned integer `{raw}`: {e}")),
+    }
+}
+
 fn cluster_and_phi(flags: &Flags) -> Result<(Cluster, f64), String> {
     let rates = parse_list(flags, "rates")?;
     let cluster = Cluster::new(rates).map_err(|e| e.to_string())?;
@@ -175,6 +191,9 @@ fn payments(flags: &Flags) -> Result<(), String> {
     let (cluster, phi) = cluster_and_phi(flags)?;
     let bids: Vec<f64> = cluster.rates().iter().map(|&r| 1.0 / r).collect();
     let mech = match parse_num(flags, "max-bid")? {
+        Some(cap) if !(cap.is_finite() && cap > 0.0) => {
+            return Err("--max-bid must be finite and positive".into());
+        }
         Some(cap) => TruthfulMechanism::with_max_bid(phi, cap),
         None => TruthfulMechanism::new(phi),
     };
@@ -238,14 +257,24 @@ fn simulate(flags: &Flags) -> Result<(), String> {
     let scheme = scheme_by_name(flags.get("scheme").map_or("coop", String::as_str))?;
     let alloc = scheme.allocate(&cluster, phi).map_err(|e| e.to_string())?;
     let cv = parse_num(flags, "cv")?.unwrap_or(1.0);
+    // The H₂ fit needs cv ≥ 1 and loses its second branch near cv = 1e8.
+    if !(1.0..=1e6).contains(&cv) {
+        return Err("--cv must lie in [1, 1e6]".into());
+    }
     let arrivals =
         if (cv - 1.0).abs() < 1e-12 { ArrivalLaw::Poisson } else { ArrivalLaw::HyperExp { cv } };
     let budget = SimBudget {
-        seed: parse_num(flags, "seed")?.map_or(0x6A0B, |s| s as u64),
-        replications: parse_num(flags, "reps")?.map_or(5, |r| r as u32),
+        seed: parse_count(flags, "seed")?.unwrap_or(0x6A0B),
+        replications: parse_count(flags, "reps")?.unwrap_or(5),
         warmup_jobs: 20_000,
-        measured_jobs: parse_num(flags, "jobs")?.map_or(200_000, |j| j as u64),
+        measured_jobs: parse_count(flags, "jobs")?.unwrap_or(200_000),
     };
+    if budget.replications == 0 {
+        return Err("--reps must be at least 1".into());
+    }
+    if budget.measured_jobs == 0 {
+        return Err("--jobs must be at least 1".into());
+    }
     let spec = single_class_spec(&cluster, alloc.loads(), phi, arrivals);
     let res = replicate_parallel(&spec, &budget);
     println!(

@@ -27,10 +27,9 @@
 //!   failure detector, and retry/timeout dispatch hardening the loop
 //!   against node churn;
 //! * [`telemetry`] — lock-free counters, log-linear latency
-//!   histograms, the scrape snapshot and per-job traces; the runtime
-//!   records into them behind an
-//!   observation-only facade that consumes no RNG and never perturbs a
-//!   deterministic trace;
+//!   histograms, the scrape snapshot and per-job traces; every runtime
+//!   records into them, observation only: they consume no RNG and
+//!   never perturb a deterministic trace;
 //! * [`net`] — the networked control plane: a dependency-free blocking
 //!   HTTP/1.1 listener through which external node agents register,
 //!   heartbeat, and report metrics into the runtime's detector and

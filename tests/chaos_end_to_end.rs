@@ -289,7 +289,6 @@ fn asymmetric_partition_routes_around_and_readmits() {
         .seed(41)
         .scheme(SchemeKind::Coop)
         .nominal_arrival_rate(phi)
-        .telemetry(true)
         .detector(DetectorConfig { probation_successes: 20, ..DetectorConfig::self_tuning(8) })
         .service_window(4096)
         .ewma_alpha(0.005)

@@ -62,12 +62,7 @@ fn wait_for_nodes(addr: SocketAddr, deadline: Duration, pred: impl Fn(&str) -> b
 #[test]
 fn control_plane_drives_the_full_node_lifecycle() {
     let runtime = Arc::new(
-        Runtime::builder()
-            .seed(41)
-            .scheme(SchemeKind::Coop)
-            .nominal_arrival_rate(0.5)
-            .telemetry(true)
-            .build(),
+        Runtime::builder().seed(41).scheme(SchemeKind::Coop).nominal_arrival_rate(0.5).build(),
     );
     let cp = ControlPlane::builder(Arc::clone(&runtime))
         .bind("127.0.0.1:0")
@@ -84,7 +79,6 @@ fn control_plane_drives_the_full_node_lifecycle() {
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
-    assert!(body.contains("\"telemetry\":true"), "{body}");
 
     // Two nodes register; both sit in the admission gate.
     let (status, body) = post(addr, "/v1/register", r#"{"name":"alpha","rate":4.0}"#);
@@ -181,7 +175,7 @@ fn malformed_and_oversized_requests_get_typed_errors() {
     let (status, _) = http(addr, "PATCH", "/healthz", "");
     assert_eq!(status, 405);
     let (status, _) = get(addr, "/metrics");
-    assert_eq!(status, 503, "telemetry disabled on this runtime");
+    assert_eq!(status, 200, "every runtime serves its telemetry");
 
     // Oversized request line → 431 without crashing the worker. The
     // server responds and closes while the client may still be
